@@ -59,9 +59,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _expression(text: str) -> Expr:
+def _expression(text: str) -> tuple[str, Expr]:
+    """Parsed --p/--q value, kept with its source text for the JSON report."""
     try:
-        return parse_expr(text)
+        return text, parse_expr(text)
     except ExprSyntaxError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -185,11 +186,12 @@ def _run_verify(args) -> int:
         ic_f=tuple(args.ic_f),
         ic_g=tuple(args.ic_g),
     )
+    (p_text, p), (q_text, q) = args.p, args.q
     ode = derive_lifted_ode(args.m)
     report = basis_check(
         ode,
-        args.p,
-        args.q,
+        p,
+        q,
         cfg,
         residual_tol=args.tol_residual,
         wronskian_tol=args.tol_wronskian,
@@ -197,8 +199,8 @@ def _run_verify(args) -> int:
     if args.json:
         doc = {
             "m": report.m,
-            "p": args.p_text,
-            "q": args.q_text,
+            "p": p_text,
+            "q": q_text,
             "interval": list(report.interval),
             "h": report.step,
             "residuals": [
@@ -229,10 +231,6 @@ def _run_verify(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "p", None) is not None:
-        # keep the original texts for the JSON report
-        source = argv if argv is not None else sys.argv[1:]
-        args.p_text, args.q_text = _flag_texts(source, "--p", "--q")
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -241,15 +239,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-def _flag_texts(argv: Sequence[str], *flags: str) -> list:
-    out = []
-    for flag in flags:
-        value = ""
-        for i, token in enumerate(argv):
-            if token == flag and i + 1 < len(argv):
-                value = argv[i + 1]
-            elif token.startswith(flag + "="):
-                value = token[len(flag) + 1 :]
-        out.append(value)
-    return out

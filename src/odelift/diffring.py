@@ -339,10 +339,6 @@ class DiffPoly:
         orders = [s.order for s in self.symbols()]
         return max(orders, default=-1)
 
-    def constant_value(self) -> Fraction:
-        """The coefficient of the monomial 1 (zero if absent)."""
-        return self.terms.get(_ONE, Fraction(0))
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in descending canonical monomial order."""
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)

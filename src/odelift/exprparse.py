@@ -13,7 +13,9 @@ supplies a tiny closed-under-differentiation expression language:
 
 Trees are immutable.  `diff_expr` applies the textbook rules and folds
 arithmetic on numeric literals, nothing more; repeated differentiation
-grows trees, which stays tractable at the orders used here.
+grows trees.  The verifier takes its derivatives from Taylor-mode jets
+(`odelift.verify`) instead; `diff_expr` is the reference those jets are
+tested against.
 """
 
 from __future__ import annotations

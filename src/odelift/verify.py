@@ -3,11 +3,11 @@
 The symbolic side promises that y = f^m (and every product f^i g^j with
 i + j = m) satisfies the derived monic equation of order m+1 whenever f, g
 solve y'' = p(x) y' + q(x) y.  This module integrates that base equation
-with classical fixed-step RK4, evaluates the derivatives of each product
-through the symbolic towers (never by finite differences), and reports a
+with classical fixed-step RK4, takes the derivatives of p, q, f, g and each
+product from Taylor-mode jets (never finite differences), and reports a
 scale-invariant residual plus a midpoint Wronskian for the basis claim.
 
-Because the towers express every derivative exactly in terms of (f, f'),
+Because the jets express every derivative exactly in terms of (f, f'),
 (g, g') and the values of p, q and their derivatives, the residual is a
 polynomial identity evaluated in floating point: it stays at rounding
 level no matter how accurate the integrator was.  Only the Wronskian
@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping, Optional, Sequence
+from math import comb
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .diffring import DiffPoly, DiffSymbol, P, Q
+from .diffring import DiffSymbol, P, Q
 from .exprparse import (
     Add,
     Call,
@@ -36,10 +36,9 @@ from .exprparse import (
     Pow,
     Sub,
     Var,
-    diff_expr,
     eval_expr,
 )
-from .lifting import LiftedODE, derivative_tower
+from .lifting import LiftedODE
 
 __all__ = [
     "ConfigError",
@@ -126,7 +125,9 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two samples")
         gaps = np.diff(self.grid)
         mean = float(np.mean(gaps))
-        if mean <= 0.0 or np.max(np.abs(gaps - mean)) > 1e-12 * abs(mean):
+        # samples carry ~1 ulp of max |x| each: more than 1e-12 of a small gap
+        tol = 1e-12 * abs(mean) + 8.0 * float(np.spacing(np.max(np.abs(self.grid))))
+        if mean <= 0.0 or np.max(np.abs(gaps - mean)) > tol:
             raise ValueError("grid must ascend with uniform spacing")
 
     def __len__(self) -> int:
@@ -142,68 +143,139 @@ class Trajectory:
 
 
 # --------------------------------------------------------------------------
-# vectorized expression evaluation
+# Taylor-mode jets
 
-# Walks an Expr over a whole grid with numpy, warnings silenced; any
-# non-finite result is re-run through the scalar evaluator at the first
-# offending x so callers always see the precise domain error.
+# A jet is the list [u, u', ..., u^(K)] at a scalar x or over a whole grid.
+# Rows hold derivatives, not Taylor coefficients u^(k)/k!, so products use
+# binomial weights and small-integer inputs give exact small-integer rows.
+# A row may be a plain float (a known zero) until a public function
+# broadcasts the jet to the shape of its input.
 
 
-def _walk(e: Expr, xs: np.ndarray):
+def _const(value: float, order: int) -> list:
+    """Jet of a constant; a numpy value row turns 1/0 into inf, not an exception."""
+    return [np.float64(value)] + [0.0] * order
+
+
+def _leibniz(u: list, v: list) -> list:
+    """Jet of u*v: (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j)."""
+    return [
+        sum(comb(k, j) * u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))
+    ]
+
+
+def _quotient(u: list, v: list) -> list:
+    """Jet of h = u/v, solved row by row from u = h*v."""
+    h: list = []
+    for k in range(len(u)):
+        known = sum(comb(k, j) * v[j] * h[k - j] for j in range(1, k + 1))
+        h.append((u[k] - known) / v[0])
+    return h
+
+
+def _chain(a: list, u: list, k: int):
+    """Row k of h where h' = a u': (a u')^(k-1)."""
+    return sum(comb(k - 1, j) * a[j] * u[k - j] for j in range(k))
+
+
+def _powers(u: list, n: int) -> list:
+    """Jets of u^0, u^1, ..., u^n; value rows are the plain powers u**k."""
+    out = [_const(1.0, len(u) - 1)]
+    for k in range(1, n + 1):
+        nxt = _leibniz(out[-1], u)
+        nxt[0] = u[0] ** k
+        out.append(nxt)
+    return out
+
+
+def _jet(e: Expr, x: np.ndarray, order: int) -> list:
     if isinstance(e, Num):
-        return np.float64(e.value)
+        return _const(e.value, order)
     if isinstance(e, Var):
-        return xs
+        return [x, 1.0, *[0.0] * order][: order + 1]
     if isinstance(e, Neg):
-        return -_walk(e.arg, xs)
-    if isinstance(e, Add):
-        return _walk(e.left, xs) + _walk(e.right, xs)
-    if isinstance(e, Sub):
-        return _walk(e.left, xs) - _walk(e.right, xs)
-    if isinstance(e, Mul):
-        return _walk(e.left, xs) * _walk(e.right, xs)
-    if isinstance(e, Div):
-        return np.divide(_walk(e.left, xs), _walk(e.right, xs))
+        return [-row for row in _jet(e.arg, x, order)]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        u, v = _jet(e.left, x, order), _jet(e.right, x, order)
+        if isinstance(e, Add):
+            return [a + b for a, b in zip(u, v)]
+        if isinstance(e, Sub):
+            return [a - b for a, b in zip(u, v)]
+        return _leibniz(u, v) if isinstance(e, Mul) else _quotient(u, v)
     if isinstance(e, Pow):
-        return np.power(_walk(e.base, xs), float(e.exponent))
+        u = _jet(e.base, x, order)
+        h = _powers(u, abs(e.exponent))[-1]
+        if e.exponent < 0:
+            h = _quotient(_const(1.0, order), h)
+        h[0] = u[0] ** e.exponent
+        return h
     if isinstance(e, Call):
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "ln": np.log}[e.func]
-        return fn(_walk(e.arg, xs))
+        u = _jet(e.arg, x, order)
+        if e.func == "ln":  # (ln u)' = u'/u
+            return [np.log(u[0])] + _quotient(u[1:], u[:-1])
+        if e.func == "exp":
+            h = [np.exp(u[0])]
+            for k in range(1, order + 1):
+                h.append(_chain(h, u, k))
+            return h
+        s, c = [np.sin(u[0])], [np.cos(u[0])]
+        for k in range(1, order + 1):
+            s.append(_chain(c, u, k))
+            c.append(-_chain(s, u, k))
+        return s if e.func == "sin" else c
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _eval_grid(e: Expr, xs: np.ndarray) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
+def _stack(x, rows: list) -> np.ndarray:
+    """Rows broadcast against x and against each other, as one array."""
+    return np.array(np.broadcast_arrays(x, *rows)[1:], dtype=float)
+
+
+def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
+    """Rows e, e', ..., e^(order) over x, warnings silenced.
+
+    A non-finite entry is re-run through the scalar evaluator at the first
+    offending x, so callers see the precise domain error.
+    """
     with np.errstate(all="ignore"):
-        vals = _walk(e, xs)
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), xs.shape).copy()
-    finite = np.isfinite(vals)
+        jet = _stack(x, _jet(e, x, order))
+    finite = np.isfinite(jet).all(axis=0).reshape(-1)
     if not finite.all():
-        x_bad = float(xs[int(np.argmin(finite))])
+        x_bad = float(x.reshape(-1)[int(np.argmin(finite))])
         eval_expr(e, x_bad)
         raise ExprDomainError(e, x_bad, "non-finite value")
-    return vals
+    return jet
 
 
-def symbol_values(
-    p: Expr, q: Expr, upto: int, x
-) -> dict[DiffSymbol, object]:
+def symbol_values(p: Expr, q: Expr, upto: int, x) -> dict[DiffSymbol, object]:
     """Values of p, p', ..., p^(upto) and likewise for q, at x.
 
     x may be a scalar or a grid array; values follow suit.  Derivatives
-    come from repeated diff_expr, never from finite differences.
+    come from the jets of p and q, never from finite differences.
     """
-    scalar = np.ndim(x) == 0
+    xs = np.asarray(x, dtype=float)
     out: dict[DiffSymbol, object] = {}
     for make, expr in ((P, p), (Q, q)):
-        chain = expr
-        for order in range(upto + 1):
-            if order:
-                chain = diff_expr(chain)
-            out[make(order)] = (
-                eval_expr(chain, float(x)) if scalar else _eval_grid(chain, x)
-            )
+        for order, row in enumerate(_expr_jet(expr, xs, upto)):
+            out[make(order)] = float(row) if xs.ndim == 0 else row
     return out
+
+
+def _solution_jet(f, fp, syms: Mapping, order: int) -> list:
+    """Jet of a base solution from its value and slope.
+
+    Differentiating f'' = p f' + q f k times gives
+    f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
+    """
+    jet = [f, fp]
+    for k in range(order - 1):
+        jet.append(
+            sum(
+                comb(k, j) * (syms[P(j)] * jet[k + 1 - j] + syms[Q(j)] * jet[k - j])
+                for j in range(k + 1)
+            )
+        )
+    return jet
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +299,8 @@ def integrate_base(
     dt = (b - a) / n
     xs = np.linspace(a, b, n + 1)
     mids = xs[:-1] + 0.5 * dt
-    p_xs = _eval_grid(p, xs)
-    q_xs = _eval_grid(q, xs)
-    p_mid = _eval_grid(p, mids)
-    q_mid = _eval_grid(q, mids)
+    p_xs, q_xs = _expr_jet(p, xs, 0)[0], _expr_jet(q, xs, 0)[0]
+    p_mid, q_mid = _expr_jet(p, mids, 0)[0], _expr_jet(q, mids, 0)[0]
 
     u, v = (float(w) for w in (ic if ic is not None else cfg.ic_f))
     f_vals = np.empty(n + 1)
@@ -259,70 +329,13 @@ def integrate_base(
 
 
 # --------------------------------------------------------------------------
-# derivative towers evaluated numerically
+# product derivatives
 
 
 def power_derivative_values(traj_point, m: int, p: Expr, q: Expr) -> np.ndarray:
-    """Derivatives y, y', ..., y^(m+1) of y = f^m at one trajectory point.
-
-    traj_point is (x, f, f').  Each tower vector is evaluated at the
-    symbol values of p, q at x and contracted against f^(m-i) (f')^i.
-    """
+    """Derivatives y, y', ..., y^(m+1) of y = f^m at traj_point = (x, f, f')."""
     x, f, fp = traj_point
-    syms = symbol_values(p, q, max(0, m - 1), x)
-    return _contract_power_tower(m, f, fp, syms)
-
-
-def _contract_power_tower(m: int, f, fp, syms: Mapping) -> np.ndarray:
-    out = []
-    for vec in derivative_tower(m):
-        acc = 0.0
-        for i, poly in enumerate(vec.coords):
-            if poly.is_zero():
-                continue
-            acc = acc + poly.eval(syms) * f ** (m - i) * fp**i
-        out.append(acc + np.zeros_like(f, dtype=float))
-    return np.array(out)
-
-
-@lru_cache(maxsize=None)
-def _monomial_tower(i: int, j: int) -> tuple:
-    """Coordinates of w, w', ..., w^(i+j+1) for w = f^i g^j.
-
-    Coordinates live over the products f^(i-b) (f')^b g^(j-d) (g')^d.
-    Differentiating one such product and rewriting f'' and g'' via the
-    base equation gives, for the coefficient grid v:
-
-        w[b,d] = D(v[b,d]) + (b+d) p v[b,d]
-                 + (i-b+1) v[b-1,d] + (b+1) q v[b+1,d]
-                 + (j-d+1) v[b,d-1] + (d+1) q v[b,d+1]
-
-    with out-of-range entries contributing nothing.  For j = 0 this is
-    exactly the single-variable tower, so the two evaluators cannot
-    drift apart.
-    """
-    sym_p = DiffPoly.symbol(P())
-    sym_q = DiffPoly.symbol(Q())
-    cells = [(b, d) for b in range(i + 1) for d in range(j + 1)]
-    v = {bd: DiffPoly.zero() for bd in cells}
-    v[(0, 0)] = DiffPoly.const(1)
-    levels = [v]
-    for _ in range(i + j + 1):
-        prev = levels[-1]
-        nxt = {}
-        for b, d in cells:
-            entry = prev[(b, d)].derive() + (b + d) * sym_p * prev[(b, d)]
-            if b >= 1:
-                entry = entry + (i - b + 1) * prev[(b - 1, d)]
-            if b < i:
-                entry = entry + (b + 1) * sym_q * prev[(b + 1, d)]
-            if d >= 1:
-                entry = entry + (j - d + 1) * prev[(b, d - 1)]
-            if d < j:
-                entry = entry + (d + 1) * sym_q * prev[(b, d + 1)]
-            nxt[(b, d)] = entry
-        levels.append(nxt)
-    return tuple(levels)
+    return monomial_derivative_values((f, fp), (f, fp), m, 0, p, q, x, m + 1)
 
 
 def monomial_derivative_values(
@@ -339,23 +352,9 @@ def monomial_derivative_values(
     if upto != i + j + 1:
         raise ValueError(f"upto must be i + j + 1 = {i + j + 1}, got {upto}")
     syms = symbol_values(p, q, max(0, i + j - 1), x)
-    return _contract_monomial_tower(i, j, f_pt, g_pt, syms)
-
-
-def _contract_monomial_tower(i: int, j: int, f_pt, g_pt, syms: Mapping) -> np.ndarray:
-    f, fp = f_pt
-    g, gp = g_pt
-    shape = np.zeros_like(np.asarray(f, dtype=float))
-    out = []
-    for level in _monomial_tower(i, j):
-        acc = 0.0
-        for (b, d), poly in level.items():
-            if poly.is_zero():
-                continue
-            factor = f ** (i - b) * fp**b * g ** (j - d) * gp**d
-            acc = acc + poly.eval(syms) * factor
-        out.append(acc + shape)
-    return np.array(out)
+    f_pow = _powers(_solution_jet(*f_pt, syms, upto), i)[i]
+    g_pow = _powers(_solution_jet(*g_pt, syms, upto), j)[j]
+    return _stack(f_pt[0], _leibniz(f_pow, g_pow))
 
 
 # --------------------------------------------------------------------------
@@ -467,9 +466,9 @@ def basis_check(
     """Check every product f^(m-j) g^j against the lifted equation.
 
     Integrates the two base solutions from cfg's initial conditions,
-    evaluates each product's derivatives through the towers on the whole
-    grid, and reports per-product max relative residuals plus the
-    midpoint Wronskian of all m+1 products.
+    evaluates each product's derivatives from jets on the whole grid,
+    and reports per-product max relative residuals plus the midpoint
+    Wronskian of all m+1 products.
 
     The Wronskian passes when |det| exceeds wronskian_tol times the
     product over derivative orders of the norm across products.  Norms
@@ -484,15 +483,15 @@ def basis_check(
     traj_g = integrate_base(p, q, cfg, cfg.ic_g)
     xs = traj_f.grid
     syms = symbol_values(p, q, max(0, m - 1), xs)
+    f_pows = _powers(_solution_jet(traj_f.f_vals, traj_f.fp_vals, syms, m + 1), m)
+    g_pows = _powers(_solution_jet(traj_g.f_vals, traj_g.fp_vals, syms, m + 1), m)
     mid = len(xs) // 2
 
     rows = []
     columns = []
     for j in range(m + 1):
         i = m - j
-        derivs = _contract_monomial_tower(
-            i, j, (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals), syms
-        )
+        derivs = _stack(xs, _leibniz(f_pows[i], g_pows[j]))
         res = residual(ode, derivs, syms)
         worst = float(np.max(np.abs(res)))
         rows.append(MonomialResidual(i, j, worst, worst < residual_tol))

@@ -1,4 +1,4 @@
-"""Integration, tower evaluation, residuals, and the basis report."""
+"""Integration, jet evaluation, residuals, and the basis report."""
 
 import math
 import random
@@ -7,7 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odelift.exprparse import ExprDomainError, parse_expr
+from odelift.diffring import P
+from odelift.exprparse import ExprDomainError, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
     ConfigError,
@@ -21,6 +22,8 @@ from odelift.verify import (
     residual,
     symbol_values,
 )
+from test_acceptance import COEFFICIENT_PAIRS
+from test_exprparse import random_tree
 
 ZERO = parse_expr("0")
 ONE = parse_expr("1")
@@ -76,6 +79,14 @@ def test_trajectory_validation():
     assert traj.point(3) == (pytest.approx(0.3), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("interval,step", [((0.0, 1.0), 1e-4), ((10.0, 11.0), 1e-3)])
+def test_fine_and_offset_grids_are_uniform(interval, step):
+    # linspace rounding is about one ulp of max |x|, above 1e-12 of the gap
+    cfg = NumericConfig(interval=interval, step=step)
+    traj = integrate_base(ZERO, MINUS_ONE, cfg)
+    assert float(np.max(np.abs(traj.f_vals - np.cos(traj.grid - interval[0])))) < 1e-10
+
+
 # -- base integration ------------------------------------------------------------
 
 
@@ -120,7 +131,36 @@ def test_symbol_values_scalar_and_grid_agree():
             assert arr[idx] == pytest.approx(point_vals[sym], rel=1e-15, abs=1e-300)
 
 
-# -- derivative towers at points ----------------------------------------------------
+def test_jets_match_symbolic_derivatives():
+    # diff_expr is the reference: derivatives k <= 4 of random trees,
+    # on a grid and at single points, to 1e-9 relative (floored at unit
+    # scale for values that cancel to zero)
+    rng = random.Random(20261017)
+    xs = np.linspace(0.25, 1.75, 7)
+    checked = 0
+    for _ in range(300):
+        tree = random_tree(rng, rng.randint(1, 3), ("sin", "cos", "exp", "ln"))
+        chain = [tree]
+        for _ in range(4):
+            chain.append(diff_expr(chain[-1]))
+        try:
+            want = np.array([[eval_expr(d, float(x)) for x in xs] for d in chain])
+            grid_vals = symbol_values(tree, tree, 4, xs)
+        except ExprDomainError:
+            continue
+        if not np.isfinite(want).all():
+            continue
+        got = np.array([grid_vals[P(k)] for k in range(5)])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+        for idx in (0, 3, 6):
+            point_vals = symbol_values(tree, tree, 4, float(xs[idx]))
+            got = np.array([point_vals[P(k)] for k in range(5)])
+            np.testing.assert_allclose(got, want[:, idx], rtol=1e-9, atol=1e-9)
+        checked += 1
+    assert checked >= 150
+
+
+# -- derivative jets at points -------------------------------------------------------
 
 
 def test_power_values_m1_is_the_base_equation():
@@ -227,6 +267,17 @@ def test_basis_check_passes_on_variable_coefficients():
     assert [r.label for r in report.residuals] == ["f^3", "f^2*g", "f*g^2", "g^3"]
     assert report.wronskian_x == pytest.approx(0.5)
     assert "PASS" in report.summary()
+
+
+@pytest.mark.parametrize("m", [6, 8, 10])
+def test_residuals_pass_at_high_order(m):
+    # the heuristic Wronskian threshold misjudges some genuine bases from
+    # m = 6 on, so only the residuals are asserted here
+    ode = derive_lifted_ode(m)
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
+    for p_text, q_text in COEFFICIENT_PAIRS:
+        report = basis_check(ode, parse_expr(p_text), parse_expr(q_text), cfg)
+        assert report.residuals_passed, (m, p_text, q_text)
 
 
 def test_wronskian_of_squares_at_origin():
