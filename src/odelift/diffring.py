@@ -10,7 +10,8 @@ formal derivatives.  Polynomials are stored sparsely:
 
 with no zero coefficients ever stored, so structural equality of the term
 maps is exact polynomial equality.  All arithmetic is over ``Fraction`` and
-therefore exact; nothing in this module rounds.
+therefore exact; nothing in this module rounds, and coefficients that are not
+``int`` or ``Fraction`` (floats included) are refused with ``TypeError``.
 
 Monomials are ordered graded-lexicographically: first by total degree, ties
 broken by comparing exponents along the symbol order p < p' < p'' < ... <
@@ -174,7 +175,7 @@ class DiffPoly:
         for mono, coeff in items:
             if not isinstance(mono, Monomial):
                 raise TypeError(f"term key must be Monomial, got {type(mono).__name__}")
-            c = normalized.get(mono, Fraction(0)) + Fraction(coeff)
+            c = normalized.get(mono, Fraction(0)) + _exact(coeff)
             if c:
                 normalized[mono] = c
             else:
@@ -192,7 +193,7 @@ class DiffPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "DiffPoly":
-        return cls({_ONE: Fraction(value)})
+        return cls({_ONE: value})
 
     @classmethod
     def symbol(cls, sym: DiffSymbol) -> "DiffPoly":
@@ -253,7 +254,7 @@ class DiffPoly:
 
     def __truediv__(self, divisor: Scalar) -> "DiffPoly":
         """Exact division by a nonzero rational constant."""
-        d = Fraction(divisor)
+        d = _exact(divisor)
         if not d:
             raise ZeroDivisionError("division of DiffPoly by zero constant")
         return _raw({m: c / d for m, c in self.terms.items()})
@@ -358,6 +359,13 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return format_poly(self)
+
+
+def _exact(value) -> Fraction:
+    # Floats (and anything else) are refused rather than silently rounded.
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
 
 
 def _raw(terms: dict[Monomial, Fraction]) -> DiffPoly:

@@ -1,20 +1,19 @@
 """Derive the monic linear ODE of order m+1 annihilating m-th powers of
 solutions of y'' = p(x) y' + q(x) y.
 
-The construction works in coordinates.  For y = f^m, every derivative of y
-is a combination of the basis elements
+With the base operator written as d^2 - p d - q, the symmetric-power
+recurrence of Bronstein, Mulders & Weil ("On symmetric powers of
+differential operators", ISSAC 1997)
 
-    B_i = f^(m-i) * (f')^i,        i = 0 .. m,
+    L_0 = 1,   L_1 = d,   L_{i+1} = (d - i p) L_i - i (m-i+1) q L_{i-1}
 
-with coefficients in the differential polynomial ring of `diffring`: each
-differentiation produces an f'' which is rewritten as p f' + q f, so the
-span of the B_i is closed under d/dx.  In these coordinates d/dx acts
-tridiagonally, and the coordinate rows of y, y', ..., y^(m) form a lower
-triangular matrix whose diagonal entries are the integer falling factorials
-m!/(m-k)!.  Expressing y^(m+1) against those rows is therefore a pure
-back-substitution whose only divisions are by nonzero integers, so the monic
-coefficients come out as exact DiffPoly values with no fraction-field
-elimination anywhere.
+ends in the monic L_{m+1}, whose lower coefficients are the c_k.  Each step
+only differentiates, multiplies by p or q and scales by integers, so the
+coefficients are integer polynomials in the ring of `diffring`: no solve,
+no division.
+
+The derivative tower of y = f^m over the basis B_i = f^(m-i) (f')^i, with
+f'' rewritten as p f' + q f, stays as the independent test oracle.
 """
 
 from __future__ import annotations
@@ -116,12 +115,12 @@ def basis_step(v: ModuleVector) -> ModuleVector:
     return ModuleVector(m, tuple(w))
 
 
-@lru_cache(maxsize=None)
 def derivative_tower(m: int) -> tuple[ModuleVector, ...]:
     """Coordinates of y, y', ..., y^(m+1) for y = f^m.
 
     Returns m+2 vectors: the first is (1, 0, ..., 0) and each subsequent one
-    is basis_step of its predecessor.
+    is basis_step of its predecessor.  Row k is zero beyond column k and has
+    the integer m!/(m-k)! in column k.  The test oracle for derive_lifted_ode.
     """
     if m < 1:
         raise ValueError(f"power m must be >= 1, got {m}")
@@ -137,29 +136,23 @@ def derivative_tower(m: int) -> tuple[ModuleVector, ...]:
 def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m.
 
-    Writes y^(m+1) = sum_k a_k y^(k) by back-substitution against the
-    triangular tower (row k has pivot m!/(m-k)! in column k), then returns
-    the monic form with c_k = -a_k.  Every division is by a nonzero integer
-    and exact.
+    Steps the recurrence above on coefficient lists, entry k multiplying
+    d^k, with d a d^k = a' d^k + a d^(k+1).  L_{m+1} is monic and its first
+    m+1 entries are c_0 .. c_m.
     """
     if m < 1:
         raise ValueError(f"power m must be >= 1, got {m}")
-    tower = derivative_tower(m)
-    residue = list(tower[m + 1].coords)
-    multipliers: list[DiffPoly] = [DiffPoly.zero()] * (m + 1)
-    for k in range(m, -1, -1):
-        pivot = falling_factorial(m, k)
-        row = tower[k].coords
-        assert row[k] == DiffPoly.const(pivot), (
-            f"tower diagonal broken at m={m}, k={k}: expected {pivot}, got {row[k]!r}"
+    zero = DiffPoly.zero()
+    prev, cur = (DiffPoly.const(1),), (zero, DiffPoly.const(1))
+    for i in range(1, m + 1):
+        weight = i * (m - i + 1)
+        nxt = tuple(
+            a.derive() - i * _P * a + shifted - weight * _Q * b
+            for a, shifted, b in zip(cur + (zero,), (zero,) + cur, prev + (zero, zero))
         )
-        a_k = residue[k] / pivot
-        multipliers[k] = a_k
-        for j in range(k + 1):
-            residue[j] = residue[j] - a_k * row[j]
-    assert all(r.is_zero() for r in residue), f"back-substitution left a residue at m={m}"
+        prev, cur = cur, nxt
 
-    coeffs = tuple(-a for a in multipliers)
+    coeffs = cur[: m + 1]
     bound = m - 1 if m >= 2 else 0
     worst = max(c.max_order() for c in coeffs)
     assert worst <= bound, (

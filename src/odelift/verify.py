@@ -83,11 +83,20 @@ class NumericConfig:
         object.__setattr__(self, "ic_g", tuple(float(v) for v in self.ic_g))
         if len(self.ic_f) != 2 or len(self.ic_g) != 2:
             raise ConfigError("initial conditions must be (value, derivative) pairs")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ConfigError(f"interval bounds must be finite, got [{a}, {b}]")
+        if not all(math.isfinite(v) for v in self.ic_f + self.ic_g):
+            raise ConfigError(
+                f"initial conditions must be finite, got {self.ic_f} and {self.ic_g}"
+            )
         if not (a < b):
             raise ConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
         if not (self.step > 0.0) or not math.isfinite(self.step):
             raise ConfigError(f"step must be a positive real, got {self.step}")
-        if (b - a) / self.step < 10.0:
+        span = (b - a) / self.step
+        if not math.isfinite(span):
+            raise ConfigError(f"grid on [{a}, {b}] with step {self.step} has too many points")
+        if span < 10.0:
             raise ConfigError(
                 f"grid on [{a}, {b}] with step {self.step} has fewer than 10 points"
             )

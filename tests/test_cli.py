@@ -1,6 +1,7 @@
 """Command-line behavior: output formats, exit codes, error routing."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,8 @@ import pytest
 
 from odelift.cli import canonical_json, main, ode_json_doc
 
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "odelift" / "fixtures"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+FIXTURE_DIR = SRC_DIR / "odelift" / "fixtures"
 
 
 def run(argv, capsys):
@@ -186,6 +188,8 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["check-paper", "-m", "2", "--all"],
         ["verify", "-m", "2", "--q", "x"],
         ["verify", "-m", "2", "--p", "(x+", "--q", "x"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "inf"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-300"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -196,10 +200,14 @@ def test_usage_errors_exit_2(argv, capsys):
 
 
 def test_module_entry_point():
+    # The child does not inherit sys.path, so hand it the checkout's src/.
+    path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
         [sys.executable, "-m", "odelift", "check-paper", "--all"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4

@@ -114,6 +114,19 @@ def test_scalar_arithmetic_exact():
         a / 0
 
 
+def test_coefficients_must_be_exact():
+    mono = Monomial({P(): 1})
+    for bad in (0.1, 1.0, "1", None):
+        with pytest.raises(TypeError):
+            DiffPoly.const(bad)
+        with pytest.raises(TypeError):
+            DiffPoly({mono: bad})
+    with pytest.raises(TypeError):
+        parse_poly("p") / 0.5
+    assert DiffPoly({mono: Fraction(1, 10)}).terms == {mono: Fraction(1, 10)}
+    assert DiffPoly.const(3) == parse_poly("3")
+
+
 def test_pow():
     assert parse_poly("p + q") ** 2 == parse_poly("p^2 + 2*p*q + q^2")
     assert parse_poly("p") ** 0 == DiffPoly.const(1)

@@ -4,7 +4,7 @@ The annihilation oracle here is deliberately primitive: it represents the
 derivatives of y = exp(m x^2) as integer polynomials in x (y solves
 y'' = x y' + (2x^2 + 2) y, so every y^(k) is a polynomial multiple of y)
 and evaluates everything in exact rational arithmetic.  It shares no code
-with the tower or the back-substitution it is judging.
+with the recurrence or the tower it is judging.
 """
 
 from fractions import Fraction
@@ -112,6 +112,19 @@ def test_symbolic_annihilation_identity_m2():
     for idx in range(3):
         combo = a2 * v2.coords[idx] + a1 * v1.coords[idx] + a0 * v0.coords[idx]
         assert v3.coords[idx] - combo == DiffPoly.zero()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_derived_equation_annihilates_tower(m):
+    # The tower is the independent oracle: the coordinates of
+    # y^(m+1) + sum_k c_k y^(k) must vanish in every basis direction.
+    tower = derivative_tower(m)
+    coeffs = derive_lifted_ode(m).coeffs
+    for idx in range(m + 1):
+        total = tower[m + 1].coords[idx]
+        for k, c in enumerate(coeffs):
+            total = total + c * tower[k].coords[idx]
+        assert total == DiffPoly.zero(), f"m={m}, coordinate {idx}"
 
 
 def test_specializing_p_to_zero_m2():

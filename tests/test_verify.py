@@ -51,6 +51,21 @@ def test_config_validation():
         NumericConfig(interval=(0.0, 1.0), step=0.2)
     with pytest.raises(ConfigError):
         NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.0, 0.0))
+    inf, nan = float("inf"), float("nan")
+    with pytest.raises(ConfigError, match="finite"):
+        NumericConfig(interval=(0.0, inf), step=1e-3)
+    with pytest.raises(ConfigError, match="finite"):
+        NumericConfig(interval=(-inf, 1.0), step=1e-3)
+    with pytest.raises(ConfigError, match="finite"):
+        NumericConfig(interval=(0.0, nan), step=1e-3)
+    with pytest.raises(ConfigError, match="finite"):
+        NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(inf, 0.0))
+    with pytest.raises(ConfigError, match="finite"):
+        NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_g=(0.0, nan))
+    with pytest.raises(ConfigError, match="too many points"):
+        NumericConfig(interval=(0.0, 1e12), step=1e-300)
+    with pytest.raises(ConfigError, match="too many points"):
+        NumericConfig(interval=(-1e308, 1e308), step=1.0)
 
 
 def test_config_steps_and_independence():
