@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol-wronskian",
         type=float,
         default=1e-8,
-        help="scaled Wronskian threshold (default 1e-8)",
+        help="min |W(f,g)| / (|(f,f')| |(g,g')|) at the midpoint, in (0, 1) (default 1e-8)",
     )
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.set_defaults(handler=_run_verify)

@@ -119,3 +119,20 @@ def test_criterion_6_integrator_convergence_order():
         errors.append(abs(float(traj.f_vals[-1]) - math.cos(1.0)))
     ratio = errors[0] / errors[1]
     _report(6, "fourth-order integrator convergence", 12.0 <= ratio <= 20.0)
+
+
+def test_criterion_7_basis_verdict_at_high_order():
+    # The verdict must not depend on m: genuine bases pass and dependent
+    # initial conditions (g = f/4) fail at every order.
+    genuine = NumericConfig(interval=(0.0, 1.0), step=1e-3)
+    dependent = NumericConfig(
+        interval=(0.0, 1.0), step=1e-3, ic_f=(1.5, 0.25), ic_g=(0.375, 0.0625)
+    )
+    ok = True
+    for m in range(6, 11):
+        ode = derive_lifted_ode(m)
+        for p_text, q_text in COEFFICIENT_PAIRS:
+            p, q = parse_expr(p_text), parse_expr(q_text)
+            ok = ok and basis_check(ode, p, q, genuine).passed
+            ok = ok and not basis_check(ode, p, q, dependent).passed
+    _report(7, "basis verdicts for m = 6..10 on four suites", ok)

@@ -190,6 +190,11 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "(x+", "--q", "x"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "inf"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-300"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "inf"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "nan"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "-1"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "nan"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

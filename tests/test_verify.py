@@ -66,6 +66,12 @@ def test_config_validation():
         NumericConfig(interval=(0.0, 1e12), step=1e-300)
     with pytest.raises(ConfigError, match="too many points"):
         NumericConfig(interval=(-1e308, 1e308), step=1.0)
+    for bad in (inf, nan, -1.0, 0.0):
+        with pytest.raises(ConfigError, match="residual tolerance"):
+            cos_suite(2, residual_tol=bad)
+    for bad in (nan, 1.0, inf, 0.0, -1e-8):
+        with pytest.raises(ConfigError, match="Wronskian tolerance"):
+            cos_suite(2, wronskian_tol=bad)
 
 
 def test_config_steps_and_independence():
@@ -286,13 +292,11 @@ def test_basis_check_passes_on_variable_coefficients():
 
 @pytest.mark.parametrize("m", [6, 8, 10])
 def test_residuals_pass_at_high_order(m):
-    # the heuristic Wronskian threshold misjudges some genuine bases from
-    # m = 6 on, so only the residuals are asserted here
     ode = derive_lifted_ode(m)
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
     for p_text, q_text in COEFFICIENT_PAIRS:
         report = basis_check(ode, parse_expr(p_text), parse_expr(q_text), cfg)
-        assert report.residuals_passed, (m, p_text, q_text)
+        assert report.passed, (m, p_text, q_text)
 
 
 def test_wronskian_of_squares_at_origin():
@@ -305,6 +309,27 @@ def test_wronskian_of_squares_at_origin():
         cols.append(derivs[:3])
     det = float(np.linalg.det(np.column_stack(cols)))
     assert det == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_closed_form_wronskian_matches_determinant(m):
+    # the (m+1)x(m+1) determinant of the product jets is the oracle for
+    # (prod k!) W(f, g)^(m(m+1)/2)
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
+    traj_f, traj_g = integrate_base(p, q, cfg, cfg.ic_f), integrate_base(p, q, cfg, cfg.ic_g)
+    mid = len(traj_f) // 2
+    x, f, fp = traj_f.point(mid)
+    _, g, gp = traj_g.point(mid)
+    cols = [
+        monomial_derivative_values((f, fp), (g, gp), m - j, j, p, q, x, m + 1)[: m + 1]
+        for j in range(m + 1)
+    ]
+    det = float(np.linalg.det(np.column_stack(cols)))
+    report = basis_check(derive_lifted_ode(m), p, q, cfg)
+    assert report.wronskian_x == x
+    assert report.wronskian == pytest.approx(det, rel=1e-9)
+    assert abs(report.wronskian) <= report.wronskian_scale
 
 
 def test_dependent_initial_conditions_fail_only_the_wronskian():
