@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -45,8 +46,17 @@ def ode_json_doc(m: int) -> dict:
 
 
 def canonical_json(doc) -> str:
-    """Single serialization used everywhere, so load-then-dump is stable."""
-    return json.dumps(doc, sort_keys=True, indent=2)
+    """Single serialization used everywhere, so load-then-dump is stable.
+
+    Strict JSON: a non-finite float raises ValueError instead of printing
+    the non-standard tokens Infinity or NaN.
+    """
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _finite_or_null(value: float) -> float | None:
+    """A report float, or None (JSON null) where it is infinite or NaN."""
+    return value if math.isfinite(value) else None
 
 
 def _positive_int(text: str) -> int:
@@ -208,14 +218,14 @@ def _run_verify(args) -> int:
                     "monomial": r.label,
                     "i": r.i,
                     "j": r.j,
-                    "max_residual": r.max_residual,
+                    "max_residual": _finite_or_null(r.max_residual),
                     "pass": r.passed,
                 }
                 for r in report.residuals
             ],
             "wronskian": {
-                "value": report.wronskian,
-                "scale": report.wronskian_scale,
+                "value": _finite_or_null(report.wronskian),
+                "scale": _finite_or_null(report.wronskian_scale),
                 "x": report.wronskian_x,
                 "tolerance": report.wronskian_tol,
                 "pass": report.wronskian_passed,

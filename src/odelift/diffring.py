@@ -6,12 +6,17 @@ polynomial ring Q[p, p', p'', ..., q, q', q'', ...], where ``p`` and ``q`` are
 the coefficient functions of the base second-order equation and primes denote
 formal derivatives.  Polynomials are stored sparsely:
 
-    DiffPoly.terms : dict mapping Monomial -> Fraction
+    DiffPoly.terms : dict mapping Monomial -> int | Fraction
 
 with no zero coefficients ever stored, so structural equality of the term
-maps is exact polynomial equality.  All arithmetic is over ``Fraction`` and
-therefore exact; nothing in this module rounds, and coefficients that are not
-``int`` or ``Fraction`` (floats included) are refused with ``TypeError``.
+maps is exact polynomial equality.  A Monomial is a packed exponent tuple
+indexed by symbol slot: slot 2k holds the exponent of p^(k) and slot 2k+1
+that of q^(k), with trailing zeros trimmed, so the derivation moves one unit
+of exponent from slot s to slot s+2.  Integral coefficients are stored as
+``int``; a ``Fraction`` appears only where a value is not integral, such as
+a rational literal.  All arithmetic is exact; nothing in this module rounds,
+and coefficients that are not ``int`` or ``Fraction`` (floats included) are
+refused with ``TypeError``.
 
 Monomials are ordered graded-lexicographically: first by total degree, ties
 broken by comparing exponents along the symbol order p < p' < p'' < ... <
@@ -22,8 +27,9 @@ ring operations do not depend on it.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache
 from typing import Iterable, Mapping, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
@@ -75,19 +81,57 @@ def _make_symbol(base: str, order: int) -> DiffSymbol:
     return DiffSymbol(base, order)
 
 
-@total_ordering
-class Monomial:
+def _slot(sym: DiffSymbol) -> int:
+    base, order = _make_symbol(*sym)
+    return 2 * order + _BASES.index(base)
+
+
+def _symbol(slot: int) -> DiffSymbol:
+    return DiffSymbol(_BASES[slot & 1], slot >> 1)
+
+
+@lru_cache(maxsize=None)
+def _slot_order(n: int) -> tuple[int, ...]:
+    """Slots 0..n-1 in symbol order: p, p', p'', ..., then q, q', ..."""
+    return (*range(0, n, 2), *range(1, n, 2))
+
+
+def _order_key(mono: "Monomial", width: int) -> tuple:
+    """Graded-lex key: degree, p-exponents padded to ``width``, q-exponents.
+
+    Keys of monomials with at most 2*width slots compare like the
+    monomials.  The q-exponents need no padding: they come last, and two
+    distinct monomials with equal degree and p-exponents differ at a
+    q-slot that both keys hold.
+    """
+    p_exps = mono[0::2]
+    return sum(mono), p_exps + (0,) * (width - len(p_exps)), mono[1::2]
+
+
+def _graded(compare):
+    def method(self, other):
+        if not isinstance(other, Monomial):
+            return NotImplemented
+        width = (max(len(self), len(other)) + 1) >> 1
+        return compare(_order_key(self, width), _order_key(other, width))
+
+    return method
+
+
+class Monomial(tuple):
     """A product of symbol powers; the empty product is the monomial 1.
 
-    Stored as a tuple of (DiffSymbol, exponent) pairs sorted by symbol, all
-    exponents positive.  Hashable, so usable as a dict key.
+    The tuple holds the exponent of each symbol slot (slot 2k is p^(k),
+    slot 2k+1 is q^(k)) with trailing zeros trimmed, so hashing and
+    equality run on plain tuples.  ``Monomial({P(): 2, Q(1): 1})`` validates
+    its factors; ring operations build keys directly.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ()
 
-    def __init__(self, factors: Mapping[DiffSymbol, int] | Iterable[tuple[DiffSymbol, int]] = ()):
+    def __new__(cls, factors: Mapping[DiffSymbol, int] | Iterable[tuple[DiffSymbol, int]] = ()):
         items = factors.items() if isinstance(factors, Mapping) else factors
-        merged: dict[DiffSymbol, int] = {}
+        exps: list[int] = []
         for sym, exp in items:
             if not isinstance(sym, DiffSymbol):
                 raise TypeError(f"monomial factor key must be DiffSymbol, got {type(sym).__name__}")
@@ -96,21 +140,23 @@ class Monomial:
             if exp < 0:
                 raise ValueError(f"exponent must be non-negative, got {exp}")
             if exp:
-                merged[sym] = merged.get(sym, 0) + exp
-        object.__setattr__(self, "factors", tuple(sorted(merged.items())))
+                slot = _slot(sym)
+                exps.extend([0] * (slot + 1 - len(exps)))
+                exps[slot] += int(exp)
+        return tuple.__new__(cls, exps)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
+    @property
+    def factors(self) -> tuple[tuple[DiffSymbol, int], ...]:
+        """(symbol, exponent) pairs in symbol order, all exponents positive."""
+        return _factors(self)
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return sum(self)
 
     def exponent(self, sym: DiffSymbol) -> int:
-        for s, e in self.factors:
-            if s == sym:
-                return e
-        return 0
+        slot = _slot(sym)
+        return self[slot] if slot < len(self) else 0
 
     def symbols(self) -> tuple[DiffSymbol, ...]:
         return tuple(s for s, _ in self.factors)
@@ -118,38 +164,40 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
-        merged = dict(self.factors)
-        for sym, exp in other.factors:
-            merged[sym] = merged.get(sym, 0) + exp
-        return Monomial(merged)
+        return _mono_mul(self, other)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __hash__(self) -> int:
-        return hash(self.factors)
-
-    def __lt__(self, other: "Monomial") -> bool:
-        # Graded lex: total degree first, then the first symbol (in symbol
-        # order) whose exponents differ decides, higher exponent = larger.
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        mine, theirs = dict(self.factors), dict(other.factors)
-        for sym in sorted(set(mine) | set(theirs)):
-            ea, eb = mine.get(sym, 0), theirs.get(sym, 0)
-            if ea != eb:
-                return ea < eb
-        return False
+    __lt__ = _graded(operator.lt)
+    __le__ = _graded(operator.le)
+    __gt__ = _graded(operator.gt)
+    __ge__ = _graded(operator.ge)
 
     def __repr__(self) -> str:
-        if not self.factors:
+        if not self:
             return "1"
         return "*".join(s.name + (f"^{e}" if e > 1 else "") for s, e in self.factors)
 
 
+_new_key = tuple.__new__
 _ONE = Monomial()
+
+
+def _factor_slots(mono: Monomial) -> list[tuple[int, int]]:
+    # (slot, exponent) of each factor, in symbol order.
+    return [(s, mono[s]) for s in _slot_order(len(mono)) if mono[s]]
+
+
+@lru_cache(maxsize=4096)
+def _factors(mono: Monomial) -> tuple[tuple[DiffSymbol, int], ...]:
+    # Cached because numeric evaluation walks the same monomials once per
+    # residual row; 4096 holds every monomial of the m = 14 equation.
+    return tuple((_symbol(s), e) for s, e in _factor_slots(mono))
+
+
+def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if len(a) < len(b):
+        a, b = b, a
+    # The longer key keeps its last, nonzero exponent, so nothing to trim.
+    return _new_key(Monomial, (*map(operator.add, a, b), *a[len(b):]))
 
 
 class MissingSymbolError(LookupError):
@@ -161,7 +209,8 @@ class MissingSymbolError(LookupError):
 
 
 class DiffPoly:
-    """Sparse polynomial over Fraction in the formal p/q derivative symbols.
+    """Sparse polynomial over the rationals in the formal p/q derivative
+    symbols, with ``int`` coefficients wherever a value is integral.
 
     Instances are immutable after construction and normalized: the term map
     never stores a zero coefficient, so ``a == b`` iff the term maps match.
@@ -171,11 +220,11 @@ class DiffPoly:
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | Iterable[tuple[Monomial, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        normalized: dict[Monomial, Fraction] = {}
+        normalized: dict[Monomial, Scalar] = {}
         for mono, coeff in items:
             if not isinstance(mono, Monomial):
                 raise TypeError(f"term key must be Monomial, got {type(mono).__name__}")
-            c = normalized.get(mono, Fraction(0)) + _exact(coeff)
+            c = _exact(normalized.get(mono, 0) + _exact(coeff))
             if c:
                 normalized[mono] = c
             else:
@@ -197,9 +246,12 @@ class DiffPoly:
 
     @classmethod
     def symbol(cls, sym: DiffSymbol) -> "DiffPoly":
-        return cls({Monomial({sym: 1}): Fraction(1)})
+        return cls({Monomial({sym: 1}): 1})
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Sums of int coefficients stay int; a Fraction result that turns out
+    # integral is stored as int (`_settle`).
 
     def __add__(self, other) -> "DiffPoly":
         other = _coerce(other)
@@ -210,12 +262,13 @@ class DiffPoly:
         if not self.terms:
             return other
         out = dict(self.terms)
+        get = out.get
         for mono, coeff in other.terms.items():
-            c = out.get(mono, Fraction(0)) + coeff
+            c = get(mono, 0) + coeff
             if c:
-                out[mono] = c
+                out[mono] = c if c.__class__ is int else _settle(c)
             else:
-                out.pop(mono, None)
+                del out[mono]
         return _raw(out)
 
     __radd__ = __add__
@@ -239,15 +292,16 @@ class DiffPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                mono = ma * mb
-                c = out.get(mono, Fraction(0)) + ca * cb
+                mono = _mono_mul(ma, mb)
+                c = get(mono, 0) + ca * cb
                 if c:
-                    out[mono] = c
+                    out[mono] = c if c.__class__ is int else _settle(c)
                 else:
-                    out.pop(mono, None)
+                    del out[mono]
         return _raw(out)
 
     __rmul__ = __mul__
@@ -257,7 +311,7 @@ class DiffPoly:
         d = _exact(divisor)
         if not d:
             raise ZeroDivisionError("division of DiffPoly by zero constant")
-        return _raw({m: c / d for m, c in self.terms.items()})
+        return _raw({m: _settle(Fraction(c, d)) for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "DiffPoly":
         if not isinstance(n, int) or n < 0:
@@ -271,23 +325,26 @@ class DiffPoly:
 
     def derive(self) -> "DiffPoly":
         """Formal total derivative: linear, Leibniz on products, and each
-        symbol of order k maps to the symbol of order k+1."""
-        out: dict[Monomial, Fraction] = {}
+        symbol of order k maps to the symbol of order k+1, that is one unit
+        of exponent moves from slot s to slot s+2."""
+        out: dict[Monomial, Scalar] = {}
+        get = out.get
         for mono, coeff in self.terms.items():
-            for sym, exp in mono.factors:
-                rest = dict(mono.factors)
-                if exp == 1:
-                    del rest[sym]
-                else:
-                    rest[sym] = exp - 1
-                bumped = sym.derived()
-                rest[bumped] = rest.get(bumped, 0) + 1
-                new_mono = Monomial(rest)
-                c = out.get(new_mono, Fraction(0)) + coeff * exp
+            n = len(mono)
+            for s in _slot_order(n):
+                e = mono[s]
+                if not e:
+                    continue
+                exps = list(mono)
+                exps.extend([0] * (s + 3 - n))  # room for slot s+2
+                exps[s] = e - 1
+                exps[s + 2] += 1
+                new_mono = _new_key(Monomial, exps)
+                c = get(new_mono, 0) + coeff * e
                 if c:
-                    out[new_mono] = c
+                    out[new_mono] = c if c.__class__ is int else _settle(c)
                 else:
-                    out.pop(new_mono, None)
+                    del out[new_mono]
         return _raw(out)
 
     # -- evaluation ---------------------------------------------------------
@@ -337,12 +394,14 @@ class DiffPoly:
 
     def max_order(self) -> int:
         """Largest derivative order of any symbol present; -1 for constants."""
-        orders = [s.order for s in self.symbols()]
-        return max(orders, default=-1)
+        return (max(map(len, self.terms), default=0) - 1) >> 1
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         """Terms in descending canonical monomial order."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        width = (max(map(len, self.terms), default=0) + 1) >> 1
+        return sorted(
+            self.terms.items(), key=lambda t: _order_key(t[0], width), reverse=True
+        )
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
@@ -361,14 +420,20 @@ class DiffPoly:
         return format_poly(self)
 
 
-def _exact(value) -> Fraction:
+def _exact(value) -> Scalar:
     # Floats (and anything else) are refused rather than silently rounded.
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return _settle(value)
     raise TypeError(f"coefficient must be int or Fraction, got {type(value).__name__}")
 
 
-def _raw(terms: dict[Monomial, Fraction]) -> DiffPoly:
+def _settle(value: Scalar) -> Scalar:
+    return value.numerator if value.denominator == 1 else value
+
+
+def _raw(terms: dict[Monomial, Scalar]) -> DiffPoly:
     # Internal: wrap an already-normalized term dict without copying.
     poly = DiffPoly.__new__(DiffPoly)
     object.__setattr__(poly, "terms", terms)
@@ -435,7 +500,7 @@ class _PolyScanner:
                     raise PolyParseError("expected digits after '/'", j + 1)
                 self.kind, self.value, self.pos = "number", Fraction(num, int(text[j + 1 : k])), k
             else:
-                self.kind, self.value, self.pos = "number", Fraction(num), j
+                self.kind, self.value, self.pos = "number", num, j
             return
         if ch in _BASES:
             j = i + 1
@@ -549,7 +614,7 @@ def format_poly(poly: DiffPoly, style: str = "plain") -> str:
     raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
 
 
-def _coeff_parts(coeff: Fraction) -> tuple[str, str]:
+def _coeff_parts(coeff: Scalar) -> tuple[str, str]:
     sign = "-" if coeff < 0 else "+"
     mag = abs(coeff)
     body = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
@@ -622,7 +687,8 @@ def poly_terms_doc(poly: DiffPoly) -> list[dict]:
                 "num": str(coeff.numerator),
                 "den": str(coeff.denominator),
                 "monomial": [
-                    {"sym": s.base, "order": s.order, "exp": e} for s, e in mono.factors
+                    {"sym": _BASES[s & 1], "order": s >> 1, "exp": e}
+                    for s, e in _factor_slots(mono)
                 ],
             }
         )

@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, error routing."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -61,6 +62,34 @@ def test_derive_json_schema_and_round_trip(capsys):
     # load-then-dump must reproduce the emitted bytes
     assert canonical_json(doc) == out.strip()
     assert canonical_json(ode_json_doc(3)) == out.strip()
+
+
+#: sha256 of the `derive -m M --style json` output.  Pins the term order, the
+#: factor order and the number formatting for every M up to 14, so a change of
+#: representation inside the ring cannot change a byte of the document.
+DERIVE_JSON_SHA256 = {
+    1: "fe6b802446bc44a3635536d6e6b61597dac51865789eae9bbc37b7bb9ccf1c46",
+    2: "7f2b1d465d3a8f704d7a1d6909f60597d0475c3ee0e443c6f26050bac343fa6c",
+    3: "9e1861de6a3cbbca8cabf334cb708b003733fa7715c616d21dea44c8704edb78",
+    4: "9e48def65f0126fa88f235ed704e4a68413ef69f5413d98acc0355aad3624a54",
+    5: "2e70902d5ee62bdcbbb140f50edd39d770492de88e201d6f7d77e9bb6e1c61a9",
+    6: "e474aa4dd786ad82796644d5b56ca0899f829fcc9fb993d720db4a46308dfa09",
+    7: "1913d69be9665c6590b303bc0f9f256ed13f5d73a467b8b06525a01be61a5207",
+    8: "631702afd56221919c4e02d253c25219e8e76556b540c93c1e85dcd296ea5db6",
+    9: "05f002d23a7bba7d0bfefe1232a7c276b98263ed2e7afe3cc00673fd26951033",
+    10: "c3e3e9c5b8439d3bd724aced4fa5ae52361647fd1dbaf5625392ced664d23938",
+    11: "7aea0e6942e7c0de6e94d1d81b180e4474edbf420d148119d6dc1aa44b829758",
+    12: "a383c10c7ef2538e4358617d7b5771459ab1ac8ee0a6e7f2551be1d6731c2ef0",
+    13: "2aa56909a7d469e27a95eb20ea2fdb5c9a8ae49356d5dcfa3cf8c77e717aafcb",
+    14: "f3722d4398ef38f0ca48e30c70b426a62fad32ee381647e5a1f9ad76df3af0d2",
+}
+
+
+@pytest.mark.parametrize("m", sorted(DERIVE_JSON_SHA256))
+def test_derive_json_digest(m, capsys):
+    code, out, _ = run(["derive", "-m", str(m), "--style", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[m]
 
 
 # -- check-paper -------------------------------------------------------------------
@@ -150,6 +179,32 @@ def test_verify_json_report(capsys):
     assert set(wron) == {"value", "scale", "x", "tolerance", "pass"}
     assert wron["pass"] is True
     assert canonical_json(doc) == out.strip()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_verify_json_writes_non_finite_values_as_null(capsys):
+    # The Wronskian of this basis overflows: (prod k!) * (1e20)^21.
+    code, out, _ = run(
+        [
+            "verify", "-m", "6", "--p", "0", "--q", "-1",
+            "--ic-f", "1e10", "0", "--ic-g", "0", "1e10", "--json",
+        ],
+        capsys,
+    )
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["wronskian"]["value"] is None
+    assert doc["wronskian"]["scale"] is None
+    assert code == 0 and doc["pass"] is True
+    assert canonical_json(doc) == out.strip()
+
+
+def test_canonical_json_refuses_non_finite_floats():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            canonical_json({"value": bad})
 
 
 def test_verify_dependent_ics_exit_code(capsys):

@@ -19,7 +19,9 @@ from odelift.diffring import (
     poly_terms_doc,
 )
 
-SYMBOL_POOL = [P(0), P(1), P(2), Q(0), Q(1), Q(2)]
+# Orders up to 7 put factors in high slots and give monomial keys of many
+# different lengths; low orders come up often enough to collide and cancel.
+SYMBOL_POOL = [P(0), P(1), P(2), P(7), Q(0), Q(1), Q(2), Q(5)]
 
 
 def random_poly(rng: random.Random, max_terms: int = 4) -> DiffPoly:
@@ -28,9 +30,14 @@ def random_poly(rng: random.Random, max_terms: int = 4) -> DiffPoly:
         coeff = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         term = DiffPoly.const(coeff)
         for _ in range(rng.randint(0, 3)):
-            term = term * DiffPoly.symbol(rng.choice(SYMBOL_POOL))
+            # Repeated factors: a symbol may come up again, or squared.
+            term = term * DiffPoly.symbol(rng.choice(SYMBOL_POOL)) ** rng.randint(1, 2)
         total = total + term
     return total
+
+
+def random_monomial(rng: random.Random) -> Monomial:
+    return Monomial((rng.choice(SYMBOL_POOL), rng.randint(1, 3)) for _ in range(rng.randint(0, 3)))
 
 
 # -- symbols and monomial order ---------------------------------------------
@@ -60,6 +67,41 @@ def test_monomial_order_graded_then_lex():
     # same degree: the earliest symbol with a differing exponent decides
     assert Monomial({P(1): 1}) > Monomial({Q(): 1})
     assert Monomial({P(): 1, P(1): 1}) > Monomial({P(): 1, Q(): 1})
+
+
+def test_monomial_order_matches_pairwise_definition():
+    # Graded lex spelled out on the factor view: degree first, then the
+    # earliest symbol whose exponents differ, the higher exponent larger.
+    def less(a, b):
+        if a.degree != b.degree:
+            return a.degree < b.degree
+        for sym in sorted(set(a.symbols()) | set(b.symbols())):
+            if a.exponent(sym) != b.exponent(sym):
+                return a.exponent(sym) < b.exponent(sym)
+        return False
+
+    rng = random.Random(5)
+    monos = [random_monomial(rng) for _ in range(60)]
+    for a in monos:
+        for b in monos:
+            assert (a < b) == less(a, b), (a, b)
+            assert (a > b) == less(b, a), (a, b)
+            assert (a <= b) == (not less(b, a)), (a, b)
+    poly = DiffPoly({mono: 1 for mono in monos})
+    ordered = [mono for mono, _ in poly.sorted_terms()]
+    assert all(less(b, a) for a, b in zip(ordered, ordered[1:]))
+
+
+def test_monomial_views():
+    mono = Monomial([(Q(5), 1), (P(), 2), (P(7), 1), (P(), 1)])
+    assert mono.factors == ((P(0), 3), (P(7), 1), (Q(5), 1))
+    assert mono.symbols() == (P(0), P(7), Q(5))
+    assert mono.degree == 5
+    assert mono.exponent(P()) == 3 and mono.exponent(Q(6)) == 0
+    assert repr(mono) == f"p^3*{P(7).name}*{Q(5).name}"
+    assert mono * Monomial({Q(5): 1}) == Monomial({P(): 3, P(7): 1, Q(5): 2})
+    with pytest.raises(ValueError):
+        Monomial({DiffSymbol("r", 0): 1})
 
 
 def test_monomial_rejects_bad_exponents():
@@ -125,6 +167,19 @@ def test_coefficients_must_be_exact():
         parse_poly("p") / 0.5
     assert DiffPoly({mono: Fraction(1, 10)}).terms == {mono: Fraction(1, 10)}
     assert DiffPoly.const(3) == parse_poly("3")
+
+
+def test_integral_coefficients_are_int():
+    assert type(DiffPoly.const(Fraction(4, 2)).terms[Monomial()]) is int
+    for poly in (
+        parse_poly("1/2*p + 3*q") * 2,
+        parse_poly("1/2*p") + parse_poly("1/2*p"),
+        parse_poly("1/2*p^2").derive(),
+        parse_poly("6*p") / 3,
+        DiffPoly.symbol(P()) * Fraction(1, 2) * 4,
+    ):
+        assert all(type(c) is int for c in poly.terms.values()), poly
+    assert (parse_poly("3*p") / 2).terms == {Monomial({P(): 1}): Fraction(3, 2)}
 
 
 def test_pow():
