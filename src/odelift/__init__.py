@@ -52,9 +52,8 @@ from .verify import (
     Trajectory,
     basis_check,
     integrate_base,
-    monomial_derivative_values,
     monomial_label,
-    power_derivative_values,
+    product_derivatives,
     residual,
     symbol_values,
 )
@@ -96,12 +95,11 @@ __all__ = [
     "format_poly",
     "integrate_base",
     "load_fixture",
-    "monomial_derivative_values",
     "monomial_label",
     "parse_expr",
     "parse_poly",
     "poly_terms_doc",
-    "power_derivative_values",
+    "product_derivatives",
     "residual",
     "symbol_values",
 ]

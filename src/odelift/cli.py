@@ -197,14 +197,9 @@ def _run_verify(args) -> int:
         ic_g=tuple(args.ic_g),
     )
     (p_text, p), (q_text, q) = args.p, args.q
-    ode = derive_lifted_ode(args.m)
     report = basis_check(
-        ode,
-        p,
-        q,
-        cfg,
-        residual_tol=args.tol_residual,
-        wronskian_tol=args.tol_wronskian,
+        derive_lifted_ode(args.m), p, q, cfg,
+        residual_tol=args.tol_residual, wronskian_tol=args.tol_wronskian,
     )
     if args.json:
         doc = {
@@ -227,9 +222,11 @@ def _run_verify(args) -> int:
                 "value": _finite_or_null(report.wronskian),
                 "scale": _finite_or_null(report.wronskian_scale),
                 "x": report.wronskian_x,
+                "ratio": _finite_or_null(report.wronskian_ratio),
                 "tolerance": report.wronskian_tol,
                 "pass": report.wronskian_passed,
             },
+            "residual_tolerance": report.residual_tol,
             "pass": report.passed,
         }
         print(canonical_json(doc))

@@ -148,7 +148,7 @@ class Monomial(tuple):
     @property
     def factors(self) -> tuple[tuple[DiffSymbol, int], ...]:
         """(symbol, exponent) pairs in symbol order, all exponents positive."""
-        return _factors(self)
+        return tuple((_symbol(s), e) for s, e in _factor_slots(self))
 
     @property
     def degree(self) -> int:
@@ -184,13 +184,6 @@ _ONE = Monomial()
 def _factor_slots(mono: Monomial) -> list[tuple[int, int]]:
     # (slot, exponent) of each factor, in symbol order.
     return [(s, mono[s]) for s in _slot_order(len(mono)) if mono[s]]
-
-
-@lru_cache(maxsize=4096)
-def _factors(mono: Monomial) -> tuple[tuple[DiffSymbol, int], ...]:
-    # Cached because numeric evaluation walks the same monomials once per
-    # residual row; 4096 holds every monomial of the m = 14 equation.
-    return tuple((_symbol(s), e) for s, e in _factor_slots(mono))
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:

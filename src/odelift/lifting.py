@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .diffring import DiffPoly, P, Q, format_poly, parse_poly
+from .diffring import DiffPoly, P, PolyParseError, Q, format_poly, parse_poly
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
@@ -34,7 +34,7 @@ FIXTURE_ORDERS = (2, 3, 4, 5)
 
 
 class FixtureFormatError(ValueError):
-    """A reference coefficient table has the wrong shape for its order."""
+    """A reference coefficient table is malformed: wrong shape, bad line or not UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -214,13 +214,17 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
     for m in FIXTURE_ORDERS).
     """
     name = f"order_m{m}.txt"
-    if directory is None:
-        text = resources.files(__package__).joinpath("fixtures", name).read_text()
-    else:
-        text = (Path(directory) / name).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
+    root = resources.files(__package__) / "fixtures" if directory is None else Path(directory)
+    numbered = enumerate((root / name).read_bytes().splitlines(), 1)
+    lines = [(n, line) for n, line in numbered if line.strip()]
     if len(lines) != m + 1:
         raise FixtureFormatError(
             f"fixture file {name} must have {m + 1} coefficient lines, got {len(lines)}"
         )
-    return [parse_poly(line) for line in lines]
+    polys = []
+    for n, line in lines:
+        try:
+            polys.append(parse_poly(line.decode("utf-8")))
+        except (UnicodeDecodeError, PolyParseError) as exc:
+            raise FixtureFormatError(f"fixture file {name} line {n}: {exc}") from None
+    return polys

@@ -48,14 +48,18 @@ __all__ = [
     "Trajectory",
     "integrate_base",
     "symbol_values",
-    "power_derivative_values",
-    "monomial_derivative_values",
+    "product_derivatives",
     "residual",
     "MonomialResidual",
     "BasisReport",
     "basis_check",
     "monomial_label",
 ]
+
+
+#: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
+#: grid point, 80 MB in all.  The jets and the residual hold a few more such.
+MAX_BLOCK_FLOATS = 10**7
 
 
 class ConfigError(ValueError):
@@ -189,6 +193,16 @@ def _chain(a: list, u: list, k: int):
     return sum(comb(k - 1, j) * a[j] * u[k - j] for j in range(k))
 
 
+def _power(u: list, n: int) -> list:
+    """Jet of u^n, n >= 0, by square-and-multiply: O(log n) products."""
+    h = _const(1.0, len(u) - 1)
+    for bit in bin(n)[2:]:
+        h = _leibniz(h, h)
+        if bit == "1":
+            h = _leibniz(h, u)
+    return h
+
+
 def _powers(u: list, n: int) -> list:
     """Jets of u^0, u^1, ..., u^n; value rows are the plain powers u**k."""
     out = [_const(1.0, len(u) - 1)]
@@ -215,7 +229,7 @@ def _jet(e: Expr, x: np.ndarray, order: int) -> list:
         return _leibniz(u, v) if isinstance(e, Mul) else _quotient(u, v)
     if isinstance(e, Pow):
         u = _jet(e.base, x, order)
-        h = _powers(u, abs(e.exponent))[-1]
+        h = _power(u, abs(e.exponent))
         if e.exponent < 0:
             h = _quotient(_const(1.0, order), h)
         h[0] = u[0] ** e.exponent
@@ -237,19 +251,14 @@ def _jet(e: Expr, x: np.ndarray, order: int) -> list:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _stack(x, rows: list) -> np.ndarray:
-    """Rows broadcast against x and against each other, as one array."""
-    return np.array(np.broadcast_arrays(x, *rows)[1:], dtype=float)
-
-
 def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
     """Rows e, e', ..., e^(order) over x, warnings silenced.
 
     A non-finite entry is re-run through the scalar evaluator at the first
     offending x, so callers see the precise domain error.
     """
-    with np.errstate(all="ignore"):
-        jet = _stack(x, _jet(e, x, order))
+    with np.errstate(all="ignore"):  # rows broadcast against x and each other
+        jet = np.array(np.broadcast_arrays(x, *_jet(e, x, order))[1:], dtype=float)
     finite = np.isfinite(jet).all(axis=0).reshape(-1)
     if not finite.all():
         x_bad = float(x.reshape(-1)[int(np.argmin(finite))])
@@ -343,29 +352,25 @@ def integrate_base(
 # product derivatives
 
 
-def power_derivative_values(traj_point, m: int, p: Expr, q: Expr) -> np.ndarray:
-    """Derivatives y, y', ..., y^(m+1) of y = f^m at traj_point = (x, f, f')."""
-    x, f, fp = traj_point
-    return monomial_derivative_values((f, fp), (f, fp), m, 0, p, q, x, m + 1)
+def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
+    """Derivatives 0..m+1 of all m+1 products f^(m-j) g^j, as one block.
 
-
-def monomial_derivative_values(
-    f_pt, g_pt, i: int, j: int, p: Expr, q: Expr, x, upto: int
-) -> np.ndarray:
-    """Derivatives of w = f^i g^j up to order `upto` at x.
-
-    f_pt and g_pt are (value, derivative) pairs of the two base solutions
-    at x; upto must equal i + j + 1, the order of the lifted equation for
-    m = i + j.
+    f_pt and g_pt are (value, derivative) pairs of the two base solutions,
+    scalars or grid arrays; syms holds p, q and their derivatives up to
+    order m-1 at the same points (see symbol_values).  Entry [k, j] of the
+    (m+2, m+1, *shape) block is the k-th derivative of f^(m-j) g^j; the top
+    (m+1) x (m+1) square is the products' Wronskian matrix.
     """
-    if i < 0 or j < 0 or i + j < 1:
-        raise ValueError(f"need i, j >= 0 with i + j >= 1, got i={i}, j={j}")
-    if upto != i + j + 1:
-        raise ValueError(f"upto must be i + j + 1 = {i + j + 1}, got {upto}")
-    syms = symbol_values(p, q, max(0, i + j - 1), x)
-    f_pow = _powers(_solution_jet(*f_pt, syms, upto), i)[i]
-    g_pow = _powers(_solution_jet(*g_pt, syms, upto), j)[j]
-    return _stack(f_pt[0], _leibniz(f_pow, g_pow))
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    f_pows = _powers(_solution_jet(*f_pt, syms, m + 1), m)
+    g_pows = _powers(_solution_jet(*g_pt, syms, m + 1), m)
+    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    block = np.empty((m + 2, m + 1, *shape))
+    for j in range(m + 1):
+        for k, row in enumerate(_leibniz(f_pows[m - j], g_pows[j])):
+            block[k, j] = row
+    return block
 
 
 # --------------------------------------------------------------------------
@@ -375,9 +380,11 @@ def monomial_derivative_values(
 def residual(ode: LiftedODE, derivs, sym_vals: Mapping) -> object:
     """Relative residual of the monic equation against given derivatives.
 
-    derivs holds y, y', ..., y^(m+1) (scalars or grid arrays); returns
+    derivs holds y, y', ..., y^(m+1) (scalars, grid arrays, or stacks of
+    functions with the function axis ahead of the grid axes, such as the
+    product_derivatives block: each c_k is evaluated once for all); returns
     r / s with r = y^(m+1) + sum c_k y^(k) and s the largest participating
-    term magnitude, floored at 1.
+    term magnitude, floored at 1, per row entry.
     """
     m = ode.m
     derivs = np.asarray(derivs, dtype=float)
@@ -475,34 +482,34 @@ def basis_check(
     """Check every product f^(m-j) g^j against the lifted equation.
 
     Integrates the two base solutions from cfg's initial conditions,
-    evaluates each product's derivatives from jets on the whole grid,
-    and reports per-product max relative residuals plus the midpoint
-    Wronskian of all m+1 products, (prod_{k<=m} k!) W^N with W = W(f, g)
-    and N = m(m+1)/2; its scale, Hadamard's bound, puts n = |(f, f')|
-    |(g, g')| in place of W.  The products pass when |W| / n, at most 1,
-    exceeds wronskian_tol: the same test at every m.  Raises ConfigError
-    unless 0 < residual_tol < inf and 0 < wronskian_tol < 1.
+    takes the product_derivatives block on the whole grid, evaluates each
+    c_k once in a single residual call, and reports per-product max
+    relative residuals plus the midpoint Wronskian of all m+1 products,
+    (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
+    Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
+    products pass when |W| / n, at most 1, exceeds wronskian_tol: the
+    same test at every m.  Raises ConfigError unless 0 < residual_tol <
+    inf and 0 < wronskian_tol < 1, and when the block would hold more
+    than MAX_BLOCK_FLOATS floats.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
     if not 0.0 < wronskian_tol < 1.0:
         raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
-    m = ode.m
+    m, points = ode.m, cfg.steps + 1
+    if (size := (m + 2) * (m + 1) * points) > MAX_BLOCK_FLOATS:
+        raise ConfigError(f"m={m} on {points} grid points needs {size:.3g} floats, over "
+                          f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
     traj_f = integrate_base(p, q, cfg, cfg.ic_f)
     traj_g = integrate_base(p, q, cfg, cfg.ic_g)
-    xs = traj_f.grid
-    syms = symbol_values(p, q, max(0, m - 1), xs)
-    f_pows = _powers(_solution_jet(traj_f.f_vals, traj_f.fp_vals, syms, m + 1), m)
-    g_pows = _powers(_solution_jet(traj_g.f_vals, traj_g.fp_vals, syms, m + 1), m)
+    syms = symbol_values(p, q, max(0, m - 1), traj_f.grid)
+    block = product_derivatives(
+        (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals), m, syms
+    )
+    worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
+    rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
-    rows = []
-    for j in range(m + 1):
-        i = m - j
-        res = residual(ode, _stack(xs, _leibniz(f_pows[i], g_pows[j])), syms)
-        worst = float(np.max(np.abs(res)))
-        rows.append(MonomialResidual(i, j, worst, worst < residual_tol))
-
-    (x, f, fp), (_, g, gp) = traj_f.point(len(xs) // 2), traj_g.point(len(xs) // 2)
+    (x, f, fp), (_, g, gp) = traj_f.point(points // 2), traj_g.point(points // 2)
     w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
     with np.errstate(over="ignore"):  # large values overflow to inf, not an error
         ks = np.arange(1.0, m + 1.0)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from odelift.cli import canonical_json, main, ode_json_doc
@@ -143,6 +144,23 @@ def test_check_missing_fixture_directory(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "line2,reason",
+    [(b"2*p^2 +", "expected number"), (b"\xff\xfe2*p^2", "'utf-8' codec can't decode")],
+    ids=["unparsable", "not-utf8"],
+)
+def test_check_unreadable_fixture_line(tmp_path, capsys, line2, reason):
+    _copy_fixtures(tmp_path)
+    path = tmp_path / "order_m2.txt"
+    lines = path.read_bytes().splitlines()
+    lines[1] = line2
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code, out, err = run(["check-paper", "-m", "2", "--fixtures", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: fixture file order_m2.txt line 2: ")
+    assert reason in err
+
+
 def test_check_malformed_fixture_file(tmp_path, capsys):
     (tmp_path / "order_m2.txt").write_text("p\nq\n")
     code, _, err = run(["check-paper", "-m", "2", "--fixtures", str(tmp_path)], capsys)
@@ -175,9 +193,17 @@ def test_verify_json_report(capsys):
     assert [r["monomial"] for r in doc["residuals"]] == ["f^2", "f*g", "g^2"]
     assert all(r["pass"] for r in doc["residuals"])
     assert all(r["max_residual"] < 1e-6 for r in doc["residuals"])
+    assert set(doc) == {
+        "m", "p", "q", "interval", "h", "residuals", "wronskian", "residual_tolerance", "pass",
+    }
+    assert doc["residual_tolerance"] == 1e-6
+    for r in doc["residuals"]:
+        assert r["pass"] == (r["max_residual"] < doc["residual_tolerance"])
     wron = doc["wronskian"]
-    assert set(wron) == {"value", "scale", "x", "tolerance", "pass"}
+    assert set(wron) == {"value", "scale", "ratio", "x", "tolerance", "pass"}
     assert wron["pass"] is True
+    assert wron["pass"] == (wron["ratio"] > wron["tolerance"])
+    assert 0.0 < wron["ratio"] <= 1.0
     assert canonical_json(doc) == out.strip()
 
 
@@ -197,8 +223,25 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["wronskian"]["value"] is None
     assert doc["wronskian"]["scale"] is None
+    assert doc["wronskian"]["ratio"] == pytest.approx(1.0)
     assert code == 0 and doc["pass"] is True
     assert canonical_json(doc) == out.strip()
+
+
+def test_verify_json_writes_non_finite_ratio_as_null(capsys):
+    # f^2 and |(f, f')| |(g, g')| overflow: residuals and inf/inf are NaN
+    with np.errstate(all="ignore"):
+        code, out, _ = run(
+            [
+                "verify", "-m", "2", "--p", "0", "--q", "-1",
+                "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json",
+            ],
+            capsys,
+        )
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["wronskian"]["ratio"] is None
+    assert [r["max_residual"] for r in doc["residuals"]] == [None] * 3
+    assert code == 1 and doc["pass"] is False
 
 
 def test_canonical_json_refuses_non_finite_floats():
@@ -250,6 +293,7 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "-1"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "nan"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-3"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

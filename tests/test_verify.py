@@ -7,18 +7,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odelift.diffring import P
+from odelift import verify
+from odelift.diffring import DiffPoly, P
 from odelift.exprparse import ExprDomainError, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
+    MAX_BLOCK_FLOATS,
     ConfigError,
     NumericConfig,
     Trajectory,
     basis_check,
     integrate_base,
-    monomial_derivative_values,
     monomial_label,
-    power_derivative_values,
+    product_derivatives,
     residual,
     symbol_values,
 )
@@ -35,6 +36,11 @@ COS_CFG = NumericConfig(interval=(0.0, 1.0), step=1e-3)
 
 def cos_suite(m, **kwargs):
     return basis_check(derive_lifted_ode(m), ZERO, MINUS_ONE, COS_CFG, **kwargs)
+
+
+def block_at(f_pt, g_pt, m, p, q, x):
+    """product_derivatives of f^(m-j) g^j at x, with the symbols it needs."""
+    return product_derivatives(f_pt, g_pt, m, symbol_values(p, q, max(0, m - 1), x))
 
 
 # -- configuration and trajectory containers -----------------------------------
@@ -184,19 +190,48 @@ def test_jets_match_symbolic_derivatives():
 # -- derivative jets at points -------------------------------------------------------
 
 
+def test_integer_power_jets_by_square_and_multiply(monkeypatch):
+    # u^n takes O(log n) Leibniz products, so huge exponents are cheap
+    products = []
+    plain_leibniz = verify._leibniz
+
+    def counting_leibniz(u, v):
+        products.append(1)
+        return plain_leibniz(u, v)
+
+    monkeypatch.setattr(verify, "_leibniz", counting_leibniz)
+    symbol_values(parse_expr("x^1000"), ZERO, 2, 0.5)
+    assert len(products) <= 2 * (1000).bit_length()
+    vals = symbol_values(parse_expr("x^1000000"), ZERO, 2, 1.0)
+    assert [vals[P(k)] for k in range(3)] == [1.0, 1e6, 1e6 * (1e6 - 1)]
+    vals = symbol_values(parse_expr("x^99999999999999999999"), ZERO, 1, 0.5)
+    assert [vals[P(0)], vals[P(1)]] == [0.0, 0.0]
+    # small exponents, negative ones included, against the diff_expr chain
+    xs = np.linspace(0.25, 1.75, 7)
+    for base in ("x", "sin(x) + 2", "1/(x+1)"):
+        for n in (-5, -2, -1, 0, 1, 2, 3, 5, 8, 13):
+            chain = [parse_expr(f"({base})^{n}")]
+            for _ in range(4):
+                chain.append(diff_expr(chain[-1]))
+            want = np.array([[eval_expr(d, float(x)) for x in xs] for d in chain])
+            got = symbol_values(chain[0], ZERO, 4, xs)
+            got = np.array([got[P(k)] for k in range(5)])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_power_values_m1_is_the_base_equation():
     rng = random.Random(5)
     p = parse_expr("sin(x)")
     q = parse_expr("x")
     for _ in range(20):
         x, f, fp = rng.uniform(0, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)
-        y = power_derivative_values((x, f, fp), 1, p, q)
+        y = block_at((f, fp), (0.0, 1.0), 1, p, q, x)[:, 0]
         assert y[0] == f and y[1] == fp
         assert y[2] == pytest.approx(math.sin(x) * fp + x * f, rel=1e-14, abs=1e-15)
 
 
 def test_power_values_m2_point():
-    y = power_derivative_values((0.0, 1.0, 0.0), 2, ZERO, MINUS_ONE)
+    y = block_at((1.0, 0.0), (0.0, 1.0), 2, ZERO, MINUS_ONE, 0.0)[:, 0]
     assert list(y) == [1.0, 0.0, -2.0, 0.0]
 
 
@@ -206,26 +241,26 @@ def test_power_value_order_zero_is_the_power():
     q = parse_expr("2*x^2 + 2")
     for m in range(1, 6):
         x, f, fp = rng.uniform(0, 1), rng.uniform(0.5, 2), rng.uniform(-1, 1)
-        y = power_derivative_values((x, f, fp), m, p, q)
-        assert y[0] == f**m
+        g, gp = rng.uniform(0.5, 2), rng.uniform(-1, 1)
+        y = block_at((f, fp), (g, gp), m, p, q, x)
+        assert list(y[0]) == [f ** (m - j) * g**j for j in range(m + 1)]
 
 
 def test_monomial_values_cos_sin_point():
-    w = monomial_derivative_values((1.0, 0.0), (0.0, 1.0), 1, 1, ZERO, MINUS_ONE, 0.0, 3)
+    w = block_at((1.0, 0.0), (0.0, 1.0), 2, ZERO, MINUS_ONE, 0.0)[:, 1]
     assert list(w) == [0.0, 1.0, 0.0, -4.0]
 
 
 def test_monomial_argument_validation():
     args = ((1.0, 0.0), (0.0, 1.0))
     with pytest.raises(ValueError):
-        monomial_derivative_values(*args, 0, 0, ZERO, MINUS_ONE, 0.0, 1)
+        block_at(*args, 0, ZERO, MINUS_ONE, 0.0)
     with pytest.raises(ValueError):
-        monomial_derivative_values(*args, -1, 2, ZERO, MINUS_ONE, 0.0, 2)
-    with pytest.raises(ValueError):
-        monomial_derivative_values(*args, 1, 1, ZERO, MINUS_ONE, 0.0, 2)
+        block_at(*args, -1, ZERO, MINUS_ONE, 0.0)
 
 
 def test_pure_power_monomial_matches_power_evaluator():
+    # column 0, f^m, must not depend on g; with f and g swapped it is column m
     rng = random.Random(42)
     p = parse_expr("sin(x)")
     q = parse_expr("1/(x+2)")
@@ -233,10 +268,40 @@ def test_pure_power_monomial_matches_power_evaluator():
         x = rng.uniform(0.0, 1.0)
         f, fp = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
         g, gp = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
-        a = power_derivative_values((x, f, fp), m, p, q)
-        b = monomial_derivative_values((f, fp), (g, gp), m, 0, p, q, x, m + 1)
+        a = block_at((f, fp), (g, gp), m, p, q, x)[:, 0]
+        assert list(a) == list(block_at((f, fp), (gp, g), m, p, q, x)[:, 0])
+        b = block_at((g, gp), (f, fp), m, p, q, x)[:, m]
         scale = np.maximum(1.0, np.abs(a))
         assert float(np.max(np.abs(a - b) / scale)) <= 1e-12
+
+
+def test_public_names():
+    import odelift
+
+    for names in (odelift.__all__, verify.__all__):
+        assert "product_derivatives" in names
+        assert "power_derivative_values" not in names
+        assert "monomial_derivative_values" not in names
+
+
+def test_product_block_shape_and_columns():
+    # grid and scalar blocks agree; column j is the Leibniz product of f^(m-j), g^j
+    p, q, m = parse_expr("sin(x)"), parse_expr("x"), 4
+    traj_f = integrate_base(p, q, COS_CFG, (1.0, 0.0))
+    traj_g = integrate_base(p, q, COS_CFG, (0.0, 1.0))
+    f_pt, g_pt = (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals)
+    block = block_at(f_pt, g_pt, m, p, q, traj_f.grid)
+    assert block.shape == (m + 2, m + 1, len(traj_f))
+    for idx in (0, 500, 1000):
+        point = block_at(
+            (f_pt[0][idx], f_pt[1][idx]), (g_pt[0][idx], g_pt[1][idx]), m, p, q,
+            float(traj_f.grid[idx]),
+        )
+        assert point.shape == (m + 2, m + 1)
+        np.testing.assert_allclose(block[..., idx], point, rtol=1e-14, atol=1e-14)
+    f, g = f_pt[0], g_pt[0]
+    for j in range(m + 1):
+        np.testing.assert_allclose(block[0, j], f ** (m - j) * g**j, rtol=1e-14, atol=1e-300)
 
 
 # -- residuals -------------------------------------------------------------------
@@ -254,20 +319,24 @@ def test_residual_on_true_solution_is_rounding_level():
     syms = symbol_values(ZERO, MINUS_ONE, 1, traj.grid)
     for m in (1, 2):
         ode = derive_lifted_ode(m)
-        derivs = monomial_derivative_values(
-            (traj.f_vals, traj.fp_vals), (traj.f_vals, traj.fp_vals),
-            m, 0, ZERO, MINUS_ONE, traj.grid, m + 1,
+        derivs = product_derivatives(
+            (traj.f_vals, traj.fp_vals), (traj.f_vals, traj.fp_vals), m, syms
         )
-        res = residual(ode, derivs, syms)
+        res = residual(ode, derivs[:, 0], syms)
         assert res.shape == traj.grid.shape
+        assert float(np.max(np.abs(res))) < 1e-9
+        # the whole block at once: one residual row per product
+        res = residual(ode, derivs, syms)
+        assert res.shape == (m + 1, *traj.grid.shape)
         assert float(np.max(np.abs(res))) < 1e-9
 
 
 def test_residual_scalar_point():
     ode = derive_lifted_ode(2)
     syms = symbol_values(ZERO, MINUS_ONE, 1, 0.0)
-    derivs = power_derivative_values((0.0, 1.0, 0.0), 2, ZERO, MINUS_ONE)
-    assert abs(float(residual(ode, derivs, syms))) < 1e-15
+    derivs = product_derivatives((1.0, 0.0), (0.0, 1.0), 2, syms)
+    assert abs(float(residual(ode, derivs[:, 0], syms))) < 1e-15
+    assert np.max(np.abs(residual(ode, derivs, syms))) < 1e-15
 
 
 # -- basis reports -----------------------------------------------------------------
@@ -301,13 +370,8 @@ def test_residuals_pass_at_high_order(m):
 
 def test_wronskian_of_squares_at_origin():
     # columns cos^2, cos*sin, sin^2; rows are derivative orders 0..2
-    cols = []
-    for j in range(3):
-        derivs = monomial_derivative_values(
-            (1.0, 0.0), (0.0, 1.0), 2 - j, j, ZERO, MINUS_ONE, 0.0, 3
-        )
-        cols.append(derivs[:3])
-    det = float(np.linalg.det(np.column_stack(cols)))
+    block = block_at((1.0, 0.0), (0.0, 1.0), 2, ZERO, MINUS_ONE, 0.0)
+    det = float(np.linalg.det(block[:3]))
     assert det == pytest.approx(2.0, rel=1e-12)
 
 
@@ -321,15 +385,42 @@ def test_closed_form_wronskian_matches_determinant(m):
     mid = len(traj_f) // 2
     x, f, fp = traj_f.point(mid)
     _, g, gp = traj_g.point(mid)
-    cols = [
-        monomial_derivative_values((f, fp), (g, gp), m - j, j, p, q, x, m + 1)[: m + 1]
-        for j in range(m + 1)
-    ]
-    det = float(np.linalg.det(np.column_stack(cols)))
+    det = float(np.linalg.det(block_at((f, fp), (g, gp), m, p, q, x)[: m + 1]))
     report = basis_check(derive_lifted_ode(m), p, q, cfg)
     assert report.wronskian_x == x
     assert report.wronskian == pytest.approx(det, rel=1e-9)
     assert abs(report.wronskian) <= report.wronskian_scale
+
+
+@pytest.mark.parametrize("m", [1, 4, 9])
+def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
+    calls = []
+    plain_eval = DiffPoly.eval
+
+    def counting_eval(self, assignment):
+        calls.append(self)
+        return plain_eval(self, assignment)
+
+    monkeypatch.setattr(DiffPoly, "eval", counting_eval)
+    ode = derive_lifted_ode(m)
+    report = basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG)
+    assert report.passed
+    assert len(calls) == m + 1
+    assert {id(c) for c in calls} == {id(c) for c in ode.coeffs}
+
+
+def test_oversized_check_is_refused_before_it_allocates(monkeypatch):
+    # 10^15 grid points: the block alone would be 96 PB
+    cfg = NumericConfig(interval=(0.0, 1e12), step=1e-3)
+    with pytest.raises(ConfigError, match="floats"):
+        basis_check(derive_lifted_ode(2), ZERO, MINUS_ONE, cfg)
+    assert MAX_BLOCK_FLOATS == 10**7
+    # the limit counts (m+2)(m+1) floats per grid point: 12 * 1001 at m=2
+    monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 12 * 1001)
+    assert cos_suite(2).passed
+    monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 12 * 1001 - 1)
+    with pytest.raises(ConfigError, match="floats"):
+        cos_suite(2)
 
 
 def test_dependent_initial_conditions_fail_only_the_wronskian():
