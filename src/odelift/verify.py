@@ -109,9 +109,15 @@ class NumericConfig:
 
     @property
     def steps(self) -> int:
-        """Number of RK4 steps; the effective step is (b - a)/steps."""
+        """Number of RK4 steps."""
         a, b = self.interval
         return max(10, round((b - a) / self.step))
+
+    @property
+    def h(self) -> float:
+        """The step the grid uses, (b - a)/steps; step is only the one asked for."""
+        a, b = self.interval
+        return (b - a) / self.steps
 
     @property
     def ic_independent(self) -> bool:
@@ -310,41 +316,34 @@ def integrate_base(
 ) -> Trajectory:
     """Integrate y'' = p(x) y' + q(x) y with classical RK4.
 
-    Fixed step (b - a)/n with n = round((b - a)/step); initial conditions
-    default to cfg.ic_f.  Domain errors of p or q surface with the
-    offending x.
+    n = cfg.steps steps of h = cfg.h; initial conditions default to cfg.ic_f.
+    The equation is linear, so step k is the 2x2 transfer matrix
+    T_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), built from A(x) = [[0, 1], [q, p]]
+    at x_k, the midpoint and x_{k+1}.  A Hillis-Steele scan over all T_k
+    gives Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds; the trajectory is
+    Phi_k @ ic.  Domain errors of p or q surface with the offending x.
     """
     a, b = cfg.interval
-    n = cfg.steps
-    dt = (b - a) / n
+    n, h = cfg.steps, cfg.h
     xs = np.linspace(a, b, n + 1)
-    mids = xs[:-1] + 0.5 * dt
-    p_xs, q_xs = _expr_jet(p, xs, 0)[0], _expr_jet(q, xs, 0)[0]
-    p_mid, q_mid = _expr_jet(p, mids, 0)[0], _expr_jet(q, mids, 0)[0]
 
-    u, v = (float(w) for w in (ic if ic is not None else cfg.ic_f))
-    f_vals = np.empty(n + 1)
-    fp_vals = np.empty(n + 1)
-    f_vals[0], fp_vals[0] = u, v
-    for idx in range(n):
-        p0, q0 = p_xs[idx], q_xs[idx]
-        pm, qm = p_mid[idx], q_mid[idx]
-        p1, q1 = p_xs[idx + 1], q_xs[idx + 1]
-        k1u = v
-        k1v = p0 * v + q0 * u
-        u2, v2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v
-        k2u = v2
-        k2v = pm * v2 + qm * u2
-        u3, v3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v
-        k3u = v3
-        k3v = pm * v3 + qm * u3
-        u4, v4 = u + dt * k3u, v + dt * k3v
-        k4u = v4
-        k4v = p1 * v4 + q1 * u4
-        u += dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        f_vals[idx + 1] = u
-        fp_vals[idx + 1] = v
+    def system(x):  # A(x) = [[0, 1], [q(x), p(x)]], one matrix per point
+        mat = np.zeros((len(x), 2, 2))
+        mat[:, 0, 1], mat[:, 1, 1], mat[:, 1, 0] = 1.0, _expr_jet(p, x, 0)[0], _expr_jet(q, x, 0)[0]
+        return mat
+
+    a_xs, a_mid = system(xs), system(xs[:-1] + 0.5 * h)
+    eye = np.eye(2)
+    k1 = a_xs[:-1]
+    k2 = a_mid @ (eye + 0.5 * h * k1)
+    k3 = a_mid @ (eye + 0.5 * h * k2)
+    phi = np.empty((n + 1, 2, 2))
+    phi[0], phi[1:] = eye, eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + a_xs[1:] @ (eye + h * k3))
+    s = 1
+    while s < n:  # phi[k] = T_{k-1} ... T_{max(0, k-2s)}; phi[0] = I ends each product
+        phi[s:] = phi[s:] @ phi[:-s]
+        s *= 2
+    f_vals, fp_vals = (phi @ np.asarray(ic if ic is not None else cfg.ic_f, dtype=float)).T
     return Trajectory(xs, f_vals, fp_vals)
 
 
@@ -424,7 +423,7 @@ class MonomialResidual:
 
 @dataclass(frozen=True)
 class BasisReport:
-    """Outcome of basis_check: residual per monomial plus one Wronskian."""
+    """Outcome of basis_check: residual per monomial plus one Wronskian; step is cfg.h."""
 
     m: int
     interval: tuple[float, float]
@@ -500,25 +499,25 @@ def basis_check(
     if (size := (m + 2) * (m + 1) * points) > MAX_BLOCK_FLOATS:
         raise ConfigError(f"m={m} on {points} grid points needs {size:.3g} floats, over "
                           f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
-    traj_f = integrate_base(p, q, cfg, cfg.ic_f)
-    traj_g = integrate_base(p, q, cfg, cfg.ic_g)
-    syms = symbol_values(p, q, max(0, m - 1), traj_f.grid)
-    block = product_derivatives(
-        (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals), m, syms
-    )
-    worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
-    rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
+    with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
+        traj_f = integrate_base(p, q, cfg, cfg.ic_f)
+        traj_g = integrate_base(p, q, cfg, cfg.ic_g)
+        syms = symbol_values(p, q, max(0, m - 1), traj_f.grid)
+        block = product_derivatives(
+            (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals), m, syms
+        )
+        worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
+        rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
-    (x, f, fp), (_, g, gp) = traj_f.point(points // 2), traj_g.point(points // 2)
-    w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
-    with np.errstate(over="ignore"):  # large values overflow to inf, not an error
+        (x, f, fp), (_, g, gp) = traj_f.point(points // 2), traj_g.point(points // 2)
+        w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
         factorials = np.prod(ks ** (m + 1 - ks))  # k is a factor of k!, ..., m!
         value, scale = factorials * np.float64([w, norms]) ** (m * (m + 1) // 2)
     return BasisReport(
         m=m,
         interval=cfg.interval,
-        step=cfg.step,
+        step=cfg.h,
         residuals=tuple(rows),
         residual_tol=residual_tol,
         wronskian=float(value),

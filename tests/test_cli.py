@@ -8,7 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from odelift.cli import canonical_json, main, ode_json_doc
@@ -21,6 +20,16 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(argv):
+    """`python -m odelift ARGV` in a child process, which sees every warning."""
+    # The child does not inherit sys.path, so hand it the checkout's src/.
+    path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-m", "odelift", *argv], capture_output=True, text=True, env=env
+    )
 
 
 # -- derive ----------------------------------------------------------------------
@@ -230,18 +239,43 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
 
 def test_verify_json_writes_non_finite_ratio_as_null(capsys):
     # f^2 and |(f, f')| |(g, g')| overflow: residuals and inf/inf are NaN
-    with np.errstate(all="ignore"):
-        code, out, _ = run(
-            [
-                "verify", "-m", "2", "--p", "0", "--q", "-1",
-                "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json",
-            ],
-            capsys,
-        )
+    code, out, _ = run(
+        [
+            "verify", "-m", "2", "--p", "0", "--q", "-1",
+            "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json",
+        ],
+        capsys,
+    )
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["wronskian"]["ratio"] is None
     assert [r["max_residual"] for r in doc["residuals"]] == [None] * 3
     assert code == 1 and doc["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "-1", "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json"],
+        ["--q", "1000000"],  # the trajectory itself overflows
+    ],
+    ids=["huge-initial-conditions", "overflowing-trajectory"],
+)
+def test_verify_overflow_fails_without_warnings(argv):
+    proc = run_module(["verify", "-m", "2", "--p", "0", *argv])
+    assert proc.returncode == 1 and proc.stderr == ""
+    if "--json" in argv:
+        assert json.loads(proc.stdout)["pass"] is False
+    else:
+        assert proc.stdout.endswith("-> FAIL\n")
+
+
+def test_verify_reports_the_step_the_grid_uses(capsys):
+    # 1/0.0015 rounds to 667 steps: the grid step is 1/667, not 0.0015
+    argv = ["verify", "-m", "2", "--p", "0", "--q", "-1", "--step", "0.0015"]
+    code, out, _ = run([*argv, "--json"], capsys)
+    assert code == 0 and json.loads(out)["h"] == 1 / 667
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.startswith(f"m=2 on [0, 1], step {1 / 667:g}\n")
 
 
 def test_canonical_json_refuses_non_finite_floats():
@@ -304,14 +338,6 @@ def test_usage_errors_exit_2(argv, capsys):
 
 
 def test_module_entry_point():
-    # The child does not inherit sys.path, so hand it the checkout's src/.
-    path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-m", "odelift", "check-paper", "--all"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    proc = run_module(["check-paper", "--all"])
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from odelift import verify
-from odelift.diffring import DiffPoly, P
+from odelift.diffring import DiffPoly, P, Q
 from odelift.exprparse import ExprDomainError, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
@@ -132,6 +132,55 @@ def test_integrator_reproduces_exponential():
 def test_integrator_ic_override():
     traj = integrate_base(ZERO, MINUS_ONE, COS_CFG, ic=(0.0, 1.0))
     assert float(np.max(np.abs(traj.f_vals - np.sin(traj.grid)))) < 1e-10
+
+
+def rk4_reference(p, q, cfg, ic):
+    """Scalar RK4 loop, one step at a time: the reference for integrate_base."""
+    a, b = cfg.interval
+    n = cfg.steps
+    dt = (b - a) / n
+    xs = np.linspace(a, b, n + 1)
+    mids = xs[:-1] + 0.5 * dt
+    on_grid, on_mids = symbol_values(p, q, 0, xs), symbol_values(p, q, 0, mids)
+    p_xs, q_xs = on_grid[P(0)], on_grid[Q(0)]
+    p_mid, q_mid = on_mids[P(0)], on_mids[Q(0)]
+
+    u, v = ic
+    f_vals, fp_vals = [u], [v]
+    for idx in range(n):
+        p0, q0 = p_xs[idx], q_xs[idx]
+        pm, qm = p_mid[idx], q_mid[idx]
+        p1, q1 = p_xs[idx + 1], q_xs[idx + 1]
+        k1u = v
+        k1v = p0 * v + q0 * u
+        u2, v2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v
+        k2u = v2
+        k2v = pm * v2 + qm * u2
+        u3, v3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v
+        k3u = v3
+        k3v = pm * v3 + qm * u3
+        u4, v4 = u + dt * k3u, v + dt * k3v
+        k4u = v4
+        k4v = p1 * v4 + q1 * u4
+        u += dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        f_vals.append(u)
+        fp_vals.append(v)
+    return np.array(f_vals), np.array(fp_vals)
+
+
+@pytest.mark.parametrize("n", [10, 11, 1000, 1023, 1024, 1025, 4000])
+@pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
+def test_transfer_matrix_scan_matches_scalar_rk4(p_text, q_text, n):
+    # n straddles the powers of two where the scan gains a round
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / n)
+    assert cfg.steps == n
+    for ic in ((1.0, 0.0), (0.0, 1.0), (1.5, 0.25)):
+        traj = integrate_base(p, q, cfg, ic)
+        for got, want in zip((traj.f_vals, traj.fp_vals), rk4_reference(p, q, cfg, ic)):
+            assert len(got) == n + 1
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_integrator_surfaces_domain_errors():
