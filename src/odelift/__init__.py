@@ -51,6 +51,7 @@ from .verify import (
     NumericConfig,
     Trajectory,
     basis_check,
+    fundamental_matrix,
     integrate_base,
     monomial_label,
     product_derivatives,
@@ -93,6 +94,7 @@ __all__ = [
     "falling_factorial",
     "format_expr",
     "format_poly",
+    "fundamental_matrix",
     "integrate_base",
     "load_fixture",
     "monomial_label",

@@ -2,18 +2,21 @@
 
 The symbolic side promises that the m+1 products f^(m-j) g^j form a basis
 of the derived monic equation of order m+1 whenever f, g solve
-y'' = p(x) y' + q(x) y.  This module integrates that base equation with
-classical fixed-step RK4, takes the derivatives of p, q, f, g and each
-product from Taylor-mode jets (never finite differences), and reports a
-scale-invariant residual per product plus the products' midpoint
-Wronskian, which follows from W(f, g) in closed form (Bronstein, Mulders
-& Weil, ISSAC 1997): W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).
+y'' = p(x) y' + q(x) y.  This module integrates that base equation once,
+as the fundamental matrix Phi of classical fixed-step RK4 (both solutions
+are Phi @ ic, so f and g share one integration), takes the derivatives of
+p, q, f, g and each product from Taylor-mode jets (never finite
+differences), and reports a scale-invariant residual per product plus the
+products' midpoint Wronskian, which follows from W(f, g) in closed form
+(Bronstein, Mulders & Weil, ISSAC 1997):
+W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).
 
 Because the jets express every derivative exactly in terms of (f, f'),
 (g, g') and the values of p, q and their derivatives, the residual is a
 polynomial identity evaluated in floating point, and the Wronskian is
 read off the same two vectors: neither judges how accurate the integrator
-was.  Only the convergence-order test (acceptance criterion 6) does.
+was.  Only the convergence-order test (acceptance criterion 6) and the
+Abel test on det Phi in the test suite do.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ __all__ = [
     "ConfigError",
     "NumericConfig",
     "Trajectory",
+    "fundamental_matrix",
     "integrate_base",
     "symbol_values",
     "product_derivatives",
@@ -58,7 +62,9 @@ __all__ = [
 
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
-#: grid point, 80 MB in all.  The jets and the residual hold a few more such.
+#: grid point, 80 MB at the limit.  The whole check, integration, jets and
+#: residual included, peaks under tracemalloc at 4.0 block sizes at m = 1
+#: (305 MiB at the limit, 360 MB peak RSS) and at about 3.3 from m = 5 on.
 MAX_BLOCK_FLOATS = 10**7
 
 
@@ -308,6 +314,75 @@ def _solution_jet(f, fp, syms: Mapping, order: int) -> list:
 # integration
 
 
+def _rk4_steps(p: Expr, q: Expr, grid: np.ndarray, h: float) -> np.ndarray:
+    """(4, n+1) rows holding I, then the RK4 step matrices T_0 ... T_{n-1}.
+
+    T_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(x_k),
+    K2 = A(mid)(I + h/2 K1), K3 = A(mid)(I + h/2 K2), K4 = A(x_{k+1})(I + h K3).
+    p and q are evaluated once on the grid and once on the midpoints.
+    """
+    p_x, q_x = _expr_jet(p, grid, 0)[0], _expr_jet(q, grid, 0)[0]
+    mids = grid[:-1] + 0.5 * h
+    p_m, q_m = _expr_jet(p, mids, 0)[0], _expr_jet(q, mids, 0)[0]
+    steps = np.empty((4, len(grid)))
+    steps[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    # a 2x2 matrix is its entries (m00, m01, m10, m11), scalars or rows over the grid
+    t = steps[:, 1:]  # accumulates K1 + 2 K2 + 2 K3 + K4
+    k = 0.0, 1.0, q_x[:-1], p_x[:-1]
+    for row, k_row in zip(t, k):
+        row[...] = k_row
+    for weight, c, p_row, q_row in (
+        (2.0, 0.5 * h, p_m, q_m), (2.0, 0.5 * h, p_m, q_m), (1.0, h, p_x[1:], q_x[1:])
+    ):
+        m00, m01, m10, m11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]  # I + c K
+        k = m10, m11, q_row * m00 + p_row * m10, q_row * m01 + p_row * m11  # A(x) (I + c K)
+        for row, k_row in zip(t, k):
+            row += weight * k_row
+    t *= h / 6.0
+    t[0] += 1.0
+    t[3] += 1.0
+    return steps
+
+
+def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and RK4 fundamental matrix of y'' = p(x) y' + q(x) y.
+
+    n = cfg.steps steps of h = cfg.h.  The equation is linear, so RK4 step k
+    is a 2x2 transfer matrix T_k built from A(x) = [[0, 1], [q, p]] at x_k,
+    the midpoint and x_{k+1}; a Hillis-Steele scan over all T_k gives
+    Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds.  Returns (grid, phi)
+    with phi of shape (4, n+1): the rows phi00, phi01, phi10, phi11, so the
+    solution from (y, y') = ic at x = a is (phi00 y + phi01 y',
+    phi10 y + phi11 y') and det Phi approximates exp(int_a^x p).  Domain
+    errors of p or q surface with the offending x.
+    """
+    a, b = cfg.interval
+    n = cfg.steps
+    grid = np.linspace(a, b, n + 1)
+    phi = _rk4_steps(p, q, grid, cfg.h)
+    nxt = np.empty_like(phi)
+    s = 1
+    while s < n:  # phi[:, k] = T_{k-1} ... T_{max(0, k-2s)}; phi[:, 0] = I ends each product
+        a00, a01, a10, a11 = phi[:, s:]
+        b00, b01, b10, b11 = phi[:, :-s]
+        nxt[:, :s] = phi[:, :s]
+        for row, u, v, w, z in (
+            (0, a00, a01, b00, b10), (1, a00, a01, b01, b11),
+            (2, a10, a11, b00, b10), (3, a10, a11, b01, b11),
+        ):  # row (i, j) of the product: a_i0 b_0j + a_i1 b_1j
+            np.multiply(u, w, out=nxt[row, s:])
+            nxt[row, s:] += v * z
+        phi, nxt = nxt, phi
+        s *= 2
+    return grid, phi
+
+
+def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y') over the grid for (y, y') = ic at its start: Phi @ ic."""
+    y0, yp0 = ic
+    return phi[0] * y0 + phi[1] * yp0, phi[2] * y0 + phi[3] * yp0
+
+
 def integrate_base(
     p: Expr,
     q: Expr,
@@ -316,35 +391,12 @@ def integrate_base(
 ) -> Trajectory:
     """Integrate y'' = p(x) y' + q(x) y with classical RK4.
 
-    n = cfg.steps steps of h = cfg.h; initial conditions default to cfg.ic_f.
-    The equation is linear, so step k is the 2x2 transfer matrix
-    T_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4), built from A(x) = [[0, 1], [q, p]]
-    at x_k, the midpoint and x_{k+1}.  A Hillis-Steele scan over all T_k
-    gives Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds; the trajectory is
-    Phi_k @ ic.  Domain errors of p or q surface with the offending x.
+    The single-solution view of fundamental_matrix: the trajectory is
+    Phi_k @ ic, with initial conditions defaulting to cfg.ic_f.  Domain
+    errors of p or q surface with the offending x.
     """
-    a, b = cfg.interval
-    n, h = cfg.steps, cfg.h
-    xs = np.linspace(a, b, n + 1)
-
-    def system(x):  # A(x) = [[0, 1], [q(x), p(x)]], one matrix per point
-        mat = np.zeros((len(x), 2, 2))
-        mat[:, 0, 1], mat[:, 1, 1], mat[:, 1, 0] = 1.0, _expr_jet(p, x, 0)[0], _expr_jet(q, x, 0)[0]
-        return mat
-
-    a_xs, a_mid = system(xs), system(xs[:-1] + 0.5 * h)
-    eye = np.eye(2)
-    k1 = a_xs[:-1]
-    k2 = a_mid @ (eye + 0.5 * h * k1)
-    k3 = a_mid @ (eye + 0.5 * h * k2)
-    phi = np.empty((n + 1, 2, 2))
-    phi[0], phi[1:] = eye, eye + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + a_xs[1:] @ (eye + h * k3))
-    s = 1
-    while s < n:  # phi[k] = T_{k-1} ... T_{max(0, k-2s)}; phi[0] = I ends each product
-        phi[s:] = phi[s:] @ phi[:-s]
-        s *= 2
-    f_vals, fp_vals = (phi @ np.asarray(ic if ic is not None else cfg.ic_f, dtype=float)).T
-    return Trajectory(xs, f_vals, fp_vals)
+    grid, phi = fundamental_matrix(p, q, cfg)
+    return Trajectory(grid, *_solution(phi, ic if ic is not None else cfg.ic_f))
 
 
 # --------------------------------------------------------------------------
@@ -480,7 +532,8 @@ def basis_check(
 ) -> BasisReport:
     """Check every product f^(m-j) g^j against the lifted equation.
 
-    Integrates the two base solutions from cfg's initial conditions,
+    Builds one fundamental matrix Phi and drops it once it has formed the
+    two base solutions Phi @ cfg.ic_f and Phi @ cfg.ic_g, then
     takes the product_derivatives block on the whole grid, evaluates each
     c_k once in a single residual call, and reports per-product max
     relative residuals plus the midpoint Wronskian of all m+1 products,
@@ -500,16 +553,17 @@ def basis_check(
         raise ConfigError(f"m={m} on {points} grid points needs {size:.3g} floats, over "
                           f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        traj_f = integrate_base(p, q, cfg, cfg.ic_f)
-        traj_g = integrate_base(p, q, cfg, cfg.ic_g)
-        syms = symbol_values(p, q, max(0, m - 1), traj_f.grid)
-        block = product_derivatives(
-            (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals), m, syms
-        )
+        grid, phi = fundamental_matrix(p, q, cfg)
+        f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
+        del phi  # freed before the product block, the check's largest allocation
+        syms = symbol_values(p, q, max(0, m - 1), grid)
+        block = product_derivatives(f_pt, g_pt, m, syms)
         worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
-        (x, f, fp), (_, g, gp) = traj_f.point(points // 2), traj_g.point(points // 2)
+        mid = points // 2
+        x = float(grid[mid])
+        (f, fp), (g, gp) = ((float(v[mid]) for v in pt) for pt in (f_pt, g_pt))
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
         factorials = np.prod(ks ** (m + 1 - ks))  # k is a factor of k!, ..., m!

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from odelift.verify import (
     NumericConfig,
     Trajectory,
     basis_check,
+    fundamental_matrix,
     integrate_base,
     monomial_label,
     product_derivatives,
@@ -183,6 +185,23 @@ def test_transfer_matrix_scan_matches_scalar_rk4(p_text, q_text, n):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def test_fundamental_matrix_determinant_follows_abel():
+    # det Phi(x) = exp(int_0^x sin) = exp(1 - cos x); RK4 errors shrink ~16x per halving
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    worst = []
+    for step in (1e-2, 5e-3, 2.5e-3):
+        cfg = NumericConfig(interval=(0.0, 1.0), step=step)
+        grid, phi = fundamental_matrix(p, q, cfg)
+        assert phi.shape == (4, cfg.steps + 1)
+        det = phi[0] * phi[3] - phi[1] * phi[2]
+        worst.append(float(np.max(np.abs(det / np.exp(1.0 - np.cos(grid)) - 1.0))))
+        # column 1 of Phi is the solution from (0, 1), bit for bit
+        traj = integrate_base(p, q, cfg, ic=(0.0, 1.0))
+        assert np.array_equal(traj.grid, grid)
+        assert np.array_equal(traj.f_vals, phi[1]) and np.array_equal(traj.fp_vals, phi[3])
+    assert all(coarse >= 12.0 * fine for coarse, fine in zip(worst, worst[1:])), worst
+
+
 def test_integrator_surfaces_domain_errors():
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
     with pytest.raises(ExprDomainError, match="division by zero"):
@@ -329,6 +348,7 @@ def test_public_names():
 
     for names in (odelift.__all__, verify.__all__):
         assert "product_derivatives" in names
+        assert "fundamental_matrix" in names
         assert "power_derivative_values" not in names
         assert "monomial_derivative_values" not in names
 
@@ -456,6 +476,38 @@ def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
     assert report.passed
     assert len(calls) == m + 1
     assert {id(c) for c in calls} == {id(c) for c in ode.coeffs}
+
+
+def test_basis_check_integrates_once(monkeypatch):
+    calls = []
+    plain_fundamental_matrix = verify.fundamental_matrix
+
+    def counting_fundamental_matrix(*args):
+        calls.append(args)
+        return plain_fundamental_matrix(*args)
+
+    monkeypatch.setattr(verify, "fundamental_matrix", counting_fundamental_matrix)
+    assert basis_check(derive_lifted_ode(3), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", [1, 5, 10])
+def test_basis_check_memory_stays_within_five_blocks(m):
+    # the traced peak, integration included, against the bytes of the
+    # (m+2)(m+1)-floats-per-point product block on a grid of ~10^6 block floats
+    per_point = (m + 2) * (m + 1)
+    points = 10**6 // per_point
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
+    assert cfg.steps + 1 == points
+    ode, p, q = derive_lifted_ode(m), parse_expr("sin(x)"), parse_expr("x")
+    tracemalloc.start()
+    try:
+        report = basis_check(ode, p, q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 5 * 8 * per_point * points, peak / (8 * per_point * points)
 
 
 def test_oversized_check_is_refused_before_it_allocates(monkeypatch):
