@@ -63,8 +63,8 @@ __all__ = [
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
 #: grid point, 80 MB at the limit.  The whole check, integration, jets and
-#: residual included, peaks under tracemalloc at 4.0 block sizes at m = 1
-#: (305 MiB at the limit, 360 MB peak RSS) and at about 3.3 from m = 5 on.
+#: residual included, peaks under 5 block sizes; see
+#: test_basis_check_memory_stays_within_five_blocks.
 MAX_BLOCK_FLOATS = 10**7
 
 
@@ -563,7 +563,8 @@ def basis_check(
 
         mid = points // 2
         x = float(grid[mid])
-        (f, fp), (g, gp) = ((float(v[mid]) for v in pt) for pt in (f_pt, g_pt))
+        f, fp = float(f_pt[0][mid]), float(f_pt[1][mid])
+        g, gp = float(g_pt[0][mid]), float(g_pt[1][mid])
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
         factorials = np.prod(ks ** (m + 1 - ks))  # k is a factor of k!, ..., m!
