@@ -36,12 +36,8 @@ from .lifting import (
     FixtureFormatError,
     FixtureReport,
     LiftedODE,
-    ModuleVector,
-    basis_step,
     check_against_fixture,
-    derivative_tower,
     derive_lifted_ode,
-    falling_factorial,
     load_fixture,
 )
 from .verify import (
@@ -49,10 +45,8 @@ from .verify import (
     ConfigError,
     MonomialResidual,
     NumericConfig,
-    Trajectory,
     basis_check,
     fundamental_matrix,
-    integrate_base,
     monomial_label,
     product_derivatives,
     residual,
@@ -75,7 +69,6 @@ __all__ = [
     "FixtureReport",
     "LiftedODE",
     "MissingSymbolError",
-    "ModuleVector",
     "MonomialResidual",
     "Monomial",
     "NumericConfig",
@@ -83,19 +76,14 @@ __all__ = [
     "PolyParseError",
     "Q",
     "STYLES",
-    "Trajectory",
     "basis_check",
-    "basis_step",
     "check_against_fixture",
-    "derivative_tower",
     "derive_lifted_ode",
     "diff_expr",
     "eval_expr",
-    "falling_factorial",
     "format_expr",
     "format_poly",
     "fundamental_matrix",
-    "integrate_base",
     "load_fixture",
     "monomial_label",
     "parse_expr",

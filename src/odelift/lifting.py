@@ -12,8 +12,8 @@ only differentiates, multiplies by p or q and scales by integers, so the
 coefficients are integer polynomials in the ring of `diffring`: no solve,
 no division.
 
-The derivative tower of y = f^m over the basis B_i = f^(m-i) (f')^i, with
-f'' rewritten as p f' + q f, stays as the independent test oracle.
+The independent oracle, the derivative tower of y = f^m over the basis
+B_i = f^(m-i) (f')^i, lives with the tests in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -35,27 +35,6 @@ FIXTURE_ORDERS = (2, 3, 4, 5)
 
 class FixtureFormatError(ValueError):
     """A reference coefficient table is malformed: wrong shape, bad line or not UTF-8."""
-
-
-@dataclass(frozen=True)
-class ModuleVector:
-    """Coordinates of one derivative of y = f^m over the basis B_i.
-
-    ``coords[i]`` multiplies B_i = f^(m-i) (f')^i; the tuple always has
-    length m+1.
-    """
-
-    m: int
-    coords: tuple[DiffPoly, ...]
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"power m must be >= 1, got {self.m}")
-        if len(self.coords) != self.m + 1:
-            raise ValueError(
-                f"coordinate vector for m={self.m} must have length {self.m + 1}, "
-                f"got {len(self.coords)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -81,55 +60,6 @@ class LiftedODE:
     @property
     def order(self) -> int:
         return self.m + 1
-
-
-def falling_factorial(m: int, k: int) -> int:
-    """m * (m-1) * ... * (m-k+1), i.e. m!/(m-k)! as an integer."""
-    out = 1
-    for t in range(k):
-        out *= m - t
-    return out
-
-
-def basis_step(v: ModuleVector) -> ModuleVector:
-    """Apply d/dx to a combination of the B_i, in coordinates.
-
-    Differentiating v_j B_j and rewriting f'' via the base equation sends
-    weight to B_j (the formal derivative of v_j plus j p v_j), to B_{j+1}
-    (factor m-j from the f-power), and to B_{j-1} (factor j q from the
-    rewritten f'').  Gathering contributions into row j:
-
-        w_j = D(v_j) + j p v_j + (m-j+1) v_{j-1} + (j+1) q v_{j+1}
-
-    with out-of-range coordinates contributing nothing.
-    """
-    m = v.m
-    w = []
-    for j in range(m + 1):
-        entry = v.coords[j].derive() + j * _P * v.coords[j]
-        if j >= 1:
-            entry = entry + (m - j + 1) * v.coords[j - 1]
-        if j < m:
-            entry = entry + (j + 1) * _Q * v.coords[j + 1]
-        w.append(entry)
-    return ModuleVector(m, tuple(w))
-
-
-def derivative_tower(m: int) -> tuple[ModuleVector, ...]:
-    """Coordinates of y, y', ..., y^(m+1) for y = f^m.
-
-    Returns m+2 vectors: the first is (1, 0, ..., 0) and each subsequent one
-    is basis_step of its predecessor.  Row k is zero beyond column k and has
-    the integer m!/(m-k)! in column k.  The test oracle for derive_lifted_ode.
-    """
-    if m < 1:
-        raise ValueError(f"power m must be >= 1, got {m}")
-    zero = DiffPoly.zero()
-    start = ModuleVector(m, (DiffPoly.const(1),) + (zero,) * m)
-    tower = [start]
-    for _ in range(m + 1):
-        tower.append(basis_step(tower[-1]))
-    return tuple(tower)
 
 
 @lru_cache(maxsize=None)

@@ -3,8 +3,11 @@
 The symbolic side promises that the m+1 products f^(m-j) g^j form a basis
 of the derived monic equation of order m+1 whenever f, g solve
 y'' = p(x) y' + q(x) y.  This module integrates that base equation once,
-as the fundamental matrix Phi of classical fixed-step RK4 (both solutions
-are Phi @ ic, so f and g share one integration), takes the derivatives of
+as the fundamental matrix Phi of classical fixed-step RK4.  That is the
+only integrator: fundamental_matrix returns (grid, phi), and the solution
+from (y, y') = ic at the start of the grid is Phi @ ic, that is
+y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
+share one integration.  basis_check then takes the derivatives of
 p, q, f, g and each product from Taylor-mode jets (never finite
 differences), and reports a scale-invariant residual per product plus the
 products' midpoint Wronskian, which follows from W(f, g) in closed form
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import comb
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -48,9 +51,7 @@ from .lifting import LiftedODE
 __all__ = [
     "ConfigError",
     "NumericConfig",
-    "Trajectory",
     "fundamental_matrix",
-    "integrate_base",
     "symbol_values",
     "product_derivatives",
     "residual",
@@ -115,9 +116,9 @@ class NumericConfig:
 
     @property
     def steps(self) -> int:
-        """Number of RK4 steps."""
+        """Number of RK4 steps; __post_init__ refuses fewer than 10."""
         a, b = self.interval
-        return max(10, round((b - a) / self.step))
+        return round((b - a) / self.step)
 
     @property
     def h(self) -> float:
@@ -133,40 +134,6 @@ class NumericConfig:
         if norms == 0.0:
             return False
         return abs(f0 * gp0 - fp0 * g0) > 1e-12 * norms
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Samples of one base solution: grid, f values, f' values."""
-
-    grid: np.ndarray
-    f_vals: np.ndarray
-    fp_vals: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("grid", "f_vals", "fp_vals"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if not (len(self.grid) == len(self.f_vals) == len(self.fp_vals)):
-            raise ValueError("grid, f_vals, fp_vals must have equal lengths")
-        if len(self.grid) < 2:
-            raise ValueError("a trajectory needs at least two samples")
-        gaps = np.diff(self.grid)
-        mean = float(np.mean(gaps))
-        # samples carry ~1 ulp of max |x| each: more than 1e-12 of a small gap
-        tol = 1e-12 * abs(mean) + 8.0 * float(np.spacing(np.max(np.abs(self.grid))))
-        if mean <= 0.0 or np.max(np.abs(gaps - mean)) > tol:
-            raise ValueError("grid must ascend with uniform spacing")
-
-    def __len__(self) -> int:
-        return len(self.grid)
-
-    def point(self, index: int) -> tuple[float, float, float]:
-        """(x, f, f') at one grid index."""
-        return (
-            float(self.grid[index]),
-            float(self.f_vals[index]),
-            float(self.fp_vals[index]),
-        )
 
 
 # --------------------------------------------------------------------------
@@ -381,22 +348,6 @@ def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
     """(y, y') over the grid for (y, y') = ic at its start: Phi @ ic."""
     y0, yp0 = ic
     return phi[0] * y0 + phi[1] * yp0, phi[2] * y0 + phi[3] * yp0
-
-
-def integrate_base(
-    p: Expr,
-    q: Expr,
-    cfg: NumericConfig,
-    ic: Optional[tuple[float, float]] = None,
-) -> Trajectory:
-    """Integrate y'' = p(x) y' + q(x) y with classical RK4.
-
-    The single-solution view of fundamental_matrix: the trajectory is
-    Phi_k @ ic, with initial conditions defaulting to cfg.ic_f.  Domain
-    errors of p or q surface with the offending x.
-    """
-    grid, phi = fundamental_matrix(p, q, cfg)
-    return Trajectory(grid, *_solution(phi, ic if ic is not None else cfg.ic_f))
 
 
 # --------------------------------------------------------------------------

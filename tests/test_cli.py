@@ -189,6 +189,18 @@ def test_verify_passes(capsys):
         assert label in out
 
 
+@pytest.mark.parametrize(
+    "interval",
+    [[], ["--interval", "10", "11"]],
+    ids=["fine-grid", "offset-fine-grid"],
+)
+def test_verify_passes_on_fine_grids(interval, capsys):
+    # linspace spacing here varies by more than 1e-12 of the step
+    argv = ["verify", "-m", "2", "--p", "0", "--q", "-1", "--step", "1e-4", *interval]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "-> PASS" in out
+
+
 def test_verify_json_report(capsys):
     code, out, _ = run(
         ["verify", "-m", "2", "--p", "sin(x)", "--q", "x", "--json"], capsys

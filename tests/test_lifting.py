@@ -4,7 +4,8 @@ The annihilation oracle here is deliberately primitive: it represents the
 derivatives of y = exp(m x^2) as integer polynomials in x (y solves
 y'' = x y' + (2x^2 + 2) y, so every y^(k) is a polynomial multiple of y)
 and evaluates everything in exact rational arithmetic.  It shares no code
-with the recurrence or the tower it is judging.
+with the recurrence or the tower it is judging.  The tower itself, the
+oracle for the recurrence, lives in oracles.py beside these tests.
 """
 
 from fractions import Fraction
@@ -17,14 +18,11 @@ from odelift.lifting import (
     FIXTURE_ORDERS,
     FixtureFormatError,
     LiftedODE,
-    ModuleVector,
-    basis_step,
     check_against_fixture,
-    derivative_tower,
     derive_lifted_ode,
-    falling_factorial,
     load_fixture,
 )
+from oracles import ModuleVector, basis_step, derivative_tower, falling_factorial
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "odelift" / "fixtures"
 

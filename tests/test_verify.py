@@ -16,10 +16,8 @@ from odelift.verify import (
     MAX_BLOCK_FLOATS,
     ConfigError,
     NumericConfig,
-    Trajectory,
     basis_check,
     fundamental_matrix,
-    integrate_base,
     monomial_label,
     product_derivatives,
     residual,
@@ -40,12 +38,18 @@ def cos_suite(m, **kwargs):
     return basis_check(derive_lifted_ode(m), ZERO, MINUS_ONE, COS_CFG, **kwargs)
 
 
+def solve(p, q, cfg, ic):
+    """Grid, y and y' from (y, y') = ic at the grid's start: the rows of Phi @ ic."""
+    grid, phi = fundamental_matrix(p, q, cfg)
+    return grid, *verify._solution(phi, ic)
+
+
 def block_at(f_pt, g_pt, m, p, q, x):
     """product_derivatives of f^(m-j) g^j at x, with the symbols it needs."""
     return product_derivatives(f_pt, g_pt, m, symbol_values(p, q, max(0, m - 1), x))
 
 
-# -- configuration and trajectory containers -----------------------------------
+# -- configuration -------------------------------------------------------------
 
 
 def test_config_validation():
@@ -93,51 +97,36 @@ def test_config_steps_and_independence():
     assert NumericConfig(interval=(0.0, 1.0), step=0.1).steps == 10
 
 
-def test_trajectory_validation():
-    grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError):
-        Trajectory(grid, np.zeros(10), np.zeros(11))
-    with pytest.raises(ValueError):
-        Trajectory([0.0], [1.0], [0.0])
-    with pytest.raises(ValueError):
-        Trajectory([0.0, 0.1, 0.3], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        Trajectory([1.0, 0.5, 0.0], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-    traj = Trajectory(grid, np.ones(11), np.zeros(11))
-    assert len(traj) == 11
-    assert traj.point(3) == (pytest.approx(0.3), 1.0, 0.0)
-
-
 @pytest.mark.parametrize("interval,step", [((0.0, 1.0), 1e-4), ((10.0, 11.0), 1e-3)])
 def test_fine_and_offset_grids_are_uniform(interval, step):
     # linspace rounding is about one ulp of max |x|, above 1e-12 of the gap
     cfg = NumericConfig(interval=interval, step=step)
-    traj = integrate_base(ZERO, MINUS_ONE, cfg)
-    assert float(np.max(np.abs(traj.f_vals - np.cos(traj.grid - interval[0])))) < 1e-10
+    grid, f, _ = solve(ZERO, MINUS_ONE, cfg, (1.0, 0.0))
+    assert float(np.max(np.abs(f - np.cos(grid - interval[0])))) < 1e-10
 
 
 # -- base integration ------------------------------------------------------------
 
 
 def test_integrator_reproduces_cosine():
-    traj = integrate_base(ZERO, MINUS_ONE, COS_CFG)
-    assert float(np.max(np.abs(traj.f_vals - np.cos(traj.grid)))) < 1e-10
-    assert float(np.max(np.abs(traj.fp_vals + np.sin(traj.grid)))) < 1e-10
+    grid, f, fp = solve(ZERO, MINUS_ONE, COS_CFG, (1.0, 0.0))
+    assert float(np.max(np.abs(f - np.cos(grid)))) < 1e-10
+    assert float(np.max(np.abs(fp + np.sin(grid)))) < 1e-10
 
 
 def test_integrator_reproduces_exponential():
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 1.0))
-    traj = integrate_base(ZERO, ONE, cfg)
-    assert float(np.max(np.abs(traj.f_vals - np.exp(traj.grid)))) < 1e-9
+    grid, f, _ = solve(ZERO, ONE, cfg, cfg.ic_f)
+    assert float(np.max(np.abs(f - np.exp(grid)))) < 1e-9
 
 
 def test_integrator_ic_override():
-    traj = integrate_base(ZERO, MINUS_ONE, COS_CFG, ic=(0.0, 1.0))
-    assert float(np.max(np.abs(traj.f_vals - np.sin(traj.grid)))) < 1e-10
+    grid, g, _ = solve(ZERO, MINUS_ONE, COS_CFG, (0.0, 1.0))
+    assert float(np.max(np.abs(g - np.sin(grid)))) < 1e-10
 
 
 def rk4_reference(p, q, cfg, ic):
-    """Scalar RK4 loop, one step at a time: the reference for integrate_base."""
+    """Scalar RK4 loop, one step at a time: the reference for fundamental_matrix."""
     a, b = cfg.interval
     n = cfg.steps
     dt = (b - a) / n
@@ -179,8 +168,8 @@ def test_transfer_matrix_scan_matches_scalar_rk4(p_text, q_text, n):
     cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / n)
     assert cfg.steps == n
     for ic in ((1.0, 0.0), (0.0, 1.0), (1.5, 0.25)):
-        traj = integrate_base(p, q, cfg, ic)
-        for got, want in zip((traj.f_vals, traj.fp_vals), rk4_reference(p, q, cfg, ic)):
+        _, f, fp = solve(p, q, cfg, ic)
+        for got, want in zip((f, fp), rk4_reference(p, q, cfg, ic)):
             assert len(got) == n + 1
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -195,20 +184,16 @@ def test_fundamental_matrix_determinant_follows_abel():
         assert phi.shape == (4, cfg.steps + 1)
         det = phi[0] * phi[3] - phi[1] * phi[2]
         worst.append(float(np.max(np.abs(det / np.exp(1.0 - np.cos(grid)) - 1.0))))
-        # column 1 of Phi is the solution from (0, 1), bit for bit
-        traj = integrate_base(p, q, cfg, ic=(0.0, 1.0))
-        assert np.array_equal(traj.grid, grid)
-        assert np.array_equal(traj.f_vals, phi[1]) and np.array_equal(traj.fp_vals, phi[3])
     assert all(coarse >= 12.0 * fine for coarse, fine in zip(worst, worst[1:])), worst
 
 
 def test_integrator_surfaces_domain_errors():
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
     with pytest.raises(ExprDomainError, match="division by zero"):
-        integrate_base(parse_expr("1/x"), ONE, cfg)
+        fundamental_matrix(parse_expr("1/x"), ONE, cfg)
     cfg2 = NumericConfig(interval=(-1.0, 1.0), step=1e-2)
     with pytest.raises(ExprDomainError, match="not positive"):
-        integrate_base(ZERO, parse_expr("ln(x)"), cfg2)
+        fundamental_matrix(ZERO, parse_expr("ln(x)"), cfg2)
 
 
 # -- symbol values ----------------------------------------------------------------
@@ -351,20 +336,23 @@ def test_public_names():
         assert "fundamental_matrix" in names
         assert "power_derivative_values" not in names
         assert "monomial_derivative_values" not in names
+        for gone in ("integrate_base", "Trajectory"):
+            assert gone not in names
+    for module in (odelift, verify):
+        assert not hasattr(module, "integrate_base") and not hasattr(module, "Trajectory")
 
 
 def test_product_block_shape_and_columns():
     # grid and scalar blocks agree; column j is the Leibniz product of f^(m-j), g^j
     p, q, m = parse_expr("sin(x)"), parse_expr("x"), 4
-    traj_f = integrate_base(p, q, COS_CFG, (1.0, 0.0))
-    traj_g = integrate_base(p, q, COS_CFG, (0.0, 1.0))
-    f_pt, g_pt = (traj_f.f_vals, traj_f.fp_vals), (traj_g.f_vals, traj_g.fp_vals)
-    block = block_at(f_pt, g_pt, m, p, q, traj_f.grid)
-    assert block.shape == (m + 2, m + 1, len(traj_f))
+    grid, *f_pt = solve(p, q, COS_CFG, (1.0, 0.0))
+    _, *g_pt = solve(p, q, COS_CFG, (0.0, 1.0))
+    block = block_at(f_pt, g_pt, m, p, q, grid)
+    assert block.shape == (m + 2, m + 1, len(grid))
     for idx in (0, 500, 1000):
         point = block_at(
             (f_pt[0][idx], f_pt[1][idx]), (g_pt[0][idx], g_pt[1][idx]), m, p, q,
-            float(traj_f.grid[idx]),
+            float(grid[idx]),
         )
         assert point.shape == (m + 2, m + 1)
         np.testing.assert_allclose(block[..., idx], point, rtol=1e-14, atol=1e-14)
@@ -384,19 +372,17 @@ def test_residual_shape_validation():
 
 
 def test_residual_on_true_solution_is_rounding_level():
-    traj = integrate_base(ZERO, MINUS_ONE, COS_CFG)
-    syms = symbol_values(ZERO, MINUS_ONE, 1, traj.grid)
+    grid, *f_pt = solve(ZERO, MINUS_ONE, COS_CFG, (1.0, 0.0))
+    syms = symbol_values(ZERO, MINUS_ONE, 1, grid)
     for m in (1, 2):
         ode = derive_lifted_ode(m)
-        derivs = product_derivatives(
-            (traj.f_vals, traj.fp_vals), (traj.f_vals, traj.fp_vals), m, syms
-        )
+        derivs = product_derivatives(f_pt, f_pt, m, syms)
         res = residual(ode, derivs[:, 0], syms)
-        assert res.shape == traj.grid.shape
+        assert res.shape == grid.shape
         assert float(np.max(np.abs(res))) < 1e-9
         # the whole block at once: one residual row per product
         res = residual(ode, derivs, syms)
-        assert res.shape == (m + 1, *traj.grid.shape)
+        assert res.shape == (m + 1, *grid.shape)
         assert float(np.max(np.abs(res))) < 1e-9
 
 
@@ -450,10 +436,10 @@ def test_closed_form_wronskian_matches_determinant(m):
     # (prod k!) W(f, g)^(m(m+1)/2)
     p, q = parse_expr("sin(x)"), parse_expr("x")
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
-    traj_f, traj_g = integrate_base(p, q, cfg, cfg.ic_f), integrate_base(p, q, cfg, cfg.ic_g)
-    mid = len(traj_f) // 2
-    x, f, fp = traj_f.point(mid)
-    _, g, gp = traj_g.point(mid)
+    grid, f, fp = solve(p, q, cfg, cfg.ic_f)
+    _, g, gp = solve(p, q, cfg, cfg.ic_g)
+    mid = len(grid) // 2
+    x, f, fp, g, gp = (float(v[mid]) for v in (grid, f, fp, g, gp))
     det = float(np.linalg.det(block_at((f, fp), (g, gp), m, p, q, x)[: m + 1]))
     report = basis_check(derive_lifted_ode(m), p, q, cfg)
     assert report.wronskian_x == x
@@ -567,13 +553,3 @@ def test_sign_flip_of_lowest_coefficient_invisible_on_constant_suite():
     flipped_c1 = LiftedODE(2, (ode.coeffs[0], -ode.coeffs[1], ode.coeffs[2]))
     report = basis_check(flipped_c1, ZERO, MINUS_ONE, COS_CFG)
     assert max(r.max_residual for r in report.residuals) > 1e-2
-
-
-def test_rk4_endpoint_error_scales_like_fourth_order():
-    errors = []
-    for step in (0.05, 0.025):
-        cfg = NumericConfig(interval=(0.0, 1.0), step=step)
-        traj = integrate_base(ZERO, MINUS_ONE, cfg)
-        errors.append(abs(float(traj.f_vals[-1]) - math.cos(1.0)))
-    ratio = errors[0] / errors[1]
-    assert 12.0 <= ratio <= 20.0
