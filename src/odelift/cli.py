@@ -19,35 +19,36 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .diffring import MissingSymbolError, format_poly, poly_terms_doc
+from .diffring import MissingSymbolError, format_poly, poly_terms_json
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
     FixtureFormatError,
+    LiftedODE,
     check_against_fixture,
     derive_lifted_ode,
     load_fixture,
 )
 from .verify import ConfigError, NumericConfig, basis_check
 
-__all__ = ["main", "build_parser", "ode_json_doc", "canonical_json"]
+__all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
 
-def ode_json_doc(m: int) -> dict:
-    """Machine-readable document for the derived order-(m+1) equation."""
-    ode = derive_lifted_ode(m)
-    return {
-        "m": m,
-        "monic": True,
-        "coeffs": [
-            {"k": k, "terms": poly_terms_doc(c)} for k, c in enumerate(ode.coeffs)
-        ],
-    }
+def derive_json(ode: LiftedODE) -> str:
+    """The `derive --style json` document, written directly: the bytes that
+    `canonical_json` gives for it as nested dicts and lists."""
+    coeffs = ",\n".join([
+        f'    {{\n      "k": {k},\n      "terms": {poly_terms_json(c, "      ")}\n    }}'
+        for k, c in enumerate(ode.coeffs)
+    ])
+    return f'{{\n  "coeffs": [\n{coeffs}\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
 
 
 def canonical_json(doc) -> str:
-    """Single serialization used everywhere, so load-then-dump is stable.
+    """The `verify --json` report text: sorted keys, two-space indent.
 
+    `derive --style json` output is the same canonical form, so loading
+    either document and passing it back through here reproduces its bytes.
     Strict JSON: a non-finite float raises ValueError instead of printing
     the non-standard tokens Infinity or NaN.
     """
@@ -167,10 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_derive(args) -> int:
-    if args.style == "json":
-        print(canonical_json(ode_json_doc(args.m)))
-        return 0
     ode = derive_lifted_ode(args.m)
+    if args.style == "json":
+        print(derive_json(ode))
+        return 0
     for k in range(args.m, -1, -1):
         if args.style == "latex":
             print(f"c_{{{k}}} = {format_poly(ode.coeffs[k], 'latex')}")

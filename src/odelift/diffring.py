@@ -686,3 +686,24 @@ def poly_terms_doc(poly: DiffPoly) -> list[dict]:
             }
         )
     return doc
+
+
+def poly_terms_json(poly: DiffPoly, pad: str) -> str:
+    """``json.dumps(poly_terms_doc(poly), sort_keys=True, indent=2)`` with
+    ``pad`` before every line after the first, written without the dicts."""
+    if not poly.terms:
+        return "[]"
+    p1, p2, p3, p4 = pad + "  ", pad + "    ", pad + "      ", pad + "        "
+    terms = []
+    for mono, coeff in poly.sorted_terms():
+        factors = [
+            f'{p3}{{\n{p4}"exp": {e},\n{p4}"order": {s >> 1},\n'
+            f'{p4}"sym": "{_BASES[s & 1]}"\n{p3}}}'
+            for s, e in _factor_slots(mono)
+        ]
+        monomial = "[\n" + ",\n".join(factors) + "\n" + p2 + "]" if factors else "[]"
+        terms.append(
+            f'{p1}{{\n{p2}"den": "{coeff.denominator}",\n{p2}"monomial": {monomial},\n'
+            f'{p2}"num": "{coeff.numerator}"\n{p1}}}'
+        )
+    return "[\n" + ",\n".join(terms) + "\n" + pad + "]"

@@ -85,9 +85,10 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     coeffs = cur[: m + 1]
     bound = m - 1 if m >= 2 else 0
     worst = max(c.max_order() for c in coeffs)
-    assert worst <= bound, (
-        f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
-    )
+    if worst > bound:
+        raise RuntimeError(
+            f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
+        )
     return LiftedODE(m, coeffs)
 
 

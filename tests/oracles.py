@@ -5,13 +5,17 @@ B_i = f^(m-i) (f')^i, with f'' rewritten as p f' + q f, is the oracle for
 the symmetric-power recurrence in odelift.lifting: the derived equation
 must send the tower's last row plus sum_k c_k (row k) to zero in every
 coordinate.
+
+The derive document built as nested dicts and lists, passed through
+odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from odelift.diffring import DiffPoly, P, Q
+from odelift.diffring import DiffPoly, P, Q, poly_terms_doc
+from odelift.lifting import LiftedODE, derive_lifted_ode
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
@@ -85,3 +89,17 @@ def derivative_tower(m: int) -> tuple[ModuleVector, ...]:
     for _ in range(m + 1):
         tower.append(basis_step(tower[-1]))
     return tuple(tower)
+
+
+def ode_json_doc(ode: int | LiftedODE) -> dict:
+    """The `derive --style json` document for ``ode``, or for the derived
+    equation when ``ode`` is the power m, as nested dicts and lists."""
+    if isinstance(ode, int):
+        ode = derive_lifted_ode(ode)
+    return {
+        "m": ode.m,
+        "monic": True,
+        "coeffs": [
+            {"k": k, "terms": poly_terms_doc(c)} for k, c in enumerate(ode.coeffs)
+        ],
+    }

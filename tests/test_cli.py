@@ -6,11 +6,15 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from odelift.cli import canonical_json, main, ode_json_doc
+from odelift.cli import canonical_json, derive_json, main
+from odelift.diffring import DiffPoly, Monomial, P, Q
+from odelift.lifting import LiftedODE, derive_lifted_ode
+from oracles import ode_json_doc
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 FIXTURE_DIR = SRC_DIR / "odelift" / "fixtures"
@@ -100,6 +104,29 @@ def test_derive_json_digest(m, capsys):
     code, out, _ = run(["derive", "-m", str(m), "--style", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[m]
+
+
+#: Shapes the derived equations may never produce: a zero coefficient, a
+#: constant term, a negative non-integral coefficient, and a factor with
+#: exp > 1 at derivative order > 0.
+EDGE_ODES = [
+    LiftedODE(1, (DiffPoly.zero(), DiffPoly.const(7))),
+    LiftedODE(1, (DiffPoly.const(Fraction(-3, 2)), DiffPoly.zero())),
+    LiftedODE(
+        2,
+        (
+            DiffPoly({Monomial({P(2): 3, Q(1): 2}): Fraction(-3, 2), Monomial(): 5}),
+            DiffPoly({Monomial({Q(4): 1}): -(10**40)}),
+            DiffPoly.zero(),
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("ode", [*range(1, 17), *EDGE_ODES])
+def test_derive_json_matches_canonical_dump_of_the_dict_document(ode):
+    text = derive_json(derive_lifted_ode(ode) if isinstance(ode, int) else ode)
+    assert text == canonical_json(ode_json_doc(ode))
 
 
 # -- check-paper -------------------------------------------------------------------

@@ -8,6 +8,9 @@ with the recurrence or the tower it is judging.  The tower itself, the
 oracle for the recurrence, lives in oracles.py beside these tests.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +27,8 @@ from odelift.lifting import (
 )
 from oracles import ModuleVector, basis_step, derivative_tower, falling_factorial
 
-FIXTURE_DIR = Path(__file__).resolve().parents[1] / "src" / "odelift" / "fixtures"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+FIXTURE_DIR = SRC_DIR / "odelift" / "fixtures"
 
 
 def vec(m, *texts):
@@ -149,6 +153,24 @@ def test_derivative_order_bound_and_integrality():
             # Stored as int, so the recurrence ran without Fraction arithmetic.
             assert all(type(coeff) is int for coeff in c.terms.values())
     assert derive_lifted_ode(1).coeffs[0].max_order() == 0
+
+
+def test_derivative_order_bound_is_enforced_under_python_O():
+    # An order above the bound must raise even where asserts are stripped.
+    script = (
+        "from odelift import lifting\n"
+        "lifting.DiffPoly.max_order = lambda self: 99\n"
+        "try:\n"
+        "    lifting.derive_lifted_ode(3)\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.stdout == "coefficient for m=3 uses derivative order 99, above the bound 2\n"
 
 
 # -- fixture tables --------------------------------------------------------------
