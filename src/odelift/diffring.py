@@ -86,6 +86,7 @@ def _slot(sym: DiffSymbol) -> int:
     return 2 * order + _BASES.index(base)
 
 
+@lru_cache(maxsize=None)
 def _symbol(slot: int) -> DiffSymbol:
     return DiffSymbol(_BASES[slot & 1], slot >> 1)
 
@@ -342,21 +343,32 @@ class DiffPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, assignment: Mapping[DiffSymbol, object]):
+    def eval(self, assignment: Mapping[DiffSymbol, object], table: dict | None = None):
         """Evaluate at an assignment of values to every symbol occurring here.
 
         Values may be floats or numpy arrays; coefficients are taken as
-        floats.  Raises MissingSymbolError if a needed symbol has no value.
+        floats.  Each power v**exp is computed once and kept in ``table``
+        under its (symbol, exponent) factor, so a caller evaluating several
+        polynomials at the same assignment can pass one dict to share the
+        powers among all of them.  Raises MissingSymbolError if a needed
+        symbol has no value.
         """
+        if table is None:
+            table = {}
         total = 0.0
         for mono, coeff in self.terms.items():
             value = float(coeff)
-            for sym, exp in mono.factors:
+            for factor in mono.factors:
                 try:
-                    v = assignment[sym]
+                    power = table[factor]
                 except KeyError:
-                    raise MissingSymbolError(sym) from None
-                value = value * v**exp
+                    sym, exp = factor
+                    try:
+                        v = assignment[sym]
+                    except KeyError:
+                        raise MissingSymbolError(sym) from None
+                    power = table[factor] = v**exp
+                value = value * power
             total = total + value
         return total
 

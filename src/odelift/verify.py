@@ -129,11 +129,20 @@ class NumericConfig:
     @property
     def ic_independent(self) -> bool:
         """Whether the two initial-condition vectors span the plane."""
-        (f0, fp0), (g0, gp0) = self.ic_f, self.ic_g
-        norms = math.hypot(f0, fp0) * math.hypot(g0, gp0)
-        if norms == 0.0:
-            return False
-        return abs(f0 * gp0 - fp0 * g0) > 1e-12 * norms
+        return _sine(self.ic_f, self.ic_g) > 1e-12
+
+
+def _sine(a, b) -> float:
+    """|det(a, b)| / (|a| |b|) for plane vectors a and b; 0 if either is zero.
+
+    Taken from the unit vectors a/|a| and b/|b|, so neither the determinant
+    nor the product of the norms can overflow or underflow on the way.
+    """
+    na, nb = math.hypot(*a), math.hypot(*b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    (a0, a1), (b0, b1) = a, b
+    return abs((a0 / na) * (b1 / nb) - (a1 / na) * (b0 / nb))
 
 
 # --------------------------------------------------------------------------
@@ -180,16 +189,6 @@ def _power(u: list, n: int) -> list:
         if bit == "1":
             h = _leibniz(h, u)
     return h
-
-
-def _powers(u: list, n: int) -> list:
-    """Jets of u^0, u^1, ..., u^n; value rows are the plain powers u**k."""
-    out = [_const(1.0, len(u) - 1)]
-    for k in range(1, n + 1):
-        nxt = _leibniz(out[-1], u)
-        nxt[0] = u[0] ** k
-        out.append(nxt)
-    return out
 
 
 def _jet(e: Expr, x: np.ndarray, order: int) -> list:
@@ -361,18 +360,46 @@ def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
     scalars or grid arrays; syms holds p, q and their derivatives up to
     order m-1 at the same points (see symbol_values).  Entry [k, j] of the
     (m+2, m+1, *shape) block is the k-th derivative of f^(m-j) g^j; the top
-    (m+1) x (m+1) square is the products' Wronskian matrix.
+    (m+1) x (m+1) square is the products' Wronskian matrix.  The power jets
+    start from f^1, the solution jet itself, and f^m and g^m are copied into
+    columns 0 and m; only the m-1 middle columns are Leibniz products.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    f_pows = _powers(_solution_jet(*f_pt, syms, m + 1), m)
-    g_pows = _powers(_solution_jet(*g_pt, syms, m + 1), m)
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    f_pows = _power_jets(_solution_jet(*f_pt, syms, m + 1), m, shape)
+    g_pows = _power_jets(_solution_jet(*g_pt, syms, m + 1), m, shape)
     block = np.empty((m + 2, m + 1, *shape))
-    for j in range(m + 1):
-        for k, row in enumerate(_leibniz(f_pows[m - j], g_pows[j])):
-            block[k, j] = row
+    block[:, 0], block[:, m] = f_pows[m - 1], g_pows[m - 1]
+    for j in range(1, m):
+        _leibniz_into(block[:, j], f_pows[m - j - 1], g_pows[j - 1])
     return block
+
+
+def _power_jets(jet: list, m: int, shape: tuple) -> np.ndarray:
+    """Dense jets of u, u^2, ..., u^m: entry [k-1] holds u^k, with value row u**k."""
+    pows = np.empty((m, len(jet), *shape))
+    for k, row in enumerate(jet):
+        pows[0, k] = row
+    for k in range(2, m + 1):
+        _leibniz_into(pows[k - 1], pows[k - 2], pows[0])
+        pows[k - 1, 0] = pows[0, 0] ** k
+    return pows
+
+
+def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
+    """Write the jet of u*v into out, with _leibniz's operations in its order.
+
+    Rows are indexed as out[k, ...] so that 0-d rows stay writable views.
+    """
+    out, u, v = ([a[k, ...] for k in range(len(a))] for a in (out, u, v))
+    tmp = np.empty_like(out[0])
+    for k, row in enumerate(out):
+        np.multiply(u[0], v[k], out=row)
+        for j in range(1, k + 1):
+            np.multiply(comb(k, j), u[j], out=tmp)
+            tmp *= v[k - j]
+            row += tmp
 
 
 # --------------------------------------------------------------------------
@@ -384,21 +411,23 @@ def residual(ode: LiftedODE, derivs, sym_vals: Mapping) -> object:
 
     derivs holds y, y', ..., y^(m+1) (scalars, grid arrays, or stacks of
     functions with the function axis ahead of the grid axes, such as the
-    product_derivatives block: each c_k is evaluated once for all); returns
-    r / s with r = y^(m+1) + sum c_k y^(k) and s the largest participating
-    term magnitude, floored at 1, per row entry.
+    product_derivatives block: each c_k is evaluated once for all, and all
+    of them share one table of symbol powers); returns r / s with
+    r = y^(m+1) + sum c_k y^(k) and s the largest participating term
+    magnitude, floored at 1, per row entry.
     """
     m = ode.m
     derivs = np.asarray(derivs, dtype=float)
     if derivs.shape[0] != m + 2:
         raise ValueError(f"expected {m + 2} derivative rows, got {derivs.shape[0]}")
-    lead = derivs[m + 1]
-    r = lead.copy()
-    s = np.maximum(1.0, np.abs(lead))
+    lead = derivs[m + 1, ...]
+    r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
+    np.maximum(1.0, np.abs(lead), out=s)
+    powers: dict = {}  # one power table, shared by every c_k
     for k, c in enumerate(ode.coeffs):
-        term = c.eval(sym_vals) * derivs[k]
-        r = r + term
-        s = np.maximum(s, np.abs(term))
+        np.multiply(c.eval(sym_vals, powers), derivs[k, ...], out=term)
+        r += term
+        np.maximum(s, np.abs(term, out=term), out=s)
     return r / s
 
 
@@ -491,7 +520,9 @@ def basis_check(
     (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
     Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
     products pass when |W| / n, at most 1, exceeds wronskian_tol: the
-    same test at every m.  Raises ConfigError unless 0 < residual_tol <
+    same test at every m.  That ratio is taken from the unit vectors
+    (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or
+    n alone overflows or underflows.  Raises ConfigError unless 0 < residual_tol <
     inf and 0 < wronskian_tol < 1, and when the block would hold more
     than MAX_BLOCK_FLOATS floats.
     """
@@ -528,7 +559,7 @@ def basis_check(
         residual_tol=residual_tol,
         wronskian=float(value),
         wronskian_scale=float(scale),
-        wronskian_ratio=abs(w) / norms if norms > 0.0 else 0.0,
+        wronskian_ratio=_sine((f, fp), (g, gp)),
         wronskian_tol=wronskian_tol,
         wronskian_x=x,
         ic_independent=cfg.ic_independent,

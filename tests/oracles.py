@@ -8,14 +8,24 @@ coordinate.
 
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
+
+The product block built term by term, every power jet from the constant-1
+jet up and every column as a Leibniz product of two power jets, is the
+oracle for odelift.verify.product_derivatives, which must match it bit for
+bit.  The one licensed difference: where f^m or g^m overflows, the oracle's
+inf * 0 against the constant-1 jet leaves NaN in columns 0 and m, while the
+block copies those columns as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from odelift.diffring import DiffPoly, P, Q, poly_terms_doc
 from odelift.lifting import LiftedODE, derive_lifted_ode
+from odelift.verify import _const, _leibniz, _solution_jet
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
@@ -103,3 +113,27 @@ def ode_json_doc(ode: int | LiftedODE) -> dict:
             {"k": k, "terms": poly_terms_doc(c)} for k, c in enumerate(ode.coeffs)
         ],
     }
+
+
+def _powers(u: list, n: int) -> list:
+    """Jets of u^0, u^1, ..., u^n; value rows are the plain powers u**k."""
+    out = [_const(1.0, len(u) - 1)]
+    for k in range(1, n + 1):
+        nxt = _leibniz(out[-1], u)
+        nxt[0] = u[0] ** k
+        out.append(nxt)
+    return out
+
+
+def product_block(f_pt, g_pt, m: int, syms) -> np.ndarray:
+    """The odelift.verify.product_derivatives block, built term by term:
+    the jets of f^0 ... f^m and g^0 ... g^m from the constant-1 jet up, and
+    column j as the Leibniz product of f^(m-j) and g^j."""
+    f_pows = _powers(_solution_jet(*f_pt, syms, m + 1), m)
+    g_pows = _powers(_solution_jet(*g_pt, syms, m + 1), m)
+    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    block = np.empty((m + 2, m + 1, *shape))
+    for j in range(m + 1):
+        for k, row in enumerate(_leibniz(f_pows[m - j], g_pows[j])):
+            block[k, j] = row
+    return block

@@ -277,13 +277,10 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
 
 
 def test_verify_json_writes_non_finite_ratio_as_null(capsys):
-    # f^2 and |(f, f')| |(g, g')| overflow: residuals and inf/inf are NaN
+    # the trajectory itself overflows before the midpoint: f = f' = inf
+    # there, so the unit vector (f, f')/|(f, f')| and the ratio are NaN
     code, out, _ = run(
-        [
-            "verify", "-m", "2", "--p", "0", "--q", "-1",
-            "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json",
-        ],
-        capsys,
+        ["verify", "-m", "2", "--p", "0", "--q", "100000000", "--json"], capsys
     )
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["wronskian"]["ratio"] is None
@@ -306,6 +303,17 @@ def test_verify_overflow_fails_without_warnings(argv):
         assert json.loads(proc.stdout)["pass"] is False
     else:
         assert proc.stdout.endswith("-> FAIL\n")
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e-170"])
+def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
+    argv = ["verify", "-m", "1", "--p", "0", "--q", "-1", "--ic-f", scale, "0",
+            "--ic-g", "0", scale]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out.endswith("-> PASS\n")
+    assert "linearly dependent" not in out
+    code, out, _ = run([*argv, "--json"], capsys)
+    assert code == 0 and json.loads(out)["wronskian"]["ratio"] == pytest.approx(1.0)
 
 
 def test_verify_reports_the_step_the_grid_uses(capsys):

@@ -23,6 +23,7 @@ from odelift.verify import (
     residual,
     symbol_values,
 )
+from oracles import product_block
 from test_acceptance import COEFFICIENT_PAIRS
 from test_exprparse import random_tree
 
@@ -95,6 +96,19 @@ def test_config_steps_and_independence():
     )
     assert not dependent.ic_independent
     assert NumericConfig(interval=(0.0, 1.0), step=0.1).steps == 10
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e160, 1e-170])
+def test_config_independence_at_any_scale(scale):
+    # |det| and the product of the norms overflow or underflow here; their
+    # ratio, taken from the unit vectors, does not
+    def cfg(ic_f, ic_g):
+        return NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=ic_f, ic_g=ic_g)
+
+    assert cfg((scale, 0.0), (0.0, scale)).ic_independent
+    assert cfg((scale, scale), (scale, -scale)).ic_independent
+    assert not cfg((scale, 0.5 * scale), (2.0 * scale, scale)).ic_independent
+    assert not cfg((scale, 0.0), (0.0, 0.0)).ic_independent
 
 
 @pytest.mark.parametrize("interval,step", [((0.0, 1.0), 1e-4), ((10.0, 11.0), 1e-3)])
@@ -361,6 +375,47 @@ def test_product_block_shape_and_columns():
         np.testing.assert_allclose(block[0, j], f ** (m - j) * g**j, rtol=1e-14, atol=1e-300)
 
 
+@pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
+def test_product_block_matches_the_term_by_term_oracle(p_text, q_text):
+    # every bit, on the grid and at a scalar point, m = 1..12
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    grid, *f_pt = solve(p, q, COS_CFG, (1.0, 0.0))
+    _, *g_pt = solve(p, q, COS_CFG, (0.0, 1.0))
+    mid = len(grid) // 2
+    f_mid, g_mid = [float(v[mid]) for v in f_pt], [float(v[mid]) for v in g_pt]
+    for m in range(1, 13):
+        syms = symbol_values(p, q, max(0, m - 1), grid)
+        block = product_derivatives(f_pt, g_pt, m, syms)
+        assert np.array_equal(block, product_block(f_pt, g_pt, m, syms))
+        syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
+        point = product_derivatives(f_mid, g_mid, m, syms)
+        assert point.shape == (m + 2, m + 1)
+        assert np.array_equal(point, product_block(f_mid, g_mid, m, syms))
+
+
+@pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
+def test_product_block_matches_the_oracle_when_the_powers_overflow(p_text, q_text):
+    # At (f, f') = (1e200, 0) and (g, g') = (0, 1e200), f^m and g^m overflow
+    # for m >= 2.  The oracle multiplies them by the constant-1 jet of g^0 or
+    # f^0, and inf * 0 is NaN; the block copies them, so it keeps the inf (or
+    # the finite row) there.  Every other entry agrees, NaN for NaN.
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    cfg = NumericConfig(
+        interval=(0.0, 1.0), step=1e-3, ic_f=(1e200, 0.0), ic_g=(0.0, 1e200)
+    )
+    grid, *f_pt = solve(p, q, cfg, cfg.ic_f)
+    _, *g_pt = solve(p, q, cfg, cfg.ic_g)
+    with np.errstate(all="ignore"):
+        for m in range(1, 13):
+            syms = symbol_values(p, q, max(0, m - 1), grid)
+            block = product_derivatives(f_pt, g_pt, m, syms)
+            oracle = product_block(f_pt, g_pt, m, syms)
+            assert np.array_equal(block[:, 1:m], oracle[:, 1:m], equal_nan=True)
+            kept = ~np.isnan(oracle)
+            assert np.array_equal(block[kept], oracle[kept])
+            assert kept.all() == (m == 1)
+
+
 # -- residuals -------------------------------------------------------------------
 
 
@@ -452,9 +507,9 @@ def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
     calls = []
     plain_eval = DiffPoly.eval
 
-    def counting_eval(self, assignment):
+    def counting_eval(self, *args):
         calls.append(self)
-        return plain_eval(self, assignment)
+        return plain_eval(self, *args)
 
     monkeypatch.setattr(DiffPoly, "eval", counting_eval)
     ode = derive_lifted_ode(m)
@@ -462,6 +517,22 @@ def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
     assert report.passed
     assert len(calls) == m + 1
     assert {id(c) for c in calls} == {id(c) for c in ode.coeffs}
+
+
+def test_shared_power_table_changes_no_bit():
+    # c.eval with the one table residual shares equals c.eval on its own, bit
+    # for bit, and the table holds each (symbol, exponent) factor once
+    p, q = parse_expr("1/(x+2)"), parse_expr("exp(-x)")
+    grid = np.linspace(0.0, 1.0, 101)
+    for m in range(1, 13):
+        ode = derive_lifted_ode(m)
+        vals = symbol_values(p, q, max(0, m - 1), grid)
+        table = {}
+        for c in ode.coeffs:
+            shared, alone = c.eval(vals, table), c.eval(vals)
+            assert np.asarray(shared).tobytes() == np.asarray(alone).tobytes()
+        factors = {f for c in ode.coeffs for mono in c.terms for f in mono.factors}
+        assert set(table) == factors
 
 
 def test_basis_check_integrates_once(monkeypatch):
@@ -522,6 +593,23 @@ def test_dependent_initial_conditions_fail_only_the_wronskian():
     assert not report.ic_independent
     assert "linearly dependent" in report.summary()
     assert "FAIL" in report.summary()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_wronskian_verdict_at_large_and_tiny_initial_conditions(scale):
+    # W(f, g) and |(f, f')| |(g, g')| overflow or underflow at these scales;
+    # at m = 1 no product overflows, so the basis must pass
+    def check(ic_g):
+        cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(scale, 0.0), ic_g=ic_g)
+        return basis_check(derive_lifted_ode(1), ZERO, MINUS_ONE, cfg)
+
+    report = check((0.0, scale))
+    assert report.passed and report.ic_independent
+    assert report.wronskian_ratio == pytest.approx(1.0)
+    assert "linearly dependent" not in report.summary()
+    report = check((2.0 * scale, 0.0))
+    assert report.residuals_passed and not report.passed
+    assert not report.ic_independent and report.wronskian_ratio == 0.0
 
 
 def test_perturbed_coefficients_are_detected():
