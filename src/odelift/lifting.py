@@ -12,6 +12,25 @@ only differentiates, multiplies by p or q and scales by integers, so the
 coefficients are integer polynomials in the ring of `diffring`: no solve,
 no division.
 
+The recurrence runs on packed integer keys rather than on DiffPoly
+arithmetic.  A monomial's exponent tuple (slot 2k is p^(k), slot 2k+1 is
+q^(k), as in `diffring`) is packed into one int with
+bits = (m+1).bit_length() bits per slot, slot 0 lowest.  Giving p^(k) the
+weight k+1 and q^(k) the weight k+2, entry k of L_i is homogeneous of
+weight i-k <= m+1, and every symbol weighs at least 1, so no exponent
+exceeds m+1 < 2**bits: a slot never carries into or borrows from its
+neighbour, and adding keys adds exponent tuples.  Multiplying by p is
+key + 1, multiplying by q is key + (1 << bits), and the derivation moves
+one unit of exponent from slot s to slot s+2.  The keys are unpacked into
+Monomials once, at the end.
+
+The term order of each c_k is part of the result: it is the order in
+which DiffPoly.eval sums the terms, and so the summation order of the
+residuals in `verify`.  Each entry is therefore written in the order the
+ring expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would
+produce it, with the same deletion of cancelled terms; the ring-arithmetic
+loop itself is the reference in tests/oracles.py.
+
 The independent oracle, the derivative tower of y = f^m over the basis
 B_i = f^(m-i) (f')^i, lives with the tests in tests/oracles.py.
 """
@@ -24,10 +43,15 @@ from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
-from .diffring import DiffPoly, P, PolyParseError, Q, format_poly, parse_poly
-
-_P = DiffPoly.symbol(P())
-_Q = DiffPoly.symbol(Q())
+from .diffring import (
+    DiffPoly,
+    Monomial,
+    PolyParseError,
+    _new_key,
+    _raw,
+    _slot_order,
+    parse_poly,
+)
 
 #: Orders with bundled reference coefficient tables.
 FIXTURE_ORDERS = (2, 3, 4, 5)
@@ -67,22 +91,50 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m.
 
     Steps the recurrence above on coefficient lists, entry k multiplying
-    d^k, with d a d^k = a' d^k + a d^(k+1).  L_{m+1} is monic and its first
-    m+1 entries are c_0 .. c_m.
+    d^k, with d a d^k = a' d^k + a d^(k+1).  Each entry is a dict from
+    packed monomial keys to ints, written in one pass: the derivative of
+    a = entry k of L_i, then -i p a, entry k-1 of L_i and
+    -i (m-i+1) q b with b = entry k of L_{i-1}.  L_{m+1} is monic and its
+    first m+1 entries are c_0 .. c_m.
     """
     if m < 1:
         raise ValueError(f"power m must be >= 1, got {m}")
-    zero = DiffPoly.zero()
-    prev, cur = (DiffPoly.const(1),), (zero, DiffPoly.const(1))
+    bits = (m + 1).bit_length()
+    q_one = 1 << bits
+    monomials: dict[int, Monomial] = {}
+    moves: dict[int, tuple[tuple[int, int], ...]] = {}
+    prev, cur = ({0: 1},), ({}, {0: 1})
     for i in range(1, m + 1):
         weight = i * (m - i + 1)
-        nxt = tuple(
-            a.derive() - i * _P * a + shifted - weight * _Q * b
-            for a, shifted, b in zip(cur + (zero,), (zero,) + cur, prev + (zero, zero))
-        )
-        prev, cur = cur, nxt
+        nxt = []
+        for a, shifted, b in zip(cur + ({},), ({},) + cur, prev + ({}, {})):
+            out: dict[int, int] = {}
+            get = out.get
+            for key, c in a.items():
+                step = moves.get(key)
+                if step is None:
+                    step = moves[key] = _derive_moves(key, bits, monomials)
+                for new, e in step:
+                    v = get(new, 0) + c * e
+                    if v:
+                        out[new] = v
+                    else:
+                        del out[new]
+            for terms, shift, scale in ((a, 1, -i), (shifted, 0, 1), (b, q_one, -weight)):
+                for key, c in terms.items():
+                    key += shift
+                    v = get(key, 0) + scale * c
+                    if v:
+                        out[key] = v
+                    else:
+                        del out[key]
+            nxt.append(out)
+        prev, cur = cur, tuple(nxt)
 
-    coeffs = cur[: m + 1]
+    coeffs = tuple(
+        _raw({_monomial(key, bits, monomials): c for key, c in terms.items()})
+        for terms in cur[: m + 1]
+    )
     bound = m - 1 if m >= 2 else 0
     worst = max(c.max_order() for c in coeffs)
     if worst > bound:
@@ -90,6 +142,34 @@ def derive_lifted_ode(m: int) -> LiftedODE:
             f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
         )
     return LiftedODE(m, coeffs)
+
+
+def _monomial(key: int, bits: int, monomials: dict[int, Monomial]) -> Monomial:
+    """The trimmed Monomial packed into ``key``, memoised in ``monomials``."""
+    mono = monomials.get(key)
+    if mono is None:
+        mask = (1 << bits) - 1
+        exps = []
+        rest = key
+        while rest:
+            exps.append(rest & mask)
+            rest >>= bits
+        mono = monomials[key] = _new_key(Monomial, exps)
+    return mono
+
+
+def _derive_moves(
+    key: int, bits: int, monomials: dict[int, Monomial]
+) -> tuple[tuple[int, int], ...]:
+    """(key after the move, exponent) for each factor of the monomial
+    ``key``, in DiffPoly.derive's slot order: the derivation moves one unit
+    of exponent from slot s to slot s+2 and multiplies by that exponent."""
+    mono = _monomial(key, bits, monomials)
+    return tuple(
+        (key + (1 << bits * (s + 2)) - (1 << bits * s), mono[s])
+        for s in _slot_order(len(mono))
+        if mono[s]
+    )
 
 
 # ---------------------------------------------------------------------------

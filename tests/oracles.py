@@ -6,6 +6,12 @@ the symmetric-power recurrence in odelift.lifting: the derived equation
 must send the tower's last row plus sum_k c_k (row k) to zero in every
 coordinate.
 
+The symmetric-power recurrence stepped in DiffPoly ring arithmetic,
+a' - i p a + shifted - i (m-i+1) q b per entry, is the reference for
+odelift.lifting.derive_lifted_ode, which steps the same recurrence on
+packed integer keys: every c_k must hold the same terms in the same
+order, because that order is DiffPoly.eval's summation order.
+
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
@@ -99,6 +105,24 @@ def derivative_tower(m: int) -> tuple[ModuleVector, ...]:
     for _ in range(m + 1):
         tower.append(basis_step(tower[-1]))
     return tuple(tower)
+
+
+def recurrence_reference(m: int) -> tuple[DiffPoly, ...]:
+    """c_0 .. c_m of the monic L_{m+1}, with L_{i+1} = (d - i p) L_i -
+    i (m-i+1) q L_{i-1} stepped on lists of DiffPoly entries (entry k
+    multiplies d^k) through the ring operations."""
+    if m < 1:
+        raise ValueError(f"power m must be >= 1, got {m}")
+    zero = DiffPoly.zero()
+    prev, cur = (DiffPoly.const(1),), (zero, DiffPoly.const(1))
+    for i in range(1, m + 1):
+        weight = i * (m - i + 1)
+        nxt = tuple(
+            a.derive() - i * _P * a + shifted - weight * _Q * b
+            for a, shifted, b in zip(cur + (zero,), (zero,) + cur, prev + (zero, zero))
+        )
+        prev, cur = cur, nxt
+    return cur[: m + 1]
 
 
 def ode_json_doc(ode: int | LiftedODE) -> dict:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from odelift.diffring import DiffPoly, P, Q, parse_poly
+from odelift.diffring import DiffPoly, Monomial, P, Q, parse_poly
 from odelift.lifting import (
     FIXTURE_ORDERS,
     FixtureFormatError,
@@ -25,7 +25,13 @@ from odelift.lifting import (
     derive_lifted_ode,
     load_fixture,
 )
-from oracles import ModuleVector, basis_step, derivative_tower, falling_factorial
+from oracles import (
+    ModuleVector,
+    basis_step,
+    derivative_tower,
+    falling_factorial,
+    recurrence_reference,
+)
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 FIXTURE_DIR = SRC_DIR / "odelift" / "fixtures"
@@ -127,6 +133,22 @@ def test_derived_equation_annihilates_tower(m):
         for k, c in enumerate(coeffs):
             total = total + c * tower[k].coords[idx]
         assert total == DiffPoly.zero(), f"m={m}, coordinate {idx}"
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_packed_recurrence_matches_ring_reference_in_term_order(m):
+    # Term order is DiffPoly.eval's summation order, so it must match the
+    # ring-arithmetic recurrence exactly, not only as a set.  At m = 2, 6
+    # and 14 an exponent of m+1 would fill every bit of its packed slot.
+    coeffs = derive_lifted_ode(m).coeffs
+    reference = recurrence_reference(m)
+    assert len(coeffs) == len(reference) == m + 1
+    for k, (c, ref) in enumerate(zip(coeffs, reference)):
+        assert list(c.terms.items()) == list(ref.terms.items()), f"m={m}, c_{k}"
+        for mono, coeff in c.terms.items():
+            assert type(mono) is Monomial
+            assert not mono or mono[-1] != 0, f"untrimmed key {tuple(mono)}"
+            assert type(coeff) is int
 
 
 def test_specializing_p_to_zero_m2():
