@@ -194,6 +194,18 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _new_key(Monomial, (*map(operator.add, a, b), *a[len(b):]))
 
 
+def _fits(a, b) -> bool:
+    """Whether a *= b and a += b write into a exactly what a * b and a + b return.
+
+    Only for two arrays of one type, shape and dtype; a float, or a pair
+    that broadcasts or promotes, is left to the out-of-place operator.
+    (Duck-typed, so that this module does not import numpy.)
+    """
+    return (
+        type(a) is type(b) and hasattr(a, "dtype") and a.shape == b.shape and a.dtype == b.dtype
+    )
+
+
 class MissingSymbolError(LookupError):
     """Raised by DiffPoly.eval when the assignment lacks a needed symbol."""
 
@@ -348,9 +360,13 @@ class DiffPoly:
 
         Values may be floats or numpy arrays; coefficients are taken as
         floats.  Each power v**exp is computed once and kept in ``table``
-        under its (symbol, exponent) factor, so a caller evaluating several
-        polynomials at the same assignment can pass one dict to share the
-        powers among all of them.  Raises MissingSymbolError if a needed
+        under its (slot, exponent) key, slot 2k for p^(k) and 2k+1 for
+        q^(k), so a caller evaluating several polynomials at the same
+        assignment can pass one dict to share the powers among all of them.
+        Each term is float(coeff) times its factors in symbol order, and the
+        sum runs in term order from 0.0; where the operands are arrays of
+        one shape and dtype the products and sums are taken in place, which
+        changes no bit of the result.  Raises MissingSymbolError if a needed
         symbol has no value.
         """
         if table is None:
@@ -358,18 +374,27 @@ class DiffPoly:
         total = 0.0
         for mono, coeff in self.terms.items():
             value = float(coeff)
-            for factor in mono.factors:
+            for slot in _slot_order(len(mono)):
+                exp = mono[slot]
+                if not exp:
+                    continue
                 try:
-                    power = table[factor]
+                    power = table[slot, exp]
                 except KeyError:
-                    sym, exp = factor
+                    sym = _symbol(slot)
                     try:
                         v = assignment[sym]
                     except KeyError:
                         raise MissingSymbolError(sym) from None
-                    power = table[factor] = v**exp
-                value = value * power
-            total = total + value
+                    power = table[slot, exp] = v**exp
+                if _fits(value, power):
+                    value *= power
+                else:
+                    value = value * power
+            if _fits(total, value):
+                total += value
+            else:
+                total = total + value
         return total
 
     def eval_exact(self, assignment: Mapping[DiffSymbol, object]) -> Fraction:

@@ -20,13 +20,27 @@ polynomial identity evaluated in floating point, and the Wronskian is
 read off the same two vectors: neither judges how accurate the integrator
 was.  Only the convergence-order test (acceptance criterion 6) and the
 Abel test on det Phi in the test suite do.
+
+Only the residual depends on the operator being checked.  basis_check
+keeps the rest in two one-entry memos: (grid, Phi) keyed by p, q, the
+interval and the step count, and the symbol values, the product block and
+the midpoint values of f and g keyed by those plus ic_f, ic_g and m.  So a
+genuine equation, a perturbed one and dependent initial conditions on one
+base equation integrate once.  Each memo drops its entry before it builds
+the next, so at most one check's arrays are held: one product block of at
+most MAX_BLOCK_FLOATS floats plus Phi, the grid and the symbol values.
+The arrays are read-only; _products.cache_clear() and
+_integration.cache_clear() free them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -64,8 +78,9 @@ __all__ = [
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
 #: grid point, 80 MB at the limit.  The whole check, integration, jets and
-#: residual included, peaks under 5 block sizes; see
-#: test_basis_check_memory_stays_within_five_blocks.
+#: residual included, peaks under 5 block sizes, and the memos hold under 2.2
+#: between checks; see test_basis_check_memory_stays_within_five_blocks and
+#: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
 
@@ -361,29 +376,31 @@ def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
     order m-1 at the same points (see symbol_values).  Entry [k, j] of the
     (m+2, m+1, *shape) block is the k-th derivative of f^(m-j) g^j; the top
     (m+1) x (m+1) square is the products' Wronskian matrix.  The power jets
-    start from f^1, the solution jet itself, and f^m and g^m are copied into
-    columns 0 and m; only the m-1 middle columns are Leibniz products.
+    start from f^1, the solution jet itself, and f^m and g^m are written
+    straight into columns 0 and m; the m-1 middle columns are Leibniz
+    products of the lower powers.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
-    f_pows = _power_jets(_solution_jet(*f_pt, syms, m + 1), m, shape)
-    g_pows = _power_jets(_solution_jet(*g_pt, syms, m + 1), m, shape)
     block = np.empty((m + 2, m + 1, *shape))
-    block[:, 0], block[:, m] = f_pows[m - 1], g_pows[m - 1]
+    f_pows = _power_jets(_solution_jet(*f_pt, syms, m + 1), m, block[:, 0])
+    g_pows = _power_jets(_solution_jet(*g_pt, syms, m + 1), m, block[:, m])
     for j in range(1, m):
         _leibniz_into(block[:, j], f_pows[m - j - 1], g_pows[j - 1])
     return block
 
 
-def _power_jets(jet: list, m: int, shape: tuple) -> np.ndarray:
-    """Dense jets of u, u^2, ..., u^m: entry [k-1] holds u^k, with value row u**k."""
-    pows = np.empty((m, len(jet), *shape))
+def _power_jets(jet: list, m: int, top: np.ndarray) -> np.ndarray:
+    """Dense jets of u, u^2, ..., u^(m-1), entry [k-1] holding u^k, with u^m
+    written into top (a block column); the value row of u^k is u**k."""
+    pows = np.empty((m - 1, *top.shape))
+    levels = [*pows, top]  # u^1, ..., u^m
     for k, row in enumerate(jet):
-        pows[0, k] = row
+        levels[0][k] = row
     for k in range(2, m + 1):
-        _leibniz_into(pows[k - 1], pows[k - 2], pows[0])
-        pows[k - 1, 0] = pows[0, 0] ** k
+        _leibniz_into(levels[k - 1], levels[k - 2], levels[0])
+        levels[k - 1][0] = levels[0][0] ** k
     return pows
 
 
@@ -400,6 +417,83 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
             np.multiply(comb(k, j), u[j], out=tmp)
             tmp *= v[k - j]
             row += tmp
+
+
+# --------------------------------------------------------------------------
+# operator-independent arrays, memoised
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def _one_slot(build):
+    """Memo of one entry: memo(key, *args) returns build(*args) for that key.
+
+    It has functools' cache_clear() and cache_info().  A call with a new key
+    drops the entry before it builds the next one, so two entries are never
+    alive at once; functools.lru_cache(maxsize=1) keeps the old one until
+    the new one is built.  A build that raises leaves the memo empty.  The
+    key and its entry are held as one pair, so a key never meets another
+    key's entry, even when threads interleave.
+    """
+    held = None  # (key, entry)
+    hits = misses = 0
+
+    @functools.wraps(build)
+    def memo(key, *args):
+        nonlocal held, hits, misses
+        pair = held
+        if pair is not None and pair[0] == key:
+            hits += 1
+            return pair[1]
+        pair = held = None  # both references: the old entry is freed before the build
+        misses += 1
+        entry = build(*args)
+        held = key, entry
+        return entry
+
+    def cache_clear() -> None:
+        nonlocal held, hits, misses
+        held = None
+        hits = misses = 0
+
+    memo.cache_clear = cache_clear
+    memo.cache_info = lambda: _CacheInfo(hits, misses, 1, int(held is not None))
+    return memo
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@_one_slot
+def _integration(p: Expr, q: Expr, cfg: NumericConfig) -> tuple:
+    """(grid, phi) of fundamental_matrix, read-only; keyed by p, q, interval, steps."""
+    grid, phi = fundamental_matrix(p, q, cfg)
+    _read_only(grid, phi)
+    return grid, phi
+
+
+@_one_slot
+def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
+    """What basis_check reads besides the operator; keyed by the integration's
+    key plus cfg.ic_f, cfg.ic_g and m.
+
+    (symbol values, product block, x, (f, f'), (g, g')) with the arrays
+    read-only and the last three the floats at the grid's midpoint, where
+    the Wronskian is taken; f and g themselves are dropped once the block
+    is built.
+    """
+    grid, phi = _integration(base_key, p, q, cfg)
+    f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
+    syms = symbol_values(p, q, max(0, m - 1), grid)
+    block = product_derivatives(f_pt, g_pt, m, syms)
+    _read_only(*syms.values(), block)
+    mid = len(grid) // 2
+    return (
+        MappingProxyType(syms), block, float(grid[mid]),
+        (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -512,8 +606,8 @@ def basis_check(
 ) -> BasisReport:
     """Check every product f^(m-j) g^j against the lifted equation.
 
-    Builds one fundamental matrix Phi and drops it once it has formed the
-    two base solutions Phi @ cfg.ic_f and Phi @ cfg.ic_g, then
+    Builds one fundamental matrix Phi, forms the two base solutions
+    Phi @ cfg.ic_f and Phi @ cfg.ic_g from it, then
     takes the product_derivatives block on the whole grid, evaluates each
     c_k once in a single residual call, and reports per-product max
     relative residuals plus the midpoint Wronskian of all m+1 products,
@@ -525,6 +619,14 @@ def basis_check(
     n alone overflows or underflows.  Raises ConfigError unless 0 < residual_tol <
     inf and 0 < wronskian_tol < 1, and when the block would hold more
     than MAX_BLOCK_FLOATS floats.
+
+    Phi and the grid are memoised under (p, q, cfg.interval, cfg.steps),
+    and the symbol values, the block and the midpoint values of the base
+    solutions under that key plus (cfg.ic_f, cfg.ic_g, m); p and q are
+    keyed by repr and floats bit for bit, so the report is the one a cold
+    call gives.  One entry each is kept, read-only, until a check with
+    other inputs or cache_clear() on _products and _integration drops it:
+    at most one block plus Phi, the grid and the symbol values.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -535,18 +637,13 @@ def basis_check(
         raise ConfigError(f"m={m} on {points} grid points needs {size:.3g} floats, over "
                           f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        grid, phi = fundamental_matrix(p, q, cfg)
-        f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
-        del phi  # freed before the product block, the check's largest allocation
-        syms = symbol_values(p, q, max(0, m - 1), grid)
-        block = product_derivatives(f_pt, g_pt, m, syms)
+        base_key = repr((p, q, cfg.interval, cfg.steps))  # repr tells -0.0 from 0.0
+        syms, block, x, (f, fp), (g, gp) = _products(
+            (base_key, repr((cfg.ic_f, cfg.ic_g)), m), base_key, p, q, cfg, m
+        )
         worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
-        mid = points // 2
-        x = float(grid[mid])
-        f, fp = float(f_pt[0][mid]), float(f_pt[1][mid])
-        g, gp = float(g_pt[0][mid]), float(g_pt[1][mid])
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
         factorials = np.prod(ks ** (m + 1 - ks))  # k is a factor of k!, ..., m!

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from odelift.diffring import (
@@ -242,6 +243,44 @@ def test_eval_homomorphism_random():
         assert abs(vp - va * vb) <= 1e-12 * max(abs(vp), abs(va * vb))
         checked += 1
     assert checked >= 50
+
+
+def out_of_place_eval(poly, assignment):
+    """DiffPoly.eval without a table or in-place steps: the bitwise reference."""
+    total = 0.0
+    for mono, coeff in poly.terms.items():
+        value = float(coeff)
+        for sym, exp in mono.factors:
+            value = value * assignment[sym] ** exp
+        total = total + value
+    return total
+
+
+@pytest.mark.parametrize("kind", ["floats", "arrays", "mixed", "broadcast", "dtypes"])
+def test_eval_matches_the_out_of_place_sum_bit_for_bit(kind):
+    # in-place products and sums only where they cannot change a bit; values
+    # that broadcast or promote take the out-of-place path
+    rng = random.Random(31)
+    gen = np.random.default_rng(31)
+    shapes = {
+        "floats": [None] * 8,
+        "arrays": [(5,)] * 8,
+        "mixed": [None, (5,)] * 4,
+        "broadcast": [(3, 1), (5,), (1,), None] * 2,
+        "dtypes": [(5,)] * 8,
+    }[kind]
+    assignment = {}
+    for i, (sym, shape) in enumerate(zip(SYMBOL_POOL, shapes)):
+        value = gen.uniform(-2.0, 2.0, shape)
+        if kind == "dtypes":
+            value = value.astype([np.float32, np.float64, np.int64, np.float64][i % 4])
+        assignment[sym] = value if shape is not None else float(value)
+    for _ in range(40):
+        poly = random_poly(rng, 6)
+        got, want = poly.eval(assignment), out_of_place_eval(poly, assignment)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_eval_exact_is_exact():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ import pytest
 
 from odelift import verify
 from odelift.diffring import DiffPoly, P, Q
-from odelift.exprparse import ExprDomainError, diff_expr, eval_expr, parse_expr
+from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
     MAX_BLOCK_FLOATS,
@@ -43,6 +45,11 @@ def solve(p, q, cfg, ic):
     """Grid, y and y' from (y, y') = ic at the grid's start: the rows of Phi @ ic."""
     grid, phi = fundamental_matrix(p, q, cfg)
     return grid, *verify._solution(phi, ic)
+
+
+def clear_memos():
+    verify._products.cache_clear()
+    verify._integration.cache_clear()
 
 
 def block_at(f_pt, g_pt, m, p, q, x):
@@ -521,7 +528,7 @@ def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
 
 def test_shared_power_table_changes_no_bit():
     # c.eval with the one table residual shares equals c.eval on its own, bit
-    # for bit, and the table holds each (symbol, exponent) factor once
+    # for bit, and the table holds each (slot, exponent) factor once
     p, q = parse_expr("1/(x+2)"), parse_expr("exp(-x)")
     grid = np.linspace(0.0, 1.0, 101)
     for m in range(1, 13):
@@ -531,7 +538,7 @@ def test_shared_power_table_changes_no_bit():
         for c in ode.coeffs:
             shared, alone = c.eval(vals, table), c.eval(vals)
             assert np.asarray(shared).tobytes() == np.asarray(alone).tobytes()
-        factors = {f for c in ode.coeffs for mono in c.terms for f in mono.factors}
+        factors = {(s, e) for c in ode.coeffs for mono in c.terms for s, e in enumerate(mono) if e}
         assert set(table) == factors
 
 
@@ -544,6 +551,7 @@ def test_basis_check_integrates_once(monkeypatch):
         return plain_fundamental_matrix(*args)
 
     monkeypatch.setattr(verify, "fundamental_matrix", counting_fundamental_matrix)
+    clear_memos()  # an earlier check on the same p, q and grid would hit it
     assert basis_check(derive_lifted_ode(3), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
     assert len(calls) == 1
 
@@ -565,6 +573,30 @@ def test_basis_check_memory_stays_within_five_blocks(m):
         tracemalloc.stop()
     assert report.passed
     assert peak <= 5 * 8 * per_point * points, peak / (8 * per_point * points)
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_back_to_back_checks_keep_one_checks_arrays(m):
+    # two large checks on different p: the second drops the first's arrays
+    # before it builds its own, so its peak is that of a cold check; a small
+    # check after them leaves only its own arrays held
+    per_point = (m + 2) * (m + 1)
+    points = 10**6 // per_point
+    block_bytes = 8 * per_point * points
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
+    ode, q = derive_lifted_ode(m), parse_expr("x")
+    clear_memos()
+    tracemalloc.start()
+    try:
+        for p_text in ("sin(x)", "cos(x)"):
+            assert basis_check(ode, parse_expr(p_text), q, cfg).passed
+        peak = tracemalloc.get_traced_memory()[1]
+        assert cos_suite(2).passed  # 1001 points, 21 floats per point held
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * block_bytes, peak / block_bytes
+    assert held < 2 * 8 * 21 * 1001, held
 
 
 def test_oversized_check_is_refused_before_it_allocates(monkeypatch):
@@ -641,3 +673,172 @@ def test_sign_flip_of_lowest_coefficient_invisible_on_constant_suite():
     flipped_c1 = LiftedODE(2, (ode.coeffs[0], -ode.coeffs[1], ode.coeffs[2]))
     report = basis_check(flipped_c1, ZERO, MINUS_ONE, COS_CFG)
     assert max(r.max_residual for r in report.residuals) > 1e-2
+
+
+# -- the memo of operator-independent arrays ---------------------------------------
+
+
+def memo_info():
+    """(integration hits, misses), (product block hits, misses)."""
+    return tuple(memo.cache_info()[:2] for memo in (verify._integration, verify._products))
+
+
+def perturbed(ode, k=1, delta=Fraction(1, 8)):
+    coeffs = list(ode.coeffs)
+    coeffs[k] = coeffs[k] + delta
+    return LiftedODE(ode.m, tuple(coeffs))
+
+
+def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monkeypatch):
+    calls = []
+    for name in ("fundamental_matrix", "product_derivatives"):
+        def counting(*args, plain=getattr(verify, name), name=name):
+            calls.append(name)
+            return plain(*args)
+
+        monkeypatch.setattr(verify, name, counting)
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(3)
+    clear_memos()
+    assert basis_check(ode, p, q, COS_CFG).passed
+    assert not basis_check(perturbed(ode), p, q, COS_CFG).residuals_passed
+    assert calls == ["fundamental_matrix", "product_derivatives"]
+    assert memo_info() == ((0, 1), (1, 1))
+
+    # dependent initial conditions reuse Phi and rebuild the block
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
+    report = basis_check(ode, p, q, dependent)
+    assert report.residuals_passed and not report.wronskian_passed
+    assert calls[2:] == ["product_derivatives"]
+    assert memo_info() == ((1, 1), (1, 2))
+
+
+def run_check(p, q, interval, step, ic_f, ic_g, m):
+    cfg = NumericConfig(interval=interval, step=step, ic_f=ic_f, ic_g=ic_g)
+    p, q = (parse_expr(e) if isinstance(e, str) else e for e in (p, q))
+    return basis_check(derive_lifted_ode(m), p, q, cfg)
+
+
+@pytest.mark.parametrize("field,value,integrates", [
+    ("p", "cos(x)", True),
+    ("q", "x + 1", True),
+    ("interval", (0.5, 1.5), True),
+    ("step", 5e-4, True),
+    ("ic_f", (1.0, 0.25), False),
+    ("ic_g", (0.0, 2.0), False),
+    ("m", 3, False),
+    # equal to the base as floats and as Expr trees, but not the same inputs
+    ("interval", (-0.0, 1.0), True),
+    ("q", Add(Var(), Num(-0.0)), True),
+    ("ic_g", (-0.0, 1.0), False),
+])
+def test_changing_any_input_misses_the_memo(field, value, integrates):
+    base = dict(p="sin(x)", q=Add(Var(), Num(0.0)), interval=(0.0, 1.0), step=1e-3,
+                ic_f=(1.0, 0.0), ic_g=(0.0, 1.0), m=2)
+    changed = dict(base, **{field: value})
+    clear_memos()
+    run_check(**base)
+    run_check(**base)
+    assert memo_info() == ((0, 1), (1, 1))
+    warm = run_check(**changed)
+    assert memo_info() == ((0, 2) if integrates else (1, 1), (1, 2))
+    clear_memos()
+    assert repr(warm) == repr(run_check(**changed))
+
+
+@pytest.mark.parametrize("stage,m,p_text,q_text", [
+    ("integration", 2, "1/(x-0.5)", "-1"),  # a pole on the grid
+    ("jets", 3, "0", "exp(700*x)"),  # q'' overflows where q does not
+])
+def test_domain_error_caches_no_block(stage, m, p_text, q_text):
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    clear_memos()
+    assert cos_suite(2).passed
+    for _ in range(2):
+        with pytest.raises(ExprDomainError):
+            basis_check(derive_lifted_ode(m), p, q, COS_CFG)
+        assert verify._products.cache_info().currsize == 0
+        assert verify._integration.cache_info().currsize == (stage == "jets")
+    # the retry integrates again only where the integration itself raised
+    assert memo_info() == ((1, 2) if stage == "jets" else (0, 3), (0, 3))
+
+
+def test_memo_arrays_are_read_only(monkeypatch):
+    seen = {}
+    plain_fundamental_matrix, plain_residual = verify.fundamental_matrix, verify.residual
+
+    def keep_phi(*args):
+        seen["grid"], seen["phi"] = out = plain_fundamental_matrix(*args)
+        return out
+
+    def keep_block(ode, block, syms):
+        seen["block"], seen["syms"] = block, syms
+        return plain_residual(ode, block, syms)
+
+    monkeypatch.setattr(verify, "fundamental_matrix", keep_phi)
+    monkeypatch.setattr(verify, "residual", keep_block)
+    clear_memos()
+    assert cos_suite(3).passed
+    arrays = [seen["grid"], seen["phi"], seen["block"], *seen["syms"].values()]
+    assert len(arrays) == 3 + 6  # p, p', p'', q, q', q''
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[..., 0] = 1.0
+    with pytest.raises(TypeError):
+        seen["syms"][P(0)] = seen["syms"][Q(0)]
+    # the public functions still hand out arrays of their own
+    grid, phi = plain_fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
+    assert grid.flags.writeable and phi.flags.writeable
+    assert not np.shares_memory(phi, seen["phi"])
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_reports_are_the_same_with_the_memo_cold_and_warm(m):
+    # the verify-batch traffic: genuine, perturbed c_k and dependent ICs on one p, q
+    p, q = parse_expr("1/(x+1.5)"), parse_expr("exp(-1.5*x)")
+    genuine = NumericConfig(interval=(0.0, 1.0), step=1 / 4000, ic_f=(1.5, 0.0), ic_g=(0.0, 1.5))
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1 / 4000, ic_f=(1.5, -0.25),
+                              ic_g=(2.25, -0.375))
+    ode = derive_lifted_ode(m)
+    checks = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
+    cold = []
+    for check_ode, cfg in checks:
+        clear_memos()
+        cold.append(repr(basis_check(check_ode, p, q, cfg)))
+    clear_memos()
+    warm = [basis_check(check_ode, p, q, cfg) for check_ode, cfg in checks]
+    assert list(map(repr, warm)) == cold
+    assert memo_info() == ((1, 1), (1, 2))
+    assert [r.passed for r in warm] == [True, False, False]
+    assert not warm[1].residuals_passed and warm[2].residuals_passed
+
+
+def test_threads_sharing_the_memo_get_their_own_reports():
+    # every thread checks its own base equation against the memo the others
+    # keep replacing; each report must be the one a cold call gives
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
+    ode = derive_lifted_ode(2)
+    cases = [(parse_expr(f"sin({k}*x)"), parse_expr("x")) for k in range(1, 5)]
+    want = []
+    for p, q in cases:
+        clear_memos()
+        want.append(repr(basis_check(ode, p, q, cfg)))
+    wrong = []
+
+    def worker(i):
+        for _ in range(150):
+            if repr(basis_check(ode, *cases[i], cfg)) != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
