@@ -9,7 +9,9 @@ from (y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
 share one integration.  basis_check then takes the derivatives of
 p, q, f, g and each product from Taylor-mode jets (never finite
-differences), and reports a scale-invariant residual per product plus the
+differences): f and g travel as one stacked pair through their power
+chains, and one Leibniz pass over the stacked powers fills every middle
+product.  It reports a scale-invariant residual per product plus the
 products' midpoint Wronskian, which follows from W(f, g) in closed form
 (Bronstein, Mulders & Weil, ISSAC 1997):
 W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).
@@ -77,9 +79,11 @@ __all__ = [
 
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
-#: grid point, 80 MB at the limit.  The whole check, integration, jets and
-#: residual included, peaks under 5 block sizes, and the memos hold under 2.2
-#: between checks; see test_basis_check_memory_stays_within_five_blocks and
+#: grid point, 80 MB at the limit.  While it is built, the stacked jets of f^k
+#: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
+#: check, integration, jets and residual included, peaks under 5 block sizes,
+#: and the memos hold under 2.2 between checks; see
+#: test_basis_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
@@ -375,41 +379,46 @@ def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
     scalars or grid arrays; syms holds p, q and their derivatives up to
     order m-1 at the same points (see symbol_values).  Entry [k, j] of the
     (m+2, m+1, *shape) block is the k-th derivative of f^(m-j) g^j; the top
-    (m+1) x (m+1) square is the products' Wronskian matrix.  The power jets
-    start from f^1, the solution jet itself, and f^m and g^m are written
-    straight into columns 0 and m; the m-1 middle columns are Leibniz
-    products of the lower powers.
+    (m+1) x (m+1) square is the products' Wronskian matrix.
+
+    f and g travel as one stacked pair u = (f, g): one solution jet, then
+    the powers u^2, ..., u^m, each a Leibniz product u^(k-1) u on (2, *shape)
+    rows, with u^m written straight into columns 0 and m.  One more Leibniz
+    product, of (f^(m-1), ..., f) and (g, ..., g^(m-1)), fills the m-1
+    middle columns at once, so the kernel runs m times in all (never at
+    m = 1).  Each entry sees the operations of a term-by-term build in the
+    same order; the value row of f^k is f**k and that of g^k is g**k.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    pows = np.empty((m + 2, max(m - 1, 1), 2, *shape))  # [k, i - 1]: row k of u^i
+    u = pows[:, 0]
+    u[0, 0], u[1, 0] = f_pt
+    u[0, 1], u[1, 1] = g_pt
+    jet = _solution_jet(u[0], u[1], syms, m + 1)
+    for k in range(2, m + 2):
+        u[k] = jet[k]
+    del jet  # its rows are freed before the block is allocated
+    if m == 1:
+        return u.copy()  # columns f and g
     block = np.empty((m + 2, m + 1, *shape))
-    f_pows = _power_jets(_solution_jet(*f_pt, syms, m + 1), m, block[:, 0])
-    g_pows = _power_jets(_solution_jet(*g_pt, syms, m + 1), m, block[:, m])
-    for j in range(1, m):
-        _leibniz_into(block[:, j], f_pows[m - j - 1], g_pows[j - 1])
-    return block
-
-
-def _power_jets(jet: list, m: int, top: np.ndarray) -> np.ndarray:
-    """Dense jets of u, u^2, ..., u^(m-1), entry [k-1] holding u^k, with u^m
-    written into top (a block column); the value row of u^k is u**k."""
-    pows = np.empty((m - 1, *top.shape))
-    levels = [*pows, top]  # u^1, ..., u^m
-    for k, row in enumerate(jet):
-        levels[0][k] = row
+    levels = [pows[:, i] for i in range(m - 1)] + [block[:, ::m]]  # u^1, ..., u^m
+    f, g = u[0, 0], u[0, 1]
     for k in range(2, m + 1):
-        _leibniz_into(levels[k - 1], levels[k - 2], levels[0])
-        levels[k - 1][0] = levels[0][0] ** k
-    return pows
+        _leibniz_into(levels[k - 1], levels[k - 2], u)
+        levels[k - 1][0, 0], levels[k - 1][0, 1] = f**k, g**k
+    _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1])
+    return block
 
 
 def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     """Write the jet of u*v into out, with _leibniz's operations in its order.
 
-    Rows are indexed as out[k, ...] so that 0-d rows stay writable views.
+    Row k of each is its [k] view, an array of one or more dimensions: a
+    row may stack several jets, and one call multiplies them pairwise.
     """
-    out, u, v = ([a[k, ...] for k in range(len(a))] for a in (out, u, v))
+    out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])
     for k, row in enumerate(out):
         np.multiply(u[0], v[k], out=row)

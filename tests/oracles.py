@@ -15,12 +15,14 @@ order, because that order is DiffPoly.eval's summation order.
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
-The product block built term by term, every power jet from the constant-1
-jet up and every column as a Leibniz product of two power jets, is the
-oracle for odelift.verify.product_derivatives, which must match it bit for
-bit.  The one licensed difference: where f^m or g^m overflows, the oracle's
-inf * 0 against the constant-1 jet leaves NaN in columns 0 and m, while the
-block copies those columns as they are.
+The product block built term by term, every power jet of f and of g on its
+own from the constant-1 jet up and every column as its own Leibniz product
+of two power jets, is the oracle for odelift.verify.product_derivatives,
+which stacks f with g and all middle columns into a few Leibniz passes and
+must still match it bit for bit.  The one licensed difference: where f^m or
+g^m overflows, the oracle's inf * 0 against the constant-1 jet leaves NaN
+in columns 0 and m, while the block writes those powers straight into their
+columns.
 """
 
 from __future__ import annotations

@@ -384,20 +384,42 @@ def test_product_block_shape_and_columns():
 
 @pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
 def test_product_block_matches_the_term_by_term_oracle(p_text, q_text):
-    # every bit, on the grid and at a scalar point, m = 1..12
+    # every bit, on the grid and at a scalar point, m = 1..16, for the unit
+    # initial conditions and for unequal, non-unit ones
     p, q = parse_expr(p_text), parse_expr(q_text)
-    grid, *f_pt = solve(p, q, COS_CFG, (1.0, 0.0))
-    _, *g_pt = solve(p, q, COS_CFG, (0.0, 1.0))
-    mid = len(grid) // 2
-    f_mid, g_mid = [float(v[mid]) for v in f_pt], [float(v[mid]) for v in g_pt]
-    for m in range(1, 13):
-        syms = symbol_values(p, q, max(0, m - 1), grid)
-        block = product_derivatives(f_pt, g_pt, m, syms)
-        assert np.array_equal(block, product_block(f_pt, g_pt, m, syms))
-        syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
-        point = product_derivatives(f_mid, g_mid, m, syms)
-        assert point.shape == (m + 2, m + 1)
-        assert np.array_equal(point, product_block(f_mid, g_mid, m, syms))
+    for ic_f, ic_g in (((1.0, 0.0), (0.0, 1.0)), ((1.5, -0.25), (0.5, 2.0))):
+        grid, *f_pt = solve(p, q, COS_CFG, ic_f)
+        _, *g_pt = solve(p, q, COS_CFG, ic_g)
+        mid = len(grid) // 2
+        f_mid, g_mid = [float(v[mid]) for v in f_pt], [float(v[mid]) for v in g_pt]
+        for m in range(1, 17):
+            syms = symbol_values(p, q, max(0, m - 1), grid)
+            block = product_derivatives(f_pt, g_pt, m, syms)
+            assert np.array_equal(block, product_block(f_pt, g_pt, m, syms))
+            syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
+            point = product_derivatives(f_mid, g_mid, m, syms)
+            assert point.shape == (m + 2, m + 1)
+            assert np.array_equal(point, product_block(f_mid, g_mid, m, syms))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_product_block_runs_the_leibniz_kernel_m_times(monkeypatch, m):
+    # m - 1 steps of the stacked power chain plus one pass over all middle
+    # columns; none at m = 1, where the solution jets are the block
+    calls = []
+    kernel = verify._leibniz_into
+
+    def counting_kernel(*args):
+        calls.append(args[0].shape)
+        kernel(*args)
+
+    monkeypatch.setattr(verify, "_leibniz_into", counting_kernel)
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    grid, *f_pt = solve(p, q, COS_CFG, (1.5, -0.25))
+    _, *g_pt = solve(p, q, COS_CFG, (0.5, 2.0))
+    block_at(f_pt, g_pt, m, p, q, grid)
+    n = len(grid)
+    assert calls == ([(m + 2, 2, n)] * (m - 1) + [(m + 2, m - 1, n)] if m >= 2 else [])
 
 
 @pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
