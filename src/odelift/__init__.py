@@ -19,13 +19,11 @@ from .diffring import (
     Q,
     format_poly,
     parse_poly,
-    poly_terms_doc,
 )
 from .exprparse import (
     Expr,
     ExprDomainError,
     ExprSyntaxError,
-    diff_expr,
     eval_expr,
     format_expr,
     parse_expr,
@@ -79,7 +77,6 @@ __all__ = [
     "basis_check",
     "check_against_fixture",
     "derive_lifted_ode",
-    "diff_expr",
     "eval_expr",
     "format_expr",
     "format_poly",
@@ -88,7 +85,6 @@ __all__ = [
     "monomial_label",
     "parse_expr",
     "parse_poly",
-    "poly_terms_doc",
     "product_derivatives",
     "residual",
     "symbol_values",

@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .diffring import MissingSymbolError, format_poly, poly_terms_json
+from .diffring import STYLES, MissingSymbolError, format_poly, poly_terms_json
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("-m", type=_positive_int, required=True, help="power m >= 1")
     d.add_argument(
         "--style",
-        choices=("plain", "latex", "json"),
+        choices=(*STYLES, "json"),
         default="plain",
         help="output style (default plain)",
     )

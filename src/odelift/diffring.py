@@ -18,15 +18,20 @@ a rational literal.  All arithmetic is exact; nothing in this module rounds,
 and coefficients that are not ``int`` or ``Fraction`` (floats included) are
 refused with ``TypeError``.
 
-Monomials are ordered graded-lexicographically: first by total degree, ties
-broken by comparing exponents along the symbol order p < p' < p'' < ... <
-q < q' < ...  This order is only a printing/normalization convention; the
-ring operations do not depend on it.
+DiffPoly.sorted_terms lists terms graded-lexicographically: first by total
+degree, ties broken by comparing exponents along the symbol order
+p < p' < p'' < ... < q < q' < ...  This order is only a printing
+convention; the ring operations do not depend on it.
+
+The module ships what the tool runs: the ring operations the fixture
+parser and the reference-table check use, DiffPoly.eval for the numeric
+residuals, parsing, and plain/LaTeX printing.  The derivation runs on
+packed keys in odelift.lifting.  The ring-level derivation and the exact
+evaluator, which only tests need, are references in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import json
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -51,9 +56,6 @@ class DiffSymbol(NamedTuple):
     @property
     def name(self) -> str:
         return self.base + "'" * self.order
-
-    def derived(self) -> "DiffSymbol":
-        return DiffSymbol(self.base, self.order + 1)
 
     def latex(self) -> str:
         if self.order <= 3:
@@ -100,23 +102,13 @@ def _slot_order(n: int) -> tuple[int, ...]:
 def _order_key(mono: "Monomial", width: int) -> tuple:
     """Graded-lex key: degree, p-exponents padded to ``width``, q-exponents.
 
-    Keys of monomials with at most 2*width slots compare like the
-    monomials.  The q-exponents need no padding: they come last, and two
+    Keys of monomials with at most 2*width slots compare in graded-lex
+    order.  The q-exponents need no padding: they come last, and two
     distinct monomials with equal degree and p-exponents differ at a
     q-slot that both keys hold.
     """
     p_exps = mono[0::2]
     return sum(mono), p_exps + (0,) * (width - len(p_exps)), mono[1::2]
-
-
-def _graded(compare):
-    def method(self, other):
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        width = (max(len(self), len(other)) + 1) >> 1
-        return compare(_order_key(self, width), _order_key(other, width))
-
-    return method
 
 
 class Monomial(tuple):
@@ -151,31 +143,8 @@ class Monomial(tuple):
         """(symbol, exponent) pairs in symbol order, all exponents positive."""
         return tuple((_symbol(s), e) for s, e in _factor_slots(self))
 
-    @property
-    def degree(self) -> int:
-        return sum(self)
-
-    def exponent(self, sym: DiffSymbol) -> int:
-        slot = _slot(sym)
-        return self[slot] if slot < len(self) else 0
-
-    def symbols(self) -> tuple[DiffSymbol, ...]:
-        return tuple(s for s, _ in self.factors)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not isinstance(other, Monomial):
-            return NotImplemented
-        return _mono_mul(self, other)
-
-    __lt__ = _graded(operator.lt)
-    __le__ = _graded(operator.le)
-    __gt__ = _graded(operator.gt)
-    __ge__ = _graded(operator.ge)
-
     def __repr__(self) -> str:
-        if not self:
-            return "1"
-        return "*".join(s.name + (f"^{e}" if e > 1 else "") for s, e in self.factors)
+        return _monomial_text(self, latex=False) if self else "1"
 
 
 _new_key = tuple.__new__
@@ -288,12 +257,6 @@ class DiffPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "DiffPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "DiffPoly":
         other = _coerce(other)
         if other is None:
@@ -312,46 +275,16 @@ class DiffPoly:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, divisor: Scalar) -> "DiffPoly":
-        """Exact division by a nonzero rational constant."""
-        d = _exact(divisor)
-        if not d:
-            raise ZeroDivisionError("division of DiffPoly by zero constant")
-        return _raw({m: _settle(Fraction(c, d)) for m, c in self.terms.items()})
-
     def __pow__(self, n: int) -> "DiffPoly":
+        """self**n, n >= 0, by square-and-multiply: O(log n) products."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("DiffPoly exponent must be a non-negative integer")
         out = DiffPoly.const(1)
-        for _ in range(n):
-            out = out * self
+        for bit in bin(n)[2:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
-
-    # -- derivation ---------------------------------------------------------
-
-    def derive(self) -> "DiffPoly":
-        """Formal total derivative: linear, Leibniz on products, and each
-        symbol of order k maps to the symbol of order k+1, that is one unit
-        of exponent moves from slot s to slot s+2."""
-        out: dict[Monomial, Scalar] = {}
-        get = out.get
-        for mono, coeff in self.terms.items():
-            n = len(mono)
-            for s in _slot_order(n):
-                e = mono[s]
-                if not e:
-                    continue
-                exps = list(mono)
-                exps.extend([0] * (s + 3 - n))  # room for slot s+2
-                exps[s] = e - 1
-                exps[s + 2] += 1
-                new_mono = _new_key(Monomial, exps)
-                c = get(new_mono, 0) + coeff * e
-                if c:
-                    out[new_mono] = c if c.__class__ is int else _settle(c)
-                else:
-                    del out[new_mono]
-        return _raw(out)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -397,30 +330,10 @@ class DiffPoly:
                 total = total + value
         return total
 
-    def eval_exact(self, assignment: Mapping[DiffSymbol, object]) -> Fraction:
-        """Evaluate at Fraction (or int) symbol values with exact arithmetic."""
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            value = coeff
-            for sym, exp in mono.factors:
-                try:
-                    v = assignment[sym]
-                except KeyError:
-                    raise MissingSymbolError(sym) from None
-                value = value * Fraction(v) ** exp
-            total += value
-        return total
-
     # -- queries ------------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def symbols(self) -> set[DiffSymbol]:
-        out: set[DiffSymbol] = set()
-        for mono in self.terms:
-            out.update(mono.symbols())
-        return out
 
     def max_order(self) -> int:
         """Largest derivative order of any symbol present; -1 for constants."""
@@ -528,7 +441,10 @@ class _PolyScanner:
                     k += 1
                 if k == j + 1:
                     raise PolyParseError("expected digits after '/'", j + 1)
-                self.kind, self.value, self.pos = "number", Fraction(num, int(text[j + 1 : k])), k
+                den = int(text[j + 1 : k])
+                if not den:
+                    raise PolyParseError("zero denominator", j + 1)
+                self.kind, self.value, self.pos = "number", Fraction(num, den), k
             else:
                 self.kind, self.value, self.pos = "number", num, j
             return
@@ -625,83 +541,56 @@ def _parse_atom(scanner: _PolyScanner) -> DiffPoly:
 # Formatting
 # ---------------------------------------------------------------------------
 
-STYLES = ("plain", "latex", "json")
+STYLES = ("plain", "latex")
 
 
 def format_poly(poly: DiffPoly, style: str = "plain") -> str:
     """Render a DiffPoly deterministically (descending canonical term order).
 
     ``plain`` round-trips through parse_poly; ``latex`` mirrors prime
-    notation with implicit multiplication; ``json`` emits the term list used
-    by the coefficient schema.
+    notation with implicit multiplication.  Both walk the terms alike and
+    differ only in how a fraction and a monomial are written.
     """
-    if style == "plain":
-        return _format_plain(poly)
-    if style == "latex":
-        return _format_latex(poly)
-    if style == "json":
-        return json.dumps(poly_terms_doc(poly), sort_keys=True)
-    raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-
-
-def _coeff_parts(coeff: Scalar) -> tuple[str, str]:
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    body = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
-    return sign, body
-
-
-def _format_plain(poly: DiffPoly) -> str:
+    if style not in STYLES:
+        raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
     if not poly.terms:
         return "0"
+    latex = style == "latex"
     pieces: list[str] = []
     for mono, coeff in poly.sorted_terms():
-        sign, body = _coeff_parts(coeff)
-        if mono.factors:
-            mono_text = "*".join(
-                s.name + (f"^{e}" if e > 1 else "") for s, e in mono.factors
-            )
-            text = mono_text if body == "1" else f"{body}*{mono_text}"
-        else:
-            text = body
-        if not pieces:
-            pieces.append(text if sign == "+" else f"-{text}")
-        else:
-            pieces.append(f" {sign} {text}")
-    return "".join(pieces)
-
-
-def _format_latex(poly: DiffPoly) -> str:
-    if not poly.terms:
-        return "0"
-    pieces: list[str] = []
-    for mono, coeff in poly.sorted_terms():
-        sign = "-" if coeff < 0 else "+"
         mag = abs(coeff)
         if mag.denominator == 1:
             body = str(mag.numerator)
-        else:
+        elif latex:
             body = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        factors = []
-        for sym, exp in mono.factors:
-            sym_text = sym.latex()
-            if exp > 1:
-                # Primed symbols need bracing so the power binds to the whole
-                # symbol, as in {p'}^2.
-                if sym.order >= 1:
-                    sym_text = f"{{{sym_text}}}^{{{exp}}}"
-                else:
-                    sym_text = f"{sym_text}^{{{exp}}}"
-            factors.append(sym_text)
-        if factors:
-            text = "".join(factors) if body == "1" else body + "".join(factors)
         else:
+            body = f"{mag.numerator}/{mag.denominator}"
+        if not mono:
             text = body
-        if not pieces:
-            pieces.append(text if sign == "+" else f"-{text}")
+        elif body == "1":
+            text = _monomial_text(mono, latex)
         else:
-            pieces.append(f" {sign} {text}")
+            text = body + ("" if latex else "*") + _monomial_text(mono, latex)
+        if pieces:
+            pieces.append(f" {'-' if coeff < 0 else '+'} {text}")
+        else:
+            pieces.append(f"-{text}" if coeff < 0 else text)
     return "".join(pieces)
+
+
+def _monomial_text(mono: Monomial, latex: bool) -> str:
+    """A monomial other than 1, as p^2*q' in plain text or p^{2}q' in LaTeX."""
+    if not latex:
+        return "*".join(s.name + (f"^{e}" if e > 1 else "") for s, e in mono.factors)
+    parts = []
+    for sym, exp in mono.factors:
+        text = sym.latex()
+        if exp > 1:
+            # Primed symbols need bracing so the power binds to the whole
+            # symbol, as in {p'}^2.
+            text = f"{{{text}}}^{{{exp}}}" if sym.order else f"{text}^{{{exp}}}"
+        parts.append(text)
+    return "".join(parts)
 
 
 def poly_terms_doc(poly: DiffPoly) -> list[dict]:

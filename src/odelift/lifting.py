@@ -28,11 +28,13 @@ The term order of each c_k is part of the result: it is the order in
 which DiffPoly.eval sums the terms, and so the summation order of the
 residuals in `verify`.  Each entry is therefore written in the order the
 ring expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would
-produce it, with the same deletion of cancelled terms; the ring-arithmetic
-loop itself is the reference in tests/oracles.py.
+produce it, with the same deletion of cancelled terms.
 
-The independent oracle, the derivative tower of y = f^m over the basis
-B_i = f^(m-i) (f')^i, lives with the tests in tests/oracles.py.
+The packed move here is the only derivation the package ships.  The
+references live with the tests in tests/oracles.py: the ring-level
+derivation `derive`, the ring-arithmetic recurrence built on it, and the
+independent oracle, the derivative tower of y = f^m over the basis
+B_i = f^(m-i) (f')^i.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ from .diffring import (
 
 #: Orders with bundled reference coefficient tables.
 FIXTURE_ORDERS = (2, 3, 4, 5)
+
+#: Equations derive_lifted_ode keeps, evicting the least recently used: as
+#: many as there are bundled tables.  One equation at m=26 holds about 170 MB.
+DERIVE_CACHE_SIZE = 4
 
 
 class FixtureFormatError(ValueError):
@@ -86,9 +92,13 @@ class LiftedODE:
         return self.m + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=DERIVE_CACHE_SIZE)
 def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m.
+
+    The last DERIVE_CACHE_SIZE equations asked for are cached, so a
+    long-lived process holds at most that many; an older m is derived
+    again, to the same terms in the same order.
 
     Steps the recurrence above on coefficient lists, entry k multiplying
     d^k, with d a d^k = a' d^k + a d^(k+1).  Each entry is a dict from
@@ -162,8 +172,8 @@ def _derive_moves(
     key: int, bits: int, monomials: dict[int, Monomial]
 ) -> tuple[tuple[int, int], ...]:
     """(key after the move, exponent) for each factor of the monomial
-    ``key``, in DiffPoly.derive's slot order: the derivation moves one unit
-    of exponent from slot s to slot s+2 and multiplies by that exponent."""
+    ``key``, in symbol order: the derivation moves one unit of exponent
+    from slot s to slot s+2 and multiplies by that exponent."""
     mono = _monomial(key, bits, monomials)
     return tuple(
         (key + (1 << bits * (s + 2)) - (1 << bits * s), mono[s])

@@ -1,5 +1,10 @@
 """Test oracles: independent constructions the shipped code is judged against.
 
+The ring-level derivation `derive` (Leibniz on DiffPoly terms, one unit of
+exponent from slot s to slot s+2) and the exact evaluator `eval_exact` are
+references only: the package derives on packed keys in odelift.lifting and
+evaluates in floats with DiffPoly.eval.
+
 The derivative tower of y = f^m in coordinates over the basis
 B_i = f^(m-i) (f')^i, with f'' rewritten as p f' + q f, is the oracle for
 the symmetric-power recurrence in odelift.lifting: the derived equation
@@ -28,15 +33,57 @@ columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from odelift.diffring import DiffPoly, P, Q, poly_terms_doc
+from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, Q, poly_terms_doc
+from odelift.diffring import _new_key, _raw, _settle, _slot_order
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import _const, _leibniz, _solution_jet
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
+
+
+def derive(poly: DiffPoly) -> DiffPoly:
+    """Formal total derivative: linear, Leibniz on products, and each
+    symbol of order k maps to the symbol of order k+1, that is one unit
+    of exponent moves from slot s to slot s+2."""
+    out: dict = {}
+    get = out.get
+    for mono, coeff in poly.terms.items():
+        n = len(mono)
+        for s in _slot_order(n):
+            e = mono[s]
+            if not e:
+                continue
+            exps = list(mono)
+            exps.extend([0] * (s + 3 - n))  # room for slot s+2
+            exps[s] = e - 1
+            exps[s + 2] += 1
+            new_mono = _new_key(Monomial, exps)
+            c = get(new_mono, 0) + coeff * e
+            if c:
+                out[new_mono] = c if c.__class__ is int else _settle(c)
+            else:
+                del out[new_mono]
+    return _raw(out)
+
+
+def eval_exact(poly: DiffPoly, values) -> Fraction:
+    """Evaluate at Fraction (or int) symbol values with exact arithmetic."""
+    total = Fraction(0)
+    for mono, coeff in poly.terms.items():
+        value = coeff
+        for sym, exp in mono.factors:
+            try:
+                v = values[sym]
+            except KeyError:
+                raise MissingSymbolError(sym) from None
+            value = value * Fraction(v) ** exp
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -83,7 +130,7 @@ def basis_step(v: ModuleVector) -> ModuleVector:
     m = v.m
     w = []
     for j in range(m + 1):
-        entry = v.coords[j].derive() + j * _P * v.coords[j]
+        entry = derive(v.coords[j]) + j * _P * v.coords[j]
         if j >= 1:
             entry = entry + (m - j + 1) * v.coords[j - 1]
         if j < m:
@@ -120,7 +167,7 @@ def recurrence_reference(m: int) -> tuple[DiffPoly, ...]:
     for i in range(1, m + 1):
         weight = i * (m - i + 1)
         nxt = tuple(
-            a.derive() - i * _P * a + shifted - weight * _Q * b
+            derive(a) - i * _P * a + shifted - weight * _Q * b
             for a, shifted, b in zip(cur + (zero,), (zero,) + cur, prev + (zero, zero))
         )
         prev, cur = cur, nxt

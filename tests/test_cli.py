@@ -106,6 +106,53 @@ def test_derive_json_digest(m, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[m]
 
 
+#: sha256 of the `derive -m M` (plain) output, pinning the term order, the
+#: signs and the coefficient and factor spelling for every M up to 14.
+DERIVE_PLAIN_SHA256 = {
+    1: "119a7ae4e820534e9a90e870a117eec6926be6e9da5fec07ae4686430c56d215",
+    2: "160e9a26b2a96a222a50ae4eed1d7f7e8d23271274f2d6072cfaeb7dd57b40c0",
+    3: "9a3fad52b9d1635bbebd8f8bbab446132044572c4e67459879de4839d477380e",
+    4: "0c4779f1bf6a30297acca07b86c972189f2a49ef63ec63b556999acf0defc0af",
+    5: "2f810c49a4d6532cabfbd6caa77386c3cb5b0fa2041dc9ea0aaf915559a52905",
+    6: "07d967a761b71d2a545f186964f9ab2442038cf40a77638e8c2f3f75b40ea21e",
+    7: "3cf943c23c29d12f7bc2f249729b1fe3a1291027b3cdc13f5cdbf86a82a86b8b",
+    8: "3d39f9b4d72e90e4e6530604406469f774b089d44ab27be1ecbc9b2c6e42fb05",
+    9: "e5f1af5e9be5eaca2e780a9051d8d340dcfd80207352022f592cdd1d06c15c67",
+    10: "e6db542568f1e2b52fd2933825ed508a2e5b5bdd241078f05fceb25b9a10be31",
+    11: "279e655ea31aa49e9dcb47c4541b9168ead1cb37f1b876e1433e252af023a354",
+    12: "e7654594fc92b8c4090e570331434c089bf5c1086a45f3c872319f509faed982",
+    13: "cadb58dd664f5f18a597e72278d7695579f6664971ca4f275bac2048c3563b3d",
+    14: "f2e34b06f0b02aca034bc10a0918fd2d10c2997409388ab4324be4fcda0d8f1f",
+}
+
+#: sha256 of the `derive -m M --style latex` output, pinned like the plain one.
+DERIVE_LATEX_SHA256 = {
+    1: "9ee2344fbc94abd6316088a12aa78911a224c0174852c5ae33bbb5d3bf84406e",
+    2: "a4ed9e5b7d00e2ed04adc66bbba1f71d396cddde39bd97070a3600086eb9c030",
+    3: "53396afa42c6554b3fa42bde3a29036deb282ee2f03af228cd0ac99140f8f8eb",
+    4: "a3d1728832a00761e9fd1b8bd55dcff9a7543c4cc0ebfeaf0564506d5c4ad258",
+    5: "42b3c91e9c71239e1ab7b9c7940cc220577690d0d35fa36986b84151e925b939",
+    6: "98291c0d8c39f944897fa02950ae6289c32a8ae50ac37d83f2dc2b947ec7eaa6",
+    7: "d1dc74ef901f7140a1956c9770617f74ccec05d26463eb1ca5a8dc328c526b58",
+    8: "3216d01fc1c4573c52216f737b84a7ab396a5fb742a99d89e0e6cfbe60987295",
+    9: "21d6db1ede8c1b7a5c090a09bbfecf9f185316146c2baf4dda8edd2976426cfb",
+    10: "60af97338e03205a554f3bef2c64773899bdea447e3aa9e3e51dd51e57f60f3f",
+    11: "fd986d5b2bbd620b0636e3d039ee6632a8add3b68c0fda84f9a70b442a84c280",
+    12: "ffc36f10bcf04c189db49151a76413ace6f88bc0eb29e4a77a861ead4b1113ba",
+    13: "933b45d9fe05b03d022fc04536334831063ffb0a322a851c399177c0ce9bcb15",
+    14: "70c1041f33d9b34287ff4c206d9d14c980d18de832713970b602ce30aa89533e",
+}
+
+
+@pytest.mark.parametrize("m", range(1, 15))
+@pytest.mark.parametrize("style", ["plain", "latex"])
+def test_derive_text_digest(style, m, capsys):
+    code, out, _ = run(["derive", "-m", str(m), "--style", style], capsys)
+    assert code == 0
+    want = {"plain": DERIVE_PLAIN_SHA256, "latex": DERIVE_LATEX_SHA256}[style][m]
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 #: Shapes the derived equations may never produce: a zero coefficient, a
 #: constant term, a negative non-integral coefficient, and a factor with
 #: exp > 1 at derivative order > 0.
@@ -169,6 +216,17 @@ def test_check_detects_corrupted_table(tmp_path, capsys):
     code, out, _ = run(["check-paper", "--all", "--fixtures", str(tmp_path)], capsys)
     assert code == 1
     assert out.count("PASS") == 3 and out.count("FAIL") == 1
+
+
+def test_check_zero_denominator_is_a_fixture_error(tmp_path, capsys):
+    _copy_fixtures(tmp_path)
+    path = tmp_path / "order_m2.txt"
+    lines = path.read_text().splitlines()
+    lines[0] = "1/0*p"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["check-paper", "-m", "2", "--fixtures", str(tmp_path)], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: fixture file order_m2.txt line 1: zero denominator (at position 2)\n"
 
 
 def test_check_missing_fixture_directory(tmp_path, capsys):

@@ -1,7 +1,12 @@
-"""Ring laws, derivation, parsing, formatting, and evaluation of DiffPoly."""
+"""Ring laws, derivation, parsing, formatting, and evaluation of DiffPoly.
+
+The derivation and the exact evaluator are the references in oracles.py;
+the package derives on packed keys in odelift.lifting.
+"""
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +23,9 @@ from odelift.diffring import (
     format_poly,
     parse_poly,
     poly_terms_doc,
+    poly_terms_json,
 )
+from oracles import derive, eval_exact
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
 # different lengths; low orders come up often enough to collide and cancel.
@@ -47,7 +54,6 @@ def random_monomial(rng: random.Random) -> Monomial:
 def test_symbol_names_and_derivation():
     assert P().name == "p"
     assert Q(2).name == "q''"
-    assert P(1).derived() == P(2)
     with pytest.raises(ValueError):
         P(-1)
 
@@ -56,51 +62,55 @@ def test_symbol_order_p_before_q_ascending_order():
     assert P(0) < P(1) < P(5) < Q(0) < Q(1)
 
 
+def descending(*monos):
+    """The monomials in DiffPoly.sorted_terms order."""
+    return [mono for mono, _ in DiffPoly({mono: 1 for mono in monos}).sorted_terms()]
+
+
 def test_monomial_order_graded_then_lex():
     one = Monomial()
     p = Monomial({P(): 1})
     q = Monomial({Q(): 1})
     p2 = Monomial({P(): 2})
     pq = Monomial({P(): 1, Q(): 1})
-    assert one < q < p
-    assert p < p2
-    assert q < pq < p2
+    assert descending(one, q, p, p2, pq) == [p2, pq, p, q, one]
     # same degree: the earliest symbol with a differing exponent decides
-    assert Monomial({P(1): 1}) > Monomial({Q(): 1})
-    assert Monomial({P(): 1, P(1): 1}) > Monomial({P(): 1, Q(): 1})
+    assert descending(Monomial({Q(): 1}), Monomial({P(1): 1})) == [
+        Monomial({P(1): 1}), Monomial({Q(): 1})
+    ]
+    assert descending(Monomial({P(): 1, Q(): 1}), Monomial({P(): 1, P(1): 1})) == [
+        Monomial({P(): 1, P(1): 1}), Monomial({P(): 1, Q(): 1})
+    ]
 
 
 def test_monomial_order_matches_pairwise_definition():
     # Graded lex spelled out on the factor view: degree first, then the
     # earliest symbol whose exponents differ, the higher exponent larger.
     def less(a, b):
-        if a.degree != b.degree:
-            return a.degree < b.degree
-        for sym in sorted(set(a.symbols()) | set(b.symbols())):
-            if a.exponent(sym) != b.exponent(sym):
-                return a.exponent(sym) < b.exponent(sym)
+        ea, eb = dict(a.factors), dict(b.factors)
+        if sum(ea.values()) != sum(eb.values()):
+            return sum(ea.values()) < sum(eb.values())
+        for sym in sorted(ea.keys() | eb.keys()):
+            if ea.get(sym, 0) != eb.get(sym, 0):
+                return ea.get(sym, 0) < eb.get(sym, 0)
         return False
 
     rng = random.Random(5)
     monos = [random_monomial(rng) for _ in range(60)]
-    for a in monos:
-        for b in monos:
-            assert (a < b) == less(a, b), (a, b)
-            assert (a > b) == less(b, a), (a, b)
-            assert (a <= b) == (not less(b, a)), (a, b)
-    poly = DiffPoly({mono: 1 for mono in monos})
-    ordered = [mono for mono, _ in poly.sorted_terms()]
-    assert all(less(b, a) for a, b in zip(ordered, ordered[1:]))
+    ordered = descending(*monos)
+    assert len(ordered) == len(set(ordered)) and set(ordered) == set(monos)
+    # every pair, not only neighbours: the order is the pairwise definition
+    for i, a in enumerate(ordered):
+        for b in ordered[i + 1:]:
+            assert less(b, a) and not less(a, b), (a, b)
 
 
 def test_monomial_views():
     mono = Monomial([(Q(5), 1), (P(), 2), (P(7), 1), (P(), 1)])
     assert mono.factors == ((P(0), 3), (P(7), 1), (Q(5), 1))
-    assert mono.symbols() == (P(0), P(7), Q(5))
-    assert mono.degree == 5
-    assert mono.exponent(P()) == 3 and mono.exponent(Q(6)) == 0
     assert repr(mono) == f"p^3*{P(7).name}*{Q(5).name}"
-    assert mono * Monomial({Q(5): 1}) == Monomial({P(): 3, P(7): 1, Q(5): 2})
+    product = DiffPoly({mono: 1}) * DiffPoly({Monomial({Q(5): 1}): 1})
+    assert product.terms == {Monomial({P(): 3, P(7): 1, Q(5): 2}): 1}
     with pytest.raises(ValueError):
         Monomial({DiffSymbol("r", 0): 1})
 
@@ -144,17 +154,15 @@ def test_normalization_no_zero_terms():
     rng = random.Random(7)
     for _ in range(40):
         a, b = random_poly(rng), random_poly(rng)
-        for out in (a + b, a - b, a * b, a.derive(), -a):
+        for out in (a + b, a - b, a * b, derive(a), -a):
             assert all(coeff != 0 for coeff in out.terms.values())
 
 
 def test_scalar_arithmetic_exact():
     a = parse_poly("7*p*p'")
-    assert a / 7 == parse_poly("p*p'")
-    assert a / 2 == Fraction(7, 2) * parse_poly("p*p'")
+    assert a * Fraction(1, 7) == parse_poly("p*p'")
+    assert Fraction(1, 2) * a == Fraction(7, 2) * parse_poly("p*p'")
     assert 2 * a == parse_poly("14*p*p'")
-    with pytest.raises(ZeroDivisionError):
-        a / 0
 
 
 def test_coefficients_must_be_exact():
@@ -165,7 +173,7 @@ def test_coefficients_must_be_exact():
         with pytest.raises(TypeError):
             DiffPoly({mono: bad})
     with pytest.raises(TypeError):
-        parse_poly("p") / 0.5
+        parse_poly("p") * 0.5
     assert DiffPoly({mono: Fraction(1, 10)}).terms == {mono: Fraction(1, 10)}
     assert DiffPoly.const(3) == parse_poly("3")
 
@@ -175,12 +183,12 @@ def test_integral_coefficients_are_int():
     for poly in (
         parse_poly("1/2*p + 3*q") * 2,
         parse_poly("1/2*p") + parse_poly("1/2*p"),
-        parse_poly("1/2*p^2").derive(),
-        parse_poly("6*p") / 3,
+        derive(parse_poly("1/2*p^2")),
+        parse_poly("6*p") * Fraction(1, 3),
         DiffPoly.symbol(P()) * Fraction(1, 2) * 4,
     ):
         assert all(type(c) is int for c in poly.terms.values()), poly
-    assert (parse_poly("3*p") / 2).terms == {Monomial({P(): 1}): Fraction(3, 2)}
+    assert (parse_poly("3*p") * Fraction(1, 2)).terms == {Monomial({P(): 1}): Fraction(3, 2)}
 
 
 def test_pow():
@@ -188,25 +196,37 @@ def test_pow():
     assert parse_poly("p") ** 0 == DiffPoly.const(1)
     with pytest.raises(ValueError):
         parse_poly("p") ** -1
+    base = parse_poly("p + 2*q' - p''")
+    product = DiffPoly.const(1)
+    for n in range(10):
+        assert base**n == product, n
+        product = product * base
+
+
+def test_large_exponent_parses_at_once():
+    start = time.perf_counter()
+    poly = parse_poly("p^99999999999")
+    assert time.perf_counter() - start < 1.0
+    assert poly.terms == {Monomial({P(): 99999999999}): 1}
 
 
 # -- derivation ---------------------------------------------------------------
 
 
 def test_derive_examples():
-    assert DiffPoly.symbol(P()).derive() == DiffPoly.symbol(P(1))
-    assert parse_poly("p^2*q").derive() == parse_poly("2*p*p'*q + p^2*q'")
-    assert parse_poly("q' - 2*p*q").derive() == parse_poly("q'' - 2*p'*q - 2*p*q'")
-    assert DiffPoly.const(5).derive() == DiffPoly.zero()
+    assert derive(DiffPoly.symbol(P())) == DiffPoly.symbol(P(1))
+    assert derive(parse_poly("p^2*q")) == parse_poly("2*p*p'*q + p^2*q'")
+    assert derive(parse_poly("q' - 2*p*q")) == parse_poly("q'' - 2*p'*q - 2*p*q'")
+    assert derive(DiffPoly.const(5)) == DiffPoly.zero()
 
 
 def test_derive_leibniz_and_linear_random():
     rng = random.Random(99)
     for _ in range(40):
         a, b = random_poly(rng), random_poly(rng)
-        assert (a * b).derive() == a.derive() * b + a * b.derive()
+        assert derive(a * b) == derive(a) * b + a * derive(b)
         alpha, beta = Fraction(3, 2), Fraction(-5)
-        assert (alpha * a + beta * b).derive() == alpha * a.derive() + beta * b.derive()
+        assert derive(alpha * a + beta * b) == alpha * derive(a) + beta * derive(b)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -286,15 +306,15 @@ def test_eval_matches_the_out_of_place_sum_bit_for_bit(kind):
 def test_eval_exact_is_exact():
     poly = parse_poly("4*p*q - 2*q'")
     values = {P(0): Fraction(1, 3), Q(0): Fraction(2, 7), Q(1): Fraction(-1, 2)}
-    assert poly.eval_exact(values) == Fraction(4, 1) * Fraction(1, 3) * Fraction(2, 7) + 1
+    assert eval_exact(poly, values) == Fraction(4, 1) * Fraction(1, 3) * Fraction(2, 7) + 1
     rng = random.Random(11)
     for _ in range(20):
         a, b = random_poly(rng), random_poly(rng)
         assignment = {
             sym: Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for sym in SYMBOL_POOL
         }
-        assert (a * b).eval_exact(assignment) == a.eval_exact(assignment) * b.eval_exact(
-            assignment
+        assert eval_exact(a * b, assignment) == eval_exact(a, assignment) * eval_exact(
+            b, assignment
         )
 
 
@@ -314,7 +334,9 @@ def test_parse_rational_and_deep_primes():
 
 
 def test_parse_errors_carry_position():
-    for text, pos in [("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0)]:
+    for text, pos in [
+        ("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0), ("1/0", 2)
+    ]:
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert exc.value.position == pos, text
@@ -351,8 +373,9 @@ def test_format_plain_round_trip_random():
 
 
 def test_format_unknown_style():
-    with pytest.raises(ValueError):
-        format_poly(DiffPoly.zero(), "yaml")
+    for style in ("yaml", "json"):
+        with pytest.raises(ValueError):
+            format_poly(DiffPoly.zero(), style)
 
 
 def test_json_terms_doc_schema_and_order():
@@ -363,8 +386,7 @@ def test_json_terms_doc_schema_and_order():
         {"num": "-1", "den": "1", "monomial": [{"sym": "p", "order": 1, "exp": 1}]},
         {"num": "-4", "den": "1", "monomial": [{"sym": "q", "order": 0, "exp": 1}]},
     ]
-    parsed = json.loads(format_poly(poly, "json"))
-    assert parsed == doc
+    assert json.loads(poly_terms_json(poly, "")) == doc
 
 
 def test_poly_equality_with_scalars():

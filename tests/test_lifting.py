@@ -18,6 +18,7 @@ import pytest
 
 from odelift.diffring import DiffPoly, Monomial, P, Q, parse_poly
 from odelift.lifting import (
+    DERIVE_CACHE_SIZE,
     FIXTURE_ORDERS,
     FixtureFormatError,
     LiftedODE,
@@ -29,6 +30,7 @@ from oracles import (
     ModuleVector,
     basis_step,
     derivative_tower,
+    eval_exact,
     falling_factorial,
     recurrence_reference,
 )
@@ -151,6 +153,20 @@ def test_packed_recurrence_matches_ring_reference_in_term_order(m):
             assert type(coeff) is int
 
 
+def test_derive_cache_keeps_the_last_few_equations():
+    derive_lifted_ode.cache_clear()
+    first = [derive_lifted_ode(m) for m in range(1, DERIVE_CACHE_SIZE + 3)]
+    assert derive_lifted_ode.cache_info().currsize == DERIVE_CACHE_SIZE
+    # m = 1 and 2 were evicted: derived again, to the same terms in the same order
+    again = [derive_lifted_ode(m) for m in range(1, DERIVE_CACHE_SIZE + 3)]
+    assert derive_lifted_ode.cache_info().currsize == DERIVE_CACHE_SIZE
+    assert again[0] is not first[0]
+    for old, new in zip(first, again):
+        assert [list(c.terms.items()) for c in new.coeffs] == [
+            list(c.terms.items()) for c in old.coeffs
+        ]
+
+
 def test_specializing_p_to_zero_m2():
     ode = derive_lifted_ode(2)
 
@@ -158,7 +174,7 @@ def test_specializing_p_to_zero_m2():
         kept = {
             mono: coeff
             for mono, coeff in poly.terms.items()
-            if all(sym.base != "p" for sym in mono.symbols())
+            if all(sym.base != "p" for sym, _ in mono.factors)
         }
         return DiffPoly(kept)
 
@@ -290,7 +306,7 @@ def _annihilation_residue(coeffs, m, x):
     syms = _symbol_assignment(x)
     total = _poly_eval(ratios[m + 1], x)
     for k, c in enumerate(coeffs):
-        total += c.eval_exact(syms) * _poly_eval(ratios[k], x)
+        total += eval_exact(c, syms) * _poly_eval(ratios[k], x)
     return total
 
 
