@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .diffring import STYLES, MissingSymbolError, format_poly, poly_terms_json
+from .diffring import STYLES, DiffPoly, MissingSymbolError, format_poly
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
@@ -38,10 +38,31 @@ def derive_json(ode: LiftedODE) -> str:
     """The `derive --style json` document, written directly: the bytes that
     `canonical_json` gives for it as nested dicts and lists."""
     coeffs = ",\n".join([
-        f'    {{\n      "k": {k},\n      "terms": {poly_terms_json(c, "      ")}\n    }}'
+        f'    {{\n      "k": {k},\n      "terms": {_terms_json(c)}\n    }}'
         for k, c in enumerate(ode.coeffs)
     ])
     return f'{{\n  "coeffs": [\n{coeffs}\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
+
+
+def _terms_json(poly: DiffPoly) -> str:
+    """The "terms" list of one coefficient in derive_json, at its nesting:
+    the canonical text of diffring.poly_terms_doc(poly), written without
+    the dicts."""
+    if not poly.terms:
+        return "[]"
+    terms = []
+    for mono, coeff in poly.sorted_terms():
+        factors = [
+            f'            {{\n              "exp": {e},\n              "order": {sym.order},\n'
+            f'              "sym": "{sym.base}"\n            }}'
+            for sym, e in mono.factors
+        ]
+        monomial = "[\n" + ",\n".join(factors) + "\n          ]" if factors else "[]"
+        terms.append(
+            f'        {{\n          "den": "{coeff.denominator}",\n'
+            f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
+        )
+    return "[\n" + ",\n".join(terms) + "\n      ]"
 
 
 def canonical_json(doc) -> str:

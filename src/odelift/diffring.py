@@ -32,6 +32,7 @@ evaluator, which only tests need, are references in tests/oracles.py.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -176,7 +177,7 @@ def _fits(a, b) -> bool:
 
 
 class MissingSymbolError(LookupError):
-    """Raised by DiffPoly.eval when the assignment lacks a needed symbol."""
+    """Raised by DiffPoly.eval when the values lack a needed symbol."""
 
     def __init__(self, symbol: DiffSymbol):
         self.symbol = symbol
@@ -288,19 +289,21 @@ class DiffPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, assignment: Mapping[DiffSymbol, object], table: dict | None = None):
-        """Evaluate at an assignment of values to every symbol occurring here.
+    def eval(self, values, table: dict | None = None):
+        """Evaluate at the symbol values ``values``, rows of (p^(k), q^(k)).
 
-        Values may be floats or numpy arrays; coefficients are taken as
-        floats.  Each power v**exp is computed once and kept in ``table``
-        under its (slot, exponent) key, slot 2k for p^(k) and 2k+1 for
-        q^(k), so a caller evaluating several polynomials at the same
-        assignment can pass one dict to share the powers among all of them.
-        Each term is float(coeff) times its factors in symbol order, and the
-        sum runs in term order from 0.0; where the operands are arrays of
-        one shape and dtype the products and sums are taken in place, which
-        changes no bit of the result.  Raises MissingSymbolError if a needed
-        symbol has no value.
+        The factor of slot s, 2k for p^(k) and 2k+1 for q^(k), is
+        ``values[s >> 1][s & 1]``: a nested list such as [[p, q], [p', q']]
+        or the array odelift.verify.symbol_values returns.  Values may be
+        floats or numpy arrays; coefficients are taken as floats.  Each
+        power v**exp is computed once and kept in ``table`` under its
+        (slot, exponent) key, so a caller evaluating several polynomials at
+        the same values can pass one dict to share the powers among all of
+        them.  Each term is float(coeff) times its factors in symbol order,
+        and the sum runs in term order from 0.0; where the operands are
+        arrays of one shape and dtype the products and sums are taken in
+        place, which changes no bit of the result.  Raises
+        MissingSymbolError if a needed symbol has no value.
         """
         if table is None:
             table = {}
@@ -314,11 +317,10 @@ class DiffPoly:
                 try:
                     power = table[slot, exp]
                 except KeyError:
-                    sym = _symbol(slot)
                     try:
-                        v = assignment[sym]
-                    except KeyError:
-                        raise MissingSymbolError(sym) from None
+                        v = values[slot >> 1][slot & 1]
+                    except IndexError:
+                        raise MissingSymbolError(_symbol(slot)) from None
                     power = table[slot, exp] = v**exp
                 if _fits(value, power):
                     value *= power
@@ -429,19 +431,19 @@ class _PolyScanner:
             self.kind, self.value, self.pos = "end", None, i
             return
         ch = text[i]
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() would also take digits int() refuses, such as '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            num = int(text[i:j])
+            num = self._integer(i, j)
             # A '/' directly after an integer forms a rational literal.
             if j < n and text[j] == "/":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k].isdecimal():
                     k += 1
                 if k == j + 1:
                     raise PolyParseError("expected digits after '/'", j + 1)
-                den = int(text[j + 1 : k])
+                den = self._integer(j + 1, k)
                 if not den:
                     raise PolyParseError("zero denominator", j + 1)
                 self.kind, self.value, self.pos = "number", Fraction(num, den), k
@@ -459,6 +461,13 @@ class _PolyScanner:
             return
         raise PolyParseError(f"unexpected character {ch!r}", i)
 
+    def _integer(self, start: int, end: int) -> int:
+        try:
+            return int(self.text[start:end])
+        except ValueError:  # past the interpreter's limit on digits for int()
+            message = f"integer literal of {end - start} digits is too long"
+            raise PolyParseError(message, start) from None
+
     def expect(self, kind: str) -> None:
         if self.kind != kind:
             raise PolyParseError(f"expected {kind!r}, found {self.kind!r}", self.token_pos)
@@ -474,7 +483,9 @@ def parse_poly(text: str) -> DiffPoly:
               atom   := rational | symbol | '(' poly ')'
 
     Implicit multiplication is rejected; every product is written with '*'.
-    Raises PolyParseError with the offending position on malformed input.
+    Raises PolyParseError with the offending position on malformed input,
+    and at the exponent of a power that may pass 1 000 terms or 10^6
+    coefficient bits (_check_power), before the power is taken.
     """
     scanner = _PolyScanner(text)
     poly = _parse_sum(scanner)
@@ -513,9 +524,30 @@ def _parse_factor(scanner: _PolyScanner) -> DiffPoly:
         exp = scanner.value
         if exp.denominator != 1 or exp <= 0:
             raise PolyParseError("exponent must be a positive integer", scanner.token_pos)
+        _check_power(base, int(exp), scanner.token_pos)
         scanner.advance()
         return base ** int(exp)
     return base
+
+
+#: Budget of a power in parse_poly, checked before it is computed; the
+#: bundled tables use exponents up to 5.  A base of t terms to the n-th
+#: may have C(n+t-1, t-1) terms, and its coefficients n times the bits of
+#: the base's largest numerator or denominator (log2, so +-1 costs none).
+_MAX_POWER_TERMS = 1000
+_MAX_POWER_BITS = 10**6
+
+
+def _check_power(base: DiffPoly, n: int, position: int) -> None:
+    """Raise PolyParseError at position unless base**n fits the budget."""
+    terms = 1
+    for i in range(1, len(base.terms)):  # terms = C(n+i, i), stopped once over budget
+        terms = terms * (n + i) // i
+        if terms > _MAX_POWER_TERMS:
+            raise PolyParseError(f"power may have over {_MAX_POWER_TERMS} terms", position)
+    largest = max((max(abs(c.numerator), c.denominator) for c in base.terms.values()), default=1)
+    if n * math.log2(largest) > _MAX_POWER_BITS:
+        raise PolyParseError(f"power needs over {_MAX_POWER_BITS} coefficient bits", position)
 
 
 def _parse_atom(scanner: _PolyScanner) -> DiffPoly:
@@ -612,24 +644,3 @@ def poly_terms_doc(poly: DiffPoly) -> list[dict]:
             }
         )
     return doc
-
-
-def poly_terms_json(poly: DiffPoly, pad: str) -> str:
-    """``json.dumps(poly_terms_doc(poly), sort_keys=True, indent=2)`` with
-    ``pad`` before every line after the first, written without the dicts."""
-    if not poly.terms:
-        return "[]"
-    p1, p2, p3, p4 = pad + "  ", pad + "    ", pad + "      ", pad + "        "
-    terms = []
-    for mono, coeff in poly.sorted_terms():
-        factors = [
-            f'{p3}{{\n{p4}"exp": {e},\n{p4}"order": {s >> 1},\n'
-            f'{p4}"sym": "{_BASES[s & 1]}"\n{p3}}}'
-            for s, e in _factor_slots(mono)
-        ]
-        monomial = "[\n" + ",\n".join(factors) + "\n" + p2 + "]" if factors else "[]"
-        terms.append(
-            f'{p1}{{\n{p2}"den": "{coeff.denominator}",\n{p2}"monomial": {monomial},\n'
-            f'{p2}"num": "{coeff.numerator}"\n{p1}}}'
-        )
-    return "[\n" + ",\n".join(terms) + "\n" + pad + "]"

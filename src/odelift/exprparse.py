@@ -243,8 +243,12 @@ def _parse_power(sc: _Scanner) -> Expr:
 def _parse_atom(sc: _Scanner) -> Expr:
     kind, value, offset = sc.token
     if kind == "num":
+        if not math.isfinite(number := float(value)):
+            raise ExprSyntaxError(
+                offset, ("number within double range",), f"{len(value)}-character literal"
+            )
         sc.shift()
-        return Num(float(value))
+        return Num(number)
     if kind == "name":
         sc.shift()
         if value == "x":

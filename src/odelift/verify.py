@@ -9,11 +9,11 @@ from (y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
 share one integration.  basis_check then takes the derivatives of
 p, q, f, g and each product from Taylor-mode jets (never finite
-differences): f and g travel as one stacked pair through their power
-chains, and one Leibniz pass over the stacked powers fills every middle
-product.  It reports a scale-invariant residual per product plus the
-products' midpoint Wronskian, which follows from W(f, g) in closed form
-(Bronstein, Mulders & Weil, ISSAC 1997):
+differences) in one [order, member, points] layout: p with q as one
+array, f with g as one pair through their power chains, and one Leibniz
+pass over the stacked powers fills every middle product.  It reports a
+scale-invariant residual per product plus the products' midpoint
+Wronskian, a closed form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
 W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).
 
 Because the jets express every derivative exactly in terms of (f, f'),
@@ -42,12 +42,9 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
-from .diffring import DiffSymbol, P, Q
 from .exprparse import (
     Add,
     Call,
@@ -264,35 +261,29 @@ def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
     return jet
 
 
-def symbol_values(p: Expr, q: Expr, upto: int, x) -> dict[DiffSymbol, object]:
+def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
     """Values of p, p', ..., p^(upto) and likewise for q, at x.
 
-    x may be a scalar or a grid array; values follow suit.  Derivatives
-    come from the jets of p and q, never from finite differences.
+    One float array of shape (upto+1, 2, *np.shape(x)), row k holding
+    (p^(k), q^(k)) like the stacked (f, g) jet; flattened, row 2k+b is
+    symbol slot 2k+b of odelift.diffring.  Derivatives come from the jets
+    of p and q, never from finite differences.
     """
     xs = np.asarray(x, dtype=float)
-    out: dict[DiffSymbol, object] = {}
-    for make, expr in ((P, p), (Q, q)):
-        for order, row in enumerate(_expr_jet(expr, xs, upto)):
-            out[make(order)] = float(row) if xs.ndim == 0 else row
-    return out
+    return np.stack([_expr_jet(p, xs, upto), _expr_jet(q, xs, upto)], axis=1)
 
 
-def _solution_jet(f, fp, syms: Mapping, order: int) -> list:
-    """Jet of a base solution from its value and slope.
+def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
+    """Fill rows 2.. of the stacked jet u of base solutions from rows 0, 1.
 
     Differentiating f'' = p f' + q f k times gives
     f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
     """
-    jet = [f, fp]
-    for k in range(order - 1):
-        jet.append(
-            sum(
-                comb(k, j) * (syms[P(j)] * jet[k + 1 - j] + syms[Q(j)] * jet[k - j])
-                for j in range(k + 1)
-            )
+    for k in range(len(u) - 2):
+        u[k + 2] = sum(
+            comb(k, j) * (syms[j, 0] * u[k + 1 - j] + syms[j, 1] * u[k - j])
+            for j in range(k + 1)
         )
-    return jet
 
 
 # --------------------------------------------------------------------------
@@ -372,7 +363,7 @@ def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
 # product derivatives
 
 
-def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
+def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
     """Derivatives 0..m+1 of all m+1 products f^(m-j) g^j, as one block.
 
     f_pt and g_pt are (value, derivative) pairs of the two base solutions,
@@ -391,15 +382,12 @@ def product_derivatives(f_pt, g_pt, m: int, syms: Mapping) -> np.ndarray:
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
     pows = np.empty((m + 2, max(m - 1, 1), 2, *shape))  # [k, i - 1]: row k of u^i
     u = pows[:, 0]
     u[0, 0], u[1, 0] = f_pt
     u[0, 1], u[1, 1] = g_pt
-    jet = _solution_jet(u[0], u[1], syms, m + 1)
-    for k in range(2, m + 2):
-        u[k] = jet[k]
-    del jet  # its rows are freed before the block is allocated
+    _solution_jet(u, syms)
     if m == 1:
         return u.copy()  # columns f and g
     block = np.empty((m + 2, m + 1, *shape))
@@ -497,10 +485,10 @@ def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tu
     f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
     syms = symbol_values(p, q, max(0, m - 1), grid)
     block = product_derivatives(f_pt, g_pt, m, syms)
-    _read_only(*syms.values(), block)
+    _read_only(syms, block)
     mid = len(grid) // 2
     return (
-        MappingProxyType(syms), block, float(grid[mid]),
+        syms, block, float(grid[mid]),
         (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
     )
 
@@ -509,7 +497,7 @@ def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tu
 # residual and basis report
 
 
-def residual(ode: LiftedODE, derivs, sym_vals: Mapping) -> object:
+def residual(ode: LiftedODE, derivs, sym_vals: np.ndarray) -> object:
     """Relative residual of the monic equation against given derivatives.
 
     derivs holds y, y', ..., y^(m+1) (scalars, grid arrays, or stacks of
@@ -642,8 +630,8 @@ def basis_check(
     if not 0.0 < wronskian_tol < 1.0:
         raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
     m, points = ode.m, cfg.steps + 1
-    if (size := (m + 2) * (m + 1) * points) > MAX_BLOCK_FLOATS:
-        raise ConfigError(f"m={m} on {points} grid points needs {size:.3g} floats, over "
+    if (size := (m + 2) * (m + 1) * float(points)) > MAX_BLOCK_FLOATS:  # float: formats at any size
+        raise ConfigError(f"m={m} on {points:.3g} grid points needs {size:.3g} floats, over "
                           f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = repr((p, q, cfg.interval, cfg.steps))  # repr tells -0.0 from 0.0

@@ -27,20 +27,22 @@ which stacks f with g and all middle columns into a few Leibniz passes and
 must still match it bit for bit.  The one licensed difference: where f^m or
 g^m overflows, the oracle's inf * 0 against the constant-1 jet leaves NaN
 in columns 0 and m, while the block writes those powers straight into their
-columns.
+columns.  The oracle's jets are plain lists built by its own helpers, so it
+shares no code with odelift.verify; all it takes from there is the symbol
+layout, row k of odelift.verify.symbol_values holding (p^(k), q^(k)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, Q, poly_terms_doc
 from odelift.diffring import _new_key, _raw, _settle, _slot_order
 from odelift.lifting import LiftedODE, derive_lifted_ode
-from odelift.verify import _const, _leibniz, _solution_jet
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
@@ -188,6 +190,32 @@ def ode_json_doc(ode: int | LiftedODE) -> dict:
     }
 
 
+def _const(value: float, order: int) -> list:
+    """Jet of a constant, its value row a numpy float as in the package."""
+    return [np.float64(value)] + [0.0] * order
+
+
+def _leibniz(u: list, v: list) -> list:
+    """Jet of u*v: (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j)."""
+    return [
+        sum(comb(k, j) * u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))
+    ]
+
+
+def _solution_jet(f, fp, syms, order: int) -> list:
+    """Jet [f, f', ..., f^(order)] of one base solution from its value and
+    slope: f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j))."""
+    jet = [f, fp]
+    for k in range(order - 1):
+        jet.append(
+            sum(
+                comb(k, j) * (syms[j][0] * jet[k + 1 - j] + syms[j][1] * jet[k - j])
+                for j in range(k + 1)
+            )
+        )
+    return jet
+
+
 def _powers(u: list, n: int) -> list:
     """Jets of u^0, u^1, ..., u^n; value rows are the plain powers u**k."""
     out = [_const(1.0, len(u) - 1)]
@@ -204,7 +232,7 @@ def product_block(f_pt, g_pt, m: int, syms) -> np.ndarray:
     column j as the Leibniz product of f^(m-j) and g^j."""
     f_pows = _powers(_solution_jet(*f_pt, syms, m + 1), m)
     g_pows = _powers(_solution_jet(*g_pt, syms, m + 1), m)
-    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt, *syms.values())))
+    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), np.shape(syms)[2:])
     block = np.empty((m + 2, m + 1, *shape))
     for j in range(m + 1):
         for k, row in enumerate(_leibniz(f_pows[m - j], g_pows[j])):

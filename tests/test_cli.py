@@ -240,8 +240,13 @@ def test_check_missing_fixture_directory(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line2,reason",
-    [(b"2*p^2 +", "expected number"), (b"\xff\xfe2*p^2", "'utf-8' codec can't decode")],
-    ids=["unparsable", "not-utf8"],
+    [
+        (b"2*p^2 +", "expected number"),
+        (b"\xff\xfe2*p^2", "'utf-8' codec can't decode"),
+        (b"1" * 5000 + b"*p", "5000 digits is too long (at position 0)"),
+        (b"2^99999999999*p", "coefficient bits (at position 2)"),
+    ],
+    ids=["unparsable", "not-utf8", "over-long-literal", "power-over-budget"],
 )
 def test_check_unreadable_fixture_line(tmp_path, capsys, line2, reason):
     _copy_fixtures(tmp_path)
@@ -405,6 +410,22 @@ def test_verify_domain_error(capsys):
     assert "division by zero" in err
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [["--step", "1e-300"], ["--interval", "0", "1e308", "--step", "1"]],
+    ids=["tiny-step", "huge-interval"],
+)
+def test_verify_oversized_grid_message_is_short(grid, capsys):
+    # 1e300 and 1e308 points: the counts are printed as floats, not as
+    # 301-digit integers, and the float count of 12e308 is inf, not an error
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "-m", "2", "--p", "0", "--q", "-1", *grid])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: m=2 on 1e+") and "grid points" in err
+    assert len(err) < 120, err
+
+
 def test_verify_unusable_grid_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "-m", "2", "--p", "0", "--q", "-1", "--step", "0.5"])
@@ -433,6 +454,7 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "nan"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-3"],
+        ["verify", "-m", "2", "--p", "0", "--q", "9" * 309],  # a literal that overflows a double
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from odelift.cli import derive_json
 from odelift.diffring import (
     DiffPoly,
     DiffSymbol,
@@ -23,8 +24,8 @@ from odelift.diffring import (
     format_poly,
     parse_poly,
     poly_terms_doc,
-    poly_terms_json,
 )
+from odelift.lifting import LiftedODE
 from oracles import derive, eval_exact
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
@@ -210,6 +211,26 @@ def test_large_exponent_parses_at_once():
     assert poly.terms == {Monomial({P(): 99999999999}): 1}
 
 
+def test_powers_over_the_budget_are_refused_at_once():
+    # refused at the exponent before the power is taken: 2^99999999999
+    # alone would need about 12.5 GB
+    for text, pos in [("2^99999999999", 2), ("(p+q)^100000", 6), ("(2*p+q)^3000", 8)]:
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.position == pos, text
+    assert len(parse_poly("(p+q)^50").terms) == 51
+    # the edges: C(45, 2) = 990 terms pass and C(46, 2) = 1035 do not;
+    # 10^6 coefficient bits pass and 10^6 + 1 do not
+    assert len(parse_poly("(p+q+q'')^43").terms) == 990
+    assert parse_poly("(1/2)^1000000") == DiffPoly.const(Fraction(1, 2**1000000))
+    assert parse_poly("(-1)^99999999999") == -1
+    for text, reason in [("(p+q+q'')^44", "terms"), ("(1/2)^1000001", "bits")]:
+        with pytest.raises(PolyParseError, match=reason):
+            parse_poly(text)
+
+
 # -- derivation ---------------------------------------------------------------
 
 
@@ -232,18 +253,38 @@ def test_derive_leibniz_and_linear_random():
 # -- evaluation ---------------------------------------------------------------
 
 
+def rows(assignment):
+    """The layout DiffPoly.eval reads, [[p, q], [p', q'], ...], from a
+    {DiffSymbol: value} dict; entries the dict lacks hold NaN."""
+    out = [[np.nan, np.nan] for _ in range(max(sym.order for sym in assignment) + 1)]
+    for sym, value in assignment.items():
+        out[sym.order]["pq".index(sym.base)] = value
+    return out
+
+
 def test_eval_examples():
     poly = parse_poly("4*q - 2*p^2 + p'")
-    assert poly.eval({P(0): 0.0, Q(0): -1.0, P(1): 0.0}) == -4.0
-    assert DiffPoly.zero().eval({}) == 0.0
-    assert parse_poly("-10*p").eval({P(0): 2.0}) == -20.0
+    assert poly.eval([[0.0, -1.0], [0.0]]) == -4.0
+    assert poly.eval(np.array([[0.0, -1.0], [0.0, np.nan]])) == -4.0
+    assert DiffPoly.zero().eval([]) == 0.0
+    assert parse_poly("-10*p").eval([[2.0]]) == -20.0
+    # slot 2k+b is row k, entry b: p'' and q' here
+    assert parse_poly("p'' - 3*q'").eval([[7.0, 7.0], [7.0, 2.0], [5.0]]) == -1.0
 
 
 def test_eval_missing_symbol():
+    for values, missing in [
+        ([[1.0]], Q(1)),  # no row for q'
+        ([[1.0], [1.0]], Q(1)),  # row 1 holds p' alone
+        (np.ones((1, 2)), Q(1)),
+    ]:
+        with pytest.raises(MissingSymbolError) as exc:
+            parse_poly("p*q'").eval(values)
+        assert exc.value.symbol == missing
+        assert "q'" in str(exc.value)
     with pytest.raises(MissingSymbolError) as exc:
-        parse_poly("p*q'").eval({P(0): 1.0})
-    assert exc.value.symbol == Q(1)
-    assert "q'" in str(exc.value)
+        parse_poly("q + p''").eval(np.ones((2, 2)))
+    assert exc.value.symbol == P(2)
 
 
 def test_eval_homomorphism_random():
@@ -254,9 +295,10 @@ def test_eval_homomorphism_random():
             break
         a, b = random_poly(rng), random_poly(rng)
         assignment = {sym: rng.uniform(-2.0, 2.0) for sym in SYMBOL_POOL}
-        va, vb = a.eval(assignment), b.eval(assignment)
-        vs = (a + b).eval(assignment)
-        vp = (a * b).eval(assignment)
+        values = rows(assignment)
+        va, vb = a.eval(values), b.eval(values)
+        vs = (a + b).eval(values)
+        vp = (a * b).eval(values)
         if not all(1e-3 <= abs(v) <= 1e3 for v in (va, vb, vs, vp)):
             continue
         assert abs(vs - (va + vb)) <= 1e-12 * max(abs(vs), abs(va) + abs(vb))
@@ -297,7 +339,7 @@ def test_eval_matches_the_out_of_place_sum_bit_for_bit(kind):
         assignment[sym] = value if shape is not None else float(value)
     for _ in range(40):
         poly = random_poly(rng, 6)
-        got, want = poly.eval(assignment), out_of_place_eval(poly, assignment)
+        got, want = poly.eval(rows(assignment)), out_of_place_eval(poly, assignment)
         assert type(got) is type(want)
         assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == np.asarray(want).dtype
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -335,7 +377,10 @@ def test_parse_rational_and_deep_primes():
 
 def test_parse_errors_carry_position():
     for text, pos in [
-        ("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0), ("1/0", 2)
+        ("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0), ("1/0", 2),
+        # past int()'s digit limit, as a numerator and as a denominator
+        ("1" * 5000 + "*p", 0), ("p - 3/" + "7" * 5000, 6),
+        ("2\u00b2*p", 1),  # a digit to str.isdigit, not to int()
     ]:
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
@@ -386,7 +431,9 @@ def test_json_terms_doc_schema_and_order():
         {"num": "-1", "den": "1", "monomial": [{"sym": "p", "order": 1, "exp": 1}]},
         {"num": "-4", "den": "1", "monomial": [{"sym": "q", "order": 0, "exp": 1}]},
     ]
-    assert json.loads(poly_terms_json(poly, "")) == doc
+    # the writer derive --style json uses, which builds no dicts
+    written = json.loads(derive_json(LiftedODE(1, (poly, DiffPoly.zero()))))
+    assert written["coeffs"][0]["terms"] == doc
 
 
 def test_poly_equality_with_scalars():

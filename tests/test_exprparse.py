@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -68,6 +69,15 @@ def test_syntax_error_positions(text, position):
     with pytest.raises(ExprSyntaxError) as info:
         parse_expr(text)
     assert info.value.position == position
+
+
+def test_literal_past_double_range_is_a_syntax_error():
+    # 309 nines round to inf, a value nobody typed; the largest double parses
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_expr("x + " + "9" * 309)
+    assert info.value.position == 4
+    assert "309-character literal" in str(info.value)
+    assert parse_expr(f"{sys.float_info.max:.0f}") == Num(sys.float_info.max)
 
 
 def test_node_validation():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from odelift import verify
-from odelift.diffring import DiffPoly, P, Q
+from odelift.diffring import DiffPoly
 from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
@@ -153,9 +153,8 @@ def rk4_reference(p, q, cfg, ic):
     dt = (b - a) / n
     xs = np.linspace(a, b, n + 1)
     mids = xs[:-1] + 0.5 * dt
-    on_grid, on_mids = symbol_values(p, q, 0, xs), symbol_values(p, q, 0, mids)
-    p_xs, q_xs = on_grid[P(0)], on_grid[Q(0)]
-    p_mid, q_mid = on_mids[P(0)], on_mids[Q(0)]
+    p_xs, q_xs = symbol_values(p, q, 0, xs)[0]
+    p_mid, q_mid = symbol_values(p, q, 0, mids)[0]
 
     u, v = ic
     f_vals, fp_vals = [u], [v]
@@ -225,11 +224,14 @@ def test_symbol_values_scalar_and_grid_agree():
     q = parse_expr("x^2 + 1")
     xs = np.linspace(0.0, 2.0, 9)
     grid_vals = symbol_values(p, q, 2, xs)
-    assert len(grid_vals) == 6
+    assert grid_vals.shape == (3, 2, len(xs))  # (p^(k), q^(k)) for k = 0, 1, 2
     for idx, x in enumerate(xs):
         point_vals = symbol_values(p, q, 2, float(x))
-        for sym, arr in grid_vals.items():
-            assert arr[idx] == pytest.approx(point_vals[sym], rel=1e-15, abs=1e-300)
+        assert point_vals.shape == (3, 2)
+        for k in range(3):
+            for b in range(2):
+                want = pytest.approx(point_vals[k, b], rel=1e-15, abs=1e-300)
+                assert grid_vals[k, b, idx] == want
 
 
 def test_jets_match_symbolic_derivatives():
@@ -251,11 +253,10 @@ def test_jets_match_symbolic_derivatives():
             continue
         if not np.isfinite(want).all():
             continue
-        got = np.array([grid_vals[P(k)] for k in range(5)])
+        got = grid_vals[:, 0]
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
         for idx in (0, 3, 6):
-            point_vals = symbol_values(tree, tree, 4, float(xs[idx]))
-            got = np.array([point_vals[P(k)] for k in range(5)])
+            got = symbol_values(tree, tree, 4, float(xs[idx]))[:, 0]
             np.testing.assert_allclose(got, want[:, idx], rtol=1e-9, atol=1e-9)
         checked += 1
     assert checked >= 150
@@ -277,9 +278,9 @@ def test_integer_power_jets_by_square_and_multiply(monkeypatch):
     symbol_values(parse_expr("x^1000"), ZERO, 2, 0.5)
     assert len(products) <= 2 * (1000).bit_length()
     vals = symbol_values(parse_expr("x^1000000"), ZERO, 2, 1.0)
-    assert [vals[P(k)] for k in range(3)] == [1.0, 1e6, 1e6 * (1e6 - 1)]
+    assert list(vals[:, 0]) == [1.0, 1e6, 1e6 * (1e6 - 1)]
     vals = symbol_values(parse_expr("x^99999999999999999999"), ZERO, 1, 0.5)
-    assert [vals[P(0)], vals[P(1)]] == [0.0, 0.0]
+    assert list(vals[:, 0]) == [0.0, 0.0]
     # small exponents, negative ones included, against the diff_expr chain
     xs = np.linspace(0.25, 1.75, 7)
     for base in ("x", "sin(x) + 2", "1/(x+1)"):
@@ -288,8 +289,7 @@ def test_integer_power_jets_by_square_and_multiply(monkeypatch):
             for _ in range(4):
                 chain.append(diff_expr(chain[-1]))
             want = np.array([[eval_expr(d, float(x)) for x in xs] for d in chain])
-            got = symbol_values(chain[0], ZERO, 4, xs)
-            got = np.array([got[P(k)] for k in range(5)])
+            got = symbol_values(chain[0], ZERO, 4, xs)[:, 0]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -800,14 +800,15 @@ def test_memo_arrays_are_read_only(monkeypatch):
     monkeypatch.setattr(verify, "residual", keep_block)
     clear_memos()
     assert cos_suite(3).passed
-    arrays = [seen["grid"], seen["phi"], seen["block"], *seen["syms"].values()]
-    assert len(arrays) == 3 + 6  # p, p', p'', q, q', q''
-    for a in arrays:
+    syms = seen["syms"]
+    assert syms.shape == (3, 2, len(seen["grid"]))  # p, p', p'' beside q, q', q''
+    rows = [row for pair in syms for row in pair]  # the views DiffPoly.eval reads
+    for a in [seen["grid"], seen["phi"], seen["block"], syms, *rows]:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 1.0
-    with pytest.raises(TypeError):
-        seen["syms"][P(0)] = seen["syms"][Q(0)]
+    with pytest.raises(ValueError, match="read-only"):
+        syms[0, 0] = syms[0, 1]
     # the public functions still hand out arrays of their own
     grid, phi = plain_fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
     assert grid.flags.writeable and phi.flags.writeable
