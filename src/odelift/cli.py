@@ -19,7 +19,14 @@ import math
 import sys
 from typing import Optional, Sequence
 
-from .diffring import STYLES, DiffPoly, MissingSymbolError, format_poly
+from .diffring import (
+    STYLES,
+    DiffPoly,
+    MissingSymbolError,
+    _factor_slots,
+    _symbol,
+    format_poly,
+)
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
@@ -36,33 +43,50 @@ __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
 def derive_json(ode: LiftedODE) -> str:
     """The `derive --style json` document, written directly: the bytes that
-    `canonical_json` gives for it as nested dicts and lists."""
+    `canonical_json` gives for it as nested dicts and lists.
+
+    The equation repeats a few dozen distinct factors thousands of times,
+    so each (slot, exponent) factor's text is formatted once per call, in
+    a table that is local to the call and dropped with it.
+    """
+    factors: dict[tuple[int, int], str] = {}
     coeffs = ",\n".join([
-        f'    {{\n      "k": {k},\n      "terms": {_terms_json(c)}\n    }}'
+        f'    {{\n      "k": {k},\n      "terms": {_terms_json(c, factors)}\n    }}'
         for k, c in enumerate(ode.coeffs)
     ])
     return f'{{\n  "coeffs": [\n{coeffs}\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
 
 
-def _terms_json(poly: DiffPoly) -> str:
+def _terms_json(poly: DiffPoly, factors: dict[tuple[int, int], str]) -> str:
     """The "terms" list of one coefficient in derive_json, at its nesting:
     the canonical text of diffring.poly_terms_doc(poly), written without
-    the dicts."""
+    the dicts.  ``factors`` maps (slot, exponent) to the factor's text;
+    a factor not in it yet is formatted by _factor_json and added."""
     if not poly.terms:
         return "[]"
     terms = []
     for mono, coeff in poly.sorted_terms():
-        factors = [
-            f'            {{\n              "exp": {e},\n              "order": {sym.order},\n'
-            f'              "sym": "{sym.base}"\n            }}'
-            for sym, e in mono.factors
-        ]
-        monomial = "[\n" + ",\n".join(factors) + "\n          ]" if factors else "[]"
+        texts = []
+        for key in _factor_slots(mono):
+            text = factors.get(key)
+            if text is None:
+                text = factors[key] = _factor_json(*key)
+            texts.append(text)
+        monomial = "[\n" + ",\n".join(texts) + "\n          ]" if texts else "[]"
         terms.append(
             f'        {{\n          "den": "{coeff.denominator}",\n'
             f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
         )
     return "[\n" + ",\n".join(terms) + "\n      ]"
+
+
+def _factor_json(slot: int, exp: int) -> str:
+    """One factor of a monomial in derive_json, at its nesting."""
+    sym = _symbol(slot)
+    return (
+        f'            {{\n              "exp": {exp},\n              "order": {sym.order},\n'
+        f'              "sym": "{sym.base}"\n            }}'
+    )
 
 
 def canonical_json(doc) -> str:

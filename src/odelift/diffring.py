@@ -485,7 +485,10 @@ def parse_poly(text: str) -> DiffPoly:
     Implicit multiplication is rejected; every product is written with '*'.
     Raises PolyParseError with the offending position on malformed input,
     and at the exponent of a power that may pass 1 000 terms or 10^6
-    coefficient bits (_check_power), before the power is taken.
+    coefficient bits (_check_power), before the power is taken.  A product
+    is held to the same budget at its '*': the factors' term counts
+    multiplied, and their largest coefficients' bits added, before the
+    factors are.
     """
     scanner = _PolyScanner(text)
     poly = _parse_sum(scanner)
@@ -509,9 +512,20 @@ def _parse_sum(scanner: _PolyScanner) -> DiffPoly:
 
 def _parse_term(scanner: _PolyScanner) -> DiffPoly:
     product = _parse_factor(scanner)
+    terms, bits = len(product.terms), _coefficient_bits(product)
     while scanner.kind == "*":
+        position = scanner.token_pos
         scanner.advance()
-        product = product * _parse_factor(scanner)
+        factor = _parse_factor(scanner)
+        # the power budget, held against the product of the factors' term
+        # counts and the sum of their coefficient bits before multiplying
+        terms *= len(factor.terms)
+        bits += _coefficient_bits(factor)
+        if terms > _MAX_POWER_TERMS:
+            raise PolyParseError(f"product may have over {_MAX_POWER_TERMS} terms", position)
+        if bits > _MAX_POWER_BITS:
+            raise PolyParseError(f"product needs over {_MAX_POWER_BITS} coefficient bits", position)
+        product = product * factor
     return product
 
 
@@ -530,10 +544,12 @@ def _parse_factor(scanner: _PolyScanner) -> DiffPoly:
     return base
 
 
-#: Budget of a power in parse_poly, checked before it is computed; the
-#: bundled tables use exponents up to 5.  A base of t terms to the n-th
-#: may have C(n+t-1, t-1) terms, and its coefficients n times the bits of
-#: the base's largest numerator or denominator (log2, so +-1 costs none).
+#: Budget of a power or a product in parse_poly, checked before it is
+#: computed; the bundled tables use exponents up to 5.  A base of t terms
+#: to the n-th may have C(n+t-1, t-1) terms, and its coefficients n times
+#: the bits of the base's largest numerator or denominator (log2, so +-1
+#: costs none).  A product may have the product of its factors' term
+#: counts, and coefficients of the sum of their bits.
 _MAX_POWER_TERMS = 1000
 _MAX_POWER_BITS = 10**6
 
@@ -545,9 +561,15 @@ def _check_power(base: DiffPoly, n: int, position: int) -> None:
         terms = terms * (n + i) // i
         if terms > _MAX_POWER_TERMS:
             raise PolyParseError(f"power may have over {_MAX_POWER_TERMS} terms", position)
-    largest = max((max(abs(c.numerator), c.denominator) for c in base.terms.values()), default=1)
-    if n * math.log2(largest) > _MAX_POWER_BITS:
+    if n * _coefficient_bits(base) > _MAX_POWER_BITS:
         raise PolyParseError(f"power needs over {_MAX_POWER_BITS} coefficient bits", position)
+
+
+def _coefficient_bits(poly: DiffPoly) -> float:
+    """log2 of poly's largest numerator or denominator; 0 for 0 and +-1."""
+    return math.log2(
+        max((max(abs(c.numerator), c.denominator) for c in poly.terms.values()), default=1)
+    )
 
 
 def _parse_atom(scanner: _PolyScanner) -> DiffPoly:

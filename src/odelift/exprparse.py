@@ -152,15 +152,15 @@ class _Scanner:
         if ch in _OPERATORS:
             self.pos = i + 1
             return ("op", ch, i)
-        if ch.isdigit() or ch == ".":
+        if ch.isdecimal() or ch == ".":  # isdigit() would also take '²', which float() refuses
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j < len(text) and text[j] == ".":
                 j += 1
-                if j >= len(text) or not text[j].isdigit():
+                if j >= len(text) or not text[j].isdecimal():
                     raise ExprSyntaxError(i, ("number",), repr(text[i:j]))
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
             self.pos = j
             return ("num", text[i:j], i)
@@ -235,8 +235,14 @@ def _parse_power(sc: _Scanner) -> Expr:
         kind, value, offset = sc.token
         if kind != "num" or "." in value:
             raise ExprSyntaxError(offset, ("integer exponent",), sc.found())
+        try:
+            exponent = int(value)
+        except ValueError:  # past the interpreter's limit on digits for int()
+            raise ExprSyntaxError(
+                offset, ("shorter integer exponent",), f"{len(value)}-digit literal"
+            ) from None
         sc.shift()
-        return Pow(base, sign * int(value))
+        return Pow(base, sign * exponent)
     return base
 
 

@@ -24,15 +24,16 @@ was.  Only the convergence-order test (acceptance criterion 6) and the
 Abel test on det Phi in the test suite do.
 
 Only the residual depends on the operator being checked.  basis_check
-keeps the rest in two one-entry memos: (grid, Phi) keyed by p, q, the
-interval and the step count, and the symbol values, the product block and
-the midpoint values of f and g keyed by those plus ic_f, ic_g and m.  So a
-genuine equation, a perturbed one and dependent initial conditions on one
-base equation integrate once.  Each memo drops its entry before it builds
-the next, so at most one check's arrays are held: one product block of at
-most MAX_BLOCK_FLOATS floats plus Phi, the grid and the symbol values.
-The arrays are read-only; _products.cache_clear() and
-_integration.cache_clear() free them.
+keeps the rest in three one-entry memos: (grid, Phi) keyed by p, q, the
+interval and the step count; the symbol values keyed by those plus m; and
+the product block and the midpoint values of f and g keyed by those plus
+ic_f and ic_g.  So a genuine equation, a perturbed one and dependent
+initial conditions on one base equation integrate once and evaluate the
+symbols once.  Each memo drops its entry before it builds the next, so at
+most one check's arrays are held: one product block of at most
+MAX_BLOCK_FLOATS floats plus Phi, the grid and the symbol values.  The
+arrays are read-only; cache_clear() on _products, _symbols and
+_integration frees them.
 """
 
 from __future__ import annotations
@@ -332,9 +333,8 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
     phi10 y + phi11 y') and det Phi approximates exp(int_a^x p).  Domain
     errors of p or q surface with the offending x.
     """
-    a, b = cfg.interval
     n = cfg.steps
-    grid = np.linspace(a, b, n + 1)
+    grid = _grid(cfg)
     phi = _rk4_steps(p, q, grid, cfg.h)
     nxt = np.empty_like(phi)
     s = 1
@@ -351,6 +351,12 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
         phi, nxt = nxt, phi
         s *= 2
     return grid, phi
+
+
+def _grid(cfg: NumericConfig) -> np.ndarray:
+    """The cfg.steps + 1 grid points from a to b, both ends included."""
+    a, b = cfg.interval
+    return np.linspace(a, b, cfg.steps + 1)
 
 
 def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
@@ -472,23 +478,33 @@ def _integration(p: Expr, q: Expr, cfg: NumericConfig) -> tuple:
 
 
 @_one_slot
-def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """What basis_check reads besides the operator; keyed by the integration's
-    key plus cfg.ic_f, cfg.ic_g and m.
+def _symbols(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> np.ndarray:
+    """symbol_values up to order m-1 on the grid, read-only; keyed by the
+    integration's key plus m, so checks that differ only in ic_f and ic_g
+    share one array."""
+    syms = symbol_values(p, q, max(0, m - 1), _grid(cfg))
+    _read_only(syms)
+    return syms
 
-    (symbol values, product block, x, (f, f'), (g, g')) with the arrays
-    read-only and the last three the floats at the grid's midpoint, where
-    the Wronskian is taken; f and g themselves are dropped once the block
-    is built.
+
+@_one_slot
+def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
+    """The product block and the midpoint values basis_check reads; keyed by
+    the integration's key plus cfg.ic_f, cfg.ic_g and m.
+
+    (product block, x, (f, f'), (g, g')) with the block read-only and the
+    last three the floats at the grid's midpoint, where the Wronskian is
+    taken; f and g themselves are dropped once the block is built.  The
+    symbol values come from _symbols, called here so that a new base
+    equation drops the old entries before it builds its own.
     """
     grid, phi = _integration(base_key, p, q, cfg)
     f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
-    syms = symbol_values(p, q, max(0, m - 1), grid)
-    block = product_derivatives(f_pt, g_pt, m, syms)
-    _read_only(syms, block)
+    block = product_derivatives(f_pt, g_pt, m, _symbols((base_key, m), p, q, cfg, m))
+    _read_only(block)
     mid = len(grid) // 2
     return (
-        syms, block, float(grid[mid]),
+        block, float(grid[mid]),
         (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
     )
 
@@ -618,12 +634,13 @@ def basis_check(
     than MAX_BLOCK_FLOATS floats.
 
     Phi and the grid are memoised under (p, q, cfg.interval, cfg.steps),
-    and the symbol values, the block and the midpoint values of the base
-    solutions under that key plus (cfg.ic_f, cfg.ic_g, m); p and q are
-    keyed by repr and floats bit for bit, so the report is the one a cold
-    call gives.  One entry each is kept, read-only, until a check with
-    other inputs or cache_clear() on _products and _integration drops it:
-    at most one block plus Phi, the grid and the symbol values.
+    the symbol values under that key plus m, and the block and the
+    midpoint values of the base solutions under that key plus (cfg.ic_f,
+    cfg.ic_g, m); p and q are keyed by repr and floats bit for bit, so the
+    report is the one a cold call gives.  One entry each is kept,
+    read-only, until a check with other inputs or cache_clear() on
+    _products, _symbols and _integration drops it: at most one block plus
+    Phi, the grid and the symbol values.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -635,9 +652,11 @@ def basis_check(
                           f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = repr((p, q, cfg.interval, cfg.steps))  # repr tells -0.0 from 0.0
-        syms, block, x, (f, fp), (g, gp) = _products(
+        block, x, (f, fp), (g, gp) = _products(
             (base_key, repr((cfg.ic_f, cfg.ic_g)), m), base_key, p, q, cfg, m
         )
+        # a hit, unless a check in another thread replaced the entry since
+        syms = _symbols((base_key, m), p, q, cfg, m)
         worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 

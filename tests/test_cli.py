@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from odelift import cli
 from odelift.cli import canonical_json, derive_json, main
 from odelift.diffring import DiffPoly, Monomial, P, Q
 from odelift.lifting import LiftedODE, derive_lifted_ode
@@ -155,7 +156,9 @@ def test_derive_text_digest(style, m, capsys):
 
 #: Shapes the derived equations may never produce: a zero coefficient, a
 #: constant term, a negative non-integral coefficient, and a factor with
-#: exp > 1 at derivative order > 0.
+#: exp > 1 at derivative order > 0.  The last equation tells the keys of
+#: derive_json's factor table apart: two-digit exponents, exponent 12 at
+#: slots 0 and 7, slot 0 at exponents 1 and 12, and p^12 in two coefficients.
 EDGE_ODES = [
     LiftedODE(1, (DiffPoly.zero(), DiffPoly.const(7))),
     LiftedODE(1, (DiffPoly.const(Fraction(-3, 2)), DiffPoly.zero())),
@@ -167,6 +170,14 @@ EDGE_ODES = [
             DiffPoly.zero(),
         ),
     ),
+    LiftedODE(
+        2,
+        (
+            DiffPoly({Monomial({P(): 12, Q(3): 12}): 1, Monomial({P(1): 10}): -4}),
+            DiffPoly({Monomial({P(): 12, Q(): 1}): 3}),
+            DiffPoly({Monomial({P(): 1, P(1): 10, Q(3): 12}): 2}),
+        ),
+    ),
 ]
 
 
@@ -174,6 +185,31 @@ EDGE_ODES = [
 def test_derive_json_matches_canonical_dump_of_the_dict_document(ode):
     text = derive_json(derive_lifted_ode(ode) if isinstance(ode, int) else ode)
     assert text == canonical_json(ode_json_doc(ode))
+
+
+def test_derive_json_keeps_no_factor_between_calls():
+    # each call builds its own factor table, whichever equation came before
+    first, second = derive_lifted_ode(6), EDGE_ODES[-1]
+    for order in ((first, second), (second, first)):
+        for ode in order:
+            assert derive_json(ode) == canonical_json(ode_json_doc(ode))
+
+
+def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
+    calls = []
+
+    def counting(slot, exp, plain=cli._factor_json):
+        calls.append((slot, exp))
+        return plain(slot, exp)
+
+    monkeypatch.setattr(cli, "_factor_json", counting)
+    ode = derive_lifted_ode(8)
+    factors = [(s, e) for c in ode.coeffs for mono in c.terms for s, e in enumerate(mono) if e]
+    assert len(factors) > 10 * len(set(factors))
+    for _ in range(2):  # a second call formats them again: no table outlives a call
+        calls.clear()
+        assert derive_json(ode) == canonical_json(ode_json_doc(ode))
+        assert sorted(calls) == sorted(set(factors))
 
 
 # -- check-paper -------------------------------------------------------------------
@@ -245,8 +281,10 @@ def test_check_missing_fixture_directory(tmp_path, capsys):
         (b"\xff\xfe2*p^2", "'utf-8' codec can't decode"),
         (b"1" * 5000 + b"*p", "5000 digits is too long (at position 0)"),
         (b"2^99999999999*p", "coefficient bits (at position 2)"),
+        (b"(p+q)^400*(p'+q')^400", "product may have over 1000 terms (at position 9)"),
     ],
-    ids=["unparsable", "not-utf8", "over-long-literal", "power-over-budget"],
+    ids=["unparsable", "not-utf8", "over-long-literal", "power-over-budget",
+         "product-over-budget"],
 )
 def test_check_unreadable_fixture_line(tmp_path, capsys, line2, reason):
     _copy_fixtures(tmp_path)
@@ -455,13 +493,19 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-3"],
         ["verify", "-m", "2", "--p", "0", "--q", "9" * 309],  # a literal that overflows a double
+        ["verify", "-m", "2", "--p", "2²", "--q", "-1"],
+        ["verify", "-m", "2", "--p", "0", "--q", "x^" + "9" * 5000],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    if "argument --p:" in err or "argument --q:" in err:
+        # a bad expression is named at its offset, not by argparse's generic
+        # "invalid _expression value" with the whole text echoed
+        assert "syntax error at offset" in err and len(err) < 1000, err
 
 
 def test_module_entry_point():

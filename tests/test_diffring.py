@@ -231,6 +231,30 @@ def test_powers_over_the_budget_are_refused_at_once():
             parse_poly(text)
 
 
+def test_products_over_the_budget_are_refused_at_once():
+    # refused at the '*' before the factors are multiplied: the first would
+    # build 160 801 terms, the second a 4.5 Mbit coefficient
+    chain = "*".join(["2^900000"] * 5)
+    for text, pos, reason in [
+        ("(p+q)^400*(p'+q')^400", 9, "terms"),
+        (chain, 8, "bits"),
+        ("p*(p+q)^10*(p'+q')^100", 10, "terms"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(PolyParseError, match=reason) as exc:
+            parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.position == pos, text
+    assert len(parse_poly("(p+q)^30*(p'+q')^30").terms) == 961
+    # the edges: 31 * 32 = 992 terms pass and 32 * 32 = 1024 do not;
+    # 10^6 coefficient bits pass and 10^6 + 1 do not
+    assert len(parse_poly("(p+q)^30*(p'+q')^31").terms) == 992
+    assert parse_poly("(1/2)^999999*2") == DiffPoly.const(Fraction(1, 2**999998))
+    for text, reason in [("(p+q)^31*(p'+q')^31", "terms"), ("(1/2)^1000000*2", "bits")]:
+        with pytest.raises(PolyParseError, match=reason):
+            parse_poly(text)
+
+
 # -- derivation ---------------------------------------------------------------
 
 

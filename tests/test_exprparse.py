@@ -63,6 +63,9 @@ def test_syntax_error_position_and_expectations():
         ("1..", 0),
         ("x*", 2),
         ("(x+1", 4),
+        ("2²", 1),  # str.isdigit() takes '²', which float() refuses
+        ("x^²", 2),
+        ("1.²", 0),
     ],
 )
 def test_syntax_error_positions(text, position):
@@ -78,6 +81,15 @@ def test_literal_past_double_range_is_a_syntax_error():
     assert info.value.position == 4
     assert "309-character literal" in str(info.value)
     assert parse_expr(f"{sys.float_info.max:.0f}") == Num(sys.float_info.max)
+
+
+def test_exponent_past_the_int_digit_limit_is_a_syntax_error():
+    # int() refuses more than 4 300 digits; the exponent is named at its offset
+    for text, position in [("x^" + "9" * 5000, 2), ("(x+1)^-" + "9" * 5000, 7)]:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.position == position
+        assert "5000-digit literal" in str(info.value)
 
 
 def test_node_validation():

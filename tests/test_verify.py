@@ -49,6 +49,7 @@ def solve(p, q, cfg, ic):
 
 def clear_memos():
     verify._products.cache_clear()
+    verify._symbols.cache_clear()
     verify._integration.cache_clear()
 
 
@@ -732,6 +733,51 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
     assert report.residuals_passed and not report.wronskian_passed
     assert calls[2:] == ["product_derivatives"]
     assert memo_info() == ((1, 1), (1, 2))
+
+
+def test_dependent_check_reuses_the_symbol_values(monkeypatch):
+    calls = []
+
+    def counting(*args, plain=verify.symbol_values):
+        calls.append(args[2])
+        return plain(*args)
+
+    monkeypatch.setattr(verify, "symbol_values", counting)
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(3)
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
+    clear_memos()
+    assert basis_check(ode, p, q, COS_CFG).passed
+    assert verify._symbols.cache_info()[:2] == (1, 1)  # basis_check reads what _products built
+    assert not basis_check(ode, p, q, dependent).wronskian_passed
+    assert calls == [2]
+    assert verify._symbols.cache_info()[:2] == (3, 1)
+    assert memo_info() == ((1, 1), (0, 2))
+    # another m on the same base equation misses, and so does another p
+    basis_check(derive_lifted_ode(2), p, q, COS_CFG)
+    basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
+    assert calls == [2, 1, 2]
+    assert verify._symbols.cache_info() == (5, 3, 1, 1)
+
+
+@pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
+def test_check_sequences_match_cold_checks(pair):
+    # genuine, perturbed and dependent checks in a row on one base equation,
+    # against the same checks each run with every memo cleared
+    p, q = map(parse_expr, pair)
+    genuine = NumericConfig(interval=(0.0, 1.0), step=1 / 1000, ic_f=(1.0, 0.5), ic_g=(-0.5, 2.0))
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1 / 1000, ic_f=(1.0, 0.5),
+                              ic_g=(-2.0, -1.0))
+    for m in range(1, 9):
+        ode = derive_lifted_ode(m)
+        checks = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
+        cold = []
+        for check_ode, cfg in checks:
+            clear_memos()
+            cold.append(repr(basis_check(check_ode, p, q, cfg)))
+        clear_memos()
+        assert [repr(basis_check(check_ode, p, q, cfg)) for check_ode, cfg in checks] == cold
+        assert memo_info() == ((1, 1), (1, 2))
+        assert verify._symbols.cache_info()[:2] == (4, 1)
 
 
 def run_check(p, q, interval, step, ic_f, ic_g, m):
