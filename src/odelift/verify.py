@@ -24,16 +24,16 @@ was.  Only the convergence-order test (acceptance criterion 6) and the
 Abel test on det Phi in the test suite do.
 
 Only the residual depends on the operator being checked.  basis_check
-keeps the rest in three one-entry memos: (grid, Phi) keyed by p, q, the
-interval and the step count; the symbol values keyed by those plus m; and
-the product block and the midpoint values of f and g keyed by those plus
-ic_f and ic_g.  So a genuine equation, a perturbed one and dependent
-initial conditions on one base equation integrate once and evaluate the
-symbols once.  Each memo drops its entry before it builds the next, so at
-most one check's arrays are held: one product block of at most
+keeps the rest in two one-entry memos: _base holds the grid, Phi and the
+symbol values, keyed by p, q, the interval, the step count and m, from one
+integration that evaluates p and q once on the grid and once on the
+midpoints; _products holds the product block and the midpoint values of
+f and g, keyed by those plus ic_f and ic_g.  So a genuine equation, a
+perturbed one and dependent initial conditions on one base equation
+integrate once.  Each memo drops its entry before it builds the next, so
+at most one check's arrays are held: one product block of at most
 MAX_BLOCK_FLOATS floats plus Phi, the grid and the symbol values.  The
-arrays are read-only; cache_clear() on _products, _symbols and
-_integration frees them.
+arrays are read-only; cache_clear() on _products and _base frees them.
 """
 
 from __future__ import annotations
@@ -88,6 +88,14 @@ MAX_BLOCK_FLOATS = 10**7
 
 class ConfigError(ValueError):
     """Raised for unusable numeric configurations."""
+
+
+def _guard(size: float, what: str) -> None:
+    """Raise ConfigError when what needs more than MAX_BLOCK_FLOATS floats; size is a
+    float, so the message formats at any size."""
+    if size > MAX_BLOCK_FLOATS:
+        raise ConfigError(f"{what} needs {size:.3g} floats, over the limit "
+                          f"{MAX_BLOCK_FLOATS:.0e}; use a larger step")
 
 
 @dataclass(frozen=True)
@@ -291,20 +299,33 @@ def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
 # integration
 
 
-def _rk4_steps(p: Expr, q: Expr, grid: np.ndarray, h: float) -> np.ndarray:
-    """(4, n+1) rows holding I, then the RK4 step matrices T_0 ... T_{n-1}.
+def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
+    """(grid, phi, symbol_values to order upto on the grid), refused before
+    it allocates when phi alone would pass MAX_BLOCK_FLOATS floats.
 
+    p and q are evaluated once on the grid and once, at order 0, on the
+    midpoints; RK4 reads row 0 of the grid jets, which no order changes.
+    """
+    points = cfg.steps + 1
+    _guard(4.0 * points, f"Phi on {points:.3g} grid points")
+    a, b = cfg.interval
+    grid = np.linspace(a, b, points)
+    syms = symbol_values(p, q, upto, grid)
+    mids = symbol_values(p, q, 0, grid[:-1] + 0.5 * cfg.h)[0]
+    return grid, _transfer(syms[0], mids, cfg.h), syms
+
+
+def _transfer(pq_grid: np.ndarray, pq_mid: np.ndarray, h: float) -> np.ndarray:
+    """Phi from the rows (p, q) on the grid and on its midpoints: the scan of
     T_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(x_k),
     K2 = A(mid)(I + h/2 K1), K3 = A(mid)(I + h/2 K2), K4 = A(x_{k+1})(I + h K3).
-    p and q are evaluated once on the grid and once on the midpoints.
     """
-    p_x, q_x = _expr_jet(p, grid, 0)[0], _expr_jet(q, grid, 0)[0]
-    mids = grid[:-1] + 0.5 * h
-    p_m, q_m = _expr_jet(p, mids, 0)[0], _expr_jet(q, mids, 0)[0]
-    steps = np.empty((4, len(grid)))
-    steps[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    (p_x, q_x), (p_m, q_m) = pq_grid, pq_mid
+    n = len(p_m)
+    phi = np.empty((4, n + 1))
+    phi[:, 0] = (1.0, 0.0, 0.0, 1.0)
     # a 2x2 matrix is its entries (m00, m01, m10, m11), scalars or rows over the grid
-    t = steps[:, 1:]  # accumulates K1 + 2 K2 + 2 K3 + K4
+    t = phi[:, 1:]  # accumulates K1 + 2 K2 + 2 K3 + K4
     k = 0.0, 1.0, q_x[:-1], p_x[:-1]
     for row, k_row in zip(t, k):
         row[...] = k_row
@@ -318,24 +339,6 @@ def _rk4_steps(p: Expr, q: Expr, grid: np.ndarray, h: float) -> np.ndarray:
     t *= h / 6.0
     t[0] += 1.0
     t[3] += 1.0
-    return steps
-
-
-def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and RK4 fundamental matrix of y'' = p(x) y' + q(x) y.
-
-    n = cfg.steps steps of h = cfg.h.  The equation is linear, so RK4 step k
-    is a 2x2 transfer matrix T_k built from A(x) = [[0, 1], [q, p]] at x_k,
-    the midpoint and x_{k+1}; a Hillis-Steele scan over all T_k gives
-    Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds.  Returns (grid, phi)
-    with phi of shape (4, n+1): the rows phi00, phi01, phi10, phi11, so the
-    solution from (y, y') = ic at x = a is (phi00 y + phi01 y',
-    phi10 y + phi11 y') and det Phi approximates exp(int_a^x p).  Domain
-    errors of p or q surface with the offending x.
-    """
-    n = cfg.steps
-    grid = _grid(cfg)
-    phi = _rk4_steps(p, q, grid, cfg.h)
     nxt = np.empty_like(phi)
     s = 1
     while s < n:  # phi[:, k] = T_{k-1} ... T_{max(0, k-2s)}; phi[:, 0] = I ends each product
@@ -350,13 +353,23 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
             nxt[row, s:] += v * z
         phi, nxt = nxt, phi
         s *= 2
-    return grid, phi
+    return phi
 
 
-def _grid(cfg: NumericConfig) -> np.ndarray:
-    """The cfg.steps + 1 grid points from a to b, both ends included."""
-    a, b = cfg.interval
-    return np.linspace(a, b, cfg.steps + 1)
+def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and RK4 fundamental matrix of y'' = p(x) y' + q(x) y.
+
+    n = cfg.steps steps of h = cfg.h.  The equation is linear, so RK4 step k
+    is a 2x2 transfer matrix T_k built from A(x) = [[0, 1], [q, p]] at x_k,
+    the midpoint and x_{k+1}; a Hillis-Steele scan over all T_k gives
+    Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds.  Returns (grid, phi)
+    with phi of shape (4, n+1): the rows phi00, phi01, phi10, phi11, so the
+    solution from (y, y') = ic at x = a is (phi00 y + phi01 y',
+    phi10 y + phi11 y') and det Phi approximates exp(int_a^x p).  Domain
+    errors of p or q surface with the offending x.  Raises ConfigError
+    when phi would hold more than MAX_BLOCK_FLOATS floats.
+    """
+    return _integrate(p, q, cfg, 0)[:2]
 
 
 def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
@@ -470,41 +483,31 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @_one_slot
-def _integration(p: Expr, q: Expr, cfg: NumericConfig) -> tuple:
-    """(grid, phi) of fundamental_matrix, read-only; keyed by p, q, interval, steps."""
-    grid, phi = fundamental_matrix(p, q, cfg)
-    _read_only(grid, phi)
-    return grid, phi
+def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
+    """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only;
+    keyed by p, q, the interval, the step count and m."""
+    arrays = _integrate(p, q, cfg, max(0, m - 1))
+    _read_only(*arrays)
+    return arrays
 
 
 @_one_slot
-def _symbols(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> np.ndarray:
-    """symbol_values up to order m-1 on the grid, read-only; keyed by the
-    integration's key plus m, so checks that differ only in ic_f and ic_g
-    share one array."""
-    syms = symbol_values(p, q, max(0, m - 1), _grid(cfg))
-    _read_only(syms)
-    return syms
+def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
+    """The arrays basis_check reads; keyed by _base's key plus cfg.ic_f and cfg.ic_g.
 
-
-@_one_slot
-def _products(base_key: str, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """The product block and the midpoint values basis_check reads; keyed by
-    the integration's key plus cfg.ic_f, cfg.ic_g and m.
-
-    (product block, x, (f, f'), (g, g')) with the block read-only and the
-    last three the floats at the grid's midpoint, where the Wronskian is
-    taken; f and g themselves are dropped once the block is built.  The
-    symbol values come from _symbols, called here so that a new base
-    equation drops the old entries before it builds its own.
+    (product block, syms, x, (f, f'), (g, g')) with the block read-only, syms
+    _base's, and the last three the floats at the grid's midpoint, where the
+    Wronskian is taken; f and g themselves are dropped once the block is
+    built.  _base is called here so that a new base equation drops the old
+    entries before it builds its own.
     """
-    grid, phi = _integration(base_key, p, q, cfg)
+    grid, phi, syms = _base(base_key, p, q, cfg, m)
     f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
-    block = product_derivatives(f_pt, g_pt, m, _symbols((base_key, m), p, q, cfg, m))
+    block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
     mid = len(grid) // 2
     return (
-        block, float(grid[mid]),
+        block, syms, float(grid[mid]),
         (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
     )
 
@@ -633,30 +636,26 @@ def basis_check(
     inf and 0 < wronskian_tol < 1, and when the block would hold more
     than MAX_BLOCK_FLOATS floats.
 
-    Phi and the grid are memoised under (p, q, cfg.interval, cfg.steps),
-    the symbol values under that key plus m, and the block and the
-    midpoint values of the base solutions under that key plus (cfg.ic_f,
-    cfg.ic_g, m); p and q are keyed by repr and floats bit for bit, so the
-    report is the one a cold call gives.  One entry each is kept,
+    The grid, Phi and the symbol values are memoised in _base under
+    (p, q, cfg.interval, cfg.steps, m), and the block and the midpoint
+    values of the base solutions in _products under that key plus
+    (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats bit for bit,
+    so the report is the one a cold call gives.  One entry each is kept,
     read-only, until a check with other inputs or cache_clear() on
-    _products, _symbols and _integration drops it: at most one block plus
-    Phi, the grid and the symbol values.
+    _products and _base drops it: at most one block plus Phi, the grid and
+    the symbol values.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
     if not 0.0 < wronskian_tol < 1.0:
         raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
     m, points = ode.m, cfg.steps + 1
-    if (size := (m + 2) * (m + 1) * float(points)) > MAX_BLOCK_FLOATS:  # float: formats at any size
-        raise ConfigError(f"m={m} on {points:.3g} grid points needs {size:.3g} floats, over "
-                          f"the limit {MAX_BLOCK_FLOATS:.0e}; use a larger step")
+    _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        base_key = repr((p, q, cfg.interval, cfg.steps))  # repr tells -0.0 from 0.0
-        block, x, (f, fp), (g, gp) = _products(
-            (base_key, repr((cfg.ic_f, cfg.ic_g)), m), base_key, p, q, cfg, m
+        base_key = repr((p, q, cfg.interval, cfg.steps)), m  # repr tells -0.0 from 0.0
+        block, syms, x, (f, fp), (g, gp) = _products(
+            (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
         )
-        # a hit, unless a check in another thread replaced the entry since
-        syms = _symbols((base_key, m), p, q, cfg, m)
         worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 

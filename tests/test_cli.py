@@ -27,6 +27,16 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """got == want; a mismatch reports both lengths and about 80 characters
+    around the first differing offset, so pytest never diffs megabyte texts."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        lo, hi = max(0, at - 40), at + 40
+        pytest.fail(f"texts differ at offset {at}, lengths {len(got)} and {len(want)}:\n"
+                    f"  got  {got[lo:hi]!r}\n  want {want[lo:hi]!r}", pytrace=False)
+
+
 def run_module(argv):
     """`python -m odelift ARGV` in a child process, which sees every warning."""
     # The child does not inherit sys.path, so hand it the checkout's src/.
@@ -75,8 +85,8 @@ def test_derive_json_schema_and_round_trip(capsys):
     for entry in doc["coeffs"]:
         assert isinstance(entry["terms"], list)
     # load-then-dump must reproduce the emitted bytes
-    assert canonical_json(doc) == out.strip()
-    assert canonical_json(ode_json_doc(3)) == out.strip()
+    assert_same_text(canonical_json(doc), out.strip())
+    assert_same_text(canonical_json(ode_json_doc(3)), out.strip())
 
 
 #: sha256 of the `derive -m M --style json` output.  Pins the term order, the
@@ -184,7 +194,7 @@ EDGE_ODES = [
 @pytest.mark.parametrize("ode", [*range(1, 17), *EDGE_ODES])
 def test_derive_json_matches_canonical_dump_of_the_dict_document(ode):
     text = derive_json(derive_lifted_ode(ode) if isinstance(ode, int) else ode)
-    assert text == canonical_json(ode_json_doc(ode))
+    assert_same_text(text, canonical_json(ode_json_doc(ode)))
 
 
 def test_derive_json_keeps_no_factor_between_calls():
@@ -192,7 +202,7 @@ def test_derive_json_keeps_no_factor_between_calls():
     first, second = derive_lifted_ode(6), EDGE_ODES[-1]
     for order in ((first, second), (second, first)):
         for ode in order:
-            assert derive_json(ode) == canonical_json(ode_json_doc(ode))
+            assert_same_text(derive_json(ode), canonical_json(ode_json_doc(ode)))
 
 
 def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
@@ -208,7 +218,7 @@ def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
     assert len(factors) > 10 * len(set(factors))
     for _ in range(2):  # a second call formats them again: no table outlives a call
         calls.clear()
-        assert derive_json(ode) == canonical_json(ode_json_doc(ode))
+        assert_same_text(derive_json(ode), canonical_json(ode_json_doc(ode)))
         assert sorted(calls) == sorted(set(factors))
 
 
@@ -353,7 +363,7 @@ def test_verify_json_report(capsys):
     assert wron["pass"] is True
     assert wron["pass"] == (wron["ratio"] > wron["tolerance"])
     assert 0.0 < wron["ratio"] <= 1.0
-    assert canonical_json(doc) == out.strip()
+    assert_same_text(canonical_json(doc), out.strip())
 
 
 def _reject_constant(token):
@@ -374,7 +384,7 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
     assert doc["wronskian"]["scale"] is None
     assert doc["wronskian"]["ratio"] == pytest.approx(1.0)
     assert code == 0 and doc["pass"] is True
-    assert canonical_json(doc) == out.strip()
+    assert_same_text(canonical_json(doc), out.strip())
 
 
 def test_verify_json_writes_non_finite_ratio_as_null(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -49,8 +50,7 @@ def solve(p, q, cfg, ic):
 
 def clear_memos():
     verify._products.cache_clear()
-    verify._symbols.cache_clear()
-    verify._integration.cache_clear()
+    verify._base.cache_clear()
 
 
 def block_at(f_pt, g_pt, m, p, q, x):
@@ -567,16 +567,33 @@ def test_shared_power_table_changes_no_bit():
 
 def test_basis_check_integrates_once(monkeypatch):
     calls = []
-    plain_fundamental_matrix = verify.fundamental_matrix
+    plain_integrate = verify._integrate
 
-    def counting_fundamental_matrix(*args):
+    def counting_integrate(*args):
         calls.append(args)
-        return plain_fundamental_matrix(*args)
+        return plain_integrate(*args)
 
-    monkeypatch.setattr(verify, "fundamental_matrix", counting_fundamental_matrix)
+    monkeypatch.setattr(verify, "_integrate", counting_integrate)
     clear_memos()  # an earlier check on the same p, q and grid would hit it
     assert basis_check(derive_lifted_ode(3), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
+    # p and q on the grid to order m-1, then on the midpoints: RK4 reads the
+    # grid jets' row 0, so nothing evaluates them on the grid a second time
+    calls = []
+
+    def counting(e, x, order, plain=verify._expr_jet):
+        calls.append((len(x), order))
+        return plain(e, x, order)
+
+    monkeypatch.setattr(verify, "_expr_jet", counting)
+    clear_memos()
+    assert basis_check(derive_lifted_ode(m), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
+    upto = max(0, m - 1)
+    assert calls == [(1001, upto), (1001, upto), (1000, 0), (1000, 0)]
 
 
 @pytest.mark.parametrize("m", [1, 5, 10])
@@ -634,6 +651,33 @@ def test_oversized_check_is_refused_before_it_allocates(monkeypatch):
     monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 12 * 1001 - 1)
     with pytest.raises(ConfigError, match="floats"):
         cos_suite(2)
+
+
+def test_oversized_grid_is_refused_before_it_allocates(monkeypatch):
+    # Phi alone holds 4 floats per grid point, so fundamental_matrix refuses a
+    # grid whose Phi passes MAX_BLOCK_FLOATS; basis_check's limit is stricter
+    huge = NumericConfig(interval=(0.0, 1.0), step=1e-9)  # 10^9 + 1 points
+    edge = NumericConfig(interval=(0.0, 1.0), step=1 / 2_500_000)
+    assert edge.steps + 1 == MAX_BLOCK_FLOATS // 4 + 1
+    tracemalloc.start()
+    try:
+        for cfg in (huge, edge):
+            start = time.perf_counter()
+            with pytest.raises(ConfigError, match="Phi on .* grid points needs .* floats"):
+                fundamental_matrix(parse_expr("sin(x)"), parse_expr("x"), cfg)
+            assert time.perf_counter() - start < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5, peak
+    grid, phi = fundamental_matrix(ZERO, MINUS_ONE, NumericConfig((0.0, 1.0), 1e-6))
+    assert phi.shape == (4, 10**6 + 1) and abs(phi[0, -1] - math.cos(1.0)) < 1e-9
+    # the limit counts 4 floats per grid point: 4 * 1001 for COS_CFG
+    monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 4 * 1001)
+    assert fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)[1].shape == (4, 1001)
+    monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 4 * 1001 - 1)
+    with pytest.raises(ConfigError, match="floats"):
+        fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
 
 
 def test_dependent_initial_conditions_fail_only_the_wronskian():
@@ -703,7 +747,7 @@ def test_sign_flip_of_lowest_coefficient_invisible_on_constant_suite():
 
 def memo_info():
     """(integration hits, misses), (product block hits, misses)."""
-    return tuple(memo.cache_info()[:2] for memo in (verify._integration, verify._products))
+    return tuple(memo.cache_info()[:2] for memo in (verify._base, verify._products))
 
 
 def perturbed(ode, k=1, delta=Fraction(1, 8)):
@@ -714,7 +758,7 @@ def perturbed(ode, k=1, delta=Fraction(1, 8)):
 
 def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monkeypatch):
     calls = []
-    for name in ("fundamental_matrix", "product_derivatives"):
+    for name in ("_integrate", "product_derivatives"):
         def counting(*args, plain=getattr(verify, name), name=name):
             calls.append(name)
             return plain(*args)
@@ -724,7 +768,7 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
     clear_memos()
     assert basis_check(ode, p, q, COS_CFG).passed
     assert not basis_check(perturbed(ode), p, q, COS_CFG).residuals_passed
-    assert calls == ["fundamental_matrix", "product_derivatives"]
+    assert calls == ["_integrate", "product_derivatives"]
     assert memo_info() == ((0, 1), (1, 1))
 
     # dependent initial conditions reuse Phi and rebuild the block
@@ -747,16 +791,16 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
     dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
     clear_memos()
     assert basis_check(ode, p, q, COS_CFG).passed
-    assert verify._symbols.cache_info()[:2] == (1, 1)  # basis_check reads what _products built
+    assert verify._base.cache_info()[:2] == (0, 1)  # basis_check reads syms from _products
     assert not basis_check(ode, p, q, dependent).wronskian_passed
-    assert calls == [2]
-    assert verify._symbols.cache_info()[:2] == (3, 1)
+    assert calls == [2, 0]  # the grid to order m-1, then the midpoints
+    assert verify._base.cache_info()[:2] == (1, 1)
     assert memo_info() == ((1, 1), (0, 2))
     # another m on the same base equation misses, and so does another p
     basis_check(derive_lifted_ode(2), p, q, COS_CFG)
     basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
-    assert calls == [2, 1, 2]
-    assert verify._symbols.cache_info() == (5, 3, 1, 1)
+    assert calls == [2, 0, 1, 0, 2, 0]
+    assert verify._base.cache_info() == (1, 3, 1, 1)
 
 
 @pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
@@ -777,7 +821,6 @@ def test_check_sequences_match_cold_checks(pair):
         clear_memos()
         assert [repr(basis_check(check_ode, p, q, cfg)) for check_ode, cfg in checks] == cold
         assert memo_info() == ((1, 1), (1, 2))
-        assert verify._symbols.cache_info()[:2] == (4, 1)
 
 
 def run_check(p, q, interval, step, ic_f, ic_g, m):
@@ -793,7 +836,7 @@ def run_check(p, q, interval, step, ic_f, ic_g, m):
     ("step", 5e-4, True),
     ("ic_f", (1.0, 0.25), False),
     ("ic_g", (0.0, 2.0), False),
-    ("m", 3, False),
+    ("m", 3, True),
     # equal to the base as floats and as Expr trees, but not the same inputs
     ("interval", (-0.0, 1.0), True),
     ("q", Add(Var(), Num(-0.0)), True),
@@ -825,24 +868,25 @@ def test_domain_error_caches_no_block(stage, m, p_text, q_text):
         with pytest.raises(ExprDomainError):
             basis_check(derive_lifted_ode(m), p, q, COS_CFG)
         assert verify._products.cache_info().currsize == 0
-        assert verify._integration.cache_info().currsize == (stage == "jets")
-    # the retry integrates again only where the integration itself raised
-    assert memo_info() == ((1, 2) if stage == "jets" else (0, 3), (0, 3))
+        assert verify._base.cache_info().currsize == 0
+    # the retry integrates again
+    assert memo_info() == ((0, 3), (0, 3))
 
 
 def test_memo_arrays_are_read_only(monkeypatch):
     seen = {}
-    plain_fundamental_matrix, plain_residual = verify.fundamental_matrix, verify.residual
+    plain_integrate, plain_residual = verify._integrate, verify.residual
 
     def keep_phi(*args):
-        seen["grid"], seen["phi"] = out = plain_fundamental_matrix(*args)
+        out = plain_integrate(*args)
+        seen["grid"], seen["phi"] = out[:2]
         return out
 
     def keep_block(ode, block, syms):
         seen["block"], seen["syms"] = block, syms
         return plain_residual(ode, block, syms)
 
-    monkeypatch.setattr(verify, "fundamental_matrix", keep_phi)
+    monkeypatch.setattr(verify, "_integrate", keep_phi)
     monkeypatch.setattr(verify, "residual", keep_block)
     clear_memos()
     assert cos_suite(3).passed
@@ -856,7 +900,8 @@ def test_memo_arrays_are_read_only(monkeypatch):
     with pytest.raises(ValueError, match="read-only"):
         syms[0, 0] = syms[0, 1]
     # the public functions still hand out arrays of their own
-    grid, phi = plain_fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
+    monkeypatch.undo()
+    grid, phi = fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
     assert grid.flags.writeable and phi.flags.writeable
     assert not np.shares_memory(phi, seen["phi"])
 
