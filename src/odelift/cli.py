@@ -23,7 +23,7 @@ from .diffring import (
     STYLES,
     DiffPoly,
     MissingSymbolError,
-    _factor_slots,
+    _slot_order,
     _symbol,
     format_poly,
 )
@@ -67,11 +67,13 @@ def _terms_json(poly: DiffPoly, factors: dict[tuple[int, int], str]) -> str:
     terms = []
     for mono, coeff in poly.sorted_terms():
         texts = []
-        for key in _factor_slots(mono):
-            text = factors.get(key)
-            if text is None:
-                text = factors[key] = _factor_json(*key)
-            texts.append(text)
+        for slot in _slot_order(len(mono)):
+            exp = mono[slot]
+            if exp:
+                text = factors.get((slot, exp))
+                if text is None:
+                    text = factors[slot, exp] = _factor_json(slot, exp)
+                texts.append(text)
         monomial = "[\n" + ",\n".join(texts) + "\n          ]" if texts else "[]"
         terms.append(
             f'        {{\n          "den": "{coeff.denominator}",\n'

@@ -30,10 +30,15 @@ integration that evaluates p and q once on the grid and once on the
 midpoints; _products holds the product block and the midpoint values of
 f and g, keyed by those plus ic_f and ic_g.  So a genuine equation, a
 perturbed one and dependent initial conditions on one base equation
-integrate once.  Each memo drops its entry before it builds the next, so
-at most one check's arrays are held: one product block of at most
-MAX_BLOCK_FLOATS floats plus Phi, the grid and the symbol values.  The
-arrays are read-only; cache_clear() on _products and _base frees them.
+integrate once.  The _base entry also keeps the values of the c_k that
+residual evaluated at its symbols, found by polynomial, for the current
+and the previous operator: the perturbed check evaluates only the c_k it
+changed, and the dependent one none.  Each memo drops its entry before it
+builds the next, so at most one check's arrays are held: one product
+block of at most MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol
+values and at most 2(m+1) rows of c_k values.  The arrays are read-only;
+cache_clear() on _products and _base frees them, and _base's alone frees
+the c_k values.
 """
 
 from __future__ import annotations
@@ -80,10 +85,19 @@ __all__ = [
 #: grid point, 80 MB at the limit.  While it is built, the stacked jets of f^k
 #: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
 #: check, integration, jets and residual included, peaks under 5 block sizes,
-#: and the memos hold under 2.2 between checks; see
+#: and the memos hold under 3 between checks (2.83 at m = 1, with the c_k
+#: values of two operators); see
 #: test_basis_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
+
+#: Largest coefficient work basis_check takes on: the terms of all c_k times
+#: the grid points, since DiffPoly.eval forms every term at every point.  The
+#: terms roughly double every two steps of m, so this bounds the time the
+#: block guard does not: verify -m 24 at the default 1001 points (127 553
+#: terms, 1.28e8) runs, in seconds, and -m 20 on 10 001 points (34 209
+#: terms, 3.42e8) is refused.
+MAX_TERM_POINTS = 2 * 10**8
 
 
 class ConfigError(ValueError):
@@ -287,12 +301,23 @@ def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
 
     Differentiating f'' = p f' + q f k times gives
     f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
+    Each row is summed in place through two scratch rows, term by term in
+    the order sum() takes from its start 0: the row starts as 0.0 + X_0, so
+    a -0.0 first term comes out +0.0 as it does there, and the weights
+    C(k, 0) = C(k, k) = 1 are not multiplied, which changes no bit.
     """
+    term, other = np.empty_like(u[0]), np.empty_like(u[0])
     for k in range(len(u) - 2):
-        u[k + 2] = sum(
-            comb(k, j) * (syms[j, 0] * u[k + 1 - j] + syms[j, 1] * u[k - j])
-            for j in range(k + 1)
-        )
+        row = u[k + 2]
+        for j in range(k + 1):
+            np.multiply(syms[j, 0], u[k + 1 - j], out=term)
+            term += np.multiply(syms[j, 1], u[k - j], out=other)
+            if 0 < j < k:
+                term *= comb(k, j)
+            if j:
+                row += term
+            else:
+                np.add(0.0, term, out=row)
 
 
 # --------------------------------------------------------------------------
@@ -420,19 +445,23 @@ def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
 
 
 def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Write the jet of u*v into out, with _leibniz's operations in its order.
+    """Write the jet of u*v into out, term by term in _leibniz's order.
 
     Row k of each is its [k] view, an array of one or more dimensions: a
-    row may stack several jets, and one call multiplies them pairwise.
+    row may stack several jets, and one call multiplies them pairwise.  The
+    weights C(k, 0) = C(k, k) = 1 are not multiplied: the first term is
+    u v^(k) and the last u^(k) v, with no bit changed.
     """
     out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])
     for k, row in enumerate(out):
         np.multiply(u[0], v[k], out=row)
-        for j in range(1, k + 1):
+        for j in range(1, k):
             np.multiply(comb(k, j), u[j], out=tmp)
             tmp *= v[k - j]
             row += tmp
+        if k:
+            row += np.multiply(u[k], v[0], out=tmp)
 
 
 # --------------------------------------------------------------------------
@@ -472,8 +501,14 @@ def _one_slot(build):
         held = None
         hits = misses = 0
 
+    def entry():
+        """The entry held, or None; counts neither a hit nor a miss."""
+        pair = held
+        return None if pair is None else pair[1]
+
     memo.cache_clear = cache_clear
     memo.cache_info = lambda: _CacheInfo(hits, misses, 1, int(held is not None))
+    memo.entry = entry
     return memo
 
 
@@ -482,13 +517,45 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+class _CoefficientValues:
+    """The values of coefficients c_k at one symbol array, found by polynomial.
+
+    Holds the rows of the last two operators asked for, at most 2(m+1)
+    for order m, read-only: after a genuine operator, a perturbed one
+    evaluates only the c_k it changed, and the genuine one again evaluates
+    none.  The rows evaluated in one call share one power table.  A value
+    is DiffPoly.eval's, bit for bit, however it was found.
+    """
+
+    def __init__(self, syms):
+        self.syms = syms
+        self.current: dict = {}
+        self.previous: dict = {}
+
+    def of(self, coeffs) -> list:
+        """c.eval(syms) for each c in coeffs, each distinct c evaluated at most once."""
+        held = {**self.previous, **self.current}
+        rows: dict = {}
+        values, powers = [], {}
+        for c in coeffs:
+            row = held.get(c)
+            if row is None:
+                row = held[c] = c.eval(self.syms, powers)
+                if isinstance(row, np.ndarray):
+                    _read_only(row)
+            rows[c] = row
+            values.append(row)
+        self.previous, self.current = self.current, rows
+        return values
+
+
 @_one_slot
 def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only;
-    keyed by p, q, the interval, the step count and m."""
+    """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only,
+    and the _CoefficientValues of syms; keyed by p, q, the interval, the step count and m."""
     arrays = _integrate(p, q, cfg, max(0, m - 1))
     _read_only(*arrays)
-    return arrays
+    return (*arrays, _CoefficientValues(arrays[2]))
 
 
 @_one_slot
@@ -501,7 +568,7 @@ def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> 
     built.  _base is called here so that a new base equation drops the old
     entries before it builds its own.
     """
-    grid, phi, syms = _base(base_key, p, q, cfg, m)
+    grid, phi, syms, _ = _base(base_key, p, q, cfg, m)
     f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
     block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
@@ -524,18 +591,23 @@ def residual(ode: LiftedODE, derivs, sym_vals: np.ndarray) -> object:
     product_derivatives block: each c_k is evaluated once for all, and all
     of them share one table of symbol powers); returns r / s with
     r = y^(m+1) + sum c_k y^(k) and s the largest participating term
-    magnitude, floored at 1, per row entry.
+    magnitude, floored at 1, per row entry.  When sym_vals is the symbol
+    array the _base memo holds, as in basis_check, the c_k values it
+    keeps are used and only the c_k it lacks are evaluated; the result is
+    the same bits either way.
     """
     m = ode.m
     derivs = np.asarray(derivs, dtype=float)
     if derivs.shape[0] != m + 2:
         raise ValueError(f"expected {m + 2} derivative rows, got {derivs.shape[0]}")
+    entry = _base.entry()
+    known = entry is not None and entry[2] is sym_vals  # the memo's symbols, and its c_k values
+    values = (entry[3] if known else _CoefficientValues(sym_vals)).of(ode.coeffs)
     lead = derivs[m + 1, ...]
     r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
     np.maximum(1.0, np.abs(lead), out=s)
-    powers: dict = {}  # one power table, shared by every c_k
-    for k, c in enumerate(ode.coeffs):
-        np.multiply(c.eval(sym_vals, powers), derivs[k, ...], out=term)
+    for k, c in enumerate(values):
+        np.multiply(c, derivs[k, ...], out=term)
         r += term
         np.maximum(s, np.abs(term, out=term), out=s)
     return r / s
@@ -633,17 +705,19 @@ def basis_check(
     same test at every m.  That ratio is taken from the unit vectors
     (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or
     n alone overflows or underflows.  Raises ConfigError unless 0 < residual_tol <
-    inf and 0 < wronskian_tol < 1, and when the block would hold more
-    than MAX_BLOCK_FLOATS floats.
+    inf and 0 < wronskian_tol < 1, when the block would hold more than
+    MAX_BLOCK_FLOATS floats, and when the terms of all c_k times the grid
+    points pass MAX_TERM_POINTS; both guards run before anything is
+    integrated.
 
-    The grid, Phi and the symbol values are memoised in _base under
-    (p, q, cfg.interval, cfg.steps, m), and the block and the midpoint
-    values of the base solutions in _products under that key plus
-    (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats bit for bit,
-    so the report is the one a cold call gives.  One entry each is kept,
-    read-only, until a check with other inputs or cache_clear() on
-    _products and _base drops it: at most one block plus Phi, the grid and
-    the symbol values.
+    The grid, Phi, the symbol values and the c_k values of the last two
+    operators are memoised in _base under (p, q, cfg.interval, cfg.steps,
+    m), and the block and the midpoint values of the base solutions in
+    _products under that key plus (cfg.ic_f, cfg.ic_g); p and q are keyed
+    by repr and floats bit for bit, so the report is the one a cold call
+    gives.  One entry each is kept, read-only, until a check with other
+    inputs or cache_clear() on _products and _base drops it: at most one
+    block plus Phi, the grid, the symbol values and 2(m+1) c_k rows.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -651,6 +725,12 @@ def basis_check(
         raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
     m, points = ode.m, cfg.steps + 1
     _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
+    work = sum(len(c.terms) for c in ode.coeffs) * float(points)
+    if work > MAX_TERM_POINTS:
+        raise ConfigError(
+            f"m={m} on {points:.3g} grid points would evaluate {work:.3g} coefficient terms, "
+            f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
+        )
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = repr((p, q, cfg.interval, cfg.steps)), m  # repr tells -0.0 from 0.0
         block, syms, x, (f, fp), (g, gp) = _products(

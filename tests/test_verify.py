@@ -17,6 +17,7 @@ from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_ex
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
     MAX_BLOCK_FLOATS,
+    MAX_TERM_POINTS,
     ConfigError,
     NumericConfig,
     basis_check,
@@ -444,6 +445,29 @@ def test_product_block_matches_the_oracle_when_the_powers_overflow(p_text, q_tex
             kept = ~np.isnan(oracle)
             assert np.array_equal(block[kept], oracle[kept])
             assert kept.all() == (m == 1)
+            # and byte for byte, which tells -0.0 from 0.0 and one NaN from another
+            assert block[:, 1:m].tobytes() == oracle[:, 1:m].tobytes()
+            assert block[kept].tobytes() == oracle[kept].tobytes()
+
+
+@pytest.mark.parametrize("p_text,q_text", [("0", "-1"), ("-0", "-1"), ("-0", "-x")])
+def test_product_block_matches_the_oracle_byte_for_byte_on_exact_zeros(p_text, q_text):
+    # array_equal takes -0.0 for 0.0, tobytes does not.  At x = 0 the ICs
+    # (1, 0) and (0, 1) make f' and g exact zeros, and with p = -0.0 the
+    # first term of a solution-jet row can be -0.0, which the oracle's
+    # sum() from 0 turns into +0.0
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    grid, *f_pt = solve(p, q, COS_CFG, (1.0, 0.0))
+    _, *g_pt = solve(p, q, COS_CFG, (0.0, 1.0))
+    start = [float(v[0]) for v in f_pt], [float(v[0]) for v in g_pt]
+    assert start == ([1.0, 0.0], [0.0, 1.0])
+    for m in range(1, 13):
+        syms = symbol_values(p, q, max(0, m - 1), grid)
+        block = product_derivatives(f_pt, g_pt, m, syms)
+        assert block.tobytes() == product_block(f_pt, g_pt, m, syms).tobytes()
+        syms = symbol_values(p, q, max(0, m - 1), 0.0)
+        point = product_derivatives(*start, m, syms)
+        assert point.tobytes() == product_block(*start, m, syms).tobytes()
 
 
 # -- residuals -------------------------------------------------------------------
@@ -680,6 +704,31 @@ def test_oversized_grid_is_refused_before_it_allocates(monkeypatch):
         fundamental_matrix(ZERO, MINUS_ONE, COS_CFG)
 
 
+def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
+    # m=16 on 30 001 points: 8 172 terms at every point, 2.45e8 in all,
+    # while the block, 306 floats a point, passes its own guard
+    calls = []
+    monkeypatch.setattr(verify, "_integrate", lambda *args: calls.append(args))
+    ode, m = derive_lifted_ode(16), 16
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1 / 30000)
+    assert (m + 2) * (m + 1) * (cfg.steps + 1) <= MAX_BLOCK_FLOATS
+    clear_memos()
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="would evaluate 2.45e[+]08 coefficient terms"):
+        basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), cfg)
+    assert time.perf_counter() - start < 1.0
+    assert calls == [] and memo_info() == ((0, 0), (0, 0))
+    assert MAX_TERM_POINTS == 2 * 10**8
+    # the limit counts the terms of all c_k times the grid points: 6 * 1001 at m=2
+    monkeypatch.undo()
+    assert sum(len(c.terms) for c in derive_lifted_ode(2).coeffs) == 6
+    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 6 * 1001)
+    assert cos_suite(2).passed
+    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 6 * 1001 - 1)
+    with pytest.raises(ConfigError, match="coefficient terms"):
+        cos_suite(2)
+
+
 def test_dependent_initial_conditions_fail_only_the_wronskian():
     cfg = NumericConfig(
         interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.0), ic_g=(2.0, 0.0)
@@ -801,6 +850,61 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
     basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
     assert calls == [2, 0, 1, 0, 2, 0]
     assert verify._base.cache_info() == (1, 3, 1, 1)
+
+
+def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
+    # _base keeps the c_k values by polynomial: a perturbed c_{m//2}
+    # evaluates that one coefficient, and the dependent check none
+    calls = []
+    plain_eval = DiffPoly.eval
+
+    def counting_eval(self, *args):
+        calls.append(self)
+        return plain_eval(self, *args)
+
+    monkeypatch.setattr(DiffPoly, "eval", counting_eval)
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
+    for m in range(1, 9):
+        ode = derive_lifted_ode(m)
+        bad = perturbed(ode, m // 2)
+        clear_memos()
+        counts = []
+        for check_ode, cfg in ((ode, COS_CFG), (bad, COS_CFG), (ode, dependent)):
+            calls.clear()
+            basis_check(check_ode, p, q, cfg)
+            counts.append(len(calls))
+        assert counts == [m + 1, 1, 0], m
+        assert memo_info() == ((1, 1), (1, 2))
+
+
+@pytest.mark.parametrize("m", [2, 5])
+def test_clearing_the_base_memo_frees_the_coefficient_values(m):
+    # after genuine, perturbed and dependent checks _base holds the grid,
+    # Phi and m+2 distinct c_k rows; clearing it leaves only what _products
+    # holds, the block and the symbol array, and clearing both leaves none
+    points = 20001
+    row = 8 * points
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1), ic_f=(1.0, 0.5),
+                              ic_g=(2.0, 1.0))
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(m)
+    checks = [(ode, cfg), (perturbed(ode, m // 2), cfg), (ode, dependent)]
+    clear_memos()
+    tracemalloc.start()
+    try:
+        for check_ode, check_cfg in checks:
+            basis_check(check_ode, p, q, check_cfg)
+        held = tracemalloc.get_traced_memory()[0]
+        verify._base.cache_clear()
+        products_only = tracemalloc.get_traced_memory()[0]
+        verify._products.cache_clear()
+        cleared = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held - products_only >= row * (1 + 4 + m + 2)
+    assert products_only < row * ((m + 2) * (m + 1) + 2 * m + 1), products_only / row
+    assert cleared < row, cleared
 
 
 @pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
@@ -937,17 +1041,23 @@ def test_threads_sharing_the_memo_get_their_own_reports():
     for p, q in cases:
         clear_memos()
         want.append(repr(basis_check(ode, p, q, cfg)))
+    assert_threads_get(want, [lambda p=p, q=q: basis_check(ode, p, q, cfg) for p, q in cases])
+
+
+def assert_threads_get(want, checks):
+    """Run each check 150 times in a thread of its own, on a shortened switch
+    interval; every report must be repr-equal to its entry in want."""
     wrong = []
 
     def worker(i):
         for _ in range(150):
-            if repr(basis_check(ode, *cases[i], cfg)) != want[i]:
+            if repr(checks[i]()) != want[i]:
                 wrong.append(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(cases))]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(checks))]
         for t in threads:
             t.start()
         for t in threads:
@@ -956,3 +1066,17 @@ def test_threads_sharing_the_memo_get_their_own_reports():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_threads_sharing_one_base_equation_get_their_own_reports():
+    # every thread checks its own operator on one p, q and grid, so all of
+    # them read and replace the c_k values that one _base entry holds
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(3)
+    odes = [ode] + [perturbed(ode, k) for k in range(4)]
+    want = []
+    for check_ode in odes:
+        clear_memos()
+        want.append(repr(basis_check(check_ode, p, q, cfg)))
+    assert_threads_get(want, [lambda o=o: basis_check(o, p, q, cfg) for o in odes])
+    assert verify._base.cache_info()[:2] == (0, 1)
