@@ -27,18 +27,17 @@ Only the residual depends on the operator being checked.  basis_check
 keeps the rest in two one-entry memos: _base holds the grid, Phi and the
 symbol values, keyed by p, q, the interval, the step count and m, from one
 integration that evaluates p and q once on the grid and once on the
-midpoints; _products holds the product block and the midpoint values of
-f and g, keyed by those plus ic_f and ic_g.  So a genuine equation, a
+midpoints, and m+1 slots for c_k values; _products holds the product block
+and the midpoint values of f and g, keyed by those plus ic_f and ic_g, and
+hands basis_check the symbol values and the slots with them.  Slot k keeps
+the first c_k evaluated there with its row, so a genuine equation, a
 perturbed one and dependent initial conditions on one base equation
-integrate once.  The _base entry also keeps the values of the c_k that
-residual evaluated at its symbols, found by polynomial, for the current
-and the previous operator: the perturbed check evaluates only the c_k it
-changed, and the dependent one none.  Each memo drops its entry before it
-builds the next, so at most one check's arrays are held: one product
-block of at most MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol
-values and at most 2(m+1) rows of c_k values.  The arrays are read-only;
-cache_clear() on _products and _base frees them, and _base's alone frees
-the c_k values.
+integrate once and evaluate m+1, 1 and 0 coefficients.  Each memo drops
+its entry before it builds the next, so at most one check's arrays are
+held: one product block of at most MAX_BLOCK_FLOATS floats plus Phi, the
+grid, the symbol values and at most m+1 rows of c_k values.  The arrays
+are read-only; the c_k rows are owned by _base and shared with _products,
+so cache_clear() on both frees them.
 """
 
 from __future__ import annotations
@@ -85,8 +84,8 @@ __all__ = [
 #: grid point, 80 MB at the limit.  While it is built, the stacked jets of f^k
 #: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
 #: check, integration, jets and residual included, peaks under 5 block sizes,
-#: and the memos hold under 3 between checks (2.83 at m = 1, with the c_k
-#: values of two operators); see
+#: and the memos hold under 3 between checks (2.50 at m = 1, with the m+1
+#: c_k rows); see
 #: test_basis_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
@@ -501,14 +500,8 @@ def _one_slot(build):
         held = None
         hits = misses = 0
 
-    def entry():
-        """The entry held, or None; counts neither a hit nor a miss."""
-        pair = held
-        return None if pair is None else pair[1]
-
     memo.cache_clear = cache_clear
     memo.cache_info = lambda: _CacheInfo(hits, misses, 1, int(held is not None))
-    memo.entry = entry
     return memo
 
 
@@ -517,66 +510,60 @@ def _read_only(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-class _CoefficientValues:
-    """The values of coefficients c_k at one symbol array, found by polynomial.
-
-    Holds the rows of the last two operators asked for, at most 2(m+1)
-    for order m, read-only: after a genuine operator, a perturbed one
-    evaluates only the c_k it changed, and the genuine one again evaluates
-    none.  The rows evaluated in one call share one power table.  A value
-    is DiffPoly.eval's, bit for bit, however it was found.
-    """
-
-    def __init__(self, syms):
-        self.syms = syms
-        self.current: dict = {}
-        self.previous: dict = {}
-
-    def of(self, coeffs) -> list:
-        """c.eval(syms) for each c in coeffs, each distinct c evaluated at most once."""
-        held = {**self.previous, **self.current}
-        rows: dict = {}
-        values, powers = [], {}
-        for c in coeffs:
-            row = held.get(c)
-            if row is None:
-                row = held[c] = c.eval(self.syms, powers)
-                if isinstance(row, np.ndarray):
-                    _read_only(row)
-            rows[c] = row
-            values.append(row)
-        self.previous, self.current = self.current, rows
-        return values
-
-
 @_one_slot
 def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
     """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only,
-    and the _CoefficientValues of syms; keyed by p, q, the interval, the step count and m."""
+    and m+1 empty c_k slots for _coefficient_values; keyed by p, q, the interval, the
+    step count and m."""
     arrays = _integrate(p, q, cfg, max(0, m - 1))
     _read_only(*arrays)
-    return (*arrays, _CoefficientValues(arrays[2]))
+    return (*arrays, [None] * (m + 1))
 
 
 @_one_slot
 def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
     """The arrays basis_check reads; keyed by _base's key plus cfg.ic_f and cfg.ic_g.
 
-    (product block, syms, x, (f, f'), (g, g')) with the block read-only, syms
-    _base's, and the last three the floats at the grid's midpoint, where the
-    Wronskian is taken; f and g themselves are dropped once the block is
-    built.  _base is called here so that a new base equation drops the old
-    entries before it builds its own.
+    (product block, syms, slots, x, (f, f'), (g, g')) with the block
+    read-only, syms and the c_k slots _base's, and the last three the floats
+    at the grid's midpoint, where the Wronskian is taken; f and g themselves
+    are dropped once the block is built.  _base is called here so that a
+    new base equation drops the old entries before it builds its own.
     """
-    grid, phi, syms, _ = _base(base_key, p, q, cfg, m)
+    grid, phi, syms, slots = _base(base_key, p, q, cfg, m)
     f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
     block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
     mid = len(grid) // 2
     return (
-        block, syms, float(grid[mid]),
+        block, syms, slots, float(grid[mid]),
         (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
     )
+
+
+def _coefficient_values(coeffs, syms: np.ndarray, slots: list) -> list:
+    """c_k.eval(syms) for each c_k in coeffs, read from slot k where it holds c_k.
+
+    Slot k keeps the first (c_k, row) evaluated there, the row read-only; a
+    later c_k that is or equals that polynomial reads the row, and any other
+    is evaluated and not kept, so no polynomial is ever hashed.  The rows
+    evaluated in one call share one power table, and each is DiffPoly.eval's,
+    bit for bit.  A slot is read and written as one pair, so threads racing
+    on it may each keep theirs, but none reads a row of another polynomial.
+    """
+    values, powers = [], {}
+    for k, c in enumerate(coeffs):
+        held = slots[k]
+        if held is not None and (held[0] is c or held[0] == c):
+            values.append(held[1])
+            continue
+        row = c.eval(syms, powers)
+        if held is None:
+            if isinstance(row, np.ndarray):
+                _read_only(row)
+            slots[k] = c, row
+        values.append(row)
+    return values
 
 
 # --------------------------------------------------------------------------
@@ -591,19 +578,19 @@ def residual(ode: LiftedODE, derivs, sym_vals: np.ndarray) -> object:
     product_derivatives block: each c_k is evaluated once for all, and all
     of them share one table of symbol powers); returns r / s with
     r = y^(m+1) + sum c_k y^(k) and s the largest participating term
-    magnitude, floored at 1, per row entry.  When sym_vals is the symbol
-    array the _base memo holds, as in basis_check, the c_k values it
-    keeps are used and only the c_k it lacks are evaluated; the result is
-    the same bits either way.
+    magnitude, floored at 1, per row entry.
     """
     m = ode.m
     derivs = np.asarray(derivs, dtype=float)
     if derivs.shape[0] != m + 2:
         raise ValueError(f"expected {m + 2} derivative rows, got {derivs.shape[0]}")
-    entry = _base.entry()
-    known = entry is not None and entry[2] is sym_vals  # the memo's symbols, and its c_k values
-    values = (entry[3] if known else _CoefficientValues(sym_vals)).of(ode.coeffs)
-    lead = derivs[m + 1, ...]
+    powers: dict = {}
+    return _relative([c.eval(sym_vals, powers) for c in ode.coeffs], derivs)
+
+
+def _relative(values: list, derivs: np.ndarray) -> object:
+    """r / s of residual from the values of c_0, ..., c_m and the m+2 rows of derivs."""
+    lead = derivs[len(values), ...]
     r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
     np.maximum(1.0, np.abs(lead), out=s)
     for k, c in enumerate(values):
@@ -676,8 +663,13 @@ class BasisReport:
                 f"  (tol {self.residual_tol:g})  {state}"
             )
         state = "ok" if self.wronskian_passed else "FAIL"
+        w = self.wronskian
+        if not math.isfinite(w) or (w == 0.0 and self.wronskian_ratio > 0.0):
+            value = "out of double range"  # overflowed, or underflowed from W(f, g) != 0
+        else:
+            value = f"{w:.6e}"
         lines.append(
-            f"  Wronskian at x={self.wronskian_x:g}: {self.wronskian:.6e}"
+            f"  Wronskian at x={self.wronskian_x:g}: {value}"
             f"  (|W(f,g)|/norms {self.wronskian_ratio:.3e}, tol {self.wronskian_tol:g})  {state}"
         )
         lines.append(f"  -> {'PASS' if self.passed else 'FAIL'}")
@@ -697,8 +689,8 @@ def basis_check(
     Builds one fundamental matrix Phi, forms the two base solutions
     Phi @ cfg.ic_f and Phi @ cfg.ic_g from it, then
     takes the product_derivatives block on the whole grid, evaluates each
-    c_k once in a single residual call, and reports per-product max
-    relative residuals plus the midpoint Wronskian of all m+1 products,
+    c_k at most once, and reports per-product max relative residuals, as
+    residual gives them, plus the midpoint Wronskian of all m+1 products,
     (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
     Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
     products pass when |W| / n, at most 1, exceeds wronskian_tol: the
@@ -710,14 +702,17 @@ def basis_check(
     points pass MAX_TERM_POINTS; both guards run before anything is
     integrated.
 
-    The grid, Phi, the symbol values and the c_k values of the last two
-    operators are memoised in _base under (p, q, cfg.interval, cfg.steps,
-    m), and the block and the midpoint values of the base solutions in
-    _products under that key plus (cfg.ic_f, cfg.ic_g); p and q are keyed
-    by repr and floats bit for bit, so the report is the one a cold call
-    gives.  One entry each is kept, read-only, until a check with other
-    inputs or cache_clear() on _products and _base drops it: at most one
-    block plus Phi, the grid, the symbol values and 2(m+1) c_k rows.
+    The grid, Phi, the symbol values and m+1 slots of c_k values are
+    memoised in _base under (p, q, cfg.interval, cfg.steps, m), and the
+    block and the midpoint values of the base solutions in _products under
+    that key plus (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats
+    bit for bit, so the report is the one a cold call gives.  Slot k keeps
+    the first c_k this base equation saw and its row, and a later c_k that
+    is or equals it reads the row: a genuine, a perturbed and a dependent-IC
+    check evaluate m+1, 1 and 0 coefficients.  One entry each is kept,
+    read-only, until a check with other inputs or cache_clear() on both
+    _products and _base drops it: at most one block plus Phi, the grid, the
+    symbol values and m+1 c_k rows.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -733,10 +728,11 @@ def basis_check(
         )
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = repr((p, q, cfg.interval, cfg.steps)), m  # repr tells -0.0 from 0.0
-        block, syms, x, (f, fp), (g, gp) = _products(
+        block, syms, slots, x, (f, fp), (g, gp) = _products(
             (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
         )
-        worst = map(float, np.max(np.abs(residual(ode, block, syms)), axis=1))
+        values = _coefficient_values(ode.coeffs, syms, slots)
+        worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)

@@ -760,6 +760,21 @@ def test_wronskian_verdict_at_large_and_tiny_initial_conditions(scale):
     assert not report.ic_independent and report.wronskian_ratio == 0.0
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_summary_names_a_wronskian_out_of_double_range(scale):
+    # W = W(f, g) = scale^2 overflows to inf or underflows to 0 while the
+    # ratio reads 1, so the summary prints no number for it
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(scale, 0.0), ic_g=(0.0, scale))
+    report = basis_check(derive_lifted_ode(1), ZERO, MINUS_ONE, cfg)
+    assert report.passed and report.wronskian in (math.inf, 0.0)
+    assert "Wronskian at x=0.5: out of double range  (|W(f,g)|/norms 1.000e+00" in report.summary()
+    # a Wronskian in range, and a zero one of dependent solutions, print as numbers
+    assert "Wronskian at x=0.5: 1.000000e+00" in cos_suite(1).summary()
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_g=(2.0, 0.0))
+    report = basis_check(derive_lifted_ode(1), ZERO, MINUS_ONE, dependent)
+    assert "Wronskian at x=0.5: 0.000000e+00" in report.summary()
+
+
 def test_perturbed_coefficients_are_detected():
     # a 1 percent error in any coefficient must blow the residual past 1e-4
     p, q = parse_expr("sin(x)"), parse_expr("x")
@@ -878,11 +893,30 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
         assert memo_info() == ((1, 1), (1, 2))
 
 
+def test_basis_check_hashes_no_polynomial(monkeypatch):
+    # the c_k slots compare polynomials by identity or ==, never by hash,
+    # which would build a frozenset of every term of every c_k
+    def no_hash(self):
+        raise AssertionError("a DiffPoly was hashed")
+
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
+    checks = [(m, derive_lifted_ode(m), perturbed(derive_lifted_ode(m), m // 2))
+              for m in range(1, 9)]
+    monkeypatch.setattr(DiffPoly, "__hash__", no_hash)
+    for m, ode, bad in checks:
+        clear_memos()
+        verdicts = [basis_check(check_ode, p, q, cfg).passed
+                    for check_ode, cfg in ((ode, COS_CFG), (bad, COS_CFG), (ode, dependent))]
+        assert verdicts == [True, False, False], m
+
+
 @pytest.mark.parametrize("m", [2, 5])
 def test_clearing_the_base_memo_frees_the_coefficient_values(m):
     # after genuine, perturbed and dependent checks _base holds the grid,
-    # Phi and m+2 distinct c_k rows; clearing it leaves only what _products
-    # holds, the block and the symbol array, and clearing both leaves none
+    # Phi, the symbol array and m+1 c_k rows, the perturbed one not kept;
+    # _products shares the last two, so clearing _base frees only the grid
+    # and Phi, and clearing both leaves none
     points = 20001
     row = 8 * points
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
@@ -902,29 +936,36 @@ def test_clearing_the_base_memo_frees_the_coefficient_values(m):
         cleared = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held - products_only >= row * (1 + 4 + m + 2)
-    assert products_only < row * ((m + 2) * (m + 1) + 2 * m + 1), products_only / row
+    shared = (m + 2) * (m + 1) + 2 * m + m + 1  # block, symbols and c_k rows
+    assert held < row * (shared + 1 + 4 + 1), held / row
+    assert held - products_only >= row * (1 + 4)
+    assert products_only - cleared >= row * shared
+    assert products_only < row * (shared + 1), products_only / row
     assert cleared < row, cleared
 
 
 @pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
 def test_check_sequences_match_cold_checks(pair):
     # genuine, perturbed and dependent checks in a row on one base equation,
-    # against the same checks each run with every memo cleared
+    # and the first two swapped, against the same checks each run with every
+    # memo cleared
     p, q = map(parse_expr, pair)
     genuine = NumericConfig(interval=(0.0, 1.0), step=1 / 1000, ic_f=(1.0, 0.5), ic_g=(-0.5, 2.0))
     dependent = NumericConfig(interval=(0.0, 1.0), step=1 / 1000, ic_f=(1.0, 0.5),
                               ic_g=(-2.0, -1.0))
     for m in range(1, 9):
         ode = derive_lifted_ode(m)
-        checks = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
-        cold = []
-        for check_ode, cfg in checks:
+        genuine_first = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
+        # perturbed first: the slot of c_{m//2} then holds the perturbed polynomial
+        perturbed_first = [genuine_first[1], genuine_first[0], genuine_first[2]]
+        for checks in (genuine_first, perturbed_first):
+            cold = []
+            for check_ode, cfg in checks:
+                clear_memos()
+                cold.append(repr(basis_check(check_ode, p, q, cfg)))
             clear_memos()
-            cold.append(repr(basis_check(check_ode, p, q, cfg)))
-        clear_memos()
-        assert [repr(basis_check(check_ode, p, q, cfg)) for check_ode, cfg in checks] == cold
-        assert memo_info() == ((1, 1), (1, 2))
+            assert [repr(basis_check(check_ode, p, q, cfg)) for check_ode, cfg in checks] == cold
+            assert memo_info() == ((1, 1), (1, 2))
 
 
 def run_check(p, q, interval, step, ic_f, ic_g, m):
@@ -979,25 +1020,26 @@ def test_domain_error_caches_no_block(stage, m, p_text, q_text):
 
 def test_memo_arrays_are_read_only(monkeypatch):
     seen = {}
-    plain_integrate, plain_residual = verify._integrate, verify.residual
+    plain_integrate, plain_relative = verify._integrate, verify._relative
 
     def keep_phi(*args):
         out = plain_integrate(*args)
-        seen["grid"], seen["phi"] = out[:2]
+        seen["grid"], seen["phi"], seen["syms"] = out
         return out
 
-    def keep_block(ode, block, syms):
-        seen["block"], seen["syms"] = block, syms
-        return plain_residual(ode, block, syms)
+    def keep_block(values, block):
+        seen["values"], seen["block"] = values, block
+        return plain_relative(values, block)
 
     monkeypatch.setattr(verify, "_integrate", keep_phi)
-    monkeypatch.setattr(verify, "residual", keep_block)
+    monkeypatch.setattr(verify, "_relative", keep_block)
     clear_memos()
     assert cos_suite(3).passed
-    syms = seen["syms"]
+    syms, values = seen["syms"], seen["values"]
     assert syms.shape == (3, 2, len(seen["grid"]))  # p, p', p'' beside q, q', q''
+    assert len(values) == 4 and all(np.shape(c) == syms.shape[2:] for c in values)
     rows = [row for pair in syms for row in pair]  # the views DiffPoly.eval reads
-    for a in [seen["grid"], seen["phi"], seen["block"], syms, *rows]:
+    for a in [seen["grid"], seen["phi"], seen["block"], syms, *rows, *values]:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 1.0
