@@ -30,6 +30,7 @@ from .diffring import (
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
+    MAX_DERIVE_M,
     FixtureFormatError,
     LiftedODE,
     check_against_fixture,
@@ -107,13 +108,14 @@ def _finite_or_null(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
-def _positive_int(text: str) -> int:
+def _power(text: str) -> int:
+    """-m of derive and verify, which both derive the equation first."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"m must be >= 1, got {value}")
+    if not 1 <= value <= MAX_DERIVE_M:
+        raise argparse.ArgumentTypeError(f"m must be from 1 to {MAX_DERIVE_M}, got {value}")
     return value
 
 
@@ -137,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("derive", help="print the lifted equation's coefficients")
-    d.add_argument("-m", type=_positive_int, required=True, help="power m >= 1")
+    d.add_argument("-m", type=_power, required=True, help=f"power m, 1 to {MAX_DERIVE_M}")
     d.add_argument(
         "--style",
         choices=(*STYLES, "json"),
@@ -169,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser(
         "verify", help="integrate a base equation and test the lifted one"
     )
-    v.add_argument("-m", type=_positive_int, required=True, help="power m >= 1")
+    v.add_argument("-m", type=_power, required=True, help=f"power m, 1 to {MAX_DERIVE_M}")
     v.add_argument("--p", type=_expression, required=True, help="p(x), e.g. 'sin(x)'")
     v.add_argument("--q", type=_expression, required=True, help="q(x), e.g. 'x'")
     v.add_argument(

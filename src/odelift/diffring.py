@@ -164,18 +164,6 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return _new_key(Monomial, (*map(operator.add, a, b), *a[len(b):]))
 
 
-def _fits(a, b) -> bool:
-    """Whether a *= b and a += b write into a exactly what a * b and a + b return.
-
-    Only for two arrays of one type, shape and dtype; a float, or a pair
-    that broadcasts or promotes, is left to the out-of-place operator.
-    (Duck-typed, so that this module does not import numpy.)
-    """
-    return (
-        type(a) is type(b) and hasattr(a, "dtype") and a.shape == b.shape and a.dtype == b.dtype
-    )
-
-
 class MissingSymbolError(LookupError):
     """Raised by DiffPoly.eval when the values lack a needed symbol."""
 
@@ -300,10 +288,8 @@ class DiffPoly:
         (slot, exponent) key, so a caller evaluating several polynomials at
         the same values can pass one dict to share the powers among all of
         them.  Each term is float(coeff) times its factors in symbol order,
-        and the sum runs in term order from 0.0; where the operands are
-        arrays of one shape and dtype the products and sums are taken in
-        place, which changes no bit of the result.  Raises
-        MissingSymbolError if a needed symbol has no value.
+        and the sum runs in term order from 0.0.  Raises MissingSymbolError
+        if a needed symbol has no value.
         """
         if table is None:
             table = {}
@@ -322,14 +308,8 @@ class DiffPoly:
                     except IndexError:
                         raise MissingSymbolError(_symbol(slot)) from None
                     power = table[slot, exp] = v**exp
-                if _fits(value, power):
-                    value *= power
-                else:
-                    value = value * power
-            if _fits(total, value):
-                total += value
-            else:
-                total = total + value
+                value = value * power
+            total = total + value
         return total
 
     # -- queries ------------------------------------------------------------

@@ -40,7 +40,6 @@ B_i = f^(m-i) (f')^i.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
@@ -58,9 +57,11 @@ from .diffring import (
 #: Orders with bundled reference coefficient tables.
 FIXTURE_ORDERS = (2, 3, 4, 5)
 
-#: Equations derive_lifted_ode keeps, evicting the least recently used: as
-#: many as there are bundled tables.  One equation at m=26 holds about 170 MB.
-DERIVE_CACHE_SIZE = 4
+#: The largest m derive_lifted_ode accepts.  Terms, time and memory about
+#: double every two steps of m, and the live term count after each step does
+#: not depend on m, so the limit is set on m itself, before the first step:
+#: m=28 gives 434 624 terms in about 10 s and peaks near 390 MB.
+MAX_DERIVE_M = 28
 
 
 class FixtureFormatError(ValueError):
@@ -92,13 +93,9 @@ class LiftedODE:
         return self.m + 1
 
 
-@lru_cache(maxsize=DERIVE_CACHE_SIZE)
 def derive_lifted_ode(m: int) -> LiftedODE:
-    """The unique monic order-(m+1) relation satisfied by y = f^m.
-
-    The last DERIVE_CACHE_SIZE equations asked for are cached, so a
-    long-lived process holds at most that many; an older m is derived
-    again, to the same terms in the same order.
+    """The unique monic order-(m+1) relation satisfied by y = f^m, for
+    1 <= m <= MAX_DERIVE_M; any other m raises ValueError.
 
     Steps the recurrence above on coefficient lists, entry k multiplying
     d^k, with d a d^k = a' d^k + a d^(k+1).  Each entry is a dict from
@@ -107,8 +104,8 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     -i (m-i+1) q b with b = entry k of L_{i-1}.  L_{m+1} is monic and its
     first m+1 entries are c_0 .. c_m.
     """
-    if m < 1:
-        raise ValueError(f"power m must be >= 1, got {m}")
+    if not 1 <= m <= MAX_DERIVE_M:
+        raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
     bits = (m + 1).bit_length()
     q_one = 1 << bits
     monomials: dict[int, Monomial] = {}

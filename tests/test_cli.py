@@ -6,12 +6,13 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from odelift import cli
+from odelift import cli, lifting
 from odelift.cli import canonical_json, derive_json, main
 from odelift.diffring import DiffPoly, Monomial, P, Q
 from odelift.lifting import LiftedODE, derive_lifted_ode
@@ -222,6 +223,28 @@ def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
         assert sorted(calls) == sorted(set(factors))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "-m", "29"],
+        ["derive", "-m", "60"],
+        ["derive", "-m", "1000000000"],
+        ["verify", "-m", "60", "--p", "0", "--q", "-1"],
+    ],
+)
+def test_m_over_the_derive_limit_exits_2_before_any_step(argv, capsys, monkeypatch):
+    def no_step(*args):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(lifting, "_derive_moves", no_step)
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    assert "m must be from 1 to 28" in capsys.readouterr().err
+
+
 # -- check-paper -------------------------------------------------------------------
 
 
@@ -424,7 +447,11 @@ def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
     assert code == 0 and out.endswith("-> PASS\n")
     assert "linearly dependent" not in out
     code, out, _ = run([*argv, "--json"], capsys)
-    assert code == 0 and json.loads(out)["wronskian"]["ratio"] == pytest.approx(1.0)
+    wron = json.loads(out)["wronskian"]
+    assert code == 0 and wron["ratio"] == pytest.approx(1.0)
+    # W(f, g) = 1e320 overflows to null; 1e-340 underflows to 0.0, which a
+    # ratio above 0 tells apart from a true zero
+    assert wron["value"] == {"1e160": None, "1e-170": 0.0}[scale] and wron["pass"] is True
 
 
 def test_verify_reports_the_step_the_grid_uses(capsys):

@@ -332,7 +332,7 @@ def test_eval_homomorphism_random():
 
 
 def out_of_place_eval(poly, assignment):
-    """DiffPoly.eval without a table or in-place steps: the bitwise reference."""
+    """DiffPoly.eval without a power table: the bitwise reference."""
     total = 0.0
     for mono, coeff in poly.terms.items():
         value = float(coeff)
@@ -344,8 +344,8 @@ def out_of_place_eval(poly, assignment):
 
 @pytest.mark.parametrize("kind", ["floats", "arrays", "mixed", "broadcast", "dtypes"])
 def test_eval_matches_the_out_of_place_sum_bit_for_bit(kind):
-    # in-place products and sums only where they cannot change a bit; values
-    # that broadcast or promote take the out-of-place path
+    # the shared power table must change no bit of any product or sum, also
+    # for values that broadcast or promote
     rng = random.Random(31)
     gen = np.random.default_rng(31)
     shapes = {

@@ -8,18 +8,21 @@ with the recurrence or the tower it is judging.  The tower itself, the
 oracle for the recurrence, lives in oracles.py beside these tests.
 """
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from odelift import lifting
 from odelift.diffring import DiffPoly, Monomial, P, Q, parse_poly
 from odelift.lifting import (
-    DERIVE_CACHE_SIZE,
     FIXTURE_ORDERS,
+    MAX_DERIVE_M,
     FixtureFormatError,
     LiftedODE,
     check_against_fixture,
@@ -107,11 +110,15 @@ def test_derive_top_coefficients_m4_m5():
     assert ode5.coeffs[4] == parse_poly("85*p^2 - 35*q - 20*p'")
 
 
-def test_derive_rejects_bad_m():
-    with pytest.raises(ValueError):
-        derive_lifted_ode(0)
-    with pytest.raises(ValueError):
-        derive_lifted_ode(-3)
+def test_derive_rejects_bad_m(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("the recurrence started")
+
+    # an m over the limit is refused before the recurrence takes a step
+    monkeypatch.setattr(lifting, "_derive_moves", no_step)
+    for m in (0, -3, MAX_DERIVE_M + 1, 60, 10**9):
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_DERIVE_M}"):
+            derive_lifted_ode(m)
 
 
 def test_symbolic_annihilation_identity_m2():
@@ -153,18 +160,23 @@ def test_packed_recurrence_matches_ring_reference_in_term_order(m):
             assert type(coeff) is int
 
 
-def test_derive_cache_keeps_the_last_few_equations():
-    derive_lifted_ode.cache_clear()
-    first = [derive_lifted_ode(m) for m in range(1, DERIVE_CACHE_SIZE + 3)]
-    assert derive_lifted_ode.cache_info().currsize == DERIVE_CACHE_SIZE
-    # m = 1 and 2 were evicted: derived again, to the same terms in the same order
-    again = [derive_lifted_ode(m) for m in range(1, DERIVE_CACHE_SIZE + 3)]
-    assert derive_lifted_ode.cache_info().currsize == DERIVE_CACHE_SIZE
-    assert again[0] is not first[0]
-    for old, new in zip(first, again):
-        assert [list(c.terms.items()) for c in new.coeffs] == [
-            list(c.terms.items()) for c in old.coeffs
+def test_derive_holds_nothing_between_calls():
+    derive_lifted_ode(7)  # fills the package's slot-order and symbol tables
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        first = derive_lifted_ode(6)
+        one = tracemalloc.get_traced_memory()[0] - start
+        second = derive_lifted_ode(6)
+        assert first is not second and first.coeffs[0] is not second.coeffs[0]
+        assert [list(c.terms.items()) for c in first.coeffs] == [
+            list(c.terms.items()) for c in second.coeffs
         ]
+        del first, second
+        gc.collect()  # also empties the interpreter's free lists
+        assert tracemalloc.get_traced_memory()[0] - start < one / 20, one
+    finally:
+        tracemalloc.stop()
 
 
 def test_specializing_p_to_zero_m2():

@@ -869,7 +869,8 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
 
 def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
     # _base keeps the c_k values by polynomial: a perturbed c_{m//2}
-    # evaluates that one coefficient, and the dependent check none
+    # evaluates that one coefficient, and the dependent check none, whether
+    # the three operators share their c_k objects or hold equal copies
     calls = []
     plain_eval = DiffPoly.eval
 
@@ -877,20 +878,24 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
         calls.append(self)
         return plain_eval(self, *args)
 
+    def copy(ode):
+        return LiftedODE(ode.m, tuple(DiffPoly(c.terms) for c in ode.coeffs))
+
     monkeypatch.setattr(DiffPoly, "eval", counting_eval)
     p, q = parse_expr("sin(x)"), parse_expr("x")
     dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
     for m in range(1, 9):
         ode = derive_lifted_ode(m)
-        bad = perturbed(ode, m // 2)
-        clear_memos()
-        counts = []
-        for check_ode, cfg in ((ode, COS_CFG), (bad, COS_CFG), (ode, dependent)):
-            calls.clear()
-            basis_check(check_ode, p, q, cfg)
-            counts.append(len(calls))
-        assert counts == [m + 1, 1, 0], m
-        assert memo_info() == ((1, 1), (1, 2))
+        for genuine, other, last in ((ode, ode, ode), (copy(ode), copy(ode), copy(ode))):
+            clear_memos()
+            counts = []
+            checks = ((genuine, COS_CFG), (perturbed(other, m // 2), COS_CFG), (last, dependent))
+            for check_ode, cfg in checks:
+                calls.clear()
+                basis_check(check_ode, p, q, cfg)
+                counts.append(len(calls))
+            assert counts == [m + 1, 1, 0], m
+            assert memo_info() == ((1, 1), (1, 2))
 
 
 def test_basis_check_hashes_no_polynomial(monkeypatch):
