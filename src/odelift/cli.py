@@ -109,7 +109,9 @@ def _finite_or_null(value: float) -> float | None:
 
 
 def _power(text: str) -> int:
-    """-m of derive and verify, which both derive the equation first."""
+    """-m of derive and verify.  verify takes its coefficients from the
+    recurrence on the grid, not from derive, but stays at most MAX_DERIVE_M
+    until its verdict no longer depends on m (ROADMAP item 2)."""
     try:
         value = int(text)
     except ValueError:
@@ -248,7 +250,7 @@ def _run_verify(args) -> int:
     )
     (p_text, p), (q_text, q) = args.p, args.q
     report = basis_check(
-        derive_lifted_ode(args.m), p, q, cfg,
+        args.m, p, q, cfg,
         residual_tol=args.tol_residual, wronskian_tol=args.tol_wronskian,
     )
     if args.json:

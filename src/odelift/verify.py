@@ -23,21 +23,28 @@ read off the same two vectors: neither judges how accurate the integrator
 was.  Only the convergence-order test (acceptance criterion 6) and the
 Abel test on det Phi in the test suite do.
 
-Only the residual depends on the operator being checked.  basis_check
-keeps the rest in two one-entry memos: _base holds the grid, Phi and the
-symbol values, keyed by p, q, the interval, the step count and m, from one
-integration that evaluates p and q once on the grid and once on the
-midpoints, and m+1 slots for c_k values; _products holds the product block
-and the midpoint values of f and g, keyed by those plus ic_f and ic_g, and
-hands basis_check the symbol values and the slots with them.  Slot k keeps
-the first c_k evaluated there with its row, so a genuine equation, a
-perturbed one and dependent initial conditions on one base equation
-integrate once and evaluate m+1, 1 and 0 coefficients.  Each memo drops
-its entry before it builds the next, so at most one check's arrays are
-held: one product block of at most MAX_BLOCK_FLOATS floats plus Phi, the
-grid, the symbol values and at most m+1 rows of c_k values.  The arrays
-are read-only; the c_k rows are owned by _base and shared with _products,
-so cache_clear() on both frees them.
+Only the residual depends on the operator being checked.  For the derived
+equation of order m+1, asked for by the int m, the c_k values come from the
+symmetric-power recurrence of odelift.lifting run numerically on the
+symbol values (_recurrence_values), so no equation is derived and no term
+of any c_k is formed; an explicit LiftedODE is evaluated term by term with
+DiffPoly.eval.  The products are formed from the unit vectors of the two
+initial conditions, so their scale neither overflows the block nor hides a
+residual under its floor; the Wronskian is taken at the raw ones.
+basis_check keeps the rest in two one-entry memos: _base holds the grid,
+Phi and the symbol values, keyed by p, q, the interval, the step count and
+m, from one integration that evaluates p and q once on the grid and once
+on the midpoints, and m+1 slots for c_k values; _products holds the
+product block and the midpoint values of f and g, keyed by those plus
+ic_f and ic_g, and hands basis_check the symbol values and the slots with
+them.  Slot k keeps the first c_k of a LiftedODE evaluated there with its
+row, so a genuine equation, a perturbed one and dependent initial
+conditions on one base equation integrate once and evaluate m+1, 1 and 0
+coefficients.  Each memo drops its entry before it builds the next, so at
+most one check's arrays are held: one product block of at most
+MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and at most
+m+1 rows of c_k values.  The arrays are read-only; the c_k rows are owned
+by _base and shared with _products, so cache_clear() on both frees them.
 """
 
 from __future__ import annotations
@@ -90,12 +97,13 @@ __all__ = [
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
-#: Largest coefficient work basis_check takes on: the terms of all c_k times
-#: the grid points, since DiffPoly.eval forms every term at every point.  The
-#: terms roughly double every two steps of m, so this bounds the time the
-#: block guard does not: verify -m 24 at the default 1001 points (127 553
-#: terms, 1.28e8) runs, in seconds, and -m 20 on 10 001 points (34 209
-#: terms, 3.42e8) is refused.
+#: Largest coefficient work basis_check takes on for an explicit LiftedODE:
+#: the terms of all c_k times the grid points, since DiffPoly.eval forms every
+#: term at every point.  The terms roughly double every two steps of m, so
+#: this bounds the time the block guard does not: derive_lifted_ode(24) at
+#: 1001 points (127 553 terms, 1.28e8) runs, in seconds, and
+#: derive_lifted_ode(20) on 10 001 points (34 209 terms, 3.42e8) is refused.
+#: An int m takes no term from any c_k, and the block guard bounds its work.
 MAX_TERM_POINTS = 2 * 10**8
 
 
@@ -529,21 +537,27 @@ def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> 
 
     (product block, syms, slots, x, (f, f'), (g, g')) with the block
     read-only, syms and the c_k slots _base's, and the last three the floats
-    at the grid's midpoint, where the Wronskian is taken; f and g themselves
-    are dropped once the block is built.  _base is called here so that a
-    new base equation drops the old entries before it builds its own.
+    at the grid's midpoint, where the Wronskian is taken.  The block is built
+    from the solutions at the unit vectors of cfg.ic_f and cfg.ic_g, which
+    are dropped once it is built; (f, f') and (g, g') are phi[:, mid] applied
+    to the raw cfg.ic_f and cfg.ic_g.  _base is called here so that a new
+    base equation drops the old entries before it builds its own.
     Without this memo each perturbed check builds its block again, and
     verify-batch takes about 15 % longer.
     """
     grid, phi, syms, slots = _base(base_key, p, q, cfg, m)
-    f_pt, g_pt = _solution(phi, cfg.ic_f), _solution(phi, cfg.ic_g)
+    f_pt, g_pt = _solution(phi, _unit(cfg.ic_f)), _solution(phi, _unit(cfg.ic_g))
     block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
     mid = len(grid) // 2
-    return (
-        block, syms, slots, float(grid[mid]),
-        (float(f_pt[0][mid]), float(f_pt[1][mid])), (float(g_pt[0][mid]), float(g_pt[1][mid])),
-    )
+    (f, fp), (g, gp) = _solution(phi[:, mid], cfg.ic_f), _solution(phi[:, mid], cfg.ic_g)
+    return block, syms, slots, float(grid[mid]), (float(f), float(fp)), (float(g), float(gp))
+
+
+def _unit(ic: tuple) -> tuple:
+    """ic scaled to a unit vector; a zero vector stays zero."""
+    norm = math.hypot(*ic)
+    return ic if norm == 0.0 else (ic[0] / norm, ic[1] / norm)
 
 
 def _coefficient_values(coeffs, syms: np.ndarray, slots: list) -> list:
@@ -571,6 +585,45 @@ def _coefficient_values(coeffs, syms: np.ndarray, slots: list) -> list:
             slots[k] = c, row
         values.append(row)
     return values
+
+
+def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
+    """Rows c_0, ..., c_m of the derived equation of order m+1 at the points
+    of syms (p, q and their derivatives to order m-1), with no term formed.
+
+    Runs the recurrence of odelift.lifting, L_{i+1} = (d - i p) L_i -
+    i (m-i+1) q L_{i-1}, on the grid.  Entry k of L_i is held as its
+    normalised Taylor rows a^(j)/j!, j = 0, ..., m+1-i, in an
+    [order, entry, point] array; entry i is the constant 1 and is not
+    stored.  In these rows d moves row j+1 to row j times j+1, and a product
+    with p or q is a convolution with their Taylor rows, one shift at a time:
+    a multiply into one scratch block, then an in-place subtract.  Row 0 of
+    L_{m+1} holds c_0, ..., c_m.
+    """
+    shape = syms.shape[2:]
+    ones = [1] * len(shape)  # reshapes one float per row to broadcast over the points
+    inverse = np.array([1 / math.factorial(j) for j in range(len(syms))]).reshape(-1, *ones)
+    scratch = np.empty((max((m + 1 - i) * i for i in range(1, m + 1)), *shape))
+    prev, cur = np.zeros((m + 2, 0, *shape)), np.zeros((m + 1, 1, *shape))  # L_0 = 1, L_1 = d
+    for i in range(1, m + 1):
+        n = m + 1 - i  # the rows L_{i+1} needs
+        nxt = np.empty((n, i + 1, *shape))
+        np.multiply(cur[1:], np.arange(1.0, n + 1.0).reshape(-1, 1, *ones), out=nxt[:, :i])
+        nxt[:, i] = cur[:n, i - 1]
+        nxt[:, 1:i] += cur[:n, : i - 1]
+        # the Taylor rows of i p and i (m-i+1) q
+        p = syms[:n, 0] * (i * inverse[:n])
+        q = syms[:n, 1] * (i * (m - i + 1) * inverse[:n])
+        nxt[:, i] -= p  # times the unstored 1 of L_i
+        nxt[:, i - 1] -= q  # times the unstored 1 of L_{i-1}
+        # entry 0 of L_1 = d is 0: no p-convolution at i = 1
+        for a, c, width in ((cur, p, i if i > 1 else 0), (prev, q, i - 1)):
+            for l in range(n if width else 0):
+                term = scratch[: (n - l) * width].reshape(n - l, width, *shape)
+                np.multiply(a[: n - l, :width], c[l], out=term)
+                nxt[l:, :width] -= term
+        prev, cur = cur, nxt
+    return cur[0]
 
 
 # --------------------------------------------------------------------------
@@ -684,7 +737,7 @@ class BasisReport:
 
 
 def basis_check(
-    ode: LiftedODE,
+    ode: LiftedODE | int,
     p: Expr,
     q: Expr,
     cfg: NumericConfig,
@@ -693,30 +746,40 @@ def basis_check(
 ) -> BasisReport:
     """Check every product f^(m-j) g^j against the lifted equation.
 
-    Builds one fundamental matrix Phi, forms the two base solutions
-    Phi @ cfg.ic_f and Phi @ cfg.ic_g from it, then
-    takes the product_derivatives block on the whole grid, evaluates each
-    c_k at most once, and reports per-product max relative residuals, as
-    residual gives them, plus the midpoint Wronskian of all m+1 products,
+    ode is a LiftedODE, or an int m >= 1 for the derived equation of order
+    m+1.  For an int the c_k values come from _recurrence_values on the
+    symbol array, so nothing is derived and no polynomial is evaluated; a
+    LiftedODE's c_k are evaluated by DiffPoly.eval through the c_k slots
+    below.  Either way basis_check builds one fundamental matrix Phi, takes
+    the product_derivatives block on the whole grid from the solutions
+    Phi @ u and Phi @ v, with u and v the unit vectors of cfg.ic_f and
+    cfg.ic_g (a zero vector stays zero), and reports per-product max
+    relative residuals, as residual gives them, plus the midpoint Wronskian
+    of all m+1 products of the solutions from cfg.ic_f and cfg.ic_g,
     (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
     Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
     products pass when |W| / n, at most 1, exceeds wronskian_tol: the
     same test at every m.  That ratio is taken from the unit vectors
     (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or
-    n alone overflows or underflows.  Raises ConfigError unless 0 < residual_tol <
-    inf and 0 < wronskian_tol < 1, when the block would hold more than
-    MAX_BLOCK_FLOATS floats, and when the terms of all c_k times the grid
-    points pass MAX_TERM_POINTS; both guards run before anything is
-    integrated.
+    n alone overflows or underflows.  The products of multiples c f and
+    d g are c^(m-j) d^j times those of f and g, so the unit vectors change
+    no true residual and keep the block in range at any scale of the
+    initial conditions.  Raises ConfigError unless 0 < residual_tol < inf
+    and 0 < wronskian_tol < 1, for an int m below 1, when the block would
+    hold more than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when
+    the terms of all c_k times the grid points pass MAX_TERM_POINTS; the
+    guards run before anything is integrated.  Any other ode, a bool
+    included, raises TypeError.
 
     The grid, Phi, the symbol values and m+1 slots of c_k values are
     memoised in _base under (p, q, cfg.interval, cfg.steps, m), and the
     block and the midpoint values of the base solutions in _products under
     that key plus (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats
     bit for bit, so the report is the one a cold call gives.  Slot k keeps
-    the first c_k this base equation saw and its row, and a later c_k that
-    is or equals it reads the row: a genuine, a perturbed and a dependent-IC
-    check evaluate m+1, 1 and 0 coefficients.  One entry each is kept,
+    the first c_k of a LiftedODE this base equation saw and its row, and a
+    later c_k that is or equals it reads the row: a genuine, a perturbed and
+    a dependent-IC check evaluate m+1, 1 and 0 coefficients.  An int m runs
+    the recurrence on every call and keeps nothing.  One entry each is kept,
     read-only, until a check with other inputs or cache_clear() on both
     _products and _base drops it: at most one block plus Phi, the grid, the
     symbol values and m+1 c_k rows.
@@ -725,9 +788,14 @@ def basis_check(
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
     if not 0.0 < wronskian_tol < 1.0:
         raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
-    m, points = ode.m, cfg.steps + 1
+    derived = not isinstance(ode, LiftedODE)
+    if derived and (isinstance(ode, bool) or not isinstance(ode, int)):
+        raise TypeError(f"expected a LiftedODE or an int power m, got {ode!r}")
+    if derived and ode < 1:
+        raise ConfigError(f"power m must be >= 1, got {ode}")
+    m, points = (ode if derived else ode.m), cfg.steps + 1
     _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
-    work = sum(len(c.terms) for c in ode.coeffs) * float(points)
+    work = 0.0 if derived else sum(len(c.terms) for c in ode.coeffs) * float(points)
     if work > MAX_TERM_POINTS:
         raise ConfigError(
             f"m={m} on {points:.3g} grid points would evaluate {work:.3g} coefficient terms, "
@@ -738,7 +806,10 @@ def basis_check(
         block, syms, slots, x, (f, fp), (g, gp) = _products(
             (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
         )
-        values = _coefficient_values(ode.coeffs, syms, slots)
+        if derived:
+            values = _recurrence_values(m, syms)
+        else:
+            values = _coefficient_values(ode.coeffs, syms, slots)
         worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
         rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 

@@ -425,10 +425,9 @@ def test_verify_json_writes_non_finite_ratio_as_null(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--q", "-1", "--ic-f", "1e200", "0", "--ic-g", "0", "1e200", "--json"],
         ["--q", "1000000"],  # the trajectory itself overflows
     ],
-    ids=["huge-initial-conditions", "overflowing-trajectory"],
+    ids=["overflowing-trajectory"],
 )
 def test_verify_overflow_fails_without_warnings(argv):
     proc = run_module(["verify", "-m", "2", "--p", "0", *argv])
@@ -439,19 +438,41 @@ def test_verify_overflow_fails_without_warnings(argv):
         assert proc.stdout.endswith("-> FAIL\n")
 
 
-@pytest.mark.parametrize("scale", ["1e160", "1e-170"])
+@pytest.mark.parametrize("scale", ["1e160", "1e-170", "1e200"])
 def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
-    argv = ["verify", "-m", "1", "--p", "0", "--q", "-1", "--ic-f", scale, "0",
-            "--ic-g", "0", scale]
-    code, out, _ = run(argv, capsys)
+    # the products are formed from the unit vectors of the initial
+    # conditions, so at m = 2 none of them overflows or underflows either
+    for m in ("1", "2"):
+        argv = ["verify", "-m", m, "--p", "0", "--q", "-1", "--ic-f", scale, "0",
+                "--ic-g", "0", scale]
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.endswith("-> PASS\n")
+        assert "linearly dependent" not in out
+        code, out, _ = run([*argv, "--json"], capsys)
+        wron = json.loads(out)["wronskian"]
+        assert code == 0 and wron["ratio"] == pytest.approx(1.0)
+        # W(f, g) = 1e320 overflows to null; 1e-340 underflows to 0.0, which a
+        # ratio above 0 tells apart from a true zero
+        want = {"1e160": None, "1e-170": 0.0, "1e200": None}[scale]
+        assert wron["value"] == want and wron["pass"] is True
+    # in a child process, which sees every warning
+    proc = run_module([*argv, "--json"])
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_verify_takes_the_coefficients_from_the_recurrence(monkeypatch, capsys):
+    # verify neither derives the equation nor evaluates a polynomial
+    calls = []
+    for owner in (cli, lifting):
+        monkeypatch.setattr(owner, "derive_lifted_ode", lambda m: calls.append(m))
+    monkeypatch.setattr(DiffPoly, "eval", lambda self, *a: calls.append(self))
+    code, out, _ = run(["verify", "-m", "8", "--p", "sin(x)", "--q", "x"], capsys)
     assert code == 0 and out.endswith("-> PASS\n")
-    assert "linearly dependent" not in out
-    code, out, _ = run([*argv, "--json"], capsys)
-    wron = json.loads(out)["wronskian"]
-    assert code == 0 and wron["ratio"] == pytest.approx(1.0)
-    # W(f, g) = 1e320 overflows to null; 1e-340 underflows to 0.0, which a
-    # ratio above 0 tells apart from a true zero
-    assert wron["value"] == {"1e160": None, "1e-170": 0.0}[scale] and wron["pass"] is True
+    argv = ["verify", "-m", str(lifting.MAX_DERIVE_M), "--p", "sin(x)", "--q", "x", "--json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert calls == []
 
 
 def test_verify_reports_the_step_the_grid_uses(capsys):

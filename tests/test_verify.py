@@ -806,6 +806,92 @@ def test_sign_flip_of_lowest_coefficient_invisible_on_constant_suite():
     assert max(r.max_residual for r in report.residuals) > 1e-2
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-10])
+def test_sign_flip_fails_at_any_scale_of_the_initial_conditions(scale):
+    # the products are formed from the unit vectors of ic_f and ic_g, so
+    # small solutions do not hide the error under the residual's floor at 1
+    ode = derive_lifted_ode(2)
+    flipped_c1 = LiftedODE(2, (ode.coeffs[0], -ode.coeffs[1], ode.coeffs[2]))
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(scale, 0.0), ic_g=(0.0, scale))
+    report = basis_check(flipped_c1, ZERO, MINUS_ONE, cfg)
+    assert not report.residuals_passed
+    assert max(r.max_residual for r in report.residuals) > 1e-2
+    assert basis_check(ode, ZERO, MINUS_ONE, cfg).passed
+
+
+# -- the derived equation of order m, from the recurrence on the grid -------------
+
+RECURRENCE_PAIRS = (*COEFFICIENT_PAIRS, ("exp(sin(x))/(x+2)", "cos(x)/(x+2)"), ("0", "-25"))
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_recurrence_values_match_the_expanded_coefficients(m):
+    # DiffPoly.eval of the derived c_k is the oracle for the rows the
+    # recurrence gives, within 1e-11 of each row's largest value
+    ode = derive_lifted_ode(m)
+    grid = np.linspace(0.0, 1.0, 101)
+    for p_text, q_text in RECURRENCE_PAIRS:
+        syms = symbol_values(parse_expr(p_text), parse_expr(q_text), max(0, m - 1), grid)
+        rows, powers = verify._recurrence_values(m, syms), {}
+        assert rows.shape == (m + 1, len(grid))
+        for k, c in enumerate(ode.coeffs):
+            want = np.broadcast_to(c.eval(syms, powers), grid.shape)
+            gap = np.max(np.abs(rows[k] - want))
+            assert gap <= 1e-11 * np.max(np.abs(want)), (p_text, q_text, k, gap)
+
+
+@pytest.mark.parametrize("m,error,message", [
+    (0, ConfigError, "power m must be >= 1, got 0"),
+    (-1, ConfigError, "power m must be >= 1, got -1"),
+    (True, TypeError, "a LiftedODE or an int power m, got True"),  # a bool is an int to Python
+    (2.0, TypeError, "a LiftedODE or an int power m, got 2.0"),
+])
+def test_basis_check_refuses_a_power_that_is_not_a_positive_int(m, error, message):
+    clear_memos()
+    with pytest.raises(error, match=message):
+        basis_check(m, ZERO, MINUS_ONE, COS_CFG)
+    assert memo_info() == ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
+def test_power_and_derived_equation_give_the_same_verdicts(pair):
+    p, q = map(parse_expr, pair)
+    configs = [
+        COS_CFG,
+        NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.5, -0.25), ic_g=(0.5, 2.0)),
+        NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(-2.0, -1.0)),
+    ]
+    for m in range(1, 9):
+        ode = derive_lifted_ode(m)
+        for cfg in configs:
+            by_power, by_ode = basis_check(m, p, q, cfg), basis_check(ode, p, q, cfg)
+            assert [r.passed for r in by_power.residuals] == [r.passed for r in by_ode.residuals]
+            assert by_power.passed == by_ode.passed == (cfg is not configs[2])
+            for a, b in zip(by_power.residuals, by_ode.residuals):
+                assert a.max_residual < 1e-13 and b.max_residual < 1e-13
+            # the Wronskian does not depend on the coefficients at all
+            wronskian = ("wronskian", "wronskian_scale", "wronskian_ratio", "wronskian_x")
+            assert [getattr(by_power, f) for f in wronskian] == [getattr(by_ode, f) for f in wronskian]
+
+
+@pytest.mark.parametrize("m", [1, 5, 10, 28])
+def test_power_check_memory_stays_within_five_blocks(m):
+    # the recurrence's arrays, under a block size together, come on top of
+    # the block the memo holds
+    per_point = (m + 2) * (m + 1)
+    points = 10**6 // per_point
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
+    clear_memos()
+    tracemalloc.start()
+    try:
+        report = basis_check(m, parse_expr("sin(x)"), parse_expr("x"), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 5 * 8 * per_point * points, peak / (8 * per_point * points)
+
+
 # -- the memo of operator-independent arrays ---------------------------------------
 
 
