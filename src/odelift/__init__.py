@@ -47,7 +47,6 @@ from .verify import (
     fundamental_matrix,
     monomial_label,
     product_derivatives,
-    residual,
     symbol_values,
 )
 
@@ -86,6 +85,5 @@ __all__ = [
     "parse_expr",
     "parse_poly",
     "product_derivatives",
-    "residual",
     "symbol_values",
 ]

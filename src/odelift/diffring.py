@@ -277,22 +277,18 @@ class DiffPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, values, table: dict | None = None):
+    def eval(self, values):
         """Evaluate at the symbol values ``values``, rows of (p^(k), q^(k)).
 
         The factor of slot s, 2k for p^(k) and 2k+1 for q^(k), is
         ``values[s >> 1][s & 1]``: a nested list such as [[p, q], [p', q']]
         or the array odelift.verify.symbol_values returns.  Values may be
         floats or numpy arrays; coefficients are taken as floats.  Each
-        power v**exp is computed once and kept in ``table`` under its
-        (slot, exponent) key, so a caller evaluating several polynomials at
-        the same values can pass one dict to share the powers among all of
-        them.  Each term is float(coeff) times its factors in symbol order,
-        and the sum runs in term order from 0.0.  Raises MissingSymbolError
-        if a needed symbol has no value.
+        power v**exp is computed once per call.  Each term is float(coeff)
+        times its factors in symbol order, and the sum runs in term order
+        from 0.0.  Raises MissingSymbolError if a needed symbol has no value.
         """
-        if table is None:
-            table = {}
+        table: dict = {}
         total = 0.0
         for mono, coeff in self.terms.items():
             value = float(coeff)

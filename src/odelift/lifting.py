@@ -25,8 +25,8 @@ one unit of exponent from slot s to slot s+2.  The keys are unpacked into
 Monomials once, at the end.
 
 The term order of each c_k is part of the result: it is the order in
-which DiffPoly.eval sums the terms, and so the summation order of the
-residuals in `verify`.  Each entry is therefore written in the order the
+which DiffPoly.eval sums the terms, and so it fixes the bits of every value
+DiffPoly.eval gives for a c_k.  Each entry is therefore written in the order the
 ring expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would
 produce it, with the same deletion of cancelled terms.
 

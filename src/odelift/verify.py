@@ -23,28 +23,29 @@ read off the same two vectors: neither judges how accurate the integrator
 was.  Only the convergence-order test (acceptance criterion 6) and the
 Abel test on det Phi in the test suite do.
 
-Only the residual depends on the operator being checked.  For the derived
-equation of order m+1, asked for by the int m, the c_k values come from the
-symmetric-power recurrence of odelift.lifting run numerically on the
-symbol values (_recurrence_values), so no equation is derived and no term
-of any c_k is formed; an explicit LiftedODE is evaluated term by term with
-DiffPoly.eval.  The products are formed from the unit vectors of the two
-initial conditions, so their scale neither overflows the block nor hides a
-residual under its floor; the Wronskian is taken at the raw ones.
-basis_check keeps the rest in two one-entry memos: _base holds the grid,
-Phi and the symbol values, keyed by p, q, the interval, the step count and
-m, from one integration that evaluates p and q once on the grid and once
-on the midpoints, and m+1 slots for c_k values; _products holds the
-product block and the midpoint values of f and g, keyed by those plus
-ic_f and ic_g, and hands basis_check the symbol values and the slots with
-them.  Slot k keeps the first c_k of a LiftedODE evaluated there with its
-row, so a genuine equation, a perturbed one and dependent initial
-conditions on one base equation integrate once and evaluate m+1, 1 and 0
-coefficients.  Each memo drops its entry before it builds the next, so at
-most one check's arrays are held: one product block of at most
-MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and at most
-m+1 rows of c_k values.  The arrays are read-only; the c_k rows are owned
-by _base and shared with _products, so cache_clear() on both frees them.
+Only the residual depends on the operator being checked, and the c_k
+values have one source: the rows c_0, ..., c_m of the derived equation of
+order m+1, from the symmetric-power recurrence of odelift.lifting run
+numerically on the symbol values (_recurrence_values), so no term of any
+c_k is formed.  The int m reads those rows; an explicit LiftedODE reads row
+k wherever its c_k equals the derived one and evaluates only the c_k that
+differ, with DiffPoly.eval.  The products are formed from the unit vectors
+of the two initial conditions, so their scale neither overflows the block
+nor hides a residual under its floor; the Wronskian is taken at the raw
+ones.  basis_check keeps the rest in two one-entry memos: _base holds the
+grid, Phi and the symbol values, keyed by p, q, the interval, the step
+count and m, from one integration that evaluates p and q once on the grid
+and once on the midpoints, and two slots, one for the rows and one for the
+derived coefficients a LiftedODE is compared with; _products holds the
+product block and the midpoint values of f and g, keyed by those plus ic_f
+and ic_g, and hands basis_check the symbol values and the slots with them.
+So a genuine equation, a perturbed one and dependent initial conditions on
+one base equation integrate once, run the recurrence once and evaluate 0,
+1 and 0 coefficients.  Each memo drops its entry before it builds the next,
+so at most one check's arrays are held: one product block of at most
+MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and the m+1
+rows.  The arrays are read-only; the slots are owned by _base and shared
+with _products, so cache_clear() on both frees them.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .exprparse import (
     Var,
     eval_expr,
 )
-from .lifting import LiftedODE
+from .lifting import MAX_DERIVE_M, LiftedODE, derive_lifted_ode
 
 __all__ = [
     "ConfigError",
@@ -79,7 +80,6 @@ __all__ = [
     "fundamental_matrix",
     "symbol_values",
     "product_derivatives",
-    "residual",
     "MonomialResidual",
     "BasisReport",
     "basis_check",
@@ -91,19 +91,21 @@ __all__ = [
 #: grid point, 80 MB at the limit.  While it is built, the stacked jets of f^k
 #: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
 #: check, integration, jets and residual included, peaks under 5 block sizes,
-#: and the memos hold under 3 between checks (2.50 at m = 1, with the m+1
-#: c_k rows); see
+#: and the memos' arrays hold under 3 between checks (2.50 at m = 1, with the
+#: m+1 c_k rows; the derived coefficients a LiftedODE check keeps are not
+#: arrays and come on top); see
 #: test_basis_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
 #: Largest coefficient work basis_check takes on for an explicit LiftedODE:
-#: the terms of all c_k times the grid points, since DiffPoly.eval forms every
-#: term at every point.  The terms roughly double every two steps of m, so
-#: this bounds the time the block guard does not: derive_lifted_ode(24) at
-#: 1001 points (127 553 terms, 1.28e8) runs, in seconds, and
-#: derive_lifted_ode(20) on 10 001 points (34 209 terms, 3.42e8) is refused.
-#: An int m takes no term from any c_k, and the block guard bounds its work.
+#: the terms of all its c_k times the grid points, counted before anything is
+#: integrated.  DiffPoly.eval forms every term at every point, but only for
+#: the c_k that differ from the derived ones, so this bounds that work from
+#: above: derive_lifted_ode(24) at 1001 points (127 553 terms, 1.28e8) runs,
+#: and derive_lifted_ode(20) on 10 001 points (34 209 terms, 3.42e8) is
+#: refused.  An int m takes no term from any c_k, and the block guard bounds
+#: its work.
 MAX_TERM_POINTS = 2 * 10**8
 
 
@@ -311,8 +313,9 @@ def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
     Each row is summed in place through two scratch rows, term by term in
     the order sum() takes from its start 0: the row starts as 0.0 + X_0, so
     a -0.0 first term comes out +0.0 as it does there, and the weights
-    C(k, 0) = C(k, k) = 1 are not multiplied, which changes no bit.  Summed
-    by sum() instead, verify-batch takes about 5 % longer.
+    C(k, 0) = C(k, k) = 1 are not multiplied, which changes no bit.  With
+    sum() here and the x1 multiplies in _leibniz_into, verify-batch wall_s
+    went from 0.1228 to 0.1268 s (+3.3 %, slower in 9 of 10 pairs).
     """
     term, other = np.empty_like(u[0]), np.empty_like(u[0])
     for k in range(len(u) - 2):
@@ -459,8 +462,8 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     row may stack several jets, and one call multiplies them pairwise.  The
     weights C(k, 0) = C(k, k) = 1 are not multiplied: the first term is
     u v^(k) and the last u^(k) v, with no bit changed.  With the x1
-    multiplies, here and in _solution_jet, verify-batch takes about 4 %
-    longer.
+    multiplies here and sum() in _solution_jet, verify-batch wall_s went
+    from 0.1228 to 0.1268 s (+3.3 %, slower in 9 of 10 pairs).
     """
     out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])
@@ -524,11 +527,12 @@ def _read_only(*arrays: np.ndarray) -> None:
 @_one_slot
 def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
     """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only,
-    and m+1 empty c_k slots for _coefficient_values; keyed by p, q, the interval, the
-    step count and m."""
+    and two empty slots that basis_check fills: slot 0 with the rows c_0, ..., c_m of
+    the derived equation, slot 1 with its coefficients; keyed by p, q, the interval,
+    the step count and m."""
     arrays = _integrate(p, q, cfg, max(0, m - 1))
     _read_only(*arrays)
-    return (*arrays, [None] * (m + 1))
+    return (*arrays, [None, None])
 
 
 @_one_slot
@@ -536,7 +540,7 @@ def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> 
     """The arrays basis_check reads; keyed by _base's key plus cfg.ic_f and cfg.ic_g.
 
     (product block, syms, slots, x, (f, f'), (g, g')) with the block
-    read-only, syms and the c_k slots _base's, and the last three the floats
+    read-only, syms and the two slots _base's, and the last three the floats
     at the grid's midpoint, where the Wronskian is taken.  The block is built
     from the solutions at the unit vectors of cfg.ic_f and cfg.ic_g, which
     are dropped once it is built; (f, f') and (g, g') are phi[:, mid] applied
@@ -558,33 +562,6 @@ def _unit(ic: tuple) -> tuple:
     """ic scaled to a unit vector; a zero vector stays zero."""
     norm = math.hypot(*ic)
     return ic if norm == 0.0 else (ic[0] / norm, ic[1] / norm)
-
-
-def _coefficient_values(coeffs, syms: np.ndarray, slots: list) -> list:
-    """c_k.eval(syms) for each c_k in coeffs, read from slot k where it holds c_k.
-
-    Slot k keeps the first (c_k, row) evaluated there, the row read-only; a
-    later c_k that is or equals that polynomial reads the row, and any other
-    is evaluated and not kept, so no polynomial is ever hashed.  The rows
-    evaluated in one call share one power table, and each is DiffPoly.eval's,
-    bit for bit.  A slot is read and written as one pair, so threads racing
-    on it may each keep theirs, but none reads a row of another polynomial.
-    Without the slots verify-batch takes about 10 % longer, and without the
-    shared power table verify-cold about 5 %.
-    """
-    values, powers = [], {}
-    for k, c in enumerate(coeffs):
-        held = slots[k]
-        if held is not None and (held[0] is c or held[0] == c):
-            values.append(held[1])
-            continue
-        row = c.eval(syms, powers)
-        if held is None:
-            if isinstance(row, np.ndarray):
-                _read_only(row)
-            slots[k] = c, row
-        values.append(row)
-    return values
 
 
 def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
@@ -627,29 +604,13 @@ def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# residual and basis report
-
-
-def residual(ode: LiftedODE, derivs, sym_vals: np.ndarray) -> object:
-    """Relative residual of the monic equation against given derivatives.
-
-    derivs holds y, y', ..., y^(m+1) (scalars, grid arrays, or stacks of
-    functions with the function axis ahead of the grid axes, such as the
-    product_derivatives block: each c_k is evaluated once for all, and all
-    of them share one table of symbol powers); returns r / s with
-    r = y^(m+1) + sum c_k y^(k) and s the largest participating term
-    magnitude, floored at 1, per row entry.
-    """
-    m = ode.m
-    derivs = np.asarray(derivs, dtype=float)
-    if derivs.shape[0] != m + 2:
-        raise ValueError(f"expected {m + 2} derivative rows, got {derivs.shape[0]}")
-    powers: dict = {}
-    return _relative([c.eval(sym_vals, powers) for c in ode.coeffs], derivs)
+# basis report
 
 
 def _relative(values: list, derivs: np.ndarray) -> object:
-    """r / s of residual from the values of c_0, ..., c_m and the m+2 rows of derivs."""
+    """r / s per entry of derivs' rows, from the values of c_0, ..., c_m and the m+2
+    rows of derivs: r = y^(m+1) + sum c_k y^(k), and s the largest term magnitude of
+    r, floored at 1."""
     lead = derivs[len(values), ...]
     r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
     np.maximum(1.0, np.abs(lead), out=s)
@@ -746,16 +707,19 @@ def basis_check(
 ) -> BasisReport:
     """Check every product f^(m-j) g^j against the lifted equation.
 
-    ode is a LiftedODE, or an int m >= 1 for the derived equation of order
-    m+1.  For an int the c_k values come from _recurrence_values on the
-    symbol array, so nothing is derived and no polynomial is evaluated; a
-    LiftedODE's c_k are evaluated by DiffPoly.eval through the c_k slots
-    below.  Either way basis_check builds one fundamental matrix Phi, takes
-    the product_derivatives block on the whole grid from the solutions
-    Phi @ u and Phi @ v, with u and v the unit vectors of cfg.ic_f and
-    cfg.ic_g (a zero vector stays zero), and reports per-product max
-    relative residuals, as residual gives them, plus the midpoint Wronskian
-    of all m+1 products of the solutions from cfg.ic_f and cfg.ic_g,
+    ode is a LiftedODE with m <= MAX_DERIVE_M, or an int m >= 1 for the
+    derived equation of order m+1.  The c_k values have one source, the rows
+    c_0, ..., c_m that _recurrence_values gives on the symbol array, so no
+    term of any c_k is formed.  An int reads the rows.  A LiftedODE reads
+    row k wherever its c_k == the derived c_k, and evaluates each other c_k,
+    itself and not its difference to the derived one, with DiffPoly.eval;
+    so its genuine equation gives the report of the int m, bit for bit.
+    Either way basis_check builds one fundamental matrix Phi, takes the
+    product_derivatives block on the whole grid from the solutions Phi @ u
+    and Phi @ v, with u and v the unit vectors of cfg.ic_f and cfg.ic_g (a
+    zero vector stays zero), and reports per-product max relative residuals,
+    as _relative gives them, plus the midpoint Wronskian of all m+1
+    products of the solutions from cfg.ic_f and cfg.ic_g,
     (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
     Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
     products pass when |W| / n, at most 1, exceeds wronskian_tol: the
@@ -765,24 +729,28 @@ def basis_check(
     d g are c^(m-j) d^j times those of f and g, so the unit vectors change
     no true residual and keep the block in range at any scale of the
     initial conditions.  Raises ConfigError unless 0 < residual_tol < inf
-    and 0 < wronskian_tol < 1, for an int m below 1, when the block would
-    hold more than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when
-    the terms of all c_k times the grid points pass MAX_TERM_POINTS; the
-    guards run before anything is integrated.  Any other ode, a bool
-    included, raises TypeError.
+    and 0 < wronskian_tol < 1, for an int m below 1, for a LiftedODE with m
+    above MAX_DERIVE_M (pass the int m instead), when the block would hold
+    more than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when the
+    terms of all c_k times the grid points pass MAX_TERM_POINTS; these
+    guards run before anything is integrated.  It also raises ConfigError,
+    naming m, when a row of c_k values is not finite on the grid.  Any
+    other ode, a bool included, raises TypeError.
 
-    The grid, Phi, the symbol values and m+1 slots of c_k values are
-    memoised in _base under (p, q, cfg.interval, cfg.steps, m), and the
-    block and the midpoint values of the base solutions in _products under
-    that key plus (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats
-    bit for bit, so the report is the one a cold call gives.  Slot k keeps
-    the first c_k of a LiftedODE this base equation saw and its row, and a
-    later c_k that is or equals it reads the row: a genuine, a perturbed and
-    a dependent-IC check evaluate m+1, 1 and 0 coefficients.  An int m runs
-    the recurrence on every call and keeps nothing.  One entry each is kept,
-    read-only, until a check with other inputs or cache_clear() on both
-    _products and _base drops it: at most one block plus Phi, the grid, the
-    symbol values and m+1 c_k rows.
+    The grid, Phi and the symbol values are memoised in _base under
+    (p, q, cfg.interval, cfg.steps, m), and the block and the midpoint
+    values of the base solutions in _products under that key plus
+    (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats bit for bit,
+    so the report is the one a cold call gives.  The _base entry also holds
+    two slots: the rows, computed by the first check on that base equation,
+    and the coefficients of derive_lifted_ode(m), derived by the first
+    LiftedODE check on it.  So a genuine, a perturbed and a dependent-IC
+    check run the recurrence once and evaluate 0, 1 and 0 coefficients.  A
+    slot is only ever written whole, with the value every thread computes
+    for it.  One entry each is kept, read-only, until a check with other
+    inputs or cache_clear() on both _products and _base drops it: at most
+    one block plus Phi, the grid, the symbol values, the m+1 rows and the
+    derived coefficients.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -793,6 +761,11 @@ def basis_check(
         raise TypeError(f"expected a LiftedODE or an int power m, got {ode!r}")
     if derived and ode < 1:
         raise ConfigError(f"power m must be >= 1, got {ode}")
+    if not derived and ode.m > MAX_DERIVE_M:
+        raise ConfigError(
+            f"a LiftedODE is compared with the derived equation, which stops at "
+            f"m={MAX_DERIVE_M}; for m={ode.m} pass the int m to check the derived equation"
+        )
     m, points = (ode if derived else ode.m), cfg.steps + 1
     _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
     work = 0.0 if derived else sum(len(c.terms) for c in ode.coeffs) * float(points)
@@ -806,12 +779,24 @@ def basis_check(
         block, syms, slots, x, (f, fp), (g, gp) = _products(
             (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
         )
-        if derived:
-            values = _recurrence_values(m, syms)
-        else:
-            values = _coefficient_values(ode.coeffs, syms, slots)
+        rows = slots[0]
+        if rows is None:
+            rows = _recurrence_values(m, syms)
+            if not np.isfinite(rows).all():
+                raise ConfigError(
+                    f"the coefficients of the derived equation for m={m} leave the double "
+                    f"range on this grid; use a smaller m"
+                )
+            _read_only(rows)
+            slots[0] = rows
+        values = rows
+        if not derived:
+            ours = slots[1]
+            if ours is None:
+                ours = slots[1] = derive_lifted_ode(m).coeffs
+            values = [row if c == d else c.eval(syms) for c, d, row in zip(ode.coeffs, ours, rows)]
         worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
-        rows = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
+        residuals = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
@@ -821,7 +806,7 @@ def basis_check(
         m=m,
         interval=cfg.interval,
         step=cfg.h,
-        residuals=tuple(rows),
+        residuals=tuple(residuals),
         residual_tol=residual_tol,
         wronskian=float(value),
         wronskian_scale=float(scale),

@@ -553,6 +553,9 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "0", "--q", "9" * 309],  # a literal that overflows a double
         ["verify", "-m", "2", "--p", "2²", "--q", "-1"],
         ["verify", "-m", "2", "--p", "0", "--q", "x^" + "9" * 5000],
+        # c_k rows past the double range
+        ["verify", "-m", "16", "--p", "0", "--q", "-1" + "0" * 40,
+         "--interval", "0", "1e-19", "--step", "1e-20"],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from odelift import verify
-from odelift.diffring import DiffPoly
+from odelift.diffring import DiffPoly, parse_poly
 from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
@@ -24,7 +24,6 @@ from odelift.verify import (
     fundamental_matrix,
     monomial_label,
     product_derivatives,
-    residual,
     symbol_values,
 )
 from oracles import product_block
@@ -470,39 +469,6 @@ def test_product_block_matches_the_oracle_byte_for_byte_on_exact_zeros(p_text, q
         assert point.tobytes() == product_block(*start, m, syms).tobytes()
 
 
-# -- residuals -------------------------------------------------------------------
-
-
-def test_residual_shape_validation():
-    ode = derive_lifted_ode(1)
-    syms = symbol_values(ZERO, MINUS_ONE, 0, 0.3)
-    with pytest.raises(ValueError):
-        residual(ode, [1.0, 0.0], syms)
-
-
-def test_residual_on_true_solution_is_rounding_level():
-    grid, *f_pt = solve(ZERO, MINUS_ONE, COS_CFG, (1.0, 0.0))
-    syms = symbol_values(ZERO, MINUS_ONE, 1, grid)
-    for m in (1, 2):
-        ode = derive_lifted_ode(m)
-        derivs = product_derivatives(f_pt, f_pt, m, syms)
-        res = residual(ode, derivs[:, 0], syms)
-        assert res.shape == grid.shape
-        assert float(np.max(np.abs(res))) < 1e-9
-        # the whole block at once: one residual row per product
-        res = residual(ode, derivs, syms)
-        assert res.shape == (m + 1, *grid.shape)
-        assert float(np.max(np.abs(res))) < 1e-9
-
-
-def test_residual_scalar_point():
-    ode = derive_lifted_ode(2)
-    syms = symbol_values(ZERO, MINUS_ONE, 1, 0.0)
-    derivs = product_derivatives((1.0, 0.0), (0.0, 1.0), 2, syms)
-    assert abs(float(residual(ode, derivs[:, 0], syms))) < 1e-15
-    assert np.max(np.abs(residual(ode, derivs, syms))) < 1e-15
-
-
 # -- basis reports -----------------------------------------------------------------
 
 
@@ -558,6 +524,8 @@ def test_closed_form_wronskian_matches_determinant(m):
 
 @pytest.mark.parametrize("m", [1, 4, 9])
 def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
+    # a coefficient is evaluated only where it differs from the derived one,
+    # so a genuine equation reads every c_k from the recurrence rows
     calls = []
     plain_eval = DiffPoly.eval
 
@@ -567,26 +535,10 @@ def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
 
     monkeypatch.setattr(DiffPoly, "eval", counting_eval)
     ode = derive_lifted_ode(m)
+    clear_memos()
     report = basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG)
     assert report.passed
-    assert len(calls) == m + 1
-    assert {id(c) for c in calls} == {id(c) for c in ode.coeffs}
-
-
-def test_shared_power_table_changes_no_bit():
-    # c.eval with the one table residual shares equals c.eval on its own, bit
-    # for bit, and the table holds each (slot, exponent) factor once
-    p, q = parse_expr("1/(x+2)"), parse_expr("exp(-x)")
-    grid = np.linspace(0.0, 1.0, 101)
-    for m in range(1, 13):
-        ode = derive_lifted_ode(m)
-        vals = symbol_values(p, q, max(0, m - 1), grid)
-        table = {}
-        for c in ode.coeffs:
-            shared, alone = c.eval(vals, table), c.eval(vals)
-            assert np.asarray(shared).tobytes() == np.asarray(alone).tobytes()
-        factors = {(s, e) for c in ode.coeffs for mono in c.terms for s, e in enumerate(mono) if e}
-        assert set(table) == factors
+    assert calls == []
 
 
 def test_basis_check_integrates_once(monkeypatch):
@@ -832,10 +784,10 @@ def test_recurrence_values_match_the_expanded_coefficients(m):
     grid = np.linspace(0.0, 1.0, 101)
     for p_text, q_text in RECURRENCE_PAIRS:
         syms = symbol_values(parse_expr(p_text), parse_expr(q_text), max(0, m - 1), grid)
-        rows, powers = verify._recurrence_values(m, syms), {}
+        rows = verify._recurrence_values(m, syms)
         assert rows.shape == (m + 1, len(grid))
         for k, c in enumerate(ode.coeffs):
-            want = np.broadcast_to(c.eval(syms, powers), grid.shape)
+            want = np.broadcast_to(c.eval(syms), grid.shape)
             gap = np.max(np.abs(rows[k] - want))
             assert gap <= 1e-11 * np.max(np.abs(want)), (p_text, q_text, k, gap)
 
@@ -872,6 +824,74 @@ def test_power_and_derived_equation_give_the_same_verdicts(pair):
             # the Wronskian does not depend on the coefficients at all
             wronskian = ("wronskian", "wronskian_scale", "wronskian_ratio", "wronskian_x")
             assert [getattr(by_power, f) for f in wronskian] == [getattr(by_ode, f) for f in wronskian]
+
+
+@pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
+def test_derived_equation_gives_the_report_of_its_power(pair):
+    # one source of c_k values: the genuine equation reads the rows the int m
+    # reads, so the two reports are equal, with unit and with tilted ICs
+    p, q = map(parse_expr, pair)
+    tilted = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.5, -0.25), ic_g=(0.5, 2.0))
+    for m in range(1, 13):
+        ode = derive_lifted_ode(m)
+        for cfg in (COS_CFG, tilted):
+            assert basis_check(ode, p, q, cfg) == basis_check(m, p, q, cfg), (m, cfg)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
+    # c_0 + p*q and c_{m//2} + 1/8 are evaluated themselves, with DiffPoly.eval,
+    # and every other c_k is the row the int m reads
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    coeffs = list(derive_lifted_ode(m).coeffs)
+    coeffs[0] = coeffs[0] + parse_poly("p*q")
+    coeffs[m // 2] = coeffs[m // 2] + Fraction(1, 8)
+    seen, calls = [], []
+    plain_relative, plain_eval = verify._relative, DiffPoly.eval
+
+    def keep_values(values, block):
+        seen.append(values)
+        return plain_relative(values, block)
+
+    def counting_eval(self, *args):
+        calls.append(self)
+        return plain_eval(self, *args)
+
+    monkeypatch.setattr(verify, "_relative", keep_values)
+    monkeypatch.setattr(DiffPoly, "eval", counting_eval)
+    clear_memos()
+    assert basis_check(m, p, q, COS_CFG).passed
+    report = basis_check(LiftedODE(m, tuple(coeffs)), p, q, COS_CFG)
+    assert not report.passed
+    assert calls == [coeffs[0], coeffs[m // 2]]
+    by_power, values = seen
+    syms = symbol_values(p, q, m - 1, np.linspace(0.0, 1.0, COS_CFG.steps + 1))
+    for k, c in enumerate(coeffs):
+        want = plain_eval(c, syms) if k in (0, m // 2) else by_power[k]
+        assert np.asarray(values[k]).tobytes() == np.asarray(want).tobytes(), k
+
+
+def test_lifted_ode_past_the_derive_limit_is_refused_before_it_integrates(monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("integrated")
+
+    monkeypatch.setattr(verify, "_integrate", no_integration)
+    with pytest.raises(ConfigError, match="for m=29 pass the int m"):
+        basis_check(LiftedODE(29, (DiffPoly(),) * 30), ZERO, MINUS_ONE, COS_CFG)
+
+
+def test_coefficient_rows_out_of_double_range_are_refused():
+    # q = -1e40 on 11 points: the c_k rows overflow at m=16, and both kinds of
+    # ode get a ConfigError naming m instead of nan residuals
+    cfg = NumericConfig(interval=(0.0, 1e-19), step=1e-20)
+    q = parse_expr("-1" + "0" * 40)
+    for ode in (16, derive_lifted_ode(16)):
+        clear_memos()
+        with pytest.raises(ConfigError, match="for m=16 leave the double range"):
+            basis_check(ode, ZERO, q, cfg)
+    # rows that stay finite at a large m still pass
+    coarse = NumericConfig(interval=(0.0, 1.0), step=0.1)
+    assert basis_check(60, parse_expr("sin(x)"), parse_expr("x"), coarse).passed
 
 
 @pytest.mark.parametrize("m", [1, 5, 10, 28])
@@ -954,9 +974,10 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
 
 
 def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
-    # _base keeps the c_k values by polynomial: a perturbed c_{m//2}
-    # evaluates that one coefficient, and the dependent check none, whether
-    # the three operators share their c_k objects or hold equal copies
+    # every c_k equal to the derived one is read from the recurrence rows: a
+    # genuine check evaluates no coefficient, a perturbed c_{m//2} that one,
+    # and the dependent check none, whether the three operators share their
+    # c_k objects or hold equal copies
     calls = []
     plain_eval = DiffPoly.eval
 
@@ -980,13 +1001,13 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
                 calls.clear()
                 basis_check(check_ode, p, q, cfg)
                 counts.append(len(calls))
-            assert counts == [m + 1, 1, 0], m
+            assert counts == [0, 1, 0], m
             assert memo_info() == ((1, 1), (1, 2))
 
 
 def test_basis_check_hashes_no_polynomial(monkeypatch):
-    # the c_k slots compare polynomials by identity or ==, never by hash,
-    # which would build a frozenset of every term of every c_k
+    # each c_k is compared with the derived one by ==, never by hash, which
+    # would build a frozenset of every term of every c_k
     def no_hash(self):
         raise AssertionError("a DiffPoly was hashed")
 
@@ -1005,9 +1026,9 @@ def test_basis_check_hashes_no_polynomial(monkeypatch):
 @pytest.mark.parametrize("m", [2, 5])
 def test_clearing_the_base_memo_frees_the_coefficient_values(m):
     # after genuine, perturbed and dependent checks _base holds the grid,
-    # Phi, the symbol array and m+1 c_k rows, the perturbed one not kept;
-    # _products shares the last two, so clearing _base frees only the grid
-    # and Phi, and clearing both leaves none
+    # Phi, the symbol array and the m+1 recurrence rows, and the perturbed
+    # c_k is not kept; _products shares the last two, so clearing _base frees
+    # only the grid and Phi, and clearing both leaves none
     points = 20001
     row = 8 * points
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
@@ -1047,7 +1068,7 @@ def test_check_sequences_match_cold_checks(pair):
     for m in range(1, 9):
         ode = derive_lifted_ode(m)
         genuine_first = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
-        # perturbed first: the slot of c_{m//2} then holds the perturbed polynomial
+        # perturbed first: the first check on the base equation fills both slots
         perturbed_first = [genuine_first[1], genuine_first[0], genuine_first[2]]
         for checks in (genuine_first, perturbed_first):
             cold = []
@@ -1203,7 +1224,7 @@ def assert_threads_get(want, checks):
 
 def test_threads_sharing_one_base_equation_get_their_own_reports():
     # every thread checks its own operator on one p, q and grid, so all of
-    # them read and replace the c_k values that one _base entry holds
+    # them read, and may race to fill, the two slots of one _base entry
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
     p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(3)
     odes = [ode] + [perturbed(ode, k) for k in range(4)]
