@@ -32,20 +32,25 @@ k wherever its c_k equals the derived one and evaluates only the c_k that
 differ, with DiffPoly.eval.  The products are formed from the unit vectors
 of the two initial conditions, so their scale neither overflows the block
 nor hides a residual under its floor; the Wronskian is taken at the raw
-ones.  basis_check keeps the rest in two one-entry memos: _base holds the
-grid, Phi and the symbol values, keyed by p, q, the interval, the step
-count and m, from one integration that evaluates p and q once on the grid
-and once on the midpoints, and two slots, one for the rows and one for the
-derived coefficients a LiftedODE is compared with; _products holds the
-product block and the midpoint values of f and g, keyed by those plus ic_f
-and ic_g, and hands basis_check the symbol values and the slots with them.
+ones.
+
+basis_check keeps what does not depend on the operator in three one-entry
+memos (_one_slot), each built whole and never written after:
+  _base      grid, Phi, the symbol values and the rows, read-only, keyed by
+             p, q, the interval, the step count and m: one integration,
+             which evaluates p and q once on the grid and once on the
+             midpoints, and one run of the recurrence per base equation;
+  _products  the product block, read-only, and the midpoint values of f
+             and g, keyed by _base's key plus ic_f and ic_g;
+  _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
+             an explicit LiftedODE is compared with.
 So a genuine equation, a perturbed one and dependent initial conditions on
 one base equation integrate once, run the recurrence once and evaluate 0,
-1 and 0 coefficients.  Each memo drops its entry before it builds the next,
+1 and 0 coefficients, and LiftedODE checks at one m derive once, whatever
+the base equation.  Each memo drops its entry before it builds the next,
 so at most one check's arrays are held: one product block of at most
 MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and the m+1
-rows.  The arrays are read-only; the slots are owned by _base and shared
-with _products, so cache_clear() on both frees them.
+rows.  cache_clear() on all three frees everything.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ __all__ = [
 #: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
 #: check, integration, jets and residual included, peaks under 5 block sizes,
 #: and the memos' arrays hold under 3 between checks (2.50 at m = 1, with the
-#: m+1 c_k rows; the derived coefficients a LiftedODE check keeps are not
-#: arrays and come on top); see
+#: m+1 c_k rows; the derived coefficients _derived keeps are not arrays and
+#: come on top); see
 #: test_basis_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
@@ -137,13 +142,15 @@ class NumericConfig:
     ic_g: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
-        a, b = (float(v) for v in self.interval)
-        object.__setattr__(self, "interval", (a, b))
+        object.__setattr__(self, "interval", tuple(float(v) for v in self.interval))
         object.__setattr__(self, "step", float(self.step))
         object.__setattr__(self, "ic_f", tuple(float(v) for v in self.ic_f))
         object.__setattr__(self, "ic_g", tuple(float(v) for v in self.ic_g))
+        if len(self.interval) != 2:
+            raise ConfigError(f"interval must be a pair of bounds (a, b), got {self.interval}")
         if len(self.ic_f) != 2 or len(self.ic_g) != 2:
             raise ConfigError("initial conditions must be (value, derivative) pairs")
+        a, b = self.interval
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ConfigError(f"interval bounds must be finite, got [{a}, {b}]")
         if not all(math.isfinite(v) for v in self.ic_f + self.ic_g):
@@ -478,7 +485,7 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
 
 
 # --------------------------------------------------------------------------
-# operator-independent arrays, memoised
+# operator-independent values, memoised
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -526,36 +533,50 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @_one_slot
 def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """(grid, phi, syms) of _integrate with the symbols up to order m-1, all read-only,
-    and two empty slots that basis_check fills: slot 0 with the rows c_0, ..., c_m of
-    the derived equation, slot 1 with its coefficients; keyed by p, q, the interval,
-    the step count and m."""
-    arrays = _integrate(p, q, cfg, max(0, m - 1))
-    _read_only(*arrays)
-    return (*arrays, [None, None])
+    """(grid, phi, syms, rows), all read-only: _integrate with the symbols up to
+    order m-1, and the rows c_0, ..., c_m of the derived equation on the grid.
+
+    Raises ConfigError, naming m, when a row is not finite.  Without this memo
+    each check integrates again, and verify-batch wall_s went from 0.130 to
+    0.165 s (+27 %).
+    """
+    grid, phi, syms = _integrate(p, q, cfg, max(0, m - 1))
+    rows = _recurrence_values(m, syms)
+    if not np.isfinite(rows).all():
+        raise ConfigError(
+            f"the coefficients of the derived equation for m={m} leave the double "
+            f"range on this grid; use a smaller m"
+        )
+    _read_only(grid, phi, syms, rows)
+    return grid, phi, syms, rows
 
 
 @_one_slot
 def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """The arrays basis_check reads; keyed by _base's key plus cfg.ic_f and cfg.ic_g.
+    """(product block, syms, rows, x, (f, f'), (g, g')): the block read-only,
+    syms and rows _base's, and the last three the floats at the grid's midpoint,
+    where the Wronskian is taken.
 
-    (product block, syms, slots, x, (f, f'), (g, g')) with the block
-    read-only, syms and the two slots _base's, and the last three the floats
-    at the grid's midpoint, where the Wronskian is taken.  The block is built
-    from the solutions at the unit vectors of cfg.ic_f and cfg.ic_g, which
-    are dropped once it is built; (f, f') and (g, g') are phi[:, mid] applied
-    to the raw cfg.ic_f and cfg.ic_g.  _base is called here so that a new
-    base equation drops the old entries before it builds its own.
-    Without this memo each perturbed check builds its block again, and
-    verify-batch takes about 15 % longer.
+    The block is built from the solutions at the unit vectors of cfg.ic_f and
+    cfg.ic_g, which are dropped once it is built; (f, f') and (g, g') are
+    phi[:, mid] applied to the raw cfg.ic_f and cfg.ic_g.  _base is called
+    here so that a new base equation drops the old entries before it builds
+    its own.  Without this memo each perturbed check builds its block again,
+    and verify-batch wall_s went from 0.128 to 0.149 s (+16 %).
     """
-    grid, phi, syms, slots = _base(base_key, p, q, cfg, m)
+    grid, phi, syms, rows = _base(base_key, p, q, cfg, m)
     f_pt, g_pt = _solution(phi, _unit(cfg.ic_f)), _solution(phi, _unit(cfg.ic_g))
     block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
     mid = len(grid) // 2
     (f, fp), (g, gp) = _solution(phi[:, mid], cfg.ic_f), _solution(phi[:, mid], cfg.ic_g)
-    return block, syms, slots, float(grid[mid]), (float(f), float(fp)), (float(g), float(gp))
+    return block, syms, rows, float(grid[mid]), (float(f), float(fp)), (float(g), float(gp))
+
+
+@_one_slot
+def _derived(m: int) -> tuple:
+    """The coefficients c_0, ..., c_m of derive_lifted_ode(m)."""
+    return derive_lifted_ode(m).coeffs
 
 
 def _unit(ic: tuple) -> tuple:
@@ -734,23 +755,11 @@ def basis_check(
     more than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when the
     terms of all c_k times the grid points pass MAX_TERM_POINTS; these
     guards run before anything is integrated.  It also raises ConfigError,
-    naming m, when a row of c_k values is not finite on the grid.  Any
-    other ode, a bool included, raises TypeError.
+    naming m, when a row of c_k values is not finite on the grid, before
+    any block is built.  Any other ode, a bool included, raises TypeError.
 
-    The grid, Phi and the symbol values are memoised in _base under
-    (p, q, cfg.interval, cfg.steps, m), and the block and the midpoint
-    values of the base solutions in _products under that key plus
-    (cfg.ic_f, cfg.ic_g); p and q are keyed by repr and floats bit for bit,
-    so the report is the one a cold call gives.  The _base entry also holds
-    two slots: the rows, computed by the first check on that base equation,
-    and the coefficients of derive_lifted_ode(m), derived by the first
-    LiftedODE check on it.  So a genuine, a perturbed and a dependent-IC
-    check run the recurrence once and evaluate 0, 1 and 0 coefficients.  A
-    slot is only ever written whole, with the value every thread computes
-    for it.  One entry each is kept, read-only, until a check with other
-    inputs or cache_clear() on both _products and _base drops it: at most
-    one block plus Phi, the grid, the symbol values, the m+1 rows and the
-    derived coefficients.
+    p and q are keyed by repr and floats bit for bit, so a report from the
+    memos (see the module docstring) is the one a cold call gives.
     """
     if not 0.0 < residual_tol < math.inf:
         raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
@@ -776,25 +785,13 @@ def basis_check(
         )
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = repr((p, q, cfg.interval, cfg.steps)), m  # repr tells -0.0 from 0.0
-        block, syms, slots, x, (f, fp), (g, gp) = _products(
+        block, syms, rows, x, (f, fp), (g, gp) = _products(
             (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
         )
-        rows = slots[0]
-        if rows is None:
-            rows = _recurrence_values(m, syms)
-            if not np.isfinite(rows).all():
-                raise ConfigError(
-                    f"the coefficients of the derived equation for m={m} leave the double "
-                    f"range on this grid; use a smaller m"
-                )
-            _read_only(rows)
-            slots[0] = rows
         values = rows
         if not derived:
-            ours = slots[1]
-            if ours is None:
-                ours = slots[1] = derive_lifted_ode(m).coeffs
-            values = [row if c == d else c.eval(syms) for c, d, row in zip(ode.coeffs, ours, rows)]
+            values = [row if c == d else c.eval(syms)
+                      for c, d, row in zip(ode.coeffs, _derived(m, m), rows)]
         worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
         residuals = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
 

@@ -49,8 +49,12 @@ def solve(p, q, cfg, ic):
 
 
 def clear_memos():
-    verify._products.cache_clear()
-    verify._base.cache_clear()
+    """Empty every memo of odelift.verify, found by inspection."""
+    for value in vars(verify).values():
+        if callable(getattr(value, "cache_clear", None)) and callable(
+            getattr(value, "cache_info", None)
+        ):
+            value.cache_clear()
 
 
 def block_at(f_pt, g_pt, m, p, q, x):
@@ -72,6 +76,9 @@ def test_config_validation():
         NumericConfig(interval=(0.0, 1.0), step=0.2)
     with pytest.raises(ConfigError):
         NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.0, 0.0))
+    for interval in ((0, 1, 2), (0,)):
+        with pytest.raises(ConfigError, match="interval must be a pair of bounds"):
+            NumericConfig(interval, 0.01)
     inf, nan = float("inf"), float("nan")
     with pytest.raises(ConfigError, match="finite"):
         NumericConfig(interval=(0.0, inf), step=1e-3)
@@ -880,15 +887,21 @@ def test_lifted_ode_past_the_derive_limit_is_refused_before_it_integrates(monkey
         basis_check(LiftedODE(29, (DiffPoly(),) * 30), ZERO, MINUS_ONE, COS_CFG)
 
 
-def test_coefficient_rows_out_of_double_range_are_refused():
+def test_coefficient_rows_out_of_double_range_are_refused(monkeypatch):
     # q = -1e40 on 11 points: the c_k rows overflow at m=16, and both kinds of
-    # ode get a ConfigError naming m instead of nan residuals
+    # ode get a ConfigError naming m instead of nan residuals, before any
+    # product block is built
+    def no_block(*args):
+        raise AssertionError("built a product block")
+
     cfg = NumericConfig(interval=(0.0, 1e-19), step=1e-20)
     q = parse_expr("-1" + "0" * 40)
+    monkeypatch.setattr(verify, "product_derivatives", no_block)
     for ode in (16, derive_lifted_ode(16)):
         clear_memos()
         with pytest.raises(ConfigError, match="for m=16 leave the double range"):
             basis_check(ode, ZERO, q, cfg)
+    monkeypatch.undo()
     # rows that stay finite at a large m still pass
     coarse = NumericConfig(interval=(0.0, 1.0), step=0.1)
     assert basis_check(60, parse_expr("sin(x)"), parse_expr("x"), coarse).passed
@@ -1005,6 +1018,25 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
             assert memo_info() == ((1, 1), (1, 2))
 
 
+@pytest.mark.parametrize("m", [3, 16])
+def test_lifted_ode_checks_at_one_m_derive_once(m, monkeypatch):
+    # the equation a LiftedODE is compared with depends on m alone, so checks
+    # on four base equations in a row derive it once
+    calls = []
+
+    def counting(m, plain=verify.derive_lifted_ode):
+        calls.append(m)
+        return plain(m)
+
+    ode, q = derive_lifted_ode(m), parse_expr("x")
+    clear_memos()
+    monkeypatch.setattr(verify, "derive_lifted_ode", counting)
+    for p_text in ("sin(x)", "cos(x)", "sin(2*x)", "exp(-x)"):
+        assert basis_check(ode, parse_expr(p_text), q, COS_CFG).passed, p_text
+    assert calls == [m]
+    assert verify._derived.cache_info()[:2] == (3, 1)
+
+
 def test_basis_check_hashes_no_polynomial(monkeypatch):
     # each c_k is compared with the derived one by ==, never by hash, which
     # would build a frozenset of every term of every c_k
@@ -1027,8 +1059,9 @@ def test_basis_check_hashes_no_polynomial(monkeypatch):
 def test_clearing_the_base_memo_frees_the_coefficient_values(m):
     # after genuine, perturbed and dependent checks _base holds the grid,
     # Phi, the symbol array and the m+1 recurrence rows, and the perturbed
-    # c_k is not kept; _products shares the last two, so clearing _base frees
-    # only the grid and Phi, and clearing both leaves none
+    # c_k is not kept; _products holds the block and the last two of _base's
+    # arrays, so clearing _base frees only the grid and Phi, and clearing
+    # both leaves no array
     points = 20001
     row = 8 * points
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
@@ -1068,7 +1101,8 @@ def test_check_sequences_match_cold_checks(pair):
     for m in range(1, 9):
         ode = derive_lifted_ode(m)
         genuine_first = [(ode, genuine), (perturbed(ode, m // 2), genuine), (ode, dependent)]
-        # perturbed first: the first check on the base equation fills both slots
+        # perturbed first: the memo entries are built by a check that
+        # evaluates a coefficient of its own
         perturbed_first = [genuine_first[1], genuine_first[0], genuine_first[2]]
         for checks in (genuine_first, perturbed_first):
             cold = []
@@ -1224,7 +1258,7 @@ def assert_threads_get(want, checks):
 
 def test_threads_sharing_one_base_equation_get_their_own_reports():
     # every thread checks its own operator on one p, q and grid, so all of
-    # them read, and may race to fill, the two slots of one _base entry
+    # them read one _base entry and one _derived entry
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-2)
     p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(3)
     odes = [ode] + [perturbed(ode, k) for k in range(4)]
