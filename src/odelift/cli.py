@@ -249,10 +249,13 @@ def _run_verify(args) -> int:
         ic_g=tuple(args.ic_g),
     )
     (p_text, p), (q_text, q) = args.p, args.q
-    report = basis_check(
-        args.m, p, q, cfg,
-        residual_tol=args.tol_residual, wronskian_tol=args.tol_wronskian,
-    )
+    try:
+        report = basis_check(
+            args.m, p, q, cfg,
+            residual_tol=args.tol_residual, wronskian_tol=args.tol_wronskian,
+        )
+    except RecursionError:  # a tree too deep for verify's recursive walks
+        raise ConfigError("--p or --q is nested too deeply to check") from None
     if args.json:
         doc = {
             "m": report.m,
@@ -287,13 +290,17 @@ def _run_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+#: Built once, at import: building it takes most of a millisecond, which
+#: every call of main() would otherwise pay.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:
-        parser.exit(2, f"error: {exc}\n")
+        _PARSER.exit(2, f"error: {exc}\n")
     except (ExprDomainError, MissingSymbolError, FixtureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

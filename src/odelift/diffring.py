@@ -23,16 +23,18 @@ degree, ties broken by comparing exponents along the symbol order
 p < p' < p'' < ... < q < q' < ...  This order is only a printing
 convention; the ring operations do not depend on it.
 
-The module ships what the tool runs: the ring operations the fixture
-parser and the reference-table check use, DiffPoly.eval for the numeric
-residuals, parsing, and plain/LaTeX printing.  The derivation runs on
-packed keys in odelift.lifting.  The ring-level derivation and the exact
-evaluator, which only tests need, are references in tests/oracles.py.
+The module ships what the tool runs: the ring operations (the table
+check subtracts, and an explicit LiftedODE may be built by arithmetic),
+DiffPoly.eval for the coefficients verify evaluates, parsing, and
+plain/LaTeX printing.  parse_poly does no ring arithmetic: it reads a
+table line in one pass into one term map, so a line costs time and
+memory in proportion to its length.  The derivation runs on packed keys
+in odelift.lifting.  The ring-level derivation and the exact evaluator,
+which only tests need, are references in tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
@@ -385,17 +387,14 @@ class _PolyScanner:
     """Tokenizer for the plain polynomial grammar.
 
     Tokens: integers (with optional /denominator forming an exact rational),
-    the symbols p and q with trailing apostrophes, the operators + - * ^,
-    and parentheses.  Whitespace is insignificant.
+    the symbols p and q with trailing apostrophes (valued by their slot),
+    the operators + - * ^, and parentheses.  Whitespace is insignificant.
     """
 
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.kind = ""
-        self.value = None
-        self.token_pos = 0
-        self.advance()
+        self.advance()  # sets kind, value and token_pos
 
     def advance(self) -> None:
         text, n = self.text, len(self.text)
@@ -430,7 +429,7 @@ class _PolyScanner:
             j = i + 1
             while j < n and text[j] == "'":
                 j += 1
-            self.kind, self.value, self.pos = "symbol", DiffSymbol(ch, j - i - 1), j
+            self.kind, self.value, self.pos = "symbol", 2 * (j - i - 1) + _BASES.index(ch), j
             return
         if ch in "+-*^()":
             self.kind, self.value, self.pos = ch, ch, i + 1
@@ -444,127 +443,101 @@ class _PolyScanner:
             message = f"integer literal of {end - start} digits is too long"
             raise PolyParseError(message, start) from None
 
-    def expect(self, kind: str) -> None:
-        if self.kind != kind:
-            raise PolyParseError(f"expected {kind!r}, found {self.kind!r}", self.token_pos)
-        self.advance()
-
 
 def parse_poly(text: str) -> DiffPoly:
     """Parse the plain polynomial grammar into a normalized DiffPoly.
 
     Grammar:  poly   := [sign] term (sign term)*
-              term   := factor ('*' factor)*
-              factor := atom ['^' positive-integer]
-              atom   := rational | symbol | '(' poly ')'
+              term   := (rational '*')* '(' poly ')'
+                      | factor ('*' factor)*
+              factor := rational | symbol ['^' positive-integer]
 
-    Implicit multiplication is rejected; every product is written with '*'.
-    Raises PolyParseError with the offending position on malformed input,
-    and at the exponent of a power that may pass 1 000 terms or 10^6
-    coefficient bits (_check_power), before the power is taken.  A product
-    is held to the same budget at its '*': the factors' term counts
-    multiplied, and their largest coefficients' bits added, before the
-    factors are.
+    So a parenthesized sum ends its term and follows rationals only, as in
+    -2*(q' - 2*p*q); '^' takes a symbol only; every product is written
+    with '*'.  Sums nest at most _MAX_NESTING deep, and the factor that
+    scales a sum's terms holds at most _MAX_SCALE_BITS bits.  One pass
+    writes each term into one term map, its coefficient the product of
+    the rationals and signs in and around it: nothing is multiplied out,
+    and time and memory grow with the length of the text.  Raises
+    PolyParseError with the offending position on malformed input.
     """
     scanner = _PolyScanner(text)
-    poly = _parse_sum(scanner)
-    if scanner.kind != "end":
-        raise PolyParseError(f"unexpected trailing {scanner.kind!r}", scanner.token_pos)
-    return poly
+    terms: dict[Monomial, Scalar] = {}
+    _parse_sum(scanner, 1, terms, 0, "end")
+    return _raw(terms)
 
 
-def _parse_sum(scanner: _PolyScanner) -> DiffPoly:
-    sign = 1
-    if scanner.kind in "+-":
+#: Deepest nesting of parenthesized sums that parse_poly reads, and the
+#: most bits of numerator plus denominator of the factor that scales each
+#: term of one.  The bundled tables nest one deep and scale by -1 or -2.
+#: Every other coefficient is written in the text of its own term, so the
+#: bits of the term map grow with the text, not with its square.
+_MAX_NESTING = 100
+_MAX_SCALE_BITS = 64
+
+
+def _parse_sum(
+    scanner: _PolyScanner, scale: Scalar, terms: dict, depth: int, close: str
+) -> None:
+    """Write the terms of a sum, each times ``scale``, into ``terms``, and
+    read the token ``close`` that ends it."""
+    while True:
         sign = -1 if scanner.kind == "-" else 1
+        if scanner.kind in "+-":
+            scanner.advance()
+        _parse_term(scanner, scale * sign, terms, depth)
+        if scanner.kind not in "+-":
+            break
+    if scanner.kind != close:
+        message = f"expected a sign or {close!r}, found {scanner.kind!r}"
+        raise PolyParseError(message, scanner.token_pos)
+    scanner.advance()
+
+
+def _parse_term(scanner: _PolyScanner, coeff: Scalar, terms: dict, depth: int) -> None:
+    """Write one term, times ``coeff``, into ``terms``: a monomial, or the
+    terms of the parenthesized sum that ends it."""
+    exps: list[int] = []
+    while True:
+        kind, value, position = scanner.kind, scanner.value, scanner.token_pos
+        if kind == "(":
+            if exps:
+                raise PolyParseError("a sum may follow only rationals", position)
+            if depth == _MAX_NESTING:
+                raise PolyParseError(f"sums nested over {_MAX_NESTING} deep", position)
+            if coeff.numerator.bit_length() + coeff.denominator.bit_length() > _MAX_SCALE_BITS:
+                raise PolyParseError(f"a sum scaled by over {_MAX_SCALE_BITS} bits", position)
+            scanner.advance()
+            _parse_sum(scanner, coeff, terms, depth + 1, ")")
+            if scanner.kind in "*^":
+                raise PolyParseError("a sum must be the last factor of its term", scanner.token_pos)
+            return
+        if kind not in ("number", "symbol"):
+            raise PolyParseError(f"expected number, symbol, or '(', found {kind!r}", position)
         scanner.advance()
-    total = _parse_term(scanner) * sign
-    while scanner.kind in "+-":
-        sign = -1 if scanner.kind == "-" else 1
+        if kind == "number":
+            coeff = coeff * value
+        else:
+            exp = 1
+            if scanner.kind == "^":
+                scanner.advance()
+                exp = scanner.value
+                if scanner.kind != "number" or exp.denominator != 1 or exp <= 0:
+                    raise PolyParseError("expected a positive integer exponent", scanner.token_pos)
+                scanner.advance()
+            exps.extend([0] * (value + 1 - len(exps)))
+            exps[value] += int(exp)
+        if scanner.kind == "^":
+            raise PolyParseError("'^' applies only to a symbol", scanner.token_pos)
+        if scanner.kind != "*":
+            break
         scanner.advance()
-        total = total + _parse_term(scanner) * sign
-    return total
-
-
-def _parse_term(scanner: _PolyScanner) -> DiffPoly:
-    product = _parse_factor(scanner)
-    terms, bits = len(product.terms), _coefficient_bits(product)
-    while scanner.kind == "*":
-        position = scanner.token_pos
-        scanner.advance()
-        factor = _parse_factor(scanner)
-        # the power budget, held against the product of the factors' term
-        # counts and the sum of their coefficient bits before multiplying
-        terms *= len(factor.terms)
-        bits += _coefficient_bits(factor)
-        if terms > _MAX_POWER_TERMS:
-            raise PolyParseError(f"product may have over {_MAX_POWER_TERMS} terms", position)
-        if bits > _MAX_POWER_BITS:
-            raise PolyParseError(f"product needs over {_MAX_POWER_BITS} coefficient bits", position)
-        product = product * factor
-    return product
-
-
-def _parse_factor(scanner: _PolyScanner) -> DiffPoly:
-    base = _parse_atom(scanner)
-    if scanner.kind == "^":
-        scanner.advance()
-        if scanner.kind != "number":
-            raise PolyParseError("expected integer exponent after '^'", scanner.token_pos)
-        exp = scanner.value
-        if exp.denominator != 1 or exp <= 0:
-            raise PolyParseError("exponent must be a positive integer", scanner.token_pos)
-        _check_power(base, int(exp), scanner.token_pos)
-        scanner.advance()
-        return base ** int(exp)
-    return base
-
-
-#: Budget of a power or a product in parse_poly, checked before it is
-#: computed; the bundled tables use exponents up to 5.  A base of t terms
-#: to the n-th may have C(n+t-1, t-1) terms, and its coefficients n times
-#: the bits of the base's largest numerator or denominator (log2, so +-1
-#: costs none).  A product may have the product of its factors' term
-#: counts, and coefficients of the sum of their bits.
-_MAX_POWER_TERMS = 1000
-_MAX_POWER_BITS = 10**6
-
-
-def _check_power(base: DiffPoly, n: int, position: int) -> None:
-    """Raise PolyParseError at position unless base**n fits the budget."""
-    terms = 1
-    for i in range(1, len(base.terms)):  # terms = C(n+i, i), stopped once over budget
-        terms = terms * (n + i) // i
-        if terms > _MAX_POWER_TERMS:
-            raise PolyParseError(f"power may have over {_MAX_POWER_TERMS} terms", position)
-    if n * _coefficient_bits(base) > _MAX_POWER_BITS:
-        raise PolyParseError(f"power needs over {_MAX_POWER_BITS} coefficient bits", position)
-
-
-def _coefficient_bits(poly: DiffPoly) -> float:
-    """log2 of poly's largest numerator or denominator; 0 for 0 and +-1."""
-    return math.log2(
-        max((max(abs(c.numerator), c.denominator) for c in poly.terms.values()), default=1)
-    )
-
-
-def _parse_atom(scanner: _PolyScanner) -> DiffPoly:
-    if scanner.kind == "number":
-        value = scanner.value
-        scanner.advance()
-        return DiffPoly.const(value)
-    if scanner.kind == "symbol":
-        sym = scanner.value
-        scanner.advance()
-        return DiffPoly.symbol(sym)
-    if scanner.kind == "(":
-        scanner.advance()
-        inner = _parse_sum(scanner)
-        scanner.expect(")")
-        return inner
-    raise PolyParseError(
-        f"expected number, symbol, or '(', found {scanner.kind!r}", scanner.token_pos
-    )
+    mono = _new_key(Monomial, exps)
+    c = terms.get(mono, 0) + coeff
+    if c:
+        terms[mono] = _settle(c)
+    else:
+        terms.pop(mono, None)
 
 
 # ---------------------------------------------------------------------------

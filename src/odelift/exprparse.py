@@ -190,10 +190,14 @@ def parse_expr(text: str) -> Expr:
 
     Standard precedence (^ binds tighter than unary minus, which binds
     tighter than * and /, which bind tighter than + and -); the four
-    binary operators associate to the left.
+    binary operators associate to the left.  Nesting too deep for the
+    interpreter's recursion limit is a syntax error at the token reached.
     """
     sc = _Scanner(text)
-    tree = _parse_sum(sc)
+    try:
+        tree = _parse_sum(sc)
+    except RecursionError:
+        raise ExprSyntaxError(sc.token[2], ("less deeply nested input",), sc.found()) from None
     if sc.token[0] != "end":
         raise ExprSyntaxError(sc.token[2], ("end of input",), sc.found())
     return tree

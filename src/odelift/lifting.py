@@ -24,11 +24,16 @@ key + 1, multiplying by q is key + (1 << bits), and the derivation moves
 one unit of exponent from slot s to slot s+2.  The keys are unpacked into
 Monomials once, at the end.
 
-The term order of each c_k is part of the result: it is the order in
-which DiffPoly.eval sums the terms, and so it fixes the bits of every value
-DiffPoly.eval gives for a c_k.  Each entry is therefore written in the order the
-ring expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would
-produce it, with the same deletion of cancelled terms.
+The term order of each c_k, the insertion order of its term map, is
+part of the result: each entry is written in the order the ring
+expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would produce
+it, with the same deletion of cancelled terms, and the tests hold it to
+that ring-arithmetic recurrence term for term.  No output depends on it:
+the printers sort the terms, and verify reads the derived c_k from the
+recurrence on the grid, not from DiffPoly.eval.  What it still fixes is
+the in-memory DiffPoly, and with it the summation order of DiffPoly.eval
+on a polynomial built from a c_k, such as a perturbed coefficient of an
+explicit LiftedODE.
 
 The packed move here is the only derivation the package ships.  The
 references live with the tests in tests/oracles.py: the ring-level

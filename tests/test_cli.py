@@ -313,11 +313,12 @@ def test_check_missing_fixture_directory(tmp_path, capsys):
         (b"2*p^2 +", "expected number"),
         (b"\xff\xfe2*p^2", "'utf-8' codec can't decode"),
         (b"1" * 5000 + b"*p", "5000 digits is too long (at position 0)"),
-        (b"2^99999999999*p", "coefficient bits (at position 2)"),
-        (b"(p+q)^400*(p'+q')^400", "product may have over 1000 terms (at position 9)"),
+        (b"2^99999999999*p", "'^' applies only to a symbol (at position 1)"),
+        (b"(p+q)^400*(p'+q')^400", "a sum must be the last factor of its term (at position 5)"),
+        (b"(" * 5000 + b"p" + b")" * 5000, "sums nested over 100 deep (at position 100)"),
     ],
     ids=["unparsable", "not-utf8", "over-long-literal", "power-over-budget",
-         "product-over-budget"],
+         "product-over-budget", "nested-5000-deep"],
 )
 def test_check_unreadable_fixture_line(tmp_path, capsys, line2, reason):
     _copy_fixtures(tmp_path)
@@ -556,6 +557,12 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         # c_k rows past the double range
         ["verify", "-m", "16", "--p", "0", "--q", "-1" + "0" * 40,
          "--interval", "0", "1e-19", "--step", "1e-20"],
+        # nesting or sums too deep for the recursive parser and tree walks
+        ["verify", "-m", "2", "--p", "(" * 200 + "x" + ")" * 200, "--q", "x"],
+        ["verify", "-m", "2", "--p", "(" * 5000 + "x" + ")" * 5000, "--q", "x"],
+        ["verify", "-m", "2", "--p", "x", "--q=" + "-" * 1000 + "x"],
+        ["verify", "-m", "2", "--p", "+".join(["x"] * 500), "--q", "x"],
+        ["verify", "-m", "8", "--p", "0", "--q", "*".join(["x"] * 1000)],
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
@@ -567,6 +574,23 @@ def test_usage_errors_exit_2(argv, capsys):
         # a bad expression is named at its offset, not by argparse's generic
         # "invalid _expression value" with the whole text echoed
         assert "syntax error at offset" in err and len(err) < 1000, err
+
+
+def test_deep_input_that_verify_read_before_is_still_read():
+    # at the edge of what the recursive parser and tree walks take in a
+    # fresh process: 194 nested parentheses and a sum of 330 terms
+    for p in ["(" * 194 + "x" + ")" * 194, "+".join(["0"] * 330)]:
+        proc = run_module(["verify", "-m", "2", "--p", p, "--q", "-1"])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run(["check-paper", "-m", "2"], capsys)[0] == 0
+    assert run(["derive", "-m", "1"], capsys)[0] == 0
 
 
 def test_module_entry_point():

@@ -5,6 +5,7 @@ the package derives on packed keys in odelift.lifting.
 """
 
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from odelift.diffring import (
     parse_poly,
     poly_terms_doc,
 )
-from odelift.lifting import LiftedODE
+from odelift.lifting import FIXTURE_ORDERS, LiftedODE, derive_lifted_ode, load_fixture
 from oracles import derive, eval_exact
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
@@ -212,47 +213,114 @@ def test_large_exponent_parses_at_once():
 
 
 def test_powers_over_the_budget_are_refused_at_once():
-    # refused at the exponent before the power is taken: 2^99999999999
-    # alone would need about 12.5 GB
-    for text, pos in [("2^99999999999", 2), ("(p+q)^100000", 6), ("(2*p+q)^3000", 8)]:
+    # '^' takes a symbol only, so a power of a literal or of a sum, whose
+    # expansion can be huge (2^99999999999 alone would need about 12.5 GB),
+    # is refused at its '^' before anything is computed
+    for text, pos in [
+        ("2^99999999999", 1), ("(p+q)^100000", 5), ("(2*p+q)^3000", 7),
+        ("(p+q+q'')^44", 9), ("(1/2)^1000001", 5), ("(-1)^99999999999", 4),
+        ("p^2^3", 3),
+    ]:
         start = time.perf_counter()
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert time.perf_counter() - start < 1.0
         assert exc.value.position == pos, text
-    assert len(parse_poly("(p+q)^50").terms) == 51
-    # the edges: C(45, 2) = 990 terms pass and C(46, 2) = 1035 do not;
-    # 10^6 coefficient bits pass and 10^6 + 1 do not
-    assert len(parse_poly("(p+q+q'')^43").terms) == 990
-    assert parse_poly("(1/2)^1000000") == DiffPoly.const(Fraction(1, 2**1000000))
-    assert parse_poly("(-1)^99999999999") == -1
-    for text, reason in [("(p+q+q'')^44", "terms"), ("(1/2)^1000001", "bits")]:
-        with pytest.raises(PolyParseError, match=reason):
-            parse_poly(text)
 
 
 def test_products_over_the_budget_are_refused_at_once():
-    # refused at the '*' before the factors are multiplied: the first would
-    # build 160 801 terms, the second a 4.5 Mbit coefficient
+    # a parenthesized sum is the last factor of its term and follows
+    # rationals only, so a product of sums is refused at the token after
+    # the first sum, and a sum after a symbol at its '('
     chain = "*".join(["2^900000"] * 5)
-    for text, pos, reason in [
-        ("(p+q)^400*(p'+q')^400", 9, "terms"),
-        (chain, 8, "bits"),
-        ("p*(p+q)^10*(p'+q')^100", 10, "terms"),
+    for text, pos in [
+        ("(p+q)^400*(p'+q')^400", 5),
+        (chain, 1),
+        ("p*(p+q)^10*(p'+q')^100", 2),
+        ("(p+q)^31*(p'+q')^31", 5),
+        ("(1/2)^1000000*2", 5),
+        ("(p+q)*(p'+q')", 5),
+        ("2*(p+q)*p", 7),
+        ("q*(p+q)", 2),
     ]:
         start = time.perf_counter()
-        with pytest.raises(PolyParseError, match=reason) as exc:
+        with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert time.perf_counter() - start < 1.0
         assert exc.value.position == pos, text
-    assert len(parse_poly("(p+q)^30*(p'+q')^30").terms) == 961
-    # the edges: 31 * 32 = 992 terms pass and 32 * 32 = 1024 do not;
-    # 10^6 coefficient bits pass and 10^6 + 1 do not
-    assert len(parse_poly("(p+q)^30*(p'+q')^31").terms) == 992
-    assert parse_poly("(1/2)^999999*2") == DiffPoly.const(Fraction(1, 2**999998))
-    for text, reason in [("(p+q)^31*(p'+q')^31", "terms"), ("(1/2)^1000000*2", "bits")]:
-        with pytest.raises(PolyParseError, match=reason):
+    # products of rationals and symbols, and rationals before a sum, stay
+    assert parse_poly("2*q*3*p*p") == parse_poly("6*p^2*q")
+    assert parse_poly("-1/2*2*(p - 3*(q - p'))") == parse_poly("-p + 3*q - 3*p'")
+
+
+def test_sums_nest_to_a_fixed_depth_with_small_scales():
+    assert parse_poly("(" * 100 + "p" + ")" * 100) == parse_poly("p")
+    with pytest.raises(PolyParseError, match="nested over 100 deep") as exc:
+        parse_poly("(" * 5000 + "p" + ")" * 5000)
+    assert exc.value.position == 100
+    # the factor that scales every term of a sum holds at most 64 bits of
+    # numerator plus denominator, compounded through the nesting
+    big = 2**63 - 1
+    assert parse_poly(f"{big}*(p + q)") == parse_poly(f"{big}*p + {big}*q")
+    for text, pos in [
+        (f"{2**64}*(p + q)", 21), ("4294967296*(4294967296*(p))", 23), ("1/3*2^64*(p)", 5),
+    ]:
+        with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
+        assert exc.value.position == pos, text
+
+
+def test_derived_coefficients_round_trip_through_the_plain_format():
+    for m in range(1, 13):
+        for k, c in enumerate(derive_lifted_ode(m).coeffs):
+            assert parse_poly(format_poly(c, "plain")) == c, f"m={m}, c_{k}"
+
+
+@pytest.mark.parametrize("m", FIXTURE_ORDERS)
+def test_bundled_tables_parse_to_the_derived_coefficients(m):
+    derived = derive_lifted_ode(m).coeffs
+    for k, (parsed, c) in enumerate(zip(load_fixture(m), derived, strict=True)):
+        assert parsed.terms == c.terms, f"m={m}, c_{k}"
+        assert all(type(v) is int for v in parsed.terms.values())
+
+
+def _allowed_line(n: int) -> str:
+    # n terms with distinct monomials; every fourth is a scaled sum of three
+    parts = []
+    for k in range(1, n + 1):
+        if k % 4:
+            parts.append(f" + {k}*p^{k}*q'")
+        else:
+            parts.append(f" - 3/{k}*(p'^{k} - {k}*q^{k}*p'' + q''^{k})")
+    return "".join(parts)
+
+
+def test_allowed_lines_parse_in_linear_time():
+    # a flat sum that a ring-arithmetic parser copies on every '+' costs the
+    # square of its length; one pass into one term map costs the length
+    short, long = _allowed_line(1_000), _allowed_line(4_000)
+    assert 90_000 < len(long) < 110_000
+    times = []
+    for text in (short, long):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            poly = parse_poly(text)
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
+    assert len(poly.terms) == 3_000 + 3 * 1_000
+    assert times[1] < 8 * times[0], times
+
+
+def test_a_long_line_that_hides_a_large_product_is_refused_at_once():
+    # q with 8000 primes times a sum of 400 symbols: 89 KB of text
+    text = "q" + "'" * 8000 + "*(" + " + ".join("p" + "'" * k for k in range(400)) + ")"
+    assert 85_000 < len(text) < 95_000
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match="follow only rationals") as exc:
+        parse_poly(text)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.position == 8002
 
 
 # -- derivation ---------------------------------------------------------------

@@ -146,7 +146,8 @@ def test_derived_equation_annihilates_tower(m):
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_packed_recurrence_matches_ring_reference_in_term_order(m):
-    # Term order is DiffPoly.eval's summation order, so it must match the
+    # Term order is the insertion order of each c_k, which DiffPoly.eval
+    # sums in for a polynomial built from it, so it must match the
     # ring-arithmetic recurrence exactly, not only as a set.  At m = 2, 6
     # and 14 an exponent of m+1 would fill every bit of its packed slot.
     coeffs = derive_lifted_ode(m).coeffs
