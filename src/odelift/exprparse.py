@@ -7,9 +7,15 @@ supplies a tiny closed-under-differentiation expression language:
     expr  := term (('+'|'-') term)*
     term  := unary (('*'|'/') unary)*
     unary := '-' unary | power
-    power := atom ('^' int)?
+    power := atom ('^' '-'? int)?
     atom  := number | 'x' | func '(' expr ')' | '(' expr ')'
     func  := 'sin' | 'cos' | 'exp' | 'ln'
+
+with a number and an int exponent both within the double range, trees at
+most 400 nodes deep from root to leaf (a sum of 400 terms), and at most
+199 parentheses open at once.  Past these fixed limits parse_expr raises
+ExprSyntaxError, whoever calls it, so every walk over a tree it returns
+has room on the interpreter's stack.
 
 Trees are immutable.  `diff_expr` applies the textbook rules and folds
 arithmetic on numeric literals, nothing more; repeated differentiation
@@ -21,6 +27,8 @@ tested against.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -90,7 +98,7 @@ class Div:
 
 @dataclass(frozen=True)
 class Pow:
-    """Integer power; the exponent may be negative."""
+    """Integer power; the exponent may be negative, but not past the double range."""
 
     base: "Expr"
     exponent: int
@@ -98,6 +106,8 @@ class Pow:
     def __post_init__(self) -> None:
         if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
             raise TypeError("exponent must be an int")
+        if abs(self.exponent) > sys.float_info.max:
+            raise ValueError("exponent past the double range")
 
 
 @dataclass(frozen=True)
@@ -185,94 +195,111 @@ class _Scanner:
         return "end of input" if kind == "end" else repr(value)
 
 
+#: Deepest tree parse_expr builds, counted in nodes from the root to a leaf,
+#: so a sum of n terms is n deep.  The walks over a tree (verify's jets,
+#: eval_expr, format_expr, diff_expr) recurse one frame per level; the
+#: dataclass repr and == take about three and may not reach the limit.
+_MAX_DEPTH = 400
+
+#: Most parentheses parse_expr holds open at once, a call's included.  The
+#: parser recurses two frames per level, so a parse and a walk each stay
+#: near 400 frames, and the outcome is the same from any caller with 500
+#: of the interpreter's default 1 000 frames to spare.
+_MAX_NESTING = 199
+
+# operator -> (precedence, node class); all four associate to the left
+_BINARY = {"+": (1, Add), "-": (1, Sub), "*": (2, Mul), "/": (2, Div)}
+
+
 def parse_expr(text: str) -> Expr:
     """Parse `text` into an Expr tree.
 
     Standard precedence (^ binds tighter than unary minus, which binds
     tighter than * and /, which bind tighter than + and -); the four
-    binary operators associate to the left.  Nesting too deep for the
-    interpreter's recursion limit is a syntax error at the token reached.
+    binary operators associate to the left.  A tree deeper than _MAX_DEPTH
+    is a syntax error at the operator that would pass it, and a '(' past
+    _MAX_NESTING open at once is one at that '(', or at the name of its call.
     """
     sc = _Scanner(text)
-    try:
-        tree = _parse_sum(sc)
-    except RecursionError:
-        raise ExprSyntaxError(sc.token[2], ("less deeply nested input",), sc.found()) from None
+    tree, _ = _parse_binary(sc, 0)
     if sc.token[0] != "end":
         raise ExprSyntaxError(sc.token[2], ("end of input",), sc.found())
     return tree
 
 
-def _parse_sum(sc: _Scanner) -> Expr:
-    node = _parse_term(sc)
-    while sc.token[:2] in (("op", "+"), ("op", "-")):
-        op = sc.shift()[1]
-        rhs = _parse_term(sc)
-        node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-    return node
-
-
-def _parse_term(sc: _Scanner) -> Expr:
-    node = _parse_unary(sc)
-    while sc.token[:2] in (("op", "*"), ("op", "/")):
-        op = sc.shift()[1]
-        rhs = _parse_unary(sc)
-        node = Mul(node, rhs) if op == "*" else Div(node, rhs)
-    return node
-
-
-def _parse_unary(sc: _Scanner) -> Expr:
-    if sc.token[:2] == ("op", "-"):
+def _parse_binary(sc: _Scanner, nesting: int) -> tuple:
+    """(tree, depth) of an expr, by precedence climbing in one loop: each
+    operator first builds the pending ones of no lower precedence."""
+    pending = []  # (precedence, left, its depth, operator token, class), precedences rising
+    node, depth = _parse_operand(sc, nesting)
+    while True:
+        token = sc.token
+        prec, make = _BINARY.get(token[1], (0, None))  # only op tokens hold + - * /
+        while pending and pending[-1][0] >= prec:
+            _, left, left_depth, op, cls = pending.pop()
+            node, depth = cls(left, node), _deepen(max(left_depth, depth), op)
+        if make is None:
+            return node, depth
         sc.shift()
-        return Neg(_parse_unary(sc))
-    return _parse_power(sc)
+        pending.append((prec, node, depth, token, make))
+        node, depth = _parse_operand(sc, nesting)
 
 
-def _parse_power(sc: _Scanner) -> Expr:
-    base = _parse_atom(sc)
-    if sc.token[:2] == ("op", "^"):
-        sc.shift()
-        sign = 1
-        if sc.token[:2] == ("op", "-"):
-            sc.shift()
-            sign = -1
-        kind, value, offset = sc.token
-        if kind != "num" or "." in value:
-            raise ExprSyntaxError(offset, ("integer exponent",), sc.found())
-        try:
-            exponent = int(value)
-        except ValueError:  # past the interpreter's limit on digits for int()
-            raise ExprSyntaxError(
-                offset, ("shorter integer exponent",), f"{len(value)}-digit literal"
-            ) from None
-        sc.shift()
-        return Pow(base, sign * exponent)
-    return base
-
-
-def _parse_atom(sc: _Scanner) -> Expr:
-    kind, value, offset = sc.token
+def _parse_operand(sc: _Scanner, nesting: int) -> tuple:
+    """(tree, depth) of a unary: its minus signs, read in a loop, then an atom
+    with its optional exponent."""
+    signs = []
+    while sc.token[:2] == ("op", "-"):
+        signs.append(sc.shift())
+    token = kind, value, offset = sc.token
     if kind == "num":
         if not math.isfinite(number := float(value)):
             raise ExprSyntaxError(
                 offset, ("number within double range",), f"{len(value)}-character literal"
             )
         sc.shift()
-        return Num(number)
-    if kind == "name":
+        node, depth = Num(number), 1
+    elif value == "x":
         sc.shift()
-        if value == "x":
-            return Var()
-        _expect_op(sc, "(")
-        arg = _parse_sum(sc)
-        _expect_op(sc, ")")
-        return Call(value, arg)
-    if (kind, value) == ("op", "("):
+        node, depth = Var(), 1
+    elif kind == "name" or value == "(":
         sc.shift()
-        inner = _parse_sum(sc)
+        if kind == "name":
+            _expect_op(sc, "(")
+        if nesting == _MAX_NESTING:
+            raise ExprSyntaxError(offset, (f"at most {_MAX_NESTING} nested '('",), repr(value))
+        node, depth = _parse_binary(sc, nesting + 1)
         _expect_op(sc, ")")
-        return inner
-    raise ExprSyntaxError(offset, ("number", "'x'", "function", "'('", "'-'"), sc.found())
+        if kind == "name":
+            node, depth = Call(value, node), _deepen(depth, token)
+    else:
+        raise ExprSyntaxError(offset, ("number", "'x'", "function", "'('", "'-'"), sc.found())
+    if sc.token[:2] == ("op", "^"):
+        caret, minus = sc.shift(), sc.token[:2] == ("op", "-")
+        if minus:
+            sc.shift()
+        kind, value, offset = sc.token
+        if kind != "num" or "." in value:
+            raise ExprSyntaxError(offset, ("integer exponent",), sc.found())
+        try:
+            node = Pow(node, -int(value) if minus else int(value))
+        except ValueError:  # past int()'s digit limit, or Pow's double range
+            raise ExprSyntaxError(
+                offset, ("exponent within double range",), f"{len(value)}-digit literal"
+            ) from None
+        sc.shift()
+        depth = _deepen(depth, caret)
+    for sign in reversed(signs):
+        node, depth = Neg(node), _deepen(depth, sign)
+    return node, depth
+
+
+def _deepen(depth: int, token: tuple) -> int:
+    """The depth of the node `token` makes over a subtree `depth` deep; past
+    _MAX_DEPTH, a syntax error at that token."""
+    if depth == _MAX_DEPTH:
+        raise ExprSyntaxError(token[2], (f"a tree at most {_MAX_DEPTH} deep",), repr(token[1]))
+    return depth + 1
 
 
 def _expect_op(sc: _Scanner, op: str) -> None:
@@ -293,15 +320,15 @@ def _is_num(e: Expr, value=None) -> bool:
     return isinstance(e, Num) and (value is None or e.value == value)
 
 
-def _fold(value: float) -> Expr:
+def _fold(a: Expr, b: Expr, op) -> Expr | None:
+    """Num(op(a.value, b.value)) when a and b are literals and that is finite."""
+    value = op(a.value, b.value) if _is_num(a) and _is_num(b) else math.nan
     return Num(value) if math.isfinite(value) else None
 
 
 def _add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        folded = _fold(a.value + b.value)
-        if folded is not None:
-            return folded
+    if (folded := _fold(a, b, operator.add)) is not None:
+        return folded
     if _is_num(a, 0.0):
         return b
     if _is_num(b, 0.0):
@@ -310,10 +337,8 @@ def _add(a: Expr, b: Expr) -> Expr:
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        folded = _fold(a.value - b.value)
-        if folded is not None:
-            return folded
+    if (folded := _fold(a, b, operator.sub)) is not None:
+        return folded
     if _is_num(b, 0.0):
         return a
     if _is_num(a, 0.0):
@@ -322,10 +347,8 @@ def _sub(a: Expr, b: Expr) -> Expr:
 
 
 def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b):
-        folded = _fold(a.value * b.value)
-        if folded is not None:
-            return folded
+    if (folded := _fold(a, b, operator.mul)) is not None:
+        return folded
     if _is_num(a, 0.0) or _is_num(b, 0.0):
         return Num(0.0)
     if _is_num(a, 1.0):
@@ -336,10 +359,8 @@ def _mul(a: Expr, b: Expr) -> Expr:
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        folded = _fold(a.value / b.value)
-        if folded is not None:
-            return folded
+    if (folded := _fold(a, b, lambda u, v: u / v if v else math.nan)) is not None:
+        return folded
     if _is_num(b, 1.0):
         return a
     return Div(a, b)

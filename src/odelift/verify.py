@@ -526,6 +526,22 @@ def _one_slot(build):
     return memo
 
 
+def _key(*items) -> tuple:
+    """Flat memo key of Expr trees and other values: equal for two argument
+    lists exactly when their trees agree node for node and everything else
+    by repr, which tells -0.0 from 0.0.  Built from a stack, not by
+    recursion, so it takes any tree parse_expr returns."""
+    key, stack = [], list(items)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Expr):
+            key.append(type(item))
+            stack.extend(vars(item).values())
+        else:
+            key.append(repr(item))
+    return tuple(key)
+
+
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -758,7 +774,7 @@ def basis_check(
     naming m, when a row of c_k values is not finite on the grid, before
     any block is built.  Any other ode, a bool included, raises TypeError.
 
-    p and q are keyed by repr and floats bit for bit, so a report from the
+    p and q are keyed node for node and floats by repr, so a report from the
     memos (see the module docstring) is the one a cold call gives.
     """
     if not 0.0 < residual_tol < math.inf:
@@ -784,9 +800,9 @@ def basis_check(
             f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
         )
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        base_key = repr((p, q, cfg.interval, cfg.steps)), m  # repr tells -0.0 from 0.0
+        base_key = _key(p, q, cfg.interval, cfg.steps, m)
         block, syms, rows, x, (f, fp), (g, gp) = _products(
-            (base_key, repr((cfg.ic_f, cfg.ic_g))), base_key, p, q, cfg, m
+            base_key + _key(cfg.ic_f, cfg.ic_g), base_key, p, q, cfg, m
         )
         values = rows
         if not derived:

@@ -584,6 +584,46 @@ def test_deep_input_that_verify_read_before_is_still_read():
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]
 
 
+def exit_code(argv, frames=0):
+    """main(argv)'s exit code, with `frames` more interpreter frames above it."""
+    if frames:
+        return exit_code(argv, frames - 1)
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "p,q,want",
+    [
+        ("(" * 194 + "x" + ")" * 194, "-1", 0),
+        ("(" * 200 + "x" + ")" * 200, "-1", 2),
+        ("+".join(["0"] * 330), "-1", 0),
+        ("+".join(["0"] * 400), "-1", 0),  # the deepest tree parse_expr builds
+        ("+".join(["0"] * 500), "-1", 2),
+        ("0", "*".join(["x"] * 1000), 2),
+    ],
+)
+def test_edge_inputs_exit_alike_from_any_caller(p, q, want, capsys):
+    # parse_expr's fixed limits decide, not the depth of the caller's stack
+    argv = ["verify", "-m", "2", "--p", p, "--q", q]
+    codes = [exit_code(argv, frames) for frames in (0, 100, 300)]
+    codes.append(run_module(argv).returncode)
+    capsys.readouterr()
+    assert codes == [want] * 4
+
+
+def test_exponent_past_double_range_is_a_usage_error(capsys):
+    # refused by the parser, before any jet is taken: 4 000 nines at m=28
+    # ran for seconds of square-and-multiply and then overflowed
+    start = time.perf_counter()
+    code = exit_code(["verify", "-m", "28", "--p", "0", "--q", "(x/2)^" + "9" * 4000])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "offset 6: expected exponent within double range" in capsys.readouterr().err
+    assert exit_code(["verify", "-m", "2", "--p", "0", "--q", "(x/2)^" + "9" * 309]) == 2
+
+
 def test_main_builds_no_parser(monkeypatch, capsys):
     def refuse():
         raise AssertionError("main built a parser")

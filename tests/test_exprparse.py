@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from odelift import exprparse
 from odelift.exprparse import (
     Add,
     Call,
@@ -90,6 +91,82 @@ def test_exponent_past_the_int_digit_limit_is_a_syntax_error():
             parse_expr(text)
         assert info.value.position == position
         assert "5000-digit literal" in str(info.value)
+
+
+def test_exponent_past_double_range_is_refused():
+    # checked in Pow itself, so hand-built trees are covered; a 308-digit
+    # exponent is within the double range and still parses
+    for exponent in (10**309, -(10**309), int(sys.float_info.max) + 1):
+        with pytest.raises(ValueError, match="double range"):
+            Pow(Var(), exponent)
+    assert Pow(Var(), -int(sys.float_info.max)).exponent < 0
+    assert parse_expr("x^" + "9" * 308) == Pow(Var(), int("9" * 308))
+    for text, position in [("x^" + "9" * 309, 2), ("(x/2)^-" + "9" * 4000, 7)]:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_expr(text)
+        assert info.value.position == position
+        assert "exponent within double range" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text,tree",
+    [
+        ("-x^2", Neg(Pow(Var(), 2))),
+        ("2*-x", Mul(Num(2.0), Neg(Var()))),
+        ("x^-2", Pow(Var(), -2)),
+        ("--x", Neg(Neg(Var()))),
+        ("2-3-4", Sub(Sub(Num(2.0), Num(3.0)), Num(4.0))),
+        ("2/4/2", Div(Div(Num(2.0), Num(4.0)), Num(2.0))),
+        ("-(x+1)*x", Mul(Neg(Add(Var(), Num(1.0))), Var())),
+        ("sin(x)^2/x", Div(Pow(Call("sin", Var()), 2), Var())),
+        ("x*(x+1)^3", Mul(Var(), Pow(Add(Var(), Num(1.0)), 3))),
+        ("1+2*3-4/x", Sub(Add(Num(1.0), Mul(Num(2.0), Num(3.0))), Div(Num(4.0), Var()))),
+    ],
+)
+def test_precedence_corner_cases(text, tree):
+    assert parse_expr(text) == tree
+
+
+DEPTH, NEST = exprparse._MAX_DEPTH, exprparse._MAX_NESTING
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("(" * NEST + "x" + ")" * NEST, None),
+        ("(" * (NEST + 1) + "x" + ")" * (NEST + 1), NEST),
+        ("sin(" * NEST + "x" + ")" * NEST, None),
+        ("sin(" * (NEST + 1) + "x" + ")" * (NEST + 1), 4 * NEST),
+        ("+".join(["x"] * DEPTH), None),
+        ("+".join(["x"] * (DEPTH + 1)), 2 * DEPTH - 1),
+        ("*".join(["x"] * (DEPTH + 1)), 2 * DEPTH - 1),
+        ("-" * (DEPTH - 1) + "x", None),
+        ("-" * DEPTH + "x", 0),
+    ],
+)
+def test_depth_and_nesting_limits_are_fixed(text, position):
+    # parentheses and trees at and one past the limits, refused at the '('
+    # or operator that passes them, with one outcome at any caller depth
+    for frames in (0, 300):
+        if position is None:
+            assert called_from(frames, parse_expr, text) is not None
+        else:
+            with pytest.raises(ExprSyntaxError) as info:
+                called_from(frames, parse_expr, text)
+            assert info.value.position == position
+
+
+def test_walks_take_the_deepest_trees_from_a_deep_caller():
+    for text in ["+".join(["x"] * DEPTH), "-" * (DEPTH - 1) + "x", "sin(" * NEST + "x" + ")" * NEST]:
+        tree = parse_expr(text)
+        for walk in (lambda: eval_expr(tree, 0.5), lambda: format_expr(tree),
+                     lambda: eval_expr(diff_expr(tree), 0.5)):
+            called_from(300, walk)
+
+
+def called_from(frames, func, *args):
+    """func(*args), called from `frames` more interpreter frames."""
+    return called_from(frames - 1, func, *args) if frames else func(*args)
 
 
 def test_node_validation():
