@@ -30,7 +30,7 @@ from .lifting import (
     derive_lifted_ode,
     load_fixture,
 )
-from .verify import ConfigError, NumericConfig, basis_check
+from .verify import RESIDUAL_TOL, WRONSKIAN_TOL, ConfigError, NumericConfig, basis_check
 
 __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
@@ -194,18 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("G", "GP"),
         help="initial value and derivative of g (default 0 1)",
     )
-    v.add_argument(
-        "--tol-residual",
-        type=float,
-        default=1e-6,
-        help="max relative residual allowed (default 1e-6)",
-    )
-    v.add_argument(
-        "--tol-wronskian",
-        type=float,
-        default=1e-8,
-        help="min |W(f,g)| / (|(f,f')| |(g,g')|) at the midpoint, in (0, 1) (default 1e-8)",
-    )
     v.add_argument("--json", action="store_true", help="machine-readable report")
     v.set_defaults(handler=_run_verify)
     return parser
@@ -242,9 +230,7 @@ def _run_verify(args) -> int:
         ic_g=tuple(args.ic_g),
     )
     (p_text, p), (q_text, q) = args.p, args.q
-    report = basis_check(
-        args.m, p, q, cfg, residual_tol=args.tol_residual, wronskian_tol=args.tol_wronskian
-    )
+    report = basis_check(args.m, p, q, cfg)
     if args.json:
         doc = {
             "m": report.m,
@@ -267,10 +253,10 @@ def _run_verify(args) -> int:
                 "scale": _finite_or_null(report.wronskian_scale),
                 "x": report.wronskian_x,
                 "ratio": _finite_or_null(report.wronskian_ratio),
-                "tolerance": report.wronskian_tol,
+                "tolerance": WRONSKIAN_TOL,
                 "pass": report.wronskian_passed,
             },
-            "residual_tolerance": report.residual_tol,
+            "residual_tolerance": RESIDUAL_TOL,
             "pass": report.passed,
         }
         print(canonical_json(doc))

@@ -14,7 +14,9 @@ array, f with g as one pair through their power chains, and one Leibniz
 pass over the stacked powers fills every middle product.  It reports a
 scale-invariant residual per product plus the products' midpoint
 Wronskian, a closed form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
-W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).
+W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).  Each verdict is
+one fixed rule: a residual passes below RESIDUAL_TOL, and the Wronskian
+when its ratio to Hadamard's bound exceeds WRONSKIAN_TOL.
 
 Because the jets express every derivative exactly in terms of (f, f'),
 (g, g') and the values of p, q and their derivatives, the residual is a
@@ -103,6 +105,15 @@ __all__ = [
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
+#: The two verdict rules, fixed so that a PASS means the same at every call:
+#: a threshold the caller could move would let a failing check be tuned until
+#: it passes.  A product passes when its max relative residual (_relative) is
+#: below RESIDUAL_TOL; the products' Wronskian passes when the sine of the
+#: angle between (f, f') and (g, g') at the midpoint exceeds WRONSKIAN_TOL,
+#: which is the one test for dependent solutions.
+RESIDUAL_TOL = 1e-6
+WRONSKIAN_TOL = 1e-8
+
 #: Largest coefficient work basis_check takes on for an explicit LiftedODE:
 #: the terms of all its c_k times the grid points, counted before anything is
 #: integrated.  DiffPoly.eval forms every term at every point, but only for
@@ -133,7 +144,8 @@ class NumericConfig:
     The grid must carry at least 10 points.  Linearly dependent initial
     conditions are allowed through on purpose: the Wronskian check exists
     to catch exactly that, and a report showing it fail is more useful
-    than a constructor refusing to run.
+    than a constructor refusing to run.  basis_check's midpoint Wronskian
+    ratio is the one test of dependence.
     """
 
     interval: tuple[float, float]
@@ -180,11 +192,6 @@ class NumericConfig:
         """The step the grid uses, (b - a)/steps; step is only the one asked for."""
         a, b = self.interval
         return (b - a) / self.steps
-
-    @property
-    def ic_independent(self) -> bool:
-        """Whether the two initial-condition vectors span the plane."""
-        return _sine(self.ic_f, self.ic_g) > 1e-12
 
 
 def _sine(a, b) -> float:
@@ -682,19 +689,20 @@ class MonomialResidual:
 
 @dataclass(frozen=True)
 class BasisReport:
-    """Outcome of basis_check: residual per monomial plus one Wronskian; step is cfg.h."""
+    """Outcome of basis_check: residual per monomial plus one Wronskian; step is cfg.h.
+
+    A residual passes below RESIDUAL_TOL and the Wronskian when
+    wronskian_ratio exceeds WRONSKIAN_TOL; summary() prints both constants.
+    """
 
     m: int
     interval: tuple[float, float]
     step: float
     residuals: tuple[MonomialResidual, ...]
-    residual_tol: float
     wronskian: float
     wronskian_scale: float
     wronskian_ratio: float
-    wronskian_tol: float
     wronskian_x: float
-    ic_independent: bool
 
     @property
     def residuals_passed(self) -> bool:
@@ -702,7 +710,7 @@ class BasisReport:
 
     @property
     def wronskian_passed(self) -> bool:
-        return self.wronskian_ratio > self.wronskian_tol
+        return self.wronskian_ratio > WRONSKIAN_TOL
 
     @property
     def passed(self) -> bool:
@@ -711,14 +719,12 @@ class BasisReport:
     def summary(self) -> str:
         a, b = self.interval
         lines = [f"m={self.m} on [{a:g}, {b:g}], step {self.step:g}"]
-        if not self.ic_independent:
-            lines.append("  note: initial conditions are linearly dependent")
         width = max(len(r.label) for r in self.residuals)
         for r in self.residuals:
             state = "ok" if r.passed else "FAIL"
             lines.append(
                 f"  {r.label:<{width}}  max residual {r.max_residual:.3e}"
-                f"  (tol {self.residual_tol:g})  {state}"
+                f"  (tol {RESIDUAL_TOL:g})  {state}"
             )
         state = "ok" if self.wronskian_passed else "FAIL"
         w = self.wronskian
@@ -728,59 +734,49 @@ class BasisReport:
             value = f"{w:.6e}"
         lines.append(
             f"  Wronskian at x={self.wronskian_x:g}: {value}"
-            f"  (|W(f,g)|/norms {self.wronskian_ratio:.3e}, tol {self.wronskian_tol:g})  {state}"
+            f"  (|W(f,g)|/norms {self.wronskian_ratio:.3e}, tol {WRONSKIAN_TOL:g})  {state}"
         )
         lines.append(f"  -> {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def basis_check(
-    ode: LiftedODE | int,
-    p: Expr,
-    q: Expr,
-    cfg: NumericConfig,
-    residual_tol: float = 1e-6,
-    wronskian_tol: float = 1e-8,
-) -> BasisReport:
+def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> BasisReport:
     """Check every product f^(m-j) g^j against the lifted equation.
 
     ode is a LiftedODE with m <= MAX_DERIVE_M, or an int m >= 1 for the
     derived equation of order m+1.  The c_k values have one source, the rows
     c_0, ..., c_m that _recurrence_values gives on the symbol array, so no
-    term of any c_k is formed.  An int reads the rows.  A LiftedODE reads
-    row k wherever its c_k == the derived c_k, and evaluates each other c_k,
-    itself and not its difference to the derived one, with DiffPoly.eval;
-    so its genuine equation gives the report of the int m, bit for bit.
-    Either way basis_check builds one fundamental matrix Phi, takes the
+    term of any c_k is formed.  An int reads the rows.  A LiftedODE reads row
+    k wherever its c_k == the derived c_k, and evaluates each other c_k,
+    itself and not its difference to the derived one, with DiffPoly.eval; so
+    its genuine equation gives the report of the int m, bit for bit.  Either
+    way basis_check builds one fundamental matrix Phi, takes the
     product_derivatives block on the whole grid from the solutions Phi @ u
     and Phi @ v, with u and v the unit vectors of cfg.ic_f and cfg.ic_g (a
     zero vector stays zero), and reports per-product max relative residuals,
-    as _relative gives them, plus the midpoint Wronskian of all m+1
-    products of the solutions from cfg.ic_f and cfg.ic_g,
-    (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2; its scale,
-    Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of W.  The
-    products pass when |W| / n, at most 1, exceeds wronskian_tol: the
-    same test at every m.  That ratio is taken from the unit vectors
-    (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or
-    n alone overflows or underflows.  The products of multiples c f and
-    d g are c^(m-j) d^j times those of f and g, so the unit vectors change
-    no true residual and keep the block in range at any scale of the
-    initial conditions.  Raises ConfigError unless 0 < residual_tol < inf
-    and 0 < wronskian_tol < 1, for an int m below 1, for a LiftedODE with m
-    above MAX_DERIVE_M (pass the int m instead), when the block would hold
-    more than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when the
-    terms of all c_k times the grid points pass MAX_TERM_POINTS; these
-    guards run before anything is integrated.  It also raises ConfigError,
-    naming m, when a row of c_k values is not finite on the grid, before
-    any block is built.  Any other ode, a bool included, raises TypeError.
+    as _relative gives them, each passing below RESIDUAL_TOL, plus the
+    midpoint Wronskian of all m+1 products of the solutions from cfg.ic_f
+    and cfg.ic_g, (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2;
+    its scale, Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of
+    W.  The products pass when |W| / n, at most 1, exceeds WRONSKIAN_TOL: the
+    same test at every m, and the only test for dependent solutions.  That
+    ratio is taken from the unit vectors (f, f')/|(f, f')| and
+    (g, g')/|(g, g')|, so it stays right where W or n alone overflows or
+    underflows.  The
+    products of multiples c f and d g are c^(m-j) d^j times those of f and
+    g, so the unit vectors change no true residual and keep the block in
+    range at any scale of the initial conditions.  Raises ConfigError for an
+    int m below 1, for a LiftedODE with m above MAX_DERIVE_M (pass the int m
+    instead), when the block would hold more than MAX_BLOCK_FLOATS floats,
+    and, for a LiftedODE only, when the terms of all c_k times the grid
+    points pass MAX_TERM_POINTS; these guards run before anything is
+    integrated.  It also raises ConfigError, naming m, when a row of c_k
+    values is not finite on the grid, before any block is built.  Any other
+    ode, a bool included, raises TypeError.
 
     p and q are keyed node for node and floats by repr, so a report from the
     memos (see the module docstring) is the one a cold call gives.
     """
-    if not 0.0 < residual_tol < math.inf:
-        raise ConfigError(f"residual tolerance must be positive and finite, got {residual_tol}")
-    if not 0.0 < wronskian_tol < 1.0:
-        raise ConfigError(f"Wronskian tolerance must lie in (0, 1), got {wronskian_tol}")
     derived = not isinstance(ode, LiftedODE)
     if derived and (isinstance(ode, bool) or not isinstance(ode, int)):
         raise TypeError(f"expected a LiftedODE or an int power m, got {ode!r}")
@@ -809,7 +805,7 @@ def basis_check(
             values = [row if c == d else c.eval(syms)
                       for c, d, row in zip(ode.coeffs, _derived(m, m), rows)]
         worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
-        residuals = [MonomialResidual(m - j, j, w, w < residual_tol) for j, w in enumerate(worst)]
+        residuals = [MonomialResidual(m - j, j, w, w < RESIDUAL_TOL) for j, w in enumerate(worst)]
 
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
@@ -820,11 +816,8 @@ def basis_check(
         interval=cfg.interval,
         step=cfg.h,
         residuals=tuple(residuals),
-        residual_tol=residual_tol,
         wronskian=float(value),
         wronskian_scale=float(scale),
         wronskian_ratio=_sine((f, fp), (g, gp)),
-        wronskian_tol=wronskian_tol,
         wronskian_x=x,
-        ic_independent=cfg.ic_independent,
     )

@@ -497,7 +497,23 @@ def test_verify_dependent_ics_exit_code(capsys):
     )
     assert code == 1
     assert "-> FAIL" in out
-    assert "linearly dependent" in out
+    assert "Wronskian at x=0.5: 0.000000e+00  (|W(f,g)|/norms 0.000e+00, tol 1e-08)  FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "1", "--p", "0", "--q", "400", "--ic-f", "1", "-20", "--ic-g", "1", "-20.00000000002"],
+        ["-m", "2", "--p", "0", "--q", "900", "--ic-f", "1", "-30", "--ic-g", "1", "-30.0000000001"],
+    ],
+    ids=["m1", "m2"],
+)
+def test_verify_near_dependent_ics_pass_without_a_note(argv, capsys):
+    # the initial conditions are nearly parallel, but the solutions grow
+    # apart by the midpoint, where the Wronskian ratio is the one verdict
+    code, out, _ = run(["verify", *argv], capsys)
+    assert code == 0 and out.endswith("-> PASS\n")
+    assert "linearly dependent" not in out and "note:" not in out
 
 
 def test_verify_domain_error(capsys):
@@ -545,11 +561,13 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "(x+", "--q", "x"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "inf"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-300"],
-        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "inf"],
-        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "nan"],
-        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "-1"],
-        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "nan"],
-        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1"],
+        # the verdict thresholds are fixed: no option sets them, spelled
+        # either way, at their old defaults or an abbreviation
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual", "1"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-residual=1e-6"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian", "1e-8"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol-wronskian=1"],
+        ["verify", "-m", "2", "--p", "0", "--q", "-1", "--tol", "1e-6"],
         ["verify", "-m", "2", "--p", "0", "--q", "-1", "--interval", "0", "1e12", "--step", "1e-3"],
         ["verify", "-m", "2", "--p", "0", "--q", "9" * 309],  # a literal that overflows a double
         ["verify", "-m", "2", "--p", "2²", "--q", "-1"],

@@ -38,8 +38,8 @@ MINUS_ONE = parse_expr("-1")
 COS_CFG = NumericConfig(interval=(0.0, 1.0), step=1e-3)
 
 
-def cos_suite(m, **kwargs):
-    return basis_check(derive_lifted_ode(m), ZERO, MINUS_ONE, COS_CFG, **kwargs)
+def cos_suite(m):
+    return basis_check(derive_lifted_ode(m), ZERO, MINUS_ONE, COS_CFG)
 
 
 def solve(p, q, cfg, ic):
@@ -94,36 +94,20 @@ def test_config_validation():
         NumericConfig(interval=(0.0, 1e12), step=1e-300)
     with pytest.raises(ConfigError, match="too many points"):
         NumericConfig(interval=(-1e308, 1e308), step=1.0)
-    for bad in (inf, nan, -1.0, 0.0):
-        with pytest.raises(ConfigError, match="residual tolerance"):
-            cos_suite(2, residual_tol=bad)
-    for bad in (nan, 1.0, inf, 0.0, -1e-8):
-        with pytest.raises(ConfigError, match="Wronskian tolerance"):
-            cos_suite(2, wronskian_tol=bad)
 
 
 def test_config_steps_and_independence():
+    # the config takes dependent initial conditions; the Wronskian ratio
+    # of the report is what tells them apart
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
     assert cfg.steps == 1000
-    assert cfg.ic_independent
+    assert basis_check(1, ZERO, MINUS_ONE, cfg).wronskian_passed
     dependent = NumericConfig(
         interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.0), ic_g=(2.0, 0.0)
     )
-    assert not dependent.ic_independent
+    report = basis_check(1, ZERO, MINUS_ONE, dependent)
+    assert not report.wronskian_passed and report.wronskian_ratio == 0.0
     assert NumericConfig(interval=(0.0, 1.0), step=0.1).steps == 10
-
-
-@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e160, 1e-170])
-def test_config_independence_at_any_scale(scale):
-    # |det| and the product of the norms overflow or underflow here; their
-    # ratio, taken from the unit vectors, does not
-    def cfg(ic_f, ic_g):
-        return NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=ic_f, ic_g=ic_g)
-
-    assert cfg((scale, 0.0), (0.0, scale)).ic_independent
-    assert cfg((scale, scale), (scale, -scale)).ic_independent
-    assert not cfg((scale, 0.5 * scale), (2.0 * scale, scale)).ic_independent
-    assert not cfg((scale, 0.0), (0.0, 0.0)).ic_independent
 
 
 @pytest.mark.parametrize("interval,step", [((0.0, 1.0), 1e-4), ((10.0, 11.0), 1e-3)])
@@ -490,7 +474,7 @@ def test_basis_check_passes_on_variable_coefficients():
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3)
     report = basis_check(derive_lifted_ode(3), parse_expr("sin(x)"), parse_expr("x"), cfg)
     assert report.passed and report.residuals_passed and report.wronskian_passed
-    assert report.ic_independent
+    assert report.wronskian_ratio > 0.5
     assert [r.label for r in report.residuals] == ["f^3", "f^2*g", "f*g^2", "g^3"]
     assert report.wronskian_x == pytest.approx(0.5)
     assert "PASS" in report.summary()
@@ -696,27 +680,43 @@ def test_dependent_initial_conditions_fail_only_the_wronskian():
     assert report.residuals_passed
     assert not report.wronskian_passed
     assert not report.passed
-    assert report.wronskian == 0.0
-    assert not report.ic_independent
-    assert "linearly dependent" in report.summary()
-    assert "FAIL" in report.summary()
+    assert report.wronskian == 0.0 and report.wronskian_ratio == 0.0
+    summary = report.summary()
+    assert "(|W(f,g)|/norms 0.000e+00, tol 1e-08)  FAIL" in summary
+    assert summary.endswith("-> FAIL")
+    assert "note:" not in summary
+
+
+def wronskian_report(ic_f, ic_g):
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=ic_f, ic_g=ic_g)
+    return basis_check(derive_lifted_ode(1), ZERO, MINUS_ONE, cfg)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e160, 1e-170])
+def test_config_independence_at_any_scale(scale):
+    # |det| and the product of the norms overflow or underflow here; their
+    # ratio, taken from the unit vectors, does not.  At m = 1 no product
+    # overflows, so only the Wronskian decides the verdict
+    for ic_f, ic_g in (((scale, 0.0), (0.0, scale)), ((scale, scale), (scale, -scale))):
+        report = wronskian_report(ic_f, ic_g)
+        assert report.passed and report.wronskian_ratio == pytest.approx(1.0)
+    for ic_f, ic_g in (((scale, 0.5 * scale), (2.0 * scale, scale)), ((scale, 0.0), (0.0, 0.0))):
+        report = wronskian_report(ic_f, ic_g)
+        assert report.residuals_passed and not report.passed
+        assert not report.wronskian_passed and report.wronskian_ratio == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
 def test_wronskian_verdict_at_large_and_tiny_initial_conditions(scale):
     # W(f, g) and |(f, f')| |(g, g')| overflow or underflow at these scales;
     # at m = 1 no product overflows, so the basis must pass
-    def check(ic_g):
-        cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(scale, 0.0), ic_g=ic_g)
-        return basis_check(derive_lifted_ode(1), ZERO, MINUS_ONE, cfg)
-
-    report = check((0.0, scale))
-    assert report.passed and report.ic_independent
+    report = wronskian_report((scale, 0.0), (0.0, scale))
+    assert report.passed and report.wronskian_passed
     assert report.wronskian_ratio == pytest.approx(1.0)
-    assert "linearly dependent" not in report.summary()
-    report = check((2.0 * scale, 0.0))
+    assert "note:" not in report.summary()
+    report = wronskian_report((scale, 0.0), (2.0 * scale, 0.0))
     assert report.residuals_passed and not report.passed
-    assert not report.ic_independent and report.wronskian_ratio == 0.0
+    assert not report.wronskian_passed and report.wronskian_ratio == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170])
