@@ -266,17 +266,6 @@ class DiffPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DiffPoly":
-        """self**n, n >= 0, by square-and-multiply: O(log n) products."""
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("DiffPoly exponent must be a non-negative integer")
-        out = DiffPoly.const(1)
-        for bit in bin(n)[2:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, values):

@@ -24,16 +24,20 @@ key + 1, multiplying by q is key + (1 << bits), and the derivation moves
 one unit of exponent from slot s to slot s+2.  The keys are unpacked into
 Monomials once, at the end.
 
+No term ever cancels.  Every term of every entry of every L_i has the sign
+(-1)^degree, the degree being the sum of the monomial's exponents (m=4:
+c_2 = -50p^3 + 45pp' + 120pq - 5p'' - 30q'), so the recurrence stores no
+zero coefficient and needs no zero test: see derive_lifted_ode.
+
 The term order of each c_k, the insertion order of its term map, is
 part of the result: each entry is written in the order the ring
 expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would produce
-it, with the same deletion of cancelled terms, and the tests hold it to
-that ring-arithmetic recurrence term for term.  No output depends on it:
-the printers sort the terms, and verify reads the derived c_k from the
-recurrence on the grid, not from DiffPoly.eval.  What it still fixes is
-the in-memory DiffPoly, and with it the summation order of DiffPoly.eval
-on a polynomial built from a c_k, such as a perturbed coefficient of an
-explicit LiftedODE.
+it, and the tests hold it to that ring-arithmetic recurrence term for
+term.  No output depends on it: the printers sort the terms, and verify
+reads the derived c_k from the recurrence on the grid, not from
+DiffPoly.eval.  What it still fixes is the in-memory DiffPoly, and with
+it the summation order of DiffPoly.eval on a polynomial built from a c_k,
+such as a perturbed coefficient of an explicit LiftedODE.
 
 The packed move here is the only derivation the package ships.  The
 references live with the tests in tests/oracles.py: the ring-level
@@ -108,6 +112,19 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     a = entry k of L_i, then -i p a, entry k-1 of L_i and
     -i (m-i+1) q b with b = entry k of L_{i-1}.  L_{m+1} is monic and its
     first m+1 entries are c_0 .. c_m.
+
+    Each sum is stored as it comes, with no zero test, because no partial
+    sum can be 0.  By induction from L_0 = 1 and L_1 = d, every term of
+    L_i has the sign (-1)^degree:
+
+    - entry k of L_{i+1} is a_k' + a_{k-1} - i p a_k - i (m-i+1) q b_k;
+    - the derivation keeps a monomial's degree and multiplies by a
+      positive exponent;
+    - the p and q terms raise the degree by one, under the factors -i and
+      -i (m-i+1), which are negative for 1 <= i <= m;
+    - so every contribution to a key has the sign (-1)^degree of that key.
+
+    No key is ever deleted, so the term order is the first-write order.
     """
     if not 1 <= m <= MAX_DERIVE_M:
         raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
@@ -127,19 +144,11 @@ def derive_lifted_ode(m: int) -> LiftedODE:
                 if step is None:
                     step = moves[key] = _derive_moves(key, bits, monomials)
                 for new, e in step:
-                    v = get(new, 0) + c * e
-                    if v:
-                        out[new] = v
-                    else:
-                        del out[new]
+                    out[new] = get(new, 0) + c * e
             for terms, shift, scale in ((a, 1, -i), (shifted, 0, 1), (b, q_one, -weight)):
                 for key, c in terms.items():
                     key += shift
-                    v = get(key, 0) + scale * c
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+                    out[key] = get(key, 0) + scale * c
             nxt.append(out)
         prev, cur = cur, tuple(nxt)
 

@@ -41,7 +41,7 @@ def random_poly(rng: random.Random, max_terms: int = 4) -> DiffPoly:
         term = DiffPoly.const(coeff)
         for _ in range(rng.randint(0, 3)):
             # Repeated factors: a symbol may come up again, or squared.
-            term = term * DiffPoly.symbol(rng.choice(SYMBOL_POOL)) ** rng.randint(1, 2)
+            term = term * DiffPoly({Monomial({rng.choice(SYMBOL_POOL): rng.randint(1, 2)}): 1})
         total = total + term
     return total
 
@@ -121,6 +121,20 @@ def test_monomial_rejects_bad_exponents():
     with pytest.raises(ValueError):
         Monomial({P(): -1})
     assert Monomial({P(): 0}) == Monomial()
+    with pytest.raises(TypeError, match="exponent must be int, got float"):
+        Monomial({P(): 1.5})
+    with pytest.raises(TypeError, match="factor key must be DiffSymbol, got str"):
+        Monomial({"p": 1})
+
+
+def test_poly_keys_and_attributes_are_checked():
+    with pytest.raises(TypeError, match="term key must be Monomial, got tuple"):
+        DiffPoly({(1,): 1})
+    poly = parse_poly("p")
+    for name in ("terms", "other"):
+        with pytest.raises(AttributeError, match="DiffPoly is immutable"):
+            setattr(poly, name, {})
+    assert poly.terms == {Monomial({P(): 1}): 1}
 
 
 # -- ring operations ----------------------------------------------------------
@@ -191,18 +205,6 @@ def test_integral_coefficients_are_int():
     ):
         assert all(type(c) is int for c in poly.terms.values()), poly
     assert (parse_poly("3*p") * Fraction(1, 2)).terms == {Monomial({P(): 1}): Fraction(3, 2)}
-
-
-def test_pow():
-    assert parse_poly("p + q") ** 2 == parse_poly("p^2 + 2*p*q + q^2")
-    assert parse_poly("p") ** 0 == DiffPoly.const(1)
-    with pytest.raises(ValueError):
-        parse_poly("p") ** -1
-    base = parse_poly("p + 2*q' - p''")
-    product = DiffPoly.const(1)
-    for n in range(10):
-        assert base**n == product, n
-        product = product * base
 
 
 def test_large_exponent_parses_at_once():
@@ -477,6 +479,9 @@ def test_parse_errors_carry_position():
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert exc.value.position == pos, text
+    with pytest.raises(PolyParseError, match="expected digits after '/'") as exc:
+        parse_poly("1/")
+    assert exc.value.position == 2
 
 
 def test_parse_rejects_implicit_multiplication():

@@ -195,6 +195,7 @@ def test_diff_closed_forms():
         ("1/x", 0.0, "division by zero"),
         ("x^-2", 0.0, "zero raised to a negative power"),
         ("exp(x)", 1000.0, "overflow"),
+        ("x^400", 10.0, "overflow"),
     ],
 )
 def test_domain_errors(text, x, fragment):
@@ -288,6 +289,25 @@ def test_format_parse_round_trip_is_structural():
     for _ in range(200):
         tree = random_tree(rng, rng.randint(0, 4))
         assert parse_expr(format_expr(tree)) == tree
+
+
+def test_small_literals_print_without_an_exponent():
+    # repr gives 1e-07, which the grammar lacks; the fixed-point text reparses
+    tree = parse_expr("0.0000001")
+    assert format_expr(tree) == "0.0000001"
+    assert parse_expr(format_expr(tree)) == tree
+    # the smallest subnormal has no fixed-point text with 17 decimals
+    with pytest.raises(ValueError, match="has no grammar representation"):
+        format_expr(Num(5e-324))
+
+
+@pytest.mark.parametrize("walk", [lambda e: eval_expr(e, 1.0), diff_expr, format_expr])
+def test_walks_refuse_a_non_expr(walk):
+    for bad in ("x", 1.0, None):
+        with pytest.raises(TypeError, match="not an Expr"):
+            walk(bad)
+    with pytest.raises(TypeError, match="not an Expr"):
+        walk(Add(Var(), "x"))
 
 
 def test_round_trip_preserves_values_after_folding():

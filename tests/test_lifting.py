@@ -73,6 +73,13 @@ def test_tower_triangular_with_falling_factorial_diagonal():
                 assert v.coords[k] == DiffPoly.const(falling_factorial(m, k))
 
 
+def test_lifted_ode_validates_m_and_length():
+    with pytest.raises(ValueError, match="power m must be >= 1, got 0"):
+        LiftedODE(0, ())
+    with pytest.raises(ValueError, match="m=2 must have length 3, got 1"):
+        LiftedODE(2, (DiffPoly(),))
+
+
 def test_module_vector_validates_length():
     with pytest.raises(ValueError):
         ModuleVector(2, (DiffPoly.zero(),))
@@ -159,6 +166,27 @@ def test_packed_recurrence_matches_ring_reference_in_term_order(m):
             assert type(mono) is Monomial
             assert not mono or mono[-1] != 0, f"untrimmed key {tuple(mono)}"
             assert type(coeff) is int
+
+
+def assert_sign_law(coeffs, label):
+    # Every term has the sign (-1)^degree, the precondition for derive's
+    # accumulation without zero tests: no contribution can cancel another.
+    for k, c in enumerate(coeffs):
+        assert c.terms, f"{label}, c_{k} is zero"
+        for mono, coeff in c.terms.items():
+            assert coeff != 0 and (coeff > 0) == (sum(mono) % 2 == 0), (
+                f"{label}, c_{k}: {coeff} * {mono!r}"
+            )
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_every_derived_term_has_the_sign_of_its_degree(m):
+    assert_sign_law(derive_lifted_ode(m).coeffs, f"m={m}")
+
+
+def test_bundled_tables_obey_the_sign_law():
+    for m in FIXTURE_ORDERS:
+        assert_sign_law(load_fixture(m), f"table m={m}")
 
 
 def test_derive_holds_nothing_between_calls():

@@ -226,6 +226,12 @@ def test_symbol_values_scalar_and_grid_agree():
                 assert grid_vals[k, b, idx] == want
 
 
+def test_symbol_values_refuse_a_non_expr():
+    for p, q in (("x", parse_expr("x")), (parse_expr("x"), 1.0)):
+        with pytest.raises(TypeError, match="not an Expr"):
+            symbol_values(p, q, 1, 0.5)
+
+
 def test_jets_match_symbolic_derivatives():
     # diff_expr is the reference: derivatives k <= 4 of random trees,
     # on a grid and at single points, to 1e-9 relative (floored at unit
