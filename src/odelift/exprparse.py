@@ -17,11 +17,17 @@ most 400 nodes deep from root to leaf (a sum of 400 terms), and at most
 ExprSyntaxError, whoever calls it, so every walk over a tree it returns
 has room on the interpreter's stack.
 
-Trees are immutable.  `diff_expr` applies the textbook rules and folds
-arithmetic on numeric literals, nothing more; repeated differentiation
-grows trees.  The verifier takes its derivatives from Taylor-mode jets
-(`odelift.verify`) instead; `diff_expr` is the reference those jets are
-tested against.
+Trees are immutable and own their identity and their text.  == compares
+two trees node for node and every other value by repr, so -0.0 is not 0.0,
+and hash agrees with it; both walk the tree from a stack.  repr is the
+parse_expr call of format_expr's text, one frame per level like every other
+walk.  Every finite literal prints in positional form with repr's shortest
+digits and parses back to itself.
+
+`diff_expr` applies the textbook rules and folds arithmetic on numeric
+literals, nothing more; repeated differentiation grows trees.  The verifier
+takes its derivatives from Taylor-mode jets (`odelift.verify`) instead;
+`diff_expr` is the reference those jets are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Union
+from decimal import Decimal
 
 __all__ = [
     "Expr",
@@ -55,49 +61,82 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "exp", "ln")
 
 
-@dataclass(frozen=True)
-class Num:
+class _Node:
+    """Base of the nine node classes, which owns their identity and text.
+
+    Two trees are == when they agree node for node and in every other
+    value, literals included, by repr, so Num(-0.0) != Num(0.0) and
+    Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  Both read _shape,
+    which walks the tree from a stack.  repr is the parse_expr call of
+    format_expr's text, one frame per tree level.
+    """
+
+    def __eq__(self, other):
+        return _shape(self) == _shape(other) if isinstance(other, _Node) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_shape(self))
+
+    def __repr__(self) -> str:
+        return f"parse_expr({format_expr(self)!r})"
+
+
+def _shape(tree: _Node) -> tuple:
+    """Node types in preorder and every other value by repr, from a stack."""
+    shape, stack = [], [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Node):
+            shape.append(type(item))
+            stack.extend(reversed(vars(item).values()))
+        else:
+            shape.append(repr(item))
+    return tuple(shape)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Num(_Node):
     """Numeric literal."""
 
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False, repr=False)
+class Var(_Node):
     """The independent variable x."""
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False, repr=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False, repr=False)
+class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sub(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False, repr=False)
+class Mul(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+@dataclass(frozen=True, eq=False, repr=False)
+class Div(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Pow:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pow(_Node):
     """Integer power; the exponent may be negative, but not past the double range."""
 
     base: "Expr"
@@ -110,8 +149,8 @@ class Pow:
             raise ValueError("exponent past the double range")
 
 
-@dataclass(frozen=True)
-class Call:
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Node):
     func: str
     arg: "Expr"
 
@@ -120,7 +159,7 @@ class Call:
             raise ValueError(f"unknown function {self.func!r}")
 
 
-Expr = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
+Expr = Num | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
 
 # --------------------------------------------------------------------------
@@ -197,8 +236,8 @@ class _Scanner:
 
 #: Deepest tree parse_expr builds, counted in nodes from the root to a leaf,
 #: so a sum of n terms is n deep.  The walks over a tree (verify's jets,
-#: eval_expr, format_expr, diff_expr) recurse one frame per level; the
-#: dataclass repr and == take about three and may not reach the limit.
+#: eval_expr, format_expr and so repr, diff_expr) recurse one frame per
+#: level; == and hash walk from a stack.
 _MAX_DEPTH = 400
 
 #: Most parentheses parse_expr holds open at once, a call's included.  The
@@ -492,17 +531,19 @@ _LEVEL_ATOM = 5
 def format_expr(e: Expr) -> str:
     """Render `e` so that parse_expr(format_expr(e)) rebuilds it.
 
-    Parser output round-trips structurally.  Trees built by hand or by
-    folding may hold negative literals, which print as unary minus and
-    reparse as Neg of a positive literal: a different tree with the
-    same values everywhere.
+    Parser output round-trips structurally, every finite literal written
+    with repr's shortest digits in positional form.  Trees built by hand
+    or by folding may hold negative literals, which print as unary minus
+    and reparse as Neg of a positive literal: a different tree with the
+    same values everywhere.  Non-finite literals print as inf and nan,
+    which do not parse.
     """
     return _format(e, _LEVEL_SUM)
 
 
 def _format(e: Expr, need: int) -> str:
     if isinstance(e, Num):
-        text, level = _format_number(e.value)
+        text, level = _literal(e.value)
     elif isinstance(e, Var):
         text, level = "x", _LEVEL_ATOM
     elif isinstance(e, Neg):
@@ -529,19 +570,13 @@ def _format(e: Expr, need: int) -> str:
     return "(" + text + ")" if level < need else text
 
 
-def _format_number(value: float) -> tuple:
-    if value < 0.0 or math.copysign(1.0, value) < 0.0:
-        return "-" + _positive_literal(-value), _LEVEL_UNARY
-    return _positive_literal(value), _LEVEL_ATOM
-
-
-def _positive_literal(value: float) -> str:
-    text = repr(value)
-    if "e" in text or "E" in text:
-        # repr fell back to scientific notation, which the grammar lacks
-        text = f"{value:.17f}".rstrip("0")
-        if text.endswith("."):
-            text += "0"
-        if float(text) != value:
-            raise ValueError(f"literal {value!r} has no grammar representation")
-    return text
+def _literal(value: float) -> tuple:
+    """(text, level) of a literal: repr's shortest digits in positional form,
+    which the grammar reads back as the same float; a sign makes it a unary.
+    inf and nan print as repr gives them, with their sign."""
+    text = repr(abs(value))
+    if math.isfinite(value):
+        text = format(Decimal(text), "f")
+        if "." not in text:
+            text += ".0"
+    return ("-" + text, _LEVEL_UNARY) if math.copysign(1.0, value) < 0.0 else (text, _LEVEL_ATOM)

@@ -39,11 +39,13 @@ ones.
 basis_check keeps what does not depend on the operator in three one-entry
 memos (_one_slot), each built whole and never written after:
   _base      grid, Phi, the symbol values and the rows, read-only, keyed by
-             p, q, the interval, the step count and m: one integration,
+             the trees p and q, the interval's repr, the step count and m
+             (Expr == compares node for node and literals by repr, so
+             -0.0 never aliases 0.0 in a key): one integration,
              which evaluates p and q once on the grid and once on the
              midpoints, and one run of the recurrence per base equation;
   _products  the product block, read-only, and the midpoint values of f
-             and g, keyed by _base's key plus ic_f and ic_g;
+             and g, keyed by _base's key plus the repr of ic_f and ic_g;
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
              an explicit LiftedODE is compared with.
 So a genuine equation, a perturbed one and dependent initial conditions on
@@ -533,22 +535,6 @@ def _one_slot(build):
     return memo
 
 
-def _key(*items) -> tuple:
-    """Flat memo key of Expr trees and other values: equal for two argument
-    lists exactly when their trees agree node for node and everything else
-    by repr, which tells -0.0 from 0.0.  Built from a stack, not by
-    recursion, so it takes any tree parse_expr returns."""
-    key, stack = [], list(items)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Expr):
-            key.append(type(item))
-            stack.extend(vars(item).values())
-        else:
-            key.append(repr(item))
-    return tuple(key)
-
-
 def _read_only(*arrays: np.ndarray) -> None:
     for a in arrays:
         a.flags.writeable = False
@@ -774,8 +760,9 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     values is not finite on the grid, before any block is built.  Any other
     ode, a bool included, raises TypeError.
 
-    p and q are keyed node for node and floats by repr, so a report from the
-    memos (see the module docstring) is the one a cold call gives.
+    The memo keys hold p and q themselves, whose == compares node for node
+    and literals by repr, and every other float by repr, so a report from
+    the memos (see the module docstring) is the one a cold call gives.
     """
     derived = not isinstance(ode, LiftedODE)
     if derived and (isinstance(ode, bool) or not isinstance(ode, int)):
@@ -796,10 +783,9 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
         )
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        base_key = _key(p, q, cfg.interval, cfg.steps, m)
-        block, syms, rows, x, (f, fp), (g, gp) = _products(
-            base_key + _key(cfg.ic_f, cfg.ic_g), base_key, p, q, cfg, m
-        )
+        base_key = (p, q, repr(cfg.interval), cfg.steps, m)
+        products_key = base_key, repr((cfg.ic_f, cfg.ic_g))
+        block, syms, rows, x, (f, fp), (g, gp) = _products(products_key, base_key, p, q, cfg, m)
         values = rows
         if not derived:
             values = [row if c == d else c.eval(syms)

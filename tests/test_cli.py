@@ -516,11 +516,16 @@ def test_verify_near_dependent_ics_pass_without_a_note(argv, capsys):
     assert "linearly dependent" not in out and "note:" not in out
 
 
-def test_verify_domain_error(capsys):
-    code, out, err = run(["verify", "-m", "1", "--p", "1/x", "--q", "0"], capsys)
+@pytest.mark.parametrize("argv", [
+    ["-m", "1", "--p", "1/x", "--q", "0"],
+    # the message prints a literal below repr's positional range
+    ["-m", "2", "--p", "1/(x*0.000000000000000001)", "--q", "x"],
+], ids=["pole", "tiny-literal"])
+def test_verify_domain_error(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
     assert code == 1
     assert err.startswith("error:")
-    assert "division by zero" in err
+    assert "division by zero" in err and "x=0.0" in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
 """Parsing, differentiation, evaluation, and printing of coefficient functions."""
 
 import math
+import operator
 import random
+import struct
 import sys
 
 import pytest
@@ -158,10 +160,26 @@ def test_depth_and_nesting_limits_are_fixed(text, position):
 
 def test_walks_take_the_deepest_trees_from_a_deep_caller():
     for text in ["+".join(["x"] * DEPTH), "-" * (DEPTH - 1) + "x", "sin(" * NEST + "x" + ")" * NEST]:
-        tree = parse_expr(text)
+        tree, twin = parse_expr(text), parse_expr(text)
         for walk in (lambda: eval_expr(tree, 0.5), lambda: format_expr(tree),
                      lambda: eval_expr(diff_expr(tree), 0.5)):
             called_from(300, walk)
+        # identity and text: two separate parses of one text, never the same object
+        assert called_from(300, repr, tree) == f"parse_expr({format_expr(tree)!r})"
+        assert called_from(300, operator.eq, tree, twin) is True
+        assert called_from(300, hash, tree) == called_from(300, hash, twin)
+
+
+def test_trees_compare_node_for_node_and_literals_by_repr():
+    assert Num(-0.0) != Num(0.0)
+    assert Num(-2.0) != Neg(Num(2.0))
+    assert Add(Var(), Num(1.0)) == parse_expr("x+1")
+    assert hash(Add(Var(), Num(1.0))) == hash(parse_expr("x+1"))
+    assert Add(Var(), Var()) != Sub(Var(), Var()) and Pow(Var(), 2) != Pow(Var(), 3)
+    assert Var() != "x" and Num(1.0) != 1.0
+    for text in ["x+1", "-2.5*sin(x)^-2", "ln(x)/(1-exp(-x))", "0.0000001 - -0.0"]:
+        tree = parse_expr(text)
+        assert eval(repr(tree), {"parse_expr": parse_expr}) == tree
 
 
 def called_from(frames, func, *args):
@@ -296,9 +314,17 @@ def test_small_literals_print_without_an_exponent():
     tree = parse_expr("0.0000001")
     assert format_expr(tree) == "0.0000001"
     assert parse_expr(format_expr(tree)) == tree
-    # the smallest subnormal has no fixed-point text with 17 decimals
-    with pytest.raises(ValueError, match="has no grammar representation"):
-        format_expr(Num(5e-324))
+    # every finite literal prints repr's digits in positional form and reparses
+    rng = random.Random(2024)
+    sample = [5e-324, 1e-18, 1.2345678901234567e-05]
+    while len(sample) < 10_003:
+        value = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+        if 5e-324 <= value <= 1e308:
+            sample.append(value)
+    for value in sample:
+        text = format_expr(Num(value))
+        assert "e" not in text and float(text) == value
+        assert parse_expr(text) == Num(value)
 
 
 @pytest.mark.parametrize("walk", [lambda e: eval_expr(e, 1.0), diff_expr, format_expr])
