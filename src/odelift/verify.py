@@ -197,16 +197,14 @@ class NumericConfig:
 
 
 def _sine(a, b) -> float:
-    """|det(a, b)| / (|a| |b|) for plane vectors a and b; 0 if either is zero.
+    """|det(a, b)| / (|a| |b|) for plane vectors a and b; 0 if either is zero
+    and the other finite, nan if either is not finite.
 
-    Taken from the unit vectors a/|a| and b/|b|, so neither the determinant
-    nor the product of the norms can overflow or underflow on the way.
+    Taken from the unit vectors _unit gives, so neither the determinant nor
+    the product of the norms can overflow or underflow on the way.
     """
-    na, nb = math.hypot(*a), math.hypot(*b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    (a0, a1), (b0, b1) = a, b
-    return abs((a0 / na) * (b1 / nb) - (a1 / na) * (b0 / nb))
+    (a0, a1), (b0, b1) = _unit(a), _unit(b)
+    return abs(a0 * b1 - a1 * b0)
 
 
 # --------------------------------------------------------------------------
@@ -224,25 +222,23 @@ def _const(value: float, order: int) -> list:
     return [np.float64(value)] + [0.0] * order
 
 
+def _leibniz_row(u: list, v: list, k: int, first: int = 0):
+    """Row k of the jet of u*v, (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j), summed
+    from j = first; the one binomial sum of the Expr jets."""
+    return sum(comb(k, j) * u[j] * v[k - j] for j in range(first, k + 1))
+
+
 def _leibniz(u: list, v: list) -> list:
-    """Jet of u*v: (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j)."""
-    return [
-        sum(comb(k, j) * u[j] * v[k - j] for j in range(k + 1)) for k in range(len(u))
-    ]
+    """Jet of u*v."""
+    return [_leibniz_row(u, v, k) for k in range(len(u))]
 
 
 def _quotient(u: list, v: list) -> list:
     """Jet of h = u/v, solved row by row from u = h*v."""
     h: list = []
     for k in range(len(u)):
-        known = sum(comb(k, j) * v[j] * h[k - j] for j in range(1, k + 1))
-        h.append((u[k] - known) / v[0])
+        h.append((u[k] - _leibniz_row(v, h, k, 1)) / v[0])
     return h
-
-
-def _chain(a: list, u: list, k: int):
-    """Row k of h where h' = a u': (a u')^(k-1)."""
-    return sum(comb(k - 1, j) * a[j] * u[k - j] for j in range(k))
 
 
 def _power(u: list, n: int) -> list:
@@ -280,15 +276,17 @@ def _jet(e: Expr, x: np.ndarray, order: int) -> list:
         u = _jet(e.arg, x, order)
         if e.func == "ln":  # (ln u)' = u'/u
             return [np.log(u[0])] + _quotient(u[1:], u[:-1])
+        # (exp u)' = exp(u) u', (sin u)' = cos(u) u', (cos u)' = -sin(u) u':
+        # row k+1 of each is row k of a product with the jet u[1:] of u'
         if e.func == "exp":
             h = [np.exp(u[0])]
-            for k in range(1, order + 1):
-                h.append(_chain(h, u, k))
+            for k in range(order):
+                h.append(_leibniz_row(h, u[1:], k))
             return h
         s, c = [np.sin(u[0])], [np.cos(u[0])]
-        for k in range(1, order + 1):
-            s.append(_chain(c, u, k))
-            c.append(-_chain(s, u, k))
+        for k in range(order):
+            s.append(_leibniz_row(c, u[1:], k))
+            c.append(-_leibniz_row(s, u[1:], k))
         return s if e.func == "sin" else c
     raise TypeError(f"not an Expr: {e!r}")
 

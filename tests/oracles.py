@@ -17,6 +17,19 @@ odelift.lifting.derive_lifted_ode, which steps the same recurrence on
 packed integer keys: every c_k must hold the same terms in the same
 order, because that order is DiffPoly.eval's summation order.
 
+Euler's equation y'' = (a/x) y' + (b/x^2) y, with a = r1 + r2 - 1 and
+b = -r1 r2, has the solutions x^r1 and x^r2, so the m+1 products of degree
+m are x^lam_j, lam_j = (m-j) r1 + j r2.  The monic equation of order m+1
+with those solutions is unique, so the derived one is the Euler operator
+whose indicial polynomial is P(lam) = prod_j (lam - lam_j).  Written in
+falling factorials, P(lam) = sum_k e_k lam (lam-1) ... (lam-k+1) with
+e_k = Delta^k P(0) / k!, and then c_k = e_k x^(k-m-1).  Every symbol
+p^(j) = a (-1)^j j!/x^(j+1) and q^(j) = b (-1)^j (j+1)!/x^(j+2) is nonzero,
+so every term of every c_k takes part.  Constant p = r1 + r2 and
+q = -r1 r2, with every derivative symbol zero, is the weaker case whose
+solutions are exp(r x): there the c_k are the coefficients of
+prod_j (d - lam_j).
+
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
@@ -36,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -174,6 +187,53 @@ def recurrence_reference(m: int) -> tuple[DiffPoly, ...]:
         )
         prev, cur = cur, nxt
     return cur[: m + 1]
+
+
+def indicial_roots(m: int, r1, r2) -> list[Fraction]:
+    """lam_j = (m-j) r1 + j r2 for j = 0, ..., m: the exponents of the
+    products of x^r1 and x^r2, and the rates of those of exp(r1 x) and
+    exp(r2 x)."""
+    return [(m - j) * Fraction(r1) + j * Fraction(r2) for j in range(m + 1)]
+
+
+def euler_coefficients(m: int, r1, r2) -> list[Fraction]:
+    """e_0, ..., e_(m+1), where P(lam) = prod_j (lam - lam_j) is
+    sum_k e_k lam (lam-1) ... (lam-k+1): e_k = Delta^k P(0) / k!, the
+    Newton forward differences of P at 0.  e_(m+1) = 1."""
+    roots = indicial_roots(m, r1, r2)
+    values = [prod(n - lam for lam in roots) for n in range(m + 2)]  # P(0), ..., P(m+1)
+    return [
+        sum((-1) ** (k - i) * comb(k, i) * values[i] for i in range(k + 1)) / factorial(k)
+        for k in range(m + 2)
+    ]
+
+
+def euler_symbol_values(m: int, r1, r2, x) -> dict:
+    """Exact values of p^(j) and q^(j), j < m, at x for p = a/x and
+    q = b/x^2 with a = r1 + r2 - 1 and b = -r1 r2."""
+    r1, r2, x = Fraction(r1), Fraction(r2), Fraction(x)
+    a, b = r1 + r2 - 1, -r1 * r2
+    values = {}
+    for j in range(m):
+        values[P(j)] = a * (-1) ** j * factorial(j) / x ** (j + 1)
+        values[Q(j)] = b * (-1) ** j * factorial(j + 1) / x ** (j + 2)
+    return values
+
+
+def constant_coefficients(m: int, r1, r2) -> list[Fraction]:
+    """The coefficients of d^0, ..., d^(m+1) in prod_j (d - lam_j), the
+    lifted equation of y'' = (r1 + r2) y' - r1 r2 y."""
+    poly = [Fraction(1)]  # low degree first
+    for lam in indicial_roots(m, r1, r2):
+        poly = [a - lam * b for a, b in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    return poly
+
+
+def constant_symbol_values(m: int, r1, r2) -> dict:
+    """p = r1 + r2 and q = -r1 r2, and every derivative symbol below m zero."""
+    r1, r2 = Fraction(r1), Fraction(r2)
+    zeros = {symbol(j): Fraction(0) for symbol in (P, Q) for j in range(1, m)}
+    return {P(0): r1 + r2, Q(0): -r1 * r2, **zeros}
 
 
 def ode_json_doc(ode: int | LiftedODE) -> dict:

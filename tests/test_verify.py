@@ -712,6 +712,14 @@ def test_config_independence_at_any_scale(scale):
         assert not report.wronskian_passed and report.wronskian_ratio == 0.0
 
 
+def test_zero_initial_conditions_beside_an_overflowing_solution_fail_the_wronskian():
+    # (g, g') passes the double range by the midpoint and (f, f') is zero:
+    # the angle between them has no value, so the ratio is nan and fails
+    cfg = NumericConfig((0.0, 1.0), 1e-3, ic_f=(0.0, 0.0), ic_g=(1.7e308, 1.7e308))
+    report = basis_check(1, ZERO, Num(1.0), cfg)
+    assert math.isnan(report.wronskian_ratio) and not report.wronskian_passed
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
 def test_wronskian_verdict_at_large_and_tiny_initial_conditions(scale):
     # W(f, g) and |(f, f')| |(g, g')| overflow or underflow at these scales;
