@@ -400,8 +400,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if (folded := _fold(a, b, lambda u, v: u / v if v else math.nan)) is not None:
         return folded
-    if _is_num(b, 1.0):
-        return a
     return Div(a, b)
 
 

@@ -324,25 +324,10 @@ def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
 
     Differentiating f'' = p f' + q f k times gives
     f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
-    Each row is summed in place through two scratch rows, term by term in
-    the order sum() takes from its start 0: the row starts as 0.0 + X_0, so
-    a -0.0 first term comes out +0.0 as it does there, and the weights
-    C(k, 0) = C(k, k) = 1 are not multiplied, which changes no bit.  With
-    sum() here and the x1 multiplies in _leibniz_into, verify-batch wall_s
-    went from 0.1228 to 0.1268 s (+3.3 %, slower in 9 of 10 pairs).
     """
-    term, other = np.empty_like(u[0]), np.empty_like(u[0])
     for k in range(len(u) - 2):
-        row = u[k + 2]
-        for j in range(k + 1):
-            np.multiply(syms[j, 0], u[k + 1 - j], out=term)
-            term += np.multiply(syms[j, 1], u[k - j], out=other)
-            if 0 < j < k:
-                term *= comb(k, j)
-            if j:
-                row += term
-            else:
-                np.add(0.0, term, out=row)
+        u[k + 2] = sum(comb(k, j) * (syms[j, 0] * u[k + 1 - j] + syms[j, 1] * u[k - j])
+                       for j in range(k + 1))
 
 
 # --------------------------------------------------------------------------
@@ -443,29 +428,29 @@ def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
 
     f and g travel as one stacked pair u = (f, g): one solution jet, then
     the powers u^2, ..., u^m, each a Leibniz product u^(k-1) u on (2, *shape)
-    rows, with u^m written straight into columns 0 and m.  One more Leibniz
-    product, of (f^(m-1), ..., f) and (g, ..., g^(m-1)), fills the m-1
-    middle columns at once, so the kernel runs m times in all (never at
-    m = 1).  Each entry sees the operations of a term-by-term build in the
-    same order; the value row of f^k is f**k and that of g^k is g**k.
+    rows, with u^m written straight into columns 0 and m (at m = 1 that is
+    the solution jet itself).  One more Leibniz product, of
+    (f^(m-1), ..., f) and (g, ..., g^(m-1)), fills the m-1 middle columns
+    at once, so the kernel runs m times in all (never at m = 1).  Each entry
+    sees the operations of a term-by-term build in the same order; the value
+    row of f^k is f**k and that of g^k is g**k.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
-    pows = np.empty((m + 2, max(m - 1, 1), 2, *shape))  # [k, i - 1]: row k of u^i
-    u = pows[:, 0]
+    block = np.empty((m + 2, m + 1, *shape))
+    pows = np.empty((m + 2, m - 1, 2, *shape))  # [k, i - 1]: row k of u^i, i < m
+    levels = [pows[:, i] for i in range(m - 1)] + [block[:, ::m]]  # u^1, ..., u^m
+    u = levels[0]
     u[0, 0], u[1, 0] = f_pt
     u[0, 1], u[1, 1] = g_pt
     _solution_jet(u, syms)
-    if m == 1:
-        return u.copy()  # columns f and g
-    block = np.empty((m + 2, m + 1, *shape))
-    levels = [pows[:, i] for i in range(m - 1)] + [block[:, ::m]]  # u^1, ..., u^m
     f, g = u[0, 0], u[0, 1]
     for k in range(2, m + 1):
         _leibniz_into(levels[k - 1], levels[k - 2], u)
         levels[k - 1][0, 0], levels[k - 1][0, 1] = f**k, g**k
-    _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1])
+    if m > 1:
+        _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1])
     return block
 
 
@@ -475,9 +460,10 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     Row k of each is its [k] view, an array of one or more dimensions: a
     row may stack several jets, and one call multiplies them pairwise.  The
     weights C(k, 0) = C(k, k) = 1 are not multiplied: the first term is
-    u v^(k) and the last u^(k) v, with no bit changed.  With the x1
-    multiplies here and sum() in _solution_jet, verify-batch wall_s went
-    from 0.1228 to 0.1268 s (+3.3 %, slower in 9 of 10 pairs).
+    u v^(k) and the last u^(k) v, with no bit changed.  Each row is summed
+    in place because the plain form, out[k] = _leibniz_row(u, v, k), took
+    1.2-1.4x as long per block at m = 2..12, and verify-batch wall_s went
+    from 0.137-0.141 s to 0.145-0.154 s (+11 %, slower in 3 of 3 pairs).
     """
     out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])

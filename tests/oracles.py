@@ -28,7 +28,8 @@ p^(j) = a (-1)^j j!/x^(j+1) and q^(j) = b (-1)^j (j+1)!/x^(j+2) is nonzero,
 so every term of every c_k takes part.  Constant p = r1 + r2 and
 q = -r1 r2, with every derivative symbol zero, is the weaker case whose
 solutions are exp(r x): there the c_k are the coefficients of
-prod_j (d - lam_j).
+prod_j (d - lam_j).  The derivatives of x^lam_j are closed forms too, the
+reference for the product block on Euler's basis.
 
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
@@ -218,6 +219,19 @@ def euler_symbol_values(m: int, r1, r2, x) -> dict:
         values[P(j)] = a * (-1) ** j * factorial(j) / x ** (j + 1)
         values[Q(j)] = b * (-1) ** j * factorial(j + 1) / x ** (j + 2)
     return values
+
+
+def euler_product_block(m: int, r1, r2, x) -> np.ndarray:
+    """Derivatives 0..m+1 of the products x^lam_j at the points x, in
+    odelift.verify.product_derivatives' (m+2, m+1, *shape) layout: entry
+    [k, j] is lam_j (lam_j - 1) ... (lam_j - k + 1) x^(lam_j - k), the
+    falling factorial exact and rounded once."""
+    x = np.asarray(x, dtype=float)
+    block = np.empty((m + 2, m + 1, *x.shape))
+    for j, lam in enumerate(indicial_roots(m, r1, r2)):
+        for k in range(m + 2):
+            block[k, j] = float(prod(lam - t for t in range(k))) * x ** float(lam - k)
+    return block
 
 
 def constant_coefficients(m: int, r1, r2) -> list[Fraction]:

@@ -21,11 +21,12 @@ from odelift.cli import main
 from odelift.diffring import DiffPoly
 from odelift.exprparse import parse_expr
 from odelift.lifting import derive_lifted_ode
-from odelift.verify import NumericConfig, fundamental_matrix, symbol_values
+from odelift.verify import NumericConfig, fundamental_matrix, product_derivatives, symbol_values
 from oracles import (
     constant_coefficients,
     constant_symbol_values,
     euler_coefficients,
+    euler_product_block,
     euler_symbol_values,
     eval_exact,
 )
@@ -94,6 +95,30 @@ def test_recurrence_rows_on_euler_equation_are_the_closed_form(m):
         want = float(e[k]) * grid ** (k - m - 1)
         gap = np.max(np.abs(row - want))
         assert gap <= 1e-14 * np.max(np.abs(want)), (k, gap)
+
+
+@pytest.mark.parametrize(
+    "m,a,b,points",
+    [(m, 1.0, 2.0, 11) for m in (*range(1, 29), 40, 60)]
+    + [(m, 0.25, 4.0, 16) for m in (4, 12, 28)],
+)
+def test_euler_product_block_is_within_its_majorant_of_the_closed_form(m, a, b, points):
+    # f = x^3 and g = x^(1/2) from their exact slopes; column j is x^lam with
+    # lam = 3(m-j) + j/2.  The majorant is the same block on absolute values
+    # (running error analysis, Higham 2nd ed. 3.3).  Measured worst
+    # |block - closed| / (u major): 2.2 at m=1, 7.4 at m=8, 22.8 at m=28 and
+    # 47.9 at m=60, at most 0.79 (m+2) on both grids; the bound is 2 (m+2).
+    # Against each product's largest exact derivative the same error reads
+    # 8.1e-12 at m=8, 0.48 at m=20 and 3.7e7 at m=28: cancellation where the
+    # closed form is 0, which no fixed per-m bound can tell from a fault.
+    grid = np.linspace(a, b, points)
+    f_pt, g_pt = (grid**3, 3.0 * grid**2), (np.sqrt(grid), 0.5 / np.sqrt(grid))
+    syms = symbol_values(parse_expr(EULER_P), parse_expr(EULER_Q), m - 1, grid)
+    block = product_derivatives(f_pt, g_pt, m, syms)
+    major = product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
+    assert np.isfinite(major).all()
+    gap = np.abs(block - euler_product_block(m, 3, Fraction(1, 2), grid))
+    assert (gap <= 2 * (m + 2) * 2.0**-53 * major).all(), np.max(gap / major) / 2.0**-53
 
 
 def test_fundamental_matrix_converges_to_the_euler_basis_at_fourth_order():

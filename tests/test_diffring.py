@@ -537,3 +537,18 @@ def test_poly_equality_with_scalars():
     assert DiffPoly.const(3) == 3
     assert DiffPoly.zero() == 0
     assert parse_poly("p") != 1
+
+
+def test_hash_truth_repr_and_refused_operands():
+    c = parse_poly("p*q + 1")
+    assert hash(c) == hash(parse_poly("1 + q*p"))
+    assert not DiffPoly() and parse_poly("p")
+    assert repr(c) == format_poly(c)
+    # floats and strings are refused: each operator returns NotImplemented
+    with pytest.raises(TypeError):
+        c + 1.5
+    with pytest.raises(TypeError):
+        c - "q"
+    with pytest.raises(TypeError):
+        c * 0.5
+    assert (c == "p") is False
