@@ -2,18 +2,19 @@
 
 The symbolic side promises that the m+1 products f^(m-j) g^j form a basis
 of the derived monic equation of order m+1 whenever f, g solve
-y'' = p(x) y' + q(x) y.  This module integrates that base equation once,
-as the fundamental matrix Phi of classical fixed-step RK4.  That is the
-only integrator: fundamental_matrix returns (grid, phi), and the solution
-from (y, y') = ic at the start of the grid is Phi @ ic, that is
+y'' = p(x) y' + q(x) y.  Every derivative it takes, of p, q, f, g and
+each product, comes from Taylor-mode jets (never finite differences) in
+one [order, member, points] layout: p with q as one array, f with g as
+one pair through their power chains, and one Leibniz pass over the
+stacked powers fills every middle product.  The same solution jet
+integrates the base equation once, as the fundamental matrix Phi of the
+fixed-step Taylor method of order 4.  That is the only integrator:
+fundamental_matrix returns (grid, phi), and the solution from
+(y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
-share one integration.  basis_check then takes the derivatives of
-p, q, f, g and each product from Taylor-mode jets (never finite
-differences) in one [order, member, points] layout: p with q as one
-array, f with g as one pair through their power chains, and one Leibniz
-pass over the stacked powers fills every middle product.  It reports a
-scale-invariant residual per product plus the products' midpoint
-Wronskian, a closed form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
+share one integration.  basis_check reports a scale-invariant
+residual per product plus the products' midpoint Wronskian, a closed
+form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
 W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).  Each verdict is
 one fixed rule: a residual passes below RESIDUAL_TOL, and the Wronskian
 when its ratio to Hadamard's bound exceeds WRONSKIAN_TOL.
@@ -42,8 +43,8 @@ memos (_one_slot), each built whole and never written after:
              the trees p and q, the interval's repr, the step count and m
              (Expr == compares node for node and literals by repr, so
              -0.0 never aliases 0.0 in a key): one integration,
-             which evaluates p and q once on the grid and once on the
-             midpoints, and one run of the recurrence per base equation;
+             which evaluates p and q once, on the grid, and one run of
+             the recurrence per base equation;
   _products  the product block, read-only, and the midpoint values of f
              and g, keyed by _base's key plus the repr of ic_f and ic_g;
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
@@ -185,7 +186,7 @@ class NumericConfig:
 
     @property
     def steps(self) -> int:
-        """Number of RK4 steps; __post_init__ refuses fewer than 10."""
+        """Number of integration steps; __post_init__ refuses fewer than 10."""
         a, b = self.interval
         return round((b - a) / self.step)
 
@@ -322,6 +323,9 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
 def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
     """Fill rows 2.. of the stacked jet u of base solutions from rows 0, 1.
 
+    u is an array, written in place, or a list of rows, whose rows 2.. are
+    replaced; rows 0 and 1 of a list may be columns that broadcast.
+
     Differentiating f'' = p f' + q f k times gives
     f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
     """
@@ -338,42 +342,42 @@ def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
     """(grid, phi, symbol_values to order upto on the grid), refused before
     it allocates when phi alone would pass MAX_BLOCK_FLOATS floats.
 
-    p and q are evaluated once on the grid and once, at order 0, on the
-    midpoints; RK4 reads row 0 of the grid jets, which no order changes.
+    p and q are evaluated once, on the grid, to order max(3, upto): the
+    Taylor steps read rows 0..3, and the rows past upto are dropped after.
     """
     points = cfg.steps + 1
     _guard(4.0 * points, f"Phi on {points:.3g} grid points")
     a, b = cfg.interval
     grid = np.linspace(a, b, points)
-    syms = symbol_values(p, q, upto, grid)
-    mids = symbol_values(p, q, 0, grid[:-1] + 0.5 * cfg.h)[0]
-    return grid, _transfer(syms[0], mids, cfg.h), syms
+    syms = symbol_values(p, q, max(3, upto), grid)
+    phi = _transfer(syms, cfg.h)
+    return grid, phi, syms[: upto + 1].copy() if upto < 3 else syms
 
 
-def _transfer(pq_grid: np.ndarray, pq_mid: np.ndarray, h: float) -> np.ndarray:
-    """Phi from the rows (p, q) on the grid and on its midpoints: the scan of
-    T_k = I + h/6 (K1 + 2 K2 + 2 K3 + K4) with K1 = A(x_k),
-    K2 = A(mid)(I + h/2 K1), K3 = A(mid)(I + h/2 K2), K4 = A(x_{k+1})(I + h K3).
+def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
+    """Phi from the rows of p, q and their derivatives to order 3 on the grid:
+    the scan of the order-4 Taylor steps T_k = sum_{j<=4} h^j/j! Y^(j)(x_k),
+    where the columns of Y are the solutions from (1, 0) and (0, 1) at x_k.
+
+    Row j of the stacked jet y holds the j-th derivatives of those two
+    solutions, so the rows of T_k are sum_j h^j/j! y[j] and sum_j h^j/j! y[j+1].
+    Rows 0 and 1 are the unit vectors themselves, constants that broadcast,
+    and _solution_jet writes rows 2..5 only.
     """
-    (p_x, q_x), (p_m, q_m) = pq_grid, pq_mid
-    n = len(p_m)
+    n = syms.shape[-1] - 1
+    # phi goes before the Taylor rows, so that those are freed as one region
+    # at the top of the heap.  Allocated after them, verify-cold's peak RSS
+    # read 0.35 MB higher and its op_p50_ms 3-6 % slower (20 pairs)
     phi = np.empty((4, n + 1))
     phi[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    # a 2x2 matrix is its entries (m00, m01, m10, m11), scalars or rows over the grid
-    t = phi[:, 1:]  # accumulates K1 + 2 K2 + 2 K3 + K4
-    k = 0.0, 1.0, q_x[:-1], p_x[:-1]
-    for row, k_row in zip(t, k):
-        row[...] = k_row
-    for weight, c, p_row, q_row in (
-        (2.0, 0.5 * h, p_m, q_m), (2.0, 0.5 * h, p_m, q_m), (1.0, h, p_x[1:], q_x[1:])
-    ):
-        m00, m01, m10, m11 = 1.0 + c * k[0], c * k[1], c * k[2], 1.0 + c * k[3]  # I + c K
-        k = m10, m11, q_row * m00 + p_row * m10, q_row * m01 + p_row * m11  # A(x) (I + c K)
-        for row, k_row in zip(t, k):
-            row += weight * k_row
-    t *= h / 6.0
-    t[0] += 1.0
-    t[3] += 1.0
+    y = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), *[None] * 4]
+    _solution_jet(y, syms[..., :-1])
+    for r in (0, 1):  # entries (r, 0) and (r, 1) of every T_k, summed in place
+        t = phi[2 * r : 2 * r + 2, 1:]
+        t[...] = y[r]
+        for j in range(1, 5):
+            t += h**j / math.factorial(j) * y[j + r]
+    del y  # the Taylor rows go before the scan allocates
     nxt = np.empty_like(phi)
     s = 1
     while s < n:  # phi[:, k] = T_{k-1} ... T_{max(0, k-2s)}; phi[:, 0] = I ends each product
@@ -392,17 +396,21 @@ def _transfer(pq_grid: np.ndarray, pq_mid: np.ndarray, h: float) -> np.ndarray:
 
 
 def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Grid and RK4 fundamental matrix of y'' = p(x) y' + q(x) y.
+    """Grid and fundamental matrix of y'' = p(x) y' + q(x) y by the Taylor
+    method of order 4.
 
-    n = cfg.steps steps of h = cfg.h.  The equation is linear, so RK4 step k
-    is a 2x2 transfer matrix T_k built from A(x) = [[0, 1], [q, p]] at x_k,
-    the midpoint and x_{k+1}; a Hillis-Steele scan over all T_k gives
-    Phi_k = T_{k-1} ... T_0 in ceil(log2 n) rounds.  Returns (grid, phi)
-    with phi of shape (4, n+1): the rows phi00, phi01, phi10, phi11, so the
-    solution from (y, y') = ic at x = a is (phi00 y + phi01 y',
-    phi10 y + phi11 y') and det Phi approximates exp(int_a^x p).  Domain
-    errors of p or q surface with the offending x.  Raises ConfigError
-    when phi would hold more than MAX_BLOCK_FLOATS floats.
+    n = cfg.steps steps of h = cfg.h.  The equation is linear, so step k is
+    a 2x2 transfer matrix T_k = sum_{j<=4} h^j/j! Y^(j)(x_k), the Taylor sum
+    of the solutions Y from the identity at x_k, whose derivatives the
+    solution jet takes from p, q and their derivatives to order 3 at x_k
+    alone; at constant p and q it is the classical Runge-Kutta step matrix.
+    A Hillis-Steele scan over all T_k gives Phi_k = T_{k-1} ... T_0 in
+    ceil(log2 n) rounds.  Returns (grid, phi) with phi of shape (4, n+1):
+    the rows phi00, phi01, phi10, phi11, so the solution from (y, y') = ic
+    at x = a is (phi00 y + phi01 y', phi10 y + phi11 y') and det Phi
+    approximates exp(int_a^x p).  Domain errors of p or q and of their
+    derivatives to order 3 surface with the offending x.  Raises
+    ConfigError when phi would hold more than MAX_BLOCK_FLOATS floats.
     """
     return _integrate(p, q, cfg, 0)[:2]
 

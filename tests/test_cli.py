@@ -516,16 +516,20 @@ def test_verify_near_dependent_ics_pass_without_a_note(argv, capsys):
     assert "linearly dependent" not in out and "note:" not in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["-m", "1", "--p", "1/x", "--q", "0"],
+@pytest.mark.parametrize("argv,reason,at", [
+    (["-m", "1", "--p", "1/x", "--q", "0"], "division by zero", "x=0.0"),
     # the message prints a literal below repr's positional range
-    ["-m", "2", "--p", "1/(x*0.000000000000000001)", "--q", "x"],
-], ids=["pole", "tiny-literal"])
-def test_verify_domain_error(argv, capsys):
+    (["-m", "2", "--p", "1/(x*0.000000000000000001)", "--q", "x"], "division by zero", "x=0.0"),
+    # the Taylor steps read p''' = 1e6 exp(100 x), which leaves the double
+    # range near x = 6.96, where exp(100 x) itself is still finite
+    (["-m", "1", "--p", "exp(100*x)", "--q", "0", "--interval", "0", "7"],
+     "non-finite value", "x=6.96"),
+], ids=["pole", "tiny-literal", "derivative-overflow"])
+def test_verify_domain_error(argv, reason, at, capsys):
     code, out, err = run(["verify", *argv], capsys)
     assert code == 1
-    assert err.startswith("error:")
-    assert "division by zero" in err and "x=0.0" in err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert reason in err and at in err
 
 
 @pytest.mark.parametrize(

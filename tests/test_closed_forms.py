@@ -10,6 +10,7 @@ of the acceptance suites of criteria 4 and 7, which keep their four pairs.
 """
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -122,8 +123,10 @@ def test_euler_product_block_is_within_its_majorant_of_the_closed_form(m, a, b, 
 
 
 def test_fundamental_matrix_converges_to_the_euler_basis_at_fourth_order():
-    # worst relative errors measured 2.2e-9, 1.4e-10, 8.5e-12 and 5.5e-13:
-    # ratios 16.0, 16.0 and 15.6; criterion 6 bounds each ratio to [12, 20]
+    # worst relative errors measured 2.6e-9, 1.6e-10, 1.0e-11 and 6.5e-13:
+    # ratios 16.0, 16.0 and 15.8; criterion 6 bounds each ratio to [12, 20].
+    # A Taylor step of order 4 is exact on a cubic, so f = x^3 is met to
+    # rounding at every step (measured 6.8e-15 at most)
     p, q = parse_expr(EULER_P), parse_expr(EULER_Q)
     errors = []
     for step in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
@@ -131,9 +134,30 @@ def test_fundamental_matrix_converges_to_the_euler_basis_at_fourth_order():
         f, fp = phi[0] + 3.0 * phi[1], phi[2] + 3.0 * phi[3]  # from (1, 3)
         g, gp = phi[0] + 0.5 * phi[1], phi[2] + 0.5 * phi[3]  # from (1, 1/2)
         exact = ((f, x**3), (fp, 3.0 * x**2), (g, x**0.5), (gp, 0.5 * x**-0.5))
+        for got, want in exact[:2]:
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, step
         errors.append(max(np.max(np.abs(got - want) / np.abs(want)) for got, want in exact))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
     assert all(12.0 <= r <= 20.0 for r in ratios), (errors, ratios)
+
+
+@pytest.mark.parametrize("p_text,q_text", [("0", "-1"), ("3.5", "-1.5")])
+@pytest.mark.parametrize("step", [0.05, 1e-2, 1e-3])
+def test_fundamental_matrix_at_constant_coefficients_is_the_power_of_one_taylor_step(
+    p_text, q_text, step
+):
+    # y' = A y with A = [[0, 1], [q, p]]: every step is T = sum_{j<=4} (hA)^j/j!,
+    # RK4's step matrix, so Phi_k = T^k to rounding; measured at most 0.74 n u
+    # of |T^k|'s largest entry after n steps
+    cfg = NumericConfig((0.0, 1.0), step)
+    x, phi = fundamental_matrix(parse_expr(p_text), parse_expr(q_text), cfg)
+    ha = cfg.h * np.array([[0.0, 1.0], [float(q_text), float(p_text)]])
+    step_matrix = sum(np.linalg.matrix_power(ha, j) / math.factorial(j) for j in range(5))
+    power = np.eye(2)
+    for k in range(len(x)):
+        gap = np.max(np.abs(phi[:, k].reshape(2, 2) - power))
+        assert gap <= 4 * cfg.steps * 2.0**-53 * np.max(np.abs(power)), (k, gap)
+        power = step_matrix @ power
 
 
 @pytest.mark.parametrize("m", [4, 12, 20, 28])

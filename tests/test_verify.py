@@ -138,35 +138,29 @@ def test_integrator_ic_override():
     assert float(np.max(np.abs(g - np.sin(grid)))) < 1e-10
 
 
-def rk4_reference(p, q, cfg, ic):
-    """Scalar RK4 loop, one step at a time: the reference for fundamental_matrix."""
+def taylor_reference(p, q, cfg, ic):
+    """Scalar order-4 Taylor loop, one step at a time: the reference for
+    fundamental_matrix.  Each step moves (y, y') by sum_{j<=4} h^j/j! times
+    rows j and j+1 of the solution's jet at x_k, which is RK4's step when p
+    and q are constant."""
     a, b = cfg.interval
     n = cfg.steps
     dt = (b - a) / n
     xs = np.linspace(a, b, n + 1)
-    mids = xs[:-1] + 0.5 * dt
-    p_xs, q_xs = symbol_values(p, q, 0, xs)[0]
-    p_mid, q_mid = symbol_values(p, q, 0, mids)[0]
+    syms = symbol_values(p, q, 3, xs)
+    weights = [dt**j / math.factorial(j) for j in range(5)]
 
     u, v = ic
     f_vals, fp_vals = [u], [v]
     for idx in range(n):
-        p0, q0 = p_xs[idx], q_xs[idx]
-        pm, qm = p_mid[idx], q_mid[idx]
-        p1, q1 = p_xs[idx + 1], q_xs[idx + 1]
-        k1u = v
-        k1v = p0 * v + q0 * u
-        u2, v2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v
-        k2u = v2
-        k2v = pm * v2 + qm * u2
-        u3, v3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v
-        k3u = v3
-        k3v = pm * v3 + qm * u3
-        u4, v4 = u + dt * k3u, v + dt * k3v
-        k4u = v4
-        k4v = p1 * v4 + q1 * u4
-        u += dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v += dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        jet = [u, v]
+        for k in range(4):  # y^(k+2) = sum_j C(k,j) (p^(j) y^(k+1-j) + q^(j) y^(k-j))
+            jet.append(sum(
+                math.comb(k, j) * (syms[j, 0, idx] * jet[k + 1 - j] + syms[j, 1, idx] * jet[k - j])
+                for j in range(k + 1)
+            ))
+        u = sum(w * row for w, row in zip(weights, jet))
+        v = sum(w * row for w, row in zip(weights, jet[1:]))
         f_vals.append(u)
         fp_vals.append(v)
     return np.array(f_vals), np.array(fp_vals)
@@ -175,13 +169,14 @@ def rk4_reference(p, q, cfg, ic):
 @pytest.mark.parametrize("n", [10, 11, 1000, 1023, 1024, 1025, 4000])
 @pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
 def test_transfer_matrix_scan_matches_scalar_rk4(p_text, q_text, n):
-    # n straddles the powers of two where the scan gains a round
+    # n straddles the powers of two where the scan gains a round; the
+    # reference is the order-4 Taylor step, RK4's own at constant p and q
     p, q = parse_expr(p_text), parse_expr(q_text)
     cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / n)
     assert cfg.steps == n
     for ic in ((1.0, 0.0), (0.0, 1.0), (1.5, 0.25)):
         _, f, fp = solve(p, q, cfg, ic)
-        for got, want in zip((f, fp), rk4_reference(p, q, cfg, ic)):
+        for got, want in zip((f, fp), taylor_reference(p, q, cfg, ic)):
             assert len(got) == n + 1
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
@@ -554,8 +549,8 @@ def test_basis_check_integrates_once(monkeypatch):
 
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
-    # p and q on the grid to order m-1, then on the midpoints: RK4 reads the
-    # grid jets' row 0, so nothing evaluates them on the grid a second time
+    # p and q on the grid only, to order max(3, m-1): the Taylor steps read
+    # rows 0..3 and the product block rows 0..m-1 of the same jets
     calls = []
 
     def counting(e, x, order, plain=verify._expr_jet):
@@ -565,8 +560,18 @@ def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
     monkeypatch.setattr(verify, "_expr_jet", counting)
     clear_memos()
     assert basis_check(derive_lifted_ode(m), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
-    upto = max(0, m - 1)
-    assert calls == [(1001, upto), (1001, upto), (1000, 0), (1000, 0)]
+    assert calls == [(1001, max(3, m - 1))] * 2
+
+
+@pytest.mark.parametrize("upto", [0, 2, 3, 5])
+def test_integrate_holds_the_symbol_rows_to_order_upto_only(upto):
+    # the Taylor steps read rows 0..3; the rows past upto are not kept, not
+    # even as the base of a view
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    grid, phi, syms = verify._integrate(p, q, COS_CFG, upto)
+    assert syms.shape == (upto + 1, 2, 1001) and syms.base is None
+    assert np.array_equal(syms, symbol_values(p, q, upto, grid))
+    assert np.array_equal(phi, fundamental_matrix(p, q, COS_CFG)[1])
 
 
 @pytest.mark.parametrize("m", [1, 5, 10])
@@ -990,13 +995,13 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
     assert basis_check(ode, p, q, COS_CFG).passed
     assert verify._base.cache_info()[:2] == (0, 1)  # basis_check reads syms from _products
     assert not basis_check(ode, p, q, dependent).wronskian_passed
-    assert calls == [2, 0]  # the grid to order m-1, then the midpoints
+    assert calls == [3]  # the grid only, to order max(3, m-1)
     assert verify._base.cache_info()[:2] == (1, 1)
     assert memo_info() == ((1, 1), (0, 2))
     # another m on the same base equation misses, and so does another p
     basis_check(derive_lifted_ode(2), p, q, COS_CFG)
     basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
-    assert calls == [2, 0, 1, 0, 2, 0]
+    assert calls == [3, 3, 3]
     assert verify._base.cache_info() == (1, 3, 1, 1)
 
 
