@@ -223,10 +223,6 @@ class DiffPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
         out = dict(self.terms)
         get = out.get
         for mono, coeff in other.terms.items():

@@ -596,13 +596,13 @@ def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
     [order, entry, point] array; entry i is the constant 1 and is not
     stored.  In these rows d moves row j+1 to row j times j+1, and a product
     with p or q is a convolution with their Taylor rows, one shift at a time:
-    a multiply into one scratch block, then an in-place subtract.  Row 0 of
-    L_{m+1} holds c_0, ..., c_m.
+    one multiply and one subtract per shift, the same at every step (at
+    i = 1 both add nothing: entry 0 of L_1 = d is stored as zeros, and L_0
+    stores no entry).  Row 0 of L_{m+1} holds c_0, ..., c_m.
     """
     shape = syms.shape[2:]
     ones = [1] * len(shape)  # reshapes one float per row to broadcast over the points
     inverse = np.array([1 / math.factorial(j) for j in range(len(syms))]).reshape(-1, *ones)
-    scratch = np.empty((max((m + 1 - i) * i for i in range(1, m + 1)), *shape))
     prev, cur = np.zeros((m + 2, 0, *shape)), np.zeros((m + 1, 1, *shape))  # L_0 = 1, L_1 = d
     for i in range(1, m + 1):
         n = m + 1 - i  # the rows L_{i+1} needs
@@ -615,12 +615,9 @@ def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
         q = syms[:n, 1] * (i * (m - i + 1) * inverse[:n])
         nxt[:, i] -= p  # times the unstored 1 of L_i
         nxt[:, i - 1] -= q  # times the unstored 1 of L_{i-1}
-        # entry 0 of L_1 = d is 0: no p-convolution at i = 1
-        for a, c, width in ((cur, p, i if i > 1 else 0), (prev, q, i - 1)):
-            for l in range(n if width else 0):
-                term = scratch[: (n - l) * width].reshape(n - l, width, *shape)
-                np.multiply(a[: n - l, :width], c[l], out=term)
-                nxt[l:, :width] -= term
+        for a, c in ((cur, p), (prev, q)):
+            for l in range(n):
+                nxt[l:, : a.shape[1]] -= a[: n - l] * c[l]
         prev, cur = cur, nxt
     return cur[0]
 

@@ -44,6 +44,18 @@ in columns 0 and m, while the block writes those powers straight into their
 columns.  The oracle's jets are plain lists built by its own helpers, so it
 shares no code with odelift.verify; all it takes from there is the symbol
 layout, row k of odelift.verify.symbol_values holding (p^(k), q^(k)).
+
+The running-error bound of a residual (Wilkinson; Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., 3.3) is the measure a
+verdict that does not depend on m can rest on.  r = y^(m+1) + sum c_k y^(k)
+is formed with + and x only, and every jet weight is positive, so the same
+program run on magnitudes bounds its rounding:
+B = major_(m+1) + sum |c_k| major_k, with major the product block on |f|,
+|f'|, |g|, |g'| and |syms|, and |c_k| the recurrence rows on -|syms|
+(every term of a derived c_k has the sign (-1)^degree, so there every
+term is non-negative).  A true basis has r = 0 exactly, so |fl(r)| <=
+gamma B whatever the integrator's error.  These helpers build both pieces
+from the package's own kernels.
 """
 
 from __future__ import annotations
@@ -54,6 +66,7 @@ from math import comb, factorial, prod
 
 import numpy as np
 
+from odelift import verify
 from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, Q, poly_terms_doc
 from odelift.diffring import _new_key, _raw, _settle, _slot_order
 from odelift.lifting import LiftedODE, derive_lifted_ode
@@ -88,16 +101,20 @@ def derive(poly: DiffPoly) -> DiffPoly:
 
 
 def eval_exact(poly: DiffPoly, values) -> Fraction:
-    """Evaluate at Fraction (or int) symbol values with exact arithmetic."""
-    total = Fraction(0)
+    """Evaluate at Fraction (or int) symbol values with exact arithmetic;
+    each power is taken once per call."""
+    total, powers = Fraction(0), {}
     for mono, coeff in poly.terms.items():
         value = coeff
-        for sym, exp in mono.factors:
-            try:
-                v = values[sym]
-            except KeyError:
-                raise MissingSymbolError(sym) from None
-            value = value * Fraction(v) ** exp
+        for factor in mono.factors:
+            if factor not in powers:
+                sym, exp = factor
+                try:
+                    v = values[sym]
+                except KeyError:
+                    raise MissingSymbolError(sym) from None
+                powers[factor] = Fraction(v) ** exp
+            value = value * powers[factor]
         total += value
     return total
 
@@ -312,3 +329,30 @@ def product_block(f_pt, g_pt, m: int, syms) -> np.ndarray:
         for k, row in enumerate(_leibniz(f_pows[m - j], g_pows[j])):
             block[k, j] = row
     return block
+
+
+def majorised_check(m: int, p, q, cfg) -> tuple:
+    """(rows, magnitudes, block, major) of basis_check's check of the derived
+    equation of order m+1 on cfg's grid: the c_k rows and the |c_k| rows of
+    odelift.verify._recurrence_values on syms and -|syms|, the product block
+    from the unit vectors of cfg.ic_f and cfg.ic_g, and the same block on
+    the magnitudes of f, f', g, g' and syms."""
+    grid, phi, syms = verify._integrate(p, q, cfg, m - 1)
+    f_pt = verify._solution(phi, verify._unit(cfg.ic_f))
+    g_pt = verify._solution(phi, verify._unit(cfg.ic_g))
+    block = verify.product_derivatives(f_pt, g_pt, m, syms)
+    major = verify.product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
+    rows = verify._recurrence_values(m, syms)
+    return rows, verify._recurrence_values(m, -np.abs(syms)), block, major
+
+
+def running_error_ratio(values, magnitudes, block, major) -> float:
+    """The worst |r| / (u B) over all products and points, u = 2^-53, taken as
+    0 where r = 0: r = y^(m+1) + sum c_k y^(k) summed in basis_check's order
+    from the c_k rows ``values``, and B = major_(m+1) + sum |c_k| major_k."""
+    r, bound = block[len(values)].copy(), major[len(values)].copy()
+    for c, a, y, z in zip(values, magnitudes, block, major):
+        r += c * y
+        bound += a * z
+    ratio = np.divide(np.abs(r), 2.0**-53 * bound, out=np.zeros_like(r), where=r != 0)
+    return float(np.max(ratio))

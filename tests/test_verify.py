@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from odelift import verify
-from odelift.diffring import DiffPoly, parse_poly
+from odelift.diffring import DiffPoly, P, Q, parse_poly
 from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
@@ -26,7 +26,7 @@ from odelift.verify import (
     product_derivatives,
     symbol_values,
 )
-from oracles import product_block
+from oracles import eval_exact, majorised_check, product_block, running_error_ratio
 from test_acceptance import COEFFICIENT_PAIRS
 from test_exprparse import random_tree
 
@@ -816,6 +816,72 @@ def test_recurrence_values_match_the_expanded_coefficients(m):
             want = np.broadcast_to(c.eval(syms), grid.shape)
             gap = np.max(np.abs(rows[k] - want))
             assert gap <= 1e-11 * np.max(np.abs(want)), (p_text, q_text, k, gap)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_recurrence_rows_on_negated_magnitudes_are_the_absolute_coefficient_sums(m):
+    # Every term of a derived c_k has the sign (-1)^degree, so at symbol values
+    # -|s| row k is sum |coeff| prod |s|^e, and every operation of the
+    # recurrence multiplies or adds non-negative numbers.  The symbol values
+    # are dyadic, exact as floats, and eval_exact is exact, so only the
+    # recurrence rounds: each row is its exact value times at most n factors
+    # 1 + delta, |delta| <= u, and |row - exact| <= gamma_n exact with
+    # gamma_n = n u / (1 - n u) (Higham, 2nd ed., 3.1).  Step i adds at most
+    # 2(m-i) + 8 roundings to the deepest chain: 4 for an operand (the Taylor
+    # row of p or q takes three, 1/j!, its weight and the symbol, and its
+    # product one more; d takes one), 2 for the shift and the lone p or q
+    # term, and 2(r+1) convolution subtracts into row r <= m-i of L_{i+1}.
+    # So n = sum_{i=1}^{m} (2(m-i) + 8) = m^2 + 7m.  Measured worst: 0 for
+    # m <= 7, 1.4 u at m = 10 and 3.0 u at m = 16.
+    rng = random.Random(m)
+    points = [{s(j): Fraction(rng.randint(1, 63), 32) for j in range(m) for s in (P, Q)}
+              for _ in range(2)]
+    syms = -np.array([[[float(v[s(j)]) for v in points] for s in (P, Q)] for j in range(m)])
+    rows = verify._recurrence_values(m, syms)
+    n = m * m + 7 * m
+    gamma = Fraction(n, 2**53 - n)
+    for k, c in enumerate(derive_lifted_ode(m).coeffs):
+        magnitude = DiffPoly({mono: abs(v) for mono, v in c.terms.items()})
+        for row, values in zip(rows[k], points):
+            exact = eval_exact(magnitude, values)
+            assert row >= 0 and abs(Fraction(row) - exact) <= gamma * exact, (k, row, exact)
+
+
+#: m = 1..8, every fourth m to 20, and the CLI's 28: a product block costs ~m^3
+RUNNING_ERROR_ORDERS = (*range(1, 9), 12, 16, 20, 28)
+
+#: the true bases the floored r/s FAILs at m = 16 and 20, and Euler's x^3, x^(1/2)
+RUNNING_ERROR_BASES = (
+    *[(p, q, (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)) for p, q in COEFFICIENT_PAIRS],
+    ("0", "-25", (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)),
+    ("0", "-1", (1.0, -1.0), (1.0, 1.0), (0.0, 1.0)),
+    ("2.5/x", "-1.5/x^2", (1.0, 3.0), (1.0, 0.5), (1.0, 2.0)),
+)
+
+
+@pytest.mark.parametrize("p_text,q_text,ic_f,ic_g,interval", RUNNING_ERROR_BASES)
+def test_running_error_bound_separates_genuine_from_perturbed_equations(
+    p_text, q_text, ic_f, ic_g, interval
+):
+    # The measure a verdict that does not depend on m can rest on: the worst
+    # |r| / (u B) of running_error_ratio (tests/oracles.py), from today's
+    # kernels.  A true basis has r = 0 exactly, so rounding alone puts it at
+    # gamma B, and 64 is the candidate constant for that verdict.  Measured at
+    # step 1e-2: at most 5.3 on every base at every m to 28 (x^2, ln(x+2) at
+    # m = 24).  A (1 + 1e-6) scaling of any c_k that does not vanish on the
+    # grid read at least 1.52e3, on 1/(x+2), exp(-x) at m = 20 (c_0); past
+    # m = 20 some such scalings fall under 64, below double precision.
+    cfg = NumericConfig(interval, 1e-2, ic_f, ic_g)
+    p, q = parse_expr(p_text), parse_expr(q_text)
+    for m in RUNNING_ERROR_ORDERS:
+        rows, magnitudes, block, major = majorised_check(m, p, q, cfg)
+        assert running_error_ratio(rows, magnitudes, block, major) <= 64, m
+        if m > 20 or (p_text, q_text) not in COEFFICIENT_PAIRS:
+            continue
+        for k in range(m + 1):
+            if rows[k].any():
+                values = [*rows[:k], rows[k] * (1 + 1e-6), *rows[k + 1 :]]
+                assert running_error_ratio(values, magnitudes, block, major) > 64, (m, k)
 
 
 @pytest.mark.parametrize("m,error,message", [
