@@ -66,8 +66,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from math import comb
 
-import numpy as np
-
 from .exprparse import (
     Add,
     Call,
@@ -95,6 +93,23 @@ __all__ = [
     "basis_check",
     "monomial_label",
 ]
+
+
+class _Numpy:
+    """Stands in for numpy until the first numeric use, so that importing
+    odelift (derive and check-paper among it) never loads numpy.  The first
+    attribute read imports it and rebinds the global np to the module
+    itself, so every kernel after it reads numpy directly."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per

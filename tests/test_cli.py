@@ -38,14 +38,17 @@ def assert_same_text(got: str, want: str) -> None:
                     f"  got  {got[lo:hi]!r}\n  want {want[lo:hi]!r}", pytrace=False)
 
 
-def run_module(argv):
-    """`python -m odelift ARGV` in a child process, which sees every warning."""
+def run_child(args):
+    """`python ARGS` in a child process, which sees every warning."""
     # The child does not inherit sys.path, so hand it the checkout's src/.
     path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    return subprocess.run(
-        [sys.executable, "-m", "odelift", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(argv):
+    """`python -m odelift ARGV` in a child process."""
+    return run_child(["-m", "odelift", *argv])
 
 
 # -- derive ----------------------------------------------------------------------
@@ -664,3 +667,44 @@ def test_module_entry_point():
     proc = run_module(["check-paper", "--all"])
     assert proc.returncode == 0
     assert proc.stdout.count("PASS") == 4
+
+
+# -- numpy is loaded by verify alone ------------------------------------------------
+
+#: Runs in a fresh interpreter, with numpy made unimportable when argv[1] is
+#: "block": imports the package every way a caller does, runs derive -m 4 as
+#: JSON and check-paper --all through cli.main, and prints one JSON line.
+_WITHOUT_NUMPY = """
+import io, json, sys
+from contextlib import redirect_stdout
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+import odelift
+import odelift.verify
+from odelift import basis_check, cli
+missing = [name for name in odelift.__all__ if not hasattr(odelift, name)]
+runs = []
+for argv in (["derive", "-m", "4", "--style", "json"], ["check-paper", "--all"]):
+    with redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    runs.append([code, out.getvalue()])
+loaded = sys.modules.get("numpy") is not None
+print(json.dumps({"missing": missing, "runs": runs, "numpy_loaded": loaded}))
+"""
+
+
+def run_fresh(script, *args):
+    """The JSON object a fresh interpreter prints for `python -c script args`."""
+    proc = run_child(["-c", script, *args])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("numpy", ["block", "allow"])
+def test_derive_and_check_paper_never_load_numpy(numpy, capsys):
+    got = run_fresh(_WITHOUT_NUMPY, numpy)
+    assert got["missing"] == [] and got["numpy_loaded"] is False
+    derive, paper = got["runs"]
+    assert derive == [0, run(["derive", "-m", "4", "--style", "json"], capsys)[1]]
+    assert paper == [0, run(["check-paper", "--all"], capsys)[1]]
+    assert hashlib.sha256(derive[1].encode()).hexdigest() == DERIVE_JSON_SHA256[4]

@@ -1,5 +1,6 @@
 """Integration, jet evaluation, residuals, and the basis report."""
 
+import inspect
 import math
 import random
 import sys
@@ -7,6 +8,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +30,13 @@ from odelift.verify import (
 )
 from oracles import eval_exact, majorised_check, product_block, running_error_ratio
 from test_acceptance import COEFFICIENT_PAIRS
+from test_cli import run_fresh
 from test_exprparse import random_tree
 
 ZERO = parse_expr("0")
 ONE = parse_expr("1")
 MINUS_ONE = parse_expr("-1")
+PERFBENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 # y'' = -y with these initial conditions integrates cos and sin
 COS_CFG = NumericConfig(interval=(0.0, 1.0), step=1e-3)
@@ -48,13 +52,21 @@ def solve(p, q, cfg, ic):
     return grid, *verify._solution(phi, ic)
 
 
+def memos(module):
+    """Every memo of module, found by inspection: each value with a callable
+    cache_clear and cache_info."""
+    return [
+        value
+        for value in vars(module).values()
+        if callable(getattr(value, "cache_clear", None))
+        and callable(getattr(value, "cache_info", None))
+    ]
+
+
 def clear_memos():
-    """Empty every memo of odelift.verify, found by inspection."""
-    for value in vars(verify).values():
-        if callable(getattr(value, "cache_clear", None)) and callable(
-            getattr(value, "cache_info", None)
-        ):
-            value.cache_clear()
+    """Empty every memo of odelift.verify."""
+    for memo in memos(verify):
+        memo.cache_clear()
 
 
 def block_at(f_pt, g_pt, m, p, q, x):
@@ -1353,3 +1365,43 @@ def test_threads_sharing_one_base_equation_get_their_own_reports():
         want.append(repr(basis_check(check_ode, p, q, cfg)))
     assert_threads_get(want, [lambda o=o: basis_check(o, p, q, cfg) for o in odes])
     assert verify._base.cache_info()[:2] == (0, 1)
+
+
+# -- numpy, bound on first numeric use ---------------------------------------------
+
+#: Runs in a fresh interpreter with argv[1] the source of a rule that finds
+#: memos: finds the memos of odelift.verify before numpy is loaded, then runs
+#: one check, and prints one JSON line.
+_MEMOS_BEFORE_NUMPY = """
+import json, sys
+from types import SimpleNamespace
+import odelift.verify as verify
+from odelift import NumericConfig, basis_check, parse_expr
+exec(sys.argv[1])
+before = "numpy" in sys.modules
+found = rule()
+names = sorted(name for name, value in vars(verify).items() if any(value is f for f in found))
+report = basis_check(3, parse_expr("sin(x)"), parse_expr("x"), NumericConfig((0.0, 1.0), 1e-2))
+import numpy
+print(json.dumps({"before": before, "names": names, "count": len(found),
+                  "passed": report.passed, "bound": verify.np is numpy}))
+"""
+
+#: The two rules: this file's memos(), and perfbench/run.py's odelift_caches
+#: on the verify module alone.
+MEMO_RULES = {
+    "memos": inspect.getsource(memos) + "rule = lambda: memos(verify)\n",
+    "odelift_caches": f"sys.path.insert(0, {str(PERFBENCH_DIR)!r})\nimport run\n"
+    "rule = lambda: run.odelift_caches(SimpleNamespace(verify=verify))\n",
+}
+
+
+@pytest.mark.parametrize("rule", sorted(MEMO_RULES))
+def test_memos_are_found_before_numpy_is_loaded(rule):
+    assert run_fresh(_MEMOS_BEFORE_NUMPY, MEMO_RULES[rule]) == {
+        "before": False,
+        "names": ["_base", "_derived", "_products"],
+        "count": 3,
+        "passed": True,
+        "bound": True,
+    }
