@@ -30,9 +30,10 @@ Only the residual depends on the operator being checked, and the c_k
 values have one source: the rows c_0, ..., c_m of the derived equation of
 order m+1, from the symmetric-power recurrence of odelift.lifting run
 numerically on the symbol values (_recurrence_values), so no term of any
-c_k is formed.  The int m reads those rows; an explicit LiftedODE reads row
-k wherever its c_k equals the derived one and evaluates only the c_k that
-differ, with DiffPoly.eval.  The products are formed from the unit vectors
+c_k is formed.  The int m reads those rows; an explicit LiftedODE adds to
+row k the difference of its c_k to the derived one, evaluated with
+DiffPoly.eval, wherever the two differ, so DiffPoly.eval only ever sees
+what the caller changed.  The products are formed from the unit vectors
 of the two initial conditions, so their scale neither overflows the block
 nor hides a residual under its floor; the Wronskian is taken at the raw
 ones.
@@ -51,7 +52,7 @@ memos (_one_slot), each built whole and never written after:
              an explicit LiftedODE is compared with.
 So a genuine equation, a perturbed one and dependent initial conditions on
 one base equation integrate once, run the recurrence once and evaluate 0,
-1 and 0 coefficients, and LiftedODE checks at one m derive once, whatever
+1 and 0 differences, and LiftedODE checks at one m derive once, whatever
 the base equation.  Each memo drops its entry before it builds the next,
 so at most one check's arrays are held: one product block of at most
 MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and the m+1
@@ -133,13 +134,14 @@ RESIDUAL_TOL = 1e-6
 WRONSKIAN_TOL = 1e-8
 
 #: Largest coefficient work basis_check takes on for an explicit LiftedODE:
-#: the terms of all its c_k times the grid points, counted before anything is
-#: integrated.  DiffPoly.eval forms every term at every point, but only for
-#: the c_k that differ from the derived ones, so this bounds that work from
-#: above: derive_lifted_ode(24) at 1001 points (127 553 terms, 1.28e8) runs,
-#: and derive_lifted_ode(20) on 10 001 points (34 209 terms, 3.42e8) is
-#: refused.  An int m takes no term from any c_k, and the block guard bounds
-#: its work.
+#: the terms of its differences c_k - d_k to the derived coefficients d_k
+#: times the grid points, counted before anything is integrated.
+#: DiffPoly.eval forms every term of a difference at every point, at about
+#: 6 ns a term-point (c_1 of m = 9, 115 terms, on 30 001 points in 0.020 to
+#: 0.024 s on a 2-vCPU Xeon), so the limit is about a second of it: every
+#: c_k of derive_lifted_ode(20) doubled on 10 001 points (34 209 terms,
+#: 3.42e8) is refused.  An int m and a genuine LiftedODE evaluate no term,
+#: and the block guard bounds their work.
 MAX_TERM_POINTS = 2 * 10**8
 
 
@@ -737,9 +739,9 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     derived equation of order m+1.  The c_k values have one source, the rows
     c_0, ..., c_m that _recurrence_values gives on the symbol array, so no
     term of any c_k is formed.  An int reads the rows.  A LiftedODE reads row
-    k wherever its c_k == the derived c_k, and evaluates each other c_k,
-    itself and not its difference to the derived one, with DiffPoly.eval; so
-    its genuine equation gives the report of the int m, bit for bit.  Either
+    k wherever its c_k == the derived d_k, and row k plus the difference
+    c_k - d_k, evaluated with DiffPoly.eval, wherever it != d_k; so its
+    genuine equation gives the report of the int m, bit for bit.  Either
     way basis_check builds one fundamental matrix Phi, takes the
     product_derivatives block on the whole grid from the solutions Phi @ u
     and Phi @ v, with u and v the unit vectors of cfg.ic_f and cfg.ic_g (a
@@ -758,8 +760,8 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     range at any scale of the initial conditions.  Raises ConfigError for an
     int m below 1, for a LiftedODE with m above MAX_DERIVE_M (pass the int m
     instead), when the block would hold more than MAX_BLOCK_FLOATS floats,
-    and, for a LiftedODE only, when the terms of all c_k times the grid
-    points pass MAX_TERM_POINTS; these guards run before anything is
+    and, for a LiftedODE only, when the terms of its differences c_k - d_k
+    times the grid points pass MAX_TERM_POINTS; these guards run before anything is
     integrated.  It also raises ConfigError, naming m, when a row of c_k
     values is not finite on the grid, before any block is built.  Any other
     ode, a bool included, raises TypeError.
@@ -780,7 +782,9 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
         )
     m, points = (ode if derived else ode.m), cfg.steps + 1
     _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
-    work = 0.0 if derived else sum(len(c.terms) for c in ode.coeffs) * float(points)
+    diffs = {} if derived else {k: c - d for k, (c, d) in enumerate(zip(ode.coeffs, _derived(m, m)))
+                                if c != d}
+    work = sum(len(c.terms) for c in diffs.values()) * float(points)
     if work > MAX_TERM_POINTS:
         raise ConfigError(
             f"m={m} on {points:.3g} grid points would evaluate {work:.3g} coefficient terms, "
@@ -790,10 +794,7 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
         base_key = (p, q, repr(cfg.interval), cfg.steps, m)
         products_key = base_key, repr((cfg.ic_f, cfg.ic_g))
         block, syms, rows, x, (f, fp), (g, gp) = _products(products_key, base_key, p, q, cfg, m)
-        values = rows
-        if not derived:
-            values = [row if c == d else c.eval(syms)
-                      for c, d, row in zip(ode.coeffs, _derived(m, m), rows)]
+        values = [row + diffs[k].eval(syms) if k in diffs else row for k, row in enumerate(rows)]
         worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
         residuals = [MonomialResidual(m - j, j, w, w < RESIDUAL_TOL) for j, w in enumerate(worst)]
 

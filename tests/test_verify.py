@@ -671,11 +671,14 @@ def test_oversized_grid_is_refused_before_it_allocates(monkeypatch):
 
 
 def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
-    # m=16 on 30 001 points: 8 172 terms at every point, 2.45e8 in all,
-    # while the block, 306 floats a point, passes its own guard
+    # every c_k of derive_lifted_ode(16) doubled, on 30 001 points: the
+    # differences to the derived c_k are the c_k themselves, 8 172 terms at
+    # every point, 2.45e8 in all, while the block, 306 floats a point, passes
+    # its own guard
     calls = []
     monkeypatch.setattr(verify, "_integrate", lambda *args: calls.append(args))
-    ode, m = derive_lifted_ode(16), 16
+    m = 16
+    ode = LiftedODE(m, tuple(2 * c for c in derive_lifted_ode(m).coeffs))
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / 30000)
     assert (m + 2) * (m + 1) * (cfg.steps + 1) <= MAX_BLOCK_FLOATS
     clear_memos()
@@ -685,14 +688,27 @@ def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
     assert time.perf_counter() - start < 1.0
     assert calls == [] and memo_info() == ((0, 0), (0, 0))
     assert MAX_TERM_POINTS == 2 * 10**8
-    # the limit counts the terms of all c_k times the grid points: 6 * 1001 at m=2
+    # the limit counts the terms of the differences times the grid points:
+    # c_1 + 1/8 at m=2 differs in one term, 1 * 1001
     monkeypatch.undo()
-    assert sum(len(c.terms) for c in derive_lifted_ode(2).coeffs) == 6
-    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 6 * 1001)
-    assert cos_suite(2).passed
-    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 6 * 1001 - 1)
-    with pytest.raises(ConfigError, match="coefficient terms"):
-        cos_suite(2)
+    ode = perturbed(derive_lifted_ode(2), 1)
+    assert len((ode.coeffs[1] - derive_lifted_ode(2).coeffs[1]).terms) == 1
+    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 1 * 1001)
+    assert not basis_check(ode, ZERO, MINUS_ONE, COS_CFG).residuals_passed
+    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 1 * 1001 - 1)
+    with pytest.raises(ConfigError, match="would evaluate 1e[+]03 coefficient terms"):
+        basis_check(ode, ZERO, MINUS_ONE, COS_CFG)
+
+
+@pytest.mark.parametrize("m", [1, 4, 12, 20])
+def test_genuine_equation_counts_no_coefficient_terms(m, monkeypatch):
+    # its c_k all equal the derived ones, so it has no difference to evaluate
+    # and passes a limit of 0 term-points with the report of the int m
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    monkeypatch.setattr(verify, "MAX_TERM_POINTS", 0)
+    report = basis_check(derive_lifted_ode(m), p, q, COS_CFG)
+    assert report.passed
+    assert report == basis_check(m, p, q, COS_CFG)
 
 
 def test_dependent_initial_conditions_fail_only_the_wronskian():
@@ -944,12 +960,14 @@ def test_derived_equation_gives_the_report_of_its_power(pair):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
-    # c_0 + p*q and c_{m//2} + 1/8 are evaluated themselves, with DiffPoly.eval,
-    # and every other c_k is the row the int m reads
+    # c_0 + p*q and c_{m//2} + 1/8 add their differences, p*q and 1/8, each
+    # evaluated with DiffPoly.eval, to the rows the int m reads; every other
+    # c_k is its row
     p, q = parse_expr("sin(x)"), parse_expr("x")
     coeffs = list(derive_lifted_ode(m).coeffs)
-    coeffs[0] = coeffs[0] + parse_poly("p*q")
-    coeffs[m // 2] = coeffs[m // 2] + Fraction(1, 8)
+    diffs = {0: parse_poly("p*q"), m // 2: DiffPoly.const(Fraction(1, 8))}
+    for k, delta in diffs.items():
+        coeffs[k] = coeffs[k] + delta
     seen, calls = [], []
     plain_relative, plain_eval = verify._relative, DiffPoly.eval
 
@@ -967,11 +985,11 @@ def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
     assert basis_check(m, p, q, COS_CFG).passed
     report = basis_check(LiftedODE(m, tuple(coeffs)), p, q, COS_CFG)
     assert not report.passed
-    assert calls == [coeffs[0], coeffs[m // 2]]
-    by_power, values = seen
+    assert calls == list(diffs.values())
+    rows, values = seen
     syms = symbol_values(p, q, m - 1, np.linspace(0.0, 1.0, COS_CFG.steps + 1))
-    for k, c in enumerate(coeffs):
-        want = plain_eval(c, syms) if k in (0, m // 2) else by_power[k]
+    for k in range(m + 1):
+        want = rows[k] + plain_eval(diffs[k], syms) if k in diffs else rows[k]
         assert np.asarray(values[k]).tobytes() == np.asarray(want).tobytes(), k
 
 
