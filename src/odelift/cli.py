@@ -30,7 +30,14 @@ from .lifting import (
     derive_lifted_ode,
     load_fixture,
 )
-from .verify import RESIDUAL_TOL, WRONSKIAN_TOL, ConfigError, NumericConfig, basis_check
+from .verify import (
+    RESIDUAL_TOL,
+    WRONSKIAN_TOL,
+    ConfigError,
+    NumericConfig,
+    SolutionRangeError,
+    basis_check,
+)
 
 __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
@@ -274,9 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        _PARSER.exit(2, f"error: {exc}\n")
-    except (ExprDomainError, FixtureFormatError, OSError) as exc:
+    except (ExprDomainError, SolutionRangeError, FixtureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ConfigError as exc:
+        _PARSER.exit(2, f"error: {exc}\n")
 

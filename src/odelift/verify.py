@@ -33,10 +33,13 @@ numerically on the symbol values (_recurrence_values), so no term of any
 c_k is formed.  The int m reads those rows; an explicit LiftedODE adds to
 row k the difference of its c_k to the derived one, evaluated with
 DiffPoly.eval, wherever the two differ, so DiffPoly.eval only ever sees
-what the caller changed.  The products are formed from the unit vectors
-of the two initial conditions, so their scale neither overflows the block
-nor hides a residual under its floor; the Wronskian is taken at the raw
-ones.
+what the caller changed.  The products are formed from (f, f') and
+(g, g') scaled at every grid point to max(|y|, |y'|) = 1, so neither the
+scale of the initial conditions nor the growth of the solutions along the
+interval overflows the block or hides a residual under its floor; the
+Wronskian is taken at the raw initial conditions.  Solutions that leave the
+double range, a Phi that is not finite, raise SolutionRangeError naming the
+first such x.
 
 basis_check keeps what does not depend on the operator in three one-entry
 memos (_one_slot), each built whole and never written after:
@@ -147,6 +150,11 @@ MAX_TERM_POINTS = 2 * 10**8
 
 class ConfigError(ValueError):
     """Raised for unusable numeric configurations."""
+
+
+class SolutionRangeError(ConfigError):
+    """Raised when the solutions of the base equation leave the double range
+    on the grid; like a domain error of p or q, it names the first such x."""
 
 
 def _guard(size: float, what: str) -> None:
@@ -361,13 +369,19 @@ def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
 
     p and q are evaluated once, on the grid, to order max(3, upto): the
     Taylor steps read rows 0..3, and the rows past upto are dropped after.
+    Raises SolutionRangeError at the first x where phi is not finite.
     """
     points = cfg.steps + 1
     _guard(4.0 * points, f"Phi on {points:.3g} grid points")
     a, b = cfg.interval
     grid = np.linspace(a, b, points)
     syms = symbol_values(p, q, max(3, upto), grid)
-    phi = _transfer(syms, cfg.h)
+    with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
+        phi = _transfer(syms, cfg.h)
+    finite = np.isfinite(phi).all(axis=0)
+    if not finite.all():
+        raise SolutionRangeError(f"the solutions leave the double range at "
+                                 f"x={grid[np.argmin(finite)]:g}; use a shorter interval")
     return grid, phi, syms[: upto + 1].copy() if upto < 3 else syms
 
 
@@ -427,7 +441,9 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
     at x = a is (phi00 y + phi01 y', phi10 y + phi11 y') and det Phi
     approximates exp(int_a^x p).  Domain errors of p or q and of their
     derivatives to order 3 surface with the offending x.  Raises
-    ConfigError when phi would hold more than MAX_BLOCK_FLOATS floats.
+    ConfigError when phi would hold more than MAX_BLOCK_FLOATS floats, and
+    SolutionRangeError, a ConfigError, at the first x where phi is not
+    finite.
     """
     return _integrate(p, q, cfg, 0)[:2]
 
@@ -436,6 +452,19 @@ def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
     """(y, y') over the grid for (y, y') = ic at its start: Phi @ ic."""
     y0, yp0 = ic
     return phi[0] * y0 + phi[1] * yp0, phi[2] * y0 + phi[3] * yp0
+
+
+def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y') = Phi @ ic divided at each grid point by sigma = max(|y|, |y'|),
+    in place; a zero vector stays zero.  ic is divided by its own sigma
+    first, so Phi @ ic overflows nowhere that Phi does not."""
+    s = max(map(abs, ic)) or 1.0
+    y, yp = _solution(phi, (ic[0] / s, ic[1] / s))
+    sigma = np.maximum(np.abs(y), np.abs(yp))
+    nonzero = sigma > 0.0
+    for row in (y, yp):
+        np.divide(row, sigma, out=row, where=nonzero)
+    return y, yp
 
 
 # --------------------------------------------------------------------------
@@ -575,15 +604,16 @@ def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> 
     syms and rows _base's, and the last three the floats at the grid's midpoint,
     where the Wronskian is taken.
 
-    The block is built from the solutions at the unit vectors of cfg.ic_f and
-    cfg.ic_g, which are dropped once it is built; (f, f') and (g, g') are
-    phi[:, mid] applied to the raw cfg.ic_f and cfg.ic_g.  _base is called
-    here so that a new base equation drops the old entries before it builds
-    its own.  Without this memo each perturbed check builds its block again,
-    and verify-batch wall_s went from 0.128 to 0.149 s (+16 %).
+    The block is built from the solutions from cfg.ic_f and cfg.ic_g, each
+    scaled at every grid point (_scaled_solution) and dropped once it is
+    built; (f, f') and (g, g') are phi[:, mid] applied to the raw cfg.ic_f
+    and cfg.ic_g.  _base is called here so that a new base equation drops
+    the old entries before it builds its own.  Without this memo each
+    perturbed check builds its block again, and verify-batch wall_s went
+    from 0.128 to 0.149 s (+16 %).
     """
     grid, phi, syms, rows = _base(base_key, p, q, cfg, m)
-    f_pt, g_pt = _solution(phi, _unit(cfg.ic_f)), _solution(phi, _unit(cfg.ic_g))
+    f_pt, g_pt = _scaled_solution(phi, cfg.ic_f), _scaled_solution(phi, cfg.ic_g)
     block = product_derivatives(f_pt, g_pt, m, syms)
     _read_only(block)
     mid = len(grid) // 2
@@ -741,29 +771,32 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     term of any c_k is formed.  An int reads the rows.  A LiftedODE reads row
     k wherever its c_k == the derived d_k, and row k plus the difference
     c_k - d_k, evaluated with DiffPoly.eval, wherever it != d_k; so its
-    genuine equation gives the report of the int m, bit for bit.  Either
-    way basis_check builds one fundamental matrix Phi, takes the
-    product_derivatives block on the whole grid from the solutions Phi @ u
-    and Phi @ v, with u and v the unit vectors of cfg.ic_f and cfg.ic_g (a
-    zero vector stays zero), and reports per-product max relative residuals,
-    as _relative gives them, each passing below RESIDUAL_TOL, plus the
-    midpoint Wronskian of all m+1 products of the solutions from cfg.ic_f
-    and cfg.ic_g, (prod_{k<=m} k!) W^N with W = W(f, g) and N = m(m+1)/2;
-    its scale, Hadamard's bound, puts n = |(f, f')| |(g, g')| in place of
-    W.  The products pass when |W| / n, at most 1, exceeds WRONSKIAN_TOL: the
-    same test at every m, and the only test for dependent solutions.  That
-    ratio is taken from the unit vectors (f, f')/|(f, f')| and
-    (g, g')/|(g, g')|, so it stays right where W or n alone overflows or
-    underflows.  The
-    products of multiples c f and d g are c^(m-j) d^j times those of f and
-    g, so the unit vectors change no true residual and keep the block in
-    range at any scale of the initial conditions.  Raises ConfigError for an
+    genuine equation gives the report of the int m, bit for bit.  Either way
+    basis_check builds one fundamental matrix Phi, takes the
+    product_derivatives block on the whole grid from the solutions
+    Phi @ cfg.ic_f and Phi @ cfg.ic_g, each divided at every grid point by
+    sigma = max(|y|, |y'|) there (a zero vector stays zero), and reports
+    per-product max relative residuals, as _relative gives them, each passing
+    below RESIDUAL_TOL, plus the midpoint Wronskian of all m+1 products of
+    the solutions from cfg.ic_f and cfg.ic_g, (prod_{k<=m} k!) W^N with
+    W = W(f, g) and N = m(m+1)/2; its scale, Hadamard's bound, puts
+    n = |(f, f')| |(g, g')| in place of W.  The products pass when |W| / n,
+    at most 1, exceeds WRONSKIAN_TOL: the same test at every m, and the only
+    test for dependent solutions.  That ratio is taken from the unit vectors
+    (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or n
+    alone overflows or underflows.  Row k of column j of the block is a
+    polynomial in (f, f') of degree m-j and in (g, g') of degree j, with
+    coefficients from the symbols only, so the scaling multiplies column j
+    at each point by sigma_f^-(m-j) sigma_g^-j in every row: it changes no
+    true residual and keeps the block in range at any scale of the initial
+    conditions and any growth of the solutions.  Raises ConfigError for an
     int m below 1, for a LiftedODE with m above MAX_DERIVE_M (pass the int m
     instead), when the block would hold more than MAX_BLOCK_FLOATS floats,
     and, for a LiftedODE only, when the terms of its differences c_k - d_k
-    times the grid points pass MAX_TERM_POINTS; these guards run before anything is
-    integrated.  It also raises ConfigError, naming m, when a row of c_k
-    values is not finite on the grid, before any block is built.  Any other
+    times the grid points pass MAX_TERM_POINTS; these guards run before
+    anything is integrated.  It also raises ConfigError, naming m, when a row
+    of c_k values is not finite on the grid, and SolutionRangeError, naming
+    x, when Phi is not finite, both before any block is built.  Any other
     ode, a bool included, raises TypeError.
 
     The memo keys hold p and q themselves, whose == compares node for node

@@ -335,11 +335,11 @@ def majorised_check(m: int, p, q, cfg) -> tuple:
     """(rows, magnitudes, block, major) of basis_check's check of the derived
     equation of order m+1 on cfg's grid: the c_k rows and the |c_k| rows of
     odelift.verify._recurrence_values on syms and -|syms|, the product block
-    from the unit vectors of cfg.ic_f and cfg.ic_g, and the same block on
-    the magnitudes of f, f', g, g' and syms."""
+    from the solutions from cfg.ic_f and cfg.ic_g scaled at every point, and
+    the same block on the magnitudes of f, f', g, g' and syms."""
     grid, phi, syms = verify._integrate(p, q, cfg, m - 1)
-    f_pt = verify._solution(phi, verify._unit(cfg.ic_f))
-    g_pt = verify._solution(phi, verify._unit(cfg.ic_g))
+    f_pt = verify._scaled_solution(phi, cfg.ic_f)
+    g_pt = verify._scaled_solution(phi, cfg.ic_g)
     block = verify.product_derivatives(f_pt, g_pt, m, syms)
     major = verify.product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
     rows = verify._recurrence_values(m, syms)

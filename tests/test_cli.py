@@ -415,37 +415,54 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
 
 
 def test_verify_json_writes_non_finite_ratio_as_null(capsys):
-    # the trajectory itself overflows before the midpoint: f = f' = inf
-    # there, so the unit vector (f, f')/|(f, f')| and the ratio are NaN
+    # g = 1.7e308 e^x overflows before the midpoint, where the Wronskian
+    # reads the raw initial conditions: (g, g') = (inf, inf) there, so the
+    # ratio is NaN.  The products are scaled at every point, so every
+    # residual stays a number
     code, out, _ = run(
-        ["verify", "-m", "2", "--p", "0", "--q", "100000000", "--json"], capsys
+        ["verify", "-m", "2", "--p", "0", "--q", "1", "--ic-f", "0", "0",
+         "--ic-g", "1.7e308", "1.7e308", "--json"], capsys
     )
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["wronskian"]["ratio"] is None
-    assert [r["max_residual"] for r in doc["residuals"]] == [None] * 3
+    assert [r["max_residual"] for r in doc["residuals"]] == [0.0] * 3
+    assert all(r["pass"] for r in doc["residuals"])
     assert code == 1 and doc["pass"] is False
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,x",
     [
-        ["--q", "1000000"],  # the trajectory itself overflows
+        # the trajectory itself overflows
+        (["-m", "2", "--p", "0", "--q", "1000000"], "0.707"),
+        # det Phi = exp(int p) overflows at the first steps
+        (["-m", "4", "--p", "exp(2*x+100)", "--q", "1", "--interval", "-1", "1"], "-0.998"),
     ],
-    ids=["overflowing-trajectory"],
+    ids=["overflowing-trajectory", "overflowing-determinant"],
 )
-def test_verify_overflow_fails_without_warnings(argv):
-    proc = run_module(["verify", "-m", "2", "--p", "0", *argv])
-    assert proc.returncode == 1 and proc.stderr == ""
-    if "--json" in argv:
-        assert json.loads(proc.stdout)["pass"] is False
-    else:
-        assert proc.stdout.endswith("-> FAIL\n")
+def test_verify_overflow_fails_without_warnings(argv, x):
+    # Phi leaves the double range: one error line naming the first such x
+    # (exit 1), no report, warning or traceback
+    proc = run_module(["verify", *argv])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == (
+        f"error: the solutions leave the double range at x={x}; use a shorter interval\n"
+    )
+
+
+@pytest.mark.parametrize("m", ["12", "20", "28"])
+def test_verify_passes_products_that_grow_along_the_interval(m, capsys):
+    # the block is scaled at every grid point, so 300 x^3, x, whose unscaled
+    # block leaves the double range from m = 10, passes
+    code, out, err = run(["verify", "-m", m, "--p", "300*x^3", "--q", "x"], capsys)
+    assert code == 0 and err == "" and out.endswith("-> PASS\n")
+    assert "nan" not in out
 
 
 @pytest.mark.parametrize("scale", ["1e160", "1e-170", "1e200"])
 def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
-    # the products are formed from the unit vectors of the initial
-    # conditions, so at m = 2 none of them overflows or underflows either
+    # the products are formed from the solutions scaled at every grid point,
+    # so at m = 2 none of them overflows or underflows either
     for m in ("1", "2"):
         argv = ["verify", "-m", m, "--p", "0", "--q", "-1", "--ic-f", scale, "0",
                 "--ic-g", "0", scale]

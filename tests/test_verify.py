@@ -814,8 +814,8 @@ def test_sign_flip_of_lowest_coefficient_invisible_on_constant_suite():
 
 @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-10])
 def test_sign_flip_fails_at_any_scale_of_the_initial_conditions(scale):
-    # the products are formed from the unit vectors of ic_f and ic_g, so
-    # small solutions do not hide the error under the residual's floor at 1
+    # the products are formed from the solutions scaled at every grid point,
+    # so small solutions do not hide the error under the residual's floor at 1
     ode = derive_lifted_ode(2)
     flipped_c1 = LiftedODE(2, (ode.coeffs[0], -ode.coeffs[1], ode.coeffs[2]))
     cfg = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(scale, 0.0), ic_g=(0.0, scale))
@@ -823,6 +823,59 @@ def test_sign_flip_fails_at_any_scale_of_the_initial_conditions(scale):
     assert not report.residuals_passed
     assert max(r.max_residual for r in report.residuals) > 1e-2
     assert basis_check(ode, ZERO, MINUS_ONE, cfg).passed
+
+
+@pytest.mark.parametrize("m", [12, 20, 28])
+def test_products_growing_along_the_interval_stay_in_double_range(m):
+    # on 300 x^3, x the solution from (1, 0) reaches 6.5e28 and the unscaled
+    # block leaves the double range from m = 10 (every residual read nan);
+    # scaled at every point, every product is a number and passes
+    report = basis_check(m, parse_expr("300*x^3"), parse_expr("x"), COS_CFG)
+    assert report.passed
+    assert max(r.max_residual for r in report.residuals) < 1e-14
+
+
+def test_solutions_are_scaled_at_every_point():
+    # max(|y|, |y'|) is 1 at every grid point, a zero vector stays zero, and
+    # exactly proportional initial conditions give the same bits, even where
+    # Phi @ ic itself would overflow (1.7e308 e^x on y'' = y)
+    p, q = parse_expr("300*x^3"), parse_expr("x")
+    phi = fundamental_matrix(p, q, COS_CFG)[1]
+    for ic in ((1.5, -0.25), (0.0, 1.0), (-2e-300, 1e-300)):
+        y, yp = verify._scaled_solution(phi, ic)
+        assert (np.maximum(np.abs(y), np.abs(yp)) == 1.0).all()
+    assert not any(row.any() for row in verify._scaled_solution(phi, (0.0, 0.0)))
+    phi = fundamental_matrix(ZERO, ONE, COS_CFG)[1]
+    for big, small in (((1.7e308, 1.7e308), (1.0, 1.0)), ((3e-300, -6e-300), (1.5, -3.0))):
+        scaled = np.array(verify._scaled_solution(phi, big))
+        assert np.array_equal(scaled, verify._scaled_solution(phi, small))
+        assert np.isfinite(scaled).all()
+
+
+def test_solutions_out_of_double_range_are_refused(monkeypatch):
+    # det Phi = exp(int p) with p = exp(2x + 100) leaves the double range at
+    # once: an error naming the first x where Phi is not finite, a ConfigError,
+    # for fundamental_matrix and for both kinds of ode, before any block is built
+    def no_block(*args):
+        raise AssertionError("built a product block")
+
+    cfg = NumericConfig(interval=(-1.0, 1.0), step=1e-3)
+    p = parse_expr("exp(2*x+100)")
+    grid = np.linspace(-1.0, 1.0, cfg.steps + 1)
+    with np.errstate(all="ignore"):
+        phi = verify._transfer(symbol_values(p, ONE, 3, grid), cfg.h)
+    finite = np.isfinite(phi).all(axis=0)
+    first = int(np.argmin(finite))
+    assert finite[:first].all() and f"{grid[first]:g}" == "-0.998"
+    message = r"^the solutions leave the double range at x=-0\.998; use a shorter interval$"
+    with pytest.raises(verify.SolutionRangeError, match=message):
+        fundamental_matrix(p, ONE, cfg)
+    monkeypatch.setattr(verify, "product_derivatives", no_block)
+    for ode in (4, derive_lifted_ode(4)):
+        clear_memos()
+        with pytest.raises(ConfigError, match=message):
+            basis_check(ode, p, ONE, cfg)
+        assert verify._base.cache_info().currsize == 0
 
 
 # -- the derived equation of order m, from the recurrence on the grid -------------
