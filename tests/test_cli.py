@@ -452,11 +452,16 @@ def test_verify_overflow_fails_without_warnings(argv, x):
 
 @pytest.mark.parametrize("m", ["12", "20", "28"])
 def test_verify_passes_products_that_grow_along_the_interval(m, capsys):
-    # the block is scaled at every grid point, so 300 x^3, x, whose unscaled
-    # block leaves the double range from m = 10, passes
-    code, out, err = run(["verify", "-m", m, "--p", "300*x^3", "--q", "x"], capsys)
+    # on 300 x^3, x the solution from (1, 0) reaches 6.5e28 and the unscaled
+    # block leaves the double range from m = 10 (every residual read nan);
+    # scaled at every grid point, every product is a number and passes
+    argv = ["verify", "-m", m, "--p", "300*x^3", "--q", "x"]
+    code, out, err = run(argv, capsys)
     assert code == 0 and err == "" and out.endswith("-> PASS\n")
-    assert "nan" not in out
+    code, out, _ = run([*argv, "--json"], capsys)
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert code == 0 and doc["pass"] is True
+    assert max(r["max_residual"] for r in doc["residuals"]) < 1e-14
 
 
 @pytest.mark.parametrize("scale", ["1e160", "1e-170", "1e200"])
