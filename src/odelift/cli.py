@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .diffring import STYLES, DiffPoly, _slot_order, _symbol, format_poly
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
@@ -44,18 +44,28 @@ __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
 def derive_json(ode: LiftedODE) -> str:
     """The `derive --style json` document, written directly: the bytes that
-    `canonical_json` gives for it as nested dicts and lists.
+    `canonical_json` gives for it as nested dicts and lists.  It is the join
+    of the chunks of _derive_json_chunks, which `derive` writes one by one.
+    """
+    return "".join(_derive_json_chunks(ode))
+
+
+def _derive_json_chunks(ode: LiftedODE) -> Iterator[str]:
+    """The derive_json document in m+3 pieces: the head, one piece per
+    coefficient and the tail, so that a caller that writes each piece as it
+    comes holds one coefficient's text at a time, never the whole document.
 
     The equation repeats a few dozen distinct factors thousands of times,
     so each (slot, exponent) factor's text is formatted once per call, in
     a table that is local to the call and dropped with it.
     """
     factors: dict[tuple[int, int], str] = {}
-    coeffs = ",\n".join([
-        f'    {{\n      "k": {k},\n      "terms": {_terms_json(c, factors)}\n    }}'
-        for k, c in enumerate(ode.coeffs)
-    ])
-    return f'{{\n  "coeffs": [\n{coeffs}\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
+    yield '{\n  "coeffs": [\n'
+    sep = ""
+    for k, c in enumerate(ode.coeffs):
+        yield f'{sep}    {{\n      "k": {k},\n      "terms": {_terms_json(c, factors)}\n    }}'
+        sep = ",\n"
+    yield f'\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
 
 
 def _terms_json(poly: DiffPoly, factors: dict[tuple[int, int], str]) -> str:
@@ -209,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _run_derive(args) -> int:
     ode = derive_lifted_ode(args.m)
     if args.style == "json":
-        print(derive_json(ode))
+        sys.stdout.writelines(_derive_json_chunks(ode))
+        print()
         return 0
     for k in range(args.m, -1, -1):
         if args.style == "latex":

@@ -14,15 +14,17 @@ no division.
 
 The recurrence runs on packed integer keys rather than on DiffPoly
 arithmetic.  A monomial's exponent tuple (slot 2k is p^(k), slot 2k+1 is
-q^(k), as in `diffring`) is packed into one int with
-bits = (m+1).bit_length() bits per slot, slot 0 lowest.  Giving p^(k) the
-weight k+1 and q^(k) the weight k+2, entry k of L_i is homogeneous of
-weight i-k <= m+1, and every symbol weighs at least 1, so no exponent
-exceeds m+1 < 2**bits: a slot never carries into or borrows from its
-neighbour, and adding keys adds exponent tuples.  Multiplying by p is
-key + 1, multiplying by q is key + (1 << bits), and the derivation moves
-one unit of exponent from slot s to slot s+2.  The keys are unpacked into
-Monomials once, at the end.
+q^(k), as in `diffring`) is packed into one int with one byte per slot,
+slot 0 lowest.  Giving p^(k) the weight k+1 and q^(k) the weight k+2,
+entry k of L_i is homogeneous of weight i-k <= m+1, and every symbol
+weighs at least 1, so no exponent exceeds m+1 <= MAX_DERIVE_M+1 < 256: a
+slot never carries into or borrows from its neighbour, and adding keys
+adds exponent tuples.  Multiplying by p is key + 1, multiplying by q is
+key + (1 << 8), and the derivation moves one unit of exponent from slot s
+to slot s+2.  A byte rather than the fewest bits that hold m+1 lets
+int.to_bytes unpack a key into its exponents in C: the derivation reads
+them that way once per distinct key, and the keys become Monomials the
+same way, once, at the end.
 
 No term ever cancels.  Every term of every entry of every L_i has the sign
 (-1)^degree, the degree being the sum of the monomial's exponents (m=4:
@@ -31,13 +33,15 @@ zero coefficient and needs no zero test: see derive_lifted_ode.
 
 The term order of each c_k, the insertion order of its term map, is
 part of the result: each entry is written in the order the ring
-expression a' - i p a + (entry k-1 of L_i) - i (m-i+1) q b would produce
+expression (entry k-1 of L_i) + a' - i p a - i (m-i+1) q b would produce
 it, and the tests hold it to that ring-arithmetic recurrence term for
-term.  No output depends on it: the printers sort the terms, and verify
-reads the derived c_k from the recurrence on the grid, not from
-DiffPoly.eval.  What it still fixes is the in-memory DiffPoly, and with
-it the summation order of DiffPoly.eval on a polynomial built from a c_k,
-such as a perturbed coefficient of an explicit LiftedODE.
+term.  Entry k-1 of L_i comes first because it is copied whole, in C,
+before anything is added to it.  No printed output depends on the order:
+the printers sort the terms, and verify reads the derived c_k from the
+recurrence on the grid, not from DiffPoly.eval.  Only DiffPoly.eval on a
+polynomial built by hand from a c_k, such as the difference of a
+perturbed coefficient of an explicit LiftedODE, can sum in another order
+when the term order changes.
 
 The packed move here is the only derivation the package ships.  The
 references live with the tests in tests/oracles.py: the ring-level
@@ -69,7 +73,8 @@ FIXTURE_ORDERS = (2, 3, 4, 5)
 #: The largest m derive_lifted_ode accepts.  Terms, time and memory about
 #: double every two steps of m, and the live term count after each step does
 #: not depend on m, so the limit is set on m itself, before the first step:
-#: m=28 gives 434 624 terms in about 10 s and peaks near 390 MB.
+#: m=28 gives 434 624 terms, and a `derive -m 28` process took 11-14 s and
+#: peaked at 369 MB (423 MB with --style json) on a shared 2-vCPU machine.
 MAX_DERIVE_M = 28
 
 
@@ -108,16 +113,17 @@ def derive_lifted_ode(m: int) -> LiftedODE:
 
     Steps the recurrence above on coefficient lists, entry k multiplying
     d^k, with d a d^k = a' d^k + a d^(k+1).  Each entry is a dict from
-    packed monomial keys to ints, written in one pass: the derivative of
-    a = entry k of L_i, then -i p a, entry k-1 of L_i and
-    -i (m-i+1) q b with b = entry k of L_{i-1}.  L_{m+1} is monic and its
-    first m+1 entries are c_0 .. c_m.
+    packed monomial keys to ints.  It starts as a copy of entry k-1 of
+    L_i, the one contribution with scale 1 and the largest, and then takes
+    in the derivative of a = entry k of L_i, -i p a and -i (m-i+1) q b
+    with b = entry k of L_{i-1}.  L_{m+1} is monic and its first m+1
+    entries are c_0 .. c_m.
 
     Each sum is stored as it comes, with no zero test, because no partial
     sum can be 0.  By induction from L_0 = 1 and L_1 = d, every term of
     L_i has the sign (-1)^degree:
 
-    - entry k of L_{i+1} is a_k' + a_{k-1} - i p a_k - i (m-i+1) q b_k;
+    - entry k of L_{i+1} is a_{k-1} + a_k' - i p a_k - i (m-i+1) q b_k;
     - the derivation keeps a monomial's degree and multiplies by a
       positive exponent;
     - the p and q terms raise the degree by one, under the factors -i and
@@ -128,24 +134,28 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     """
     if not 1 <= m <= MAX_DERIVE_M:
         raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
-    bits = (m + 1).bit_length()
-    q_one = 1 << bits
-    monomials: dict[int, Monomial] = {}
+    # deltas[n]: (slot s, key + delta moves one unit of exponent from slot s
+    # to slot s+2) for the slots of an n-byte key, in symbol order.  Only
+    # entries of weight <= m are derived, and their keys are shorter than 2m.
+    deltas = [
+        tuple((s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in _slot_order(n))
+        for n in range(2 * m)
+    ]
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
     prev, cur = ({0: 1},), ({}, {0: 1})
     for i in range(1, m + 1):
         weight = i * (m - i + 1)
         nxt = []
         for a, shifted, b in zip(cur + ({},), ({},) + cur, prev + ({}, {})):
-            out: dict[int, int] = {}
+            out = dict(shifted)
             get = out.get
             for key, c in a.items():
                 step = moves.get(key)
                 if step is None:
-                    step = moves[key] = _derive_moves(key, bits, monomials)
+                    step = moves[key] = _derive_moves(key, deltas)
                 for new, e in step:
                     out[new] = get(new, 0) + c * e
-            for terms, shift, scale in ((a, 1, -i), (shifted, 0, 1), (b, q_one, -weight)):
+            for terms, shift, scale in ((a, 1, -i), (b, 1 << 8, -weight)):
                 for key, c in terms.items():
                     key += shift
                     out[key] = get(key, 0) + scale * c
@@ -153,7 +163,7 @@ def derive_lifted_ode(m: int) -> LiftedODE:
         prev, cur = cur, tuple(nxt)
 
     coeffs = tuple(
-        _raw({_monomial(key, bits, monomials): c for key, c in terms.items()})
+        _raw({_new_key(Monomial, _exponents(key)): c for key, c in terms.items()})
         for terms in cur[: m + 1]
     )
     bound = m - 1 if m >= 2 else 0
@@ -165,32 +175,21 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     return LiftedODE(m, coeffs)
 
 
-def _monomial(key: int, bits: int, monomials: dict[int, Monomial]) -> Monomial:
-    """The trimmed Monomial packed into ``key``, memoised in ``monomials``."""
-    mono = monomials.get(key)
-    if mono is None:
-        mask = (1 << bits) - 1
-        exps = []
-        rest = key
-        while rest:
-            exps.append(rest & mask)
-            rest >>= bits
-        mono = monomials[key] = _new_key(Monomial, exps)
-    return mono
+def _exponents(key: int) -> bytes:
+    """The exponents packed into ``key``, slot 0 first, trailing zeros
+    trimmed: the top byte holds the key's highest set bit."""
+    return key.to_bytes((key.bit_length() + 7) >> 3, "little")
 
 
 def _derive_moves(
-    key: int, bits: int, monomials: dict[int, Monomial]
+    key: int, deltas: list[tuple[tuple[int, int], ...]]
 ) -> tuple[tuple[int, int], ...]:
     """(key after the move, exponent) for each factor of the monomial
     ``key``, in symbol order: the derivation moves one unit of exponent
-    from slot s to slot s+2 and multiplies by that exponent."""
-    mono = _monomial(key, bits, monomials)
-    return tuple(
-        (key + (1 << bits * (s + 2)) - (1 << bits * s), mono[s])
-        for s in _slot_order(len(mono))
-        if mono[s]
-    )
+    from slot s to slot s+2, by the key change in ``deltas``, and
+    multiplies by the exponent in slot s."""
+    exps = _exponents(key)
+    return tuple((key + delta, exps[s]) for s, delta in deltas[len(exps)] if exps[s])
 
 
 # ---------------------------------------------------------------------------

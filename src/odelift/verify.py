@@ -628,9 +628,15 @@ def _derived(m: int) -> tuple:
 
 
 def _unit(ic: tuple) -> tuple:
-    """ic scaled to a unit vector; a zero vector stays zero."""
-    norm = math.hypot(*ic)
-    return ic if norm == 0.0 else (ic[0] / norm, ic[1] / norm)
+    """ic scaled to a unit vector; a zero vector stays zero.  ic is divided
+    by max(|a|, |b|) first, as in _scaled_solution, so the norm cannot
+    overflow for finite entries near the double maximum."""
+    s = max(map(abs, ic))
+    if s == 0.0:
+        return ic
+    a, b = ic[0] / s, ic[1] / s
+    norm = math.hypot(a, b)
+    return a / norm, b / norm
 
 
 def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:

@@ -200,7 +200,7 @@ def recurrence_reference(m: int) -> tuple[DiffPoly, ...]:
     for i in range(1, m + 1):
         weight = i * (m - i + 1)
         nxt = tuple(
-            derive(a) - i * _P * a + shifted - weight * _Q * b
+            shifted + derive(a) - i * _P * a - weight * _Q * b
             for a, shifted, b in zip(cur + (zero,), (zero,) + cur, prev + (zero, zero))
         )
         prev, cur = cur, nxt

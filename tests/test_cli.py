@@ -121,6 +121,15 @@ def test_derive_json_digest(m, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[m]
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_streamed_derive_json_is_the_library_document(m, capsys):
+    # derive writes the document a coefficient at a time; the pieces must
+    # join to derive_json's text, byte for byte
+    code, out, _ = run(["derive", "-m", str(m), "--style", "json"], capsys)
+    assert code == 0
+    assert_same_text(out, derive_json(derive_lifted_ode(m)) + "\n")
+
+
 #: sha256 of the `derive -m M` (plain) output, pinning the term order, the
 #: signs and the coefficient and factor spelling for every M up to 14.
 DERIVE_PLAIN_SHA256 = {
@@ -428,6 +437,22 @@ def test_verify_json_writes_non_finite_ratio_as_null(capsys):
     assert [r["max_residual"] for r in doc["residuals"]] == [0.0] * 3
     assert all(r["pass"] for r in doc["residuals"])
     assert code == 1 and doc["pass"] is False
+
+
+def test_wronskian_ratio_of_initial_conditions_near_the_double_maximum(capsys):
+    # |(f, f')| of (1.5e308, 1.5e308) overflows a plain hypot; the ratio is
+    # taken after dividing by max(|f|, |f'|), so it reads as at 1.5e307
+    ratios = []
+    for big in ("1.5e308", "1.5e307"):
+        code, out, _ = run(
+            ["verify", "-m", "1", "--p", "0", "--q", "0", "--interval", "0", "1e-3",
+             "--step", "1e-4", "--ic-f", big, big, "--ic-g", "0", "1", "--json"], capsys
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["pass"] and doc["wronskian"]["pass"]
+        ratios.append(doc["wronskian"]["ratio"])
+    assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
+    assert f"{ratios[0]:.2e}" == "7.07e-01"
 
 
 @pytest.mark.parametrize(

@@ -155,8 +155,9 @@ def test_derived_equation_annihilates_tower(m):
 def test_packed_recurrence_matches_ring_reference_in_term_order(m):
     # Term order is the insertion order of each c_k, which DiffPoly.eval
     # sums in for a polynomial built from it, so it must match the
-    # ring-arithmetic recurrence exactly, not only as a set.  At m = 2, 6
-    # and 14 an exponent of m+1 would fill every bit of its packed slot.
+    # ring-arithmetic recurrence exactly, not only as a set.  The packed
+    # recurrence starts each entry as a copy of entry k-1 of L_i, so the
+    # reference adds that entry first.
     coeffs = derive_lifted_ode(m).coeffs
     reference = recurrence_reference(m)
     assert len(coeffs) == len(reference) == m + 1
@@ -166,6 +167,21 @@ def test_packed_recurrence_matches_ring_reference_in_term_order(m):
             assert type(mono) is Monomial
             assert not mono or mono[-1] != 0, f"untrimmed key {tuple(mono)}"
             assert type(coeff) is int
+
+
+def test_byte_slots_hold_the_largest_exponent_at_the_limit():
+    # Entry weights stay at most m+1, so no exponent passes MAX_DERIVE_M + 1;
+    # with that exponent in every slot a derive key can use, the key unpacks
+    # to the same bytes, and a move from slot s to s+2 changes only those two
+    top = MAX_DERIVE_M + 1
+    exps = bytes([top]) * (2 * MAX_DERIVE_M)
+    key = int.from_bytes(exps, "little")
+    assert top < 256 and lifting._exponents(key) == exps
+    for s in range(2 * MAX_DERIVE_M - 2):
+        moved = lifting._exponents(key + (1 << 8 * s + 16) - (1 << 8 * s))
+        assert moved[:s] == exps[:s] and moved[s + 3 :] == exps[s + 3 :]
+        assert (moved[s], moved[s + 1], moved[s + 2]) == (top - 1, top, top + 1)
+    assert lifting._exponents(0) == b"" and lifting._exponents(top << 8) == bytes([0, top])
 
 
 def assert_sign_law(coeffs, label):
