@@ -19,7 +19,7 @@ import math
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .diffring import STYLES, DiffPoly, _slot_order, _symbol, format_poly
+from .diffring import STYLES, _slot_order, _symbol, format_poly
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
@@ -43,54 +43,49 @@ __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
 
 def derive_json(ode: LiftedODE) -> str:
-    """The `derive --style json` document, written directly: the bytes that
-    `canonical_json` gives for it as nested dicts and lists.  It is the join
-    of the chunks of _derive_json_chunks, which `derive` writes one by one.
+    """The `derive --style json` document, written directly one term at a
+    time: the bytes that `canonical_json` gives for it as nested dicts and
+    lists.  It is the join of the pieces of _derive_json_chunks, which
+    `derive` writes one by one.
     """
     return "".join(_derive_json_chunks(ode))
 
 
 def _derive_json_chunks(ode: LiftedODE) -> Iterator[str]:
-    """The derive_json document in m+3 pieces: the head, one piece per
-    coefficient and the tail, so that a caller that writes each piece as it
-    comes holds one coefficient's text at a time, never the whole document.
+    """The derive_json document one term at a time: the head, then for each
+    coefficient its opening up to `"terms": [`, each term's text with its
+    leading separator, and its close, then the tail.  A caller that writes
+    each piece as it comes holds one term's text at a time, never a whole
+    coefficient or the document.
 
     The equation repeats a few dozen distinct factors thousands of times,
-    so each (slot, exponent) factor's text is formatted once per call, in
-    a table that is local to the call and dropped with it.
+    so each (slot, exponent) factor's text is formatted once per call, by
+    _factor_json, in a table that is local to the call and dropped with it.
     """
     factors: dict[tuple[int, int], str] = {}
     yield '{\n  "coeffs": [\n'
-    sep = ""
-    for k, c in enumerate(ode.coeffs):
-        yield f'{sep}    {{\n      "k": {k},\n      "terms": {_terms_json(c, factors)}\n    }}'
-        sep = ",\n"
+    comma = ""
+    for k, poly in enumerate(ode.coeffs):
+        yield f'{comma}    {{\n      "k": {k},\n      "terms": ['
+        sep = "\n"
+        for mono, coeff in poly.sorted_terms():
+            texts = []
+            for slot in _slot_order(len(mono)):
+                exp = mono[slot]
+                if exp:
+                    text = factors.get((slot, exp))
+                    if text is None:
+                        text = factors[slot, exp] = _factor_json(slot, exp)
+                    texts.append(text)
+            monomial = "[\n" + ",\n".join(texts) + "\n          ]" if texts else "[]"
+            yield (
+                f'{sep}        {{\n          "den": "{coeff.denominator}",\n'
+                f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
+            )
+            sep = ",\n"
+        yield "\n      ]\n    }" if poly.terms else "]\n    }"
+        comma = ",\n"
     yield f'\n  ],\n  "m": {ode.m},\n  "monic": true\n}}'
-
-
-def _terms_json(poly: DiffPoly, factors: dict[tuple[int, int], str]) -> str:
-    """The "terms" list of one coefficient in derive_json, at its nesting:
-    the canonical text of diffring.poly_terms_doc(poly), written without
-    the dicts.  ``factors`` maps (slot, exponent) to the factor's text;
-    a factor not in it yet is formatted by _factor_json and added."""
-    if not poly.terms:
-        return "[]"
-    terms = []
-    for mono, coeff in poly.sorted_terms():
-        texts = []
-        for slot in _slot_order(len(mono)):
-            exp = mono[slot]
-            if exp:
-                text = factors.get((slot, exp))
-                if text is None:
-                    text = factors[slot, exp] = _factor_json(slot, exp)
-                texts.append(text)
-        monomial = "[\n" + ",\n".join(texts) + "\n          ]" if texts else "[]"
-        terms.append(
-            f'        {{\n          "den": "{coeff.denominator}",\n'
-            f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
-        )
-    return "[\n" + ",\n".join(terms) + "\n      ]"
 
 
 def _factor_json(slot: int, exp: int) -> str:
@@ -222,11 +217,9 @@ def _run_derive(args) -> int:
         sys.stdout.writelines(_derive_json_chunks(ode))
         print()
         return 0
+    label = "c_{%d}" if args.style == "latex" else "c_%d"
     for k in range(args.m, -1, -1):
-        if args.style == "latex":
-            print(f"c_{{{k}}} = {format_poly(ode.coeffs[k], 'latex')}")
-        else:
-            print(f"c_{k} = {format_poly(ode.coeffs[k], 'plain')}")
+        print(f"{label % k} = {format_poly(ode.coeffs[k], args.style)}")
     return 0
 
 

@@ -412,15 +412,13 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     nxt = np.empty_like(phi)
     s = 1
     while s < n:  # phi[:, k] = T_{k-1} ... T_{max(0, k-2s)}; phi[:, 0] = I ends each product
-        a00, a01, a10, a11 = phi[:, s:]
-        b00, b01, b10, b11 = phi[:, :-s]
-        nxt[:, :s] = phi[:, :s]
-        for row, u, v, w, z in (
-            (0, a00, a01, b00, b10), (1, a00, a01, b01, b11),
-            (2, a10, a11, b00, b10), (3, a10, a11, b01, b11),
-        ):  # row (i, j) of the product: a_i0 b_0j + a_i1 b_1j
-            np.multiply(u, w, out=nxt[row, s:])
-            nxt[row, s:] += v * z
+        # a[i, j] is row (i, j) of phi; entry (i, j) of the product of the
+        # matrices at k and k - s is a_i0 b_0j + a_i1 b_1j, multiplied and added
+        # in that order
+        a, out = phi.reshape(2, 2, -1), nxt.reshape(2, 2, -1)
+        out[..., :s] = a[..., :s]
+        np.multiply(a[:, :1, s:], a[:1, :, :-s], out=out[..., s:])
+        out[..., s:] += a[:, 1:, s:] * a[1:, :, :-s]
         phi, nxt = nxt, phi
         s *= 2
     return phi
@@ -799,11 +797,13 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     int m below 1, for a LiftedODE with m above MAX_DERIVE_M (pass the int m
     instead), when the block would hold more than MAX_BLOCK_FLOATS floats,
     and, for a LiftedODE only, when the terms of its differences c_k - d_k
-    times the grid points pass MAX_TERM_POINTS; these guards run before
-    anything is integrated.  It also raises ConfigError, naming m, when a row
-    of c_k values is not finite on the grid, and SolutionRangeError, naming
-    x, when Phi is not finite, both before any block is built.  Any other
-    ode, a bool included, raises TypeError.
+    times the grid points pass MAX_TERM_POINTS, or, naming k, when a
+    difference holds a derivative of order above max(0, m-1), the highest
+    the grid holds, or a coefficient that float() cannot take; these guards
+    run before anything is integrated.  It also raises ConfigError, naming
+    m, when a row of c_k values is not finite on the grid, and
+    SolutionRangeError, naming x, when Phi is not finite, both before any
+    block is built.  Any other ode, a bool included, raises TypeError.
 
     The memo keys hold p and q themselves, whose == compares node for node
     and literals by repr, and every other float by repr, so a report from
@@ -829,6 +829,14 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"m={m} on {points:.3g} grid points would evaluate {work:.3g} coefficient terms, "
             f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
         )
+    for k, c in diffs.items():  # DiffPoly.eval reads the grid's symbols and float coefficients
+        if c.max_order() > max(0, m - 1):
+            raise ConfigError(f"c_{k} holds a derivative of order {c.max_order()}, past the "
+                              f"order {max(0, m - 1)} that m={m} evaluates p and q to")
+        try:
+            float(max(map(abs, c.terms.values())))  # float() overflows first on the largest
+        except OverflowError:
+            raise ConfigError(f"c_{k} has a coefficient past the double range") from None
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         base_key = (p, q, repr(cfg.interval), cfg.steps, m)
         products_key = base_key, repr((cfg.ic_f, cfg.ic_g))

@@ -130,6 +130,17 @@ def test_streamed_derive_json_is_the_library_document(m, capsys):
     assert_same_text(out, derive_json(derive_lifted_ode(m)) + "\n")
 
 
+@pytest.mark.parametrize("m", range(1, 15))
+def test_derive_json_pieces_hold_at_most_one_term(m):
+    # derive writes the document a term at a time, so it never holds a
+    # whole coefficient's text; the pieces join to derive_json's text
+    ode = derive_lifted_ode(m)
+    pieces = list(cli._derive_json_chunks(ode))
+    assert max(piece.count('"num"') for piece in pieces) == 1
+    assert len(pieces) == 2 + 2 * (m + 1) + sum(len(c.terms) for c in ode.coeffs)
+    assert_same_text("".join(pieces), derive_json(ode))
+
+
 #: sha256 of the `derive -m M` (plain) output, pinning the term order, the
 #: signs and the coefficient and factor spelling for every M up to 14.
 DERIVE_PLAIN_SHA256 = {

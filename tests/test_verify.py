@@ -700,6 +700,31 @@ def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
         basis_check(ode, ZERO, MINUS_ONE, COS_CFG)
 
 
+@pytest.mark.parametrize(
+    "m,k,extra,message",
+    [
+        (3, 0, DiffPoly.symbol(P(3)), "c_0 holds a derivative of order 3, past the order 2"),
+        (3, 2, DiffPoly.symbol(Q(5)), "c_2 holds a derivative of order 5, past the order 2"),
+        (1, 1, DiffPoly.symbol(P(1)), "c_1 holds a derivative of order 1, past the order 0"),
+        (3, 0, 10**400, "c_0 has a coefficient past the double range"),
+        (3, 1, Fraction(10**400, 3) * DiffPoly.symbol(P(0)), "c_1 has a coefficient past"),
+    ],
+)
+def test_difference_it_cannot_evaluate_is_refused_before_it_integrates(m, k, extra, message):
+    # the grid holds p and q to order max(0, m-1) only, and DiffPoly.eval takes
+    # each coefficient as a float: both are refused, naming k, with the memos empty
+    ode = perturbed(derive_lifted_ode(m), k, extra)
+    clear_memos()
+    with pytest.raises(ConfigError, match=message):
+        basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG)
+    assert memo_info() == ((0, 0), (0, 0))
+    # the highest order the grid holds, and a coefficient as large as a float,
+    # are evaluated: the check runs and fails its residuals
+    for extra in (DiffPoly.symbol(P(max(0, m - 1))), Fraction(10**300, 3)):
+        assert not basis_check(perturbed(derive_lifted_ode(m), k, extra),
+                               parse_expr("sin(x)"), parse_expr("x"), COS_CFG).residuals_passed
+
+
 @pytest.mark.parametrize("m", [1, 4, 12, 20])
 def test_genuine_equation_counts_no_coefficient_terms(m, monkeypatch):
     # its c_k all equal the derived ones, so it has no difference to evaluate
