@@ -14,7 +14,6 @@ Exit codes: 0 pass, 1 mismatch or numerical failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Iterator, Optional, Sequence
@@ -105,6 +104,8 @@ def canonical_json(doc) -> str:
     Strict JSON: a non-finite float raises ValueError instead of printing
     the non-standard tokens Infinity or NaN.
     """
+    import json  # imported on use: of the commands, only verify --json needs it
+
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 

@@ -108,29 +108,39 @@ class Var(_Node):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Neg(_Node):
+    """Negation, -arg."""
+
     arg: "Expr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Add(_Node):
+    """Sum, left + right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Sub(_Node):
+    """Difference, left - right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Mul(_Node):
+    """Product, left * right."""
+
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Div(_Node):
+    """Quotient, left / right."""
+
     left: "Expr"
     right: "Expr"
 
@@ -151,6 +161,8 @@ class Pow(_Node):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Call(_Node):
+    """One of FUNCTIONS applied to arg."""
+
     func: str
     arg: "Expr"
 

@@ -52,10 +52,8 @@ B_i = f^(m-i) (f')^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from importlib import resources
-from pathlib import Path
-from typing import Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diffring import (
     DiffPoly,
@@ -67,14 +65,18 @@ from .diffring import (
     parse_poly,
 )
 
+if TYPE_CHECKING:
+    from pathlib import Path
+
 #: Orders with bundled reference coefficient tables.
 FIXTURE_ORDERS = (2, 3, 4, 5)
 
 #: The largest m derive_lifted_ode accepts.  Terms, time and memory about
 #: double every two steps of m, and the live term count after each step does
 #: not depend on m, so the limit is set on m itself, before the first step:
-#: m=28 gives 434 624 terms, and a `derive -m 28` process took 11-14 s and
-#: peaked at 369 MB (423 MB with --style json) on a shared 2-vCPU machine.
+#: m=28 gives 434 624 terms, and a `derive -m 28` process took 9.7-11.2 s
+#: (8.5-10.2 s with --style json) and peaked at 369 MB in both styles, with
+#: Python 3.11 on a shared 2-vCPU machine.
 MAX_DERIVE_M = 28
 
 
@@ -82,25 +84,26 @@ class FixtureFormatError(ValueError):
     """A reference coefficient table is malformed: wrong shape, bad line or not UTF-8."""
 
 
-@dataclass(frozen=True)
-class LiftedODE:
+class LiftedODE(namedtuple("LiftedODE", "m coeffs")):
     """The monic equation y^(m+1) + c_m y^(m) + ... + c_1 y' + c_0 y = 0.
 
-    ``coeffs[k]`` is c_k, the coefficient of y^(k); the leading coefficient
-    is implicitly 1.
+    ``coeffs[k]`` is c_k, the coefficient of y^(k), a DiffPoly; the leading
+    coefficient is implicitly 1.  A named tuple whose every way in, the
+    constructor, _make and _replace, checks m and the length of coeffs.
     """
 
-    m: int
-    coeffs: tuple[DiffPoly, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"power m must be >= 1, got {self.m}")
-        if len(self.coeffs) != self.m + 1:
+    def __new__(cls, m: int, coeffs: tuple[DiffPoly, ...]):
+        if m < 1:
+            raise ValueError(f"power m must be >= 1, got {m}")
+        if len(coeffs) != m + 1:
             raise ValueError(
-                f"coefficient list for m={self.m} must have length {self.m + 1}, "
-                f"got {len(self.coeffs)}"
+                f"coefficient list for m={m} must have length {m + 1}, got {len(coeffs)}"
             )
+        return super().__new__(cls, m, coeffs)
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def order(self) -> int:
@@ -196,8 +199,7 @@ def _derive_moves(
 # Reference coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientCheck:
+class CoefficientCheck(NamedTuple):
     """Outcome for one coefficient: ``difference`` is derived minus expected,
     the zero polynomial on a match."""
 
@@ -206,8 +208,7 @@ class CoefficientCheck:
     difference: DiffPoly
 
 
-@dataclass(frozen=True)
-class FixtureReport:
+class FixtureReport(NamedTuple):
     m: int
     checks: tuple[CoefficientCheck, ...]
 
@@ -244,6 +245,9 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
     With no directory, reads the table bundled with the package (available
     for m in FIXTURE_ORDERS).
     """
+    from importlib import resources  # imported on use: only check-paper reads the tables
+    from pathlib import Path
+
     name = f"order_m{m}.txt"
     root = resources.files(__package__) / "fixtures" if directory is None else Path(directory)
     numbered = enumerate((root / name).read_bytes().splitlines(), 1)

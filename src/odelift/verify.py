@@ -67,8 +67,8 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .exprparse import (
     Add,
@@ -165,53 +165,51 @@ def _guard(size: float, what: str) -> None:
                           f"{MAX_BLOCK_FLOATS:.0e}; use a larger step")
 
 
-@dataclass(frozen=True)
-class NumericConfig:
+class NumericConfig(namedtuple("NumericConfig", "interval step ic_f ic_g")):
     """Interval, step size, and initial conditions for the two base solutions.
 
-    The grid must carry at least 10 points.  Linearly dependent initial
+    A named tuple of floats: interval, ic_f and ic_g are pairs, ic_f defaulting
+    to (1.0, 0.0) and ic_g to (0.0, 1.0).  Every way in, the constructor,
+    _make and _replace, converts the values to floats and checks them.  The
+    grid must carry at least 10 points.  Linearly dependent initial
     conditions are allowed through on purpose: the Wronskian check exists
     to catch exactly that, and a report showing it fail is more useful
     than a constructor refusing to run.  basis_check's midpoint Wronskian
     ratio is the one test of dependence.
     """
 
-    interval: tuple[float, float]
-    step: float
-    ic_f: tuple[float, float] = (1.0, 0.0)
-    ic_g: tuple[float, float] = (0.0, 1.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "interval", tuple(float(v) for v in self.interval))
-        object.__setattr__(self, "step", float(self.step))
-        object.__setattr__(self, "ic_f", tuple(float(v) for v in self.ic_f))
-        object.__setattr__(self, "ic_g", tuple(float(v) for v in self.ic_g))
-        if len(self.interval) != 2:
-            raise ConfigError(f"interval must be a pair of bounds (a, b), got {self.interval}")
-        if len(self.ic_f) != 2 or len(self.ic_g) != 2:
+    def __new__(cls, interval, step, ic_f=(1.0, 0.0), ic_g=(0.0, 1.0)):
+        interval = tuple(float(v) for v in interval)
+        step = float(step)
+        ic_f = tuple(float(v) for v in ic_f)
+        ic_g = tuple(float(v) for v in ic_g)
+        if len(interval) != 2:
+            raise ConfigError(f"interval must be a pair of bounds (a, b), got {interval}")
+        if len(ic_f) != 2 or len(ic_g) != 2:
             raise ConfigError("initial conditions must be (value, derivative) pairs")
-        a, b = self.interval
+        a, b = interval
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ConfigError(f"interval bounds must be finite, got [{a}, {b}]")
-        if not all(math.isfinite(v) for v in self.ic_f + self.ic_g):
-            raise ConfigError(
-                f"initial conditions must be finite, got {self.ic_f} and {self.ic_g}"
-            )
+        if not all(math.isfinite(v) for v in ic_f + ic_g):
+            raise ConfigError(f"initial conditions must be finite, got {ic_f} and {ic_g}")
         if not (a < b):
             raise ConfigError(f"interval must satisfy a < b, got [{a}, {b}]")
-        if not (self.step > 0.0) or not math.isfinite(self.step):
-            raise ConfigError(f"step must be a positive real, got {self.step}")
-        span = (b - a) / self.step
+        if not (step > 0.0) or not math.isfinite(step):
+            raise ConfigError(f"step must be a positive real, got {step}")
+        span = (b - a) / step
         if not math.isfinite(span):
-            raise ConfigError(f"grid on [{a}, {b}] with step {self.step} has too many points")
+            raise ConfigError(f"grid on [{a}, {b}] with step {step} has too many points")
         if span < 10.0:
-            raise ConfigError(
-                f"grid on [{a}, {b}] with step {self.step} has fewer than 10 points"
-            )
+            raise ConfigError(f"grid on [{a}, {b}] with step {step} has fewer than 10 points")
+        return super().__new__(cls, interval, step, ic_f, ic_g)
+
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def steps(self) -> int:
-        """Number of integration steps; __post_init__ refuses fewer than 10."""
+        """Number of integration steps; the constructor refuses fewer than 10."""
         a, b = self.interval
         return round((b - a) / self.step)
 
@@ -701,8 +699,7 @@ def monomial_label(i: int, j: int) -> str:
     return "*".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class MonomialResidual:
+class MonomialResidual(NamedTuple):
     i: int
     j: int
     max_residual: float
@@ -713,8 +710,7 @@ class MonomialResidual:
         return monomial_label(self.i, self.j)
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     """Outcome of basis_check: residual per monomial plus one Wronskian; step is cfg.h.
 
     A residual passes below RESIDUAL_TOL and the Wronskian when

@@ -31,6 +31,13 @@ solutions are exp(r x): there the c_k are the coefficients of
 prod_j (d - lam_j).  The derivatives of x^lam_j are closed forms too, the
 reference for the product block on Euler's basis.
 
+The support theorem gives every c_k's set of terms: with p^(j) weighing
+j+1 and q^(j) weighing j+2, c_k holds every monomial of weight m+1-k, but
+c_0 none in p alone (at q = 0, y = 1 solves the base equation, so c_0
+vanishes there).  So terms(c_k) = a(m+1-k) for k >= 1 and terms(c_0) =
+a(m+1) - P(m+1), with a(n) the monomials of weight n and P the partition
+numbers, both coefficients of products of geometric series.
+
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
@@ -205,6 +212,36 @@ def recurrence_reference(m: int) -> tuple[DiffPoly, ...]:
         )
         prev, cur = cur, nxt
     return cur[: m + 1]
+
+
+def _weight_series(n: int, weights) -> list[int]:
+    """Coefficients of t^0, ..., t^n in prod_{w in weights} 1/(1 - t^w):
+    the number of multisets of the weights with each total."""
+    counts = [1] + [0] * n
+    for w in weights:
+        for total in range(w, n + 1):
+            counts[total] += counts[total - w]
+    return counts
+
+
+def monomial_counts(n: int) -> list[int]:
+    """a(0), ..., a(n): the monomials in p, q and their derivatives of each
+    weight, p^(j) weighing j+1 and q^(j) weighing j+2, from
+    sum a(n) t^n = prod_{j>=1} 1/(1-t^j) * prod_{j>=2} 1/(1-t^j)."""
+    return _weight_series(n, [*range(1, n + 1), *range(2, n + 1)])
+
+
+def partition_counts(n: int) -> list[int]:
+    """P(0), ..., P(n), the partition numbers: the monomials of each weight
+    in p and its derivatives alone."""
+    return _weight_series(n, range(1, n + 1))
+
+
+def support_sizes(m: int) -> list[int]:
+    """terms(c_0), ..., terms(c_m) of the derived equation of order m+1 by
+    the support theorem: a(m+1) - P(m+1), then a(m+1-k) for k >= 1."""
+    a = monomial_counts(m + 1)
+    return [a[m + 1] - partition_counts(m + 1)[m + 1]] + [a[m + 1 - k] for k in range(1, m + 1)]
 
 
 def indicial_roots(m: int, r1, r2) -> list[Fraction]:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,10 @@ from oracles import (
     derivative_tower,
     eval_exact,
     falling_factorial,
+    monomial_counts,
+    partition_counts,
     recurrence_reference,
+    support_sizes,
 )
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -203,6 +207,32 @@ def test_every_derived_term_has_the_sign_of_its_degree(m):
 def test_bundled_tables_obey_the_sign_law():
     for m in FIXTURE_ORDERS:
         assert_sign_law(load_fixture(m), f"table m={m}")
+
+
+def test_weight_series_give_the_recorded_term_totals():
+    assert partition_counts(10) == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert monomial_counts(4) == [1, 1, 3, 5, 10]  # weight 3: p^3, pp', pq, p'', q'
+    # derive's result sizes at m = 20, 24 and 28, as README and ROADMAP record them
+    for m, total in ((20, 34_209), (24, 127_553), (28, 434_624)):
+        assert sum(support_sizes(m)) == total
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_support_and_linear_part_are_closed_forms(m):
+    # The support theorem: c_k holds every monomial of weight m+1-k (p^(j)
+    # weighs j+1, q^(j) weighs j+2), and c_0 every one but those in p alone.
+    # The linear part: [q^(j)] c_{m-1-j} = -(j+1) C(m+2, j+3) and
+    # [p^(j)] c_{m-j} = -C(m+1, j+2), 0 for j = m.  ROADMAP item 18.
+    coeffs = derive_lifted_ode(m).coeffs
+    assert [len(c.terms) for c in coeffs] == support_sizes(m)
+    for k, c in enumerate(coeffs):
+        for mono in c.terms:
+            weight = sum(((s >> 1) + 1 + (s & 1)) * e for s, e in enumerate(mono))
+            assert weight == m + 1 - k, f"c_{k}: {mono!r}"
+    for j in range(m):
+        assert coeffs[m - 1 - j].terms.get(Monomial({Q(j): 1}), 0) == -(j + 1) * comb(m + 2, j + 3)
+    for j in range(m + 1):
+        assert coeffs[m - j].terms.get(Monomial({P(j): 1}), 0) == -comb(m + 1, j + 2)
 
 
 def test_derive_holds_nothing_between_calls():

@@ -1,0 +1,116 @@
+"""What `import odelift` builds and loads before a command does any work.
+
+Every odelift command, and every library `import odelift`, pays for the
+import first, and a small command such as `derive -m 4` spends most of its
+own time there.  So the package creates its classes without generated code:
+its six records are named tuples, and only exprparse's nine Expr nodes are
+dataclasses, each with its own docstring, which dataclasses would otherwise
+build from the signature.  A module that one command alone needs is
+imported by that command.  The records stay immutable and checked: the
+validating ones check on every way in, _make and _replace included.
+"""
+
+import dataclasses
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import odelift
+from odelift import cli, diffring, exprparse, lifting, verify
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+NODES = {
+    exprparse.Num, exprparse.Var, exprparse.Neg, exprparse.Add, exprparse.Sub,
+    exprparse.Mul, exprparse.Div, exprparse.Pow, exprparse.Call,
+}
+
+ODE = lifting.derive_lifted_ode(2)
+CFG = verify.NumericConfig((0.0, 1.0), 0.1)
+
+
+def test_only_the_expr_nodes_are_dataclasses():
+    found = {
+        value
+        for module in (odelift, cli, diffring, exprparse, lifting, verify)
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and value.__module__ == module.__name__
+        and dataclasses.is_dataclass(value)
+    }
+    assert found == NODES
+    for node in NODES:
+        assert not node.__doc__.startswith(f"{node.__name__}("), node
+
+
+def test_import_loads_no_module_that_only_some_commands_use():
+    # -S: no site start-up, which may import these modules on its own
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import odelift.cli; "
+        "print(*(m for m in ('numpy', 'json', 'pathlib', 'importlib.resources') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC_DIR)],
+        capture_output=True, text=True, timeout=60, check=True,
+    ).stdout
+    assert out.split() == []
+
+
+@pytest.mark.parametrize(
+    ("record", "changes"),
+    [
+        (ODE, {"m": 0}),
+        (ODE, {"coeffs": ODE.coeffs[:2]}),
+        (CFG, {"interval": (0.0, 1.0, 2.0)}),
+        (CFG, {"interval": (1.0, 0.0)}),
+        (CFG, {"step": -0.1}),
+        (CFG, {"step": 0.2}),
+        (CFG, {"ic_f": (float("nan"), 0.0)}),
+        (CFG, {"ic_g": (1.0,)}),
+    ],
+)
+def test_replace_and_make_refuse_what_the_constructor_refuses(record, changes):
+    cls, values = type(record), {**record._asdict(), **changes}
+    errors = []
+    for build in (
+        lambda: cls(**values),
+        lambda: record._replace(**changes),
+        lambda: cls._make(values.values()),
+    ):
+        with pytest.raises(ValueError) as exc:
+            build()
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] == errors[1] == errors[2]
+
+
+def test_replace_and_make_convert_as_the_constructor_does():
+    want = verify.NumericConfig((0.0, 2.0), 0.1, (1.0, 0.0), (0.0, 1.0))
+    for cfg in (
+        CFG._replace(interval=[0, 2], ic_g=[0, 1]),
+        verify.NumericConfig._make([[0, 2], 0.1, (1, 0), (0, 1)]),
+    ):
+        assert cfg == want and type(cfg) is verify.NumericConfig
+        assert all(type(v) is float for v in (*cfg.interval, cfg.step, *cfg.ic_f, *cfg.ic_g))
+    assert ODE._replace(m=2) == ODE and type(ODE._replace(m=2)) is lifting.LiftedODE
+
+
+def test_records_cannot_be_changed():
+    table = lifting.check_against_fixture(2, lifting.load_fixture(2))
+    report = verify.basis_check(2, exprparse.parse_expr("0"), exprparse.parse_expr("-1"), CFG)
+    records = [ODE, CFG, table, table.checks[0], report, report.residuals[0]]
+    assert {type(r).__name__ for r in records} == {
+        "LiftedODE", "NumericConfig", "FixtureReport", "CoefficientCheck",
+        "BasisReport", "MonomialResidual",
+    }
+    for record in records:
+        before = tuple(record)
+        for name in record._fields:
+            for assign in (setattr, object.__setattr__):
+                with pytest.raises(AttributeError):
+                    assign(record, name, None)
+        with pytest.raises(AttributeError):
+            object.__setattr__(record, "extra", None)
+        assert tuple(record) == before
