@@ -24,6 +24,15 @@ parse_expr call of format_expr's text, one frame per level like every other
 walk.  Every finite literal prints in positional form with repr's shortest
 digits and parses back to itself.
 
+Every odelift command imports this module first, so no class in it is made
+from generated code: each node writes out its own __init__, and _Node
+refuses to set or delete an attribute as a frozen dataclass would.  The
+nodes are dataclasses only so that dataclasses.fields lists their fields,
+which the benchmark's tree walks (perfbench/tracing.py and its self-test)
+read; dataclasses generates none of their methods.  Importing dataclasses,
+which loads inspect, stays a cost of the import until those walks read the
+nodes another way.
+
 `diff_expr` applies the textbook rules and folds arithmetic on numeric
 literals, nothing more; repeated differentiation grows trees.  The verifier
 takes its derivatives from Taylor-mode jets (`odelift.verify`) instead;
@@ -35,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal
 
 __all__ = [
@@ -68,7 +77,9 @@ class _Node:
     value, literals included, by repr, so Num(-0.0) != Num(0.0) and
     Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  Both read _shape,
     which walks the tree from a stack.  repr is the parse_expr call of
-    format_expr's text, one frame per tree level.
+    format_expr's text, one frame per tree level.  Setting or deleting an
+    attribute raises FrozenInstanceError; a node's own __init__ sets its
+    fields with object.__setattr__.
     """
 
     def __eq__(self, other):
@@ -79,6 +90,12 @@ class _Node:
 
     def __repr__(self) -> str:
         return f"parse_expr({format_expr(self)!r})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _shape(tree: _Node) -> tuple:
@@ -94,81 +111,105 @@ def _shape(tree: _Node) -> tuple:
     return tuple(shape)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+#: Sets a field from a node's own __init__, past _Node.__setattr__.
+_set = object.__setattr__
+
+
+def _init_binary(self, left: "Expr", right: "Expr") -> None:
+    """The __init__ of Add, Sub, Mul and Div."""
+    _set(self, "left", left)
+    _set(self, "right", right)
+
+
+@dataclass(init=False, eq=False, repr=False)
 class Num(_Node):
     """Numeric literal."""
 
     value: float
 
+    def __init__(self, value: float) -> None:
+        _set(self, "value", value)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class Var(_Node):
     """The independent variable x."""
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Neg(_Node):
     """Negation, -arg."""
 
     arg: "Expr"
 
+    def __init__(self, arg: "Expr") -> None:
+        _set(self, "arg", arg)
 
-@dataclass(frozen=True, eq=False, repr=False)
+
+@dataclass(init=False, eq=False, repr=False)
 class Add(_Node):
     """Sum, left + right."""
 
     left: "Expr"
     right: "Expr"
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Sub(_Node):
     """Difference, left - right."""
 
     left: "Expr"
     right: "Expr"
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Mul(_Node):
     """Product, left * right."""
 
     left: "Expr"
     right: "Expr"
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Div(_Node):
     """Quotient, left / right."""
 
     left: "Expr"
     right: "Expr"
+    __init__ = _init_binary
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Pow(_Node):
     """Integer power; the exponent may be negative, but not past the double range."""
 
     base: "Expr"
     exponent: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+    def __init__(self, base: "Expr", exponent: int) -> None:
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("exponent must be an int")
-        if abs(self.exponent) > sys.float_info.max:
+        if abs(exponent) > sys.float_info.max:
             raise ValueError("exponent past the double range")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(init=False, eq=False, repr=False)
 class Call(_Node):
     """One of FUNCTIONS applied to arg."""
 
     func: str
     arg: "Expr"
 
-    def __post_init__(self) -> None:
-        if self.func not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.func!r}")
+    def __init__(self, func: str, arg: "Expr") -> None:
+        if func not in FUNCTIONS:
+            raise ValueError(f"unknown function {func!r}")
+        _set(self, "func", func)
+        _set(self, "arg", arg)
 
 
 Expr = Num | Var | Neg | Add | Sub | Mul | Div | Pow | Call

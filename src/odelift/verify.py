@@ -248,8 +248,21 @@ def _const(value: float, order: int) -> list:
 
 def _leibniz_row(u: list, v: list, k: int, first: int = 0):
     """Row k of the jet of u*v, (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j), summed
-    from j = first; the one binomial sum of the Expr jets."""
-    return sum(comb(k, j) * u[j] * v[k - j] for j in range(first, k + 1))
+    from j = first; the one binomial sum of the Expr jets.
+
+    A term with a known-zero factor (a plain float 0.0 row) is left out, and
+    a row with no term left is that known zero.  The sum starts from +0.0, so
+    no partial sum is -0.0 and a term left out changes no finite entry.
+    """
+    return sum(
+        (comb(k, j) * u[j] * v[k - j] for j in range(first, k + 1)
+         if not (_known_zero(u[j]) or _known_zero(v[k - j]))),
+        0.0,
+    )
+
+
+def _known_zero(row) -> bool:
+    return row.__class__ is float and not row
 
 
 def _leibniz(u: list, v: list) -> list:

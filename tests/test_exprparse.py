@@ -1,5 +1,6 @@
 """Parsing, differentiation, evaluation, and printing of coefficient functions."""
 
+import dataclasses
 import math
 import operator
 import random
@@ -370,3 +371,64 @@ def test_repeated_differentiation_stays_exact_for_polynomials():
         d = diff_expr(d)
     assert eval_expr(d, 17.3) == 24.0
     assert diff_expr(d) == Num(0.0)
+
+
+#: One instance of each node type, built positionally, with its fields.
+NODE_ARGS = [
+    (Num, (2.5,)),
+    (Var, ()),
+    (Neg, (Var(),)),
+    (Add, (Var(), Num(1.0))),
+    (Sub, (Var(), Num(1.0))),
+    (Mul, (Num(2.0), Var())),
+    (Div, (Num(1.0), Var())),
+    (Pow, (Var(), -3)),
+    (Call, ("ln", Var())),
+]
+
+
+@pytest.mark.parametrize(("cls", "args"), NODE_ARGS, ids=lambda v: getattr(v, "__name__", ""))
+def test_nodes_cannot_be_changed_but_object_setattr_goes_through(cls, args):
+    node = cls(*args)
+    for name in [*node.__match_args__, "extra"]:
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field {name!r}"):
+            setattr(node, name, Num(0.0))
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field {name!r}"):
+            delattr(node, name)
+    assert node == cls(*args)
+    # as with a frozen dataclass, object.__setattr__ is the way past
+    object.__setattr__(node, "extra", 1)
+    assert node.extra == 1
+    for name in node.__match_args__:
+        object.__setattr__(node, name, Num(-0.0))
+        assert getattr(node, name) == Num(-0.0)
+
+
+@pytest.mark.parametrize(("cls", "args"), NODE_ARGS, ids=lambda v: getattr(v, "__name__", ""))
+def test_nodes_take_their_fields_by_position_or_keyword_and_no_other_count(cls, args):
+    by_name = cls(**dict(zip(cls.__match_args__, args)))
+    assert by_name == cls(*args) and type(by_name) is cls
+    assert [getattr(by_name, name) for name in cls.__match_args__] == list(args)
+    with pytest.raises(TypeError):
+        cls(*args, Var())
+    if args:
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, **{cls.__match_args__[0]: args[0]})
+
+
+def test_node_validation_messages():
+    for exponent in (2.0, True, "2"):
+        with pytest.raises(TypeError) as info:
+            Pow(Var(), exponent)
+        assert str(info.value) == "exponent must be an int"
+    with pytest.raises(ValueError) as info:
+        Pow(Var(), 10**309)
+    assert str(info.value) == "exponent past the double range"
+    with pytest.raises(ValueError) as info:
+        Call("tan", Var())
+    assert str(info.value) == "unknown function 'tan'"
+    with pytest.raises(ValueError) as info:
+        Call(func="Sin", arg=Var())
+    assert str(info.value) == "unknown function 'Sin'"

@@ -2,15 +2,17 @@
 
 Every odelift command, and every library `import odelift`, pays for the
 import first, and a small command such as `derive -m 4` spends most of its
-own time there.  So the package creates its classes without generated code:
-its six records are named tuples, and only exprparse's nine Expr nodes are
-dataclasses, each with its own docstring, which dataclasses would otherwise
-build from the signature.  A module that one command alone needs is
-imported by that command.  The records stay immutable and checked: the
-validating ones check on every way in, _make and _replace included.
+own time there.  So no class in the package is created from generated code:
+its six records are named tuples, and exprparse's nine Expr nodes write out
+their own __init__ and docstring.  The nodes stay dataclasses only so that
+dataclasses.fields lists their fields, with no method generated.  A module
+that one command alone needs is imported by that command.  The records stay
+immutable and checked: the validating ones check on every way in, _make and
+_replace included.
 """
 
 import dataclasses
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +45,35 @@ def test_only_the_expr_nodes_are_dataclasses():
     assert found == NODES
     for node in NODES:
         assert not node.__doc__.startswith(f"{node.__name__}("), node
+
+
+@pytest.mark.parametrize("node", sorted(NODES, key=lambda cls: cls.__name__))
+def test_no_node_method_is_generated_code(node):
+    # dataclasses compiles each method it generates from a string
+    generated = [
+        name for name, value in vars(node).items()
+        if getattr(getattr(value, "__code__", None), "co_filename", None) == "<string>"
+    ]
+    assert generated == []
+
+
+@pytest.mark.parametrize("node", sorted(NODES, key=lambda cls: cls.__name__))
+def test_dataclasses_writes_no_node_constructor_or_setattr(node):
+    assert not node.__dataclass_params__.init and not node.__dataclass_params__.frozen
+
+
+@pytest.mark.parametrize("node", sorted(NODES, key=lambda cls: cls.__name__))
+def test_node_fields_are_the_written_constructors_parameters_in_order(node):
+    # perfbench walks trees with dataclasses.fields; the constructor is written
+    # out in exprparse (object's own for Var, which has no field)
+    init = node.__init__
+    if node is exprparse.Var:
+        assert init is object.__init__
+        params = []
+    else:
+        assert init.__code__.co_filename == exprparse.__file__
+        params = list(inspect.signature(init).parameters)[1:]
+    assert [f.name for f in dataclasses.fields(node)] == params == list(node.__match_args__)
 
 
 def test_import_loads_no_module_that_only_some_commands_use():

@@ -298,6 +298,31 @@ def test_integer_power_jets_by_square_and_multiply(monkeypatch):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def test_leibniz_rows_leave_out_known_zero_factors_bit_for_bit():
+    # a plain float zero row (a known zero, as in a constant's jet) takes its
+    # terms out of the sum; every row keeps the full sum's bytes, zero signs
+    # included, and a row with no term left is the known zero itself
+    rng = np.random.default_rng(20261019)
+
+    def random_row():
+        kind = rng.integers(6)
+        if kind < 3:
+            return [0.0, -0.0, 1.0][kind]
+        if kind == 3:
+            return np.float64(rng.choice([0.0, -0.0, 2.5]))
+        return rng.standard_normal(5) * rng.choice([0.0, -0.0, 1.0, 1.0], 5)
+
+    for _ in range(300):
+        u, v = [random_row() for _ in range(5)], [random_row() for _ in range(5)]
+        for first in (0, 1):
+            for k in range(first, 5):
+                got = verify._leibniz_row(u, v, k, first)
+                want = sum(math.comb(k, j) * u[j] * v[k - j] for j in range(first, k + 1))
+                assert np.broadcast_to(got, 5).tobytes() == np.broadcast_to(want, 5).tobytes()
+    got = verify._leibniz_row([np.ones(3), 0.0, -0.0], [np.ones(3), 0.0, 0.0], 2, 1)
+    assert type(got) is float and got == 0.0
+
+
 def test_power_values_m1_is_the_base_equation():
     rng = random.Random(5)
     p = parse_expr("sin(x)")
