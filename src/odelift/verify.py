@@ -60,6 +60,11 @@ the base equation.  Each memo drops its entry before it builds the next,
 so at most one check's arrays are held: one product block of at most
 MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and the m+1
 rows.  cache_clear() on all three frees everything.
+
+Each function that computes with numpy imports it as its first statement,
+so numpy is loaded by the first numeric call: importing odelift, reading
+any attribute of this module and inspecting it (doctest, inspect, a search
+for cache_clear) never load it, and derive and check-paper run without it.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ import functools
 import math
 from collections import namedtuple
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exprparse import (
     Add,
@@ -86,6 +91,9 @@ from .exprparse import (
 )
 from .lifting import MAX_DERIVE_M, LiftedODE, derive_lifted_ode
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
     "ConfigError",
     "NumericConfig",
@@ -97,23 +105,6 @@ __all__ = [
     "basis_check",
     "monomial_label",
 ]
-
-
-class _Numpy:
-    """Stands in for numpy until the first numeric use, so that importing
-    odelift (derive and check-paper among it) never loads numpy.  The first
-    attribute read imports it and rebinds the global np to the module
-    itself, so every kernel after it reads numpy directly."""
-
-    def __getattr__(self, name):
-        global np
-        import numpy
-
-        np = numpy
-        return getattr(numpy, name)
-
-
-np = _Numpy()
 
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
@@ -243,6 +234,7 @@ def _sine(a, b) -> float:
 
 def _const(value: float, order: int) -> list:
     """Jet of a constant; a numpy value row turns 1/0 into inf, not an exception."""
+    import numpy as np
     return [np.float64(value)] + [0.0] * order
 
 
@@ -289,6 +281,7 @@ def _power(u: list, n: int) -> list:
 
 
 def _jet(e: Expr, x: np.ndarray, order: int) -> list:
+    import numpy as np
     if isinstance(e, Num):
         return _const(e.value, order)
     if isinstance(e, Var):
@@ -334,6 +327,7 @@ def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
     A non-finite entry is re-run through the scalar evaluator at the first
     offending x, so callers see the precise domain error.
     """
+    import numpy as np
     with np.errstate(all="ignore"):  # rows broadcast against x and each other
         jet = np.array(np.broadcast_arrays(x, *_jet(e, x, order))[1:], dtype=float)
     finite = np.isfinite(jet).all(axis=0).reshape(-1)
@@ -352,6 +346,7 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
     symbol slot 2k+b of odelift.diffring.  Derivatives come from the jets
     of p and q, never from finite differences.
     """
+    import numpy as np
     xs = np.asarray(x, dtype=float)
     return np.stack([_expr_jet(p, xs, upto), _expr_jet(q, xs, upto)], axis=1)
 
@@ -382,6 +377,7 @@ def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
     Taylor steps read rows 0..3, and the rows past upto are dropped after.
     Raises SolutionRangeError at the first x where phi is not finite.
     """
+    import numpy as np
     points = cfg.steps + 1
     _guard(4.0 * points, f"Phi on {points:.3g} grid points")
     a, b = cfg.interval
@@ -406,6 +402,7 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     Rows 0 and 1 are the unit vectors themselves, constants that broadcast,
     and _solution_jet writes rows 2..5 only.
     """
+    import numpy as np
     n = syms.shape[-1] - 1
     # phi goes before the Taylor rows, so that those are freed as one region
     # at the top of the heap.  Allocated after them, verify-cold's peak RSS
@@ -467,6 +464,7 @@ def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
     """(y, y') = Phi @ ic divided at each grid point by sigma = max(|y|, |y'|),
     in place; a zero vector stays zero.  ic is divided by its own sigma
     first, so Phi @ ic overflows nowhere that Phi does not."""
+    import numpy as np
     s = max(map(abs, ic)) or 1.0
     y, yp = _solution(phi, (ic[0] / s, ic[1] / s))
     sigma = np.maximum(np.abs(y), np.abs(yp))
@@ -498,6 +496,7 @@ def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
     sees the operations of a term-by-term build in the same order; the value
     row of f^k is f**k and that of g^k is g**k.
     """
+    import numpy as np
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
@@ -528,6 +527,7 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     1.2-1.4x as long per block at m = 2..12, and verify-batch wall_s went
     from 0.137-0.141 s to 0.145-0.154 s (+11 %, slower in 3 of 3 pairs).
     """
+    import numpy as np
     out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])
     for k, row in enumerate(out):
@@ -596,6 +596,7 @@ def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
     each check integrates again, and verify-batch wall_s went from 0.130 to
     0.165 s (+27 %).
     """
+    import numpy as np
     grid, phi, syms = _integrate(p, q, cfg, max(0, m - 1))
     rows = _recurrence_values(m, syms)
     if not np.isfinite(rows).all():
@@ -662,6 +663,7 @@ def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
     i = 1 both add nothing: entry 0 of L_1 = d is stored as zeros, and L_0
     stores no entry).  Row 0 of L_{m+1} holds c_0, ..., c_m.
     """
+    import numpy as np
     shape = syms.shape[2:]
     ones = [1] * len(shape)  # reshapes one float per row to broadcast over the points
     inverse = np.array([1 / math.factorial(j) for j in range(len(syms))]).reshape(-1, *ones)
@@ -692,6 +694,7 @@ def _relative(values: list, derivs: np.ndarray) -> object:
     """r / s per entry of derivs' rows, from the values of c_0, ..., c_m and the m+2
     rows of derivs: r = y^(m+1) + sum c_k y^(k), and s the largest term magnitude of
     r, floored at 1."""
+    import numpy as np
     lead = derivs[len(values), ...]
     r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
     np.maximum(1.0, np.abs(lead), out=s)
@@ -818,6 +821,7 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     and literals by repr, and every other float by repr, so a report from
     the memos (see the module docstring) is the one a cold call gives.
     """
+    import numpy as np
     derived = not isinstance(ode, LiftedODE)
     if derived and (isinstance(ode, bool) or not isinstance(ode, int)):
         raise TypeError(f"expected a LiftedODE or an int power m, got {ode!r}")

@@ -76,18 +76,37 @@ def test_node_fields_are_the_written_constructors_parameters_in_order(node):
     assert [f.name for f in dataclasses.fields(node)] == params == list(node.__match_args__)
 
 
+#: Runs under `python -S`, where numpy cannot be imported, with argv[1] the
+#: source directory: imports odelift.cli and prints the modules that only some
+#: commands use that it loaded; then imports the other modules and inspects
+#: every odelift module as doctest, inspect and a cache finder do, and prints
+#: whether numpy is loaded.  Any exception fails the run.
+_INSPECT_WITHOUT_NUMPY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import odelift.cli
+print(*(m for m in ("numpy", "json", "pathlib", "importlib.resources") if m in sys.modules))
+import odelift.diffring, odelift.exprparse, odelift.lifting, odelift.verify
+import doctest, inspect
+modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "odelift"]
+for module in modules:
+    doctest.DocTestFinder().find(module)
+    inspect.getmembers(module)
+    for value in vars(module).values():
+        getattr(value, "cache_clear", None)
+print(len(modules), "numpy" in sys.modules)
+"""
+
+
 def test_import_loads_no_module_that_only_some_commands_use():
-    # -S: no site start-up, which may import these modules on its own
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import odelift.cli; "
-        "print(*(m for m in ('numpy', 'json', 'pathlib', 'importlib.resources') "
-        "if m in sys.modules))"
+    # -S: no site start-up, which may import these modules on its own, and no
+    # numpy, which only verify's numeric calls import
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _INSPECT_WITHOUT_NUMPY, str(SRC_DIR)],
+        capture_output=True, text=True, timeout=60,
     )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC_DIR)],
-        capture_output=True, text=True, timeout=60, check=True,
-    ).stdout
-    assert out.split() == []
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["", "6 False"]
 
 
 @pytest.mark.parametrize(

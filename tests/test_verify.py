@@ -1478,41 +1478,51 @@ def test_threads_sharing_one_base_equation_get_their_own_reports():
     assert verify._base.cache_info()[:2] == (0, 1)
 
 
-# -- numpy, bound on first numeric use ---------------------------------------------
+# -- numpy, imported by the first numeric call -------------------------------------
 
 #: Runs in a fresh interpreter with argv[1] the source of a rule that finds
-#: memos: finds the memos of odelift.verify before numpy is loaded, then runs
-#: one check, and prints one JSON line.
+#: memos: finds them before numpy is loaded, then runs one check, and prints
+#: one JSON line: whether numpy was loaded before the rule ran, after it and
+#: after the check, and the found memos by module and name.
 _MEMOS_BEFORE_NUMPY = """
 import json, sys
-from types import SimpleNamespace
 import odelift.verify as verify
 from odelift import NumericConfig, basis_check, parse_expr
 exec(sys.argv[1])
 before = "numpy" in sys.modules
 found = rule()
-names = sorted(name for name, value in vars(verify).items() if any(value is f for f in found))
+after_rule = "numpy" in sys.modules
+names = sorted(f"{f.__module__}.{f.__name__}" for f in found)
 report = basis_check(3, parse_expr("sin(x)"), parse_expr("x"), NumericConfig((0.0, 1.0), 1e-2))
-import numpy
-print(json.dumps({"before": before, "names": names, "count": len(found),
-                  "passed": report.passed, "bound": verify.np is numpy}))
+print(json.dumps({"loaded": [before, after_rule, "numpy" in sys.modules],
+                  "names": names, "count": len(found), "passed": report.passed}))
 """
 
-#: The two rules: this file's memos(), and perfbench/run.py's odelift_caches
-#: on the verify module alone.
+VERIFY_MEMOS = ["odelift.verify._base", "odelift.verify._derived", "odelift.verify._products"]
+
+#: The two rules with the memos each finds: this file's memos() on
+#: odelift.verify, and perfbench/run.py's odelift_caches on the five modules
+#: perfbench/workloads.py's load_program hands it, diffring's two
+#: lru_caches among them.
 MEMO_RULES = {
-    "memos": inspect.getsource(memos) + "rule = lambda: memos(verify)\n",
-    "odelift_caches": f"sys.path.insert(0, {str(PERFBENCH_DIR)!r})\nimport run\n"
-    "rule = lambda: run.odelift_caches(SimpleNamespace(verify=verify))\n",
+    "memos": (
+        inspect.getsource(memos) + "rule = lambda: memos(verify)\n",
+        VERIFY_MEMOS,
+    ),
+    "odelift_caches": (
+        f"sys.path.insert(0, {str(PERFBENCH_DIR)!r})\nimport run, workloads\n"
+        "rule = lambda: run.odelift_caches(workloads.load_program())\n",
+        sorted(VERIFY_MEMOS + ["odelift.diffring._slot_order", "odelift.diffring._symbol"]),
+    ),
 }
 
 
 @pytest.mark.parametrize("rule", sorted(MEMO_RULES))
 def test_memos_are_found_before_numpy_is_loaded(rule):
-    assert run_fresh(_MEMOS_BEFORE_NUMPY, MEMO_RULES[rule]) == {
-        "before": False,
-        "names": ["_base", "_derived", "_products"],
-        "count": 3,
+    source, names = MEMO_RULES[rule]
+    assert run_fresh(_MEMOS_BEFORE_NUMPY, source) == {
+        "loaded": [False, False, True],
+        "names": names,
+        "count": len(names),
         "passed": True,
-        "bound": True,
     }
