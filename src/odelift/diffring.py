@@ -24,13 +24,19 @@ p < p' < p'' < ... < q < q' < ...  This order is only a printing
 convention; the ring operations do not depend on it.
 
 The module ships what the tool runs: the ring operations (the table
-check subtracts, and an explicit LiftedODE may be built by arithmetic),
-DiffPoly.eval for the coefficients verify evaluates, parsing, and
-plain/LaTeX printing.  parse_poly does no ring arithmetic: it reads a
-table line in one pass into one term map, so a line costs time and
-memory in proportion to its length.  The derivation runs on packed keys
-in odelift.lifting.  The ring-level derivation and the exact evaluator,
-which only tests need, are references in tests/oracles.py.
+check subtracts a line that differs from the derived coefficient, and an
+explicit LiftedODE may be built by arithmetic), DiffPoly.eval for the
+coefficients verify evaluates, parsing, and plain/LaTeX printing.
+parse_poly does no ring arithmetic: it reads a table line in one pass
+into one term map, so a line costs time and memory in proportion to its
+length.  The pass reads whitespace, signs, operators, symbols and
+literals character by character from an index, with no tokenizer
+object; it names a token's kind only where it raises, so each
+PolyParseError gives the message and position that a token scanner
+reading one token ahead would.  The derivation runs on packed keys in
+odelift.lifting.  The ring-level derivation, the exact evaluator and
+that token scanner, which only tests need, are references in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -368,67 +374,6 @@ class PolyParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-class _PolyScanner:
-    """Tokenizer for the plain polynomial grammar.
-
-    Tokens: integers (with optional /denominator forming an exact rational),
-    the symbols p and q with trailing apostrophes (valued by their slot),
-    the operators + - * ^, and parentheses.  Whitespace is insignificant.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.advance()  # sets kind, value and token_pos
-
-    def advance(self) -> None:
-        text, n = self.text, len(self.text)
-        i = self.pos
-        while i < n and text[i].isspace():
-            i += 1
-        self.token_pos = i
-        if i >= n:
-            self.kind, self.value, self.pos = "end", None, i
-            return
-        ch = text[i]
-        if ch.isdecimal():  # isdigit() would also take digits int() refuses, such as '²'
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            num = self._integer(i, j)
-            # A '/' directly after an integer forms a rational literal.
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdecimal():
-                    k += 1
-                if k == j + 1:
-                    raise PolyParseError("expected digits after '/'", j + 1)
-                den = self._integer(j + 1, k)
-                if not den:
-                    raise PolyParseError("zero denominator", j + 1)
-                self.kind, self.value, self.pos = "number", Fraction(num, den), k
-            else:
-                self.kind, self.value, self.pos = "number", num, j
-            return
-        if ch in _BASES:
-            j = i + 1
-            while j < n and text[j] == "'":
-                j += 1
-            self.kind, self.value, self.pos = "symbol", 2 * (j - i - 1) + _BASES.index(ch), j
-            return
-        if ch in "+-*^()":
-            self.kind, self.value, self.pos = ch, ch, i + 1
-            return
-        raise PolyParseError(f"unexpected character {ch!r}", i)
-
-    def _integer(self, start: int, end: int) -> int:
-        try:
-            return int(self.text[start:end])
-        except ValueError:  # past the interpreter's limit on digits for int()
-            message = f"integer literal of {end - start} digits is too long"
-            raise PolyParseError(message, start) from None
-
-
 def parse_poly(text: str) -> DiffPoly:
     """Parse the plain polynomial grammar into a normalized DiffPoly.
 
@@ -437,20 +382,32 @@ def parse_poly(text: str) -> DiffPoly:
                       | factor ('*' factor)*
               factor := rational | symbol ['^' positive-integer]
 
-    So a parenthesized sum ends its term and follows rationals only, as in
+    Tokens are integers, with an optional /denominator forming an exact
+    rational, the symbols p and q with trailing apostrophes, the operators
+    + - * ^ and parentheses; whitespace is insignificant.  So a
+    parenthesized sum ends its term and follows rationals only, as in
     -2*(q' - 2*p*q); '^' takes a symbol only; every product is written
     with '*'.  Sums nest at most _MAX_NESTING deep, and the factor that
-    scales a sum's terms holds at most _MAX_SCALE_BITS bits.  One pass
-    writes each term into one term map, its coefficient the product of
-    the rationals and signs in and around it: nothing is multiplied out,
-    and time and memory grow with the length of the text.  Raises
-    PolyParseError with the offending position on malformed input.
+    scales a sum's terms holds at most _MAX_SCALE_BITS bits.
+
+    One pass reads the text a character at a time from an index, with no
+    tokenizer: each term goes into one term map, its coefficient the
+    product of the rationals and signs in and around it, so nothing is
+    multiplied out and time and memory grow with the length of the text.
+    A token is classified (_token_kind) only where an error is raised, so
+    a malformed literal or an unknown character is reported as such, and
+    before the grammar error at the same token.  Raises PolyParseError
+    with the offending position on malformed input.
     """
-    scanner = _PolyScanner(text)
     terms: dict[Monomial, Scalar] = {}
-    _parse_sum(scanner, 1, terms, 0, "end")
+    _parse_sum(text + _END, 0, 1, terms, 0)
     return _raw(terms)
 
+
+#: Appended to the text so that no read checks the length: no loop of the
+#: reader runs past it (it is not whitespace, a digit or an apostrophe),
+#: and at index len(text) it is the end, elsewhere an unexpected character.
+_END = "\0"
 
 #: Deepest nesting of parenthesized sums that parse_poly reads, and the
 #: most bits of numerator plus denominator of the factor that scales each
@@ -461,68 +418,146 @@ _MAX_NESTING = 100
 _MAX_SCALE_BITS = 64
 
 
-def _parse_sum(
-    scanner: _PolyScanner, scale: Scalar, terms: dict, depth: int, close: str
-) -> None:
-    """Write the terms of a sum, each times ``scale``, into ``terms``, and
-    read the token ``close`` that ends it."""
+def _parse_sum(text: str, i: int, scale: Scalar, terms: dict, depth: int) -> int:
+    """Write the terms of the sum that starts at ``i``, each times
+    ``scale``, into ``terms``.  Read what ends the sum, the ')' of a
+    nested one (``depth`` > 0) or else the end of the text, and return
+    the index after it."""
+    while text[i].isspace():
+        i += 1
     while True:
-        sign = -1 if scanner.kind == "-" else 1
-        if scanner.kind in "+-":
-            scanner.advance()
-        _parse_term(scanner, scale * sign, terms, depth)
-        if scanner.kind not in "+-":
+        coeff = scale
+        if text[i] == "-":
+            coeff = -scale
+            i += 1
+        elif text[i] == "+":
+            i += 1
+        i = _parse_term(text, i, coeff, terms, depth)
+        if text[i] not in "+-":
             break
-    if scanner.kind != close:
-        message = f"expected a sign or {close!r}, found {scanner.kind!r}"
-        raise PolyParseError(message, scanner.token_pos)
-    scanner.advance()
+    if depth:
+        if text[i] == ")":
+            return i + 1
+        close = ")"
+    elif i == len(text) - 1:
+        return i
+    else:
+        close = "end"
+    message = f"expected a sign or {close!r}, found {_token_kind(text, i)!r}"
+    raise PolyParseError(message, i)
 
 
-def _parse_term(scanner: _PolyScanner, coeff: Scalar, terms: dict, depth: int) -> None:
-    """Write one term, times ``coeff``, into ``terms``: a monomial, or the
-    terms of the parenthesized sum that ends it."""
+def _parse_term(text: str, i: int, coeff: Scalar, terms: dict, depth: int) -> int:
+    """Write the term that starts at ``i``, times ``coeff``, into
+    ``terms``: a monomial, or the terms of the parenthesized sum that
+    ends it.  Return the index of the token after the term."""
     exps: list[int] = []
     while True:
-        kind, value, position = scanner.kind, scanner.value, scanner.token_pos
-        if kind == "(":
-            if exps:
-                raise PolyParseError("a sum may follow only rationals", position)
-            if depth == _MAX_NESTING:
-                raise PolyParseError(f"sums nested over {_MAX_NESTING} deep", position)
-            if coeff.numerator.bit_length() + coeff.denominator.bit_length() > _MAX_SCALE_BITS:
-                raise PolyParseError(f"a sum scaled by over {_MAX_SCALE_BITS} bits", position)
-            scanner.advance()
-            _parse_sum(scanner, coeff, terms, depth + 1, ")")
-            if scanner.kind in "*^":
-                raise PolyParseError("a sum must be the last factor of its term", scanner.token_pos)
-            return
-        if kind not in ("number", "symbol"):
-            raise PolyParseError(f"expected number, symbol, or '(', found {kind!r}", position)
-        scanner.advance()
-        if kind == "number":
-            coeff = coeff * value
-        else:
+        ch = text[i]
+        if ch == "p" or ch == "q":
+            j = i + 1
+            while text[j] == "'":
+                j += 1
+            slot = 2 * (j - i - 1) + (ch == "q")
+            while text[j].isspace():
+                j += 1
             exp = 1
-            if scanner.kind == "^":
-                scanner.advance()
-                exp = scanner.value
-                if scanner.kind != "number" or exp.denominator != 1 or exp <= 0:
-                    raise PolyParseError("expected a positive integer exponent", scanner.token_pos)
-                scanner.advance()
-            exps.extend([0] * (value + 1 - len(exps)))
-            exps[value] += int(exp)
-        if scanner.kind == "^":
-            raise PolyParseError("'^' applies only to a symbol", scanner.token_pos)
-        if scanner.kind != "*":
-            break
-        scanner.advance()
+            if text[j] == "^":
+                j += 1
+                while text[j].isspace():
+                    j += 1
+                exp, k = _literal(text, j) if text[j].isdecimal() else (0, j)
+                if exp.denominator != 1 or exp <= 0:
+                    _token_kind(text, j)
+                    raise PolyParseError("expected a positive integer exponent", j)
+                j = k
+                while text[j].isspace():
+                    j += 1
+            if slot >= len(exps):
+                exps.extend([0] * (slot + 1 - len(exps)))
+            exps[slot] += int(exp)
+        elif ch.isdecimal():  # isdigit() would also take digits int() refuses, such as '²'
+            value, j = _literal(text, i)
+            coeff = coeff * value
+            while text[j].isspace():
+                j += 1
+        elif ch == "(":
+            if exps:
+                raise PolyParseError("a sum may follow only rationals", i)
+            if depth == _MAX_NESTING:
+                raise PolyParseError(f"sums nested over {_MAX_NESTING} deep", i)
+            if coeff.numerator.bit_length() + coeff.denominator.bit_length() > _MAX_SCALE_BITS:
+                raise PolyParseError(f"a sum scaled by over {_MAX_SCALE_BITS} bits", i)
+            i = _parse_sum(text, i + 1, coeff, terms, depth + 1)
+            while text[i].isspace():
+                i += 1
+            if text[i] in "*^":
+                raise PolyParseError("a sum must be the last factor of its term", i)
+            return i
+        elif ch.isspace():
+            i += 1
+            continue
+        else:
+            message = f"expected number, symbol, or '(', found {_token_kind(text, i)!r}"
+            raise PolyParseError(message, i)
+        if text[j] == "*":
+            i = j + 1
+            continue
+        if text[j] == "^":
+            raise PolyParseError("'^' applies only to a symbol", j)
+        break
     mono = _new_key(Monomial, exps)
     c = terms.get(mono, 0) + coeff
     if c:
         terms[mono] = _settle(c)
     else:
         terms.pop(mono, None)
+    return j
+
+
+def _literal(text: str, i: int) -> tuple[Scalar, int]:
+    """The integer or rational literal that starts at ``i``, and the index
+    after it.  A '/' directly after an integer forms a rational."""
+    j = i + 1
+    while text[j].isdecimal():
+        j += 1
+    num = _integer(text, i, j)
+    if text[j] != "/":
+        return num, j
+    k = j + 1
+    while text[k].isdecimal():
+        k += 1
+    if k == j + 1:
+        raise PolyParseError("expected digits after '/'", j + 1)
+    den = _integer(text, j + 1, k)
+    if not den:
+        raise PolyParseError("zero denominator", j + 1)
+    return Fraction(num, den), k
+
+
+def _integer(text: str, start: int, end: int) -> int:
+    try:
+        return int(text[start:end])
+    except ValueError:  # past the interpreter's limit on digits for int()
+        message = f"integer literal of {end - start} digits is too long"
+        raise PolyParseError(message, start) from None
+
+
+def _token_kind(text: str, i: int) -> str:
+    """The kind of the token at ``i``, as an error message names it:
+    'end', 'number', 'symbol' or the operator itself.  Raises
+    PolyParseError for a malformed literal or an unexpected character."""
+    if i == len(text) - 1:
+        return "end"
+    ch = text[i]
+    if ch.isdecimal():
+        _literal(text, i)
+        return "number"
+    if ch in _BASES:
+        return "symbol"
+    if ch in "+-*^()":
+        return ch
+    raise PolyParseError(f"unexpected character {ch!r}", i)
 
 
 # ---------------------------------------------------------------------------

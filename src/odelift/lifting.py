@@ -53,6 +53,7 @@ B_i = f^(m-i) (f')^i.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .diffring import (
@@ -224,18 +225,20 @@ class FixtureReport(NamedTuple):
 def check_against_fixture(m: int, fixture: Sequence[DiffPoly]) -> FixtureReport:
     """Compare the derived coefficients against an expected c_0..c_m list.
 
-    Equality is structural (exact); on a mismatch the report carries the
-    difference polynomial derived - expected for that k.
+    Equality is structural (exact): each derived c_k is compared with its
+    table line by term-map equality, and only on a mismatch is the
+    difference polynomial derived - expected formed for the report.
     """
     if len(fixture) != m + 1:
         raise FixtureFormatError(
             f"fixture for m={m} must list {m + 1} coefficients, got {len(fixture)}"
         )
-    derived = derive_lifted_ode(m)
     checks = []
-    for k, expected in enumerate(fixture):
-        diff = derived.coeffs[k] - expected
-        checks.append(CoefficientCheck(k, diff.is_zero(), diff))
+    for k, (derived, expected) in enumerate(zip(derive_lifted_ode(m).coeffs, fixture)):
+        if derived == expected:
+            checks.append(CoefficientCheck(k, True, _raw({})))
+        else:
+            checks.append(CoefficientCheck(k, False, derived - expected))
     return FixtureReport(m, tuple(checks))
 
 
@@ -245,11 +248,10 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
     With no directory, reads the table bundled with the package (available
     for m in FIXTURE_ORDERS).
     """
-    from importlib import resources  # imported on use: only check-paper reads the tables
     from pathlib import Path
 
     name = f"order_m{m}.txt"
-    root = resources.files(__package__) / "fixtures" if directory is None else Path(directory)
+    root = _bundled_tables() if directory is None else Path(directory)
     numbered = enumerate((root / name).read_bytes().splitlines(), 1)
     lines = [(n, line) for n, line in numbered if line.strip()]
     if len(lines) != m + 1:
@@ -263,3 +265,12 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
         except (UnicodeDecodeError, PolyParseError) as exc:
             raise FixtureFormatError(f"fixture file {name} line {n}: {exc}") from None
     return polys
+
+
+@lru_cache(maxsize=None)
+def _bundled_tables():
+    """The directory of the bundled tables, resolved once, not per table:
+    check-paper --all reads four."""
+    from importlib import resources  # imported on use: only check-paper reads the tables
+
+    return resources.files(__package__) / "fixtures"

@@ -5,6 +5,12 @@ exponent from slot s to slot s+2) and the exact evaluator `eval_exact` are
 references only: the package derives on packed keys in odelift.lifting and
 evaluates in floats with DiffPoly.eval.
 
+The token scanner `reference_parse_poly`, which reads one token ahead
+through a scanner object, is the reference for odelift.diffring.parse_poly,
+which reads the text in one pass from an index: both must give the same
+term map in the same order, or the same PolyParseError at the same
+position.
+
 The derivative tower of y = f^m in coordinates over the basis
 B_i = f^(m-i) (f')^i, with f'' rewritten as p f' + q f, is the oracle for
 the symmetric-power recurrence in odelift.lifting: the derived equation
@@ -67,6 +73,7 @@ from the package's own kernels.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -74,8 +81,10 @@ from math import comb, factorial, prod
 import numpy as np
 
 from odelift import verify
-from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, Q, poly_terms_doc
-from odelift.diffring import _new_key, _raw, _settle, _slot_order
+from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, PolyParseError, Q
+from odelift.diffring import Scalar, parse_poly, poly_terms_doc
+from odelift.diffring import _BASES, _MAX_NESTING, _MAX_SCALE_BITS, _new_key, _raw, _settle
+from odelift.diffring import _slot_order
 from odelift.lifting import LiftedODE, derive_lifted_ode
 
 _P = DiffPoly.symbol(P())
@@ -124,6 +133,217 @@ def eval_exact(poly: DiffPoly, values) -> Fraction:
             value = value * powers[factor]
         total += value
     return total
+
+
+class _PolyScanner:
+    """Tokenizer for the plain polynomial grammar.
+
+    Tokens: integers (with optional /denominator forming an exact rational),
+    the symbols p and q with trailing apostrophes (valued by their slot),
+    the operators + - * ^, and parentheses.  Whitespace is insignificant.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.advance()  # sets kind, value and token_pos
+
+    def advance(self) -> None:
+        text, n = self.text, len(self.text)
+        i = self.pos
+        while i < n and text[i].isspace():
+            i += 1
+        self.token_pos = i
+        if i >= n:
+            self.kind, self.value, self.pos = "end", None, i
+            return
+        ch = text[i]
+        if ch.isdecimal():  # isdigit() would also take digits int() refuses, such as '²'
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            num = self._integer(i, j)
+            # A '/' directly after an integer forms a rational literal.
+            if j < n and text[j] == "/":
+                k = j + 1
+                while k < n and text[k].isdecimal():
+                    k += 1
+                if k == j + 1:
+                    raise PolyParseError("expected digits after '/'", j + 1)
+                den = self._integer(j + 1, k)
+                if not den:
+                    raise PolyParseError("zero denominator", j + 1)
+                self.kind, self.value, self.pos = "number", Fraction(num, den), k
+            else:
+                self.kind, self.value, self.pos = "number", num, j
+            return
+        if ch in _BASES:
+            j = i + 1
+            while j < n and text[j] == "'":
+                j += 1
+            self.kind, self.value, self.pos = "symbol", 2 * (j - i - 1) + _BASES.index(ch), j
+            return
+        if ch in "+-*^()":
+            self.kind, self.value, self.pos = ch, ch, i + 1
+            return
+        raise PolyParseError(f"unexpected character {ch!r}", i)
+
+    def _integer(self, start: int, end: int) -> int:
+        try:
+            return int(self.text[start:end])
+        except ValueError:  # past the interpreter's limit on digits for int()
+            message = f"integer literal of {end - start} digits is too long"
+            raise PolyParseError(message, start) from None
+
+
+def reference_parse_poly(text: str) -> DiffPoly:
+    """parse_poly as a token scanner reads it: the reference that the
+    one-pass reader in odelift.diffring must match in terms, term order,
+    exception, message and position.  The scanner reads one token ahead,
+    so a malformed token right after a valid one is refused as soon as
+    the valid one is consumed."""
+    scanner = _PolyScanner(text)
+    terms: dict = {}
+    _parse_sum(scanner, 1, terms, 0, "end")
+    return _raw(terms)
+
+
+def _parse_sum(
+    scanner: _PolyScanner, scale: Scalar, terms: dict, depth: int, close: str
+) -> None:
+    """Write the terms of a sum, each times ``scale``, into ``terms``, and
+    read the token ``close`` that ends it."""
+    while True:
+        sign = -1 if scanner.kind == "-" else 1
+        if scanner.kind in "+-":
+            scanner.advance()
+        _parse_term(scanner, scale * sign, terms, depth)
+        if scanner.kind not in "+-":
+            break
+    if scanner.kind != close:
+        message = f"expected a sign or {close!r}, found {scanner.kind!r}"
+        raise PolyParseError(message, scanner.token_pos)
+    scanner.advance()
+
+
+def _parse_term(scanner: _PolyScanner, coeff: Scalar, terms: dict, depth: int) -> None:
+    """Write one term, times ``coeff``, into ``terms``: a monomial, or the
+    terms of the parenthesized sum that ends it."""
+    exps: list[int] = []
+    while True:
+        kind, value, position = scanner.kind, scanner.value, scanner.token_pos
+        if kind == "(":
+            if exps:
+                raise PolyParseError("a sum may follow only rationals", position)
+            if depth == _MAX_NESTING:
+                raise PolyParseError(f"sums nested over {_MAX_NESTING} deep", position)
+            if coeff.numerator.bit_length() + coeff.denominator.bit_length() > _MAX_SCALE_BITS:
+                raise PolyParseError(f"a sum scaled by over {_MAX_SCALE_BITS} bits", position)
+            scanner.advance()
+            _parse_sum(scanner, coeff, terms, depth + 1, ")")
+            if scanner.kind in "*^":
+                raise PolyParseError("a sum must be the last factor of its term", scanner.token_pos)
+            return
+        if kind not in ("number", "symbol"):
+            raise PolyParseError(f"expected number, symbol, or '(', found {kind!r}", position)
+        scanner.advance()
+        if kind == "number":
+            coeff = coeff * value
+        else:
+            exp = 1
+            if scanner.kind == "^":
+                scanner.advance()
+                exp = scanner.value
+                if scanner.kind != "number" or exp.denominator != 1 or exp <= 0:
+                    raise PolyParseError("expected a positive integer exponent", scanner.token_pos)
+                scanner.advance()
+            exps.extend([0] * (value + 1 - len(exps)))
+            exps[value] += int(exp)
+        if scanner.kind == "^":
+            raise PolyParseError("'^' applies only to a symbol", scanner.token_pos)
+        if scanner.kind != "*":
+            break
+        scanner.advance()
+    mono = _new_key(Monomial, exps)
+    c = terms.get(mono, 0) + coeff
+    if c:
+        terms[mono] = _settle(c)
+    else:
+        terms.pop(mono, None)
+
+
+#: The characters of the differential corpus: the grammar's own,
+#: whitespace, '²' (a digit to str.isdigit, not to int()) and '$'.
+PARSE_ALPHABET = "pq'^*+-()/ \t0123456789\u00b2$"
+
+
+def parse_corpus(seed: int, count: int) -> list[str]:
+    """``count`` seeded strings over PARSE_ALPHABET.  Three in ten are
+    drawn a character at a time.  The rest are sums in the grammar, up to
+    four terms nested up to three deep, with none, one or two characters
+    inserted, deleted or replaced, so that a malformed token falls deep
+    in a line and right after a valid one."""
+    rng = random.Random(seed)
+
+    def space():
+        return rng.choice(("", "", "", " ", "\t"))
+
+    def rational():
+        return str(rng.randint(0, 120)) + (f"/{rng.randint(0, 9)}" if rng.random() < 0.3 else "")
+
+    def factor():
+        if rng.random() < 0.3:
+            return rational()
+        symbol = rng.choice("pq") + "'" * rng.randint(0, 3)
+        return symbol + (f"^{rng.randint(0, 4)}" if rng.random() < 0.3 else "")
+
+    def poly(depth):
+        parts = []
+        for t in range(rng.randint(1, 4)):
+            sign = rng.choice(("", "-", "+")) if t == 0 else rng.choice("+-")
+            if depth < 3 and rng.random() < 0.15:
+                factors = [rational() for _ in range(rng.randint(0, 2))]
+                factors.append(f"({poly(depth + 1)})")
+            else:
+                factors = [factor() for _ in range(rng.randint(1, 3))]
+            times = space() + "*" + space()
+            parts.append(space() + sign + space() + times.join(factors))
+        return "".join(parts)
+
+    texts = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            texts.append("".join(rng.choices(PARSE_ALPHABET, k=rng.randint(0, 16))))
+            continue
+        chars = list(poly(0))
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            at = rng.randrange(len(chars) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                chars.insert(at, rng.choice(PARSE_ALPHABET))
+            elif at < len(chars):
+                if edit == 1:
+                    del chars[at]
+                else:
+                    chars[at] = rng.choice(PARSE_ALPHABET)
+        texts.append("".join(chars))
+    return texts
+
+
+def _reading(reader, text: str):
+    """What ``reader`` makes of ``text``: its terms in order, each with
+    its coefficient's type, or its exception's type, message and
+    position."""
+    try:
+        terms = reader(text).terms
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return [(mono, coeff, type(coeff)) for mono, coeff in terms.items()]
+
+
+def parse_disagreements(texts) -> list[str]:
+    """The texts that parse_poly and reference_parse_poly read apart."""
+    return [t for t in texts if _reading(parse_poly, t) != _reading(reference_parse_poly, t)]
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,23 @@ def test_check_detects_corrupted_table(tmp_path, capsys):
     assert out.count("PASS") == 3 and out.count("FAIL") == 1
 
 
+def test_check_reports_a_rational_change_with_its_exact_difference(tmp_path, capsys):
+    _copy_fixtures(tmp_path)
+    path = tmp_path / "order_m3.txt"
+    lines = path.read_text().splitlines()
+    lines[1] += " + 1/2*p"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(["check-paper", "-m", "3", "--fixtures", str(tmp_path)], capsys)
+    assert (code, out, err) == (1, "m=3: c0 ok, c1 MISMATCH, c2 ok, c3 ok -> FAIL\n", "")
+
+    table = lifting.load_fixture(3, tmp_path)
+    derived = derive_lifted_ode(3).coeffs
+    report = lifting.check_against_fixture(3, table)
+    assert [c.matched for c in report.checks] == [True, False, True, True]
+    assert report.checks[1].difference == derived[1] - table[1]
+    assert report.checks[1].difference.terms == {Monomial({P(): 1}): Fraction(-1, 2)}
+
+
 def test_check_zero_denominator_is_a_fixture_error(tmp_path, capsys):
     _copy_fixtures(tmp_path)
     path = tmp_path / "order_m2.txt"

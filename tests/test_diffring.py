@@ -1,7 +1,8 @@
 """Ring laws, derivation, parsing, formatting, and evaluation of DiffPoly.
 
-The derivation and the exact evaluator are the references in oracles.py;
-the package derives on packed keys in odelift.lifting.
+The derivation, the exact evaluator and the token-scanner reader are the
+references in oracles.py; the package derives on packed keys in
+odelift.lifting and reads text in one pass.
 """
 
 import json
@@ -27,7 +28,8 @@ from odelift.diffring import (
     poly_terms_doc,
 )
 from odelift.lifting import FIXTURE_ORDERS, LiftedODE, derive_lifted_ode, load_fixture
-from oracles import derive, eval_exact
+from odelift.lifting import _bundled_tables
+from oracles import derive, eval_exact, parse_corpus, parse_disagreements, reference_parse_poly
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
 # different lengths; low orders come up often enough to collide and cancel.
@@ -214,15 +216,18 @@ def test_large_exponent_parses_at_once():
     assert poly.terms == {Monomial({P(): 99999999999}): 1}
 
 
+# '^' takes a symbol only, so a power of a literal or of a sum, whose
+# expansion can be huge (2^99999999999 alone would need about 12.5 GB),
+# is refused at its '^' before anything is computed
+POWERS_OVER_THE_BUDGET = [
+    ("2^99999999999", 1), ("(p+q)^100000", 5), ("(2*p+q)^3000", 7),
+    ("(p+q+q'')^44", 9), ("(1/2)^1000001", 5), ("(-1)^99999999999", 4),
+    ("p^2^3", 3),
+]
+
+
 def test_powers_over_the_budget_are_refused_at_once():
-    # '^' takes a symbol only, so a power of a literal or of a sum, whose
-    # expansion can be huge (2^99999999999 alone would need about 12.5 GB),
-    # is refused at its '^' before anything is computed
-    for text, pos in [
-        ("2^99999999999", 1), ("(p+q)^100000", 5), ("(2*p+q)^3000", 7),
-        ("(p+q+q'')^44", 9), ("(1/2)^1000001", 5), ("(-1)^99999999999", 4),
-        ("p^2^3", 3),
-    ]:
+    for text, pos in POWERS_OVER_THE_BUDGET:
         start = time.perf_counter()
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
@@ -230,21 +235,23 @@ def test_powers_over_the_budget_are_refused_at_once():
         assert exc.value.position == pos, text
 
 
+# a parenthesized sum is the last factor of its term and follows
+# rationals only, so a product of sums is refused at the token after
+# the first sum, and a sum after a symbol at its '('
+PRODUCTS_OVER_THE_BUDGET = [
+    ("(p+q)^400*(p'+q')^400", 5),
+    ("*".join(["2^900000"] * 5), 1),
+    ("p*(p+q)^10*(p'+q')^100", 2),
+    ("(p+q)^31*(p'+q')^31", 5),
+    ("(1/2)^1000000*2", 5),
+    ("(p+q)*(p'+q')", 5),
+    ("2*(p+q)*p", 7),
+    ("q*(p+q)", 2),
+]
+
+
 def test_products_over_the_budget_are_refused_at_once():
-    # a parenthesized sum is the last factor of its term and follows
-    # rationals only, so a product of sums is refused at the token after
-    # the first sum, and a sum after a symbol at its '('
-    chain = "*".join(["2^900000"] * 5)
-    for text, pos in [
-        ("(p+q)^400*(p'+q')^400", 5),
-        (chain, 1),
-        ("p*(p+q)^10*(p'+q')^100", 2),
-        ("(p+q)^31*(p'+q')^31", 5),
-        ("(1/2)^1000000*2", 5),
-        ("(p+q)*(p'+q')", 5),
-        ("2*(p+q)*p", 7),
-        ("q*(p+q)", 2),
-    ]:
+    for text, pos in PRODUCTS_OVER_THE_BUDGET:
         start = time.perf_counter()
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
@@ -255,18 +262,23 @@ def test_products_over_the_budget_are_refused_at_once():
     assert parse_poly("-1/2*2*(p - 3*(q - p'))") == parse_poly("-p + 3*q - 3*p'")
 
 
+NESTED_TOO_DEEP = "(" * 5000 + "p" + ")" * 5000
+
+# the factor that scales every term of a sum holds at most 64 bits of
+# numerator plus denominator, compounded through the nesting
+SCALES_OVER_THE_BUDGET = [
+    (f"{2**64}*(p + q)", 21), ("4294967296*(4294967296*(p))", 23), ("1/3*2^64*(p)", 5),
+]
+
+
 def test_sums_nest_to_a_fixed_depth_with_small_scales():
     assert parse_poly("(" * 100 + "p" + ")" * 100) == parse_poly("p")
     with pytest.raises(PolyParseError, match="nested over 100 deep") as exc:
-        parse_poly("(" * 5000 + "p" + ")" * 5000)
+        parse_poly(NESTED_TOO_DEEP)
     assert exc.value.position == 100
-    # the factor that scales every term of a sum holds at most 64 bits of
-    # numerator plus denominator, compounded through the nesting
     big = 2**63 - 1
     assert parse_poly(f"{big}*(p + q)") == parse_poly(f"{big}*p + {big}*q")
-    for text, pos in [
-        (f"{2**64}*(p + q)", 21), ("4294967296*(4294967296*(p))", 23), ("1/3*2^64*(p)", 5),
-    ]:
+    for text, pos in SCALES_OVER_THE_BUDGET:
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert exc.value.position == pos, text
@@ -314,9 +326,12 @@ def test_allowed_lines_parse_in_linear_time():
     assert times[1] < 8 * times[0], times
 
 
+# q with 8000 primes times a sum of 400 symbols: 89 KB of text
+HIDDEN_PRODUCT = "q" + "'" * 8000 + "*(" + " + ".join("p" + "'" * k for k in range(400)) + ")"
+
+
 def test_a_long_line_that_hides_a_large_product_is_refused_at_once():
-    # q with 8000 primes times a sum of 400 symbols: 89 KB of text
-    text = "q" + "'" * 8000 + "*(" + " + ".join("p" + "'" * k for k in range(400)) + ")"
+    text = HIDDEN_PRODUCT
     assert 85_000 < len(text) < 95_000
     start = time.perf_counter()
     with pytest.raises(PolyParseError, match="follow only rationals") as exc:
@@ -469,13 +484,19 @@ def test_parse_rational_and_deep_primes():
     assert parse_poly("1/2") == DiffPoly.const(Fraction(1, 2))
 
 
+PARSE_ERRORS = [
+    ("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0), ("1/0", 2),
+    ("1/", 2),
+    # past int()'s digit limit, as a numerator and as a denominator
+    ("1" * 5000 + "*p", 0), ("p - 3/" + "7" * 5000, 6),
+    ("2\u00b2*p", 1),  # a digit to str.isdigit, not to int()
+]
+
+IMPLICIT_PRODUCTS = ["2p", "p(q)"]
+
+
 def test_parse_errors_carry_position():
-    for text, pos in [
-        ("p q", 2), ("2*^3", 2), ("(p", 2), ("p^0", 2), ("p^-2", 2), ("", 0), ("1/0", 2),
-        # past int()'s digit limit, as a numerator and as a denominator
-        ("1" * 5000 + "*p", 0), ("p - 3/" + "7" * 5000, 6),
-        ("2\u00b2*p", 1),  # a digit to str.isdigit, not to int()
-    ]:
+    for text, pos in PARSE_ERRORS:
         with pytest.raises(PolyParseError) as exc:
             parse_poly(text)
         assert exc.value.position == pos, text
@@ -485,10 +506,44 @@ def test_parse_errors_carry_position():
 
 
 def test_parse_rejects_implicit_multiplication():
-    with pytest.raises(PolyParseError):
-        parse_poly("2p")
-    with pytest.raises(PolyParseError):
-        parse_poly("p(q)")
+    for text in IMPLICIT_PRODUCTS:
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+
+
+# A malformed token right after a valid one, which a scanner reading one
+# token ahead refuses as soon as the valid one is consumed
+AFTER_A_VALID_TOKEN = [
+    "p 1/0", "2*p $", "p^2 1/", "p^ 3/0", "(p) \u00b2", "q'' 1" + "0" * 5000, "p^2^$",
+]
+
+# characters that str takes for whitespace or decimal digits, or for neither
+OTHER_CHARACTERS = ["p\u00a0+\u3000q", "\u0663*p + \u0661/\u0662*q", "p\x00", "p\x1c*q", "p \n- q\r"]
+
+# the table lines that tests/test_cli.py writes for check-paper to refuse
+CLI_TABLE_LINES = ["2*p^2 +", "2^99999999999*p", "1/0*p"]
+
+
+def test_one_pass_reader_matches_the_token_scanner():
+    # same terms in the same order, or the same exception, message and
+    # position, on the tables, every parse-error text above and a seeded
+    # corpus (tests/oracles.py; CI runs 200 000 strings of it).  About 1 s
+    # on a 2-vCPU machine.
+    tables = [
+        line
+        for m in FIXTURE_ORDERS
+        for line in (_bundled_tables() / f"order_m{m}.txt").read_text().splitlines()
+    ]
+    assert len(tables) == 18
+    texts = [
+        text
+        for cases in (PARSE_ERRORS, POWERS_OVER_THE_BUDGET, PRODUCTS_OVER_THE_BUDGET,
+                      SCALES_OVER_THE_BUDGET)
+        for text, _ in cases
+    ]
+    texts += [NESTED_TOO_DEEP, HIDDEN_PRODUCT, *IMPLICIT_PRODUCTS, *AFTER_A_VALID_TOKEN]
+    texts += OTHER_CHARACTERS + CLI_TABLE_LINES + tables
+    assert parse_disagreements(texts + parse_corpus(45, 20_000)) == []
 
 
 # -- formatting ---------------------------------------------------------------

@@ -324,6 +324,16 @@ def test_corrupted_fixture_reports_difference():
     assert "MISMATCH" in report.summary() and "FAIL" in report.summary()
 
 
+def test_matched_coefficients_carry_the_zero_difference(monkeypatch):
+    # a line equal to the derived c_k is compared, not subtracted
+    monkeypatch.setattr(DiffPoly, "__sub__", None)
+    for m in FIXTURE_ORDERS:
+        report = check_against_fixture(m, load_fixture(m))
+        assert report.passed
+        for check in report.checks:
+            assert check.matched and check.difference == DiffPoly() and check.difference.terms == {}
+
+
 def test_fixture_length_mismatch():
     with pytest.raises(FixtureFormatError):
         check_against_fixture(2, load_fixture(3))

@@ -1503,7 +1503,7 @@ VERIFY_MEMOS = ["odelift.verify._base", "odelift.verify._derived", "odelift.veri
 #: The two rules with the memos each finds: this file's memos() on
 #: odelift.verify, and perfbench/run.py's odelift_caches on the five modules
 #: perfbench/workloads.py's load_program hands it, diffring's two
-#: lru_caches among them.
+#: lru_caches and lifting's bundled-table directory among them.
 MEMO_RULES = {
     "memos": (
         inspect.getsource(memos) + "rule = lambda: memos(verify)\n",
@@ -1512,7 +1512,10 @@ MEMO_RULES = {
     "odelift_caches": (
         f"sys.path.insert(0, {str(PERFBENCH_DIR)!r})\nimport run, workloads\n"
         "rule = lambda: run.odelift_caches(workloads.load_program())\n",
-        sorted(VERIFY_MEMOS + ["odelift.diffring._slot_order", "odelift.diffring._symbol"]),
+        sorted(VERIFY_MEMOS + [
+            "odelift.diffring._slot_order", "odelift.diffring._symbol",
+            "odelift.lifting._bundled_tables",
+        ]),
     ),
 }
 
