@@ -69,6 +69,21 @@ B = major_(m+1) + sum |c_k| major_k, with major the product block on |f|,
 term is non-negative).  A true basis has r = 0 exactly, so |fl(r)| <=
 gamma B whatever the integrator's error.  These helpers build both pieces
 from the package's own kernels.
+
+The modular carrier is the exact check of the same identity.  Every double
+that basis_check feeds its kernels, f, f', g and g' after scaling and the
+symbol rows, is a dyadic rational, and r is a polynomial in them with
+integer coefficients.  So r is zero over the rationals for a true identity,
+and stays zero modulo any prime P past m, where the powers of 2 and the
+1/j!, j < m, of the recurrence's Taylor rows invert.  The carrier maps each
+double to its residue exactly and runs the solution jet, the Leibniz power
+chain, the middle products and the c_k recurrence on int64 residues,
+reducing after each product; with P below 2^31 no product passes 2^62.  A
+nonzero residual can still vanish modulo one fixed prime, at the rate at
+which P divides the numerator of a rational (Schwartz, J. ACM 1980; Zippel,
+EUROSAM 1979), so the pin requires r = 0 modulo two.  Its kernels share no
+code with odelift.verify; all it takes from there is the doubles
+themselves.
 """
 
 from __future__ import annotations
@@ -613,3 +628,116 @@ def running_error_ratio(values, magnitudes, block, major) -> float:
         bound += a * z
     ratio = np.divide(np.abs(r), 2.0**-53 * bound, out=np.zeros_like(r), where=r != 0)
     return float(np.max(ratio))
+
+
+#: Two primes below 2^31: a product of two residues stays below 2^62, in int64.
+PRIMES = (2**31 - 1, 2**31 - 19)
+
+#: The moduli against (prime, point) rows.
+_MOD = np.array(PRIMES, dtype=np.int64).reshape(-1, 1)
+
+
+def residues(x) -> np.ndarray:
+    """Each finite double of x modulo each prime, exactly, on a new axis
+    before the last: x = M 2^(e-53) with M its np.frexp mantissa as a 53-bit
+    integer, so x is M times the inverse of 2^(53-e) modulo P."""
+    x = np.asarray(x, dtype=float)
+    assert np.isfinite(x).all()
+    mantissa, exponent = np.frexp(x)
+    whole = np.ldexp(mantissa, 53).astype(np.int64)
+    shifts, at = np.unique(exponent - 53, return_inverse=True)
+    out = []
+    for prime in PRIMES:
+        powers = np.array([pow(2, int(s), prime) for s in shifts], dtype=np.int64)
+        out.append(whole % prime * powers[at.reshape(x.shape)] % prime)
+    return np.stack(out, axis=-2)
+
+
+def _binomials(k: int, ndim: int) -> np.ndarray:
+    """C(k, 0), ..., C(k, k) on the first of ndim axes."""
+    return np.array([comb(k, j) for j in range(k + 1)]).reshape(-1, *[1] * (ndim - 1))
+
+
+def _leibniz_mod(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Jet of u*v modulo the primes: row k is sum_j C(k,j) u^(j) v^(k-j)."""
+    shape = np.broadcast_shapes(u.shape, v.shape)
+    out = np.empty(shape, dtype=np.int64)
+    for k in range(shape[0]):
+        terms = u[: k + 1] * v[k::-1] % _MOD * _binomials(k, len(shape)) % _MOD
+        out[k] = terms.sum(axis=0) % _MOD
+    return out
+
+
+def _cauchy_mod(t: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """Taylor rows 0..n-1 of t times each entry of a, modulo the primes:
+    row l is sum_j t_j a_(l-j), t holding (prime, point) rows and a
+    (entry, prime, point) rows."""
+    out = np.empty((n, *a.shape[1:]), dtype=np.int64)
+    for l in range(n):
+        out[l] = (t[l::-1, None] * a[: l + 1] % _MOD).sum(axis=0) % _MOD
+    return out
+
+
+def modular_product_block(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
+    """product_block on residues, (m+2, m+1, prime, point): the stacked
+    solution jet of (f, g), the power chain u^k = u^(k-1) u, and column j the
+    Leibniz product of f^(m-j) and g^j.  f_pt and g_pt are (value, slope)
+    residues, syms the residues of symbol_values' rows."""
+    u = np.zeros((m + 2, 2, *syms.shape[2:]), dtype=np.int64)  # [row, f or g, prime, point]
+    (u[0, 0], u[1, 0]), (u[0, 1], u[1, 1]) = f_pt, g_pt
+    for k in range(m):  # f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j))
+        p, q = syms[: k + 1, 0, None], syms[: k + 1, 1, None]
+        terms = (p * u[k + 1 : 0 : -1] % _MOD + q * u[k::-1] % _MOD) * _binomials(k, 4) % _MOD
+        u[k + 2] = terms.sum(axis=0) % _MOD
+    powers = [None, u]
+    for _ in range(2, m + 1):
+        powers.append(_leibniz_mod(powers[-1], u))
+    block = np.empty((m + 2, m + 1, *u.shape[2:]), dtype=np.int64)
+    block[:, 0], block[:, m] = powers[m][:, 0], powers[m][:, 1]
+    if m > 1:
+        f_side = np.stack([powers[m - j][:, 0] for j in range(1, m)], axis=1)
+        g_side = np.stack([powers[j][:, 1] for j in range(1, m)], axis=1)
+        block[:, 1:m] = _leibniz_mod(f_side, g_side)
+    return block
+
+
+def modular_recurrence_rows(m: int, syms: np.ndarray, weights=None) -> np.ndarray:
+    """c_0, ..., c_m modulo the primes, (m+1, prime, point), from
+    L_{i+1} = (d - i p) L_i - w_i q L_{i-1} with w_i = i (m-i+1), or
+    weights[i-1] when weights are given.  Entry k of L_i, the coefficient of
+    d^k, is held as its Taylor rows a^(j)/j!, 1/j! an inverse modulo P; d
+    takes row j+1 to row j times j+1, and a product with p or q is a Cauchy
+    product with their Taylor rows."""
+    if weights is None:
+        weights = [i * (m - i + 1) for i in range(1, m + 1)]
+    shape = syms.shape[2:]
+    inverse = [[pow(factorial(j), -1, prime) for prime in PRIMES] for j in range(len(syms))]
+    taylor = syms * np.array(inverse).reshape(len(syms), 1, -1, 1) % _MOD
+    prev = np.zeros((m + 2, 1, *shape), dtype=np.int64)  # L_0 = 1
+    prev[0, 0] = 1
+    cur = np.zeros((m + 1, 2, *shape), dtype=np.int64)  # L_1 = d
+    cur[0, 1] = 1
+    for i, w in enumerate(weights, start=1):
+        n = m + 1 - i  # the rows L_{i+1} needs
+        nxt = np.zeros((n, i + 2, *shape), dtype=np.int64)
+        nxt[:, 1:] += cur[:n]  # a d^k -> a d^(k+1)
+        nxt[:, :-1] += cur[1 : n + 1] * np.arange(1, n + 1).reshape(-1, 1, 1, 1) % _MOD  # a' d^k
+        nxt[:, :-1] -= i * _cauchy_mod(taylor[:, 0], cur, n) % _MOD
+        nxt[:, :-2] -= w * _cauchy_mod(taylor[:, 1], prev, n) % _MOD
+        prev, cur = cur, nxt % _MOD
+    assert (cur[0, m + 1] == 1).all()  # monic
+    return cur[0, : m + 1]
+
+
+def modular_residuals(m: int, p, q, cfg, weights=None) -> np.ndarray:
+    """r = y^(m+1) + sum c_k y^(k) modulo each prime, for every product
+    y = f^(m-j) g^j at every point of cfg's grid, (m+1, prime, point): the
+    doubles of basis_check's check of the derived equation, f, f', g and g'
+    from cfg.ic_f and cfg.ic_g scaled at every point and the symbol rows to
+    order m-1, carried exactly.  weights go to modular_recurrence_rows."""
+    _, phi, syms = verify._integrate(p, q, cfg, m - 1)
+    f_pt, g_pt = (residues(verify._scaled_solution(phi, ic)) for ic in (cfg.ic_f, cfg.ic_g))
+    syms = residues(syms)
+    block = modular_product_block(f_pt, g_pt, m, syms)
+    c = modular_recurrence_rows(m, syms, weights)
+    return (block[m + 1] + (c[:, None] * block[: m + 1] % _MOD).sum(axis=0)) % _MOD

@@ -527,8 +527,8 @@ CLI_TABLE_LINES = ["2*p^2 +", "2^99999999999*p", "1/0*p"]
 def test_one_pass_reader_matches_the_token_scanner():
     # same terms in the same order, or the same exception, message and
     # position, on the tables, every parse-error text above and a seeded
-    # corpus (tests/oracles.py; CI runs 200 000 strings of it).  About 1 s
-    # on a 2-vCPU machine.
+    # corpus (tests/oracles.py; the large case below reads 200 000 strings
+    # of it).  About 1 s on a 2-vCPU machine.
     tables = [
         line
         for m in FIXTURE_ORDERS
@@ -544,6 +544,13 @@ def test_one_pass_reader_matches_the_token_scanner():
     texts += [NESTED_TOO_DEEP, HIDDEN_PRODUCT, *IMPLICIT_PRODUCTS, *AFTER_A_VALID_TOKEN]
     texts += OTHER_CHARACTERS + CLI_TABLE_LINES + tables
     assert parse_disagreements(texts + parse_corpus(45, 20_000)) == []
+
+
+@pytest.mark.large(seconds=120)
+def test_one_pass_reader_matches_the_token_scanner_on_200_000_strings():
+    # the corpus of the test above ten times as long: its first 20 000
+    # strings are that test's
+    assert parse_disagreements(parse_corpus(45, 200_000)) == []
 
 
 # -- formatting ---------------------------------------------------------------

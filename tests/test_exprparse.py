@@ -166,6 +166,7 @@ def test_walks_take_the_deepest_trees_from_a_deep_caller():
                      lambda: eval_expr(diff_expr(tree), 0.5)):
             called_from(300, walk)
         # identity and text: two separate parses of one text, never the same object
+        assert tree is not twin
         assert called_from(300, repr, tree) == f"parse_expr({format_expr(tree)!r})"
         assert called_from(300, operator.eq, tree, twin) is True
         assert called_from(300, hash, tree) == called_from(300, hash, twin)

@@ -199,7 +199,9 @@ def assert_sign_law(coeffs, label):
             )
 
 
-@pytest.mark.parametrize("m", range(1, 21))
+@pytest.mark.parametrize(
+    "m", [*range(1, 21), pytest.param(24, marks=pytest.mark.large(seconds=60))]
+)
 def test_every_derived_term_has_the_sign_of_its_degree(m):
     assert_sign_law(derive_lifted_ode(m).coeffs, f"m={m}")
 
@@ -217,7 +219,11 @@ def test_weight_series_give_the_recorded_term_totals():
         assert sum(support_sizes(m)) == total
 
 
-@pytest.mark.parametrize("m", range(1, 21))
+@pytest.mark.parametrize("m", [
+    *range(1, 21),
+    pytest.param(24, marks=pytest.mark.large(seconds=40)),
+    pytest.param(28, marks=pytest.mark.large(seconds=80)),
+])
 def test_support_and_linear_part_are_closed_forms(m):
     # The support theorem: c_k holds every monomial of weight m+1-k (p^(j)
     # weighs j+1, q^(j) weighs j+2), and c_0 every one but those in p alone.

@@ -28,7 +28,9 @@ from odelift.verify import (
     product_derivatives,
     symbol_values,
 )
-from oracles import eval_exact, majorised_check, product_block, running_error_ratio
+import oracles
+from oracles import eval_exact, majorised_check, modular_residuals, product_block
+from oracles import running_error_ratio
 from test_acceptance import COEFFICIENT_PAIRS
 from test_cli import run_fresh
 from test_exprparse import random_tree
@@ -725,6 +727,20 @@ def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
         basis_check(ode, ZERO, MINUS_ONE, COS_CFG)
 
 
+@pytest.mark.large(seconds=60)
+def test_doubled_equation_at_m_20_is_refused_and_the_genuine_one_passes():
+    # every c_k of derive_lifted_ode(20) doubled, on 10 001 points: 34 209
+    # terms at every point, 3.42e8 in all, over MAX_TERM_POINTS; the genuine
+    # equation has no difference to evaluate, so on the same grid it runs
+    # and passes
+    cfg, ode = NumericConfig((0.0, 1.0), 1e-4), derive_lifted_ode(20)
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    clear_memos()
+    with pytest.raises(ConfigError, match="would evaluate 3.42e[+]08 coefficient terms"):
+        basis_check(LiftedODE(20, tuple(2 * c for c in ode.coeffs)), p, q, cfg)
+    assert basis_check(ode, p, q, cfg).passed
+
+
 @pytest.mark.parametrize(
     "m,k,extra,message",
     [
@@ -968,6 +984,30 @@ def test_recurrence_rows_on_negated_magnitudes_are_the_absolute_coefficient_sums
             assert row >= 0 and abs(Fraction(row) - exact) <= gamma * exact, (k, row, exact)
 
 
+@pytest.mark.parametrize("m", [pytest.param(24, marks=pytest.mark.large(seconds=120))])
+def test_recurrence_rows_on_negated_magnitudes_are_within_gamma_of_diffpoly_eval(m):
+    # The test above past its m <= 16, against DiffPoly.eval of |c_k| on three
+    # points instead of the exact sum: every row is non-negative and within
+    # gamma_(m^2+7m) of exact, and DiffPoly.eval adds its own
+    # gamma_(terms+m+1): each term rounds its coefficient and, for each of at
+    # most 8 symbols, a power (within 2u) and a product, 25 = m+1 roundings.
+    # Measured 3.1 s on a 2-vCPU Xeon.
+    u = 2.0**-53
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    rng = random.Random(m)
+    syms = -np.array([[[rng.randint(1, 63) / 32 for _ in range(3)] for _ in range(2)]
+                      for _ in range(m)])
+    rows = verify._recurrence_values(m, syms)
+    for k, c in enumerate(derive_lifted_ode(m).coeffs):
+        want = DiffPoly({mono: abs(v) for mono, v in c.terms.items()}).eval(-syms)
+        a, b = gamma(m * m + 7 * m), gamma(len(c.terms) + m + 1)
+        assert (rows[k] >= 0).all(), k
+        assert (np.abs(rows[k] - want) <= (a + b) * want / (1 - b)).all(), k
+
+
 #: m = 1..8, every fourth m to 20, and the CLI's 28: a product block costs ~m^3
 RUNNING_ERROR_ORDERS = (*range(1, 9), 12, 16, 20, 28)
 
@@ -1003,6 +1043,49 @@ def test_running_error_bound_separates_genuine_from_perturbed_equations(
             if rows[k].any():
                 values = [*rows[:k], rows[k] * (1 + 1e-6), *rows[k + 1 :]]
                 assert running_error_ratio(values, magnitudes, block, major) > 64, (m, k)
+
+
+#: the four acceptance pairs, and p = 0, q = -25 from (1, -1) and (1, 1)
+MODULAR_BASES = RUNNING_ERROR_BASES[:5]
+
+
+@pytest.mark.parametrize("m,step", [
+    *[(m, 1e-2) for m in range(1, 21)],
+    *[pytest.param(m, 1e-3, marks=pytest.mark.large(seconds=60)) for m in (24, 28)],
+])
+def test_residual_of_a_true_basis_is_zero_modulo_two_primes(m, step):
+    # ROADMAP item 21's exact pin: the doubles basis_check feeds its kernels,
+    # carried modulo two primes by tests/oracles.py's modular carrier, give
+    # r = y^(m+1) + sum c_k y^(k) = 0 for every product at every grid point.
+    # About 3 s for m = 1..20 on 101 points, 8 s at m = 24 and 12 s at m = 28
+    # on 1 001 points (2-vCPU Xeon)
+    for p_text, q_text, ic_f, ic_g, interval in MODULAR_BASES:
+        cfg = NumericConfig(interval, step, ic_f, ic_g)
+        r = modular_residuals(m, parse_expr(p_text), parse_expr(q_text), cfg)
+        assert r.shape == (m + 1, 2, cfg.steps + 1), r.shape
+        assert not r.any(), (p_text, q_text)
+
+
+def test_modular_pin_fails_for_a_changed_weight_or_a_dropped_leibniz_term(monkeypatch):
+    # the pin is not empty: at m = 5 on sin(x), x it finds a nonzero residual
+    # modulo each prime when one weight i (m-i+1) of the c_k recurrence reads
+    # i (m-i), for each i, and when the Leibniz rule of the power chain and
+    # the middle products drops its term u^(k) v from row k, for each k
+    m, p, q = 5, parse_expr("sin(x)"), parse_expr("x")
+    cfg = NumericConfig((0.0, 1.0), 1e-2)
+    for i in range(1, m + 1):
+        weights = [j * (m - j + 1) for j in range(1, m + 1)]
+        weights[i - 1] = i * (m - i)
+        assert modular_residuals(m, p, q, cfg, weights=weights).any(axis=(0, 2)).all(), i
+    plain = oracles._leibniz_mod
+    for k in range(1, m + 2):
+        def dropped(u, v, k=k):
+            out = plain(u, v)
+            out[k] = (out[k] - u[k] * v[0] % oracles._MOD) % oracles._MOD
+            return out
+
+        monkeypatch.setattr(oracles, "_leibniz_mod", dropped)
+        assert modular_residuals(m, p, q, cfg).any(axis=(0, 2)).all(), k
 
 
 @pytest.mark.parametrize("m,error,message", [
@@ -1224,6 +1307,7 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
                 counts.append(len(calls))
             assert counts == [0, 1, 0], m
             assert memo_info() == ((1, 1), (1, 2))
+            assert verify._derived.cache_info()[:2] == (2, 1)
 
 
 @pytest.mark.parametrize("m", [3, 16])
