@@ -24,12 +24,28 @@ key + (1 << 8), and the derivation moves one unit of exponent from slot s
 to slot s+2.  A byte rather than the fewest bits that hold m+1 lets
 int.to_bytes unpack a key into its exponents in C: the derivation reads
 them that way once per distinct key, and the keys become Monomials the
-same way, once, at the end.
+same way, once, at the end.  This slot layout is the one
+derive_lifted_ode uses.
+
+The same recurrence also runs on a second layout, in print order, for
+`derive --style json`: derive_print_keys.  Byte 0, the most significant,
+holds the degree, then come the exponents of p, p', ..., p^(W-1), then
+those of q, q', ..., q^(W-1), one byte each, with W = m+1.  The degree and
+every exponent stay at most m+1 < 256 here too, so no byte carries, and
+a key's int order is the order of its bytes read from the top: descending
+int order is the graded-lex order of DiffPoly.sorted_terms.  The JSON
+writer therefore sorts each coefficient's keys as plain ints, in C, and
+reads the factors straight from the key's bytes, with no Monomial and no
+Python sort key.  Multiplying by p adds 1 to the degree byte and to the p
+byte, multiplying by q to the degree byte and to the q byte, and the
+derivation moves one unit from a byte to the next one, order k to k+1.
+pack_print_keys puts any LiftedODE in the same layout, with fields as wide
+as its largest degree needs.
 
 No term ever cancels.  Every term of every entry of every L_i has the sign
 (-1)^degree, the degree being the sum of the monomial's exponents (m=4:
 c_2 = -50p^3 + 45pp' + 120pq - 5p'' - 30q'), so the recurrence stores no
-zero coefficient and needs no zero test: see derive_lifted_ode.
+zero coefficient and needs no zero test: see _recurrence.
 
 The term order of each c_k, the insertion order of its term map, is
 part of the result: each entry is written in the order the ring
@@ -53,13 +69,16 @@ B_i = f^(m-i) (f')^i.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import or_
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .diffring import (
     DiffPoly,
     Monomial,
     PolyParseError,
+    Scalar,
     _new_key,
     _raw,
     _slot_order,
@@ -75,9 +94,9 @@ FIXTURE_ORDERS = (2, 3, 4, 5)
 #: The largest m derive_lifted_ode accepts.  Terms, time and memory about
 #: double every two steps of m, and the live term count after each step does
 #: not depend on m, so the limit is set on m itself, before the first step:
-#: m=28 gives 434 624 terms, and a `derive -m 28` process took 9.7-11.2 s
-#: (8.5-10.2 s with --style json) and peaked at 369 MB in both styles, with
-#: Python 3.11 on a shared 2-vCPU machine.
+#: m=28 gives 434 624 terms, and a `derive -m 28` process took 11.0-12.7 s
+#: (7.6-8.1 s with --style json) and peaked at 265 MB (306 MB with --style
+#: json), with Python 3.11 on a shared 2-vCPU machine.
 MAX_DERIVE_M = 28
 
 
@@ -115,6 +134,115 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m, for
     1 <= m <= MAX_DERIVE_M; any other m raises ValueError.
 
+    Steps the recurrence on slot-layout keys, which unpack into Monomials
+    with one int.to_bytes each, and checks the derivative-order bound on
+    the result.
+    """
+    _check_power(m)
+    coeffs = tuple(
+        _raw({_new_key(Monomial, _exponents(key)): c for key, c in terms.items()})
+        for terms in _recurrence(m, *_slot_layout(m))
+    )
+    _check_order_bound(m, max(c.max_order() for c in coeffs))
+    return LiftedODE(m, coeffs)
+
+
+def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int]:
+    """(m, coeffs, width, field): derive_lifted_ode's coefficients c_0 ..
+    c_m, with the same term maps in the same insertion order, on
+    print-layout keys of ``width`` m+1 and one-byte fields (``field`` 1):
+    sorting a term map's keys in descending int order lists its terms in
+    the order DiffPoly.sorted_terms gives.  The derivative-order bound is
+    checked on the keys: RuntimeError if any key sets a field of an order
+    above it."""
+    _check_power(m)
+    width, size = m + 1, 2 * m + 3
+    coeffs = _recurrence(m, *_print_layout(m))
+    used = reduce(or_, chain.from_iterable(coeffs), 0).to_bytes(size, "big")
+    _check_order_bound(
+        m, max((k for k in range(width) if used[1 + k] or used[1 + width + k]), default=-1)
+    )
+    return m, coeffs, width, 1
+
+
+def pack_print_keys(ode: LiftedODE) -> tuple[int, tuple[dict[int, Scalar], ...], int, int]:
+    """(m, coeffs, width, field) of any equation, as derive_print_keys
+    gives them: its coefficients on print-layout keys of the width its
+    highest derivative order needs, with fields of as many bytes as its
+    largest degree, which bounds every exponent, needs."""
+    monos = [mono for c in ode.coeffs for mono in c.terms]
+    width = max(((len(mono) + 1) >> 1 for mono in monos), default=0)
+    bits = 8 * max((max(map(sum, monos), default=0).bit_length() + 7) >> 3, 1)
+
+    def pack(mono: Monomial) -> int:
+        key = sum(mono)
+        for exps in (mono[0::2], mono[1::2]):
+            for e in exps:
+                key = key << bits | e
+            key <<= bits * (width - len(exps))
+        return key
+
+    coeffs = tuple({pack(mono): c for mono, c in poly.terms.items()} for poly in ode.coeffs)
+    return ode.m, coeffs, width, bits >> 3
+
+
+def _slot_layout(m: int) -> tuple:
+    """(p shift, q shift, unpack, deltas) of the slot layout, for
+    _recurrence: deltas[n] holds (slot s, key + delta moves one unit of
+    exponent from slot s to slot s+2) for the slots of an n-byte key, in
+    symbol order.  Only entries of weight <= m are derived, and their keys
+    are shorter than 2m."""
+    deltas = [
+        tuple((s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in _slot_order(n))
+        for n in range(2 * m)
+    ]
+    return 1, 1 << 8, _exponents, deltas
+
+
+def _print_layout(m: int) -> tuple:
+    """(p shift, q shift, unpack, deltas) of the print layout of width m+1,
+    for _recurrence: deltas[n] holds (byte j, key + delta moves one unit of
+    exponent from byte j to byte j+1, order k to k+1 of one base) for the
+    bytes of a key unpacked to n bytes, in symbol order.  Only entries of
+    weight <= m are derived, and they hold no order above m-1, so order m,
+    the last of each base, never moves."""
+    width, size = m + 1, 2 * m + 3
+    unit = [1 << 8 * (size - 1 - j) for j in range(size)]  # 1 in byte j
+    order = (*range(1, width), *range(width + 1, 2 * width))
+    moves = tuple((j, unit[j + 1] - unit[j]) for j in order)
+    deltas = [tuple(move for move in moves if move[0] < n) for n in range(size + 1)]
+
+    def unpack(key: int) -> bytes:
+        # trailing zeros trimmed, so no move is tried from an unset high q order
+        return key.to_bytes(size, "big").rstrip(b"\0")
+
+    return unit[0] + unit[1], unit[0] + unit[width + 1], unpack, deltas
+
+
+def _check_power(m: int) -> None:
+    if not 1 <= m <= MAX_DERIVE_M:
+        raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
+
+
+def _check_order_bound(m: int, worst: int) -> None:
+    bound = m - 1 if m >= 2 else 0
+    if worst > bound:
+        raise RuntimeError(
+            f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
+        )
+
+
+def _recurrence(
+    m: int,
+    p_shift: int,
+    q_shift: int,
+    unpack: Callable[[int], bytes],
+    deltas: Sequence[tuple[tuple[int, int], ...]],
+) -> tuple[dict[int, int], ...]:
+    """c_0 .. c_m as term maps on the keys of one layout: key + p_shift is
+    the key times p, key + q_shift the key times q, and the derivation moves
+    of a key are _derive_moves(key, unpack(key), deltas[len(unpack(key))]).
+
     Steps the recurrence above on coefficient lists, entry k multiplying
     d^k, with d a d^k = a' d^k + a d^(k+1).  Each entry is a dict from
     packed monomial keys to ints.  It starts as a copy of entry k-1 of
@@ -134,17 +262,9 @@ def derive_lifted_ode(m: int) -> LiftedODE:
       -i (m-i+1), which are negative for 1 <= i <= m;
     - so every contribution to a key has the sign (-1)^degree of that key.
 
-    No key is ever deleted, so the term order is the first-write order.
+    No key is ever deleted, so the term order is the first-write order,
+    the same in every layout.
     """
-    if not 1 <= m <= MAX_DERIVE_M:
-        raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
-    # deltas[n]: (slot s, key + delta moves one unit of exponent from slot s
-    # to slot s+2) for the slots of an n-byte key, in symbol order.  Only
-    # entries of weight <= m are derived, and their keys are shorter than 2m.
-    deltas = [
-        tuple((s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in _slot_order(n))
-        for n in range(2 * m)
-    ]
     moves: dict[int, tuple[tuple[int, int], ...]] = {}
     prev, cur = ({0: 1},), ({}, {0: 1})
     for i in range(1, m + 1):
@@ -156,44 +276,37 @@ def derive_lifted_ode(m: int) -> LiftedODE:
             for key, c in a.items():
                 step = moves.get(key)
                 if step is None:
-                    step = moves[key] = _derive_moves(key, deltas)
+                    exps = unpack(key)
+                    step = _derive_moves(key, exps, deltas[len(exps)])
+                    # the last step derives each key once (one entry per
+                    # weight), and what it kept would only raise the peak
+                    if i < m:
+                        moves[key] = step
                 for new, e in step:
                     out[new] = get(new, 0) + c * e
-            for terms, shift, scale in ((a, 1, -i), (b, 1 << 8, -weight)):
+            for terms, shift, scale in ((a, p_shift, -i), (b, q_shift, -weight)):
                 for key, c in terms.items():
                     key += shift
                     out[key] = get(key, 0) + scale * c
             nxt.append(out)
         prev, cur = cur, tuple(nxt)
-
-    coeffs = tuple(
-        _raw({_new_key(Monomial, _exponents(key)): c for key, c in terms.items()})
-        for terms in cur[: m + 1]
-    )
-    bound = m - 1 if m >= 2 else 0
-    worst = max(c.max_order() for c in coeffs)
-    if worst > bound:
-        raise RuntimeError(
-            f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
-        )
-    return LiftedODE(m, coeffs)
+    return cur[: m + 1]
 
 
 def _exponents(key: int) -> bytes:
-    """The exponents packed into ``key``, slot 0 first, trailing zeros
-    trimmed: the top byte holds the key's highest set bit."""
+    """The exponents packed into the slot-layout ``key``, slot 0 first,
+    trailing zeros trimmed: the top byte holds the key's highest set bit."""
     return key.to_bytes((key.bit_length() + 7) >> 3, "little")
 
 
 def _derive_moves(
-    key: int, deltas: list[tuple[tuple[int, int], ...]]
+    key: int, exps: bytes, deltas: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
     """(key after the move, exponent) for each factor of the monomial
-    ``key``, in symbol order: the derivation moves one unit of exponent
-    from slot s to slot s+2, by the key change in ``deltas``, and
-    multiplies by the exponent in slot s."""
-    exps = _exponents(key)
-    return tuple((key + delta, exps[s]) for s, delta in deltas[len(exps)] if exps[s])
+    ``key``, whose bytes are ``exps``, in symbol order: the derivation
+    moves one unit of exponent out of byte j, by the key change in
+    ``deltas``, and multiplies by the exponent in byte j."""
+    return tuple((key + delta, exps[j]) for j, delta in deltas if exps[j])
 
 
 # ---------------------------------------------------------------------------

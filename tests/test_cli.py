@@ -135,7 +135,7 @@ def test_derive_json_pieces_hold_at_most_one_term(m):
     # derive writes the document a term at a time, so it never holds a
     # whole coefficient's text; the pieces join to derive_json's text
     ode = derive_lifted_ode(m)
-    pieces = list(cli._derive_json_chunks(ode))
+    pieces = list(cli._derive_json_chunks(*lifting.derive_print_keys(m)))
     assert max(piece.count('"num"') for piece in pieces) == 1
     assert len(pieces) == 2 + 2 * (m + 1) + sum(len(c.terms) for c in ode.coeffs)
     assert_same_text("".join(pieces), derive_json(ode))
@@ -189,10 +189,12 @@ def test_derive_text_digest(style, m, capsys):
 
 
 #: Shapes the derived equations may never produce: a zero coefficient, a
-#: constant term, a negative non-integral coefficient, and a factor with
-#: exp > 1 at derivative order > 0.  The last equation tells the keys of
-#: derive_json's factor table apart: two-digit exponents, exponent 12 at
-#: slots 0 and 7, slot 0 at exponents 1 and 12, and p^12 in two coefficients.
+#: constant term, a negative non-integral coefficient, a factor with
+#: exp > 1 at derivative order > 0, and degrees and exponents past 255,
+#: which need print-layout fields wider than a byte.  The last equation
+#: tells the keys of derive_json's factor table apart: two-digit exponents,
+#: exponent 12 at slots 0 and 7, slot 0 at exponents 1 and 12, and p^12 in
+#: two coefficients.
 EDGE_ODES = [
     LiftedODE(1, (DiffPoly.zero(), DiffPoly.const(7))),
     LiftedODE(1, (DiffPoly.const(Fraction(-3, 2)), DiffPoly.zero())),
@@ -202,6 +204,13 @@ EDGE_ODES = [
             DiffPoly({Monomial({P(2): 3, Q(1): 2}): Fraction(-3, 2), Monomial(): 5}),
             DiffPoly({Monomial({Q(4): 1}): -(10**40)}),
             DiffPoly.zero(),
+        ),
+    ),
+    LiftedODE(
+        1,
+        (
+            DiffPoly({Monomial({P(): 300, Q(2): 1}): 5, Monomial({P(): 255, Q(): 1}): -1}),
+            DiffPoly({Monomial({P(1): 1}): 2, Monomial({Q(2): 256}): Fraction(1, 3)}),
         ),
     ),
     LiftedODE(
@@ -244,6 +253,21 @@ def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
         calls.clear()
         assert_same_text(derive_json(ode), canonical_json(ode_json_doc(ode)))
         assert sorted(calls) == sorted(set(factors))
+
+
+def test_derive_json_refuses_an_order_above_the_bound(monkeypatch, capsys):
+    # derive --style json checks the derivative-order bound on its keys: a
+    # derivation that also sets the last byte of a print-layout key, order m
+    # of q, must raise before a byte is written
+    plain = lifting._derive_moves
+
+    def with_order_m(key, exps, deltas):
+        return plain(key, exps, deltas) + ((key + 1, 1),)
+
+    monkeypatch.setattr(lifting, "_derive_moves", with_order_m)
+    with pytest.raises(RuntimeError, match="m=3 uses derivative order 3, above the bound 2"):
+        main(["derive", "-m", "3", "--style", "json"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize(

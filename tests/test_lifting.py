@@ -188,6 +188,68 @@ def test_byte_slots_hold_the_largest_exponent_at_the_limit():
     assert lifting._exponents(0) == b"" and lifting._exponents(top << 8) == bytes([0, top])
 
 
+def test_print_bytes_hold_the_largest_exponent_at_the_limit():
+    # The print layout of width m+1: the degree byte, then the p bytes, then
+    # the q bytes.  With m+1 in every byte the key unpacks to the same bytes,
+    # each move from byte j to j+1 changes only those two, and the p and q
+    # shifts raise the degree byte and their own byte by one.
+    m, top = MAX_DERIVE_M, MAX_DERIVE_M + 1
+    size = 2 * m + 3
+    p_shift, q_shift, unpack, deltas = lifting._print_layout(m)
+    exps = bytes([top]) * size
+    key = int.from_bytes(exps, "big")
+    assert top < 256 and unpack(key) == exps
+    # every order of each base moves but the last, p's bytes before q's
+    assert [j for j, _ in deltas[size]] == [*range(1, m + 1), *range(m + 2, size - 1)]
+    for j, delta in deltas[size]:
+        moved = (key + delta).to_bytes(size, "big")
+        assert moved[:j] == exps[:j] and moved[j + 2 :] == exps[j + 2 :]
+        assert (moved[j], moved[j + 1]) == (top - 1, top + 1)
+    for shift, j in ((p_shift, 1), (q_shift, m + 2)):
+        raised = (key + shift).to_bytes(size, "big")
+        assert raised == bytes([top + 1]) + exps[1:j] + bytes([top + 1]) + exps[j + 1 :]
+    # a key's trailing zeros are trimmed, so no move is tried from them
+    assert unpack(0) == b"" and unpack(key >> 8 << 8) == exps[:-1]
+    assert all(j < n for n in range(size + 1) for j, _ in deltas[n])
+
+
+def print_monomial(key, m):
+    """The slot-layout exponent tuple of a print-layout key of width m+1."""
+    exps = key.to_bytes(2 * m + 3, "big")
+    assert max(exps) <= m + 1 and exps[0] == sum(exps[1:])
+    slots = [e for pair in zip(exps[1 : m + 2], exps[m + 2 :]) for e in pair]
+    while slots and not slots[-1]:
+        slots.pop()
+    return tuple(slots)
+
+
+@pytest.mark.parametrize("m", [
+    *range(1, 21),
+    pytest.param(24, marks=pytest.mark.large(seconds=40)),
+    pytest.param(28, marks=pytest.mark.large(seconds=120)),
+])
+def test_print_keys_sorted_as_ints_give_the_printed_term_order(m):
+    # derive_print_keys holds derive_lifted_ode's term maps, in the same
+    # insertion order, and descending int order is sorted_terms' order
+    power, coeffs, width, field = lifting.derive_print_keys(m)
+    assert (power, len(coeffs), width, field) == (m, m + 1, m + 1, 1)
+    for k, (c, terms) in enumerate(zip(derive_lifted_ode(m).coeffs, coeffs)):
+        assert [(print_monomial(key, m), e) for key, e in terms.items()] == list(c.terms.items())
+        assert [print_monomial(key, m) for key in sorted(terms, reverse=True)] == [
+            mono for mono, _ in c.sorted_terms()
+        ], f"m={m}, c_{k}"
+
+
+def test_print_keys_reject_bad_m_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("the recurrence started")
+
+    monkeypatch.setattr(lifting, "_derive_moves", no_step)
+    for m in (0, -3, MAX_DERIVE_M + 1, 10**9):
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_DERIVE_M}"):
+            lifting.derive_print_keys(m)
+
+
 def assert_sign_law(coeffs, label):
     # Every term has the sign (-1)^degree, the precondition for derive's
     # accumulation without zero tests: no contribution can cancel another.
