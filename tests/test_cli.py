@@ -121,13 +121,15 @@ def test_derive_json_digest(m, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_JSON_SHA256[m]
 
 
-@pytest.mark.parametrize("m", range(1, 15))
+@pytest.mark.parametrize("m", [*range(1, 15), 16])
 def test_streamed_derive_json_is_the_library_document(m, capsys):
     # derive writes the document a coefficient at a time; the pieces must
-    # join to derive_json's text, byte for byte
+    # join to derive_json's text, byte for byte, past the digests' m = 14 too
+    start = time.perf_counter()
     code, out, _ = run(["derive", "-m", str(m), "--style", "json"], capsys)
     assert code == 0
     assert_same_text(out, derive_json(derive_lifted_ode(m)) + "\n")
+    assert time.perf_counter() - start < 60
 
 
 @pytest.mark.parametrize("m", range(1, 15))
@@ -390,7 +392,10 @@ def test_check_unreadable_fixture_line(tmp_path, capsys, line2, reason):
     lines = path.read_bytes().splitlines()
     lines[1] = line2
     path.write_bytes(b"\n".join(lines) + b"\n")
+    # a line the grammar refuses is a fixture error, not a hang or a memory blow-up
+    start = time.perf_counter()
     code, out, err = run(["check-paper", "-m", "2", "--fixtures", str(tmp_path)], capsys)
+    assert time.perf_counter() - start < 20
     assert code == 1 and out == ""
     assert err.startswith("error: fixture file order_m2.txt line 2: ")
     assert reason in err
@@ -413,6 +418,46 @@ def test_verify_passes(capsys):
     assert "-> PASS" in out
     for label in ("f^2", "f*g", "g^2", "Wronskian"):
         assert label in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "3", "--p", "sin(x)", "--q", "x"],
+        ["-m", "10", "--p", "1/(x+2)", "--q", "exp(-x)"],
+        # the stacked product block at a large m, with f and g from unequal,
+        # non-unit initial conditions
+        ["-m", "12", "--p", "sin(x)", "--q", "x", "--ic-f", "1.5", "-0.25", "--ic-g", "0.5", "2"],
+        ["-m", "24", "--p", "sin(x)", "--q", "x"],
+    ],
+    ids=["m3", "m10", "m12-ics", "m24"],
+)
+def test_verify_passes_within_5_s(argv, capsys):
+    start = time.perf_counter()
+    code, out, _ = run(["verify", *argv], capsys)
+    assert code == 0 and out.endswith("-> PASS\n")
+    code, out, _ = run(["verify", *argv, "--json"], capsys)
+    assert time.perf_counter() - start < 5
+    d = json.loads(out)
+    assert code == 0 and d["pass"] is True
+    # the verdict thresholds are fixed constants, and the report prints them
+    assert d["residual_tolerance"] == 1e-6 and d["wronskian"]["tolerance"] == 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the floored residual r/s of a true "
+                   "basis reads 0.5-1.1 on the middle product past m = 16")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "16", "--p", "0", "--q", "-25"],
+        ["-m", "20", "--p", "0", "--q", "-25"],
+        ["-m", "20", "--p", "0", "--q", "-1"],
+    ],
+    ids=["m16-q-25", "m20-q-25", "m20-q-1"],
+)
+def test_verify_passes_a_true_basis_at_large_m(argv, capsys):
+    code, out, _ = run(["verify", *argv, "--ic-f", "1", "-1", "--ic-g", "1", "1"], capsys)
+    assert code == 0 and out.endswith("-> PASS\n")
 
 
 @pytest.mark.parametrize(
@@ -650,6 +695,20 @@ def test_verify_oversized_grid_message_is_short(grid, capsys):
     assert len(err) < 120, err
 
 
+def test_verify_refuses_a_product_block_past_its_limit_within_20_s(capsys):
+    # verify takes its coefficients from the recurrence on the grid, so the
+    # product block bounds its work: 1.74e7 floats at m = 28 is a usage error
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "-m", "28", "--p", "sin(x)", "--q", "x", "--step", "5e-5"])
+    assert time.perf_counter() - start < 20
+    assert info.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: m=28 on 2e+04 grid points needs 1.74e+07 floats, over the limit 1e+07; "
+        "use a larger step\n"
+    )
+
+
 def test_verify_unusable_grid_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "-m", "2", "--p", "0", "--q", "-1", "--step", "0.5"])
@@ -695,8 +754,10 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
     ],
 )
 def test_usage_errors_exit_2(argv, capsys):
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as info:
         main(argv)
+    assert time.perf_counter() - start < 10
     assert info.value.code == 2
     err = capsys.readouterr().err
     if "argument --p:" in err or "argument --q:" in err:
@@ -709,7 +770,9 @@ def test_deep_input_that_verify_read_before_is_still_read():
     # at the edge of what the recursive parser and tree walks take in a
     # fresh process: 194 nested parentheses and a sum of 330 terms
     for p in ["(" * 194 + "x" + ")" * 194, "+".join(["0"] * 330)]:
+        start = time.perf_counter()
         proc = run_module(["verify", "-m", "2", "--p", p, "--q", "-1"])
+        assert time.perf_counter() - start < 10
         assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]
 
 
@@ -807,3 +870,29 @@ def test_derive_and_check_paper_never_load_numpy(numpy, capsys):
     assert derive == [0, run(["derive", "-m", "4", "--style", "json"], capsys)[1]]
     assert paper == [0, run(["check-paper", "--all"], capsys)[1]]
     assert hashlib.sha256(derive[1].encode()).hexdigest() == DERIVE_JSON_SHA256[4]
+
+
+# -- peak memory -----------------------------------------------------------------
+
+#: Runs `python -m odelift ARGV` in a child with its output discarded, and
+#: prints the child's peak resident size in KiB: the ru_maxrss of the children
+#: of this interpreter, which runs nothing else.
+_CHILD_PEAK = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "odelift", *sys.argv[1:]], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.large(seconds=60)
+def test_derive_json_peaks_within_10_percent_of_plain_at_m_24():
+    # derive writes the JSON document a term at a time, so at m = 24 it peaks
+    # within 10 % of the plain style
+    peaks = {}
+    for style in ("plain", "json"):
+        proc = run_child(["-c", _CHILD_PEAK, "derive", "-m", "24", "--style", style])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        peaks[style] = int(proc.stdout)
+    plain, json = peaks["plain"], peaks["json"]
+    print(f"derive -m 24 peaks: plain {plain} KiB, json {json} KiB")
+    assert json <= 1.1 * plain
