@@ -17,12 +17,16 @@ most 400 nodes deep from root to leaf (a sum of 400 terms), and at most
 ExprSyntaxError, whoever calls it, so every walk over a tree it returns
 has room on the interpreter's stack.
 
-Trees are immutable and own their identity and their text.  == compares
-two trees node for node and every other value by repr, so -0.0 is not 0.0,
-and hash agrees with it; both walk the tree from a stack.  repr is the
-parse_expr call of format_expr's text, one frame per level like every other
-walk.  Every finite literal prints in positional form with repr's shortest
-digits and parses back to itself.
+Trees are immutable and own their identity and their text.  _program lists
+the distinct subtrees of one or more trees in post-order, from a stack,
+each keyed by its node type, the program indices of its children and every
+other value by repr.  Those keys are a tree's identity: == compares two
+trees node for node and every other value by repr, so -0.0 is not 0.0,
+and hash agrees with it.  odelift.verify runs the program of p and q once
+for both, so a subtree they share is evaluated once.  repr is the
+parse_expr call of format_expr's text, one frame per level like every
+other walk.  Every finite literal prints in positional form with repr's
+shortest digits and parses back to itself.
 
 Every odelift command imports this module first, so no class in it is made
 from generated code: each node writes out its own __init__, and _Node
@@ -75,18 +79,19 @@ class _Node:
 
     Two trees are == when they agree node for node and in every other
     value, literals included, by repr, so Num(-0.0) != Num(0.0) and
-    Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  Both read _shape,
-    which walks the tree from a stack.  repr is the parse_expr call of
-    format_expr's text, one frame per tree level.  Setting or deleting an
-    attribute raises FrozenInstanceError; a node's own __init__ sets its
-    fields with object.__setattr__.
+    Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  == runs the _program
+    of both trees and compares their roots, which are one entry just when
+    the trees agree, and hash hashes the keys of the tree's own _program.
+    repr is the parse_expr call of format_expr's text, one frame per tree
+    level.  Setting or deleting an attribute raises FrozenInstanceError; a
+    node's own __init__ sets its fields with object.__setattr__.
     """
 
     def __eq__(self, other):
-        return _shape(self) == _shape(other) if isinstance(other, _Node) else NotImplemented
+        return operator.eq(*_program(self, other)[1]) if isinstance(other, _Node) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(_shape(self))
+        return hash(_program(self)[2])
 
     def __repr__(self) -> str:
         return f"parse_expr({format_expr(self)!r})"
@@ -98,27 +103,48 @@ class _Node:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-def _shape(tree: _Node) -> tuple:
-    """Node types in preorder and every other value by repr, from a stack."""
-    shape, stack = [], [tree]
+#: The fields of the node classes that hold subtrees; every other field is a value.
+_SUBTREES = frozenset({"arg", "left", "right", "base"})
+
+
+def _program(*trees) -> tuple:
+    """(entries, roots, keys): the distinct subtrees of `trees` in post-order,
+    the index of each tree among them, and the key of each entry.
+
+    An entry is (node, program indices of its children) and its key is
+    (node type, those indices, every other field by repr), so children come
+    before their parent and the first tree's subtrees before the second's.
+    The walk runs from a stack, in preorder with the last child first, so
+    its reverse is that post-order; the reverse raises TypeError at the
+    first child, from the left, that is not an Expr.
+    """
+    slots, seen, order, stack = {}, {}, [], list(trees)  # key -> (index, node); id(node) -> index
     while stack:
-        item = stack.pop()
-        if isinstance(item, _Node):
-            shape.append(type(item))
-            stack.extend(reversed(vars(item).values()))
-        else:
-            shape.append(repr(item))
-    return tuple(shape)
+        node = stack.pop()
+        kids, values = [], []
+        for name, value in vars(node).items() if isinstance(node, _Node) else ():
+            (kids if name in _SUBTREES else values).append(value)
+        stack += kids
+        order.append((node, kids, values))
+    for node, kids, values in reversed(order):
+        if not isinstance(node, _Node):
+            raise TypeError(f"not an Expr: {node!r}")
+        key = (type(node), tuple([seen[id(kid)] for kid in kids]), *map(repr, values))
+        seen[id(node)] = slots.setdefault(key, (len(slots), node))[0]
+    entries = [(node, key[1]) for key, (_, node) in slots.items()]
+    return entries, [seen[id(tree)] for tree in trees], tuple(slots)
 
 
 #: Sets a field from a node's own __init__, past _Node.__setattr__.
 _set = object.__setattr__
 
 
-def _init_binary(self, left: "Expr", right: "Expr") -> None:
-    """The __init__ of Add, Sub, Mul and Div."""
-    _set(self, "left", left)
-    _set(self, "right", right)
+class _Binary(_Node):
+    """Base of Add, Sub, Mul and Div, which writes out their __init__."""
+
+    def __init__(self, left: "Expr", right: "Expr") -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -147,39 +173,35 @@ class Neg(_Node):
 
 
 @dataclass(init=False, eq=False, repr=False)
-class Add(_Node):
+class Add(_Binary):
     """Sum, left + right."""
 
     left: "Expr"
     right: "Expr"
-    __init__ = _init_binary
 
 
 @dataclass(init=False, eq=False, repr=False)
-class Sub(_Node):
+class Sub(_Binary):
     """Difference, left - right."""
 
     left: "Expr"
     right: "Expr"
-    __init__ = _init_binary
 
 
 @dataclass(init=False, eq=False, repr=False)
-class Mul(_Node):
+class Mul(_Binary):
     """Product, left * right."""
 
     left: "Expr"
     right: "Expr"
-    __init__ = _init_binary
 
 
 @dataclass(init=False, eq=False, repr=False)
-class Div(_Node):
+class Div(_Binary):
     """Quotient, left / right."""
 
     left: "Expr"
     right: "Expr"
-    __init__ = _init_binary
 
 
 @dataclass(init=False, eq=False, repr=False)
@@ -288,9 +310,9 @@ class _Scanner:
 
 
 #: Deepest tree parse_expr builds, counted in nodes from the root to a leaf,
-#: so a sum of n terms is n deep.  The walks over a tree (verify's jets,
-#: eval_expr, format_expr and so repr, diff_expr) recurse one frame per
-#: level; == and hash walk from a stack.
+#: so a sum of n terms is n deep.  The walks over a tree (eval_expr,
+#: format_expr and so repr, diff_expr) recurse one frame per level;
+#: _program, so ==, hash and verify's jets, walks from a stack.
 _MAX_DEPTH = 400
 
 #: Most parentheses parse_expr holds open at once, a call's included.  The

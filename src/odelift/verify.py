@@ -4,9 +4,11 @@ The symbolic side promises that the m+1 products f^(m-j) g^j form a basis
 of the derived monic equation of order m+1 whenever f, g solve
 y'' = p(x) y' + q(x) y.  Every derivative it takes, of p, q, f, g and
 each product, comes from Taylor-mode jets (never finite differences) in
-one [order, member, points] layout: p with q as one array, f with g as
-one pair through their power chains, and one Leibniz pass over the
-stacked powers fills every middle product.  The same solution jet
+one [order, member, points] layout: p with q as one array, from one run
+of their post-order program (exprparse._program) that builds the jet of
+each distinct subtree once, f with g as one pair through their power
+chains, and one Leibniz pass over the stacked powers fills every middle
+product.  The same solution jet
 integrates the base equation once, as the fundamental matrix Phi of the
 fixed-step Taylor method of order 4.  That is the only integrator:
 fundamental_matrix returns (grid, phi), and the solution from
@@ -77,7 +79,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exprparse import (
     Add,
-    Call,
     Div,
     Expr,
     ExprDomainError,
@@ -87,6 +88,7 @@ from .exprparse import (
     Pow,
     Sub,
     Var,
+    _program,
     eval_expr,
 )
 from .lifting import MAX_DERIVE_M, LiftedODE, derive_lifted_ode
@@ -271,71 +273,14 @@ def _quotient(u: list, v: list) -> list:
 
 
 def _power(u: list, n: int) -> list:
-    """Jet of u^n, n >= 0, by square-and-multiply: O(log n) products."""
+    """Jet of u^n by square-and-multiply on |n|, O(log |n|) products, and
+    for n < 0 one quotient."""
     h = _const(1.0, len(u) - 1)
-    for bit in bin(n)[2:]:
+    for bit in bin(abs(n))[2:]:
         h = _leibniz(h, h)
         if bit == "1":
             h = _leibniz(h, u)
-    return h
-
-
-def _jet(e: Expr, x: np.ndarray, order: int) -> list:
-    import numpy as np
-    if isinstance(e, Num):
-        return _const(e.value, order)
-    if isinstance(e, Var):
-        return [x, 1.0, *[0.0] * order][: order + 1]
-    if isinstance(e, Neg):
-        return [-row for row in _jet(e.arg, x, order)]
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        u, v = _jet(e.left, x, order), _jet(e.right, x, order)
-        if isinstance(e, Add):
-            return [a + b for a, b in zip(u, v)]
-        if isinstance(e, Sub):
-            return [a - b for a, b in zip(u, v)]
-        return _leibniz(u, v) if isinstance(e, Mul) else _quotient(u, v)
-    if isinstance(e, Pow):
-        u = _jet(e.base, x, order)
-        h = _power(u, abs(e.exponent))
-        if e.exponent < 0:
-            h = _quotient(_const(1.0, order), h)
-        h[0] = u[0] ** e.exponent
-        return h
-    if isinstance(e, Call):
-        u = _jet(e.arg, x, order)
-        if e.func == "ln":  # (ln u)' = u'/u
-            return [np.log(u[0])] + _quotient(u[1:], u[:-1])
-        # (exp u)' = exp(u) u', (sin u)' = cos(u) u', (cos u)' = -sin(u) u':
-        # row k+1 of each is row k of a product with the jet u[1:] of u'
-        if e.func == "exp":
-            h = [np.exp(u[0])]
-            for k in range(order):
-                h.append(_leibniz_row(h, u[1:], k))
-            return h
-        s, c = [np.sin(u[0])], [np.cos(u[0])]
-        for k in range(order):
-            s.append(_leibniz_row(c, u[1:], k))
-            c.append(-_leibniz_row(s, u[1:], k))
-        return s if e.func == "sin" else c
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
-    """Rows e, e', ..., e^(order) over x, warnings silenced.
-
-    A non-finite entry is re-run through the scalar evaluator at the first
-    offending x, so callers see the precise domain error.
-    """
-    import numpy as np
-    with np.errstate(all="ignore"):  # rows broadcast against x and each other
-        jet = np.array(np.broadcast_arrays(x, *_jet(e, x, order))[1:], dtype=float)
-    finite = np.isfinite(jet).all(axis=0).reshape(-1)
-    if not finite.all():
-        x_bad = float(x.reshape(-1)[int(np.argmin(finite))])
-        eval_expr(e, x_bad)
-        raise ExprDomainError(e, x_bad, "non-finite value")
-    return jet
+    return _quotient(_const(1.0, len(u) - 1), h) if n < 0 else h
 
 
 def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
@@ -343,12 +288,67 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
 
     One float array of shape (upto+1, 2, *np.shape(x)), row k holding
     (p^(k), q^(k)) like the stacked (f, g) jet; flattened, row 2k+b is
-    symbol slot 2k+b of odelift.diffring.  Derivatives come from the jets
-    of p and q, never from finite differences.
+    symbol slot 2k+b of odelift.diffring.  Derivatives come from one run of
+    the post-order program of p and q (exprparse._program), never from
+    finite differences: each entry's jet is built once from its arguments'
+    jets, so a subtree the two share is evaluated once, and a sin and a cos
+    of one argument share one (sin, cos) pair.  A tree that is not an Expr
+    raises TypeError before any value is computed.  p's entries run and are
+    checked before q's: where a tree's rows are not finite, the scalar
+    evaluator is re-run at the first such x, so callers see the precise
+    domain error.
     """
     import numpy as np
     xs = np.asarray(x, dtype=float)
-    return np.stack([_expr_jet(p, xs, upto), _expr_jet(q, xs, upto)], axis=1)
+    entries, roots, _ = _program(p, q)
+    # out goes before the jets, so that they are freed above it; trig maps an
+    # argument entry to its (sin, cos) pair
+    out, jets, trig = np.empty((upto + 1, 2, *xs.shape)), [], {}
+
+    def jet(node: Expr, args: tuple) -> list:
+        if isinstance(node, Num):
+            return _const(node.value, upto)
+        if isinstance(node, Var):
+            return [xs, 1.0, *[0.0] * upto][: upto + 1]
+        u = jets[args[0]]
+        if isinstance(node, Neg):
+            return [-row for row in u]
+        if isinstance(node, (Add, Sub)):
+            return [a + b if isinstance(node, Add) else a - b for a, b in zip(u, jets[args[1]])]
+        if isinstance(node, (Mul, Div)):
+            return (_leibniz if isinstance(node, Mul) else _quotient)(u, jets[args[1]])
+        if isinstance(node, Pow):
+            h = _power(u, node.exponent)
+            h[0] = u[0] ** node.exponent  # the power itself, not the product chain's row
+            return h
+        if node.func == "ln":  # (ln u)' = u'/u
+            return [np.log(u[0])] + _quotient(u[1:], u[:-1])
+        # (exp u)' = exp(u) u', (sin u)' = cos(u) u', (cos u)' = -sin(u) u':
+        # row k+1 of each is row k of a product with the jet u[1:] of u'
+        if node.func == "exp":
+            h = [np.exp(u[0])]
+            for k in range(upto):
+                h.append(_leibniz_row(h, u[1:], k))
+            return h
+        if args[0] not in trig:
+            s, c = trig[args[0]] = [np.sin(u[0])], [np.cos(u[0])]
+            for k in range(upto):
+                s.append(_leibniz_row(c, u[1:], k))
+                c.append(-_leibniz_row(s, u[1:], k))
+        return trig[args[0]][node.func == "cos"]
+
+    for b, (tree, root) in enumerate(zip((p, q), roots)):
+        with np.errstate(all="ignore"):  # a value out of range is the error below
+            while len(jets) <= root:
+                jets.append(jet(*entries[len(jets)]))
+            for k, row in enumerate(jets[root]):  # a row may be a float that broadcasts
+                out[k, b] = row
+        finite = np.isfinite(out[:, b]).all(axis=0).reshape(-1)
+        if not finite.all():
+            x_bad = float(xs.reshape(-1)[int(np.argmin(finite))])
+            eval_expr(tree, x_bad)
+            raise ExprDomainError(tree, x_bad, "non-finite value")
+    return out
 
 
 def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:

@@ -84,6 +84,13 @@ which P divides the numerator of a rational (Schwartz, J. ACM 1980; Zippel,
 EUROSAM 1979), so the pin requires r = 0 modulo two.  Its kernels share no
 code with odelift.verify; all it takes from there is the doubles
 themselves.
+
+The recursive jet walk, which builds the jet of each tree on its own, one
+frame per tree level, is the reference for odelift.verify.symbol_values,
+which runs the post-order program of p and q once for both: every output
+byte and every error must be the same.  The walk takes its row kernels
+(_leibniz_row, _leibniz, _quotient, _power) from odelift.verify, so what
+it checks is the order of the work, not the kernels.
 """
 
 from __future__ import annotations
@@ -100,6 +107,8 @@ from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, PolyPars
 from odelift.diffring import Scalar, parse_poly, poly_terms_doc
 from odelift.diffring import _BASES, _MAX_NESTING, _MAX_SCALE_BITS, _new_key, _raw, _settle
 from odelift.diffring import _slot_order
+from odelift.exprparse import Add, Call, Div, Expr, ExprDomainError, Mul, Neg, Num, Pow, Sub, Var
+from odelift.exprparse import eval_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 
 _P = DiffPoly.symbol(P())
@@ -551,6 +560,69 @@ def ode_json_doc(ode: int | LiftedODE) -> dict:
             {"k": k, "terms": poly_terms_doc(c)} for k, c in enumerate(ode.coeffs)
         ],
     }
+
+
+def _jet(e: Expr, x: np.ndarray, order: int) -> list:
+    if isinstance(e, Num):
+        return _const(e.value, order)
+    if isinstance(e, Var):
+        return [x, 1.0, *[0.0] * order][: order + 1]
+    if isinstance(e, Neg):
+        return [-row for row in _jet(e.arg, x, order)]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        u, v = _jet(e.left, x, order), _jet(e.right, x, order)
+        if isinstance(e, Add):
+            return [a + b for a, b in zip(u, v)]
+        if isinstance(e, Sub):
+            return [a - b for a, b in zip(u, v)]
+        return verify._leibniz(u, v) if isinstance(e, Mul) else verify._quotient(u, v)
+    if isinstance(e, Pow):
+        u = _jet(e.base, x, order)
+        h = verify._power(u, abs(e.exponent))
+        if e.exponent < 0:
+            h = verify._quotient(_const(1.0, order), h)
+        h[0] = u[0] ** e.exponent
+        return h
+    if isinstance(e, Call):
+        u = _jet(e.arg, x, order)
+        if e.func == "ln":  # (ln u)' = u'/u
+            return [np.log(u[0])] + verify._quotient(u[1:], u[:-1])
+        # (exp u)' = exp(u) u', (sin u)' = cos(u) u', (cos u)' = -sin(u) u':
+        # row k+1 of each is row k of a product with the jet u[1:] of u'
+        if e.func == "exp":
+            h = [np.exp(u[0])]
+            for k in range(order):
+                h.append(verify._leibniz_row(h, u[1:], k))
+            return h
+        s, c = [np.sin(u[0])], [np.cos(u[0])]
+        for k in range(order):
+            s.append(verify._leibniz_row(c, u[1:], k))
+            c.append(-verify._leibniz_row(s, u[1:], k))
+        return s if e.func == "sin" else c
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _expr_jet(e: Expr, x: np.ndarray, order: int) -> np.ndarray:
+    """Rows e, e', ..., e^(order) over x, warnings silenced.
+
+    A non-finite entry is re-run through the scalar evaluator at the first
+    offending x, so callers see the precise domain error.
+    """
+    with np.errstate(all="ignore"):  # rows broadcast against x and each other
+        jet = np.array(np.broadcast_arrays(x, *_jet(e, x, order))[1:], dtype=float)
+    finite = np.isfinite(jet).all(axis=0).reshape(-1)
+    if not finite.all():
+        x_bad = float(x.reshape(-1)[int(np.argmin(finite))])
+        eval_expr(e, x_bad)
+        raise ExprDomainError(e, x_bad, "non-finite value")
+    return jet
+
+
+def reference_symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
+    """odelift.verify.symbol_values by the recursive jet walk, p's jet and
+    its domain check first, then q's."""
+    xs = np.asarray(x, dtype=float)
+    return np.stack([_expr_jet(p, xs, upto), _expr_jet(q, xs, upto)], axis=1)
 
 
 def _const(value: float, order: int) -> list:

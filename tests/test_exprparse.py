@@ -7,6 +7,7 @@ import random
 import struct
 import sys
 
+import numpy as np
 import pytest
 
 from odelift import exprparse
@@ -27,6 +28,7 @@ from odelift.exprparse import (
     format_expr,
     parse_expr,
 )
+from odelift.verify import symbol_values
 
 
 def test_parse_and_eval_basic():
@@ -165,6 +167,8 @@ def test_walks_take_the_deepest_trees_from_a_deep_caller():
         for walk in (lambda: eval_expr(tree, 0.5), lambda: format_expr(tree),
                      lambda: eval_expr(diff_expr(tree), 0.5)):
             called_from(300, walk)
+        # the jets of p and q run their post-order program from a list
+        called_from(300, symbol_values, tree, tree, 2, np.linspace(0.25, 0.75, 3))
         # identity and text: two separate parses of one text, never the same object
         assert tree is not twin
         assert called_from(300, repr, tree) == f"parse_expr({format_expr(tree)!r})"

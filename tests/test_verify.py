@@ -15,7 +15,8 @@ import pytest
 
 from odelift import verify
 from odelift.diffring import DiffPoly, P, Q, parse_poly
-from odelift.exprparse import Add, ExprDomainError, Num, Var, diff_expr, eval_expr, parse_expr
+from odelift.exprparse import Add, Call, ExprDomainError, Mul, Neg, Num, Var, _program
+from odelift.exprparse import diff_expr, eval_expr, parse_expr
 from odelift.lifting import LiftedODE, derive_lifted_ode
 from odelift.verify import (
     MAX_BLOCK_FLOATS,
@@ -30,7 +31,7 @@ from odelift.verify import (
 )
 import oracles
 from oracles import eval_exact, majorised_check, modular_residuals, product_block
-from oracles import running_error_ratio
+from oracles import reference_symbol_values, running_error_ratio
 from test_acceptance import COEFFICIENT_PAIRS
 from test_cli import run_fresh
 from test_exprparse import random_tree
@@ -239,6 +240,111 @@ def test_symbol_values_refuse_a_non_expr():
     for p, q in (("x", parse_expr("x")), (parse_expr("x"), 1.0)):
         with pytest.raises(TypeError, match="not an Expr"):
             symbol_values(p, q, 1, 0.5)
+
+
+#: (p, q) pairs whose symbol values are finite on [-1, 1]: every node kind,
+#: -0.0 literals built by hand, exponents -5..13 and 0, nested ln, exp, sin
+#: and cos, p and q that share subtrees or are one another's subtrees, and
+#: the five templates of the benchmark's verify-cold workload.
+SYMBOL_PAIRS = [
+    ("exp(sin(x))/(x+2.25)", "cos(x)/(x+2.25)"),
+    ("cos(x)/(x+2.5)", "ln(x+2.5)/(x+2.125)"),
+    ("sin(2.375*x)", "x"),
+    ("1/(x+2)", "exp(-2.75*x)"),
+    ("x^2", "ln(x+2.625)"),
+    ("0", "-2"),
+    ("-0", "0*x"),
+    (Num(-0.0), Mul(Num(-0.0), Var())),
+    (Add(Num(-0.0), Neg(Num(0.0))), Mul(Num(-0.0), Call("sin", Var()))),
+    ("(x+2)^-5", "(x+2)^-4"),
+    ("(x+3)^-3", "(x-2)^-2"),
+    ("(x+3)^-1", "x^0"),
+    ("x^1", "x^2"),
+    ("x^3", "x^4"),
+    ("x^5 - x^6", "x^7"),
+    ("(sin(x)+2)^8", "x^9"),
+    ("x^10", "(1-x/4)^11"),
+    ("x^12", "(x/2 + cos(x))^13"),
+    ("ln(exp(sin(cos(x))))", "exp(ln(x+3)*cos(sin(x)))"),
+    ("sin(sin(sin(x)))", "cos(cos(cos(x)))"),
+    ("exp(exp(x/2))", "ln(ln(x+4))"),
+    ("ln(x+2)^3 - exp(-x^2)", "cos(ln(x^2+1))*sin(exp(x))"),
+    ("sin(x)*cos(x)", "cos(x) - sin(x)"),
+    ("sin(x^2+1)", "cos(x^2+1)"),
+    ("exp(sin(x))/(x+2)", "exp(sin(x))/(x+2)"),
+    ("sin(x)^2 + cos(x)^2", "cos(x)"),
+    ("x+2", "exp(x+2)/(x+2)"),
+    ("-x + 2*x - x/3", "-(sin(x) - cos(x))*exp(-x)"),
+    ("--x - -0.5", "(x - x) * (x + x) / (2 + x*x)"),
+    ("0.0000001*x + 123456789", "-(-(-(x)))^2"),
+    ("cos(x)*cos(x) - sin(x)*sin(x)", "sin(cos(x)) + cos(sin(x))"),
+]
+
+#: Pairs that raise: a domain error of p or q, a high derivative past the
+#: double range, a tree that is not an Expr, and each of p and q first.
+FAILING_SYMBOL_PAIRS = [
+    ("ln(x-1)", "x"),
+    ("x", "1/x"),
+    ("x^-2", "x"),
+    ("exp(700*x)", "x"),
+    ("x", "exp(700*x)"),
+    ("1/x", "ln(x-1)"),
+    ("exp(sin(x))/x", "cos(x)/x"),
+    (Add(Var(), "x"), "x"),
+    ("x", Add(Var(), "x")),
+]
+
+
+def _symbol_outcome(func, p, q, order, x):
+    """dtype, shape and bytes of func's symbol values, or its error's type
+    and message."""
+    try:
+        got = func(p, q, order, x)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return got.dtype, got.shape, got.tobytes()
+
+
+def _tree(text):
+    return parse_expr(text) if isinstance(text, str) else text
+
+
+@pytest.mark.parametrize(
+    "p, q, fails",
+    [(p, q, False) for p, q in SYMBOL_PAIRS] + [(p, q, True) for p, q in FAILING_SYMBOL_PAIRS],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_symbol_values_are_the_recursive_jets_byte_for_byte(p, q, fails):
+    # one run of the program of p and q against the tree-by-tree recursive
+    # walk it replaced: the same bytes, dtype and shape, or the same error
+    # type and message, on grids through x = 0 and at single points
+    p, q = _tree(p), _tree(q)
+    raised = []
+    for x in (np.linspace(-1.0, 1.0, 1001), np.linspace(-1.0, 1.0, 11), 0.0, 0.5):
+        for order in (0, 3, 7, 12):
+            got = _symbol_outcome(symbol_values, p, q, order, x)
+            assert got == _symbol_outcome(reference_symbol_values, p, q, order, x)
+            raised.append(len(got) == 2)
+    assert any(raised) if fails else not any(raised)
+
+
+def test_one_program_shares_subtrees_and_sine_cosine_pairs(monkeypatch):
+    # exp(sin(x))/(x+2) and cos(x)/(x+2) share x, x+2 and the (sin, cos)
+    # pair of x: 8 entries, and one np.sin and one np.cos call, where the
+    # recursive walk makes two of each
+    p, q = parse_expr("exp(sin(x))/(x+2)"), parse_expr("cos(x)/(x+2)")
+    entries, roots, keys = _program(p, q)
+    assert len(entries) == len(keys) == 8 and roots == [5, 7]
+    calls = []
+    for name in ("sin", "cos"):
+        plain = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda u, name=name, plain=plain: calls.append(name) or plain(u))
+    xs = np.linspace(-1.0, 1.0, 11)
+    got = symbol_values(p, q, 7, xs)
+    assert sorted(calls) == ["cos", "sin"]
+    calls.clear()
+    assert got.tobytes() == reference_symbol_values(p, q, 7, xs).tobytes()
+    assert sorted(calls) == ["cos", "cos", "sin", "sin"]
 
 
 def test_jets_match_symbolic_derivatives():
@@ -589,17 +695,18 @@ def test_basis_check_integrates_once(monkeypatch):
 @pytest.mark.parametrize("m", [1, 3, 8])
 def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
     # p and q on the grid only, to order max(3, m-1): the Taylor steps read
-    # rows 0..3 and the product block rows 0..m-1 of the same jets
+    # rows 0..3 and the product block rows 0..m-1 of the same jets; one run
+    # of the program of p and q gives both
     calls = []
 
-    def counting(e, x, order, plain=verify._expr_jet):
+    def counting(p, q, order, x, plain=verify.symbol_values):
         calls.append((len(x), order))
-        return plain(e, x, order)
+        return plain(p, q, order, x)
 
-    monkeypatch.setattr(verify, "_expr_jet", counting)
+    monkeypatch.setattr(verify, "symbol_values", counting)
     clear_memos()
     assert basis_check(derive_lifted_ode(m), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
-    assert calls == [(1001, max(3, m - 1))] * 2
+    assert calls == [(1001, max(3, m - 1))]
 
 
 @pytest.mark.parametrize("upto", [0, 2, 3, 5])
