@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Iterator, Optional, Sequence
 
-from .diffring import STYLES, Scalar, _symbol, format_poly
+from .diffring import STYLES, Scalar, pack_print_keys, term_writer
 from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
@@ -26,10 +26,8 @@ from .lifting import (
     FixtureFormatError,
     LiftedODE,
     check_against_fixture,
-    derive_lifted_ode,
     derive_print_keys,
     load_fixture,
-    pack_print_keys,
 )
 from .verify import (
     RESIDUAL_TOL,
@@ -46,94 +44,42 @@ __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 def derive_json(ode: LiftedODE) -> str:
     """The `derive --style json` document, written directly one term at a
     time: the bytes that `canonical_json` gives for it as nested dicts and
-    lists.  It packs the equation's monomials into print-layout keys, whose
-    descending int order is the canonical term order, and joins the pieces
-    of the one writer, _derive_json_chunks, which `derive` writes one by
-    one from the keys the recurrence gives.
+    lists.  It packs the equation's coefficients into print-layout keys
+    (odelift.diffring.pack_print_keys) and joins the pieces of the writer
+    `derive` uses, _derive_chunks.
     """
-    return "".join(_derive_json_chunks(*pack_print_keys(ode)))
+    return "".join(_derive_chunks("json", ode.m, *pack_print_keys(ode.coeffs)))
 
 
-def _derive_json_chunks(
-    m: int, coeffs: Sequence[dict[int, Scalar]], width: int, field: int
+def _derive_chunks(
+    style: str, m: int, coeffs: Sequence[dict[int, Scalar]], width: int, field: int
 ) -> Iterator[str]:
-    """The derive_json document one term at a time: the head, then for each
-    coefficient its opening up to `"terms": [`, each term's text with its
-    leading separator, and its close, then the tail.  A caller that writes
-    each piece as it comes holds one term's text at a time, never a whole
+    """The derive document in ``style``, one term at a time, for c_0 .. c_m
+    on print-layout keys.  The terms' texts are odelift.diffring.term_writer's;
+    this is only the frame around them.  Plain and LaTeX write a `c_k = `
+    line per coefficient, c_m first; every derived c_k has terms, so no
+    line is left empty.  JSON writes its head, then for each
+    coefficient, c_0 first, its opening up to `"terms": [` and its close,
+    then its tail, with no newline after it.  A caller that writes each
+    piece as it comes holds one term's text at a time, never a whole
     coefficient or the document.
-
-    ``coeffs`` are c_0 .. c_m on print-layout keys (odelift.lifting):
-    the degree in the top field, then the exponents of p, ..., p^(width-1)
-    and of q, ..., q^(width-1), ``field`` bytes each.  So a
-    coefficient's keys sorted as plain ints, descending and in C, list its
-    terms in DiffPoly.sorted_terms' graded-lex order, and each factor is
-    read from the key's bytes, with no Monomial built.  The equation
-    repeats a few dozen distinct factors thousands of times, and a few
-    hundred distinct p and q halves of keys, so each (slot, exponent)
-    factor's text is formatted once per call, by _factor_json, and each
-    half's text is joined once per call, in tables that are local to the
-    call and dropped with it.
     """
-    mid = field * (width + 1)  # the p half is bytes field..mid of a key, the q half the rest
-    size = mid + field * width
-    factors: dict[tuple[int, int], str] = {}
-    p_texts: dict[bytes, str] = {}
-    q_texts: dict[bytes, str] = {}
-
-    def half_text(half: bytes, base: int) -> str:
-        texts = []
-        # one-byte fields, those of every derived equation, are the exponents as they stand
-        exps = half if field == 1 else [
-            int.from_bytes(half[i : i + field], "big") for i in range(0, len(half), field)
-        ]
-        for j, exp in enumerate(exps):
-            if exp:
-                slot = 2 * j + base
-                text = factors.get((slot, exp))
-                if text is None:
-                    text = factors[slot, exp] = _factor_json(slot, exp)
-                texts.append(text)
-        return ",\n".join(texts)
-
+    write_terms = term_writer(width, field, style)
+    if style != "json":
+        label = "c_{%d} = " if style == "latex" else "c_%d = "
+        for k in range(m, -1, -1):
+            yield label % k
+            yield from write_terms(coeffs[k])
+            yield "\n"
+        return
     yield '{\n  "coeffs": [\n'
     comma = ""
     for k, terms in enumerate(coeffs):
         yield f'{comma}    {{\n      "k": {k},\n      "terms": ['
-        sep = "\n"
-        for key in sorted(terms, reverse=True):
-            coeff = terms[key]
-            exps = key.to_bytes(size, "big")
-            p, q = exps[field:mid], exps[mid:]
-            p_text = p_texts.get(p)
-            if p_text is None:
-                p_text = p_texts[p] = half_text(p, 0)
-            q_text = q_texts.get(q)
-            if q_text is None:
-                q_text = q_texts[q] = half_text(q, 1)
-            if p_text and q_text:
-                monomial = f"[\n{p_text},\n{q_text}\n          ]"
-            elif p_text or q_text:
-                monomial = f"[\n{p_text}{q_text}\n          ]"
-            else:
-                monomial = "[]"
-            yield (
-                f'{sep}        {{\n          "den": "{coeff.denominator}",\n'
-                f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
-            )
-            sep = ",\n"
+        yield from write_terms(terms)
         yield "\n      ]\n    }" if terms else "]\n    }"
         comma = ",\n"
     yield f'\n  ],\n  "m": {m},\n  "monic": true\n}}'
-
-
-def _factor_json(slot: int, exp: int) -> str:
-    """One factor of a monomial in derive_json, at its nesting."""
-    sym = _symbol(slot)
-    return (
-        f'            {{\n              "exp": {exp},\n              "order": {sym.order},\n'
-        f'              "sym": "{sym.base}"\n            }}'
-    )
 
 
 def canonical_json(doc) -> str:
@@ -253,14 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_derive(args) -> int:
+    sys.stdout.writelines(_derive_chunks(args.style, *derive_print_keys(args.m)))
     if args.style == "json":
-        sys.stdout.writelines(_derive_json_chunks(*derive_print_keys(args.m)))
         print()
-        return 0
-    ode = derive_lifted_ode(args.m)
-    label = "c_{%d}" if args.style == "latex" else "c_%d"
-    for k in range(args.m, -1, -1):
-        print(f"{label % k} = {format_poly(ode.coeffs[k], args.style)}")
     return 0
 
 

@@ -23,10 +23,21 @@ degree, ties broken by comparing exponents along the symbol order
 p < p' < p'' < ... < q < q' < ...  This order is only a printing
 convention; the ring operations do not depend on it.
 
+Every printer runs on print-layout keys.  pack_print_keys packs term maps
+into ints that hold the degree in the top field and then every exponent,
+p's orders before q's, so that descending int order is sorted_terms'
+order; odelift.lifting derives `derive`'s equation on such keys directly.
+term_writer is the one term loop: it sorts a term map's keys as ints and
+writes each term from its key's fields, formatting each distinct factor
+and each distinct p or q half once per writer.  format_poly, and so the
+repr of a DiffPoly or a Monomial, and `derive` in plain, LaTeX and JSON
+all print through it; only the leaves, the factor text, the join and
+how a coefficient is written, differ by style.
+
 The module ships what the tool runs: the ring operations (the table
 check subtracts a line that differs from the derived coefficient, and an
 explicit LiftedODE may be built by arithmetic), DiffPoly.eval for the
-coefficients verify evaluates, parsing, and plain/LaTeX printing.
+coefficients verify evaluates, parsing, and printing.
 parse_poly does no ring arithmetic: it reads a table line in one pass
 into one term map, so a line costs time and memory in proportion to its
 length.  The pass reads whitespace, signs, operators, symbols and
@@ -36,15 +47,16 @@ PolyParseError gives the message and position that a token scanner
 reading one token ahead would.  The derivation runs on packed keys in
 odelift.lifting.  The ring-level derivation, the exact evaluator and
 that token scanner, which only tests need, are references in
-tests/oracles.py.
+tests/oracles.py, and so is the term-by-term printer that sorts Monomials
+with a Python key.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Union
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -108,18 +120,6 @@ def _slot_order(n: int) -> tuple[int, ...]:
     return (*range(0, n, 2), *range(1, n, 2))
 
 
-def _order_key(mono: "Monomial", width: int) -> tuple:
-    """Graded-lex key: degree, p-exponents padded to ``width``, q-exponents.
-
-    Keys of monomials with at most 2*width slots compare in graded-lex
-    order.  The q-exponents need no padding: they come last, and two
-    distinct monomials with equal degree and p-exponents differ at a
-    q-slot that both keys hold.
-    """
-    p_exps = mono[0::2]
-    return sum(mono), p_exps + (0,) * (width - len(p_exps)), mono[1::2]
-
-
 class Monomial(tuple):
     """A product of symbol powers; the empty product is the monomial 1.
 
@@ -153,7 +153,7 @@ class Monomial(tuple):
         return tuple((_symbol(s), e) for s, e in _factor_slots(self))
 
     def __repr__(self) -> str:
-        return _monomial_text(self, latex=False) if self else "1"
+        return format_poly(_raw({self: 1}))
 
 
 _new_key = tuple.__new__
@@ -311,11 +311,10 @@ class DiffPoly:
         return (max(map(len, self.terms), default=0) - 1) >> 1
 
     def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in descending canonical monomial order."""
-        width = (max(map(len, self.terms), default=0) + 1) >> 1
-        return sorted(
-            self.terms.items(), key=lambda t: _order_key(t[0], width), reverse=True
-        )
+        """Terms in descending canonical monomial order: that of their
+        print-layout keys (pack_print_keys)."""
+        (keys,), _, _ = pack_print_keys((self,))
+        return [term for _, term in sorted(zip(keys, self.terms.items()), reverse=True)]
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffPoly):
@@ -561,9 +560,11 @@ def _token_kind(text: str, i: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Formatting
+# Printing
 # ---------------------------------------------------------------------------
 
+#: The styles of format_poly.  `derive --style json` writes a third, "json",
+#: through the same term loop.
 STYLES = ("plain", "latex")
 
 
@@ -571,49 +572,155 @@ def format_poly(poly: DiffPoly, style: str = "plain") -> str:
     """Render a DiffPoly deterministically (descending canonical term order).
 
     ``plain`` round-trips through parse_poly; ``latex`` mirrors prime
-    notation with implicit multiplication.  Both walk the terms alike and
-    differ only in how a fraction and a monomial are written.
+    notation with implicit multiplication.  The text is term_writer's, over
+    the polynomial's print-layout keys, and "0" for the zero polynomial.
     """
     if style not in STYLES:
         raise ValueError(f"unknown style {style!r}; expected one of {STYLES}")
-    if not poly.terms:
-        return "0"
-    latex = style == "latex"
-    pieces: list[str] = []
-    for mono, coeff in poly.sorted_terms():
-        mag = abs(coeff)
-        if mag.denominator == 1:
-            body = str(mag.numerator)
-        elif latex:
-            body = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            body = f"{mag.numerator}/{mag.denominator}"
-        if not mono:
-            text = body
-        elif body == "1":
-            text = _monomial_text(mono, latex)
-        else:
-            text = body + ("" if latex else "*") + _monomial_text(mono, latex)
-        if pieces:
-            pieces.append(f" {'-' if coeff < 0 else '+'} {text}")
-        else:
-            pieces.append(f"-{text}" if coeff < 0 else text)
-    return "".join(pieces)
+    (terms,), width, field = pack_print_keys((poly,))
+    return "".join(term_writer(width, field, style)(terms)) or "0"
 
 
-def _monomial_text(mono: Monomial, latex: bool) -> str:
-    """A monomial other than 1, as p^2*q' in plain text or p^{2}q' in LaTeX."""
-    if not latex:
-        return "*".join(s.name + (f"^{e}" if e > 1 else "") for s, e in mono.factors)
-    parts = []
-    for sym, exp in mono.factors:
-        text = sym.latex()
-        if exp > 1:
-            # Primed symbols need bracing so the power binds to the whole
-            # symbol, as in {p'}^2.
-            text = f"{{{text}}}^{{{exp}}}" if sym.order else f"{text}^{{{exp}}}"
-        parts.append(text)
-    return "".join(parts)
+def pack_print_keys(polys: Sequence[DiffPoly]) -> tuple[tuple[dict[int, Scalar], ...], int, int]:
+    """(coeffs, width, field): the term maps of ``polys`` on print-layout
+    keys, in the same insertion order.
+
+    A print-layout key holds, from its most significant field down, the
+    monomial's degree, the exponents of p, p', ..., p^(width-1), then those
+    of q, q', ..., q^(width-1), ``field`` bytes each.  ``width`` is what the
+    highest derivative order of ``polys`` needs, and ``field`` what their
+    largest degree, which bounds every exponent, needs, so no field carries
+    and a key's int order is the order of its fields read from the top:
+    descending int order is the graded-lex order of sorted_terms.
+    odelift.lifting.derive_print_keys steps the recurrence on these keys,
+    with one-byte fields.
+    """
+    monos = [mono for poly in polys for mono in poly.terms]
+    width = max(((len(mono) + 1) >> 1 for mono in monos), default=0)
+    field = max((max(map(sum, monos), default=0).bit_length() + 7) >> 3, 1)
+    bits = 8 * field
+
+    def pack(mono: Monomial) -> int:
+        key = sum(mono)
+        for exps in (mono[0::2], mono[1::2]):
+            for e in exps:
+                key = key << bits | e
+            key <<= bits * (width - len(exps))
+        return key
+
+    coeffs = tuple({pack(mono): c for mono, c in poly.terms.items()} for poly in polys)
+    return coeffs, width, field
+
+
+def term_writer(width: int, field: int, style: str) -> Callable[[dict], Iterator[str]]:
+    """The term loop of every printer: a function that gives, for a term map
+    on print-layout keys of ``width`` and ``field`` bytes (pack_print_keys),
+    the text of each term with its leading separator, in ``style`` "plain",
+    "latex" or "json".  A zero polynomial has no term and so no text.
+
+    It sorts the keys as plain ints, descending and in C, which lists the
+    terms in sorted_terms' graded-lex order, and reads each factor from the
+    key's bytes, with no Monomial built.  An equation repeats a few dozen
+    distinct factors thousands of times, and a few hundred distinct p and
+    q halves of keys, so each (slot, exponent) factor's text is formatted
+    once per writer, by _factor_text, and each half's text is joined once
+    per writer, in tables the writer holds and drops with it.  Only the
+    leaves differ by style: the factor text, how factors join ('*',
+    nothing, or the JSON list's separator), and how a term is written
+    from its coefficient and halves (_text_term, _json_term).
+    """
+    join, term = _LEAVES[style]
+    half_size = field * width
+    bits = 8 * half_size  # the q half is the low `bits` of a key, the p half the next
+    mask = (1 << bits) - 1
+    factors: dict[tuple[int, int], str] = {}
+    p_texts: dict[int, str] = {}
+    q_texts: dict[int, str] = {}
+
+    def half_text(half: int, base: int) -> str:
+        exps = half.to_bytes(half_size, "big")
+        if field > 1:
+            exps = [int.from_bytes(exps[i : i + field], "big") for i in range(0, half_size, field)]
+        texts = []
+        for j, exp in enumerate(exps):
+            if exp:
+                slot = 2 * j + base
+                text = factors.get((slot, exp))
+                if text is None:
+                    text = factors[slot, exp] = _factor_text(style, slot, exp)
+                texts.append(text)
+        text = (q_texts if base else p_texts)[half] = join.join(texts)
+        return text
+
+    def write(terms: dict) -> Iterator[str]:
+        first = True
+        for key in sorted(terms, reverse=True):
+            p, q = key >> bits & mask, key & mask
+            p_text = p_texts.get(p)
+            if p_text is None:
+                p_text = half_text(p, 0)
+            q_text = q_texts.get(q)
+            if q_text is None:
+                q_text = half_text(q, 1)
+            yield term(terms[key], p_text, q_text, first)
+            first = False
+
+    return write
+
+
+def _factor_text(style: str, slot: int, exp: int) -> str:
+    """One factor, symbol ``slot`` to the power ``exp``, in ``style``: p'^2
+    in plain text, {p'}^{2} in LaTeX, or its JSON object at its nesting in
+    the derive document."""
+    sym = _symbol(slot)
+    if style == "json":
+        return (
+            f'            {{\n              "exp": {exp},\n              "order": {sym.order},\n'
+            f'              "sym": "{sym.base}"\n            }}'
+        )
+    if style == "plain":
+        return sym.name + (f"^{exp}" if exp > 1 else "")
+    if exp == 1:
+        return sym.latex()
+    # a primed symbol is braced so that the power binds to all of it, as in {p'}^{2}
+    return f"{{{sym.latex()}}}^{{{exp}}}" if sym.order else f"{sym.latex()}^{{{exp}}}"
+
+
+def _text_term(frac: str, mul: str, coeff: Scalar, p_text: str, q_text: str, first: bool) -> str:
+    """The term leaf of plain text (``frac`` '%d/%d', ``mul`` '*') or of
+    LaTeX: the coefficient's magnitude, left out where it is 1 before a
+    monomial, then the monomial's p and q halves, behind the sign, '-' or
+    nothing for the first term and ' - ' or ' + ' after it."""
+    mono = p_text + mul + q_text if p_text and q_text else p_text or q_text
+    mag = -coeff if coeff < 0 else coeff
+    body = str(mag.numerator) if mag.denominator == 1 else frac % (mag.numerator, mag.denominator)
+    text = body if not mono else mono if body == "1" else body + mul + mono
+    if first:
+        return "-" + text if coeff < 0 else text
+    return (" - " if coeff < 0 else " + ") + text
+
+
+def _json_term(coeff: Scalar, p_text: str, q_text: str, first: bool) -> str:
+    """The term leaf of the derive document: one term's JSON object, its
+    numerator and denominator as strings and its monomial's p and q halves
+    in one list, behind the list's separator."""
+    sep = "\n" if first else ",\n"
+    if p_text and q_text:
+        monomial = f"[\n{p_text},\n{q_text}\n          ]"
+    else:
+        monomial = f"[\n{p_text}{q_text}\n          ]" if p_text or q_text else "[]"
+    return (
+        f'{sep}        {{\n          "den": "{coeff.denominator}",\n'
+        f'          "monomial": {monomial},\n          "num": "{coeff.numerator}"\n        }}'
+    )
+
+
+#: style -> (how a half's factors join, the term leaf).
+_LEAVES = {
+    "plain": ("*", partial(_text_term, "%d/%d", "*")),
+    "latex": ("", partial(_text_term, "\\frac{%d}{%d}", "")),
+    "json": (",\n", _json_term),
+}
 
 
 def poly_terms_doc(poly: DiffPoly) -> list[dict]:

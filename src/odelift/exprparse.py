@@ -20,13 +20,14 @@ has room on the interpreter's stack.
 Trees are immutable and own their identity and their text.  _program lists
 the distinct subtrees of one or more trees in post-order, from a stack,
 each keyed by its node type, the program indices of its children and every
-other value by repr.  Those keys are a tree's identity: == compares two
-trees node for node and every other value by repr, so -0.0 is not 0.0,
-and hash agrees with it.  odelift.verify runs the program of p and q once
-for both, so a subtree they share is evaluated once.  repr is the
-parse_expr call of format_expr's text, one frame per level like every
-other walk.  Every finite literal prints in positional form with repr's
-shortest digits and parses back to itself.
+other value by repr.  Those keys are a tree's identity, computed once per
+tree and held by its root: == compares two trees node for node and every
+other value by repr, so -0.0 is not 0.0, and hash agrees with it.
+odelift.verify runs the program of p and q once for both, so a subtree
+they share is evaluated once.  repr is the parse_expr call of
+format_expr's text, one frame per level like every other walk.  Every
+finite literal prints in positional form with repr's shortest digits and
+parses back to itself.
 
 Every odelift command imports this module first, so no class in it is made
 from generated code: each node writes out its own __init__, and _Node
@@ -79,19 +80,28 @@ class _Node:
 
     Two trees are == when they agree node for node and in every other
     value, literals included, by repr, so Num(-0.0) != Num(0.0) and
-    Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  == runs the _program
-    of both trees and compares their roots, which are one entry just when
-    the trees agree, and hash hashes the keys of the tree's own _program.
+    Num(-2.0) != Neg(Num(2.0)); hash agrees with ==.  Each tree's root
+    holds the keys of its own _program once it is first compared or
+    hashed; == compares two trees' keys, which are equal just when the
+    trees agree, and hash hashes them.
     repr is the parse_expr call of format_expr's text, one frame per tree
     level.  Setting or deleting an attribute raises FrozenInstanceError; a
     node's own __init__ sets its fields with object.__setattr__.
     """
 
+    #: The keys of the node's own _program, set on the first == or hash.  A
+    #: slot, so neither vars() nor dataclasses.fields lists it.
+    __slots__ = ("_keys",)
+
     def __eq__(self, other):
-        return operator.eq(*_program(self, other)[1]) if isinstance(other, _Node) else NotImplemented
+        return _keys(self) == _keys(other) if isinstance(other, _Node) else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(_program(self)[2])
+        return hash(_keys(self))
+
+    def __getstate__(self):
+        # the held keys are no part of a copy's state: the copy computes its own
+        return vars(self)
 
     def __repr__(self) -> str:
         return f"parse_expr({format_expr(self)!r})"
@@ -137,6 +147,14 @@ def _program(*trees) -> tuple:
 
 #: Sets a field from a node's own __init__, past _Node.__setattr__.
 _set = object.__setattr__
+
+
+def _keys(tree: _Node) -> tuple:
+    """The keys of the tree's own _program, computed once and held by its
+    root: the tree is immutable, so they cannot go stale."""
+    if not hasattr(tree, "_keys"):
+        _set(tree, "_keys", _program(tree)[2])
+    return tree._keys
 
 
 class _Binary(_Node):

@@ -13,34 +13,31 @@ coefficients are integer polynomials in the ring of `diffring`: no solve,
 no division.
 
 The recurrence runs on packed integer keys rather than on DiffPoly
-arithmetic.  A monomial's exponent tuple (slot 2k is p^(k), slot 2k+1 is
-q^(k), as in `diffring`) is packed into one int with one byte per slot,
-slot 0 lowest.  Giving p^(k) the weight k+1 and q^(k) the weight k+2,
-entry k of L_i is homogeneous of weight i-k <= m+1, and every symbol
-weighs at least 1, so no exponent exceeds m+1 <= MAX_DERIVE_M+1 < 256: a
-slot never carries into or borrows from its neighbour, and adding keys
-adds exponent tuples.  Multiplying by p is key + 1, multiplying by q is
-key + (1 << 8), and the derivation moves one unit of exponent from slot s
-to slot s+2.  A byte rather than the fewest bits that hold m+1 lets
-int.to_bytes unpack a key into its exponents in C: the derivation reads
-them that way once per distinct key, and the keys become Monomials the
-same way, once, at the end.  This slot layout is the one
-derive_lifted_ode uses.
+arithmetic, in either of two layouts.  In the slot layout, the one
+derive_lifted_ode and so the library use, a monomial's exponent tuple
+(slot 2k is p^(k), slot 2k+1 is q^(k), as in `diffring`) is packed into
+one int with one byte per slot, slot 0 lowest.  Giving p^(k) the weight
+k+1 and q^(k) the weight k+2, entry k of L_i is homogeneous of weight
+i-k <= m+1, and every symbol weighs at least 1, so no exponent exceeds
+m+1 <= MAX_DERIVE_M+1 < 256: a slot never carries into or borrows from
+its neighbour, and adding keys adds exponent tuples.  Multiplying by p is
+key + 1, multiplying by q is key + (1 << 8), and the derivation moves one
+unit of exponent from slot s to slot s+2.  A byte rather than the fewest
+bits that hold m+1 lets int.to_bytes unpack a key into its exponents in
+C: the derivation reads them that way once per distinct key, and the
+keys become Monomials the same way, once, at the end.
 
-The same recurrence also runs on a second layout, in print order, for
-`derive --style json`: derive_print_keys.  Byte 0, the most significant,
-holds the degree, then come the exponents of p, p', ..., p^(W-1), then
-those of q, q', ..., q^(W-1), one byte each, with W = m+1.  The degree and
-every exponent stay at most m+1 < 256 here too, so no byte carries, and
-a key's int order is the order of its bytes read from the top: descending
-int order is the graded-lex order of DiffPoly.sorted_terms.  The JSON
-writer therefore sorts each coefficient's keys as plain ints, in C, and
-reads the factors straight from the key's bytes, with no Monomial and no
-Python sort key.  Multiplying by p adds 1 to the degree byte and to the p
-byte, multiplying by q to the degree byte and to the q byte, and the
-derivation moves one unit from a byte to the next one, order k to k+1.
-pack_print_keys puts any LiftedODE in the same layout, with fields as wide
-as its largest degree needs.
+The print layout, derive_print_keys, is the one `derive` prints from in
+every style: the layout of diffring.pack_print_keys with one-byte fields,
+the degree in the top byte, then the exponents of p, p', ..., p^(W-1),
+then those of q, q', ..., q^(W-1), with W = m+1.  The degree and every
+exponent stay at most m+1 < 256 here too, so no byte carries, and
+descending int order is the printed term order: diffring.term_writer
+sorts each coefficient's keys as plain ints and reads the factors from
+the keys, with no Monomial built.  Multiplying by p adds 1 to the degree
+byte and to the p byte, multiplying by q to the degree byte and to the q
+byte, and the derivation moves one unit from a byte to the next one,
+order k to k+1.
 
 No term ever cancels.  Every term of every entry of every L_i has the sign
 (-1)^degree, the degree being the sum of the monomial's exponents (m=4:
@@ -78,7 +75,6 @@ from .diffring import (
     DiffPoly,
     Monomial,
     PolyParseError,
-    Scalar,
     _new_key,
     _raw,
     _slot_order,
@@ -94,9 +90,9 @@ FIXTURE_ORDERS = (2, 3, 4, 5)
 #: The largest m derive_lifted_ode accepts.  Terms, time and memory about
 #: double every two steps of m, and the live term count after each step does
 #: not depend on m, so the limit is set on m itself, before the first step:
-#: m=28 gives 434 624 terms, and a `derive -m 28` process took 11.0-12.7 s
-#: (7.6-8.1 s with --style json) and peaked at 265 MB (306 MB with --style
-#: json), with Python 3.11 on a shared 2-vCPU machine.
+#: m=28 gives 434 624 terms, and a `derive -m 28` process took 4.8-5.8 s
+#: and peaked at 305 MB in every style, printing from print-layout keys,
+#: with Python 3.11 on a shared 2-vCPU machine.
 MAX_DERIVE_M = 28
 
 
@@ -163,27 +159,6 @@ def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int
         m, max((k for k in range(width) if used[1 + k] or used[1 + width + k]), default=-1)
     )
     return m, coeffs, width, 1
-
-
-def pack_print_keys(ode: LiftedODE) -> tuple[int, tuple[dict[int, Scalar], ...], int, int]:
-    """(m, coeffs, width, field) of any equation, as derive_print_keys
-    gives them: its coefficients on print-layout keys of the width its
-    highest derivative order needs, with fields of as many bytes as its
-    largest degree, which bounds every exponent, needs."""
-    monos = [mono for c in ode.coeffs for mono in c.terms]
-    width = max(((len(mono) + 1) >> 1 for mono in monos), default=0)
-    bits = 8 * max((max(map(sum, monos), default=0).bit_length() + 7) >> 3, 1)
-
-    def pack(mono: Monomial) -> int:
-        key = sum(mono)
-        for exps in (mono[0::2], mono[1::2]):
-            for e in exps:
-                key = key << bits | e
-            key <<= bits * (width - len(exps))
-        return key
-
-    coeffs = tuple({pack(mono): c for mono, c in poly.terms.items()} for poly in ode.coeffs)
-    return ode.m, coeffs, width, bits >> 3
 
 
 def _slot_layout(m: int) -> tuple:

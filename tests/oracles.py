@@ -47,6 +47,14 @@ numbers, both coefficients of products of geometric series.
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
+The term-by-term printer `reference_format_poly`, which sorts a DiffPoly's
+Monomials with a graded-lex Python key and writes each monomial from its
+factors, is the reference for odelift.diffring.format_poly, which sorts
+print-layout keys as ints and formats each distinct factor once per call
+(term_writer): both must give the same text, byte for byte, in both
+styles.  `reference_derive_text` is `derive`'s plain or LaTeX output
+printed that way from derive_lifted_ode.
+
 The product block built term by term, every power jet of f and of g on its
 own from the constant-1 jet up and every column as its own Leibniz product
 of two power jets, is the oracle for odelift.verify.product_derivatives,
@@ -560,6 +568,76 @@ def ode_json_doc(ode: int | LiftedODE) -> dict:
             {"k": k, "terms": poly_terms_doc(c)} for k, c in enumerate(ode.coeffs)
         ],
     }
+
+
+def _order_key(mono: Monomial, width: int) -> tuple:
+    """Graded-lex key: degree, p-exponents padded to ``width``, q-exponents.
+
+    Keys of monomials with at most 2*width slots compare in graded-lex
+    order.  The q-exponents need no padding: they come last, and two
+    distinct monomials with equal degree and p-exponents differ at a
+    q-slot that both keys hold.
+    """
+    p_exps = mono[0::2]
+    return sum(mono), p_exps + (0,) * (width - len(p_exps)), mono[1::2]
+
+
+def reference_format_poly(poly: DiffPoly, style: str = "plain") -> str:
+    """format_poly's text, written term by term from the sorted Monomials."""
+    if not poly.terms:
+        return "0"
+    latex = style == "latex"
+    width = (max(map(len, poly.terms), default=0) + 1) >> 1
+    pieces: list[str] = []
+    for mono, coeff in sorted(
+        poly.terms.items(), key=lambda t: _order_key(t[0], width), reverse=True
+    ):
+        mag = abs(coeff)
+        if mag.denominator == 1:
+            body = str(mag.numerator)
+        elif latex:
+            body = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            body = f"{mag.numerator}/{mag.denominator}"
+        if not mono:
+            text = body
+        elif body == "1":
+            text = reference_monomial_text(mono, latex)
+        else:
+            text = body + ("" if latex else "*") + reference_monomial_text(mono, latex)
+        if pieces:
+            pieces.append(f" {'-' if coeff < 0 else '+'} {text}")
+        else:
+            pieces.append(f"-{text}" if coeff < 0 else text)
+    return "".join(pieces)
+
+
+def reference_monomial_text(mono: Monomial, latex: bool = False) -> str:
+    """A monomial other than 1, as p^2*q' in plain text or p^{2}q' in LaTeX."""
+    if not latex:
+        return "*".join(s.name + (f"^{e}" if e > 1 else "") for s, e in mono.factors)
+    parts = []
+    for sym, exp in mono.factors:
+        text = sym.latex()
+        if exp > 1:
+            # Primed symbols need bracing so the power binds to the whole
+            # symbol, as in {p'}^2.
+            text = f"{{{text}}}^{{{exp}}}" if sym.order else f"{text}^{{{exp}}}"
+        parts.append(text)
+    return "".join(parts)
+
+
+def reference_derive_text(ode: int | LiftedODE, style: str) -> str:
+    """The `derive` document in plain or LaTeX for ``ode``, or for the
+    derived equation when ``ode`` is the power m: a `c_k = ` line per
+    coefficient, c_m first."""
+    if isinstance(ode, int):
+        ode = derive_lifted_ode(ode)
+    label = "c_{%d}" if style == "latex" else "c_%d"
+    return "".join(
+        f"{label % k} = {reference_format_poly(ode.coeffs[k], style)}\n"
+        for k in range(ode.m, -1, -1)
+    )
 
 
 def _jet(e: Expr, x: np.ndarray, order: int) -> list:

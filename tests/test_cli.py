@@ -12,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from odelift import cli, lifting
+from odelift import cli, diffring, lifting
 from odelift.cli import canonical_json, derive_json, main
-from odelift.diffring import DiffPoly, Monomial, P, Q
+from odelift.diffring import DiffPoly, Monomial, P, Q, pack_print_keys
 from odelift.lifting import LiftedODE, derive_lifted_ode
-from oracles import ode_json_doc
+from oracles import ode_json_doc, reference_derive_text
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 FIXTURE_DIR = SRC_DIR / "odelift" / "fixtures"
@@ -132,12 +132,24 @@ def test_streamed_derive_json_is_the_library_document(m, capsys):
     assert time.perf_counter() - start < 60
 
 
+@pytest.mark.parametrize(
+    "m", [*range(15, 21), pytest.param(24, marks=pytest.mark.large(seconds=60))]
+)
+@pytest.mark.parametrize("style", ["plain", "latex"])
+def test_streamed_derive_text_is_the_reference_printers(style, m, capsys):
+    # past the digests' m = 14, plain and LaTeX are the text of the
+    # term-by-term printer over derive_lifted_ode, byte for byte
+    code, out, _ = run(["derive", "-m", str(m), "--style", style], capsys)
+    assert code == 0
+    assert_same_text(out, reference_derive_text(m, style))
+
+
 @pytest.mark.parametrize("m", range(1, 15))
 def test_derive_json_pieces_hold_at_most_one_term(m):
     # derive writes the document a term at a time, so it never holds a
     # whole coefficient's text; the pieces join to derive_json's text
     ode = derive_lifted_ode(m)
-    pieces = list(cli._derive_json_chunks(*lifting.derive_print_keys(m)))
+    pieces = list(cli._derive_chunks("json", *lifting.derive_print_keys(m)))
     assert max(piece.count('"num"') for piece in pieces) == 1
     assert len(pieces) == 2 + 2 * (m + 1) + sum(len(c.terms) for c in ode.coeffs)
     assert_same_text("".join(pieces), derive_json(ode))
@@ -240,21 +252,42 @@ def test_derive_json_keeps_no_factor_between_calls():
             assert_same_text(derive_json(ode), canonical_json(ode_json_doc(ode)))
 
 
-def test_derive_json_formats_each_factor_once_per_call(monkeypatch):
+@pytest.mark.parametrize("style", ["plain", "latex", "json"])
+def test_derive_formats_each_factor_once_per_call(style, monkeypatch):
     calls = []
 
-    def counting(slot, exp, plain=cli._factor_json):
+    def counting(style, slot, exp, plain=diffring._factor_text):
         calls.append((slot, exp))
-        return plain(slot, exp)
+        return plain(style, slot, exp)
 
-    monkeypatch.setattr(cli, "_factor_json", counting)
+    monkeypatch.setattr(diffring, "_factor_text", counting)
     ode = derive_lifted_ode(8)
     factors = [(s, e) for c in ode.coeffs for mono in c.terms for s, e in enumerate(mono) if e]
     assert len(factors) > 10 * len(set(factors))
+    if style == "json":
+        write, want = derive_json, canonical_json(ode_json_doc(ode))
+    else:
+        write = lambda ode: "".join(cli._derive_chunks(style, ode.m, *pack_print_keys(ode.coeffs)))
+        want = reference_derive_text(ode, style)
     for _ in range(2):  # a second call formats them again: no table outlives a call
         calls.clear()
-        assert_same_text(derive_json(ode), canonical_json(ode_json_doc(ode)))
+        assert_same_text(write(ode), want)
         assert sorted(calls) == sorted(set(factors))
+
+
+@pytest.mark.parametrize("style", ["plain", "latex", "json"])
+def test_derive_builds_neither_the_slot_layout_equation_nor_a_monomial(style, monkeypatch, capsys):
+    # every style prints from the print-layout keys derive_print_keys gives
+    def refused(*args, **kwargs):
+        raise AssertionError("derive called derive_lifted_ode or Monomial()")
+
+    monkeypatch.setattr(lifting, "derive_lifted_ode", refused)
+    monkeypatch.setattr(cli, "derive_lifted_ode", refused, raising=False)
+    monkeypatch.setattr(Monomial, "__new__", refused)
+    code, out, _ = run(["derive", "-m", "6", "--style", style], capsys)
+    assert code == 0
+    digests = {"plain": DERIVE_PLAIN_SHA256, "latex": DERIVE_LATEX_SHA256}
+    assert hashlib.sha256(out.encode()).hexdigest() == digests.get(style, DERIVE_JSON_SHA256)[6]
 
 
 def test_derive_json_refuses_an_order_above_the_bound(monkeypatch, capsys):
@@ -612,8 +645,8 @@ def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
 def test_verify_takes_the_coefficients_from_the_recurrence(monkeypatch, capsys):
     # verify neither derives the equation nor evaluates a polynomial
     calls = []
-    for owner in (cli, lifting):
-        monkeypatch.setattr(owner, "derive_lifted_ode", lambda m: calls.append(m))
+    for owner in (cli, lifting):  # cli imports it no more, but must not call it either
+        monkeypatch.setattr(owner, "derive_lifted_ode", lambda m: calls.append(m), raising=False)
     monkeypatch.setattr(DiffPoly, "eval", lambda self, *a: calls.append(self))
     code, out, _ = run(["verify", "-m", "8", "--p", "sin(x)", "--q", "x"], capsys)
     assert code == 0 and out.endswith("-> PASS\n")

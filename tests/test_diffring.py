@@ -22,6 +22,7 @@ from odelift.diffring import (
     Monomial,
     P,
     PolyParseError,
+    STYLES,
     Q,
     format_poly,
     parse_poly,
@@ -30,6 +31,8 @@ from odelift.diffring import (
 from odelift.lifting import FIXTURE_ORDERS, LiftedODE, derive_lifted_ode, load_fixture
 from odelift.lifting import _bundled_tables
 from oracles import derive, eval_exact, parse_corpus, parse_disagreements, reference_parse_poly
+from oracles import reference_format_poly, reference_monomial_text
+from test_cli import EDGE_ODES
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
 # different lengths; low orders come up often enough to collide and cancel.
@@ -580,6 +583,68 @@ def test_format_unknown_style():
     for style in ("yaml", "json"):
         with pytest.raises(ValueError):
             format_poly(DiffPoly.zero(), style)
+
+
+#: Polynomials at the printers' edges: zero and constants, coefficients
+#: +-1 and negative fractions, orders written (iv) and (n) in LaTeX, a
+#: primed symbol squared, and exponents and degrees past 255, whose
+#: print-layout fields take two bytes.
+FORMAT_EDGES = [
+    DiffPoly.zero(),
+    DiffPoly.const(1),
+    DiffPoly.const(-1),
+    DiffPoly.const(Fraction(-3, 7)),
+    DiffPoly.const(-(10**30)),
+    parse_poly("p - q + 1"),
+    parse_poly("-p' - 1"),
+    parse_poly("-1/2*p'^2 + 3/4*q - p"),
+    parse_poly("-q^3 + 2*q'^2 - 7/9*p + p'*q'"),
+    DiffPoly({Monomial({P(4): 2}): -1, Monomial({Q(11): 1}): 1}),
+    DiffPoly({Monomial({P(): 256}): 1, Monomial({P(): 1, Q(3): 300}): Fraction(-1, 3)}),
+    DiffPoly({Monomial({P(2): 200, Q(1): 100}): -1, Monomial({P(1): 255, Q(): 1}): 1}),
+    DiffPoly({Monomial({P(9): 70000, Q(): 1}): Fraction(5, 2), Monomial({Q(9): 1}): -1}),
+]
+
+#: Symbols and exponents the wide random polynomials draw from: orders past
+#: the LaTeX primes and exponents past one byte.
+WIDE_SYMBOLS = [P(0), P(1), P(3), P(4), P(5), P(12), Q(0), Q(2), Q(4), Q(9)]
+WIDE_EXPONENTS = [1, 1, 2, 3, 17, 255, 256, 300]
+
+
+def random_wide_poly(rng: random.Random) -> DiffPoly:
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        factors = [
+            (rng.choice(WIDE_SYMBOLS), rng.choice(WIDE_EXPONENTS)) for _ in range(rng.randint(0, 3))
+        ]
+        fraction = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        coeff = rng.choice([1, -1, rng.randint(-(10**12), 10**12), fraction])
+        terms[Monomial(factors)] = coeff
+    return DiffPoly(terms)
+
+
+@pytest.mark.parametrize("style", STYLES)
+def test_format_poly_is_the_reference_printers_text(style):
+    # format_poly sorts print-layout keys and formats each factor once; the
+    # reference sorts Monomials with a Python key and writes every factor
+    rng = random.Random(51)
+    polys = [*FORMAT_EDGES, *(c for ode in EDGE_ODES for c in ode.coeffs)]
+    polys += [random_poly(rng, max_terms=8) for _ in range(300)]
+    polys += [random_wide_poly(rng) for _ in range(300)]
+    for poly in polys:
+        assert format_poly(poly, style) == reference_format_poly(poly, style), poly.terms
+        if style == "plain":
+            assert repr(poly) == reference_format_poly(poly), poly.terms
+
+
+def test_monomial_repr_is_the_reference_text():
+    assert repr(Monomial()) == "1"
+    rng = random.Random(52)
+    monos = [mono for poly in FORMAT_EDGES for mono in poly.terms if mono]
+    monos += [random_monomial(rng) for _ in range(100)]
+    monos += [Monomial({rng.choice(WIDE_SYMBOLS): rng.choice(WIDE_EXPONENTS)}) for _ in range(50)]
+    for mono in filter(None, monos):
+        assert repr(mono) == reference_monomial_text(mono), mono
 
 
 def test_json_terms_doc_schema_and_order():

@@ -1,5 +1,6 @@
 """Parsing, differentiation, evaluation, and printing of coefficient functions."""
 
+import copy
 import dataclasses
 import math
 import operator
@@ -186,6 +187,24 @@ def test_trees_compare_node_for_node_and_literals_by_repr():
     for text in ["x+1", "-2.5*sin(x)^-2", "ln(x)/(1-exp(-x))", "0.0000001 - -0.0"]:
         tree = parse_expr(text)
         assert eval(repr(tree), {"parse_expr": parse_expr}) == tree
+
+
+def test_trees_compute_their_keys_once_and_hold_them_out_of_their_fields(monkeypatch):
+    tree, twin = parse_expr("exp(sin(x))/(x+2)"), parse_expr("exp(sin(x))/(x+2)")
+    assert tree == twin and hash(tree) == hash(twin)
+    calls, program = [], exprparse._program
+
+    def counting(*trees):
+        calls.append(trees)
+        return program(*trees)
+
+    monkeypatch.setattr(exprparse, "_program", counting)
+    assert tree == twin and hash(tree) == hash(twin) and tree != tree.left
+    assert calls == [(tree.left,)]  # only the subtree not compared before
+    assert list(vars(tree)) == ["left", "right"]
+    assert [f.name for f in dataclasses.fields(tree)] == ["left", "right"]
+    monkeypatch.undo()
+    assert copy.copy(tree) == tree and copy.deepcopy(tree) == tree
 
 
 def called_from(frames, func, *args):
