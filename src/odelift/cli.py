@@ -25,9 +25,8 @@ from .lifting import (
     MAX_DERIVE_M,
     FixtureFormatError,
     LiftedODE,
-    check_against_fixture,
+    check_table,
     derive_print_keys,
-    load_fixture,
 )
 from .verify import (
     RESIDUAL_TOL,
@@ -209,7 +208,7 @@ def _run_check(args) -> int:
     orders = FIXTURE_ORDERS if args.all else (args.m,)
     ok = True
     for m in orders:
-        report = check_against_fixture(m, load_fixture(m, args.fixtures))
+        report = check_table(m, args.fixtures)
         print(report.summary())
         ok = ok and report.passed
     return 0 if ok else 1

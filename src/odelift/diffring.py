@@ -40,9 +40,11 @@ explicit LiftedODE may be built by arithmetic), DiffPoly.eval for the
 coefficients verify evaluates, parsing, and printing.
 parse_poly does no ring arithmetic: it reads a table line in one pass
 into one term map, so a line costs time and memory in proportion to its
-length.  The pass reads whitespace, signs, operators, symbols and
-literals character by character from an index, with no tokenizer
-object; it names a token's kind only where it raises, so each
+length.  The pass builds each term's key from its exponent list with a
+builder it is given: a Monomial for parse_poly, the slot-layout int of
+odelift.lifting when `check-paper` reads a table.  It reads whitespace,
+signs, operators, symbols and literals character by character from an
+index, with no tokenizer object; it names a token's kind only where it raises, so each
 PolyParseError gives the message and position that a token scanner
 reading one token ahead would.  The derivation runs on packed keys in
 odelift.lifting.  The ring-level derivation, the exact evaluator and
@@ -324,6 +326,10 @@ class DiffPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as one: the zero
+        # polynomial as 0, c as c
+        if self.terms.keys() <= {_ONE}:
+            return hash(self.terms.get(_ONE, 0))
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
@@ -398,9 +404,16 @@ def parse_poly(text: str) -> DiffPoly:
     before the grammar error at the same token.  Raises PolyParseError
     with the offending position on malformed input.
     """
-    terms: dict[Monomial, Scalar] = {}
-    _parse_sum(text + _END, 0, 1, terms, 0)
-    return _raw(terms)
+    return _raw(_parse_terms(text, partial(_new_key, Monomial)))
+
+
+def _parse_terms(text: str, key: Callable[[list[int]], object]) -> dict:
+    """parse_poly's term map, with each term's key ``key(exps)`` built from
+    its exponent list, slot 0 first and trailing zeros trimmed: a Monomial
+    for parse_poly, or odelift.lifting's slot-layout int for a table."""
+    terms: dict = {}
+    _parse_sum(text + _END, 0, 1, terms, 0, key)
+    return terms
 
 
 #: Appended to the text so that no read checks the length: no loop of the
@@ -417,11 +430,11 @@ _MAX_NESTING = 100
 _MAX_SCALE_BITS = 64
 
 
-def _parse_sum(text: str, i: int, scale: Scalar, terms: dict, depth: int) -> int:
+def _parse_sum(text: str, i: int, scale: Scalar, terms: dict, depth: int, key) -> int:
     """Write the terms of the sum that starts at ``i``, each times
-    ``scale``, into ``terms``.  Read what ends the sum, the ')' of a
-    nested one (``depth`` > 0) or else the end of the text, and return
-    the index after it."""
+    ``scale``, into ``terms``, keyed by ``key``.  Read what ends the sum,
+    the ')' of a nested one (``depth`` > 0) or else the end of the text,
+    and return the index after it."""
     while text[i].isspace():
         i += 1
     while True:
@@ -431,7 +444,7 @@ def _parse_sum(text: str, i: int, scale: Scalar, terms: dict, depth: int) -> int
             i += 1
         elif text[i] == "+":
             i += 1
-        i = _parse_term(text, i, coeff, terms, depth)
+        i = _parse_term(text, i, coeff, terms, depth, key)
         if text[i] not in "+-":
             break
     if depth:
@@ -446,10 +459,11 @@ def _parse_sum(text: str, i: int, scale: Scalar, terms: dict, depth: int) -> int
     raise PolyParseError(message, i)
 
 
-def _parse_term(text: str, i: int, coeff: Scalar, terms: dict, depth: int) -> int:
+def _parse_term(text: str, i: int, coeff: Scalar, terms: dict, depth: int, key) -> int:
     """Write the term that starts at ``i``, times ``coeff``, into
-    ``terms``: a monomial, or the terms of the parenthesized sum that
-    ends it.  Return the index of the token after the term."""
+    ``terms``: a monomial, under the key ``key(exps)`` of its exponent
+    list, or the terms of the parenthesized sum that ends it.  Return the
+    index of the token after the term."""
     exps: list[int] = []
     while True:
         ch = text[i]
@@ -487,7 +501,7 @@ def _parse_term(text: str, i: int, coeff: Scalar, terms: dict, depth: int) -> in
                 raise PolyParseError(f"sums nested over {_MAX_NESTING} deep", i)
             if coeff.numerator.bit_length() + coeff.denominator.bit_length() > _MAX_SCALE_BITS:
                 raise PolyParseError(f"a sum scaled by over {_MAX_SCALE_BITS} bits", i)
-            i = _parse_sum(text, i + 1, coeff, terms, depth + 1)
+            i = _parse_sum(text, i + 1, coeff, terms, depth + 1, key)
             while text[i].isspace():
                 i += 1
             if text[i] in "*^":
@@ -505,7 +519,7 @@ def _parse_term(text: str, i: int, coeff: Scalar, terms: dict, depth: int) -> in
         if text[j] == "^":
             raise PolyParseError("'^' applies only to a symbol", j)
         break
-    mono = _new_key(Monomial, exps)
+    mono = key(exps)
     c = terms.get(mono, 0) + coeff
     if c:
         terms[mono] = _settle(c)

@@ -14,7 +14,8 @@ no division.
 
 The recurrence runs on packed integer keys rather than on DiffPoly
 arithmetic, in either of two layouts.  In the slot layout, the one
-derive_lifted_ode and so the library use, a monomial's exponent tuple
+derive_lifted_ode and so the library use, and the one the table checks
+compare on, a monomial's exponent tuple
 (slot 2k is p^(k), slot 2k+1 is q^(k), as in `diffring`) is packed into
 one int with one byte per slot, slot 0 lowest.  Giving p^(k) the weight
 k+1 and q^(k) the weight k+2, entry k of L_i is homogeneous of weight
@@ -26,6 +27,15 @@ unit of exponent from slot s to slot s+2.  A byte rather than the fewest
 bits that hold m+1 lets int.to_bytes unpack a key into its exponents in
 C: the derivation reads them that way once per distinct key, and the
 keys become Monomials the same way, once, at the end.
+
+The table checks, check_table for `check-paper` and check_against_fixture,
+need no Monomial.  _slot_terms, the step derive_lifted_ode runs before
+its unpack, gives the c_k on slot-layout keys, and each table line is
+read (or, as a DiffPoly, packed) onto the same keys by _slot_key, in C,
+so a line and its c_k compare as int-keyed term maps.  A table exponent
+above 255 does not fit in a byte: that term keeps its Monomial, which
+equals no derived key, so no byte of a table term carries into the next
+slot.  Only a mismatch unpacks both maps to form derived - expected.
 
 The print layout, derive_print_keys, is the one `derive` prints from in
 every style: the layout of diffring.pack_print_keys with one-byte fields,
@@ -66,7 +76,7 @@ B_i = f^(m-i) (f')^i.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain
 from operator import or_
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
@@ -76,8 +86,8 @@ from .diffring import (
     Monomial,
     PolyParseError,
     _new_key,
+    _parse_terms,
     _raw,
-    _slot_order,
     parse_poly,
 )
 
@@ -130,17 +140,14 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m, for
     1 <= m <= MAX_DERIVE_M; any other m raises ValueError.
 
-    Steps the recurrence on slot-layout keys, which unpack into Monomials
-    with one int.to_bytes each, and checks the derivative-order bound on
-    the result.
+    The coefficients are _slot_terms(m), the recurrence on slot-layout
+    keys with the derivative-order bound checked, each key unpacked into
+    its Monomial with one int.to_bytes.
     """
-    _check_power(m)
-    coeffs = tuple(
+    return LiftedODE(m, tuple(
         _raw({_new_key(Monomial, _exponents(key)): c for key, c in terms.items()})
-        for terms in _recurrence(m, *_slot_layout(m))
-    )
-    _check_order_bound(m, max(c.max_order() for c in coeffs))
-    return LiftedODE(m, coeffs)
+        for terms in _slot_terms(m)
+    ))
 
 
 def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int]:
@@ -161,16 +168,27 @@ def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int
     return m, coeffs, width, 1
 
 
+def _slot_terms(m: int) -> tuple[dict[int, int], ...]:
+    """c_0 .. c_m as term maps on slot-layout keys, in derive_lifted_ode's
+    insertion order: the step that derive_lifted_ode and the table checks
+    share.  ValueError for m out of range, before any step; RuntimeError
+    if any key sets a slot of an order above the derivative-order bound."""
+    _check_power(m)
+    coeffs = _recurrence(m, *_slot_layout(m))
+    # the highest set bit is in slot (bit_length - 1) >> 3, of order half that
+    _check_order_bound(m, (reduce(or_, chain.from_iterable(coeffs), 0).bit_length() - 1) >> 4)
+    return coeffs
+
+
 def _slot_layout(m: int) -> tuple:
     """(p shift, q shift, unpack, deltas) of the slot layout, for
     _recurrence: deltas[n] holds (slot s, key + delta moves one unit of
     exponent from slot s to slot s+2) for the slots of an n-byte key, in
-    symbol order.  Only entries of weight <= m are derived, and their keys
-    are shorter than 2m."""
-    deltas = [
-        tuple((s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in _slot_order(n))
-        for n in range(2 * m)
-    ]
+    symbol order, the even (p) slots before the odd (q) ones.  Only
+    entries of weight <= m are derived, and their keys are shorter than
+    2m."""
+    moves = [(s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in range(2 * m)]
+    deltas = [(*moves[0:n:2], *moves[1:n:2]) for n in range(2 * m)]
     return 1, 1 << 8, _exponents, deltas
 
 
@@ -274,6 +292,17 @@ def _exponents(key: int) -> bytes:
     return key.to_bytes((key.bit_length() + 7) >> 3, "little")
 
 
+def _slot_key(exps: Sequence[int]) -> int | Monomial:
+    """The slot-layout key of the exponent list ``exps``, slot 0 first and
+    trailing zeros trimmed, packed in C; the Monomial instead where an
+    exponent does not fit in a byte.  No derived key equals that Monomial,
+    and so no byte of a table term can carry into the next slot."""
+    try:
+        return int.from_bytes(exps, "little")
+    except ValueError:
+        return _new_key(Monomial, exps)
+
+
 def _derive_moves(
     key: int, exps: bytes, deltas: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, int], ...]:
@@ -281,7 +310,7 @@ def _derive_moves(
     ``key``, whose bytes are ``exps``, in symbol order: the derivation
     moves one unit of exponent out of byte j, by the key change in
     ``deltas``, and multiplies by the exponent in byte j."""
-    return tuple((key + delta, exps[j]) for j, delta in deltas if exps[j])
+    return tuple([(key + delta, exps[j]) for j, delta in deltas if exps[j]])
 
 
 # ---------------------------------------------------------------------------
@@ -313,21 +342,42 @@ class FixtureReport(NamedTuple):
 def check_against_fixture(m: int, fixture: Sequence[DiffPoly]) -> FixtureReport:
     """Compare the derived coefficients against an expected c_0..c_m list.
 
-    Equality is structural (exact): each derived c_k is compared with its
-    table line by term-map equality, and only on a mismatch is the
-    difference polynomial derived - expected formed for the report.
+    Equality is structural (exact): each table line is packed into
+    slot-layout keys (_slot_key) and compared with the derived c_k as
+    check_table compares them, and only on a mismatch is the difference
+    polynomial derived - expected formed for the report.
     """
-    if len(fixture) != m + 1:
+    return _check_terms(m, [{_slot_key(mono): c for mono, c in p.terms.items()} for p in fixture])
+
+
+def check_table(m: int, directory: str | Path | None = None) -> FixtureReport:
+    """check_against_fixture(m, load_fixture(m, directory)), with each line
+    read straight into a term map on slot-layout keys: the same report and
+    the same errors, and no Monomial built on either side unless a line
+    differs.  `check-paper` runs this."""
+    return _check_terms(m, _read_table(m, directory, partial(_parse_terms, key=_slot_key)))
+
+
+def _check_terms(m: int, table: Sequence[dict]) -> FixtureReport:
+    """The report on ``table``, c_0..c_m as term maps on _slot_key's keys:
+    each is compared with the derived c_k on slot-layout keys, and only a
+    mismatch unpacks both maps into DiffPolys to subtract them."""
+    if len(table) != m + 1:
         raise FixtureFormatError(
-            f"fixture for m={m} must list {m + 1} coefficients, got {len(fixture)}"
+            f"fixture for m={m} must list {m + 1} coefficients, got {len(table)}"
         )
     checks = []
-    for k, (derived, expected) in enumerate(zip(derive_lifted_ode(m).coeffs, fixture)):
-        if derived == expected:
-            checks.append(CoefficientCheck(k, True, _raw({})))
-        else:
-            checks.append(CoefficientCheck(k, False, derived - expected))
+    for k, (derived, expected) in enumerate(zip(_slot_terms(m), table)):
+        matched = derived == expected
+        difference = _raw({}) if matched else _unpacked(derived) - _unpacked(expected)
+        checks.append(CoefficientCheck(k, matched, difference))
     return FixtureReport(m, tuple(checks))
+
+
+def _unpacked(terms: dict) -> DiffPoly:
+    # int keys become their Monomials; a Monomial key (_slot_key) stays
+    return _raw({_new_key(Monomial, _exponents(k)) if k.__class__ is int else k: c
+                 for k, c in terms.items()})
 
 
 def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
@@ -336,6 +386,12 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
     With no directory, reads the table bundled with the package (available
     for m in FIXTURE_ORDERS).
     """
+    return _read_table(m, directory, parse_poly)
+
+
+def _read_table(m: int, directory: str | Path | None, read: Callable[[str], object]) -> list:
+    """The lines of table m, each as ``read`` reads its text: parse_poly's
+    DiffPoly, or its term map on other keys (odelift.diffring._parse_terms)."""
     from pathlib import Path
 
     name = f"order_m{m}.txt"
@@ -346,13 +402,13 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
         raise FixtureFormatError(
             f"fixture file {name} must have {m + 1} coefficient lines, got {len(lines)}"
         )
-    polys = []
+    table = []
     for n, line in lines:
         try:
-            polys.append(parse_poly(line.decode("utf-8")))
+            table.append(read(line.decode("utf-8")))
         except (UnicodeDecodeError, PolyParseError) as exc:
             raise FixtureFormatError(f"fixture file {name} line {n}: {exc}") from None
-    return polys
+    return table
 
 
 @lru_cache(maxsize=None)

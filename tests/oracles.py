@@ -44,6 +44,14 @@ vanishes there).  So terms(c_k) = a(m+1-k) for k >= 1 and terms(c_0) =
 a(m+1) - P(m+1), with a(n) the monomials of weight n and P the partition
 numbers, both coefficients of products of geometric series.
 
+The table comparison on DiffPolys, `reference_check_against_fixture` (each
+line compared with derive_lifted_ode's c_k as a DiffPoly and subtracted
+from it where they differ), is the reference for
+odelift.lifting.check_against_fixture and check_table, which compare term
+maps on slot-layout keys and build no Monomial unless a line differs: both
+must give the same matched flags and the same difference polynomials, term
+for term.  parse_poly's terms packed by odelift.lifting._slot_key are the
+reference for the keyed reading of a table line.
 The derive document built as nested dicts and lists, passed through
 odelift.cli.canonical_json, is the oracle for odelift.cli.derive_json.
 
@@ -114,10 +122,11 @@ from odelift import verify
 from odelift.diffring import DiffPoly, MissingSymbolError, Monomial, P, PolyParseError, Q
 from odelift.diffring import Scalar, parse_poly, poly_terms_doc
 from odelift.diffring import _BASES, _MAX_NESTING, _MAX_SCALE_BITS, _new_key, _raw, _settle
-from odelift.diffring import _slot_order
+from odelift.diffring import _parse_terms, _slot_order
 from odelift.exprparse import Add, Call, Div, Expr, ExprDomainError, Mul, Neg, Num, Pow, Sub, Var
 from odelift.exprparse import eval_expr
-from odelift.lifting import LiftedODE, derive_lifted_ode
+from odelift.lifting import CoefficientCheck, FixtureFormatError, FixtureReport, LiftedODE
+from odelift.lifting import _slot_key, derive_lifted_ode
 
 _P = DiffPoly.symbol(P())
 _Q = DiffPoly.symbol(Q())
@@ -365,17 +374,51 @@ def parse_corpus(seed: int, count: int) -> list[str]:
 def _reading(reader, text: str):
     """What ``reader`` makes of ``text``: its terms in order, each with
     its coefficient's type, or its exception's type, message and
-    position."""
+    position.  ``reader`` gives a DiffPoly or a term map."""
     try:
-        terms = reader(text).terms
+        terms = reader(text)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "position", None)
-    return [(mono, coeff, type(coeff)) for mono, coeff in terms.items()]
+    terms = getattr(terms, "terms", terms)
+    return [(key, coeff, type(coeff)) for key, coeff in terms.items()]
+
+
+def _keyed_reader(text: str) -> dict:
+    """A table line read as check-paper reads it: on slot-layout keys."""
+    return _parse_terms(text, _slot_key)
 
 
 def parse_disagreements(texts) -> list[str]:
-    """The texts that parse_poly and reference_parse_poly read apart."""
-    return [t for t in texts if _reading(parse_poly, t) != _reading(reference_parse_poly, t)]
+    """The texts that parse_poly and reference_parse_poly read apart, or
+    that the keyed reading reads apart from parse_poly's terms packed by
+    _slot_key: another exception, message or position, other terms, or
+    the same terms in another order."""
+    out = []
+    for t in texts:
+        reading = _reading(parse_poly, t)
+        packed = reading
+        if isinstance(reading, list):
+            packed = [(_slot_key(mono), coeff, kind) for mono, coeff, kind in reading]
+        if reading != _reading(reference_parse_poly, t) or _reading(_keyed_reader, t) != packed:
+            out.append(t)
+    return out
+
+
+def reference_check_against_fixture(m: int, fixture) -> FixtureReport:
+    """The table comparison on DiffPolys: each line compared with
+    derive_lifted_ode's c_k by DiffPoly equality, and subtracted from it
+    where they differ."""
+    if len(fixture) != m + 1:
+        raise FixtureFormatError(
+            f"fixture for m={m} must list {m + 1} coefficients, got {len(fixture)}"
+        )
+    checks = []
+    for k, (derived, expected) in enumerate(zip(derive_lifted_ode(m).coeffs, fixture)):
+        if derived == expected:
+            checks.append(CoefficientCheck(k, True, DiffPoly()))
+        else:
+            checks.append(CoefficientCheck(k, False, derived - expected))
+    return FixtureReport(m, tuple(checks))
 
 
 @dataclass(frozen=True)

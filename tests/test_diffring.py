@@ -526,12 +526,21 @@ OTHER_CHARACTERS = ["p\u00a0+\u3000q", "\u0663*p + \u0661/\u0662*q", "p\x00", "p
 # the table lines that tests/test_cli.py writes for check-paper to refuse
 CLI_TABLE_LINES = ["2*p^2 +", "2^99999999999*p", "1/0*p"]
 
+# exponents past a byte, which the keyed reading keeps as Monomials: p^256
+# packed as an int would be q's key
+WIDE_EXPONENT_LINES = [
+    "p^256", "q^255*p^256 + q", "p^256 - q", "p^256 - p^256 + q", "-(p^256 + q) + p^256",
+    "2*p'^1000*q - 3/2*q''^300 + q''^300", "p^99999999999*q^255",
+]
+
 
 def test_one_pass_reader_matches_the_token_scanner():
     # same terms in the same order, or the same exception, message and
     # position, on the tables, every parse-error text above and a seeded
     # corpus (tests/oracles.py; the large case below reads 200 000 strings
-    # of it).  About 1 s on a 2-vCPU machine.
+    # of it).  The keyed reading, on slot-layout keys as check-paper reads
+    # a table, must give parse_poly's terms packed, in the same order, or
+    # the same exception.  About 1 s on a 2-vCPU machine.
     tables = [
         line
         for m in FIXTURE_ORDERS
@@ -545,7 +554,7 @@ def test_one_pass_reader_matches_the_token_scanner():
         for text, _ in cases
     ]
     texts += [NESTED_TOO_DEEP, HIDDEN_PRODUCT, *IMPLICIT_PRODUCTS, *AFTER_A_VALID_TOKEN]
-    texts += OTHER_CHARACTERS + CLI_TABLE_LINES + tables
+    texts += OTHER_CHARACTERS + CLI_TABLE_LINES + WIDE_EXPONENT_LINES + tables
     assert parse_disagreements(texts + parse_corpus(45, 20_000)) == []
 
 
@@ -664,6 +673,16 @@ def test_poly_equality_with_scalars():
     assert DiffPoly.const(3) == 3
     assert DiffPoly.zero() == 0
     assert parse_poly("p") != 1
+
+
+def test_a_constant_hashes_as_the_scalar_it_equals():
+    for value in (3, -1, 10**30, Fraction(-3, 7), Fraction(6, 3)):
+        poly = DiffPoly.const(value)
+        assert poly == value and hash(poly) == hash(value)
+        assert poly in {value} and value in {poly}
+    assert DiffPoly() == 0 and hash(DiffPoly()) == hash(0) == hash(DiffPoly.const(0))
+    assert DiffPoly() in {0} and 0 in {DiffPoly()}
+    assert hash(parse_poly("p - p + 5/2")) == hash(Fraction(5, 2))
 
 
 def test_hash_truth_repr_and_refused_operands():

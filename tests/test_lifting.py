@@ -10,6 +10,7 @@ oracle for the recurrence, lives in oracles.py beside these tests.
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -19,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from odelift import lifting
-from odelift.diffring import DiffPoly, Monomial, P, Q, parse_poly
+from odelift import cli, diffring, lifting
+from odelift.diffring import DiffPoly, DiffSymbol, Monomial, P, Q, format_poly, parse_poly
 from odelift.lifting import (
     FIXTURE_ORDERS,
     MAX_DERIVE_M,
@@ -39,6 +40,7 @@ from oracles import (
     monomial_counts,
     partition_counts,
     recurrence_reference,
+    reference_check_against_fixture,
     support_sizes,
 )
 
@@ -352,7 +354,8 @@ def test_derivative_order_bound_is_enforced_under_python_O():
     # An order above the bound must raise even where asserts are stripped.
     script = (
         "from odelift import lifting\n"
-        "lifting.DiffPoly.max_order = lambda self: 99\n"
+        "step = lifting._recurrence\n"
+        "lifting._recurrence = lambda m, *layout: ({1 << 8 * 198: 1}, *step(m, *layout)[1:])\n"
         "try:\n"
         "    lifting.derive_lifted_ode(3)\n"
         "except RuntimeError as exc:\n"
@@ -364,6 +367,29 @@ def test_derivative_order_bound_is_enforced_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert proc.stdout == "coefficient for m=3 uses derivative order 99, above the bound 2\n"
+
+
+@pytest.mark.parametrize(
+    "key,order",
+    [(1 << 8 * 198, 99), (1 << 8 * 6, 3), (255 << 8 * 5, None), (1 << 8 * 5, None)],
+    ids=["p^(99)", "p'''", "q''^255", "q''"],
+)
+def test_every_slot_layout_caller_enforces_the_derivative_order_bound(monkeypatch, key, order):
+    # derive_lifted_ode and both table checks step the same recurrence on
+    # slot-layout keys and check the bound, 2 at m = 3, on the keys
+    step = lifting._recurrence
+    monkeypatch.setattr(lifting, "_recurrence", lambda m, *layout: ({key: 1}, *step(m, *layout)[1:]))
+    calls = [
+        lambda: derive_lifted_ode(3),
+        lambda: lifting.check_table(3),
+        lambda: check_against_fixture(3, load_fixture(3)),
+    ]
+    for call in calls:
+        if order is None:
+            call()
+        else:
+            with pytest.raises(RuntimeError, match=f"m=3 uses derivative order {order}, above"):
+                call()
 
 
 # -- fixture tables --------------------------------------------------------------
@@ -413,6 +439,145 @@ def test_load_fixture_errors(tmp_path):
     (tmp_path / "order_m2.txt").write_text("p\nq\n")
     with pytest.raises(FixtureFormatError):
         load_fixture(2, tmp_path)
+
+
+# -- the keyed table check against the DiffPoly comparison ------------------------
+
+
+def _line_text(terms) -> str:
+    """A table line that writes each (monomial, coefficient) of ``terms``
+    as its own term, in order, so a monomial may be written twice."""
+    text = ""
+    for mono, coeff in terms:
+        term = format_poly(DiffPoly({mono: coeff}))
+        if not text:
+            text = term
+        else:
+            text += " - " + term[1:] if term.startswith("-") else " + " + term
+    return text or "0"
+
+
+def _with(mono: Monomial, sym: DiffSymbol, to: DiffSymbol, add: int = 0) -> Monomial:
+    """``mono`` with the exponent of ``sym``, plus ``add``, moved to ``to``."""
+    factors = dict(mono.factors)
+    exp = factors.pop(sym) + add
+    factors[to] = factors.get(to, 0) + exp
+    return Monomial(factors)
+
+
+def _single_edits(m: int, terms: list, rng: random.Random) -> list:
+    """(edit, the line's terms after it) for one seeded pick of a term and
+    of one of its factors; the last two edits keep the polynomial."""
+    i = rng.randrange(len(terms))
+    mono, c = terms[i]
+    sym, _ = rng.choice(mono.factors)
+    part = rng.choice((1, -1, Fraction(1, 2), 2 * c))
+    other = rng.choice(terms)[0]
+    at = rng.randrange(len(terms) + 1)
+
+    def replaced(*new):
+        return terms[:i] + list(new) + terms[i + 1:]
+
+    return [
+        ("coefficient + 1", replaced((mono, c + 1))),
+        ("coefficient - 1", replaced((mono, c - 1))),
+        ("coefficient + 1/2", replaced((mono, c + Fraction(1, 2)))),
+        ("exponent + 1", replaced((_with(mono, sym, sym, 1), c))),
+        ("factor to order m", replaced((_with(mono, sym, DiffSymbol(sym.base, m)), c))),
+        ("dropped term", replaced()),
+        ("line negated", [(mono, -c) for mono, c in terms]),
+        ("split term", replaced((mono, part), (mono, c - part))),
+        ("cancelling pair", terms[:at] + [(other, 1), (other, -1)] + terms[at:]),
+    ]
+
+
+def _carry_traps(terms: list) -> list:
+    """p^256 in place of the line's q term, and p^256 - q appended: keys
+    that let the byte of p carry into q's would read both as the line."""
+    q, wide = Monomial({Q(): 1}), Monomial({P(): 256})
+    if not any(mono == q for mono, _ in terms):
+        return []
+    swapped = [(wide if mono == q else mono, c) for mono, c in terms]
+    return [("p^256 for q", swapped), ("p^256 - q appended", terms + [(wide, 1), (q, -1)])]
+
+
+def _items(report) -> list:
+    return [
+        (c.k, c.matched, [(mono, coeff, type(coeff)) for mono, coeff in c.difference.terms.items()])
+        for c in report.checks
+    ]
+
+
+def _cli_reports(argv, monkeypatch, capsys) -> tuple:
+    """check-paper through cli.main: (exit code, stdout, the reports it made)."""
+    reports = []
+
+    def recorded(*args):
+        reports.append(lifting.check_table(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "check_table", recorded)
+    code = cli.main(argv)
+    return code, capsys.readouterr().out, reports
+
+
+def test_keyed_check_is_the_diffpoly_comparison_on_the_bundled_tables(monkeypatch, capsys):
+    want = [reference_check_against_fixture(m, load_fixture(m)) for m in FIXTURE_ORDERS]
+    assert all(report.passed for report in want)
+    for m, report in zip(FIXTURE_ORDERS, want):
+        assert _items(check_against_fixture(m, load_fixture(m))) == _items(report)
+        assert _items(lifting.check_table(m)) == _items(report)
+    code, out, reports = _cli_reports(["check-paper", "--all"], monkeypatch, capsys)
+    assert (code, out) == (0, "".join(report.summary() + "\n" for report in want))
+    assert list(map(_items, reports)) == list(map(_items, want))
+
+
+def test_keyed_check_is_the_diffpoly_comparison_on_edited_tables(tmp_path, monkeypatch, capsys):
+    # every line of every bundled table under each seeded single edit, and
+    # the carry traps; the report through the library and through cli.main
+    # must be the DiffPoly comparison's, flags and differences term for term
+    rng = random.Random(1828)
+    cases = 0
+    for m in FIXTURE_ORDERS:
+        lines = (FIXTURE_DIR / f"order_m{m}.txt").read_text().splitlines()
+        for k, line in enumerate(lines):
+            terms = list(parse_poly(line).terms.items())
+            edits = _single_edits(m, terms, rng) + _carry_traps(terms)
+            for edit, edited in edits:
+                table = lines[:k] + [_line_text(edited)] + lines[k + 1:]
+                (tmp_path / f"order_m{m}.txt").write_text("\n".join(table) + "\n")
+                fixture = load_fixture(m, tmp_path)
+                want = reference_check_against_fixture(m, fixture)
+                keeps = edit in ("split term", "cancelling pair")
+                assert [c.matched for c in want.checks] == [j != k or keeps for j in range(m + 1)]
+                assert _items(check_against_fixture(m, fixture)) == _items(want), edit
+                argv = ["check-paper", "-m", str(m), "--fixtures", str(tmp_path)]
+                code, out, reports = _cli_reports(argv, monkeypatch, capsys)
+                assert (code, out) == (0 if keeps else 1, want.summary() + "\n"), edit
+                assert list(map(_items, reports)) == [_items(want)], edit
+                cases += 1
+    assert cases == 18 * 9 + 2 * 4
+
+
+CHECKS_OK = {m: ", ".join(f"c{k} ok" for k in range(m + 1)) for m in FIXTURE_ORDERS}
+
+
+def test_check_paper_builds_neither_the_equation_nor_a_monomial(monkeypatch, capsys):
+    # check-paper compares term maps on slot-layout keys: no DiffPoly
+    # equation is derived and no table line becomes Monomials
+    def refused(*args, **kwargs):
+        raise AssertionError("check-paper called derive_lifted_ode or built a Monomial")
+
+    monkeypatch.setattr(lifting, "derive_lifted_ode", refused)
+    monkeypatch.setattr(cli, "derive_lifted_ode", refused, raising=False)
+    monkeypatch.setattr(Monomial, "__new__", refused)
+    # the Monomials built with tuple.__new__, and the table reader of load_fixture
+    monkeypatch.setattr(diffring, "_new_key", refused)
+    monkeypatch.setattr(lifting, "_new_key", refused)
+    monkeypatch.setattr(lifting, "parse_poly", refused)
+    code = cli.main(["check-paper", "--all"])
+    out = capsys.readouterr().out
+    assert code == 0 and out == "".join(f"m={m}: {CHECKS_OK[m]} -> PASS\n" for m in FIXTURE_ORDERS)
 
 
 # -- exact annihilation oracle ----------------------------------------------------
