@@ -13,7 +13,11 @@ coefficients are integer polynomials in the ring of `diffring`: no solve,
 no division.
 
 The recurrence runs on packed integer keys rather than on DiffPoly
-arithmetic, in either of two layouts.  In the slot layout, the one
+arithmetic, in either of two layouts, through one step, _derive: it
+refuses an m out of range before any step, runs _recurrence on the
+layout's shifts and moves, and raises if a key sets a derivative order
+above the bound m-1, each layout reading the highest order set in the OR
+of all keys its own way.  In the slot layout, the one
 derive_lifted_ode and so the library use, and the one the table checks
 compare on, a monomial's exponent tuple
 (slot 2k is p^(k), slot 2k+1 is q^(k), as in `diffring`) is packed into
@@ -26,13 +30,15 @@ key + 1, multiplying by q is key + (1 << 8), and the derivation moves one
 unit of exponent from slot s to slot s+2.  A byte rather than the fewest
 bits that hold m+1 lets int.to_bytes unpack a key into its exponents in
 C: the derivation reads them that way once per distinct key, and the
-keys become Monomials the same way, once, at the end.
+keys become Monomials the same way, once, at the end (_unpacked).  The
+highest set bit of the OR of all keys names the highest slot set.
 
 The table checks, check_table for `check-paper` and check_against_fixture,
-need no Monomial.  _slot_terms, the step derive_lifted_ode runs before
-its unpack, gives the c_k on slot-layout keys, and each table line is
-read (or, as a DiffPoly, packed) onto the same keys by _slot_key, in C,
-so a line and its c_k compare as int-keyed term maps.  A table exponent
+need no Monomial.  _derive on the slot layout, the step
+derive_lifted_ode runs before its unpack, gives the c_k on slot-layout
+keys, and each table line is read (or, as a DiffPoly, packed) onto the
+same keys by _slot_key, in C, so a line and its c_k compare as int-keyed
+term maps.  A table exponent
 above 255 does not fit in a byte: that term keeps its Monomial, which
 equals no derived key, so no byte of a table term carries into the next
 slot.  Only a mismatch unpacks both maps to form derived - expected.
@@ -47,7 +53,15 @@ sorts each coefficient's keys as plain ints and reads the factors from
 the keys, with no Monomial built.  Multiplying by p adds 1 to the degree
 byte and to the p byte, multiplying by q to the degree byte and to the q
 byte, and the derivation moves one unit from a byte to the next one,
-order k to k+1.
+order k to k+1.  The OR of all keys is scanned byte by byte for the
+highest order set in either base.
+
+Both layouts stay, each where it is the cheaper one.  On print keys,
+the table checks would repack every parsed term in Python, and
+derive_lifted_ode would interleave the p and q bytes of every key to
+unpack it; the recurrence also steps slower there (README, check-paper).
+On slot keys, `derive` would repack every key into print order to sort
+and write it.
 
 No term ever cancels.  Every term of every entry of every L_i has the sign
 (-1)^degree, the degree being the sum of the monomial's exponents (m=4:
@@ -140,14 +154,11 @@ def derive_lifted_ode(m: int) -> LiftedODE:
     """The unique monic order-(m+1) relation satisfied by y = f^m, for
     1 <= m <= MAX_DERIVE_M; any other m raises ValueError.
 
-    The coefficients are _slot_terms(m), the recurrence on slot-layout
-    keys with the derivative-order bound checked, each key unpacked into
-    its Monomial with one int.to_bytes.
+    The coefficients are _derive's on slot-layout keys, the step the table
+    checks compare on, each key then unpacked into its Monomial by
+    _unpacked, with one int.to_bytes.
     """
-    return LiftedODE(m, tuple(
-        _raw({_new_key(Monomial, _exponents(key)): c for key, c in terms.items()})
-        for terms in _slot_terms(m)
-    ))
+    return LiftedODE(m, tuple(map(_unpacked, _derive(m, _slot_layout, _slot_order))))
 
 
 def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int]:
@@ -155,28 +166,27 @@ def derive_print_keys(m: int) -> tuple[int, tuple[dict[int, int], ...], int, int
     c_m, with the same term maps in the same insertion order, on
     print-layout keys of ``width`` m+1 and one-byte fields (``field`` 1):
     sorting a term map's keys in descending int order lists its terms in
-    the order DiffPoly.sorted_terms gives.  The derivative-order bound is
-    checked on the keys: RuntimeError if any key sets a field of an order
-    above it."""
-    _check_power(m)
-    width, size = m + 1, 2 * m + 3
-    coeffs = _recurrence(m, *_print_layout(m))
-    used = reduce(or_, chain.from_iterable(coeffs), 0).to_bytes(size, "big")
-    _check_order_bound(
-        m, max((k for k in range(width) if used[1 + k] or used[1 + width + k]), default=-1)
-    )
-    return m, coeffs, width, 1
+    the order DiffPoly.sorted_terms gives.  The same step as
+    derive_lifted_ode's, _derive, on the other layout: the same errors,
+    with the derivative-order bound read from the print bytes."""
+    return m, _derive(m, _print_layout, _print_order), m + 1, 1
 
 
-def _slot_terms(m: int) -> tuple[dict[int, int], ...]:
-    """c_0 .. c_m as term maps on slot-layout keys, in derive_lifted_ode's
-    insertion order: the step that derive_lifted_ode and the table checks
-    share.  ValueError for m out of range, before any step; RuntimeError
-    if any key sets a slot of an order above the derivative-order bound."""
-    _check_power(m)
-    coeffs = _recurrence(m, *_slot_layout(m))
-    # the highest set bit is in slot (bit_length - 1) >> 3, of order half that
-    _check_order_bound(m, (reduce(or_, chain.from_iterable(coeffs), 0).bit_length() - 1) >> 4)
+def _derive(m: int, layout: Callable, top_order: Callable) -> tuple[dict[int, int], ...]:
+    """c_0 .. c_m as term maps on the keys of ``layout`` (_slot_layout or
+    _print_layout), in the one insertion order of _recurrence: the step
+    every derivation runs.  ValueError for m out of range, before any
+    step; RuntimeError if a key sets a derivative order above the bound
+    m-1, read by ``top_order(m, used)`` as the highest order set in
+    ``used``, the OR of all keys (-1 for none)."""
+    if not 1 <= m <= MAX_DERIVE_M:
+        raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
+    coeffs = _recurrence(m, *layout(m))
+    worst = top_order(m, reduce(or_, chain.from_iterable(coeffs), 0))
+    if worst > m - 1:
+        raise RuntimeError(
+            f"coefficient for m={m} uses derivative order {worst}, above the bound {m - 1}"
+        )
     return coeffs
 
 
@@ -190,6 +200,11 @@ def _slot_layout(m: int) -> tuple:
     moves = [(s, (1 << 8 * s + 16) - (1 << 8 * s)) for s in range(2 * m)]
     deltas = [(*moves[0:n:2], *moves[1:n:2]) for n in range(2 * m)]
     return 1, 1 << 8, _exponents, deltas
+
+
+def _slot_order(m: int, used: int) -> int:
+    # the highest set bit is in slot (bit_length - 1) >> 3, of order half that
+    return (used.bit_length() - 1) >> 4
 
 
 def _print_layout(m: int) -> tuple:
@@ -212,17 +227,10 @@ def _print_layout(m: int) -> tuple:
     return unit[0] + unit[1], unit[0] + unit[width + 1], unpack, deltas
 
 
-def _check_power(m: int) -> None:
-    if not 1 <= m <= MAX_DERIVE_M:
-        raise ValueError(f"power m must be from 1 to {MAX_DERIVE_M}, got {m}")
-
-
-def _check_order_bound(m: int, worst: int) -> None:
-    bound = m - 1 if m >= 2 else 0
-    if worst > bound:
-        raise RuntimeError(
-            f"coefficient for m={m} uses derivative order {worst}, above the bound {bound}"
-        )
+def _print_order(m: int, used: int) -> int:
+    # bytes 1 .. m+1 hold orders 0 .. m of p, the m+1 after them those of q
+    used = used.to_bytes(2 * m + 3, "big")
+    return len(bytes(map(or_, used[1 : m + 2], used[m + 2 :])).rstrip(b"\0")) - 1
 
 
 def _recurrence(
@@ -367,7 +375,7 @@ def _check_terms(m: int, table: Sequence[dict]) -> FixtureReport:
             f"fixture for m={m} must list {m + 1} coefficients, got {len(table)}"
         )
     checks = []
-    for k, (derived, expected) in enumerate(zip(_slot_terms(m), table)):
+    for k, (derived, expected) in enumerate(zip(_derive(m, _slot_layout, _slot_order), table)):
         matched = derived == expected
         difference = _raw({}) if matched else _unpacked(derived) - _unpacked(expected)
         checks.append(CoefficientCheck(k, matched, difference))

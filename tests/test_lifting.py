@@ -123,15 +123,17 @@ def test_derive_top_coefficients_m4_m5():
     assert ode5.coeffs[4] == parse_poly("85*p^2 - 35*q - 20*p'")
 
 
-def test_derive_rejects_bad_m(monkeypatch):
+@pytest.mark.parametrize("entry", ["derive_lifted_ode", "derive_print_keys"])
+def test_bad_m_is_refused_before_any_step(entry, monkeypatch):
     def no_step(*args):
         raise AssertionError("the recurrence started")
 
-    # an m over the limit is refused before the recurrence takes a step
+    # an m out of range is refused, on either layout, before the recurrence
+    # takes a step
     monkeypatch.setattr(lifting, "_derive_moves", no_step)
     for m in (0, -3, MAX_DERIVE_M + 1, 60, 10**9):
         with pytest.raises(ValueError, match=f"from 1 to {MAX_DERIVE_M}"):
-            derive_lifted_ode(m)
+            getattr(lifting, entry)(m)
 
 
 def test_symbolic_annihilation_identity_m2():
@@ -242,16 +244,6 @@ def test_print_keys_sorted_as_ints_give_the_printed_term_order(m):
         ], f"m={m}, c_{k}"
 
 
-def test_print_keys_reject_bad_m_before_any_step(monkeypatch):
-    def no_step(*args):
-        raise AssertionError("the recurrence started")
-
-    monkeypatch.setattr(lifting, "_derive_moves", no_step)
-    for m in (0, -3, MAX_DERIVE_M + 1, 10**9):
-        with pytest.raises(ValueError, match=f"from 1 to {MAX_DERIVE_M}"):
-            lifting.derive_print_keys(m)
-
-
 def assert_sign_law(coeffs, label):
     # Every term has the sign (-1)^degree, the precondition for derive's
     # accumulation without zero tests: no contribution can cancel another.
@@ -351,22 +343,37 @@ def test_derivative_order_bound_and_integrality():
 
 
 def test_derivative_order_bound_is_enforced_under_python_O():
-    # An order above the bound must raise even where asserts are stripped.
-    script = (
-        "from odelift import lifting\n"
+    # An order above the bound must raise even where asserts are stripped,
+    # on either layout: slot keys get a p^(99) key in c_0, and print keys a
+    # derivation that also sets the last byte, order m of q, as in
+    # tests/test_cli.py::test_derive_json_refuses_an_order_above_the_bound
+    slot = (
         "step = lifting._recurrence\n"
         "lifting._recurrence = lambda m, *layout: ({1 << 8 * 198: 1}, *step(m, *layout)[1:])\n"
-        "try:\n"
-        "    lifting.derive_lifted_ode(3)\n"
-        "except RuntimeError as exc:\n"
-        "    print(exc)\n"
+        "call = lambda: lifting.derive_lifted_ode(3)\n"
+    )
+    printed = (
+        "plain = lifting._derive_moves\n"
+        "lifting._derive_moves = lambda key, *rest: plain(key, *rest) + ((key + 1, 1),)\n"
+        "call = lambda: lifting.derive_print_keys(3)\n"
     )
     path = filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
-    )
-    assert proc.stdout == "coefficient for m=3 uses derivative order 99, above the bound 2\n"
+    for inject, order in ((slot, 99), (printed, 3)):
+        script = (
+            "from odelift import lifting\n"
+            f"{inject}"
+            "try:\n"
+            "    call()\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert proc.stdout == (
+            f"coefficient for m=3 uses derivative order {order}, above the bound 2\n"
+        )
 
 
 @pytest.mark.parametrize(
