@@ -8,82 +8,40 @@ reference tables, and validates it numerically along integrated
 trajectories.
 """
 
-from .diffring import (
-    STYLES,
-    DiffPoly,
-    DiffSymbol,
-    MissingSymbolError,
-    Monomial,
-    P,
-    PolyParseError,
-    Q,
-    format_poly,
-    parse_poly,
-)
-from .exprparse import (
-    Expr,
-    ExprDomainError,
-    ExprSyntaxError,
-    eval_expr,
-    format_expr,
-    parse_expr,
-)
-from .lifting import (
-    FIXTURE_ORDERS,
-    CoefficientCheck,
-    FixtureFormatError,
-    FixtureReport,
-    LiftedODE,
-    check_against_fixture,
-    derive_lifted_ode,
-    load_fixture,
-)
-from .verify import (
-    BasisReport,
-    ConfigError,
-    MonomialResidual,
-    NumericConfig,
-    basis_check,
-    fundamental_matrix,
-    monomial_label,
-    product_derivatives,
-    symbol_values,
-)
+from importlib import import_module
+
+#: The submodule that defines each public name.  A name is read from its
+#: submodule on first use, and a submodule read as an attribute is imported
+#: then (PEP 562), so `import odelift` imports no submodule and each command
+#: only the ones it runs.
+_DEFINED_IN = {
+    name: module
+    for module, names in {
+        "diffring": "STYLES DiffPoly DiffSymbol MissingSymbolError Monomial P "
+                    "PolyParseError Q format_poly parse_poly",
+        "exprparse": "Expr ExprDomainError ExprSyntaxError eval_expr format_expr parse_expr",
+        "lifting": "FIXTURE_ORDERS CoefficientCheck FixtureFormatError FixtureReport "
+                   "LiftedODE check_against_fixture derive_lifted_ode load_fixture",
+        "verify": "BasisReport ConfigError MonomialResidual NumericConfig basis_check "
+                  "fundamental_matrix monomial_label product_derivatives symbol_values",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = ("cli", "diffring", "exprparse", "lifting", "verify")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisReport",
-    "CoefficientCheck",
-    "ConfigError",
-    "DiffPoly",
-    "DiffSymbol",
-    "Expr",
-    "ExprDomainError",
-    "ExprSyntaxError",
-    "FIXTURE_ORDERS",
-    "FixtureFormatError",
-    "FixtureReport",
-    "LiftedODE",
-    "MissingSymbolError",
-    "MonomialResidual",
-    "Monomial",
-    "NumericConfig",
-    "P",
-    "PolyParseError",
-    "Q",
-    "STYLES",
-    "basis_check",
-    "check_against_fixture",
-    "derive_lifted_ode",
-    "eval_expr",
-    "format_expr",
-    "format_poly",
-    "fundamental_matrix",
-    "load_fixture",
-    "monomial_label",
-    "parse_expr",
-    "parse_poly",
-    "product_derivatives",
-    "symbol_values",
-]
+__all__ = sorted(_DEFINED_IN)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    if name not in _DEFINED_IN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_DEFINED_IN[name]}"), name)
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_DEFINED_IN, *_SUBMODULES})

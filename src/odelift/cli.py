@@ -16,10 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .diffring import STYLES, Scalar, pack_print_keys, term_writer
-from .exprparse import Expr, ExprDomainError, ExprSyntaxError, parse_expr
 from .lifting import (
     FIXTURE_ORDERS,
     MAX_DERIVE_M,
@@ -28,14 +27,9 @@ from .lifting import (
     check_table,
     derive_print_keys,
 )
-from .verify import (
-    RESIDUAL_TOL,
-    WRONSKIAN_TOL,
-    ConfigError,
-    NumericConfig,
-    SolutionRangeError,
-    basis_check,
-)
+
+if TYPE_CHECKING:
+    from .exprparse import Expr
 
 __all__ = ["main", "build_parser", "derive_json", "canonical_json"]
 
@@ -114,6 +108,9 @@ def _power(text: str) -> int:
 
 def _expression(text: str) -> tuple[str, Expr]:
     """Parsed --p/--q value, kept with its source text for the JSON report."""
+    # imported on use: only verify takes --p and --q
+    from .exprparse import ExprSyntaxError, parse_expr
+
     try:
         return text, parse_expr(text)
     except ExprSyntaxError as exc:
@@ -215,14 +212,31 @@ def _run_check(args) -> int:
 
 
 def _run_verify(args) -> int:
-    cfg = NumericConfig(
-        interval=tuple(args.interval),
-        step=args.step,
-        ic_f=tuple(args.ic_f),
-        ic_g=tuple(args.ic_g),
+    # imported on use: of the commands, only verify evaluates p and q
+    from .exprparse import ExprDomainError
+    from .verify import (
+        RESIDUAL_TOL,
+        WRONSKIAN_TOL,
+        ConfigError,
+        NumericConfig,
+        SolutionRangeError,
+        basis_check,
     )
+
     (p_text, p), (q_text, q) = args.p, args.q
-    report = basis_check(args.m, p, q, cfg)
+    try:
+        cfg = NumericConfig(
+            interval=tuple(args.interval),
+            step=args.step,
+            ic_f=tuple(args.ic_f),
+            ic_g=tuple(args.ic_g),
+        )
+        report = basis_check(args.m, p, q, cfg)
+    except (ExprDomainError, SolutionRangeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ConfigError as exc:
+        _PARSER.exit(2, f"error: {exc}\n")
     if args.json:
         doc = {
             "m": report.m,
@@ -266,9 +280,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (ExprDomainError, SolutionRangeError, FixtureFormatError, OSError) as exc:
+    except (FixtureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
-        _PARSER.exit(2, f"error: {exc}\n")
 

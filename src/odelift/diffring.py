@@ -252,6 +252,12 @@ class DiffPoly:
             return NotImplemented
         return self + (-other)
 
+    def __rsub__(self, other) -> "DiffPoly":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
     def __mul__(self, other) -> "DiffPoly":
         other = _coerce(other)
         if other is None:

@@ -29,14 +29,15 @@ format_expr's text, one frame per level like every other walk.  Every
 finite literal prints in positional form with repr's shortest digits and
 parses back to itself.
 
-Every odelift command imports this module first, so no class in it is made
-from generated code: each node writes out its own __init__, and _Node
-refuses to set or delete an attribute as a frozen dataclass would.  The
-nodes are dataclasses only so that dataclasses.fields lists their fields,
-which the benchmark's tree walks (perfbench/tracing.py and its self-test)
-read; dataclasses generates none of their methods.  Importing dataclasses,
-which loads inspect, stays a cost of the import until those walks read the
-nodes another way.
+Of the commands, only verify imports this module, and it does so before
+any work, so no class in it is made from generated code: each node writes
+out its own __init__, and _Node refuses to set or delete an attribute as a
+frozen dataclass would.  The nodes are dataclasses only so that
+dataclasses.fields lists their fields, which the benchmark's tree walks
+(perfbench/tracing.py and its self-test) read; dataclasses generates none
+of their methods.  Importing dataclasses, which loads inspect, stays a cost
+of this import, and so of verify, until those walks read the nodes another
+way.
 
 `diff_expr` applies the textbook rules and folds arithmetic on numeric
 literals, nothing more; repeated differentiation grows trees.  The verifier

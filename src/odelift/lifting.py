@@ -89,11 +89,12 @@ B_i = f^(m-i) (f')^i.
 
 from __future__ import annotations
 
+import os
 from collections import namedtuple
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from itertools import chain
 from operator import or_
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .diffring import (
     DiffPoly,
@@ -105,11 +106,12 @@ from .diffring import (
     parse_poly,
 )
 
-if TYPE_CHECKING:
-    from pathlib import Path
-
 #: Orders with bundled reference coefficient tables.
 FIXTURE_ORDERS = (2, 3, 4, 5)
+
+#: The directory of the bundled tables, read as plain files: a package
+#: imported from a zip archive has none.
+_BUNDLED_TABLES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 #: The largest m derive_lifted_ode accepts.  Terms, time and memory about
 #: double every two steps of m, and the live term count after each step does
@@ -358,7 +360,7 @@ def check_against_fixture(m: int, fixture: Sequence[DiffPoly]) -> FixtureReport:
     return _check_terms(m, [{_slot_key(mono): c for mono, c in p.terms.items()} for p in fixture])
 
 
-def check_table(m: int, directory: str | Path | None = None) -> FixtureReport:
+def check_table(m: int, directory: str | os.PathLike | None = None) -> FixtureReport:
     """check_against_fixture(m, load_fixture(m, directory)), with each line
     read straight into a term map on slot-layout keys: the same report and
     the same errors, and no Monomial built on either side unless a line
@@ -388,7 +390,7 @@ def _unpacked(terms: dict) -> DiffPoly:
                  for k, c in terms.items()})
 
 
-def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
+def load_fixture(m: int, directory: str | os.PathLike | None = None) -> list[DiffPoly]:
     """Load the coefficient table ``order_m<m>.txt``: m+1 lines, line k = c_k.
 
     With no directory, reads the table bundled with the package (available
@@ -397,14 +399,16 @@ def load_fixture(m: int, directory: str | Path | None = None) -> list[DiffPoly]:
     return _read_table(m, directory, parse_poly)
 
 
-def _read_table(m: int, directory: str | Path | None, read: Callable[[str], object]) -> list:
+def _read_table(
+    m: int, directory: str | os.PathLike | None, read: Callable[[str], object]
+) -> list:
     """The lines of table m, each as ``read`` reads its text: parse_poly's
-    DiffPoly, or its term map on other keys (odelift.diffring._parse_terms)."""
-    from pathlib import Path
-
+    DiffPoly, or its term map on other keys (odelift.diffring._parse_terms).
+    With no directory, the table is the file bundled beside this module."""
     name = f"order_m{m}.txt"
-    root = _bundled_tables() if directory is None else Path(directory)
-    numbered = enumerate((root / name).read_bytes().splitlines(), 1)
+    path = os.path.join(_BUNDLED_TABLES if directory is None else directory, name)
+    with open(path, "rb") as file:
+        numbered = enumerate(file.read().splitlines(), 1)
     lines = [(n, line) for n, line in numbered if line.strip()]
     if len(lines) != m + 1:
         raise FixtureFormatError(
@@ -417,12 +421,3 @@ def _read_table(m: int, directory: str | Path | None, read: Callable[[str], obje
         except (UnicodeDecodeError, PolyParseError) as exc:
             raise FixtureFormatError(f"fixture file {name} line {n}: {exc}") from None
     return table
-
-
-@lru_cache(maxsize=None)
-def _bundled_tables():
-    """The directory of the bundled tables, resolved once, not per table:
-    check-paper --all reads four."""
-    from importlib import resources  # imported on use: only check-paper reads the tables
-
-    return resources.files(__package__) / "fixtures"

@@ -29,10 +29,9 @@ from odelift.diffring import (
     poly_terms_doc,
 )
 from odelift.lifting import FIXTURE_ORDERS, LiftedODE, derive_lifted_ode, load_fixture
-from odelift.lifting import _bundled_tables
 from oracles import derive, eval_exact, parse_corpus, parse_disagreements, reference_parse_poly
 from oracles import reference_format_poly, reference_monomial_text
-from test_cli import EDGE_ODES
+from test_cli import EDGE_ODES, FIXTURE_DIR
 
 # Orders up to 7 put factors in high slots and give monomial keys of many
 # different lengths; low orders come up often enough to collide and cancel.
@@ -184,6 +183,17 @@ def test_scalar_arithmetic_exact():
     assert a * Fraction(1, 7) == parse_poly("p*p'")
     assert Fraction(1, 2) * a == Fraction(7, 2) * parse_poly("p*p'")
     assert 2 * a == parse_poly("14*p*p'")
+
+
+def test_a_scalar_minus_a_poly_is_the_negated_difference():
+    poly = parse_poly("7*p*p' - 3*q + 2")
+    for scalar in (2, 0, -5, Fraction(1, 2)):
+        got = scalar - poly
+        assert type(got) is DiffPoly and got.terms == (-(poly - scalar)).terms, scalar
+    assert (2 - parse_poly("2")).terms == {}
+    for bad in (1.5, "q", None):
+        with pytest.raises(TypeError):
+            bad - poly
 
 
 def test_coefficients_must_be_exact():
@@ -544,7 +554,7 @@ def test_one_pass_reader_matches_the_token_scanner():
     tables = [
         line
         for m in FIXTURE_ORDERS
-        for line in (_bundled_tables() / f"order_m{m}.txt").read_text().splitlines()
+        for line in (FIXTURE_DIR / f"order_m{m}.txt").read_text().splitlines()
     ]
     assert len(tables) == 18
     texts = [

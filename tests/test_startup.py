@@ -1,14 +1,16 @@
 """What `import odelift` builds and loads before a command does any work.
 
-Every odelift command, and every library `import odelift`, pays for the
-import first, and a small command such as `derive -m 4` spends most of its
-own time there.  So no class in the package is created from generated code:
-its six records are named tuples, and exprparse's nine Expr nodes write out
-their own __init__ and docstring.  The nodes stay dataclasses only so that
-dataclasses.fields lists their fields, with no method generated.  A module
-that one command alone needs is imported by that command.  The records stay
-immutable and checked: the validating ones check on every way in, _make and
-_replace included.
+Every odelift command pays for its imports first, and a small command such
+as `derive -m 4` spends most of its own time there.  So no class in the
+package is created from generated code: its six records are named tuples,
+and exprparse's nine Expr nodes write out their own __init__ and docstring.
+The nodes stay dataclasses only so that dataclasses.fields lists their
+fields, with no method generated.  A module that one command alone needs is
+imported by that command: `import odelift` imports no submodule, each name
+resolving on first use, and derive and check-paper import none of
+exprparse, verify, the dataclasses and inspect those load, pathlib and
+importlib.resources.  The records stay immutable and checked: the
+validating ones check on every way in, _make and _replace included.
 """
 
 import dataclasses
@@ -107,6 +109,41 @@ def test_import_loads_no_module_that_only_some_commands_use():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout.splitlines() == ["", "6 False"]
+
+
+#: Runs under `python -S` with argv[1] the source directory: imports
+#: odelift.cli and runs `derive -m 4 --style json` and `check-paper --all`
+#: through cli.main, then prints their exit codes and which of the modules
+#: that only verify needs are loaded; then reads each submodule, and then
+#: each name of __all__, off the odelift package, and prints what is missing
+#: or not listed by dir().
+_DERIVE_AND_CHECK = """
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+import odelift, odelift.cli
+with redirect_stdout(io.StringIO()):
+    codes = [odelift.cli.main(["derive", "-m", "4", "--style", "json"]),
+             odelift.cli.main(["check-paper", "--all"])]
+print(*codes)
+print(*(m for m in ("odelift.exprparse", "odelift.verify", "dataclasses", "inspect",
+                    "pathlib", "importlib.resources") if m in sys.modules))
+submodules = ("cli", "diffring", "exprparse", "lifting", "verify")
+print(*(n for n in submodules if getattr(odelift, n) is not sys.modules["odelift." + n]))
+listed = dir(odelift)
+print(len(odelift.__all__),
+      *(n for n in odelift.__all__ if not hasattr(odelift, n) or n not in listed))
+"""
+
+
+def test_derive_and_check_paper_import_no_module_that_only_verify_runs():
+    # -S as above; the package's names resolve on first use, submodules too
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _DERIVE_AND_CHECK, str(SRC_DIR)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["0 0", "", "", "33"]
 
 
 @pytest.mark.parametrize(
