@@ -94,9 +94,9 @@ def _finite_or_null(value: float) -> float | None:
 
 
 def _power(text: str) -> int:
-    """-m of derive and verify.  verify takes its coefficients from the
-    recurrence on the grid, not from derive, but stays at most MAX_DERIVE_M
-    until its verdict no longer depends on m (ROADMAP item 2)."""
+    """-m of derive and verify.  verify forms no coefficient for an int m,
+    but stays at most MAX_DERIVE_M until the range of what it computes past
+    28, the integration and the symbol rows, is settled (ROADMAP item 4)."""
     try:
         value = int(text)
     except ValueError:

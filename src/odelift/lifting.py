@@ -74,11 +74,10 @@ expression (entry k-1 of L_i) + a' - i p a - i (m-i+1) q b would produce
 it, and the tests hold it to that ring-arithmetic recurrence term for
 term.  Entry k-1 of L_i comes first because it is copied whole, in C,
 before anything is added to it.  No printed output depends on the order:
-the printers sort the terms, and verify reads the derived c_k from the
-recurrence on the grid, not from DiffPoly.eval.  Only DiffPoly.eval on a
-polynomial built by hand from a c_k, such as the difference of a
-perturbed coefficient of an explicit LiftedODE, can sum in another order
-when the term order changes.
+the printers sort the terms, and verify evaluates no derived c_k.  Only
+DiffPoly.eval on a polynomial built by hand from a c_k, such as the
+difference of a perturbed coefficient of an explicit LiftedODE, can sum
+in another order when the term order changes.
 
 The packed move here is the only derivation the package ships.  The
 references live with the tests in tests/oracles.py: the ring-level

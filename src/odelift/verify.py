@@ -14,54 +14,54 @@ fixed-step Taylor method of order 4.  That is the only integrator:
 fundamental_matrix returns (grid, phi), and the solution from
 (y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
-share one integration.  basis_check reports a scale-invariant
-residual per product plus the products' midpoint Wronskian, a closed
+share one integration.  basis_check reports a residual
+verdict per product plus the products' midpoint Wronskian, a closed
 form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
 W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).  Each verdict is
-one fixed rule: a residual passes below RESIDUAL_TOL, and the Wronskian
+one fixed rule: a residual passes at most RESIDUAL_TOL, and the Wronskian
 when its ratio to Hadamard's bound exceeds WRONSKIAN_TOL.
 
-Because the jets express every derivative exactly in terms of (f, f'),
-(g, g') and the values of p, q and their derivatives, the residual is a
-polynomial identity evaluated in floating point, and the Wronskian is
-read off the same two vectors: neither judges how accurate the integrator
-was.  Only the convergence-order test (acceptance criterion 6) and the
-Abel test on det Phi in the test suite do.
+The derived equation's residual y^(m+1) + sum d_k y^(k) is an identity:
+the jets express every derivative exactly in terms of (f, f'), (g, g')
+and the values of p, q and their derivatives, and the recurrence of
+odelift.lifting that gives the d_k is the same computation, so at the
+grid's own values it is zero in exact arithmetic.  So an int m, and a
+LiftedODE equal to the derived equation, have nothing to judge: their
+residuals are certified, not measured, and read 0.0, and the check forms
+neither a c_k nor a product block.  The tests hold the identity to
+account: the residual modulo two primes on whole grids, the recurrence on
+the grid against DiffPoly.eval of the expanded c_k, and the closed forms
+of Euler's equation.  Only the differences delta_k = c_k - d_k that an
+explicit LiftedODE adds can make a residual nonzero, and only they are
+judged: r = sum delta_k y^(k), evaluated with DiffPoly.eval on the symbol
+values and the product block, against its own running-error bound
+B = sum |delta_k|(|syms|) |y^(k)| (Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., 3.3).  Neither judges how accurate the
+integrator was; only the convergence-order test (acceptance criterion 6)
+and the Abel test on det Phi in the test suite do.
 
-Only the residual depends on the operator being checked, and the c_k
-values have one source: the rows c_0, ..., c_m of the derived equation of
-order m+1, from the symmetric-power recurrence of odelift.lifting run
-numerically on the symbol values (_recurrence_values), so no term of any
-c_k is formed.  The int m reads those rows; an explicit LiftedODE adds to
-row k the difference of its c_k to the derived one, evaluated with
-DiffPoly.eval, wherever the two differ, so DiffPoly.eval only ever sees
-what the caller changed.  The products are formed from (f, f') and
-(g, g') scaled at every grid point to max(|y|, |y'|) = 1, so neither the
-scale of the initial conditions nor the growth of the solutions along the
-interval overflows the block or hides a residual under its floor; the
-Wronskian is taken at the raw initial conditions.  Solutions that leave the
-double range, a Phi that is not finite, raise SolutionRangeError naming the
-first such x.
+The products are formed from (f, f') and (g, g') scaled at every grid
+point to max(|y|, |y'|) = 1, so neither the scale of the initial
+conditions nor the growth of the solutions along the interval overflows
+the block; the Wronskian is taken at the raw initial conditions.
+Solutions that leave the double range, a Phi that is not finite, raise
+SolutionRangeError naming the first such x.
 
-basis_check keeps what does not depend on the operator in three one-entry
+basis_check keeps what does not depend on the operator in two one-entry
 memos (_one_slot), each built whole and never written after:
-  _base      grid, Phi, the symbol values and the rows, read-only, keyed by
-             the trees p and q, the interval's repr, the step count and m
+  _base      grid, Phi and the symbol values, read-only, keyed by the
+             trees p and q, the interval's repr, the step count and m
              (Expr == compares node for node and literals by repr, so
-             -0.0 never aliases 0.0 in a key): one integration,
-             which evaluates p and q once, on the grid, and one run of
-             the recurrence per base equation;
-  _products  the product block, read-only, and the midpoint values of f
-             and g, keyed by _base's key plus the repr of ic_f and ic_g;
+             -0.0 never aliases 0.0 in a key): one integration, which
+             evaluates p and q once, on the grid, per base equation and m;
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
              an explicit LiftedODE is compared with.
 So a genuine equation, a perturbed one and dependent initial conditions on
-one base equation integrate once, run the recurrence once and evaluate 0,
-1 and 0 differences, and LiftedODE checks at one m derive once, whatever
-the base equation.  Each memo drops its entry before it builds the next,
-so at most one check's arrays are held: one product block of at most
-MAX_BLOCK_FLOATS floats plus Phi, the grid, the symbol values and the m+1
-rows.  cache_clear() on all three frees everything.
+one base equation integrate once and evaluate 0, 1 and 0 differences, and
+LiftedODE checks at one m derive once, whatever the base equation.  Only
+the perturbed check builds a product block, and it holds it for that check
+alone.  Each memo drops its entry before it builds the next, and
+cache_clear() on both frees everything.
 
 Each function that computes with numpy imports it as its first statement,
 so numpy is loaded by the first numeric call: importing odelift, reading
@@ -91,6 +91,7 @@ from .exprparse import (
     _program,
     eval_expr,
 )
+from .diffring import _raw
 from .lifting import MAX_DERIVE_M, LiftedODE, derive_lifted_ode
 
 if TYPE_CHECKING:
@@ -110,34 +111,47 @@ __all__ = [
 
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
-#: grid point, 80 MB at the limit.  While it is built, the stacked jets of f^k
-#: and g^k for k < m hold 2(m+2)(m-1) more, under two block sizes.  The whole
-#: check, integration, jets and residual included, peaks under 5 block sizes,
-#: and the memos' arrays hold under 3 between checks (2.50 at m = 1, with the
-#: m+1 c_k rows; the derived coefficients _derived keeps are not arrays and
-#: come on top); see
-#: test_basis_check_memory_stays_within_five_blocks and
+#: grid point, 80 MB at the limit.  Only an explicit LiftedODE with
+#: differences builds it, but the limit bounds every check, so that the
+#: verdict on an equation does not decide whether it may run.  While the block
+#: is built, the stacked jets of f^k and g^k for k < m hold 2(m+2)(m-1) more,
+#: under two block sizes.  The whole check, integration, jets and residual
+#: included, peaks under 5 block sizes, and the memos' arrays, the grid, Phi
+#: and the symbol values, hold 5 + 2 max(1, m) floats per point between
+#: checks, 7/6 of a block at m = 1 and under one at every larger m (the
+#: derived coefficients _derived keeps are not arrays and come on top); see
+#: test_basis_check_memory_stays_within_five_blocks,
+#: test_perturbed_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
 #: The two verdict rules, fixed so that a PASS means the same at every call:
 #: a threshold the caller could move would let a failing check be tuned until
-#: it passes.  A product passes when its max relative residual (_relative) is
-#: below RESIDUAL_TOL; the products' Wronskian passes when the sine of the
-#: angle between (f, f') and (g, g') at the midpoint exceeds WRONSKIAN_TOL,
-#: which is the one test for dependent solutions.
-RESIDUAL_TOL = 1e-6
+#: it passes.  A product passes when its residual ratio, the worst
+#: |r| / (u B) of basis_check with u = 2^-53, is at most RESIDUAL_TOL; the
+#: products' Wronskian passes when the sine of the angle between (f, f') and
+#: (g, g') at the midpoint exceeds WRONSKIAN_TOL, which is the one test for
+#: dependent solutions.  RESIDUAL_TOL, kappa, counts roundings.  Differences
+#: that vanish as functions leave only rounding, and read at most 8.3 for
+#: (p'' + p) c_k at p = sin(x), q = x on 1001 points (m = 3..20, every k),
+#: and at most 24.2 over six such identities at m <= 24, (p' + p^2) c_k at
+#: p = 1/(x+2) the largest.  A difference that does not vanish reads near
+#: 1/u = 9.0e15, since r and B then agree to the cancellation in it:
+#: (1 + 1e-6) c_k read at least 2.5e13 and c_k + 1 read 9.0e15, for m = 1..20
+#: on the four acceptance pairs.  1024 sits 40 times above the first and ten
+#: orders of magnitude below the second.
+RESIDUAL_TOL = 1024.0
 WRONSKIAN_TOL = 1e-8
 
 #: Largest coefficient work basis_check takes on for an explicit LiftedODE:
 #: the terms of its differences c_k - d_k to the derived coefficients d_k
 #: times the grid points, counted before anything is integrated.
-#: DiffPoly.eval forms every term of a difference at every point, at about
-#: 6 ns a term-point (c_1 of m = 9, 115 terms, on 30 001 points in 0.020 to
-#: 0.024 s on a 2-vCPU Xeon), so the limit is about a second of it: every
-#: c_k of derive_lifted_ode(20) doubled on 10 001 points (34 209 terms,
-#: 3.42e8) is refused.  An int m and a genuine LiftedODE evaluate no term,
-#: and the block guard bounds their work.
+#: DiffPoly.eval forms every term of a difference at every point twice, once
+#: for r and once, on magnitudes, for its bound B, at about 6 ns a term-point
+#: each (c_1 of m = 9, 115 terms, on 30 001 points in 0.020 to 0.024 s on a
+#: 2-vCPU Xeon), so the limit is about two seconds of it: every c_k of
+#: derive_lifted_ode(20) doubled on 10 001 points (34 209 terms, 3.42e8) is
+#: refused.  An int m and a genuine LiftedODE evaluate no term.
 MAX_TERM_POINTS = 2 * 10**8
 
 
@@ -589,46 +603,15 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @_one_slot
 def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """(grid, phi, syms, rows), all read-only: _integrate with the symbols up to
-    order m-1, and the rows c_0, ..., c_m of the derived equation on the grid.
+    """(grid, phi, syms), all read-only: _integrate with the symbols up to
+    order m-1.
 
-    Raises ConfigError, naming m, when a row is not finite.  Without this memo
-    each check integrates again, and verify-batch wall_s went from 0.130 to
-    0.165 s (+27 %).
+    Without this memo each check integrates again, and verify-batch wall_s
+    went from 0.130 to 0.165 s (+27 %).
     """
-    import numpy as np
     grid, phi, syms = _integrate(p, q, cfg, max(0, m - 1))
-    rows = _recurrence_values(m, syms)
-    if not np.isfinite(rows).all():
-        raise ConfigError(
-            f"the coefficients of the derived equation for m={m} leave the double "
-            f"range on this grid; use a smaller m"
-        )
-    _read_only(grid, phi, syms, rows)
-    return grid, phi, syms, rows
-
-
-@_one_slot
-def _products(base_key: tuple, p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
-    """(product block, syms, rows, x, (f, f'), (g, g')): the block read-only,
-    syms and rows _base's, and the last three the floats at the grid's midpoint,
-    where the Wronskian is taken.
-
-    The block is built from the solutions from cfg.ic_f and cfg.ic_g, each
-    scaled at every grid point (_scaled_solution) and dropped once it is
-    built; (f, f') and (g, g') are phi[:, mid] applied to the raw cfg.ic_f
-    and cfg.ic_g.  _base is called here so that a new base equation drops
-    the old entries before it builds its own.  Without this memo each
-    perturbed check builds its block again, and verify-batch wall_s went
-    from 0.128 to 0.149 s (+16 %).
-    """
-    grid, phi, syms, rows = _base(base_key, p, q, cfg, m)
-    f_pt, g_pt = _scaled_solution(phi, cfg.ic_f), _scaled_solution(phi, cfg.ic_g)
-    block = product_derivatives(f_pt, g_pt, m, syms)
-    _read_only(block)
-    mid = len(grid) // 2
-    (f, fp), (g, gp) = _solution(phi[:, mid], cfg.ic_f), _solution(phi[:, mid], cfg.ic_g)
-    return block, syms, rows, float(grid[mid]), (float(f), float(fp)), (float(g), float(gp))
+    _read_only(grid, phi, syms)
+    return grid, phi, syms
 
 
 @_one_slot
@@ -649,60 +632,34 @@ def _unit(ic: tuple) -> tuple:
     return a / norm, b / norm
 
 
-def _recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
-    """Rows c_0, ..., c_m of the derived equation of order m+1 at the points
-    of syms (p, q and their derivatives to order m-1), with no term formed.
-
-    Runs the recurrence of odelift.lifting, L_{i+1} = (d - i p) L_i -
-    i (m-i+1) q L_{i-1}, on the grid.  Entry k of L_i is held as its
-    normalised Taylor rows a^(j)/j!, j = 0, ..., m+1-i, in an
-    [order, entry, point] array; entry i is the constant 1 and is not
-    stored.  In these rows d moves row j+1 to row j times j+1, and a product
-    with p or q is a convolution with their Taylor rows, one shift at a time:
-    one multiply and one subtract per shift, the same at every step (at
-    i = 1 both add nothing: entry 0 of L_1 = d is stored as zeros, and L_0
-    stores no entry).  Row 0 of L_{m+1} holds c_0, ..., c_m.
-    """
-    import numpy as np
-    shape = syms.shape[2:]
-    ones = [1] * len(shape)  # reshapes one float per row to broadcast over the points
-    inverse = np.array([1 / math.factorial(j) for j in range(len(syms))]).reshape(-1, *ones)
-    prev, cur = np.zeros((m + 2, 0, *shape)), np.zeros((m + 1, 1, *shape))  # L_0 = 1, L_1 = d
-    for i in range(1, m + 1):
-        n = m + 1 - i  # the rows L_{i+1} needs
-        nxt = np.empty((n, i + 1, *shape))
-        np.multiply(cur[1:], np.arange(1.0, n + 1.0).reshape(-1, 1, *ones), out=nxt[:, :i])
-        nxt[:, i] = cur[:n, i - 1]
-        nxt[:, 1:i] += cur[:n, : i - 1]
-        # the Taylor rows of i p and i (m-i+1) q
-        p = syms[:n, 0] * (i * inverse[:n])
-        q = syms[:n, 1] * (i * (m - i + 1) * inverse[:n])
-        nxt[:, i] -= p  # times the unstored 1 of L_i
-        nxt[:, i - 1] -= q  # times the unstored 1 of L_{i-1}
-        for a, c in ((cur, p), (prev, q)):
-            for l in range(n):
-                nxt[l:, : a.shape[1]] -= a[: n - l] * c[l]
-        prev, cur = cur, nxt
-    return cur[0]
-
-
 # --------------------------------------------------------------------------
 # basis report
 
 
-def _relative(values: list, derivs: np.ndarray) -> object:
-    """r / s per entry of derivs' rows, from the values of c_0, ..., c_m and the m+2
-    rows of derivs: r = y^(m+1) + sum c_k y^(k), and s the largest term magnitude of
-    r, floored at 1."""
+def _difference_ratios(diffs: dict, phi: np.ndarray, syms: np.ndarray, cfg: NumericConfig,
+                       m: int) -> list:
+    """The worst |r| / (u B) of each product over the grid, u = 2^-53, taken as
+    0 where r = 0: r = sum delta_k y^(k) over the differences delta_k = diffs[k],
+    and B = sum |delta_k|(|syms|) |y^(k)|, with |delta_k| the difference with
+    every coefficient replaced by its absolute value.
+
+    The block is built from the solutions from cfg.ic_f and cfg.ic_g, each
+    scaled at every grid point (_scaled_solution), and freed before the ratio
+    is taken.  A non-finite r or B gives a nan or inf ratio.
+    """
     import numpy as np
-    lead = derivs[len(values), ...]
-    r, s, term = lead.copy(), np.empty_like(lead), np.empty_like(lead)
-    np.maximum(1.0, np.abs(lead), out=s)
-    for k, c in enumerate(values):
-        np.multiply(c, derivs[k, ...], out=term)
-        r += term
-        np.maximum(s, np.abs(term, out=term), out=s)
-    return r / s
+    block = product_derivatives(_scaled_solution(phi, cfg.ic_f), _scaled_solution(phi, cfg.ic_g),
+                                m, syms)
+    r, bound, term = (np.zeros(block.shape[1:]) for _ in range(3))
+    magnitudes = np.abs(syms)
+    for k, delta in diffs.items():
+        r += np.multiply(delta.eval(syms), block[k], out=term)
+        size = _raw({mono: abs(c) for mono, c in delta.terms.items()}).eval(magnitudes)
+        bound += np.multiply(size, np.abs(block[k], out=term), out=term)
+    del block, term
+    ratio = np.abs(r) / (2.0**-53 * bound)
+    ratio[r == 0] = 0.0  # no difference there, whatever B reads
+    return [float(v) for v in np.max(ratio, axis=1)]
 
 
 def monomial_label(i: int, j: int) -> str:
@@ -716,6 +673,10 @@ def monomial_label(i: int, j: int) -> str:
 
 
 class MonomialResidual(NamedTuple):
+    """The residual verdict of one product f^i g^j: max_residual is the worst
+    |r| / (u B) of basis_check over the grid, 0.0 where nothing differs from
+    the derived equation, and nan or inf where r or B is not finite."""
+
     i: int
     j: int
     max_residual: float
@@ -729,8 +690,10 @@ class MonomialResidual(NamedTuple):
 class BasisReport(NamedTuple):
     """Outcome of basis_check: residual per monomial plus one Wronskian; step is cfg.h.
 
-    A residual passes below RESIDUAL_TOL and the Wronskian when
+    A residual passes at most RESIDUAL_TOL and the Wronskian when
     wronskian_ratio exceeds WRONSKIAN_TOL; summary() prints both constants.
+    For an int m, or the derived equation itself, every residual is 0.0:
+    certified by the identity, not measured.
     """
 
     m: int
@@ -782,40 +745,44 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     """Check every product f^(m-j) g^j against the lifted equation.
 
     ode is a LiftedODE with m <= MAX_DERIVE_M, or an int m >= 1 for the
-    derived equation of order m+1.  The c_k values have one source, the rows
-    c_0, ..., c_m that _recurrence_values gives on the symbol array, so no
-    term of any c_k is formed.  An int reads the rows.  A LiftedODE reads row
-    k wherever its c_k == the derived d_k, and row k plus the difference
-    c_k - d_k, evaluated with DiffPoly.eval, wherever it != d_k; so its
-    genuine equation gives the report of the int m, bit for bit.  Either way
-    basis_check builds one fundamental matrix Phi, takes the
-    product_derivatives block on the whole grid from the solutions
-    Phi @ cfg.ic_f and Phi @ cfg.ic_g, each divided at every grid point by
-    sigma = max(|y|, |y'|) there (a zero vector stays zero), and reports
-    per-product max relative residuals, as _relative gives them, each passing
-    below RESIDUAL_TOL, plus the midpoint Wronskian of all m+1 products of
+    derived equation of order m+1.  The derived equation's residual is zero
+    in exact arithmetic at the grid's own values (see the module docstring),
+    so an int m, and a LiftedODE whose every c_k == the derived d_k, report
+    max_residual 0.0 for every product and pass, with no c_k and no product
+    block formed.  A LiftedODE that differs judges only its differences
+    delta_k = c_k - d_k, evaluated with DiffPoly.eval: on the
+    product_derivatives block of the solutions Phi @ cfg.ic_f and
+    Phi @ cfg.ic_g, each divided at every grid point by
+    sigma = max(|y|, |y'|) there (a zero vector stays zero), it forms
+    r = sum delta_k y^(k) and its running-error bound
+    B = sum |delta_k|(|syms|) |y^(k)|, |delta_k| being delta_k with every
+    coefficient replaced by its absolute value.  A product passes iff
+    |r| <= RESIDUAL_TOL u B at every grid point, u = 2^-53, and reports the
+    worst |r| / (u B), 0 where r = 0; a nan ratio fails.  Row k of column j
+    of the block is a polynomial in (f, f') of degree m-j and in (g, g') of
+    degree j, with coefficients from the symbols only, so the scaling
+    multiplies column j at each point by sigma_f^-(m-j) sigma_g^-j in every
+    row: it changes no ratio and keeps the block in range at any scale of
+    the initial conditions and any growth of the solutions.
+
+    Every check also reports the midpoint Wronskian of all m+1 products of
     the solutions from cfg.ic_f and cfg.ic_g, (prod_{k<=m} k!) W^N with
     W = W(f, g) and N = m(m+1)/2; its scale, Hadamard's bound, puts
     n = |(f, f')| |(g, g')| in place of W.  The products pass when |W| / n,
     at most 1, exceeds WRONSKIAN_TOL: the same test at every m, and the only
     test for dependent solutions.  That ratio is taken from the unit vectors
     (f, f')/|(f, f')| and (g, g')/|(g, g')|, so it stays right where W or n
-    alone overflows or underflows.  Row k of column j of the block is a
-    polynomial in (f, f') of degree m-j and in (g, g') of degree j, with
-    coefficients from the symbols only, so the scaling multiplies column j
-    at each point by sigma_f^-(m-j) sigma_g^-j in every row: it changes no
-    true residual and keeps the block in range at any scale of the initial
-    conditions and any growth of the solutions.  Raises ConfigError for an
-    int m below 1, for a LiftedODE with m above MAX_DERIVE_M (pass the int m
-    instead), when the block would hold more than MAX_BLOCK_FLOATS floats,
-    and, for a LiftedODE only, when the terms of its differences c_k - d_k
-    times the grid points pass MAX_TERM_POINTS, or, naming k, when a
-    difference holds a derivative of order above max(0, m-1), the highest
-    the grid holds, or a coefficient that float() cannot take; these guards
-    run before anything is integrated.  It also raises ConfigError, naming
-    m, when a row of c_k values is not finite on the grid, and
-    SolutionRangeError, naming x, when Phi is not finite, both before any
-    block is built.  Any other ode, a bool included, raises TypeError.
+    alone overflows or underflows.
+
+    Raises ConfigError for an int m below 1, for a LiftedODE with m above
+    MAX_DERIVE_M (pass the int m instead), when the block would hold more
+    than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when the terms
+    of its differences c_k - d_k times the grid points pass MAX_TERM_POINTS,
+    or, naming k, when a difference holds a derivative of order above
+    max(0, m-1), the highest the grid holds, or a coefficient that float()
+    cannot take; these guards run before anything is integrated.  It raises
+    SolutionRangeError, naming x, when Phi is not finite, before any block
+    is built.  Any other ode, a bool included, raises TypeError.
 
     The memo keys hold p and q themselves, whose == compares node for node
     and literals by repr, and every other float by repr, so a report from
@@ -851,13 +818,12 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
         except OverflowError:
             raise ConfigError(f"c_{k} has a coefficient past the double range") from None
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        base_key = (p, q, repr(cfg.interval), cfg.steps, m)
-        products_key = base_key, repr((cfg.ic_f, cfg.ic_g))
-        block, syms, rows, x, (f, fp), (g, gp) = _products(products_key, base_key, p, q, cfg, m)
-        values = [row + diffs[k].eval(syms) if k in diffs else row for k, row in enumerate(rows)]
-        worst = map(float, np.max(np.abs(_relative(values, block)), axis=1))
-        residuals = [MonomialResidual(m - j, j, w, w < RESIDUAL_TOL) for j, w in enumerate(worst)]
+        grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps, m), p, q, cfg, m)
+        worst = _difference_ratios(diffs, phi, syms, cfg, m) if diffs else [0.0] * (m + 1)
+        residuals = [MonomialResidual(m - j, j, w, w <= RESIDUAL_TOL) for j, w in enumerate(worst)]
 
+        mid = len(grid) // 2
+        (f, fp), (g, gp) = (map(float, _solution(phi[:, mid], ic)) for ic in (cfg.ic_f, cfg.ic_g))
         w, norms = f * gp - fp * g, math.hypot(f, fp) * math.hypot(g, gp)
         ks = np.arange(1.0, m + 1.0)
         factorials = np.prod(ks ** (m + 1 - ks))  # k is a factor of k!, ..., m!
@@ -870,5 +836,5 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
         wronskian=float(value),
         wronskian_scale=float(scale),
         wronskian_ratio=_sine((f, fp), (g, gp)),
-        wronskian_x=x,
+        wronskian_x=float(grid[mid]),
     )

@@ -74,6 +74,14 @@ columns.  The oracle's jets are plain lists built by its own helpers, so it
 shares no code with odelift.verify; all it takes from there is the symbol
 layout, row k of odelift.verify.symbol_values holding (p^(k), q^(k)).
 
+The symmetric-power recurrence run in floats on the symbol array,
+`recurrence_values`, gives the rows c_0, ..., c_m of the derived equation
+on a grid with no term formed.  basis_check does not read them: the
+derived equation's residual is an identity it certifies.  The rows stay
+here as the float form of the recurrence that the modular carrier runs on
+residues: tests hold them to DiffPoly.eval of the expanded c_k and to
+Euler's closed form, and majorised_check reads them.
+
 The running-error bound of a residual (Wilkinson; Higham, Accuracy and
 Stability of Numerical Algorithms, 2nd ed., 3.3) is the measure a
 verdict that does not depend on m can rest on.  r = y^(m+1) + sum c_k y^(k)
@@ -111,6 +119,7 @@ it checks is the order of the work, not the kernels.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -796,10 +805,47 @@ def product_block(f_pt, g_pt, m: int, syms) -> np.ndarray:
     return block
 
 
+def recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
+    """Rows c_0, ..., c_m of the derived equation of order m+1 at the points
+    of syms (p, q and their derivatives to order m-1), with no term formed.
+
+    Runs the recurrence of odelift.lifting, L_{i+1} = (d - i p) L_i -
+    i (m-i+1) q L_{i-1}, on the grid.  Entry k of L_i is held as its
+    normalised Taylor rows a^(j)/j!, j = 0, ..., m+1-i, in an
+    [order, entry, point] array; entry i is the constant 1 and is not
+    stored.  In these rows d moves row j+1 to row j times j+1, and a product
+    with p or q is a convolution with their Taylor rows, one shift at a time:
+    one multiply and one subtract per shift, the same at every step (at
+    i = 1 both add nothing: entry 0 of L_1 = d is stored as zeros, and L_0
+    stores no entry).  Row 0 of L_{m+1} holds c_0, ..., c_m.
+    """
+    import numpy as np
+    shape = syms.shape[2:]
+    ones = [1] * len(shape)  # reshapes one float per row to broadcast over the points
+    inverse = np.array([1 / math.factorial(j) for j in range(len(syms))]).reshape(-1, *ones)
+    prev, cur = np.zeros((m + 2, 0, *shape)), np.zeros((m + 1, 1, *shape))  # L_0 = 1, L_1 = d
+    for i in range(1, m + 1):
+        n = m + 1 - i  # the rows L_{i+1} needs
+        nxt = np.empty((n, i + 1, *shape))
+        np.multiply(cur[1:], np.arange(1.0, n + 1.0).reshape(-1, 1, *ones), out=nxt[:, :i])
+        nxt[:, i] = cur[:n, i - 1]
+        nxt[:, 1:i] += cur[:n, : i - 1]
+        # the Taylor rows of i p and i (m-i+1) q
+        p = syms[:n, 0] * (i * inverse[:n])
+        q = syms[:n, 1] * (i * (m - i + 1) * inverse[:n])
+        nxt[:, i] -= p  # times the unstored 1 of L_i
+        nxt[:, i - 1] -= q  # times the unstored 1 of L_{i-1}
+        for a, c in ((cur, p), (prev, q)):
+            for l in range(n):
+                nxt[l:, : a.shape[1]] -= a[: n - l] * c[l]
+        prev, cur = cur, nxt
+    return cur[0]
+
+
 def majorised_check(m: int, p, q, cfg) -> tuple:
     """(rows, magnitudes, block, major) of basis_check's check of the derived
     equation of order m+1 on cfg's grid: the c_k rows and the |c_k| rows of
-    odelift.verify._recurrence_values on syms and -|syms|, the product block
+    recurrence_values on syms and -|syms|, the product block
     from the solutions from cfg.ic_f and cfg.ic_g scaled at every point, and
     the same block on the magnitudes of f, f', g, g' and syms."""
     grid, phi, syms = verify._integrate(p, q, cfg, m - 1)
@@ -807,8 +853,8 @@ def majorised_check(m: int, p, q, cfg) -> tuple:
     g_pt = verify._scaled_solution(phi, cfg.ic_g)
     block = verify.product_derivatives(f_pt, g_pt, m, syms)
     major = verify.product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
-    rows = verify._recurrence_values(m, syms)
-    return rows, verify._recurrence_values(m, -np.abs(syms)), block, major
+    rows = recurrence_values(m, syms)
+    return rows, recurrence_values(m, -np.abs(syms)), block, major
 
 
 def running_error_ratio(values, magnitudes, block, major) -> float:

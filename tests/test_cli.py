@@ -474,11 +474,9 @@ def test_verify_passes_within_5_s(argv, capsys):
     d = json.loads(out)
     assert code == 0 and d["pass"] is True
     # the verdict thresholds are fixed constants, and the report prints them
-    assert d["residual_tolerance"] == 1e-6 and d["wronskian"]["tolerance"] == 1e-8
+    assert d["residual_tolerance"] == 1024.0 and d["wronskian"]["tolerance"] == 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the floored residual r/s of a true "
-                   "basis reads 0.5-1.1 on the middle product past m = 16")
 @pytest.mark.parametrize(
     "argv",
     [
@@ -489,6 +487,8 @@ def test_verify_passes_within_5_s(argv, capsys):
     ids=["m16-q-25", "m20-q-25", "m20-q-1"],
 )
 def test_verify_passes_a_true_basis_at_large_m(argv, capsys):
+    # the floored residual r/s of these read 0.5-1.1 on the middle product;
+    # the derived equation's residual is an identity, certified at 0.0
     code, out, _ = run(["verify", *argv, "--ic-f", "1", "-1", "--ic-g", "1", "1"], capsys)
     assert code == 0 and out.endswith("-> PASS\n")
 
@@ -517,13 +517,13 @@ def test_verify_json_report(capsys):
     assert doc["interval"] == [0.0, 1.0] and doc["h"] == 1e-3
     assert [r["monomial"] for r in doc["residuals"]] == ["f^2", "f*g", "g^2"]
     assert all(r["pass"] for r in doc["residuals"])
-    assert all(r["max_residual"] < 1e-6 for r in doc["residuals"])
+    assert all(r["max_residual"] == 0.0 for r in doc["residuals"])
     assert set(doc) == {
         "m", "p", "q", "interval", "h", "residuals", "wronskian", "residual_tolerance", "pass",
     }
-    assert doc["residual_tolerance"] == 1e-6
+    assert doc["residual_tolerance"] == 1024.0
     for r in doc["residuals"]:
-        assert r["pass"] == (r["max_residual"] < doc["residual_tolerance"])
+        assert r["pass"] == (r["max_residual"] <= doc["residual_tolerance"])
     wron = doc["wronskian"]
     assert set(wron) == {"value", "scale", "ratio", "x", "tolerance", "pass"}
     assert wron["pass"] is True
@@ -556,8 +556,8 @@ def test_verify_json_writes_non_finite_values_as_null(capsys):
 def test_verify_json_writes_non_finite_ratio_as_null(capsys):
     # g = 1.7e308 e^x overflows before the midpoint, where the Wronskian
     # reads the raw initial conditions: (g, g') = (inf, inf) there, so the
-    # ratio is NaN.  The products are scaled at every point, so every
-    # residual stays a number
+    # ratio is NaN.  The residuals of the derived equation are certified, so
+    # every one stays a number
     code, out, _ = run(
         ["verify", "-m", "2", "--p", "0", "--q", "1", "--ic-f", "0", "0",
          "--ic-g", "1.7e308", "1.7e308", "--json"], capsys
@@ -608,8 +608,8 @@ def test_verify_overflow_fails_without_warnings(argv, x):
 @pytest.mark.parametrize("m", ["12", "20", "28"])
 def test_verify_passes_products_that_grow_along_the_interval(m, capsys):
     # on 300 x^3, x the solution from (1, 0) reaches 6.5e28 and the unscaled
-    # block leaves the double range from m = 10 (every residual read nan);
-    # scaled at every grid point, every product is a number and passes
+    # block left the double range from m = 10 (every residual read nan); the
+    # derived equation's residuals are certified, and every one passes
     argv = ["verify", "-m", m, "--p", "300*x^3", "--q", "x"]
     code, out, err = run(argv, capsys)
     assert code == 0 and err == "" and out.endswith("-> PASS\n")
@@ -643,7 +643,8 @@ def test_verify_passes_on_large_and_tiny_initial_conditions(scale, capsys):
 
 
 def test_verify_takes_the_coefficients_from_the_recurrence(monkeypatch, capsys):
-    # verify neither derives the equation nor evaluates a polynomial
+    # verify neither derives the equation nor evaluates a polynomial: the
+    # derived equation's residual is an identity, so it forms no c_k at all
     calls = []
     for owner in (cli, lifting):  # cli imports it no more, but must not call it either
         monkeypatch.setattr(owner, "derive_lifted_ode", lambda m: calls.append(m), raising=False)
@@ -775,9 +776,8 @@ def test_verify_unusable_grid_is_a_usage_error(capsys):
         ["verify", "-m", "2", "--p", "0", "--q", "9" * 309],  # a literal that overflows a double
         ["verify", "-m", "2", "--p", "2²", "--q", "-1"],
         ["verify", "-m", "2", "--p", "0", "--q", "x^" + "9" * 5000],
-        # c_k rows past the double range
-        ["verify", "-m", "16", "--p", "0", "--q", "-1" + "0" * 40,
-         "--interval", "0", "1e-19", "--step", "1e-20"],
+        # one past the largest m
+        ["verify", "-m", "29", "--p", "0", "--q", "-1"],
         # nesting or sums too deep for the recursive parser and tree walks
         ["verify", "-m", "2", "--p", "(" * 200 + "x" + ")" * 200, "--q", "x"],
         ["verify", "-m", "2", "--p", "(" * 5000 + "x" + ")" * 5000, "--q", "x"],
@@ -797,6 +797,20 @@ def test_usage_errors_exit_2(argv, capsys):
         # a bad expression is named at its offset, not by argparse's generic
         # "invalid _expression value" with the whole text echoed
         assert "syntax error at offset" in err and len(err) < 1000, err
+
+
+def test_verify_certifies_residuals_where_the_coefficients_leave_the_double_range(capsys):
+    # q = -1e40 on 11 points: the derived c_k at m = 16 leave the double
+    # range there, which was a usage error while verify formed them.  It forms
+    # none: every residual passes by the identity, and the Wronskian judges
+    # alone.  At x = 5e-20 both solution vectors point along y', so it FAILs
+    argv = ["verify", "-m", "16", "--p", "0", "--q", "-1" + "0" * 40,
+            "--interval", "0", "1e-19", "--step", "1e-20", "--json"]
+    code, out, _ = run(argv, capsys)
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert [(r["max_residual"], r["pass"]) for r in doc["residuals"]] == [(0.0, True)] * 17
+    assert doc["wronskian"]["ratio"] < 1e-8 and not doc["wronskian"]["pass"]
+    assert code == 1 and doc["pass"] is False
 
 
 def test_deep_input_that_verify_read_before_is_still_read():

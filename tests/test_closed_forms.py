@@ -4,9 +4,10 @@ y'' = (a/x) y' + (b/x^2) y with a = r1 + r2 - 1 and b = -r1 r2 has the
 basis x^r1, x^r2, and its lifted equation is an Euler operator with
 c_k = e_k x^(k-m-1) (tests/oracles.py states the algebra).  Constant
 p = r1 + r2 and q = -r1 r2 lift to prod_j (d - lam_j).  These pin the
-derived coefficients, the recurrence rows `verify` reads, the integrator
-and the CLI against formulas that hold at any m.  The Euler pair stays out
-of the acceptance suites of criteria 4 and 7, which keep their four pairs.
+derived coefficients, the recurrence run on the grid (tests/oracles.py),
+the integrator and the CLI against formulas that hold at any m.  The
+Euler pair stays out of the acceptance suites of criteria 4 and 7, which
+keep their four pairs.
 """
 
 import json
@@ -17,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odelift import verify
 from odelift.cli import main
 from odelift.diffring import DiffPoly
 from odelift.exprparse import parse_expr
@@ -30,6 +30,7 @@ from oracles import (
     euler_product_block,
     euler_symbol_values,
     eval_exact,
+    recurrence_values,
 )
 
 #: (r1, r2, x): two exact points, one with rational roots of either sign
@@ -92,7 +93,7 @@ def test_recurrence_rows_on_euler_equation_are_the_closed_form(m):
     # value; the bound is stated per row
     grid = np.linspace(1.0, 2.0, 11)
     syms = symbol_values(parse_expr(EULER_P), parse_expr(EULER_Q), m - 1, grid)
-    rows = verify._recurrence_values(m, syms)
+    rows = recurrence_values(m, syms)
     e = euler_coefficients(m, 3, Fraction(1, 2))
     for k, row in enumerate(rows):
         want = float(e[k]) * grid ** (k - m - 1)

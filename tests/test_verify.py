@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from odelift import verify
+from odelift import lifting, verify
 from odelift.diffring import DiffPoly, P, Q, parse_poly
 from odelift.exprparse import Add, Call, ExprDomainError, Mul, Neg, Num, Var, _program
 from odelift.exprparse import diff_expr, eval_expr, parse_expr
@@ -662,7 +662,7 @@ def test_closed_form_wronskian_matches_determinant(m):
 @pytest.mark.parametrize("m", [1, 4, 9])
 def test_basis_check_evaluates_each_coefficient_once(m, monkeypatch):
     # a coefficient is evaluated only where it differs from the derived one,
-    # so a genuine equation reads every c_k from the recurrence rows
+    # so a genuine equation evaluates none
     calls = []
     plain_eval = DiffPoly.eval
 
@@ -820,7 +820,7 @@ def test_costly_coefficient_work_is_refused_before_it_integrates(monkeypatch):
     with pytest.raises(ConfigError, match="would evaluate 2.45e[+]08 coefficient terms"):
         basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), cfg)
     assert time.perf_counter() - start < 1.0
-    assert calls == [] and memo_info() == ((0, 0), (0, 0))
+    assert calls == [] and memo_info() == (0, 0)
     assert MAX_TERM_POINTS == 2 * 10**8
     # the limit counts the terms of the differences times the grid points:
     # c_1 + 1/8 at m=2 differs in one term, 1 * 1001
@@ -865,7 +865,7 @@ def test_difference_it_cannot_evaluate_is_refused_before_it_integrates(m, k, ext
     clear_memos()
     with pytest.raises(ConfigError, match=message):
         basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG)
-    assert memo_info() == ((0, 0), (0, 0))
+    assert memo_info() == (0, 0)
     # the highest order the grid holds, and a coefficient as large as a float,
     # are evaluated: the check runs and fails its residuals
     for extra in (DiffPoly.symbol(P(max(0, m - 1))), Fraction(10**300, 3)):
@@ -1054,7 +1054,7 @@ def test_recurrence_values_match_the_expanded_coefficients(m):
     grid = np.linspace(0.0, 1.0, 101)
     for p_text, q_text in RECURRENCE_PAIRS:
         syms = symbol_values(parse_expr(p_text), parse_expr(q_text), max(0, m - 1), grid)
-        rows = verify._recurrence_values(m, syms)
+        rows = oracles.recurrence_values(m, syms)
         assert rows.shape == (m + 1, len(grid))
         for k, c in enumerate(ode.coeffs):
             want = np.broadcast_to(c.eval(syms), grid.shape)
@@ -1081,7 +1081,7 @@ def test_recurrence_rows_on_negated_magnitudes_are_the_absolute_coefficient_sums
     points = [{s(j): Fraction(rng.randint(1, 63), 32) for j in range(m) for s in (P, Q)}
               for _ in range(2)]
     syms = -np.array([[[float(v[s(j)]) for v in points] for s in (P, Q)] for j in range(m)])
-    rows = verify._recurrence_values(m, syms)
+    rows = oracles.recurrence_values(m, syms)
     n = m * m + 7 * m
     gamma = Fraction(n, 2**53 - n)
     for k, c in enumerate(derive_lifted_ode(m).coeffs):
@@ -1107,7 +1107,7 @@ def test_recurrence_rows_on_negated_magnitudes_are_within_gamma_of_diffpoly_eval
     rng = random.Random(m)
     syms = -np.array([[[rng.randint(1, 63) / 32 for _ in range(3)] for _ in range(2)]
                       for _ in range(m)])
-    rows = verify._recurrence_values(m, syms)
+    rows = oracles.recurrence_values(m, syms)
     for k, c in enumerate(derive_lifted_ode(m).coeffs):
         want = DiffPoly({mono: abs(v) for mono, v in c.terms.items()}).eval(-syms)
         a, b = gamma(m * m + 7 * m), gamma(len(c.terms) + m + 1)
@@ -1195,6 +1195,95 @@ def test_modular_pin_fails_for_a_changed_weight_or_a_dropped_leibniz_term(monkey
         assert modular_residuals(m, p, q, cfg).any(axis=(0, 2)).all(), k
 
 
+# -- the residual verdict: only the differences to the derived equation --------
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 16])
+def test_the_derived_equation_is_certified_with_no_block_and_no_recurrence(m, monkeypatch):
+    # its residual is an identity, so the int m and the genuine LiftedODE
+    # report 0.0 for every product and equal reports, with no product block
+    # and no recurrence run, on the grid or on keys (the equation a LiftedODE
+    # is compared with is derived, into _derived, before the patch)
+    def refuse(*args):
+        raise AssertionError("built a product block or ran a recurrence")
+
+    ode = derive_lifted_ode(m)
+    clear_memos()
+    verify._derived(m, m)
+    monkeypatch.setattr(verify, "product_derivatives", refuse)
+    monkeypatch.setattr(lifting, "_recurrence", refuse)
+    assert not hasattr(verify, "_recurrence_values")
+    for p_text, q_text in COEFFICIENT_PAIRS:
+        p, q = parse_expr(p_text), parse_expr(q_text)
+        by_power, by_ode = basis_check(m, p, q, COS_CFG), basis_check(ode, p, q, COS_CFG)
+        assert by_power == by_ode and by_power.passed, (p_text, q_text)
+        assert [r.max_residual for r in by_power.residuals] == [0.0] * (m + 1)
+
+
+#: p'' + p, which vanishes as a function at p = sin(x) and not at p = sin(2*x)
+VANISHING_AT_SINE = parse_poly("p'' + p")
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_a_difference_that_vanishes_as_a_function_passes(m):
+    # c_k + (p'' + p) c_k for every k is a true equation at p = sin(x): its
+    # differences leave only rounding, which B bounds, and read under a tenth
+    # of RESIDUAL_TOL (8.3 at most here).  At p = sin(2*x) the same equation
+    # is wrong, and FAILs every product
+    coeffs = verify._derived(m, m)
+    ode = LiftedODE(m, tuple(c + VANISHING_AT_SINE * c for c in coeffs))
+    report = basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG)
+    assert report.passed
+    assert max(r.max_residual for r in report.residuals) < verify.RESIDUAL_TOL / 10
+    report = basis_check(ode, parse_expr("sin(2*x)"), parse_expr("x"), COS_CFG)
+    assert not any(r.passed for r in report.residuals)
+
+
+def perturbed_checks(m, cfg, pairs):
+    """(case, report) for (1 + 1e-6) c_k wherever c_k does not vanish on cfg's
+    grid, and for c_k + 1 at every k, on each of pairs.  One changed c_k is
+    held at a time: at m = 28 the scaled copies of all c_k would take
+    hundreds of MB."""
+    coeffs = verify._derived(m, m)
+    grid = np.linspace(*cfg.interval, cfg.steps + 1)
+    bases = []
+    for p_text, q_text in pairs:
+        p, q = parse_expr(p_text), parse_expr(q_text)
+        rows = oracles.recurrence_values(m, symbol_values(p, q, max(0, m - 1), grid))
+        bases.append((p_text, q_text, p, q, rows))
+    for k, c_k in enumerate(coeffs):
+        for kind in ("scaled", "plus one"):
+            c = c_k * Fraction(1000001, 10**6) if kind == "scaled" else c_k + 1
+            ode = LiftedODE(m, (*coeffs[:k], c, *coeffs[k + 1 :]))
+            for p_text, q_text, p, q, rows in bases:
+                if kind == "scaled" and not rows[k].any():
+                    continue
+                yield (p_text, q_text, k, kind), basis_check(ode, p, q, cfg)
+
+
+@pytest.mark.parametrize("m", range(1, 21))
+def test_every_perturbed_coefficient_fails_on_the_acceptance_pairs(m):
+    # a difference that does not vanish reads about 1/u whatever its size:
+    # measured on 101 points, (1 + 1e-6) c_k at least 2.5e13 and c_k + 1
+    # 9.0e15, against RESIDUAL_TOL = 1024
+    cfg = NumericConfig((0.0, 1.0), 1e-2)
+    checked = 0
+    for case, report in perturbed_checks(m, cfg, COEFFICIENT_PAIRS):
+        assert not report.residuals_passed and report.wronskian_passed, case
+        assert max(r.max_residual for r in report.residuals) > 1e13, case
+        checked += 1
+    assert checked >= 4 * (m + 1) + 1
+
+
+@pytest.mark.large(seconds=240)
+@pytest.mark.parametrize("m", [24, 28])
+def test_every_perturbed_coefficient_fails_past_tier_1(m):
+    # the test above at the two largest m a LiftedODE may have
+    cfg = NumericConfig((0.0, 1.0), 1e-2)
+    for case, report in perturbed_checks(m, cfg, COEFFICIENT_PAIRS):
+        assert not report.residuals_passed, case
+
+
 @pytest.mark.parametrize("m,error,message", [
     (0, ConfigError, "power m must be >= 1, got 0"),
     (-1, ConfigError, "power m must be >= 1, got -1"),
@@ -1205,7 +1294,7 @@ def test_basis_check_refuses_a_power_that_is_not_a_positive_int(m, error, messag
     clear_memos()
     with pytest.raises(error, match=message):
         basis_check(m, ZERO, MINUS_ONE, COS_CFG)
-    assert memo_info() == ((0, 0), (0, 0))
+    assert memo_info() == (0, 0)
 
 
 @pytest.mark.parametrize("pair", COEFFICIENT_PAIRS)
@@ -1243,37 +1332,38 @@ def test_derived_equation_gives_the_report_of_its_power(pair):
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
-    # c_0 + p*q and c_{m//2} + 1/8 add their differences, p*q and 1/8, each
-    # evaluated with DiffPoly.eval, to the rows the int m reads; every other
-    # c_k is its row
+    # c_0 + p*q and c_{m//2} + 1/8 add the differences p*q and 1/8: each is
+    # evaluated with DiffPoly.eval on the symbols, and its magnitude, the
+    # same terms with |coefficients|, on |symbols|; no other c_k is evaluated.
+    # The ratios are those of r = sum delta_k y^(k) and B = sum |delta_k| |y^(k)|
+    # formed here from the same block, bit for bit
     p, q = parse_expr("sin(x)"), parse_expr("x")
     coeffs = list(derive_lifted_ode(m).coeffs)
     diffs = {0: parse_poly("p*q"), m // 2: DiffPoly.const(Fraction(1, 8))}
     for k, delta in diffs.items():
         coeffs[k] = coeffs[k] + delta
-    seen, calls = [], []
-    plain_relative, plain_eval = verify._relative, DiffPoly.eval
+    calls = []
+    plain_eval = DiffPoly.eval
 
-    def keep_values(values, block):
-        seen.append(values)
-        return plain_relative(values, block)
+    def counting_eval(self, values):
+        calls.append((self, values))
+        return plain_eval(self, values)
 
-    def counting_eval(self, *args):
-        calls.append(self)
-        return plain_eval(self, *args)
-
-    monkeypatch.setattr(verify, "_relative", keep_values)
     monkeypatch.setattr(DiffPoly, "eval", counting_eval)
     clear_memos()
     assert basis_check(m, p, q, COS_CFG).passed
     report = basis_check(LiftedODE(m, tuple(coeffs)), p, q, COS_CFG)
     assert not report.passed
-    assert calls == list(diffs.values())
-    rows, values = seen
-    syms = symbol_values(p, q, m - 1, np.linspace(0.0, 1.0, COS_CFG.steps + 1))
-    for k in range(m + 1):
-        want = rows[k] + plain_eval(diffs[k], syms) if k in diffs else rows[k]
-        assert np.asarray(values[k]).tobytes() == np.asarray(want).tobytes(), k
+    assert [poly for poly, _ in calls] == [diffs[0]] * 2 + [diffs[m // 2]] * 2
+    grid, phi, syms = verify._base.__wrapped__(p, q, COS_CFG, m)
+    assert [values.tobytes() for _, values in calls] == [syms.tobytes(), np.abs(syms).tobytes()] * 2
+    f_pt, g_pt = (verify._scaled_solution(phi, ic) for ic in (COS_CFG.ic_f, COS_CFG.ic_g))
+    block = product_derivatives(f_pt, g_pt, m, syms)
+    r = sum(plain_eval(delta, syms) * block[k] for k, delta in diffs.items())
+    bound = sum(plain_eval(delta, np.abs(syms)) * np.abs(block[k]) for k, delta in diffs.items())
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(r == 0, 0.0, np.abs(r) / (2.0**-53 * bound))
+    assert [res.max_residual for res in report.residuals] == list(np.max(ratio, axis=1))
 
 
 def test_lifted_ode_past_the_derive_limit_is_refused_before_it_integrates(monkeypatch):
@@ -1286,9 +1376,12 @@ def test_lifted_ode_past_the_derive_limit_is_refused_before_it_integrates(monkey
 
 
 def test_coefficient_rows_out_of_double_range_are_refused(monkeypatch):
-    # q = -1e40 on 11 points: the c_k rows overflow at m=16, and both kinds of
-    # ode get a ConfigError naming m instead of nan residuals, before any
-    # product block is built
+    # q = -1e40 on 11 points: the derived c_k at m = 16 leave the double range
+    # there, and no check forms them.  The int m passes its residuals by the
+    # identity and builds no block (at the midpoint (f, f') and (g, g') are
+    # nearly parallel, so its Wronskian FAILs).  c_8 + 1 FAILs every product at 1/u, since y^(8) stays
+    # finite; c_16 + 1 FAILs with non-finite ratios (null in --json), since
+    # y^(16) overflows.  Neither passes any product
     def no_block(*args):
         raise AssertionError("built a product block")
 
@@ -1297,18 +1390,24 @@ def test_coefficient_rows_out_of_double_range_are_refused(monkeypatch):
     monkeypatch.setattr(verify, "product_derivatives", no_block)
     for ode in (16, derive_lifted_ode(16)):
         clear_memos()
-        with pytest.raises(ConfigError, match="for m=16 leave the double range"):
-            basis_check(ode, ZERO, q, cfg)
+        assert basis_check(ode, ZERO, q, cfg).residuals_passed
     monkeypatch.undo()
-    # rows that stay finite at a large m still pass
+    for k in (8, 16):
+        report = basis_check(perturbed(derive_lifted_ode(16), k, 1), ZERO, q, cfg)
+        assert not any(r.passed for r in report.residuals) and not report.passed
+        ratios = [r.max_residual for r in report.residuals]
+        if k == 8:
+            assert ratios == [2.0**53] * 17
+        else:
+            assert not all(map(math.isfinite, ratios))
+    # a large int m passes too
     coarse = NumericConfig(interval=(0.0, 1.0), step=0.1)
     assert basis_check(60, parse_expr("sin(x)"), parse_expr("x"), coarse).passed
 
 
 @pytest.mark.parametrize("m", [1, 5, 10, 28])
 def test_power_check_memory_stays_within_five_blocks(m):
-    # the recurrence's arrays, under a block size together, come on top of
-    # the block the memo holds
+    # an int m builds no block, so the integration alone sets the peak
     per_point = (m + 2) * (m + 1)
     points = 10**6 // per_point
     cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
@@ -1323,12 +1422,31 @@ def test_power_check_memory_stays_within_five_blocks(m):
     assert peak <= 5 * 8 * per_point * points, peak / (8 * per_point * points)
 
 
+@pytest.mark.parametrize("m", [1, 5, 10])
+def test_perturbed_check_memory_stays_within_five_blocks(m):
+    # c_{m//2} + 1/8 builds the one product block of the check, and its r and
+    # B on top; the integration's arrays and the memo's come on top of that
+    per_point = (m + 2) * (m + 1)
+    points = 10**6 // per_point
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
+    ode, p, q = perturbed(derive_lifted_ode(m), m // 2), parse_expr("sin(x)"), parse_expr("x")
+    clear_memos()
+    tracemalloc.start()
+    try:
+        report = basis_check(ode, p, q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.residuals_passed and report.wronskian_passed
+    assert peak <= 5 * 8 * per_point * points, peak / (8 * per_point * points)
+
+
 # -- the memo of operator-independent arrays ---------------------------------------
 
 
 def memo_info():
-    """(integration hits, misses), (product block hits, misses)."""
-    return tuple(memo.cache_info()[:2] for memo in (verify._base, verify._products))
+    """(hits, misses) of the integration memo _base."""
+    return verify._base.cache_info()[:2]
 
 
 def perturbed(ode, k=1, delta=Fraction(1, 8)):
@@ -1349,15 +1467,15 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
     clear_memos()
     assert basis_check(ode, p, q, COS_CFG).passed
     assert not basis_check(perturbed(ode), p, q, COS_CFG).residuals_passed
-    assert calls == ["_integrate", "product_derivatives"]
-    assert memo_info() == ((0, 1), (1, 1))
+    assert calls == ["_integrate", "product_derivatives"]  # the block is the perturbed check's
+    assert memo_info() == (1, 1)
 
-    # dependent initial conditions reuse Phi and rebuild the block
+    # dependent initial conditions reuse Phi, and the genuine equation builds no block
     dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
     report = basis_check(ode, p, q, dependent)
     assert report.residuals_passed and not report.wronskian_passed
-    assert calls[2:] == ["product_derivatives"]
-    assert memo_info() == ((1, 1), (1, 2))
+    assert calls[2:] == []
+    assert memo_info() == (2, 1)
 
 
 def test_dependent_check_reuses_the_symbol_values(monkeypatch):
@@ -1372,11 +1490,10 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
     dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
     clear_memos()
     assert basis_check(ode, p, q, COS_CFG).passed
-    assert verify._base.cache_info()[:2] == (0, 1)  # basis_check reads syms from _products
+    assert memo_info() == (0, 1)
     assert not basis_check(ode, p, q, dependent).wronskian_passed
     assert calls == [3]  # the grid only, to order max(3, m-1)
-    assert verify._base.cache_info()[:2] == (1, 1)
-    assert memo_info() == ((1, 1), (0, 2))
+    assert memo_info() == (1, 1)
     # another m on the same base equation misses, and so does another p
     basis_check(derive_lifted_ode(2), p, q, COS_CFG)
     basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
@@ -1385,10 +1502,10 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
 
 
 def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
-    # every c_k equal to the derived one is read from the recurrence rows: a
-    # genuine check evaluates no coefficient, a perturbed c_{m//2} that one,
-    # and the dependent check none, whether the three operators share their
-    # c_k objects or hold equal copies
+    # a c_k equal to the derived one has nothing to judge: a genuine check
+    # evaluates no coefficient, a perturbed c_{m//2} its difference twice, for
+    # r and for its bound B, and the dependent check none, whether the three
+    # operators share their c_k objects or hold equal copies
     calls = []
     plain_eval = DiffPoly.eval
 
@@ -1412,8 +1529,8 @@ def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
                 calls.clear()
                 basis_check(check_ode, p, q, cfg)
                 counts.append(len(calls))
-            assert counts == [0, 1, 0], m
-            assert memo_info() == ((1, 1), (1, 2))
+            assert counts == [0, 2, 0], m
+            assert memo_info() == (2, 1)
             assert verify._derived.cache_info()[:2] == (2, 1)
 
 
@@ -1456,11 +1573,9 @@ def test_basis_check_hashes_no_polynomial(monkeypatch):
 
 @pytest.mark.parametrize("m", [2, 5])
 def test_clearing_the_base_memo_frees_the_coefficient_values(m):
-    # after genuine, perturbed and dependent checks _base holds the grid,
-    # Phi, the symbol array and the m+1 recurrence rows, and the perturbed
-    # c_k is not kept; _products holds the block and the last two of _base's
-    # arrays, so clearing _base frees only the grid and Phi, and clearing
-    # both leaves no array
+    # after genuine, perturbed and dependent checks _base holds the grid, Phi
+    # and the symbol array, and neither the perturbed check's block nor its
+    # c_k values are kept, so clearing _base leaves no array
     points = 20001
     row = 8 * points
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
@@ -1475,16 +1590,12 @@ def test_clearing_the_base_memo_frees_the_coefficient_values(m):
             basis_check(check_ode, p, q, check_cfg)
         held = tracemalloc.get_traced_memory()[0]
         verify._base.cache_clear()
-        products_only = tracemalloc.get_traced_memory()[0]
-        verify._products.cache_clear()
         cleared = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    shared = (m + 2) * (m + 1) + 2 * m + m + 1  # block, symbols and c_k rows
-    assert held < row * (shared + 1 + 4 + 1), held / row
-    assert held - products_only >= row * (1 + 4)
-    assert products_only - cleared >= row * shared
-    assert products_only < row * (shared + 1), products_only / row
+    base = 1 + 4 + 2 * m  # the grid, Phi and the symbols to order m-1
+    assert held < row * (base + 1), held / row
+    assert held - cleared >= row * base
     assert cleared < row, cleared
 
 
@@ -1510,7 +1621,7 @@ def test_check_sequences_match_cold_checks(pair):
                 cold.append(repr(basis_check(check_ode, p, q, cfg)))
             clear_memos()
             assert [repr(basis_check(check_ode, p, q, cfg)) for check_ode, cfg in checks] == cold
-            assert memo_info() == ((1, 1), (1, 2))
+            assert memo_info() == (2, 1)
 
 
 def run_check(p, q, interval, step, ic_f, ic_g, m):
@@ -1539,9 +1650,9 @@ def test_changing_any_input_misses_the_memo(field, value, integrates):
     clear_memos()
     run_check(**base)
     run_check(**base)
-    assert memo_info() == ((0, 1), (1, 1))
-    warm = run_check(**changed)
-    assert memo_info() == ((0, 2) if integrates else (1, 1), (1, 2))
+    assert memo_info() == (1, 1)
+    warm = run_check(**changed)  # the initial conditions key no memo: no block is held
+    assert memo_info() == ((1, 2) if integrates else (2, 1))
     clear_memos()
     assert repr(warm) == repr(run_check(**changed))
 
@@ -1557,34 +1668,27 @@ def test_domain_error_caches_no_block(stage, m, p_text, q_text):
     for _ in range(2):
         with pytest.raises(ExprDomainError):
             basis_check(derive_lifted_ode(m), p, q, COS_CFG)
-        assert verify._products.cache_info().currsize == 0
         assert verify._base.cache_info().currsize == 0
     # the retry integrates again
-    assert memo_info() == ((0, 3), (0, 3))
+    assert memo_info() == (0, 3)
 
 
 def test_memo_arrays_are_read_only(monkeypatch):
     seen = {}
-    plain_integrate, plain_relative = verify._integrate, verify._relative
+    plain_integrate = verify._integrate
 
     def keep_phi(*args):
         out = plain_integrate(*args)
         seen["grid"], seen["phi"], seen["syms"] = out
         return out
 
-    def keep_block(values, block):
-        seen["values"], seen["block"] = values, block
-        return plain_relative(values, block)
-
     monkeypatch.setattr(verify, "_integrate", keep_phi)
-    monkeypatch.setattr(verify, "_relative", keep_block)
     clear_memos()
     assert cos_suite(3).passed
-    syms, values = seen["syms"], seen["values"]
+    syms = seen["syms"]
     assert syms.shape == (3, 2, len(seen["grid"]))  # p, p', p'' beside q, q', q''
-    assert len(values) == 4 and all(np.shape(c) == syms.shape[2:] for c in values)
     rows = [row for pair in syms for row in pair]  # the views DiffPoly.eval reads
-    for a in [seen["grid"], seen["phi"], seen["block"], syms, *rows, *values]:
+    for a in [seen["grid"], seen["phi"], syms, *rows]:
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[..., 0] = 1.0
@@ -1613,7 +1717,7 @@ def test_reports_are_the_same_with_the_memo_cold_and_warm(m):
     clear_memos()
     warm = [basis_check(check_ode, p, q, cfg) for check_ode, cfg in checks]
     assert list(map(repr, warm)) == cold
-    assert memo_info() == ((1, 1), (1, 2))
+    assert memo_info() == (2, 1)
     assert [r.passed for r in warm] == [True, False, False]
     assert not warm[1].residuals_passed and warm[2].residuals_passed
 
@@ -1666,7 +1770,7 @@ def test_threads_sharing_one_base_equation_get_their_own_reports():
         clear_memos()
         want.append(repr(basis_check(check_ode, p, q, cfg)))
     assert_threads_get(want, [lambda o=o: basis_check(o, p, q, cfg) for o in odes])
-    assert verify._base.cache_info()[:2] == (0, 1)
+    assert memo_info()[1] == 1
 
 
 # -- numpy, imported by the first numeric call -------------------------------------
@@ -1689,7 +1793,7 @@ print(json.dumps({"loaded": [before, after_rule, "numpy" in sys.modules],
                   "names": names, "count": len(found), "passed": report.passed}))
 """
 
-VERIFY_MEMOS = ["odelift.verify._base", "odelift.verify._derived", "odelift.verify._products"]
+VERIFY_MEMOS = ["odelift.verify._base", "odelift.verify._derived"]
 
 #: The two rules with the memos each finds: this file's memos() on
 #: odelift.verify, and perfbench/run.py's odelift_caches on the five modules
