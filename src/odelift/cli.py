@@ -94,9 +94,10 @@ def _finite_or_null(value: float) -> float | None:
 
 
 def _power(text: str) -> int:
-    """-m of derive and verify.  verify forms no coefficient for an int m,
-    but stays at most MAX_DERIVE_M until the range of what it computes past
-    28, the integration and the symbol rows, is settled (ROADMAP item 4)."""
+    """-m of derive and verify.  verify forms no coefficient for an int m:
+    past 28 it computes the integration alone, the same at every m.  Its -m
+    stops at MAX_DERIVE_M only because it shares this parser with derive,
+    until ROADMAP item 4 decides its range."""
     try:
         value = int(text)
     except ValueError:

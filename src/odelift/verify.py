@@ -49,16 +49,21 @@ SolutionRangeError naming the first such x.
 
 basis_check keeps what does not depend on the operator in two one-entry
 memos (_one_slot), each built whole and never written after:
-  _base      grid, Phi and the symbol values, read-only, keyed by the
-             trees p and q, the interval's repr, the step count and m
-             (Expr == compares node for node and literals by repr, so
-             -0.0 never aliases 0.0 in a key): one integration, which
-             evaluates p and q once, on the grid, per base equation and m;
+  _base      grid, Phi and the symbol values to the order the check
+             reads, read-only, keyed by the trees p and q, the interval's
+             repr, the step count and that order: 0 for an int m, which
+             reads Phi alone, m-1 for a LiftedODE, whose differences may
+             read p^(m-1) (Expr == compares node for node and literals by
+             repr, so -0.0 never aliases 0.0 in a key): one integration,
+             which evaluates p and q once, on the grid, to order
+             max(3, that order);
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
              an explicit LiftedODE is compared with.
-So a genuine equation, a perturbed one and dependent initial conditions on
-one base equation integrate once and evaluate 0, 1 and 0 differences, and
-LiftedODE checks at one m derive once, whatever the base equation.  Only
+So int checks at any m on one base equation and grid integrate once, and
+do the same work at every m but the guard's count and the Wronskian's
+closed form; a genuine equation, a perturbed one and dependent initial
+conditions at one m integrate once and evaluate 0, 1 and 0 differences;
+and LiftedODE checks at one m derive once, whatever the base equation.  Only
 the perturbed check builds a product block, and it holds it for that check
 alone.  Each memo drops its entry before it builds the next, and
 cache_clear() on both frees everything.
@@ -117,9 +122,10 @@ __all__ = [
 #: is built, the stacked jets of f^k and g^k for k < m hold 2(m+2)(m-1) more,
 #: under two block sizes.  The whole check, integration, jets and residual
 #: included, peaks under 5 block sizes, and the memos' arrays, the grid, Phi
-#: and the symbol values, hold 5 + 2 max(1, m) floats per point between
-#: checks, 7/6 of a block at m = 1 and under one at every larger m (the
-#: derived coefficients _derived keeps are not arrays and come on top); see
+#: and the symbol values, hold 7 floats per point after an int m and
+#: 5 + 2 max(1, m) after a LiftedODE, 7/6 of a block at m = 1 and under one
+#: at every larger m (the derived coefficients _derived keeps are not arrays
+#: and come on top); see
 #: test_basis_check_memory_stays_within_five_blocks,
 #: test_perturbed_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
@@ -178,7 +184,8 @@ class NumericConfig(namedtuple("NumericConfig", "interval step ic_f ic_g")):
     A named tuple of floats: interval, ic_f and ic_g are pairs, ic_f defaulting
     to (1.0, 0.0) and ic_g to (0.0, 1.0).  Every way in, the constructor,
     _make and _replace, converts the values to floats and checks them.  The
-    grid must carry at least 10 points.  Linearly dependent initial
+    grid must take at least 10 steps, counted as steps counts them, the
+    span (b - a)/step rounded.  Linearly dependent initial
     conditions are allowed through on purpose: the Wronskian check exists
     to catch exactly that, and a report showing it fail is more useful
     than a constructor refusing to run.  basis_check's midpoint Wronskian
@@ -208,15 +215,17 @@ class NumericConfig(namedtuple("NumericConfig", "interval step ic_f ic_g")):
         span = (b - a) / step
         if not math.isfinite(span):
             raise ConfigError(f"grid on [{a}, {b}] with step {step} has too many points")
-        if span < 10.0:
-            raise ConfigError(f"grid on [{a}, {b}] with step {step} has fewer than 10 points")
+        if round(span) < 10:  # the step count the grid uses, see steps
+            raise ConfigError(f"grid on [{a}, {b}] with step {step} has {round(span)} steps, "
+                              f"fewer than 10")
         return super().__new__(cls, interval, step, ic_f, ic_g)
 
     _make = classmethod(lambda cls, it: cls(*it))
 
     @property
     def steps(self) -> int:
-        """Number of integration steps; the constructor refuses fewer than 10."""
+        """Number of integration steps, (b - a)/step rounded; the constructor
+        refuses fewer than 10."""
         a, b = self.interval
         return round((b - a) / self.step)
 
@@ -596,22 +605,19 @@ def _one_slot(build):
     return memo
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        a.flags.writeable = False
-
-
 @_one_slot
-def _base(p: Expr, q: Expr, cfg: NumericConfig, m: int) -> tuple:
+def _base(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
     """(grid, phi, syms), all read-only: _integrate with the symbols up to
-    order m-1.
+    order upto, the highest the check reads (0 for an int m, m-1 for a
+    LiftedODE).
 
     Without this memo each check integrates again, and verify-batch wall_s
     went from 0.130 to 0.165 s (+27 %).
     """
-    grid, phi, syms = _integrate(p, q, cfg, max(0, m - 1))
-    _read_only(grid, phi, syms)
-    return grid, phi, syms
+    entry = _integrate(p, q, cfg, upto)
+    for array in entry:
+        array.flags.writeable = False
+    return entry
 
 
 @_one_slot
@@ -800,6 +806,7 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"m={MAX_DERIVE_M}; for m={ode.m} pass the int m to check the derived equation"
         )
     m, points = (ode if derived else ode.m), cfg.steps + 1
+    upto = 0 if derived else m - 1  # the symbol order the check reads: an int m reads Phi alone
     _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
     diffs = {} if derived else {k: c - d for k, (c, d) in enumerate(zip(ode.coeffs, _derived(m, m)))
                                 if c != d}
@@ -810,15 +817,15 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
         )
     for k, c in diffs.items():  # DiffPoly.eval reads the grid's symbols and float coefficients
-        if c.max_order() > max(0, m - 1):
+        if c.max_order() > upto:
             raise ConfigError(f"c_{k} holds a derivative of order {c.max_order()}, past the "
-                              f"order {max(0, m - 1)} that m={m} evaluates p and q to")
+                              f"order {upto} that m={m} evaluates p and q to")
         try:
             float(max(map(abs, c.terms.values())))  # float() overflows first on the largest
         except OverflowError:
             raise ConfigError(f"c_{k} has a coefficient past the double range") from None
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps, m), p, q, cfg, m)
+        grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps, upto), p, q, cfg, upto)
         worst = _difference_ratios(diffs, phi, syms, cfg, m) if diffs else [0.0] * (m + 1)
         residuals = [MonomialResidual(m - j, j, w, w <= RESIDUAL_TOL) for j, w in enumerate(worst)]
 

@@ -666,6 +666,16 @@ def test_verify_reports_the_step_the_grid_uses(capsys):
     assert code == 0 and out.startswith(f"m=2 on [0, 1], step {1 / 667:g}\n")
 
 
+def test_verify_refuses_a_grid_of_fewer_than_10_steps(capsys):
+    # 1/0.11 rounds to 9 steps; 1/0.105 rounds to 10, which runs
+    argv = ["verify", "-m", "2", "--p", "0", "--q", "-1", "--step"]
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "0.11"])
+    assert info.value.code == 2 and "has 9 steps, fewer than 10" in capsys.readouterr().err
+    code, out, _ = run([*argv, "0.105", "--json"], capsys)
+    assert code == 0 and json.loads(out)["h"] == 1 / 10
+
+
 def test_canonical_json_refuses_non_finite_floats():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):

@@ -125,6 +125,16 @@ def test_config_steps_and_independence():
     assert NumericConfig(interval=(0.0, 1.0), step=0.1).steps == 10
 
 
+def test_config_counts_the_steps_the_grid_takes():
+    # the refusal judges round((b - a)/step), the step count the grid uses:
+    # 1/0.105 = 9.52 rounds to a grid of 10 steps and 11 points, 1/0.11 = 9.09
+    # to 9 steps
+    for step in (0.1, 0.105):
+        assert NumericConfig(interval=(0.0, 1.0), step=step).steps == 10
+    with pytest.raises(ConfigError, match=r"with step 0\.11 has 9 steps, fewer than 10$"):
+        NumericConfig(interval=(0.0, 1.0), step=0.11)
+
+
 @pytest.mark.parametrize("interval,step", [((0.0, 1.0), 1e-4), ((10.0, 11.0), 1e-3)])
 def test_fine_and_offset_grids_are_uniform(interval, step):
     # linspace rounding is about one ulp of max |x|, above 1e-12 of the gap
@@ -692,11 +702,14 @@ def test_basis_check_integrates_once(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("m", [1, 3, 8])
-def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
-    # p and q on the grid only, to order max(3, m-1): the Taylor steps read
-    # rows 0..3 and the product block rows 0..m-1 of the same jets; one run
-    # of the program of p and q gives both
+@pytest.mark.parametrize("m, derived", [(1, False), (3, False), (8, False),
+                                        (1, True), (8, True), (28, True)],
+                         ids=["1", "3", "8", "int-1", "int-8", "int-28"])
+def test_basis_check_evaluates_p_and_q_once_per_point_set(m, derived, monkeypatch):
+    # p and q on the grid only, to order max(3, m-1) for a LiftedODE: the
+    # Taylor steps read rows 0..3 and its differences rows 0..m-1 of the same
+    # jets; one run of the program of p and q gives both.  An int m reads Phi
+    # alone, so it evaluates to order 3 at every m
     calls = []
 
     def counting(p, q, order, x, plain=verify.symbol_values):
@@ -705,8 +718,9 @@ def test_basis_check_evaluates_p_and_q_once_per_point_set(m, monkeypatch):
 
     monkeypatch.setattr(verify, "symbol_values", counting)
     clear_memos()
-    assert basis_check(derive_lifted_ode(m), parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
-    assert calls == [(1001, max(3, m - 1))]
+    ode = m if derived else derive_lifted_ode(m)
+    assert basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
+    assert calls == [(1001, 3 if derived else max(3, m - 1))]
 
 
 @pytest.mark.parametrize("upto", [0, 2, 3, 5])
@@ -1355,7 +1369,7 @@ def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
     report = basis_check(LiftedODE(m, tuple(coeffs)), p, q, COS_CFG)
     assert not report.passed
     assert [poly for poly, _ in calls] == [diffs[0]] * 2 + [diffs[m // 2]] * 2
-    grid, phi, syms = verify._base.__wrapped__(p, q, COS_CFG, m)
+    grid, phi, syms = verify._base.__wrapped__(p, q, COS_CFG, m - 1)
     assert [values.tobytes() for _, values in calls] == [syms.tobytes(), np.abs(syms).tobytes()] * 2
     f_pt, g_pt = (verify._scaled_solution(phi, ic) for ic in (COS_CFG.ic_f, COS_CFG.ic_g))
     block = product_derivatives(f_pt, g_pt, m, syms)
@@ -1476,6 +1490,28 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
     assert report.residuals_passed and not report.wronskian_passed
     assert calls[2:] == []
     assert memo_info() == (2, 1)
+
+
+def test_int_checks_at_every_m_integrate_once():
+    # an int m reads Phi alone, so its memo entry holds the symbols to order
+    # 0 at every m: checks at m = 1..28 in a row on one base equation and grid
+    # integrate once, and each report is the one a cold check gives
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    cold = []
+    for m in range(1, 29):
+        clear_memos()
+        cold.append(repr(basis_check(m, p, q, COS_CFG)))
+    clear_memos()
+    assert [repr(basis_check(m, p, q, COS_CFG)) for m in range(1, 29)] == cold
+    assert memo_info() == (27, 1)
+    # a LiftedODE reads the symbols to order m-1: at m = 5 the genuine
+    # equation, its c_2 + 1/8 copy and dependent initial conditions integrate
+    # once more, together
+    ode = derive_lifted_ode(5)
+    dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
+    checks = [(ode, COS_CFG), (perturbed(ode, 2), COS_CFG), (ode, dependent)]
+    assert [basis_check(o, p, q, cfg).passed for o, cfg in checks] == [True, False, False]
+    assert memo_info() == (29, 2)
 
 
 def test_dependent_check_reuses_the_symbol_values(monkeypatch):
