@@ -64,9 +64,10 @@ do the same work at every m but the guard's count and the Wronskian's
 closed form; a genuine equation, a perturbed one and dependent initial
 conditions at one m integrate once and evaluate 0, 1 and 0 differences;
 and LiftedODE checks at one m derive once, whatever the base equation.  Only
-the perturbed check builds a product block, and it holds it for that check
-alone.  Each memo drops its entry before it builds the next, and
-cache_clear() on both frees everything.
+the perturbed check builds a product block, only to the highest row its
+differences read (row max(1, K) for K the highest k whose c_k differs),
+and it holds it for that check alone.  Each memo drops its entry before it
+builds the next, and cache_clear() on both frees everything.
 
 Each function that computes with numpy imports it as its first statement,
 so numpy is loaded by the first numeric call: importing odelift, reading
@@ -117,12 +118,15 @@ __all__ = [
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
 #: grid point, 80 MB at the limit.  Only an explicit LiftedODE with
-#: differences builds it, but the limit bounds every check, so that the
-#: verdict on an equation does not decide whether it may run.  While the block
-#: is built, the stacked jets of f^k and g^k for k < m hold 2(m+2)(m-1) more,
-#: under two block sizes.  The whole check, integration, jets and residual
-#: included, peaks under 5 block sizes, and the memos' arrays, the grid, Phi
-#: and the symbol values, hold 7 floats per point after an int m and
+#: differences builds a block, and only to the row K = max(1, highest k whose
+#: c_k differs) that r and B read, (K+1)(m+1) floats a point.  The limit still
+#: counts the full block and bounds every check, so that neither the verdict
+#: on an equation nor which of its c_k differ decides whether it may run.
+#: While the block is built, the stacked jets of f^k and g^k for k < m hold
+#: 2(K+1)(m-1) more, under two full blocks.  The whole check, integration,
+#: jets and residual included, peaks under 5 full blocks (c_{m//2} + 1/8
+#: reads 1.55 at m = 5 and 1.62 at m = 10), and the memos' arrays, the grid,
+#: Phi and the symbol values, hold 7 floats per point after an int m and
 #: 5 + 2 max(1, m) after a LiftedODE, 7/6 of a block at m = 1 and under one
 #: at every larger m (the derived coefficients _derived keeps are not arrays
 #: and come on top); see
@@ -502,13 +506,19 @@ def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
 
 
 def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
-    """Derivatives 0..m+1 of all m+1 products f^(m-j) g^j, as one block.
+    """Derivatives 0..s+2 of all m+1 products f^(m-j) g^j, as one block,
+    for the symbols syms of order s.
 
     f_pt and g_pt are (value, derivative) pairs of the two base solutions,
     scalars or grid arrays; syms holds p, q and their derivatives up to
-    order m-1 at the same points (see symbol_values).  Entry [k, j] of the
-    (m+2, m+1, *shape) block is the k-th derivative of f^(m-j) g^j; the top
-    (m+1) x (m+1) square is the products' Wronskian matrix.
+    order s at the same points (see symbol_values), and s = -1, no rows,
+    gives the values and first derivatives alone.  Entry [k, j] of the
+    (s+3, m+1, *shape) block is the k-th derivative of f^(m-j) g^j.  At
+    s = m-1 that is derivatives 0..m+1, and the top (m+1) x (m+1) square
+    is the products' Wronskian matrix.  Every row is computed from lower
+    rows only, so a block of fewer rows is the top of the full one, bit for
+    bit: basis_check's perturbed check passes the symbols to order K-2 and
+    builds only rows 0..K, K the highest k whose c_k differs (at least 1).
 
     f and g travel as one stacked pair u = (f, g): one solution jet, then
     the powers u^2, ..., u^m, each a Leibniz product u^(k-1) u on (2, *shape)
@@ -523,8 +533,9 @@ def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
-    block = np.empty((m + 2, m + 1, *shape))
-    pows = np.empty((m + 2, m - 1, 2, *shape))  # [k, i - 1]: row k of u^i, i < m
+    rows = len(syms) + 2
+    block = np.empty((rows, m + 1, *shape))
+    pows = np.empty((rows, m - 1, 2, *shape))  # [k, i - 1]: row k of u^i, i < m
     levels = [pows[:, i] for i in range(m - 1)] + [block[:, ::m]]  # u^1, ..., u^m
     u = levels[0]
     u[0, 0], u[1, 0] = f_pt
@@ -650,12 +661,13 @@ def _difference_ratios(diffs: dict, phi: np.ndarray, syms: np.ndarray, cfg: Nume
     every coefficient replaced by its absolute value.
 
     The block is built from the solutions from cfg.ic_f and cfg.ic_g, each
-    scaled at every grid point (_scaled_solution), and freed before the ratio
-    is taken.  A non-finite r or B gives a nan or inf ratio.
+    scaled at every grid point (_scaled_solution), only to the rows r and B
+    read, 0..max(K, 1) for K the highest k in diffs, and freed before the
+    ratio is taken.  A non-finite r or B gives a nan or inf ratio.
     """
     import numpy as np
     block = product_derivatives(_scaled_solution(phi, cfg.ic_f), _scaled_solution(phi, cfg.ic_g),
-                                m, syms)
+                                m, syms[: max(max(diffs) - 1, 0)])
     r, bound, term = (np.zeros(block.shape[1:]) for _ in range(3))
     magnitudes = np.abs(syms)
     for k, delta in diffs.items():

@@ -533,7 +533,9 @@ def test_product_block_shape_and_columns():
 @pytest.mark.parametrize("p_text,q_text", COEFFICIENT_PAIRS)
 def test_product_block_matches_the_term_by_term_oracle(p_text, q_text):
     # every bit, on the grid and at a scalar point, m = 1..16, for the unit
-    # initial conditions and for unequal, non-unit ones
+    # initial conditions and for unequal, non-unit ones; and for m = 1..12 the
+    # block built from the symbols to any order s < m-1, none at s = -1, is
+    # the top s+3 rows of the full one, byte for byte
     p, q = parse_expr(p_text), parse_expr(q_text)
     for ic_f, ic_g in (((1.0, 0.0), (0.0, 1.0)), ((1.5, -0.25), (0.5, 2.0))):
         grid, *f_pt = solve(p, q, COS_CFG, ic_f)
@@ -544,10 +546,19 @@ def test_product_block_matches_the_term_by_term_oracle(p_text, q_text):
             syms = symbol_values(p, q, max(0, m - 1), grid)
             block = product_derivatives(f_pt, g_pt, m, syms)
             assert np.array_equal(block, product_block(f_pt, g_pt, m, syms))
-            syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
-            point = product_derivatives(f_mid, g_mid, m, syms)
+            mid_syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
+            point = product_derivatives(f_mid, g_mid, m, mid_syms)
             assert point.shape == (m + 2, m + 1)
-            assert np.array_equal(point, product_block(f_mid, g_mid, m, syms))
+            assert np.array_equal(point, product_block(f_mid, g_mid, m, mid_syms))
+            if m > 12:
+                continue
+            for s in range(-1, m - 1):
+                top = product_derivatives(f_pt, g_pt, m, syms[: s + 1])
+                assert top.shape == (s + 3, m + 1, len(grid))
+                assert top.tobytes() == block[: s + 3].tobytes()
+                top = product_derivatives(f_mid, g_mid, m, mid_syms[: s + 1])
+                assert top.shape == (s + 3, m + 1)
+                assert top.tobytes() == point[: s + 3].tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
@@ -1490,6 +1501,24 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
     assert report.residuals_passed and not report.wronskian_passed
     assert calls[2:] == []
     assert memo_info() == (2, 1)
+
+
+def test_a_perturbed_check_builds_only_the_rows_it_reads(monkeypatch):
+    # c_k + 1/8 reads row k of the block, and the solution jet holds rows 0
+    # and 1 at least: the block stops at row max(k, 1), whatever m is
+    rows = []
+
+    def spying(*args, plain=verify.product_derivatives):
+        block = plain(*args)
+        rows.append(len(block))
+        return block
+
+    monkeypatch.setattr(verify, "product_derivatives", spying)
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(5)
+    clear_memos()
+    for k in range(6):
+        assert not basis_check(perturbed(ode, k), p, q, COS_CFG).residuals_passed
+    assert rows == [max(k, 1) + 1 for k in range(6)]
 
 
 def test_int_checks_at_every_m_integrate_once():
