@@ -379,17 +379,26 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
 
 
 def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
-    """Fill rows 2.. of the stacked jet u of base solutions from rows 0, 1.
-
-    u is an array, written in place, or a list of rows, whose rows 2.. are
-    replaced; rows 0 and 1 of a list may be columns that broadcast.
+    """Fill rows 2.. of the stacked jet u of base solutions from rows 0, 1,
+    in place.
 
     Differentiating f'' = p f' + q f k times gives
     f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
+    Each row is summed in place from +0.0, term by term in j as sum() of the
+    terms would: a row is never -0.0 where that sum is +0.0.  A term with
+    C(k, j) = 1 is not multiplied by it.
     """
+    import numpy as np
+    term, part = np.empty_like(u[0]), np.empty_like(u[0])
     for k in range(len(u) - 2):
-        u[k + 2] = sum(comb(k, j) * (syms[j, 0] * u[k + 1 - j] + syms[j, 1] * u[k - j])
-                       for j in range(k + 1))
+        row = u[k + 2]
+        row.fill(0.0)
+        for j in range(k + 1):
+            np.multiply(syms[j, 0], u[k + 1 - j], out=term)
+            term += np.multiply(syms[j, 1], u[k - j], out=part)
+            if 0 < j < k:
+                term *= comb(k, j)
+            row += term
 
 
 # --------------------------------------------------------------------------
@@ -421,13 +430,17 @@ def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
 
 def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     """Phi from the rows of p, q and their derivatives to order 3 on the grid:
-    the scan of the order-4 Taylor steps T_k = sum_{j<=4} h^j/j! Y^(j)(x_k),
-    where the columns of Y are the solutions from (1, 0) and (0, 1) at x_k.
+    the prefix products of the order-4 Taylor steps
+    T_k = sum_{j<=4} h^j/j! Y^(j)(x_k), where the columns of Y are the
+    solutions from (1, 0) and (0, 1) at x_k.
 
-    Row j of the stacked jet y holds the j-th derivatives of those two
-    solutions, so the rows of T_k are sum_j h^j/j! y[j] and sum_j h^j/j! y[j+1].
-    Rows 0 and 1 are the unit vectors themselves, constants that broadcast,
-    and _solution_jet writes rows 2..5 only.
+    Row j of their stacked jet y holds the j-th derivatives of those two
+    solutions, so the rows of T_k are sum_j h^j/j! y[j] and
+    sum_j h^j/j! y[j+1], summed by Horner's rule.  Rows 0 and 1 are the unit
+    columns themselves, so _solution_jet's terms on them are symbol rows,
+    added with no product: q^(k) y[0] + p^(k) y[1] = (q^(k), p^(k)) and
+    C(k, k-1) q^(k-1) y[1] = (0, k q^(k-1)); row 2 is (q, p) itself.
+    _prefix_products then turns the steps into Phi in place.
     """
     import numpy as np
     n = syms.shape[-1] - 1
@@ -436,27 +449,63 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     # read 0.35 MB higher and its op_p50_ms 3-6 % slower (20 pairs)
     phi = np.empty((4, n + 1))
     phi[:, 0] = (1.0, 0.0, 0.0, 1.0)
-    y = [np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]), *[None] * 4]
-    _solution_jet(y, syms[..., :-1])
-    for r in (0, 1):  # entries (r, 0) and (r, 1) of every T_k, summed in place
-        t = phi[2 * r : 2 * r + 2, 1:]
-        t[...] = y[r]
-        for j in range(1, 5):
-            t += h**j / math.factorial(j) * y[j + r]
+    p, q = syms[:, 0, :-1], syms[:, 1, :-1]
+    y = [None, None, syms[0, ::-1, :-1]]
+    for k in range(1, 4):  # row k+2, its terms on rows 2.. first
+        row = p[0] * y[k + 1]
+        for j in range(1, k):
+            row += comb(k, j) * p[j] * y[k + 1 - j]
+        for j in range(k - 1):
+            row += comb(k, j) * q[j] * y[k - j]
+        row[0] += q[k]
+        row[1] += p[k] + k * q[k - 1]
+        y.append(row)
+    for r, t in enumerate((phi[:2, 1:], phi[2:, 1:])):  # entries (r, 0) and (r, 1) of every T_k
+        np.multiply(y[r + 4], h / 4, out=t)
+        for j in (3, 2, 1):
+            if r + j > 1:
+                t += y[r + j]
+            else:
+                t[1] += 1.0  # y[1] = (0, 1)
+            t *= h / j
+        t[r] += 1.0  # y[r] is the unit column r
     del y  # the Taylor rows go before the scan allocates
-    nxt = np.empty_like(phi)
-    s = 1
-    while s < n:  # phi[:, k] = T_{k-1} ... T_{max(0, k-2s)}; phi[:, 0] = I ends each product
-        # a[i, j] is row (i, j) of phi; entry (i, j) of the product of the
-        # matrices at k and k - s is a_i0 b_0j + a_i1 b_1j, multiplied and added
-        # in that order
-        a, out = phi.reshape(2, 2, -1), nxt.reshape(2, 2, -1)
-        out[..., :s] = a[..., :s]
-        np.multiply(a[:, :1, s:], a[:1, :, :-s], out=out[..., s:])
-        out[..., s:] += a[:, 1:, s:] * a[1:, :, :-s]
-        phi, nxt = nxt, phi
-        s *= 2
+    _prefix_products(phi.reshape(2, 2, -1)[..., 1:])
     return phi
+
+
+def _prefix_products(a: np.ndarray) -> None:
+    """Replace the 2x2 matrices a[..., k] of a (2, 2, L) array by their
+    prefix products a_k ... a_0, in place: the odd-even recursion of a
+    work-efficient scan (Brent & Kung, IEEE Trans. Computers 1982; Blelloch,
+    CMU-CS-90-190).
+
+    The pair products a_{2j+1} a_{2j} form one contiguous array of half the
+    length, whose prefix products, found the same way, are the odd prefixes;
+    each even prefix 2j > 0 is then a_{2j} times the odd prefix before it.
+    That is under 2L matrix products over ceil(log2 L) levels, each level
+    working on half the matrices of the one above, and a prefix passes
+    through at most 2 ceil(log2 L) products.  Entry (i, j) of a product A B
+    is a_i0 b_0j + a_i1 b_1j, multiplied and added in that order on whole
+    rows (a stacked matmul was 1.7-4x slower).  Prefix k multiplies
+    a_0, ..., a_k alone, so a matrix a_i that is not finite leaves the
+    prefixes before i finite and every one from i on not finite.
+    """
+    import numpy as np
+    n = a.shape[-1]
+    half = n // 2
+    if not half:
+        return
+    odd, even = a[..., 1::2], a[..., : 2 * half : 2]
+    pairs = np.multiply(odd[:, :1], even[:1])
+    pairs += odd[:, 1:] * even[1:]
+    _prefix_products(pairs)
+    odd[...] = pairs
+    if n > 2:
+        even, before = a[..., 2::2], pairs[..., : (n - 1) // 2]
+        fixed = np.multiply(even[:, :1], before[:1])
+        fixed += even[:, 1:] * before[1:]
+        even[...] = fixed
 
 
 def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +517,10 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
     of the solutions Y from the identity at x_k, whose derivatives the
     solution jet takes from p, q and their derivatives to order 3 at x_k
     alone; at constant p and q it is the classical Runge-Kutta step matrix.
-    A Hillis-Steele scan over all T_k gives Phi_k = T_{k-1} ... T_0 in
-    ceil(log2 n) rounds.  Returns (grid, phi) with phi of shape (4, n+1):
+    A work-efficient scan over all T_k gives Phi_k = T_{k-1} ... T_0 with
+    under 2n 2x2 products, in ceil(log2 n) halving levels down and as many
+    back, so each Phi_k passes through at most 2 ceil(log2 n) products.
+    Returns (grid, phi) with phi of shape (4, n+1):
     the rows phi00, phi01, phi10, phi11, so the solution from (y, y') = ic
     at x = a is (phi00 y + phi01 y', phi10 y + phi11 y') and det Phi
     approximates exp(int_a^x p).  Domain errors of p or q and of their
@@ -489,11 +540,15 @@ def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
     """(y, y') = Phi @ ic divided at each grid point by sigma = max(|y|, |y'|),
-    in place; a zero vector stays zero.  ic is divided by its own sigma
-    first, so Phi @ ic overflows nowhere that Phi does not."""
+    in place; a zero vector stays zero.  ic is a pair (y0, y0'), or a pair of
+    rows that holds several, one solution a column: then y and y' hold one
+    row per solution, all formed in one pass over Phi, each with its own
+    sigma.  Each ic is divided by its own max(|y0|, |y0'|) first (1 if both
+    are 0), so Phi @ ic overflows nowhere that Phi does not."""
     import numpy as np
-    s = max(map(abs, ic)) or 1.0
-    y, yp = _solution(phi, (ic[0] / s, ic[1] / s))
+    ic = np.asarray(ic, dtype=float)
+    s = np.max(np.abs(ic), axis=0)
+    y, yp = _solution(phi, (ic / np.where(s > 0.0, s, 1.0))[..., None])
     sigma = np.maximum(np.abs(y), np.abs(yp))
     nonzero = sigma > 0.0
     for row in (y, yp):
@@ -660,14 +715,15 @@ def _difference_ratios(diffs: dict, phi: np.ndarray, syms: np.ndarray, cfg: Nume
     and B = sum |delta_k|(|syms|) |y^(k)|, with |delta_k| the difference with
     every coefficient replaced by its absolute value.
 
-    The block is built from the solutions from cfg.ic_f and cfg.ic_g, each
-    scaled at every grid point (_scaled_solution), only to the rows r and B
-    read, 0..max(K, 1) for K the highest k in diffs, and freed before the
-    ratio is taken.  A non-finite r or B gives a nan or inf ratio.
+    The block is built from the solutions from cfg.ic_f and cfg.ic_g, both
+    scaled at every grid point in one pass (_scaled_solution), only to the
+    rows r and B read, 0..max(K, 1) for K the highest k in diffs, and freed
+    before the ratio is taken.  A non-finite r or B gives a nan or inf ratio.
     """
     import numpy as np
-    block = product_derivatives(_scaled_solution(phi, cfg.ic_f), _scaled_solution(phi, cfg.ic_g),
-                                m, syms[: max(max(diffs) - 1, 0)])
+    y, yp = _scaled_solution(phi, np.transpose([cfg.ic_f, cfg.ic_g]))  # rows f, g
+    block = product_derivatives((y[0], yp[0]), (y[1], yp[1]), m, syms[: max(max(diffs) - 1, 0)])
+    del y, yp
     r, bound, term = (np.zeros(block.shape[1:]) for _ in range(3))
     magnitudes = np.abs(syms)
     for k, delta in diffs.items():

@@ -150,7 +150,7 @@ def test_fundamental_matrix_at_constant_coefficients_is_the_power_of_one_taylor_
     p_text, q_text, step
 ):
     # y' = A y with A = [[0, 1], [q, p]]: every step is T = sum_{j<=4} (hA)^j/j!,
-    # RK4's step matrix, so Phi_k = T^k to rounding; measured at most 0.74 n u
+    # RK4's step matrix, so Phi_k = T^k to rounding; measured at most 0.81 n u
     # of |T^k|'s largest entry after n steps
     cfg = NumericConfig((0.0, 1.0), step)
     x, phi = fundamental_matrix(parse_expr(p_text), parse_expr(q_text), cfg)

@@ -206,6 +206,50 @@ def test_transfer_matrix_scan_matches_scalar_rk4(p_text, q_text, n):
             assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
+def left_products(steps):
+    """Prefix products a_k ... a_0 of the matrices steps[..., k], by a
+    sequential loop of left products in numpy's widest float, and the
+    reference's own rounding bound relative to the product: 2 L u_wide,
+    which is L times the wide float's eps."""
+    wide = steps.astype(np.longdouble)
+    for k in range(1, wide.shape[-1]):
+        wide[..., k] = wide[..., k] @ wide[..., k - 1]
+    return wide, wide.shape[-1] * float(np.finfo(np.longdouble).eps)
+
+
+@pytest.mark.parametrize("length", [*range(1, 71), 1023, 1024, 1025, 4000])
+def test_prefix_products_match_the_sequential_left_products(length):
+    # steps I + E with E in [0, 1e-3) have no negative entry, so the product
+    # is its own scale |a_k|...|a_0|.  Any order of the products bounds the
+    # relative error by gamma_{2(L-1)} alone; the roundings take both signs,
+    # and the scan measured at most 7.9 ceil(log2 L) u on these steps (10.7
+    # over ten more seeds at L = 1024 and 4000).  A fix-up that reads the
+    # wrong prefix or multiplies in the wrong order is off by 1e-4 or more
+    rng = np.random.default_rng(length)
+    steps = np.eye(2)[:, :, None] + 1e-3 * rng.random((2, 2, length))
+    want, wide_error = left_products(steps)
+    got = steps.copy()
+    verify._prefix_products(got)
+    depth = math.ceil(math.log2(length))
+    tol = (16 * depth * 2.0**-53 + wide_error) * want
+    assert (np.abs(got - want) <= tol).all(), np.max(np.abs(got - want) / want) / 2.0**-53
+
+
+@pytest.mark.parametrize("length", [*range(1, 71), 1023, 1024, 1025, 4000])
+def test_prefix_products_are_not_finite_from_the_first_step_that_is_not(length):
+    # the rule behind SolutionRangeError's first x: a prefix multiplies only
+    # its own steps, and a non-finite factor leaves its product non-finite
+    steps = np.eye(2)[:, :, None] + 1e-3 * np.random.default_rng(length).random((2, 2, length))
+    cuts = range(length) if length <= 70 else (0, 1, length // 2 - 1, length // 2, length - 1)
+    for i in cuts:
+        got = steps.copy()
+        got.reshape(4, -1)[i % 4, i] = np.inf
+        with np.errstate(all="ignore"):
+            verify._prefix_products(got)
+        finite = np.isfinite(got).all(axis=(0, 1))
+        assert finite[:i].all() and not finite[i:].any(), i
+
+
 def test_fundamental_matrix_determinant_follows_abel():
     # det Phi(x) = exp(int_0^x sin) = exp(1 - cos x); RK4 errors shrink ~16x per halving
     p, q = parse_expr("sin(x)"), parse_expr("x")
