@@ -64,10 +64,12 @@ do the same work at every m but the guard's count and the Wronskian's
 closed form; a genuine equation, a perturbed one and dependent initial
 conditions at one m integrate once and evaluate 0, 1 and 0 differences;
 and LiftedODE checks at one m derive once, whatever the base equation.  Only
-the perturbed check builds a product block, only to the highest row its
-differences read (row max(1, K) for K the highest k whose c_k differs),
-and it holds it for that check alone.  Each memo drops its entry before it
-builds the next, and cache_clear() on both frees everything.
+the perturbed check builds a product block, and only at the orders its
+differences read, the k whose c_k differs: the power chain f^i, g^i for
+i < m runs to row max(1, K), K the highest such k, and the last two
+products, f^m with g^m and the middle columns, are formed at those k alone.
+It holds the block for that check alone.  Each memo drops its entry before
+it builds the next, and cache_clear() on both frees everything.
 
 Each function that computes with numpy imports it as its first statement,
 so numpy is loaded by the first numeric call: importing odelift, reading
@@ -118,18 +120,19 @@ __all__ = [
 
 #: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
 #: grid point, 80 MB at the limit.  Only an explicit LiftedODE with
-#: differences builds a block, and only to the row K = max(1, highest k whose
-#: c_k differs) that r and B read, (K+1)(m+1) floats a point.  The limit still
+#: differences builds a block, and only at the orders r and B read, the d
+#: orders k whose c_k differs, d(m+1) floats a point.  The limit still
 #: counts the full block and bounds every check, so that neither the verdict
 #: on an equation nor which of its c_k differ decides whether it may run.
-#: While the block is built, the stacked jets of f^k and g^k for k < m hold
-#: 2(K+1)(m-1) more, under two full blocks.  The whole check, integration,
-#: jets and residual included, peaks under 5 full blocks (c_{m//2} + 1/8
-#: reads 1.55 at m = 5 and 1.62 at m = 10), and the memos' arrays, the grid,
-#: Phi and the symbol values, hold 7 floats per point after an int m and
-#: 5 + 2 max(1, m) after a LiftedODE, 7/6 of a block at m = 1 and under one
-#: at every larger m (the derived coefficients _derived keeps are not arrays
-#: and come on top); see
+#: While the block is built, the stacked jets of f^k and g^k for
+#: k < max(m, 2) hold 2(K+1) max(m-1, 1) more, K = max(1, highest k whose c_k
+#: differs), under two full blocks.  The whole check, integration, jets and
+#: residual included, peaks under 5 full blocks (c_{m//2} + 1/8 reads 4.44
+#: at m = 1, where the integration sets the peak, 1.26 at m = 5 and 1.21 at
+#: m = 10), and the memos' arrays, the grid, Phi and the symbol values, hold
+#: 7 floats per point after an int m and 5 + 2 max(1, m) after a LiftedODE,
+#: 7/6 of a block at m = 1 and under one at every larger m (the derived
+#: coefficients _derived keeps are not arrays and come on top); see
 #: test_basis_check_memory_stays_within_five_blocks,
 #: test_perturbed_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
@@ -560,56 +563,73 @@ def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
 # product derivatives
 
 
-def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray) -> np.ndarray:
-    """Derivatives 0..s+2 of all m+1 products f^(m-j) g^j, as one block,
-    for the symbols syms of order s.
+def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray, orders=None) -> np.ndarray:
+    """Derivatives of the given orders, by default 0..s+2, of all m+1
+    products f^(m-j) g^j, as one block, for the symbols syms of order s.
 
     f_pt and g_pt are (value, derivative) pairs of the two base solutions,
     scalars or grid arrays; syms holds p, q and their derivatives up to
     order s at the same points (see symbol_values), and s = -1, no rows,
-    gives the values and first derivatives alone.  Entry [k, j] of the
-    (s+3, m+1, *shape) block is the k-th derivative of f^(m-j) g^j.  At
-    s = m-1 that is derivatives 0..m+1, and the top (m+1) x (m+1) square
-    is the products' Wronskian matrix.  Every row is computed from lower
-    rows only, so a block of fewer rows is the top of the full one, bit for
-    bit: basis_check's perturbed check passes the symbols to order K-2 and
-    builds only rows 0..K, K the highest k whose c_k differs (at least 1).
+    gives the values and first derivatives alone.  orders is a sequence of
+    derivative orders in 0..s+2, the ones the caller reads; entry [i, j] of
+    the (len(orders), m+1, *shape) block is derivative orders[i] of
+    f^(m-j) g^j.  By default, at s = m-1, that is derivatives 0..m+1, and
+    the top (m+1) x (m+1) square is the products' Wronskian matrix.  Every
+    row is computed from lower rows only, and each entry the same way
+    whatever orders asks for, so a block of some orders is those rows of
+    the full one, bit for bit: basis_check's perturbed check asks for the
+    orders k whose c_k differs and nothing else.
 
     f and g travel as one stacked pair u = (f, g): one solution jet, then
-    the powers u^2, ..., u^m, each a Leibniz product u^(k-1) u on (2, *shape)
-    rows, with u^m written straight into columns 0 and m (at m = 1 that is
-    the solution jet itself).  One more Leibniz product, of
-    (f^(m-1), ..., f) and (g, ..., g^(m-1)), fills the m-1 middle columns
-    at once, so the kernel runs m times in all (never at m = 1).  Each entry
-    sees the operations of a term-by-term build in the same order; the value
-    row of f^k is f**k and that of g^k is g**k.
+    the powers u^2, ..., u^(m-1), each a Leibniz product u^(k-1) u on
+    (2, *shape) rows to the highest order asked for (at least 1, the rows
+    the solution jet starts from).  Only the last two products are formed
+    at the orders asked for alone: u^m = u^(m-1) u, written straight into
+    columns 0 and m (at m = 1 the solution jet's rows are copied there),
+    and one Leibniz product of (f^(m-1), ..., f) and (g, ..., g^(m-1)) that
+    fills the m-1 middle columns at once, so the kernel runs m times in all
+    (never at m = 1).  Each entry sees the operations of a term-by-term
+    build in the same order; the value row of f^k is f**k and that of g^k
+    is g**k.
     """
     import numpy as np
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
+    orders = list(range(len(syms) + 2) if orders is None else orders)
+    if not orders or min(orders) < 0 or max(orders) > len(syms) + 1:
+        raise ValueError(f"orders must be in 0..{len(syms) + 1}, got {orders}")
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
-    rows = len(syms) + 2
-    block = np.empty((rows, m + 1, *shape))
-    pows = np.empty((rows, m - 1, 2, *shape))  # [k, i - 1]: row k of u^i, i < m
-    levels = [pows[:, i] for i in range(m - 1)] + [block[:, ::m]]  # u^1, ..., u^m
-    u = levels[0]
+    rows = max(max(orders), 1) + 1
+    block = np.empty((len(orders), m + 1, *shape))
+    pows = np.empty((rows, max(m - 1, 1), 2, *shape))  # [k, i - 1]: row k of u^i, i < max(m, 2)
+    u = pows[:, 0]
     u[0, 0], u[1, 0] = f_pt
     u[0, 1], u[1, 1] = g_pt
     _solution_jet(u, syms)
     f, g = u[0, 0], u[0, 1]
-    for k in range(2, m + 1):
-        _leibniz_into(levels[k - 1], levels[k - 2], u)
-        levels[k - 1][0, 0], levels[k - 1][0, 1] = f**k, g**k
-    if m > 1:
-        _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1])
+    for k in range(2, m):
+        _leibniz_into(pows[:, k - 1], pows[:, k - 2], u, range(rows))
+        pows[0, k - 1, 0], pows[0, k - 1, 1] = f**k, g**k
+    if m == 1:
+        block[...] = u[orders]
+        return block
+    ends = block[:, ::m]
+    _leibniz_into(ends, pows[:, m - 2], u, orders)
+    if 0 in orders:
+        value = ends[orders.index(0)]
+        value[0], value[1] = f**m, g**m
+    _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1], orders)
     return block
 
 
-def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
-    """Write the jet of u*v into out, term by term in _leibniz's order.
+def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray, orders) -> None:
+    """Write the jet of u*v at the given derivative orders into out, term by
+    term in _leibniz's order: row i of out is order orders[i] of u*v.
 
-    Row k of each is its [k] view, an array of one or more dimensions: a
-    row may stack several jets, and one call multiplies them pairwise.  The
+    Row k of u and v is its [k] view, an array of one or more dimensions: a
+    row may stack several jets, and one call multiplies them pairwise.  Row k
+    of the product reads rows 0..k of u and v alone, so any orders up to
+    their last row may be asked for, in any order.  The
     weights C(k, 0) = C(k, k) = 1 are not multiplied: the first term is
     u v^(k) and the last u^(k) v, with no bit changed.  Each row is summed
     in place because the plain form, out[k] = _leibniz_row(u, v, k), took
@@ -619,7 +639,7 @@ def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray) -> None:
     import numpy as np
     out, u, v = list(out), list(u), list(v)
     tmp = np.empty_like(out[0])
-    for k, row in enumerate(out):
+    for k, row in zip(orders, out):
         np.multiply(u[0], v[k], out=row)
         for j in range(1, k):
             np.multiply(comb(k, j), u[j], out=tmp)
@@ -716,21 +736,24 @@ def _difference_ratios(diffs: dict, phi: np.ndarray, syms: np.ndarray, cfg: Nume
     every coefficient replaced by its absolute value.
 
     The block is built from the solutions from cfg.ic_f and cfg.ic_g, both
-    scaled at every grid point in one pass (_scaled_solution), only to the
-    rows r and B read, 0..max(K, 1) for K the highest k in diffs, and freed
-    before the ratio is taken.  A non-finite r or B gives a nan or inf ratio.
+    scaled at every grid point in one pass (_scaled_solution), only at the
+    orders r and B read, the sorted keys k of diffs: its row i is order
+    ks[i].  It is freed before the ratio is taken.  A non-finite r or B
+    gives a nan or inf ratio.
     """
     import numpy as np
     y, yp = _scaled_solution(phi, np.transpose([cfg.ic_f, cfg.ic_g]))  # rows f, g
-    block = product_derivatives((y[0], yp[0]), (y[1], yp[1]), m, syms[: max(max(diffs) - 1, 0)])
+    ks = sorted(diffs)
+    block = product_derivatives((y[0], yp[0]), (y[1], yp[1]), m, syms, ks)
     del y, yp
     r, bound, term = (np.zeros(block.shape[1:]) for _ in range(3))
     magnitudes = np.abs(syms)
-    for k, delta in diffs.items():
-        r += np.multiply(delta.eval(syms), block[k], out=term)
+    for k, row in zip(ks, block):
+        delta = diffs[k]
+        r += np.multiply(delta.eval(syms), row, out=term)
         size = _raw({mono: abs(c) for mono, c in delta.terms.items()}).eval(magnitudes)
-        bound += np.multiply(size, np.abs(block[k], out=term), out=term)
-    del block, term
+        bound += np.multiply(size, np.abs(row, out=term), out=term)
+    del block, row, term
     ratio = np.abs(r) / (2.0**-53 * bound)
     ratio[r == 0] = 0.0  # no difference there, whatever B reads
     return [float(v) for v in np.max(ratio, axis=1)]

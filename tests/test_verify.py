@@ -605,6 +605,40 @@ def test_product_block_matches_the_term_by_term_oracle(p_text, q_text):
                 assert top.tobytes() == point[: s + 3].tobytes()
 
 
+def test_product_block_at_some_orders_is_those_rows_of_the_full_one():
+    # for m = 1..12 and every symbol order s < m-1, none at s = -1, the block
+    # asked for some orders ks is full[ks], byte for byte, on the grid and at
+    # the midpoint: every single order, orders 0 and 1, and seeded subsets,
+    # some out of order, with and without the value row
+    p, q = parse_expr("sin(x)"), parse_expr("x")
+    grid, *f_pt = solve(p, q, COS_CFG, (1.5, -0.25))
+    _, *g_pt = solve(p, q, COS_CFG, (0.5, 2.0))
+    mid = len(grid) // 2
+    f_mid, g_mid = [float(v[mid]) for v in f_pt], [float(v[mid]) for v in g_pt]
+    rng = random.Random(11)
+    for m in range(1, 13):
+        syms = symbol_values(p, q, max(0, m - 1), grid)
+        mid_syms = symbol_values(p, q, max(0, m - 1), float(grid[mid]))
+        for s in range(-1, m - 1):
+            top = s + 2
+            subsets = [[k] for k in range(top + 1)] + [[0, 1]]
+            subsets += [rng.sample(range(top + 1), rng.randint(2, top + 1)) for _ in range(3)
+                        if top > 1]
+            for f, g, rows in ((f_pt, g_pt, syms[: s + 1]), (f_mid, g_mid, mid_syms[: s + 1])):
+                full = product_derivatives(f, g, m, rows)
+                for ks in subsets:
+                    block = product_derivatives(f, g, m, rows, ks)
+                    assert block.shape == (len(ks), *full.shape[1:]), (m, s, ks)
+                    assert block.tobytes() == full[ks].tobytes(), (m, s, ks)
+
+
+def test_product_block_refuses_orders_it_cannot_form():
+    syms = symbol_values(parse_expr("sin(x)"), parse_expr("x"), 2, 0.5)
+    for orders in ([], [-1], [0, 5], [5]):
+        with pytest.raises(ValueError, match=r"orders must be in 0\.\.4"):
+            product_derivatives((1.0, 0.0), (0.0, 1.0), 3, syms, orders)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
 def test_product_block_runs_the_leibniz_kernel_m_times(monkeypatch, m):
     # m - 1 steps of the stacked power chain plus one pass over all middle
@@ -1548,21 +1582,83 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
 
 
 def test_a_perturbed_check_builds_only_the_rows_it_reads(monkeypatch):
-    # c_k + 1/8 reads row k of the block, and the solution jet holds rows 0
-    # and 1 at least: the block stops at row max(k, 1), whatever m is
-    rows = []
+    # c_k + 1/8 reads order k of the block and no other: the power chain
+    # stops at row max(k, 1), since the solution jet holds rows 0 and 1 at
+    # least, and the last two products, u^m and the middle columns, are
+    # formed at order k alone, whatever m is
+    rows, written = [], []
 
     def spying(*args, plain=verify.product_derivatives):
         block = plain(*args)
         rows.append(len(block))
         return block
 
+    def counting_kernel(*args, kernel=verify._leibniz_into):
+        written.append(len(args[0]))
+        kernel(*args)
+
     monkeypatch.setattr(verify, "product_derivatives", spying)
+    monkeypatch.setattr(verify, "_leibniz_into", counting_kernel)
     p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(5)
     clear_memos()
     for k in range(6):
+        written.clear()
         assert not basis_check(perturbed(ode, k), p, q, COS_CFG).residuals_passed
-    assert rows == [max(k, 1) + 1 for k in range(6)]
+        assert written == [max(k, 1) + 1] * 3 + [1, 1], k
+    assert rows == [1] * 6
+    # c_1 + 1/8 and c_4 + 1/8 together read orders 1 and 4
+    written.clear()
+    assert not basis_check(perturbed(perturbed(ode, 1), 4), p, q, COS_CFG).residuals_passed
+    assert written == [5] * 3 + [2, 2]
+    assert rows[6:] == [2]
+
+
+def full_block_ratios(ode, p, q, cfg):
+    """basis_check's worst |r| / (u B) of each product, in its order of
+    operations, with row k of r and B read as row k of the full block."""
+    m = ode.m
+    _, phi, syms = verify._integrate(p, q, cfg, m - 1)
+    y, yp = verify._scaled_solution(phi, np.transpose([cfg.ic_f, cfg.ic_g]))
+    block = product_derivatives((y[0], yp[0]), (y[1], yp[1]), m, syms)
+    r, bound = np.zeros(block.shape[1:]), np.zeros(block.shape[1:])
+    for k, (c, d) in enumerate(zip(ode.coeffs, derive_lifted_ode(m).coeffs)):
+        if c != d:
+            size = verify._raw({mono: abs(a) for mono, a in (c - d).terms.items()})
+            r += (c - d).eval(syms) * block[k]
+            bound += size.eval(np.abs(syms)) * np.abs(block[k])
+    ratio = np.abs(r) / (2.0**-53 * bound)
+    ratio[r == 0] = 0.0
+    return [float(v) for v in np.max(ratio, axis=1)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_reports_through_the_rows_read_are_the_full_blocks(m, monkeypatch):
+    # differences in each pair {k1, k2} of coefficients and in all of them:
+    # every report is the one a full block, with the rows read selected from
+    # it, gives, bit for bit, and its residuals are those of r and B formed
+    # from the full block's rows k
+    cfg = NumericConfig(interval=(0.0, 1.0), step=1 / 200, ic_f=(1.5, -0.25), ic_g=(0.5, 2.0))
+    ode = derive_lifted_ode(m)
+    cases = [(k1, k2) for k1 in range(m + 1) for k2 in range(k1 + 1, m + 1)] + [range(m + 1)]
+    checks = []
+    for ks in cases:
+        changed = ode
+        for k in ks:
+            changed = perturbed(changed, k, Fraction(1, 8) + k)
+        checks.append(changed)
+    for pair in COEFFICIENT_PAIRS:
+        p, q = map(parse_expr, pair)
+        reports = [basis_check(check, p, q, cfg) for check in checks]
+        selected = list(map(repr, reports))
+        with np.errstate(all="ignore"):
+            assert [repr([r.max_residual for r in report.residuals]) for report in reports] == [
+                repr(full_block_ratios(check, p, q, cfg)) for check in checks], pair
+        with monkeypatch.context() as patch:
+            def full_block(f_pt, g_pt, m, syms, orders, plain=verify.product_derivatives):
+                return plain(f_pt, g_pt, m, syms)[orders]
+
+            patch.setattr(verify, "product_derivatives", full_block)
+            assert [repr(basis_check(check, p, q, cfg)) for check in checks] == selected, pair
 
 
 def test_int_checks_at_every_m_integrate_once():
