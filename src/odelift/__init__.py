@@ -23,7 +23,7 @@ _DEFINED_IN = {
         "lifting": "FIXTURE_ORDERS CoefficientCheck FixtureFormatError FixtureReport "
                    "LiftedODE check_against_fixture derive_lifted_ode load_fixture",
         "verify": "BasisReport ConfigError MonomialResidual NumericConfig basis_check "
-                  "fundamental_matrix monomial_label product_derivatives symbol_values",
+                  "fundamental_matrix monomial_label symbol_values",
     }.items()
     for name in names.split()
 }

@@ -2,16 +2,14 @@
 
 The symbolic side promises that the m+1 products f^(m-j) g^j form a basis
 of the derived monic equation of order m+1 whenever f, g solve
-y'' = p(x) y' + q(x) y.  Every derivative it takes, of p, q, f, g and
-each product, comes from Taylor-mode jets (never finite differences) in
-one [order, member, points] layout: p with q as one array, from one run
-of their post-order program (exprparse._program) that builds the jet of
-each distinct subtree once, f with g as one pair through their power
-chains, and one Leibniz pass over the stacked powers fills every middle
-product.  The same solution jet
-integrates the base equation once, as the fundamental matrix Phi of the
-fixed-step Taylor method of order 4.  That is the only integrator:
-fundamental_matrix returns (grid, phi), and the solution from
+y'' = p(x) y' + q(x) y.  Every derivative it takes, of p, q and the base
+solutions, comes from Taylor-mode jets (never finite differences) in one
+[order, member, points] layout: p with q as one array, from one run of
+their post-order program (exprparse._program) that builds the jet of each
+distinct subtree once, and the two solutions from (1, 0) and (0, 1) as one
+pair, whose jet integrates the base equation once, as the fundamental
+matrix Phi of the fixed-step Taylor method of order 4.  That is the only
+integrator: fundamental_matrix returns (grid, phi), and the solution from
 (y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
 share one integration.  basis_check reports a residual
@@ -28,24 +26,23 @@ odelift.lifting that gives the d_k is the same computation, so at the
 grid's own values it is zero in exact arithmetic.  So an int m, and a
 LiftedODE equal to the derived equation, have nothing to judge: their
 residuals are certified, not measured, and read 0.0, and the check forms
-neither a c_k nor a product block.  The tests hold the identity to
-account: the residual modulo two primes on whole grids, the recurrence on
-the grid against DiffPoly.eval of the expanded c_k, and the closed forms
-of Euler's equation.  Only the differences delta_k = c_k - d_k that an
-explicit LiftedODE adds can make a residual nonzero, and only they are
-judged: r = sum delta_k y^(k), evaluated with DiffPoly.eval on the symbol
-values and the product block, against its own running-error bound
-B = sum |delta_k|(|syms|) |y^(k)| (Higham, Accuracy and Stability of
-Numerical Algorithms, 2nd ed., 3.3).  Neither judges how accurate the
-integrator was; only the convergence-order test (acceptance criterion 6)
-and the Abel test on det Phi in the test suite do.
-
-The products are formed from (f, f') and (g, g') scaled at every grid
-point to max(|y|, |y'|) = 1, so neither the scale of the initial
-conditions nor the growth of the solutions along the interval overflows
-the block; the Wronskian is taken at the raw initial conditions.
-Solutions that leave the double range, a Phi that is not finite, raise
-SolutionRangeError naming the first such x.
+no c_k.  The tests hold the identity to account: the residual modulo two
+primes on whole grids, the recurrence on the grid against DiffPoly.eval
+of the expanded c_k, and the closed forms of Euler's equation.  Only the
+differences delta_k = c_k - d_k that an explicit LiftedODE adds can make a
+residual nonzero, and only they are judged.  At each x the residuals of
+the m+1 products are their Wronskian matrix times the vector of the
+delta_k(x), and that matrix's determinant is the closed form above,
+nonzero at every x for independent solutions, so every product satisfies
+the equation at x iff every delta_k(x) = 0.  Each difference is judged on
+its own, on the grid's symbol values alone: rho_k = max_x |delta_k(syms)|
+over u = 2^-53 times its running-error bound |delta_k|(|syms|) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.3), both with
+DiffPoly.eval.  Dependent solutions are the Wronskian's to fail.  Neither
+verdict judges how accurate the integrator was; only the
+convergence-order test (acceptance criterion 6) and the Abel test on
+det Phi in the test suite do.  Solutions that leave the double range, a
+Phi that is not finite, raise SolutionRangeError naming the first such x.
 
 basis_check keeps what does not depend on the operator in two one-entry
 memos (_one_slot), each built whole and never written after:
@@ -60,16 +57,12 @@ memos (_one_slot), each built whole and never written after:
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
              an explicit LiftedODE is compared with.
 So int checks at any m on one base equation and grid integrate once, and
-do the same work at every m but the guard's count and the Wronskian's
-closed form; a genuine equation, a perturbed one and dependent initial
-conditions at one m integrate once and evaluate 0, 1 and 0 differences;
-and LiftedODE checks at one m derive once, whatever the base equation.  Only
-the perturbed check builds a product block, and only at the orders its
-differences read, the k whose c_k differs: the power chain f^i, g^i for
-i < m runs to row max(1, K), K the highest such k, and the last two
-products, f^m with g^m and the middle columns, are formed at those k alone.
-It holds the block for that check alone.  Each memo drops its entry before
-it builds the next, and cache_clear() on both frees everything.
+do the same work at every m but the Wronskian's closed form; a genuine
+equation, a perturbed one and dependent initial conditions at one m
+integrate once and evaluate 0, 1 and 0 differences; and LiftedODE checks
+at one m derive once, whatever the base equation.  Each memo drops its
+entry before it builds the next, and cache_clear() on both frees
+everything.
 
 Each function that computes with numpy imports it as its first statement,
 so numpy is loaded by the first numeric call: importing odelift, reading
@@ -110,7 +103,6 @@ __all__ = [
     "NumericConfig",
     "fundamental_matrix",
     "symbol_values",
-    "product_derivatives",
     "MonomialResidual",
     "BasisReport",
     "basis_check",
@@ -118,41 +110,40 @@ __all__ = [
 ]
 
 
-#: Largest product_derivatives block basis_check builds: (m+2)(m+1) floats per
-#: grid point, 80 MB at the limit.  Only an explicit LiftedODE with
-#: differences builds a block, and only at the orders r and B read, the d
-#: orders k whose c_k differs, d(m+1) floats a point.  The limit still
-#: counts the full block and bounds every check, so that neither the verdict
-#: on an equation nor which of its c_k differ decides whether it may run.
-#: While the block is built, the stacked jets of f^k and g^k for
-#: k < max(m, 2) hold 2(K+1) max(m-1, 1) more, K = max(1, highest k whose c_k
-#: differs), under two full blocks.  The whole check, integration, jets and
-#: residual included, peaks under 5 full blocks (c_{m//2} + 1/8 reads 4.44
-#: at m = 1, where the integration sets the peak, 1.26 at m = 5 and 1.21 at
-#: m = 10), and the memos' arrays, the grid, Phi and the symbol values, hold
-#: 7 floats per point after an int m and 5 + 2 max(1, m) after a LiftedODE,
-#: 7/6 of a block at m = 1 and under one at every larger m (the derived
-#: coefficients _derived keeps are not arrays and come on top); see
-#: test_basis_check_memory_stays_within_five_blocks,
+#: Largest integration basis_check and fundamental_matrix run, in floats:
+#: Phi, 4 a grid point, and p, q and their derivatives to the order the
+#: integration evaluates, max(3, upto), 2 a point per order.  That is 12 a
+#: point for an int m at every m and for fundamental_matrix, and
+#: 4 + 2 max(4, m) for a LiftedODE; 80 MB at the limit.  These are the arrays
+#: a check builds: a difference judged adds its value and bound, 2 floats a
+#: point, after the integration's temporaries are freed.  The whole check
+#: peaks under twice its count (1.83 for an int m at every m, 1.57 to 1.83
+#: for a LiftedODE at m = 1, 5 and 10), and the memos' arrays, the grid, Phi
+#: and the symbol values, hold 7 floats per point after an int m and
+#: 5 + 2 max(1, m) after a LiftedODE (the derived coefficients _derived keeps
+#: are not arrays and come on top); see
+#: test_power_check_memory_stays_within_five_blocks,
 #: test_perturbed_check_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
 #: The two verdict rules, fixed so that a PASS means the same at every call:
 #: a threshold the caller could move would let a failing check be tuned until
-#: it passes.  A product passes when its residual ratio, the worst
-#: |r| / (u B) of basis_check with u = 2^-53, is at most RESIDUAL_TOL; the
-#: products' Wronskian passes when the sine of the angle between (f, f') and
-#: (g, g') at the midpoint exceeds WRONSKIAN_TOL, which is the one test for
-#: dependent solutions.  RESIDUAL_TOL, kappa, counts roundings.  Differences
-#: that vanish as functions leave only rounding, and read at most 8.3 for
-#: (p'' + p) c_k at p = sin(x), q = x on 1001 points (m = 3..20, every k),
-#: and at most 24.2 over six such identities at m <= 24, (p' + p^2) c_k at
-#: p = 1/(x+2) the largest.  A difference that does not vanish reads near
-#: 1/u = 9.0e15, since r and B then agree to the cancellation in it:
-#: (1 + 1e-6) c_k read at least 2.5e13 and c_k + 1 read 9.0e15, for m = 1..20
-#: on the four acceptance pairs.  1024 sits 40 times above the first and ten
-#: orders of magnitude below the second.
+#: it passes.  The residuals pass when the ratio of every difference,
+#: rho_k = max_x |delta_k(syms)| / (u |delta_k|(|syms|)) of basis_check with
+#: u = 2^-53, is at most RESIDUAL_TOL; the products' Wronskian passes when
+#: the sine of the angle between (f, f') and (g, g') at the midpoint exceeds
+#: WRONSKIAN_TOL, which is the one test for dependent solutions.
+#: RESIDUAL_TOL, kappa, counts roundings.  Differences that vanish as
+#: functions leave only rounding, and read at most 8.3 for (p'' + p) c_k at
+#: p = sin(x), q = x on 1001 points (m = 3..20, every k), and at most 14.0
+#: over seven such identities, p'^2 + p^2 - 1 at p = sin(x) the largest
+#: (m = 3..20 on 1001 points, and 9.3 at m = 24 on 101).  A difference that
+#: does not vanish reads near 1/u = 9.0e15, since it and its bound then
+#: agree to the cancellation in it: (1 + 1e-6) c_k read at least 2.5e13 and
+#: c_k + 1 read 9.0e15, for m = 1..20 on the four acceptance pairs.  1024
+#: sits 70 times above the first and ten orders of magnitude below the
+#: second.
 RESIDUAL_TOL = 1024.0
 WRONSKIAN_TOL = 1e-8
 
@@ -175,14 +166,6 @@ class ConfigError(ValueError):
 class SolutionRangeError(ConfigError):
     """Raised when the solutions of the base equation leave the double range
     on the grid; like a domain error of p or q, it names the first such x."""
-
-
-def _guard(size: float, what: str) -> None:
-    """Raise ConfigError when what needs more than MAX_BLOCK_FLOATS floats; size is a
-    float, so the message formats at any size."""
-    if size > MAX_BLOCK_FLOATS:
-        raise ConfigError(f"{what} needs {size:.3g} floats, over the limit "
-                          f"{MAX_BLOCK_FLOATS:.0e}; use a larger step")
 
 
 class NumericConfig(namedtuple("NumericConfig", "interval step ic_f ic_g")):
@@ -381,47 +364,29 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
     return out
 
 
-def _solution_jet(u: np.ndarray, syms: np.ndarray) -> None:
-    """Fill rows 2.. of the stacked jet u of base solutions from rows 0, 1,
-    in place.
-
-    Differentiating f'' = p f' + q f k times gives
-    f^(k+2) = sum_j C(k,j) (p^(j) f^(k+1-j) + q^(j) f^(k-j)).
-    Each row is summed in place from +0.0, term by term in j as sum() of the
-    terms would: a row is never -0.0 where that sum is +0.0.  A term with
-    C(k, j) = 1 is not multiplied by it.
-    """
-    import numpy as np
-    term, part = np.empty_like(u[0]), np.empty_like(u[0])
-    for k in range(len(u) - 2):
-        row = u[k + 2]
-        row.fill(0.0)
-        for j in range(k + 1):
-            np.multiply(syms[j, 0], u[k + 1 - j], out=term)
-            term += np.multiply(syms[j, 1], u[k - j], out=part)
-            if 0 < j < k:
-                term *= comb(k, j)
-            row += term
-
-
 # --------------------------------------------------------------------------
 # integration
 
 
 def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
-    """(grid, phi, symbol_values to order upto on the grid), refused before
-    it allocates when phi alone would pass MAX_BLOCK_FLOATS floats.
+    """(grid, phi, symbol_values to order upto on the grid), refused with a
+    ConfigError before it allocates when phi and the symbol rows would pass
+    MAX_BLOCK_FLOATS floats.
 
     p and q are evaluated once, on the grid, to order max(3, upto): the
     Taylor steps read rows 0..3, and the rows past upto are dropped after.
     Raises SolutionRangeError at the first x where phi is not finite.
     """
     import numpy as np
-    points = cfg.steps + 1
-    _guard(4.0 * points, f"Phi on {points:.3g} grid points")
+    points, order = cfg.steps + 1, max(3, upto)
+    size = (4 + 2 * (order + 1)) * float(points)  # a float, so the message formats at any size
+    if size > MAX_BLOCK_FLOATS:
+        raise ConfigError(f"Phi and p, q to order {order} on {points:.3g} grid points need "
+                          f"{size:.3g} floats, over the limit {MAX_BLOCK_FLOATS:.0e}; "
+                          f"use a larger step")
     a, b = cfg.interval
     grid = np.linspace(a, b, points)
-    syms = symbol_values(p, q, max(3, upto), grid)
+    syms = symbol_values(p, q, order, grid)
     with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
         phi = _transfer(syms, cfg.h)
     finite = np.isfinite(phi).all(axis=0)
@@ -439,8 +404,10 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
 
     Row j of their stacked jet y holds the j-th derivatives of those two
     solutions, so the rows of T_k are sum_j h^j/j! y[j] and
-    sum_j h^j/j! y[j+1], summed by Horner's rule.  Rows 0 and 1 are the unit
-    columns themselves, so _solution_jet's terms on them are symbol rows,
+    sum_j h^j/j! y[j+1], summed by Horner's rule.  Differentiating
+    y'' = p y' + q y k times gives
+    y^(k+2) = sum_j C(k,j) (p^(j) y^(k+1-j) + q^(j) y^(k-j)).  Rows 0 and 1
+    are the unit columns themselves, so the terms on them are symbol rows,
     added with no product: q^(k) y[0] + p^(k) y[1] = (q^(k), p^(k)) and
     C(k, k-1) q^(k-1) y[1] = (0, k q^(k-1)); row 2 is (q, p) itself.
     _prefix_products then turns the steps into Phi in place.
@@ -528,9 +495,9 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
     at x = a is (phi00 y + phi01 y', phi10 y + phi11 y') and det Phi
     approximates exp(int_a^x p).  Domain errors of p or q and of their
     derivatives to order 3 surface with the offending x.  Raises
-    ConfigError when phi would hold more than MAX_BLOCK_FLOATS floats, and
-    SolutionRangeError, a ConfigError, at the first x where phi is not
-    finite.
+    ConfigError when phi and the symbol rows to order 3 would hold more
+    than MAX_BLOCK_FLOATS floats, 12 a grid point, and SolutionRangeError,
+    a ConfigError, at the first x where phi is not finite.
     """
     return _integrate(p, q, cfg, 0)[:2]
 
@@ -539,114 +506,6 @@ def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
     """(y, y') over the grid for (y, y') = ic at its start: Phi @ ic."""
     y0, yp0 = ic
     return phi[0] * y0 + phi[1] * yp0, phi[2] * y0 + phi[3] * yp0
-
-
-def _scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
-    """(y, y') = Phi @ ic divided at each grid point by sigma = max(|y|, |y'|),
-    in place; a zero vector stays zero.  ic is a pair (y0, y0'), or a pair of
-    rows that holds several, one solution a column: then y and y' hold one
-    row per solution, all formed in one pass over Phi, each with its own
-    sigma.  Each ic is divided by its own max(|y0|, |y0'|) first (1 if both
-    are 0), so Phi @ ic overflows nowhere that Phi does not."""
-    import numpy as np
-    ic = np.asarray(ic, dtype=float)
-    s = np.max(np.abs(ic), axis=0)
-    y, yp = _solution(phi, (ic / np.where(s > 0.0, s, 1.0))[..., None])
-    sigma = np.maximum(np.abs(y), np.abs(yp))
-    nonzero = sigma > 0.0
-    for row in (y, yp):
-        np.divide(row, sigma, out=row, where=nonzero)
-    return y, yp
-
-
-# --------------------------------------------------------------------------
-# product derivatives
-
-
-def product_derivatives(f_pt, g_pt, m: int, syms: np.ndarray, orders=None) -> np.ndarray:
-    """Derivatives of the given orders, by default 0..s+2, of all m+1
-    products f^(m-j) g^j, as one block, for the symbols syms of order s.
-
-    f_pt and g_pt are (value, derivative) pairs of the two base solutions,
-    scalars or grid arrays; syms holds p, q and their derivatives up to
-    order s at the same points (see symbol_values), and s = -1, no rows,
-    gives the values and first derivatives alone.  orders is a sequence of
-    derivative orders in 0..s+2, the ones the caller reads; entry [i, j] of
-    the (len(orders), m+1, *shape) block is derivative orders[i] of
-    f^(m-j) g^j.  By default, at s = m-1, that is derivatives 0..m+1, and
-    the top (m+1) x (m+1) square is the products' Wronskian matrix.  Every
-    row is computed from lower rows only, and each entry the same way
-    whatever orders asks for, so a block of some orders is those rows of
-    the full one, bit for bit: basis_check's perturbed check asks for the
-    orders k whose c_k differs and nothing else.
-
-    f and g travel as one stacked pair u = (f, g): one solution jet, then
-    the powers u^2, ..., u^(m-1), each a Leibniz product u^(k-1) u on
-    (2, *shape) rows to the highest order asked for (at least 1, the rows
-    the solution jet starts from).  Only the last two products are formed
-    at the orders asked for alone: u^m = u^(m-1) u, written straight into
-    columns 0 and m (at m = 1 the solution jet's rows are copied there),
-    and one Leibniz product of (f^(m-1), ..., f) and (g, ..., g^(m-1)) that
-    fills the m-1 middle columns at once, so the kernel runs m times in all
-    (never at m = 1).  Each entry sees the operations of a term-by-term
-    build in the same order; the value row of f^k is f**k and that of g^k
-    is g**k.
-    """
-    import numpy as np
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    orders = list(range(len(syms) + 2) if orders is None else orders)
-    if not orders or min(orders) < 0 or max(orders) > len(syms) + 1:
-        raise ValueError(f"orders must be in 0..{len(syms) + 1}, got {orders}")
-    shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), syms.shape[2:])
-    rows = max(max(orders), 1) + 1
-    block = np.empty((len(orders), m + 1, *shape))
-    pows = np.empty((rows, max(m - 1, 1), 2, *shape))  # [k, i - 1]: row k of u^i, i < max(m, 2)
-    u = pows[:, 0]
-    u[0, 0], u[1, 0] = f_pt
-    u[0, 1], u[1, 1] = g_pt
-    _solution_jet(u, syms)
-    f, g = u[0, 0], u[0, 1]
-    for k in range(2, m):
-        _leibniz_into(pows[:, k - 1], pows[:, k - 2], u, range(rows))
-        pows[0, k - 1, 0], pows[0, k - 1, 1] = f**k, g**k
-    if m == 1:
-        block[...] = u[orders]
-        return block
-    ends = block[:, ::m]
-    _leibniz_into(ends, pows[:, m - 2], u, orders)
-    if 0 in orders:
-        value = ends[orders.index(0)]
-        value[0], value[1] = f**m, g**m
-    _leibniz_into(block[:, 1:m], pows[:, ::-1, 0], pows[:, :, 1], orders)
-    return block
-
-
-def _leibniz_into(out: np.ndarray, u: np.ndarray, v: np.ndarray, orders) -> None:
-    """Write the jet of u*v at the given derivative orders into out, term by
-    term in _leibniz's order: row i of out is order orders[i] of u*v.
-
-    Row k of u and v is its [k] view, an array of one or more dimensions: a
-    row may stack several jets, and one call multiplies them pairwise.  Row k
-    of the product reads rows 0..k of u and v alone, so any orders up to
-    their last row may be asked for, in any order.  The
-    weights C(k, 0) = C(k, k) = 1 are not multiplied: the first term is
-    u v^(k) and the last u^(k) v, with no bit changed.  Each row is summed
-    in place because the plain form, out[k] = _leibniz_row(u, v, k), took
-    1.2-1.4x as long per block at m = 2..12, and verify-batch wall_s went
-    from 0.137-0.141 s to 0.145-0.154 s (+11 %, slower in 3 of 3 pairs).
-    """
-    import numpy as np
-    out, u, v = list(out), list(u), list(v)
-    tmp = np.empty_like(out[0])
-    for k, row in zip(orders, out):
-        np.multiply(u[0], v[k], out=row)
-        for j in range(1, k):
-            np.multiply(comb(k, j), u[j], out=tmp)
-            tmp *= v[k - j]
-            row += tmp
-        if k:
-            row += np.multiply(u[k], v[0], out=tmp)
 
 
 # --------------------------------------------------------------------------
@@ -714,8 +573,8 @@ def _derived(m: int) -> tuple:
 
 def _unit(ic: tuple) -> tuple:
     """ic scaled to a unit vector; a zero vector stays zero.  ic is divided
-    by max(|a|, |b|) first, as in _scaled_solution, so the norm cannot
-    overflow for finite entries near the double maximum."""
+    by max(|a|, |b|) first, so the norm cannot overflow for finite entries
+    near the double maximum."""
     s = max(map(abs, ic))
     if s == 0.0:
         return ic
@@ -728,35 +587,21 @@ def _unit(ic: tuple) -> tuple:
 # basis report
 
 
-def _difference_ratios(diffs: dict, phi: np.ndarray, syms: np.ndarray, cfg: NumericConfig,
-                       m: int) -> list:
-    """The worst |r| / (u B) of each product over the grid, u = 2^-53, taken as
-    0 where r = 0: r = sum delta_k y^(k) over the differences delta_k = diffs[k],
-    and B = sum |delta_k|(|syms|) |y^(k)|, with |delta_k| the difference with
-    every coefficient replaced by its absolute value.
-
-    The block is built from the solutions from cfg.ic_f and cfg.ic_g, both
-    scaled at every grid point in one pass (_scaled_solution), only at the
-    orders r and B read, the sorted keys k of diffs: its row i is order
-    ks[i].  It is freed before the ratio is taken.  A non-finite r or B
-    gives a nan or inf ratio.
+def _worst_ratio(diffs: dict, syms: np.ndarray) -> float:
+    """The largest rho_k = max_x |delta_k(syms)| / (u |delta_k|(|syms|)) over
+    the differences delta_k in diffs, u = 2^-53, rho_k taken as 0 where
+    delta_k(syms) = 0; |delta_k| is delta_k with every coefficient replaced by
+    its absolute value.  A difference or bound that is not finite gives nan
+    or inf, and numpy's max keeps a nan that Python's max() would drop.
     """
     import numpy as np
-    y, yp = _scaled_solution(phi, np.transpose([cfg.ic_f, cfg.ic_g]))  # rows f, g
-    ks = sorted(diffs)
-    block = product_derivatives((y[0], yp[0]), (y[1], yp[1]), m, syms, ks)
-    del y, yp
-    r, bound, term = (np.zeros(block.shape[1:]) for _ in range(3))
-    magnitudes = np.abs(syms)
-    for k, row in zip(ks, block):
-        delta = diffs[k]
-        r += np.multiply(delta.eval(syms), row, out=term)
-        size = _raw({mono: abs(c) for mono, c in delta.terms.items()}).eval(magnitudes)
-        bound += np.multiply(size, np.abs(row, out=term), out=term)
-    del block, row, term
-    ratio = np.abs(r) / (2.0**-53 * bound)
-    ratio[r == 0] = 0.0  # no difference there, whatever B reads
-    return [float(v) for v in np.max(ratio, axis=1)]
+    magnitudes, ratios = np.abs(syms), []
+    for delta in diffs.values():
+        r = np.abs(delta.eval(syms))  # a scalar for a constant delta
+        bound = _raw({mono: abs(c) for mono, c in delta.terms.items()}).eval(magnitudes)
+        ratio = np.divide(r, 2.0**-53 * bound, out=np.zeros(syms.shape[2:]), where=r != 0)
+        ratios.append(np.max(ratio))
+    return float(np.max(ratios))
 
 
 def monomial_label(i: int, j: int) -> str:
@@ -770,9 +615,11 @@ def monomial_label(i: int, j: int) -> str:
 
 
 class MonomialResidual(NamedTuple):
-    """The residual verdict of one product f^i g^j: max_residual is the worst
-    |r| / (u B) of basis_check over the grid, 0.0 where nothing differs from
-    the derived equation, and nan or inf where r or B is not finite."""
+    """The residual verdict of one product f^i g^j: max_residual is the
+    largest rho_k of basis_check over the differences delta_k, the same for
+    every product, since each product satisfies the equation at x iff every
+    delta_k(x) = 0; 0.0 where nothing differs from the derived equation, and
+    nan or inf where a difference or its bound is not finite."""
 
     i: int
     j: int
@@ -790,7 +637,8 @@ class BasisReport(NamedTuple):
     A residual passes at most RESIDUAL_TOL and the Wronskian when
     wronskian_ratio exceeds WRONSKIAN_TOL; summary() prints both constants.
     For an int m, or the derived equation itself, every residual is 0.0:
-    certified by the identity, not measured.
+    certified by the identity, not measured.  For a LiftedODE that differs,
+    every residual is the largest rho_k of its differences.
     """
 
     m: int
@@ -845,22 +693,19 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     derived equation of order m+1.  The derived equation's residual is zero
     in exact arithmetic at the grid's own values (see the module docstring),
     so an int m, and a LiftedODE whose every c_k == the derived d_k, report
-    max_residual 0.0 for every product and pass, with no c_k and no product
-    block formed.  A LiftedODE that differs judges only its differences
-    delta_k = c_k - d_k, evaluated with DiffPoly.eval: on the
-    product_derivatives block of the solutions Phi @ cfg.ic_f and
-    Phi @ cfg.ic_g, each divided at every grid point by
-    sigma = max(|y|, |y'|) there (a zero vector stays zero), it forms
-    r = sum delta_k y^(k) and its running-error bound
-    B = sum |delta_k|(|syms|) |y^(k)|, |delta_k| being delta_k with every
-    coefficient replaced by its absolute value.  A product passes iff
-    |r| <= RESIDUAL_TOL u B at every grid point, u = 2^-53, and reports the
-    worst |r| / (u B), 0 where r = 0; a nan ratio fails.  Row k of column j
-    of the block is a polynomial in (f, f') of degree m-j and in (g, g') of
-    degree j, with coefficients from the symbols only, so the scaling
-    multiplies column j at each point by sigma_f^-(m-j) sigma_g^-j in every
-    row: it changes no ratio and keeps the block in range at any scale of
-    the initial conditions and any growth of the solutions.
+    max_residual 0.0 for every product and pass, with no c_k formed.  A
+    LiftedODE that differs judges only its differences delta_k = c_k - d_k.
+    At each x the residuals of the m+1 products are their Wronskian matrix
+    times the vector of the delta_k(x), and that matrix's determinant, the
+    closed form below, is nonzero at every x for independent solutions
+    (Abel), so every product satisfies the equation at x iff every
+    delta_k(x) = 0: the solutions do not enter the verdict.  Each difference
+    is evaluated with DiffPoly.eval on the grid's symbols, and its bound
+    |delta_k|(|syms|), |delta_k| being delta_k with every coefficient
+    replaced by its absolute value, on their magnitudes.  The check passes
+    iff every rho_k = max_x |delta_k(syms)| / (u |delta_k|(|syms|)),
+    u = 2^-53, 0 where delta_k(syms) = 0, is at most RESIDUAL_TOL; every
+    product reports the largest rho_k, and a nan fails.
 
     Every check also reports the midpoint Wronskian of all m+1 products of
     the solutions from cfg.ic_f and cfg.ic_g, (prod_{k<=m} k!) W^N with
@@ -872,14 +717,16 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     alone overflows or underflows.
 
     Raises ConfigError for an int m below 1, for a LiftedODE with m above
-    MAX_DERIVE_M (pass the int m instead), when the block would hold more
-    than MAX_BLOCK_FLOATS floats, and, for a LiftedODE only, when the terms
-    of its differences c_k - d_k times the grid points pass MAX_TERM_POINTS,
-    or, naming k, when a difference holds a derivative of order above
-    max(0, m-1), the highest the grid holds, or a coefficient that float()
-    cannot take; these guards run before anything is integrated.  It raises
-    SolutionRangeError, naming x, when Phi is not finite, before any block
-    is built.  Any other ode, a bool included, raises TypeError.
+    MAX_DERIVE_M (pass the int m instead), and, for a LiftedODE only, when
+    the terms of its differences c_k - d_k times the grid points pass
+    MAX_TERM_POINTS, or, naming k, when a difference holds a derivative of
+    order above max(0, m-1), the highest the grid holds, or a coefficient
+    that float() cannot take; these guards run before anything is
+    integrated.  The integration raises ConfigError before it allocates when
+    Phi and the symbol rows would pass MAX_BLOCK_FLOATS floats, and
+    SolutionRangeError, naming x, when Phi is not finite, before any
+    difference is evaluated.  Any other ode, a bool included, raises
+    TypeError.
 
     The memo keys hold p and q themselves, whose == compares node for node
     and literals by repr, and every other float by repr, so a report from
@@ -898,7 +745,6 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
         )
     m, points = (ode if derived else ode.m), cfg.steps + 1
     upto = 0 if derived else m - 1  # the symbol order the check reads: an int m reads Phi alone
-    _guard((m + 2) * (m + 1) * float(points), f"m={m} on {points:.3g} grid points")
     diffs = {} if derived else {k: c - d for k, (c, d) in enumerate(zip(ode.coeffs, _derived(m, m)))
                                 if c != d}
     work = sum(len(c.terms) for c in diffs.values()) * float(points)
@@ -917,8 +763,8 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             raise ConfigError(f"c_{k} has a coefficient past the double range") from None
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
         grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps, upto), p, q, cfg, upto)
-        worst = _difference_ratios(diffs, phi, syms, cfg, m) if diffs else [0.0] * (m + 1)
-        residuals = [MonomialResidual(m - j, j, w, w <= RESIDUAL_TOL) for j, w in enumerate(worst)]
+        worst = _worst_ratio(diffs, syms) if diffs else 0.0
+        residuals = [MonomialResidual(m - j, j, worst, worst <= RESIDUAL_TOL) for j in range(m + 1)]
 
         mid = len(grid) // 2
         (f, fp), (g, gp) = (map(float, _solution(phi[:, mid], ic)) for ic in (cfg.ic_f, cfg.ic_g))

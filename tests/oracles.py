@@ -65,14 +65,14 @@ printed that way from derive_lifted_ode.
 
 The product block built term by term, every power jet of f and of g on its
 own from the constant-1 jet up and every column as its own Leibniz product
-of two power jets, is the oracle for odelift.verify.product_derivatives,
-which stacks f with g and all middle columns into a few Leibniz passes and
-must still match it bit for bit.  The one licensed difference: where f^m or
-g^m overflows, the oracle's inf * 0 against the constant-1 jet leaves NaN
-in columns 0 and m, while the block writes those powers straight into their
-columns.  The oracle's jets are plain lists built by its own helpers, so it
-shares no code with odelift.verify; all it takes from there is the symbol
-layout, row k of odelift.verify.symbol_values holding (p^(k), q^(k)).
+of two power jets, holds derivatives 0..m+1 of all m+1 products f^(m-j) g^j
+(its top square is their Wronskian matrix).  odelift.verify builds no
+product block: the running-error bound and Euler's closed form below read
+this one.  Its jets are plain lists built by its own helpers, so it shares
+no code with odelift.verify; all it takes from there is the symbol layout,
+row k of odelift.verify.symbol_values holding (p^(k), q^(k)).
+scaled_solution divides (f, f') and (g, g') from Phi at every grid point by
+max(|y|, |y'|), so that no power in the block overflows.
 
 The symmetric-power recurrence run in floats on the symbol array,
 `recurrence_values`, gives the rows c_0, ..., c_m of the derived equation
@@ -92,11 +92,11 @@ B = major_(m+1) + sum |c_k| major_k, with major the product block on |f|,
 (every term of a derived c_k has the sign (-1)^degree, so there every
 term is non-negative).  A true basis has r = 0 exactly, so |fl(r)| <=
 gamma B whatever the integrator's error.  These helpers build both pieces
-from the package's own kernels.
+from the package's integration and the term-by-term block.
 
 The modular carrier is the exact check of the same identity.  Every double
-that basis_check feeds its kernels, f, f', g and g' after scaling and the
-symbol rows, is a dyadic rational, and r is a polynomial in them with
+it is fed, f, f', g and g' from the package's Phi after scaled_solution and
+the package's symbol rows, is a dyadic rational, and r is a polynomial in them with
 integer coefficients.  So r is zero over the rationals for a true identity,
 and stays zero modulo any prime P past m, where the powers of 2 and the
 1/j!, j < m, of the recurrence's Taylor rows invert.  The carrier maps each
@@ -581,7 +581,7 @@ def euler_symbol_values(m: int, r1, r2, x) -> dict:
 
 def euler_product_block(m: int, r1, r2, x) -> np.ndarray:
     """Derivatives 0..m+1 of the products x^lam_j at the points x, in
-    odelift.verify.product_derivatives' (m+2, m+1, *shape) layout: entry
+    product_block's (m+2, m+1, *shape) layout: entry
     [k, j] is lam_j (lam_j - 1) ... (lam_j - k + 1) x^(lam_j - k), the
     falling factorial exact and rounded once."""
     x = np.asarray(x, dtype=float)
@@ -792,9 +792,11 @@ def _powers(u: list, n: int) -> list:
 
 
 def product_block(f_pt, g_pt, m: int, syms) -> np.ndarray:
-    """The odelift.verify.product_derivatives block, built term by term:
-    the jets of f^0 ... f^m and g^0 ... g^m from the constant-1 jet up, and
-    column j as the Leibniz product of f^(m-j) and g^j."""
+    """Derivatives 0..m+1 of all m+1 products f^(m-j) g^j, (m+2, m+1, *shape),
+    built term by term from the (value, slope) pairs f_pt and g_pt and the
+    symbols to order m-1: the jets of f^0 ... f^m and g^0 ... g^m from the
+    constant-1 jet up, and column j as the Leibniz product of f^(m-j) and
+    g^j."""
     f_pows = _powers(_solution_jet(*f_pt, syms, m + 1), m)
     g_pows = _powers(_solution_jet(*g_pt, syms, m + 1), m)
     shape = np.broadcast_shapes(*map(np.shape, (*f_pt, *g_pt)), np.shape(syms)[2:])
@@ -842,25 +844,35 @@ def recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
     return cur[0]
 
 
+def scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
+    """(y, y') = Phi @ ic divided at each grid point by max(|y|, |y'|); a zero
+    vector stays zero.  ic is divided by its own max(|y0|, |y0'|) first, so
+    Phi @ ic overflows nowhere that Phi does not."""
+    s = max(map(abs, ic)) or 1.0
+    y, yp = verify._solution(phi, (ic[0] / s, ic[1] / s))
+    sigma = np.maximum(np.abs(y), np.abs(yp))
+    sigma[sigma == 0.0] = 1.0
+    return y / sigma, yp / sigma
+
+
 def majorised_check(m: int, p, q, cfg) -> tuple:
-    """(rows, magnitudes, block, major) of basis_check's check of the derived
-    equation of order m+1 on cfg's grid: the c_k rows and the |c_k| rows of
-    recurrence_values on syms and -|syms|, the product block
-    from the solutions from cfg.ic_f and cfg.ic_g scaled at every point, and
-    the same block on the magnitudes of f, f', g, g' and syms."""
+    """(rows, magnitudes, block, major) of the derived equation of order m+1
+    on cfg's grid: the c_k rows and the |c_k| rows of recurrence_values on
+    syms and -|syms|, the product block from the solutions from cfg.ic_f and
+    cfg.ic_g scaled at every point, and the same block on the magnitudes of
+    f, f', g, g' and syms."""
     grid, phi, syms = verify._integrate(p, q, cfg, m - 1)
-    f_pt = verify._scaled_solution(phi, cfg.ic_f)
-    g_pt = verify._scaled_solution(phi, cfg.ic_g)
-    block = verify.product_derivatives(f_pt, g_pt, m, syms)
-    major = verify.product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
+    f_pt, g_pt = scaled_solution(phi, cfg.ic_f), scaled_solution(phi, cfg.ic_g)
+    block = product_block(f_pt, g_pt, m, syms)
+    major = product_block(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
     rows = recurrence_values(m, syms)
     return rows, recurrence_values(m, -np.abs(syms)), block, major
 
 
 def running_error_ratio(values, magnitudes, block, major) -> float:
     """The worst |r| / (u B) over all products and points, u = 2^-53, taken as
-    0 where r = 0: r = y^(m+1) + sum c_k y^(k) summed in basis_check's order
-    from the c_k rows ``values``, and B = major_(m+1) + sum |c_k| major_k."""
+    0 where r = 0: r = y^(m+1) + sum c_k y^(k), the terms k = 0, ..., m
+    added in turn to y^(m+1), from the c_k rows ``values``, and B = major_(m+1) + sum |c_k| major_k."""
     r, bound = block[len(values)].copy(), major[len(values)].copy()
     for c, a, y, z in zip(values, magnitudes, block, major):
         r += c * y
@@ -970,12 +982,12 @@ def modular_recurrence_rows(m: int, syms: np.ndarray, weights=None) -> np.ndarra
 
 def modular_residuals(m: int, p, q, cfg, weights=None) -> np.ndarray:
     """r = y^(m+1) + sum c_k y^(k) modulo each prime, for every product
-    y = f^(m-j) g^j at every point of cfg's grid, (m+1, prime, point): the
-    doubles of basis_check's check of the derived equation, f, f', g and g'
-    from cfg.ic_f and cfg.ic_g scaled at every point and the symbol rows to
-    order m-1, carried exactly.  weights go to modular_recurrence_rows."""
+    y = f^(m-j) g^j at every point of cfg's grid, (m+1, prime, point): f, f',
+    g and g' from cfg.ic_f and cfg.ic_g on the package's Phi, scaled at every
+    point, and the package's symbol rows to order m-1, carried exactly.
+    weights go to modular_recurrence_rows."""
     _, phi, syms = verify._integrate(p, q, cfg, m - 1)
-    f_pt, g_pt = (residues(verify._scaled_solution(phi, ic)) for ic in (cfg.ic_f, cfg.ic_g))
+    f_pt, g_pt = (residues(scaled_solution(phi, ic)) for ic in (cfg.ic_f, cfg.ic_g))
     syms = residues(syms)
     block = modular_product_block(f_pt, g_pt, m, syms)
     c = modular_recurrence_rows(m, syms, weights)

@@ -735,22 +735,34 @@ def test_verify_oversized_grid_message_is_short(grid, capsys):
         main(["verify", "-m", "2", "--p", "0", "--q", "-1", *grid])
     assert info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: m=2 on 1e+") and "grid points" in err
+    assert err.startswith("error: Phi and p, q to order 3 on 1e+") and "grid points" in err
     assert len(err) < 120, err
 
 
-def test_verify_refuses_a_product_block_past_its_limit_within_20_s(capsys):
-    # verify takes its coefficients from the recurrence on the grid, so the
-    # product block bounds its work: 1.74e7 floats at m = 28 is a usage error
-    start = time.perf_counter()
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "-m", "28", "--p", "sin(x)", "--q", "x", "--step", "5e-5"])
-    assert time.perf_counter() - start < 20
-    assert info.value.code == 2
-    assert capsys.readouterr().err == (
-        "error: m=28 on 2e+04 grid points needs 1.74e+07 floats, over the limit 1e+07; "
-        "use a larger step\n"
-    )
+def test_verify_passes_m_28_on_20_001_points(capsys):
+    # verify -m M builds Phi and p, q to order 3, 12 floats a grid point at
+    # every m: 2.4e5 floats here, well inside MAX_BLOCK_FLOATS
+    code, out, _ = run(["verify", "-m", "28", "--p", "sin(x)", "--q", "x", "--step", "5e-5"], capsys)
+    assert code == 0 and out.rstrip().endswith("-> PASS")
+
+
+def test_verify_refuses_a_grid_past_its_limit_before_it_integrates(capsys, monkeypatch):
+    # 10^6 + 1 points need 12 floats each, Phi and p, q to order 3, over the
+    # limit of 10^7 at any m; refused before p and q are evaluated
+    from odelift import verify
+
+    def no_symbols(*args):
+        raise AssertionError("evaluated p and q")
+
+    monkeypatch.setattr(verify, "symbol_values", no_symbols)
+    for m in ("2", "28"):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "-m", m, "--p", "sin(x)", "--q", "x", "--step", "1e-6"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: Phi and p, q to order 3 on 1e+06 grid points need 1.2e+07 floats, "
+            "over the limit 1e+07; use a larger step\n"
+        )
 
 
 def test_verify_unusable_grid_is_a_usage_error(capsys):

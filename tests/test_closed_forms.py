@@ -22,7 +22,7 @@ from odelift.cli import main
 from odelift.diffring import DiffPoly
 from odelift.exprparse import parse_expr
 from odelift.lifting import derive_lifted_ode
-from odelift.verify import NumericConfig, fundamental_matrix, product_derivatives, symbol_values
+from odelift.verify import NumericConfig, fundamental_matrix, symbol_values
 from oracles import (
     constant_coefficients,
     constant_symbol_values,
@@ -30,6 +30,7 @@ from oracles import (
     euler_product_block,
     euler_symbol_values,
     eval_exact,
+    product_block,
     recurrence_values,
 )
 
@@ -118,8 +119,8 @@ def test_euler_product_block_is_within_its_majorant_of_the_closed_form(m, a, b, 
     grid = np.linspace(a, b, points)
     f_pt, g_pt = (grid**3, 3.0 * grid**2), (np.sqrt(grid), 0.5 / np.sqrt(grid))
     syms = symbol_values(parse_expr(EULER_P), parse_expr(EULER_Q), m - 1, grid)
-    block = product_derivatives(f_pt, g_pt, m, syms)
-    major = product_derivatives(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
+    block = product_block(f_pt, g_pt, m, syms)
+    major = product_block(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
     assert np.isfinite(major).all()
     gap = np.abs(block - euler_product_block(m, 3, Fraction(1, 2), grid))
     assert (gap <= 2 * (m + 2) * 2.0**-53 * major).all(), np.max(gap / major) / 2.0**-53
