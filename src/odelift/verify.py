@@ -46,23 +46,23 @@ Phi that is not finite, raise SolutionRangeError naming the first such x.
 
 basis_check keeps what does not depend on the operator in two one-entry
 memos (_one_slot), each built whole and never written after:
-  _base      grid, Phi and the symbol values to the order the check
-             reads, read-only, keyed by the trees p and q, the interval's
-             repr, the step count and that order: 0 for an int m, which
-             reads Phi alone, m-1 for a LiftedODE, whose differences may
-             read p^(m-1) (Expr == compares node for node and literals by
+  _base      grid, Phi and the symbol values to order 3, the rows the
+             Taylor steps read, read-only, 13 floats a grid point at every
+             check, keyed by the trees p and q, the interval's repr and the
+             step count (Expr == compares node for node and literals by
              repr, so -0.0 never aliases 0.0 in a key): one integration,
-             which evaluates p and q once, on the grid, to order
-             max(3, that order);
+             which evaluates p and q once, on the grid;
   _derived   the coefficients of derive_lifted_ode(m), keyed by m, that
              an explicit LiftedODE is compared with.
-So int checks at any m on one base equation and grid integrate once, and
-do the same work at every m but the Wronskian's closed form; a genuine
-equation, a perturbed one and dependent initial conditions at one m
-integrate once and evaluate 0, 1 and 0 differences; and LiftedODE checks
-at one m derive once, whatever the base equation.  Each memo drops its
-entry before it builds the next, and cache_clear() on both frees
-everything.
+So checks at any m on one base equation and grid, int m and LiftedODE
+alike, integrate once.  A difference reads the view of the memo's rows to
+its highest derivative order K when K <= 3, and only past order 3 does the
+check evaluate p and q once more, to order K.  An int m does the same work
+at every m but the Wronskian's closed form; a genuine equation, a
+perturbed one and dependent initial conditions evaluate 0, 1 and 0
+differences; and LiftedODE checks at one m derive once, whatever the base
+equation.  Each memo drops its entry before it builds the next, and
+cache_clear() on both frees everything.
 
 Each function that computes with numpy imports it as its first statement,
 so numpy is loaded by the first numeric call: importing odelift, reading
@@ -110,20 +110,21 @@ __all__ = [
 ]
 
 
-#: Largest integration basis_check and fundamental_matrix run, in floats:
-#: Phi, 4 a grid point, and p, q and their derivatives to the order the
-#: integration evaluates, max(3, upto), 2 a point per order.  That is 12 a
-#: point for an int m at every m and for fundamental_matrix, and
-#: 4 + 2 max(4, m) for a LiftedODE; 80 MB at the limit.  These are the arrays
-#: a check builds: a difference judged adds its value and bound, 2 floats a
-#: point, after the integration's temporaries are freed.  The whole check
-#: peaks under twice its count (1.83 for an int m at every m, 1.57 to 1.83
-#: for a LiftedODE at m = 1, 5 and 10), and the memos' arrays, the grid, Phi
-#: and the symbol values, hold 7 floats per point after an int m and
-#: 5 + 2 max(1, m) after a LiftedODE (the derived coefficients _derived keeps
-#: are not arrays and come on top); see
-#: test_power_check_memory_stays_within_five_blocks,
-#: test_perturbed_check_memory_stays_within_five_blocks and
+#: Largest evaluation basis_check and fundamental_matrix run, in floats: Phi,
+#: 4 a grid point, and p, q and their derivatives to order K, 2 a point per
+#: order, 4 + 2 (K + 1) in all.  The integration evaluates to K = 3, 12
+#: floats a point for every check and for fundamental_matrix; a difference
+#: of highest order K > 3 evaluates p and q once more, to K, and is counted
+#: the same way before anything is integrated; 80 MB at the limit.  These
+#: are the arrays a check builds: a difference judged adds its value and
+#: bound, 2 floats a point, after the integration's temporaries are freed.
+#: The whole check peaks under twice its count (1.83 to 1.85 for an int m
+#: and a genuine LiftedODE at every m, 1.57 to 1.59 for c_k + 1/8 and 1.55
+#: to 1.70 for c_0 + p^(m-1) at m = 5 to 10), and the memos' arrays, the
+#: grid, Phi and the symbol values to order 3, hold 13 floats per point
+#: after every check (the derived coefficients _derived keeps are not arrays
+#: and come on top); see test_power_check_memory_stays_within_five_blocks,
+#: test_high_order_difference_memory_stays_within_five_blocks and
 #: test_back_to_back_checks_keep_one_checks_arrays.
 MAX_BLOCK_FLOATS = 10**7
 
@@ -305,7 +306,8 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
     the post-order program of p and q (exprparse._program), never from
     finite differences: each entry's jet is built once from its arguments'
     jets, so a subtree the two share is evaluated once, and a sin and a cos
-    of one argument share one (sin, cos) pair.  A tree that is not an Expr
+    of one argument share one (sin, cos) pair; both are freed after their
+    last reader, so few jets are alive at once.  A tree that is not an Expr
     raises TypeError before any value is computed.  p's entries run and are
     checked before q's: where a tree's rows are not finite, the scalar
     evaluator is re-run at the first such x, so callers see the precise
@@ -350,10 +352,17 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
                 c.append(-_leibniz_row(s, u[1:], k))
         return trig[args[0]][node.func == "cos"]
 
+    # the roots stay, since q's root can be a subtree of p
+    last = {arg: i for i, (_, args) in enumerate(entries) for arg in args}
     for b, (tree, root) in enumerate(zip((p, q), roots)):
         with np.errstate(all="ignore"):  # a value out of range is the error below
             while len(jets) <= root:
-                jets.append(jet(*entries[len(jets)]))
+                i, (node, args) = len(jets), entries[len(jets)]
+                jets.append(jet(node, args))
+                for arg in args:
+                    if last[arg] == i and arg not in roots:
+                        jets[arg] = None
+                        trig.pop(arg, None)
             for k, row in enumerate(jets[root]):  # a row may be a float that broadcasts
                 out[k, b] = row
         finite = np.isfinite(out[:, b]).all(axis=0).reshape(-1)
@@ -368,32 +377,39 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
 # integration
 
 
-def _integrate(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
-    """(grid, phi, symbol_values to order upto on the grid), refused with a
-    ConfigError before it allocates when phi and the symbol rows would pass
-    MAX_BLOCK_FLOATS floats.
-
-    p and q are evaluated once, on the grid, to order max(3, upto): the
-    Taylor steps read rows 0..3, and the rows past upto are dropped after.
-    Raises SolutionRangeError at the first x where phi is not finite.
-    """
-    import numpy as np
-    points, order = cfg.steps + 1, max(3, upto)
+def _refuse_past_limit(order: int, points: int) -> None:
+    """Raise ConfigError when Phi and p, q to the given order on `points`
+    grid points, 4 + 2(order + 1) floats a point, would pass
+    MAX_BLOCK_FLOATS."""
     size = (4 + 2 * (order + 1)) * float(points)  # a float, so the message formats at any size
     if size > MAX_BLOCK_FLOATS:
         raise ConfigError(f"Phi and p, q to order {order} on {points:.3g} grid points need "
                           f"{size:.3g} floats, over the limit {MAX_BLOCK_FLOATS:.0e}; "
                           f"use a larger step")
+
+
+def _integrate(p: Expr, q: Expr, cfg: NumericConfig) -> tuple:
+    """(grid, phi, symbol_values to order 3 on the grid), refused with a
+    ConfigError before it allocates when phi and the symbol rows would pass
+    MAX_BLOCK_FLOATS floats, 12 a grid point.
+
+    p and q are evaluated once, on the grid, to order 3, the rows the Taylor
+    steps read.  Raises SolutionRangeError at the first x where phi is not
+    finite.
+    """
+    import numpy as np
+    points = cfg.steps + 1
+    _refuse_past_limit(3, points)
     a, b = cfg.interval
     grid = np.linspace(a, b, points)
-    syms = symbol_values(p, q, order, grid)
+    syms = symbol_values(p, q, 3, grid)
     with np.errstate(all="ignore"):  # an overflow is the error below, not a warning
         phi = _transfer(syms, cfg.h)
     finite = np.isfinite(phi).all(axis=0)
     if not finite.all():
         raise SolutionRangeError(f"the solutions leave the double range at "
                                  f"x={grid[np.argmin(finite)]:g}; use a shorter interval")
-    return grid, phi, syms[: upto + 1].copy() if upto < 3 else syms
+    return grid, phi, syms
 
 
 def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
@@ -499,7 +515,7 @@ def fundamental_matrix(p: Expr, q: Expr, cfg: NumericConfig) -> tuple[np.ndarray
     than MAX_BLOCK_FLOATS floats, 12 a grid point, and SolutionRangeError,
     a ConfigError, at the first x where phi is not finite.
     """
-    return _integrate(p, q, cfg, 0)[:2]
+    return _integrate(p, q, cfg)[:2]
 
 
 def _solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
@@ -551,15 +567,14 @@ def _one_slot(build):
 
 
 @_one_slot
-def _base(p: Expr, q: Expr, cfg: NumericConfig, upto: int) -> tuple:
-    """(grid, phi, syms), all read-only: _integrate with the symbols up to
-    order upto, the highest the check reads (0 for an int m, m-1 for a
-    LiftedODE).
+def _base(p: Expr, q: Expr, cfg: NumericConfig) -> tuple:
+    """(grid, phi, syms), all read-only: _integrate, with p and q to order 3,
+    whatever the check.
 
     Without this memo each check integrates again, and verify-batch wall_s
     went from 0.130 to 0.165 s (+27 %).
     """
-    entry = _integrate(p, q, cfg, upto)
+    entry = _integrate(p, q, cfg)
     for array in entry:
         array.flags.writeable = False
     return entry
@@ -720,11 +735,16 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
     MAX_DERIVE_M (pass the int m instead), and, for a LiftedODE only, when
     the terms of its differences c_k - d_k times the grid points pass
     MAX_TERM_POINTS, or, naming k, when a difference holds a derivative of
-    order above max(0, m-1), the highest the grid holds, or a coefficient
-    that float() cannot take; these guards run before anything is
+    order above m-1, the highest the derived equation holds, which bounds
+    the jet work, or a coefficient that float() cannot take.  The
+    differences read p and q to K, the highest derivative order among them
+    (-1 when all are constant): the view of the integration's rows when
+    K <= 3, and one more symbol_values to order K past that, refused like
+    the integration, naming K, when Phi and p, q to order K would pass
+    MAX_BLOCK_FLOATS floats.  These guards run before anything is
     integrated.  The integration raises ConfigError before it allocates when
-    Phi and the symbol rows would pass MAX_BLOCK_FLOATS floats, and
-    SolutionRangeError, naming x, when Phi is not finite, before any
+    Phi and its symbol rows to order 3 would pass MAX_BLOCK_FLOATS floats,
+    and SolutionRangeError, naming x, when Phi is not finite, before any
     difference is evaluated.  Any other ode, a bool included, raises
     TypeError.
 
@@ -744,7 +764,6 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"m={MAX_DERIVE_M}; for m={ode.m} pass the int m to check the derived equation"
         )
     m, points = (ode if derived else ode.m), cfg.steps + 1
-    upto = 0 if derived else m - 1  # the symbol order the check reads: an int m reads Phi alone
     diffs = {} if derived else {k: c - d for k, (c, d) in enumerate(zip(ode.coeffs, _derived(m, m)))
                                 if c != d}
     work = sum(len(c.terms) for c in diffs.values()) * float(points)
@@ -754,16 +773,20 @@ def basis_check(ode: LiftedODE | int, p: Expr, q: Expr, cfg: NumericConfig) -> B
             f"over the limit {MAX_TERM_POINTS:.0e}; use a larger step or a smaller m"
         )
     for k, c in diffs.items():  # DiffPoly.eval reads the grid's symbols and float coefficients
-        if c.max_order() > upto:
+        if c.max_order() > m - 1:
             raise ConfigError(f"c_{k} holds a derivative of order {c.max_order()}, past the "
-                              f"order {upto} that m={m} evaluates p and q to")
+                              f"order {m - 1} that bounds the jet work at m={m}")
         try:
             float(max(map(abs, c.terms.values())))  # float() overflows first on the largest
         except OverflowError:
             raise ConfigError(f"c_{k} has a coefficient past the double range") from None
+    order = max((c.max_order() for c in diffs.values()), default=-1)  # K, -1: all constant
+    if order > 3:  # past the integration's rows: p and q again, counted before it runs
+        _refuse_past_limit(order, points)
     with np.errstate(all="ignore"):  # overflow to inf and nan fails the checks, silently
-        grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps, upto), p, q, cfg, upto)
-        worst = _worst_ratio(diffs, syms) if diffs else 0.0
+        grid, phi, syms = _base((p, q, repr(cfg.interval), cfg.steps), p, q, cfg)
+        rows = syms[: order + 1] if order <= 3 else symbol_values(p, q, order, grid)
+        worst = _worst_ratio(diffs, rows) if diffs else 0.0
         residuals = [MonomialResidual(m - j, j, worst, worst <= RESIDUAL_TOL) for j in range(m + 1)]
 
         mid = len(grid) // 2

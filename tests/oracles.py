@@ -861,7 +861,8 @@ def majorised_check(m: int, p, q, cfg) -> tuple:
     syms and -|syms|, the product block from the solutions from cfg.ic_f and
     cfg.ic_g scaled at every point, and the same block on the magnitudes of
     f, f', g, g' and syms."""
-    grid, phi, syms = verify._integrate(p, q, cfg, m - 1)
+    grid, phi = verify.fundamental_matrix(p, q, cfg)
+    syms = verify.symbol_values(p, q, m - 1, grid)
     f_pt, g_pt = scaled_solution(phi, cfg.ic_f), scaled_solution(phi, cfg.ic_g)
     block = product_block(f_pt, g_pt, m, syms)
     major = product_block(np.abs(f_pt), np.abs(g_pt), m, np.abs(syms))
@@ -986,7 +987,8 @@ def modular_residuals(m: int, p, q, cfg, weights=None) -> np.ndarray:
     g and g' from cfg.ic_f and cfg.ic_g on the package's Phi, scaled at every
     point, and the package's symbol rows to order m-1, carried exactly.
     weights go to modular_recurrence_rows."""
-    _, phi, syms = verify._integrate(p, q, cfg, m - 1)
+    grid, phi = verify.fundamental_matrix(p, q, cfg)
+    syms = verify.symbol_values(p, q, m - 1, grid)
     f_pt, g_pt = (residues(scaled_solution(phi, ic)) for ic in (cfg.ic_f, cfg.ic_g))
     syms = residues(syms)
     block = modular_product_block(f_pt, g_pt, m, syms)

@@ -638,10 +638,9 @@ def test_basis_check_integrates_once(monkeypatch):
                                         (1, True), (8, True), (28, True)],
                          ids=["1", "3", "8", "int-1", "int-8", "int-28"])
 def test_basis_check_evaluates_p_and_q_once_per_point_set(m, derived, monkeypatch):
-    # p and q on the grid only, to order max(3, m-1) for a LiftedODE: the
-    # Taylor steps read rows 0..3 and its differences rows 0..m-1 of the same
-    # jets; one run of the program of p and q gives both.  An int m reads Phi
-    # alone, so it evaluates to order 3 at every m
+    # p and q on the grid only, to order 3, the rows the Taylor steps read,
+    # at every m and for an int m and a LiftedODE alike: a genuine equation
+    # has no difference to read them
     calls = []
 
     def counting(p, q, order, x, plain=verify.symbol_values):
@@ -652,31 +651,36 @@ def test_basis_check_evaluates_p_and_q_once_per_point_set(m, derived, monkeypatc
     clear_memos()
     ode = m if derived else derive_lifted_ode(m)
     assert basis_check(ode, parse_expr("sin(x)"), parse_expr("x"), COS_CFG).passed
-    assert calls == [(1001, 3 if derived else max(3, m - 1))]
+    assert calls == [(1001, 3)]
 
 
-@pytest.mark.parametrize("upto", [0, 2, 3, 5])
-def test_integrate_holds_the_symbol_rows_to_order_upto_only(upto):
-    # the Taylor steps read rows 0..3; the rows past upto are not kept, not
-    # even as the base of a view
+@pytest.mark.parametrize("order", [0, 2, 3, 5])
+def test_integrate_holds_the_symbol_rows_to_order_3(order):
+    # the Taylor steps read rows 0..3, and the integration keeps all four
+    # whatever a check reads.  Row k of a jet does not depend on the order it
+    # runs to, so the rows a difference of order K <= 3 reads, the view
+    # syms[:K+1], are those of symbol_values to order K, bit for bit
     p, q = parse_expr("sin(x)"), parse_expr("x")
-    grid, phi, syms = verify._integrate(p, q, COS_CFG, upto)
-    assert syms.shape == (upto + 1, 2, 1001) and syms.base is None
-    assert np.array_equal(syms, symbol_values(p, q, upto, grid))
+    grid, phi, syms = verify._integrate(p, q, COS_CFG)
+    assert syms.shape == (4, 2, 1001)
+    rows = min(order, 3) + 1
+    assert syms[:rows].tobytes() == symbol_values(p, q, order, grid)[:rows].tobytes()
     assert np.array_equal(phi, fundamental_matrix(p, q, COS_CFG)[1])
 
 
-def traced_check(ode, upto, differs=False):
+def traced_check(ode, order=-1, differs=False):
     """(report, traced peak / bytes built) of a cold check of ode on sin(x), x.
 
-    What the check builds is Phi, 4 floats a grid point, p and q to order
-    max(3, upto), 2 a row (the integration's count against MAX_BLOCK_FLOATS),
-    and, where differs, r and B of the difference judged, 2 more; the grid
-    holds ~10^6 of those floats.  The tests bound the peak at twice them,
-    which is under the five (m+2)(m+1)-floats-a-point product blocks they
-    bounded it by while basis_check built one."""
+    What the check builds is Phi, 4 floats a grid point, and p and q to
+    order 3, 8 more (the integration's count against MAX_BLOCK_FLOATS); where
+    the differences read past order 3, to their highest order `order`, p and
+    q once more to that order, 2 (order + 1) more; and, where differs, r and
+    B of the difference judged, 2 more.  The grid holds ~10^6 of those
+    floats.  The tests bound the peak at twice them, which is under the five
+    (m+2)(m+1)-floats-a-point product blocks they bounded it by while
+    basis_check built one."""
     m = ode if isinstance(ode, int) else ode.m
-    per_point = 4 + 2 * (max(3, upto) + 1) + 2 * differs
+    per_point = 12 + 2 * (order + 1) * (order > 3) + 2 * differs
     assert 2 * per_point <= 5 * (m + 2) * (m + 1)
     points = 10**6 // per_point
     cfg = NumericConfig(interval=(0.0, 1.0), step=1.0 / (points - 1))
@@ -693,10 +697,11 @@ def traced_check(ode, upto, differs=False):
 
 @pytest.mark.parametrize("m", [1, 5, 10])
 def test_basis_check_memory_stays_within_five_blocks(m):
-    # the genuine equation: the integration to order max(3, m-1) sets the
-    # peak, integration temporaries and the jets of sin(x) included (1.83,
-    # 1.72 and 1.79 times what is built)
-    report, peak = traced_check(derive_lifted_ode(m), m - 1)
+    # the genuine equation: the integration to order 3 sets the peak,
+    # integration temporaries and the jets of sin(x) included, at every m
+    # (1.83, 1.84 and 1.85 times what is built; the derived coefficients
+    # _derived builds inside the trace make the difference)
+    report, peak = traced_check(derive_lifted_ode(m))
     assert report.passed
     assert peak <= 2, peak
 
@@ -731,8 +736,8 @@ def test_oversized_check_is_refused_before_it_allocates(monkeypatch):
     with pytest.raises(ConfigError, match="floats"):
         basis_check(derive_lifted_ode(2), ZERO, MINUS_ONE, cfg)
     assert MAX_BLOCK_FLOATS == 10**7
-    # the limit counts Phi and the symbol rows to order max(3, m-1),
-    # 4 + 2 * 4 floats per grid point: 12 * 1001 at m=2.  The integration
+    # the limit counts Phi and the symbol rows to order 3, 4 + 2 * 4 floats
+    # per grid point: 12 * 1001 for COS_CFG at every m.  The integration
     # counts them, so the memo is cleared for the second limit
     monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 12 * 1001)
     assert cos_suite(2).passed
@@ -1354,7 +1359,8 @@ def test_only_the_coefficients_that_differ_are_evaluated(m, monkeypatch):
     report = basis_check(LiftedODE(m, tuple(coeffs)), p, q, COS_CFG)
     assert not report.passed
     assert [poly for poly, _ in calls] == [diffs[0]] * 2 + [diffs[m // 2]] * 2
-    grid, phi, syms = verify._base.__wrapped__(p, q, COS_CFG, m - 1)
+    grid, phi, syms = verify._base.__wrapped__(p, q, COS_CFG)
+    syms = syms[:1]  # p*q reads order 0 alone, and 1/8 no symbol
     assert [values.tobytes() for _, values in calls] == [syms.tobytes(), np.abs(syms).tobytes()] * 2
     rho = []
     for delta in diffs.values():  # both have positive coefficients: |delta_k| is delta_k
@@ -1413,7 +1419,7 @@ def test_coefficient_rows_out_of_double_range_are_refused(monkeypatch):
 def test_power_check_memory_stays_within_five_blocks(m):
     # an int m reads Phi alone: the integration to order 3 sets the peak,
     # the same at every m (1.83 times what is built)
-    report, peak = traced_check(m, 0)
+    report, peak = traced_check(m)
     assert report.passed
     assert peak <= 2, peak
 
@@ -1421,9 +1427,20 @@ def test_power_check_memory_stays_within_five_blocks(m):
 @pytest.mark.parametrize("m", [1, 5, 10])
 def test_perturbed_check_memory_stays_within_five_blocks(m):
     # c_{m//2} + 1/8: r and B of its one difference come after the
-    # integration has freed its temporaries (1.57, 1.63 and 1.79 times what
+    # integration has freed its temporaries (1.57, 1.57 and 1.59 times what
     # is built)
-    report, peak = traced_check(perturbed(derive_lifted_ode(m), m // 2), m - 1, differs=True)
+    report, peak = traced_check(perturbed(derive_lifted_ode(m), m // 2), differs=True)
+    assert not report.residuals_passed and report.wronskian_passed
+    assert peak <= 2, peak
+
+
+@pytest.mark.parametrize("m", [5, 8, 10])
+def test_high_order_difference_memory_stays_within_five_blocks(m):
+    # c_0 + p^(m-1) reads past order 3: p and q once more, to order m-1,
+    # beside the memo's rows to order 3 (1.55, 1.64 and 1.70 times what is
+    # built)
+    ode = perturbed(derive_lifted_ode(m), 0, DiffPoly.symbol(P(m - 1)))
+    report, peak = traced_check(ode, m - 1, differs=True)
     assert not report.residuals_passed and report.wronskian_passed
     assert peak <= 2, peak
 
@@ -1470,25 +1487,98 @@ def test_genuine_then_perturbed_check_integrates_once_and_builds_one_block(monke
 
 
 def test_int_checks_at_every_m_integrate_once():
-    # an int m reads Phi alone, so its memo entry holds the symbols to order
-    # 0 at every m: checks at m = 1..28 in a row on one base equation and grid
-    # integrate once, and each report is the one a cold check gives
-    p, q = parse_expr("sin(x)"), parse_expr("x")
-    cold = []
-    for m in range(1, 29):
-        clear_memos()
-        cold.append(repr(basis_check(m, p, q, COS_CFG)))
-    clear_memos()
-    assert [repr(basis_check(m, p, q, COS_CFG)) for m in range(1, 29)] == cold
-    assert memo_info() == (27, 1)
-    # a LiftedODE reads the symbols to order m-1: at m = 5 the genuine
-    # equation, its c_2 + 1/8 copy and dependent initial conditions integrate
-    # once more, together
-    ode = derive_lifted_ode(5)
+    # the memo entry holds Phi and the symbols to order 3 whatever the check:
+    # int checks at m = 1..28, then at m = 5 the genuine equation, its
+    # c_2 + 1/8 copy and dependent initial conditions, and the genuine
+    # equation at m = 12, in a row on one base equation and grid, integrate
+    # once, and each report is the one a cold check gives
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(5)
     dependent = NumericConfig(interval=(0.0, 1.0), step=1e-3, ic_f=(1.0, 0.5), ic_g=(2.0, 1.0))
-    checks = [(ode, COS_CFG), (perturbed(ode, 2), COS_CFG), (ode, dependent)]
-    assert [basis_check(o, p, q, cfg).passed for o, cfg in checks] == [True, False, False]
-    assert memo_info() == (29, 2)
+    checks = [(m, COS_CFG) for m in range(1, 29)]
+    checks += [(ode, COS_CFG), (perturbed(ode, 2), COS_CFG), (ode, dependent),
+               (derive_lifted_ode(12), COS_CFG)]
+    cold = []
+    for check_ode, cfg in checks:
+        clear_memos()
+        cold.append(repr(basis_check(check_ode, p, q, cfg)))
+    clear_memos()
+    warm = [basis_check(check_ode, p, q, cfg) for check_ode, cfg in checks]
+    assert list(map(repr, warm)) == cold
+    assert [report.passed for report in warm[28:]] == [True, False, False, True]
+    assert memo_info() == (31, 1)
+
+
+@pytest.mark.parametrize("m", [8, 12])
+def test_only_a_difference_past_order_3_evaluates_p_and_q_again(m, monkeypatch):
+    # c_0 + p^(j) for j = 0..3 reads the view of the integration's rows: no
+    # call of symbol_values but the integration's.  c_0 + p^(m-1) past order 3
+    # makes exactly one more, to order m-1, and its rho is the one from
+    # symbol_values to order m-1, bit for bit
+    calls = []
+
+    def counting(p, q, order, x, plain=verify.symbol_values):
+        calls.append((len(x), order))
+        return plain(p, q, order, x)
+
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(m)
+    monkeypatch.setattr(verify, "symbol_values", counting)
+    clear_memos()
+    for j in range(4):
+        assert not basis_check(perturbed(ode, 0, DiffPoly.symbol(P(j))), p, q, COS_CFG).passed
+    assert calls == [(1001, 3)]
+    delta = DiffPoly.symbol(P(m - 1))
+    report = basis_check(perturbed(ode, 0, delta), p, q, COS_CFG)
+    assert calls == [(1001, 3), (1001, m - 1)]
+    monkeypatch.undo()
+    grid = np.linspace(0.0, 1.0, 1001)
+    rho = verify._worst_ratio({0: delta}, symbol_values(p, q, m - 1, grid))
+    assert [r.max_residual for r in report.residuals] == [rho] * (m + 1)
+    assert memo_info() == (4, 1)
+
+
+def test_a_difference_past_order_3_is_counted_before_anything_is_integrated(monkeypatch):
+    # the limit counts what is built: Phi and the integration's rows, 12
+    # floats a grid point at every m, so the genuine equation at m = 12 runs
+    # at 12 * 1001 on COS_CFG.  c_0 + p^(11) evaluates p and q once more, to
+    # order 11, 4 + 2 * 12 = 28 floats a point: refused, naming that order,
+    # before the integration runs
+    calls = []
+
+    def counting(*args, plain=verify._integrate):
+        calls.append(args)
+        return plain(*args)
+
+    p, q, ode = parse_expr("sin(x)"), parse_expr("x"), derive_lifted_ode(12)
+    monkeypatch.setattr(verify, "MAX_BLOCK_FLOATS", 12 * 1001)
+    monkeypatch.setattr(verify, "_integrate", counting)
+    clear_memos()
+    with pytest.raises(ConfigError, match="Phi and p, q to order 11 on 1e[+]03 grid points "
+                                          "need 2.8e[+]04 floats"):
+        basis_check(perturbed(ode, 0, DiffPoly.symbol(P(11))), p, q, COS_CFG)
+    assert calls == [] and memo_info() == (0, 0)
+    assert basis_check(ode, p, q, COS_CFG).passed
+    assert len(calls) == 1
+
+
+def test_symbol_values_frees_each_jet_after_its_last_reader():
+    # p = sin(x) + sin(2x) + ... + sin(30x) has 120 program entries, most a
+    # jet as large as p's rows of the output; each goes, with its (sin, cos)
+    # pair, once its last reader is built, so the peak stays within a few
+    # outputs (2.9 and 2.6 times at orders 3 and 11 on 2 001 points; 51 and
+    # 47 times while every jet lived until the end).  The output is the
+    # recursive walk's, byte for byte, and q = x, a subtree of p, keeps its
+    # root
+    p = parse_expr(" + ".join(f"sin({j}*x)" for j in range(1, 31)))
+    x = np.linspace(0.0, 1.0, 2001)
+    for order in (3, 11):
+        tracemalloc.start()
+        try:
+            out = symbol_values(p, Var(), order, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.nbytes, peak / out.nbytes
+        assert out.tobytes() == reference_symbol_values(p, Var(), order, x).tobytes()
 
 
 def test_dependent_check_reuses_the_symbol_values(monkeypatch):
@@ -1505,13 +1595,15 @@ def test_dependent_check_reuses_the_symbol_values(monkeypatch):
     assert basis_check(ode, p, q, COS_CFG).passed
     assert memo_info() == (0, 1)
     assert not basis_check(ode, p, q, dependent).wronskian_passed
-    assert calls == [3]  # the grid only, to order max(3, m-1)
+    assert calls == [3]  # the grid only, to order 3
     assert memo_info() == (1, 1)
-    # another m on the same base equation misses, and so does another p
+    # another m on the same base equation hits: the memo holds no order.
+    # Another p misses
     basis_check(derive_lifted_ode(2), p, q, COS_CFG)
+    assert calls == [3]
     basis_check(ode, parse_expr("cos(x)"), q, COS_CFG)
-    assert calls == [3, 3, 3]
-    assert verify._base.cache_info() == (1, 3, 1, 1)
+    assert calls == [3, 3]
+    assert verify._base.cache_info() == (2, 2, 1, 1)
 
 
 def test_each_coefficient_is_evaluated_once_per_base_equation(monkeypatch):
@@ -1587,8 +1679,8 @@ def test_basis_check_hashes_no_polynomial(monkeypatch):
 @pytest.mark.parametrize("m", [2, 5])
 def test_clearing_the_base_memo_frees_the_coefficient_values(m):
     # after genuine, perturbed and dependent checks _base holds the grid, Phi
-    # and the symbol array, and neither the perturbed check's block nor its
-    # c_k values are kept, so clearing _base leaves no array
+    # and the symbol array to order 3, and neither the perturbed check's
+    # values nor its c_k are kept, so clearing _base leaves no array
     points = 20001
     row = 8 * points
     cfg = NumericConfig(interval=(0.0, 1.0), step=1 / (points - 1))
@@ -1606,7 +1698,7 @@ def test_clearing_the_base_memo_frees_the_coefficient_values(m):
         cleared = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    base = 1 + 4 + 2 * m  # the grid, Phi and the symbols to order m-1
+    base = 1 + 4 + 2 * 4  # the grid, Phi and the symbols to order 3, at every m
     assert held < row * (base + 1), held / row
     assert held - cleared >= row * base
     assert cleared < row, cleared
@@ -1650,7 +1742,7 @@ def run_check(p, q, interval, step, ic_f, ic_g, m):
     ("step", 5e-4, True),
     ("ic_f", (1.0, 0.25), False),
     ("ic_g", (0.0, 2.0), False),
-    ("m", 3, True),
+    ("m", 3, False),  # the memo holds no symbol order: every m reads one entry
     # equal to the base as floats and as Expr trees, but not the same inputs
     ("interval", (-0.0, 1.0), True),
     ("q", Add(Var(), Num(-0.0)), True),
@@ -1699,7 +1791,7 @@ def test_memo_arrays_are_read_only(monkeypatch):
     clear_memos()
     assert cos_suite(3).passed
     syms = seen["syms"]
-    assert syms.shape == (3, 2, len(seen["grid"]))  # p, p', p'' beside q, q', q''
+    assert syms.shape == (4, 2, len(seen["grid"]))  # p, ..., p^(3) beside q, ..., q^(3)
     rows = [row for pair in syms for row in pair]  # the views DiffPoly.eval reads
     for a in [seen["grid"], seen["phi"], syms, *rows]:
         assert not a.flags.writeable
