@@ -12,9 +12,12 @@ matrix Phi of the fixed-step Taylor method of order 4.  That is the only
 integrator: fundamental_matrix returns (grid, phi), and the solution from
 (y, y') = ic at the start of the grid is Phi @ ic, that is
 y = phi[0] y0 + phi[1] y0' and y' = phi[2] y0 + phi[3] y0', so f and g
-share one integration.  basis_check reports a residual
-verdict per product plus the products' midpoint Wronskian, a closed
-form in W(f, g) (Bronstein, Mulders & Weil, ISSAC 1997):
+share one integration.  Both jets sum every Leibniz product on one kernel,
+_leibniz_row: the products, quotients, powers, exp, sin and cos of the
+p, q jets, and the products p y' and q y of the solution jet.
+basis_check reports a residual verdict per product plus the products'
+midpoint Wronskian, a closed form in W(f, g) (Bronstein, Mulders & Weil,
+ISSAC 1997):
 W(f^m, ..., g^m) = (prod_{k<=m} k!) W(f, g)^(m(m+1)/2).  Each verdict is
 one fixed rule: a residual passes at most RESIDUAL_TOL, and the Wronskian
 when its ratio to Hadamard's bound exceeds WRONSKIAN_TOL.
@@ -254,19 +257,23 @@ def _const(value: float, order: int) -> list:
     return [np.float64(value)] + [0.0] * order
 
 
-def _leibniz_row(u: list, v: list, k: int, first: int = 0):
+def _leibniz_row(u: list, v: list, k: int, first: int = 0, row=0.0):
     """Row k of the jet of u*v, (uv)^(k) = sum_j C(k,j) u^(j) v^(k-j), summed
-    from j = first; the one binomial sum of the Expr jets.
+    from j = first and added onto row; the one binomial sum of the Expr jets
+    and of the solution jet of _transfer.
 
     A term with a known-zero factor (a plain float 0.0 row) is left out, and
-    a row with no term left is that known zero.  The sum starts from +0.0, so
-    no partial sum is -0.0 and a term left out changes no finite entry.
+    a row with no term left is the start row itself, the known zero 0.0 by
+    default.  The sum starts from +0.0 or from a row with no -0.0 entry, so
+    no partial sum is -0.0 and a term left out changes no finite entry.  The
+    terms of binomial 1, j = 0 and j = k, are formed with no multiply by it,
+    the same bits.  The terms are added in place onto an array start row,
+    which the caller must own; from 0.0 the first one makes a new array.
     """
-    return sum(
-        (comb(k, j) * u[j] * v[k - j] for j in range(first, k + 1)
-         if not (_known_zero(u[j]) or _known_zero(v[k - j]))),
-        0.0,
-    )
+    for j in range(first, k + 1):
+        if not (_known_zero(u[j]) or _known_zero(v[k - j])):
+            row += u[j] * v[k - j] if j in (0, k) else comb(k, j) * u[j] * v[k - j]
+    return row
 
 
 def _known_zero(row) -> bool:
@@ -307,13 +314,18 @@ def symbol_values(p: Expr, q: Expr, upto: int, x) -> np.ndarray:
     finite differences: each entry's jet is built once from its arguments'
     jets, so a subtree the two share is evaluated once, and a sin and a cos
     of one argument share one (sin, cos) pair; both are freed after their
-    last reader, so few jets are alive at once.  A tree that is not an Expr
-    raises TypeError before any value is computed.  p's entries run and are
-    checked before q's: where a tree's rows are not finite, the scalar
-    evaluator is re-run at the first such x, so callers see the precise
-    domain error.
+    last reader, so few jets are alive at once.  An order that is not an int,
+    a bool included, raises TypeError, a negative one ValueError, and a tree
+    that is not an Expr TypeError, all before any value is computed.  p's
+    entries run and are checked before q's: where a tree's rows are not
+    finite, the scalar evaluator is re-run at the first such x, so callers
+    see the precise domain error.
     """
     import numpy as np
+    if isinstance(upto, bool) or not isinstance(upto, int):
+        raise TypeError(f"symbol order must be an int, got {upto!r}")
+    if upto < 0:
+        raise ValueError(f"symbol order must be >= 0, got {upto}")
     xs = np.asarray(x, dtype=float)
     entries, roots, _ = _program(p, q)
     # out goes before the jets, so that they are freed above it; trig maps an
@@ -422,9 +434,12 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     solutions, so the rows of T_k are sum_j h^j/j! y[j] and
     sum_j h^j/j! y[j+1], summed by Horner's rule.  Differentiating
     y'' = p y' + q y k times gives
-    y^(k+2) = sum_j C(k,j) (p^(j) y^(k+1-j) + q^(j) y^(k-j)).  Rows 0 and 1
-    are the unit columns themselves, so the terms on them are symbol rows,
-    added with no product: q^(k) y[0] + p^(k) y[1] = (q^(k), p^(k)) and
+    y^(k+2) = sum_j C(k,j) (p^(j) y^(k+1-j) + q^(j) y^(k-j)): row k of the
+    products p y' and q y, summed by _leibniz_row, the kernel of the Expr
+    jets, the q terms added in place onto the p terms' row.  Rows 0 and 1
+    are the unit columns themselves, entered as known zeros, so the kernel
+    leaves out the terms on them; those are symbol rows, added after with no
+    product: q^(k) y[0] + p^(k) y[1] = (q^(k), p^(k)) and
     C(k, k-1) q^(k-1) y[1] = (0, k q^(k-1)); row 2 is (q, p) itself.
     _prefix_products then turns the steps into Phi in place.
     """
@@ -436,13 +451,9 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
     phi = np.empty((4, n + 1))
     phi[:, 0] = (1.0, 0.0, 0.0, 1.0)
     p, q = syms[:, 0, :-1], syms[:, 1, :-1]
-    y = [None, None, syms[0, ::-1, :-1]]
+    y = [0.0, 0.0, syms[0, ::-1, :-1]]
     for k in range(1, 4):  # row k+2, its terms on rows 2.. first
-        row = p[0] * y[k + 1]
-        for j in range(1, k):
-            row += comb(k, j) * p[j] * y[k + 1 - j]
-        for j in range(k - 1):
-            row += comb(k, j) * q[j] * y[k - j]
+        row = _leibniz_row(q, y, k, row=_leibniz_row(p, y[1:], k))
         row[0] += q[k]
         row[1] += p[k] + k * q[k - 1]
         y.append(row)
@@ -452,7 +463,7 @@ def _transfer(syms: np.ndarray, h: float) -> np.ndarray:
             if r + j > 1:
                 t += y[r + j]
             else:
-                t[1] += 1.0  # y[1] = (0, 1)
+                t[1] += 1.0  # y[1] is the unit column (0, 1)
             t *= h / j
         t[r] += 1.0  # y[r] is the unit column r
     del y  # the Taylor rows go before the scan allocates

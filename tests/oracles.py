@@ -115,6 +115,12 @@ which runs the post-order program of p and q once for both: every output
 byte and every error must be the same.  The walk takes its row kernels
 (_leibniz_row, _leibniz, _quotient, _power) from odelift.verify, so what
 it checks is the order of the work, not the kernels.
+
+The Taylor steps with the solution jet's binomial sums written out by hand,
+`reference_transfer`, are the reference for odelift.verify._transfer,
+which sums them with the Expr jets' kernel _leibniz_row: both must give
+the same Phi, byte for byte.  It takes the scan, _prefix_products, from
+odelift.verify, so what it checks is the solution jet.
 """
 
 from __future__ import annotations
@@ -842,6 +848,40 @@ def recurrence_values(m: int, syms: np.ndarray) -> np.ndarray:
                 nxt[l:, : a.shape[1]] -= a[: n - l] * c[l]
         prev, cur = cur, nxt
     return cur[0]
+
+
+def reference_transfer(syms: np.ndarray, h: float) -> np.ndarray:
+    """Phi from the symbol rows to order 3 on the grid, as
+    odelift.verify._transfer, with the solution jet's two binomial sums
+    written out: y^(k+2) = sum_j C(k,j) (p^(j) y^(k+1-j) + q^(j) y^(k-j)),
+    the terms on rows 2.. first, p's before q's, then the symbol rows that
+    the unit columns y[0] = (1, 0) and y[1] = (0, 1) contribute."""
+    n = syms.shape[-1] - 1
+    phi = np.empty((4, n + 1))
+    phi[:, 0] = (1.0, 0.0, 0.0, 1.0)
+    p, q = syms[:, 0, :-1], syms[:, 1, :-1]
+    y = [None, None, syms[0, ::-1, :-1]]
+    for k in range(1, 4):  # row k+2, its terms on rows 2.. first
+        row = p[0] * y[k + 1]
+        for j in range(1, k):
+            row += comb(k, j) * p[j] * y[k + 1 - j]
+        for j in range(k - 1):
+            row += comb(k, j) * q[j] * y[k - j]
+        row[0] += q[k]
+        row[1] += p[k] + k * q[k - 1]
+        y.append(row)
+    for r, t in enumerate((phi[:2, 1:], phi[2:, 1:])):  # entries (r, 0) and (r, 1) of every T_k
+        np.multiply(y[r + 4], h / 4, out=t)
+        for j in (3, 2, 1):
+            if r + j > 1:
+                t += y[r + j]
+            else:
+                t[1] += 1.0  # y[1] = (0, 1)
+            t *= h / j
+        t[r] += 1.0  # y[r] is the unit column r
+    del y  # the Taylor rows go before the scan allocates
+    verify._prefix_products(phi.reshape(2, 2, -1)[..., 1:])
+    return phi
 
 
 def scaled_solution(phi: np.ndarray, ic) -> tuple[np.ndarray, np.ndarray]:
